@@ -464,9 +464,8 @@ var frontierData *dataset.Dataset
 // BenchmarkFrontierSizing measures the enumeration phase (search.Enumerate:
 // frontier sizing across every lattice level, no evaluation) on a
 // small-domain multi-level workload, comparing the PR 1 fused-scan path
-// against the dense kernel alone, the PR 2 per-child refinement scheduler
-// (scheduler-perchild: parent-PC reuse through the cache, batch tier off)
-// and the full batched slot-keyed scheduler. Recorded in BENCH_pr3.json;
+// against the dense kernel alone and the batched refinement scheduler.
+// Recorded in BENCH_pr3.json;
 // the acceptance bars are scheduler ≥ 2× faster than pr1-fused and
 // scheduler bytes/op ≥ 10× below the BENCH_pr2 scheduler baseline at
 // equal-or-better ns/op.
@@ -482,7 +481,6 @@ func BenchmarkFrontierSizing(b *testing.B) {
 	}{
 		{"pr1-fused", search.Options{Bound: bound, Workers: 1, DisableRefine: true, DenseLimit: -1}},
 		{"dense-only", search.Options{Bound: bound, Workers: 1, DisableRefine: true}},
-		{"scheduler-perchild", search.Options{Bound: bound, Workers: 1, DisableBatchRefine: true}},
 		{"scheduler", search.Options{Bound: bound, Workers: 1}},
 	}
 	for _, v := range variants {

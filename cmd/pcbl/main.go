@@ -193,8 +193,7 @@ func runLabel(args []string) error {
 		Bound:     *bound,
 		Algorithm: pcbl.Algorithm(*algo),
 		FastEval:  true,
-		MemBudget: int64(*memBudgetMB) << 20,
-		SpillDir:  *spillDir,
+		Engine:    pcbl.EngineOptions{MemBudget: int64(*memBudgetMB) << 20, SpillDir: *spillDir},
 	})
 	if err != nil {
 		return err
@@ -302,13 +301,13 @@ func runSave(args []string) error {
 	}
 
 	var l *pcbl.Label
-	opts := pcbl.LabelOptions{MemBudget: int64(*memBudgetMB) << 20, SpillDir: *spillDir}
+	eng := pcbl.EngineOptions{MemBudget: int64(*memBudgetMB) << 20, SpillDir: *spillDir}
 	if *attrsArg != "" {
 		var names []string
 		for _, n := range strings.Split(*attrsArg, ",") {
 			names = append(names, strings.TrimSpace(n))
 		}
-		l, err = pcbl.BuildLabelWith(d, opts, names...)
+		l, err = pcbl.BuildLabelWith(d, pcbl.LabelOptions{Engine: eng}, names...)
 		if err != nil {
 			return err
 		}
@@ -317,8 +316,7 @@ func runSave(args []string) error {
 			Bound:     *bound,
 			Algorithm: pcbl.Algorithm(*algo),
 			FastEval:  true,
-			MemBudget: opts.MemBudget,
-			SpillDir:  opts.SpillDir,
+			Engine:    eng,
 		})
 		if err != nil {
 			return err

@@ -48,8 +48,7 @@
 // Engine configuration (workers, dense-kernel threshold, memory budget,
 // spill placement) lives in EngineOptions, embedded as the Engine field of
 // GenerateOptions and LabelOptions and passed directly to
-// BuildDeltaLabel. The older top-level fields of those option structs
-// remain as deprecated aliases; a set Engine field wins over its alias.
+// BuildDeltaLabel.
 //
 // # Errors and panics
 //

@@ -33,7 +33,7 @@ Female,20-39,Hispanic,divorced
 // status}.
 func ExampleGenerateLabel() {
 	d, _ := pcbl.ReadCSV(strings.NewReader(exampleCSV), pcbl.CSVOptions{})
-	res, _ := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 5, Workers: 1})
+	res, _ := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 5, Engine: pcbl.EngineOptions{Workers: 1}})
 	fmt.Printf("%s, size %d\n", res.Attrs.Format(d.AttrNames()), res.Size)
 	// Output: {age group, marital status}, size 3
 }

@@ -1,7 +1,7 @@
 package core
 
-// Allocation-regression pins for the pooled engine (PR 3): steady-state
-// batched refinement and pooled dense PC builds must run in a near-constant
+// Allocation-regression pins for the pooled engine: steady-state batched
+// refinement and pooled dense PC builds must run in a near-constant
 // number of small allocations — planning slices and keyer metadata, never
 // per-row or per-key-space slabs. The bounds are deliberately loose (2×-ish
 // headroom over measured values) so they catch a lost pooling path, not
@@ -14,28 +14,24 @@ import (
 	"pcbl/internal/lattice"
 )
 
-// TestAllocsRefineSizeBatch pins the steady-state allocations of one
-// batched sibling pass: after warmup every slab (child accumulators,
-// key-block scratch) comes from the pool, leaving only the per-call
-// planning slices.
-func TestAllocsRefineSizeBatch(t *testing.T) {
+// TestAllocsRefineSizes pins the steady-state allocations of one batched
+// sibling pass: after warmup every slab (child accumulators, key-block
+// scratch) comes from the pool, leaving only the per-call planning slices.
+func TestAllocsRefineSizes(t *testing.T) {
 	cfg := diffConfig{rows: 5000, attrs: 6, domain: 4, nullRate: 0}
 	d := diffDataset(t, cfg, 41)
-	parent, ok := LazyRefinable(d, lattice.NewAttrSet(0, 1))
-	if !ok {
-		t.Fatal("parent not dense-keyable")
-	}
+	parent := lattice.NewAttrSet(0, 1)
 	attrs := []int{2, 3, 4, 5}
 	opts := CountOptions{Workers: 1, Pool: NewVecPool(0)}
-	parent.RefineSizeBatch(d, attrs, -1, opts) // warm the pool
+	RefineSizes(d, parent, attrs, -1, opts) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
-		parent.RefineSizeBatch(d, attrs, -1, opts)
+		RefineSizes(d, parent, attrs, -1, opts)
 	})
-	// Measured ~12 (results + specs + plans + accs + keyer metadata +
+	// Measured ~10 (sizes + within + plans + accs + keyer metadata +
 	// column table + active list); anything near the child count × key
 	// space means pooling broke.
 	if allocs > 25 {
-		t.Fatalf("RefineSizeBatch allocs/run = %.0f, want <= 25", allocs)
+		t.Fatalf("RefineSizes allocs/run = %.0f, want <= 25", allocs)
 	}
 }
 
@@ -81,22 +77,5 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 	// (no MemBudget is set, and the key spaces are uint64-bounded anyway).
 	if scan.Spilled != 0 || scan.SpillRuns != 0 || scan.SpillBytes != 0 {
 		t.Fatalf("in-memory alloc workload spilled: %+v", scan)
-	}
-}
-
-// TestAllocsRefinePooledSteadyState pins the per-child eager path with a
-// pool: a refine-size probe recycles its compact-space slab entirely.
-func TestAllocsRefinePooledSteadyState(t *testing.T) {
-	cfg := diffConfig{rows: 4000, attrs: 5, domain: 6, nullRate: 0}
-	d := diffDataset(t, cfg, 47)
-	parent := BuildRefinable(d, lattice.NewAttrSet(0, 2))
-	pool := NewVecPool(0)
-	parent.RefineSizePooled(d, 4, -1, pool) // warm
-	allocs := testing.AllocsPerRun(20, func() {
-		parent.RefineSizePooled(d, 4, -1, pool)
-	})
-	// Measured ~2 (column header + bookkeeping).
-	if allocs > 8 {
-		t.Fatalf("RefineSizePooled allocs/run = %.0f, want <= 8", allocs)
 	}
 }

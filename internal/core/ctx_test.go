@@ -102,22 +102,17 @@ func TestCancelledSizingReturnsTypedError(t *testing.T) {
 	}
 }
 
-func TestCancelledRefineBatchReturnsTypedError(t *testing.T) {
+func TestCancelledRefineSizesReturnsTypedError(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 2000, attrs: 4, domain: 8}, 0xCF)
 	pool := NewVecPool(0)
-	parent := BuildRefinablePooled(d, lattice.NewAttrSet(0), pool)
-	if parent == nil {
-		t.Fatal("parent not refinable")
-	}
-	defer parent.Release(pool)
 	opts := testCountOptions(2)
 	opts.Pool = pool
 	opts.Ctx = cancelledCtx()
-	res, err := parent.RefineBatchE(d, []BatchSpec{{Attr: 1}, {Attr: 2}}, -1, opts)
+	sizes, within, err := RefineSizes(d, lattice.NewAttrSet(0), []int{1, 2}, -1, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res != nil {
+	if sizes != nil || within != nil {
 		t.Fatal("cancelled batch returned partial results")
 	}
 	// The cancelled pass must have returned its slabs: the pool is still

@@ -16,9 +16,9 @@ import (
 // per-set key vector before the count phase, so the decode loop streams one
 // column at a time and the count loop is branch-light.
 //
-// Path selection (shared by BuildPC, BuildPCParallel, LabelSizesFused,
-// PC.Marginalize and RefinablePC materialization, so every entry point
-// picks the same representation for the same inputs):
+// Path selection (shared by BuildPC, BuildPCParallel, LabelSizesFused and
+// PC.Marginalize, so every entry point picks the same representation for
+// the same inputs):
 //
 //   - radix ≤ denseLimit AND radix ≤ denseRowFactor × rows (+64)  →  dense
 //   - key fits in uint64 otherwise                                →  uint64 map
@@ -62,8 +62,8 @@ func (o CountOptions) denseLimit() int {
 // denseSpaceOK is THE dense-eligibility predicate: a flat count space of
 // the given size is worth allocating for a rows-sized scan iff it fits
 // the slot limit and is not vastly sparser than the scan. Every caller —
-// kernel selection (denseRadix), refinement accumulators (refine,
-// RefineBatch) and scheduler routing (DenseExtendable) — shares it, so
+// kernel selection (denseRadix), refinement accumulators (RefineSizes) and
+// scheduler routing (DenseKeyable, DenseExtendable) — shares it, so
 // routing decisions and representation choices cannot drift apart.
 func denseSpaceOK(space uint64, rows, limit int) bool {
 	return limit > 0 && space <= uint64(limit) && space <= uint64(rows)*denseRowFactor+64

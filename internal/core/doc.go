@@ -90,50 +90,33 @@
 // (spilledpc.go) and hammered by the race-matrix tests in
 // spilledpc_concurrent_test.go.
 //
-// Orthogonally, pccache.go and refinebatch.go reuse work across lattice
-// levels. A RefinablePC retains the row→group assignment of its group-by,
-// so the index (or just the label size) of S ∪ {a} follows from a
-// two-column pass — parent groups joined with a's column — counted in the
-// compact (group, value) space, which is bounded by |P_S| × dom(a) rather
-// than by the full mixed-radix product. Refinement itself is tiered:
+// Orthogonally, refinebatch.go reuses work across lattice levels. A
+// child set's group-by refines its parent's, so the label size of S ∪ {a}
+// follows from a two-column pass — parent groups joined with a's column —
+// counted in the compact (group, value) space, which is bounded by the
+// parent's key space × dom(a) rather than by the full mixed-radix product.
+// When the parent is dense-keyable its group ids can be DEFINED as its
+// dense mixed-radix keys, so the row→group vector is virtual —
+// recomputable blockwise through Keyer.KeyBlock — and one RefineSizes pass
+// sizes an entire batch of sibling children S ∪ {a₁}, …, S ∪ {aₖ} at once,
+// scattering into k pooled compact-space accumulators with per-child exact
+// cap-abort and worker sharding. Package search's frontier scheduler sends
+// each candidate down one of two paths: batched refinement when its gen
+// parent is dense-keyable and the candidate stays dense-keyable, the fused
+// raw scan (LabelSizesFusedE) otherwise.
 //
-//   - batched slot-keyed (RefineBatch): when a set is dense-keyable its
-//     group ids can be DEFINED as the dense mixed-radix keys, so the
-//     row→group vector is virtual — recomputable blockwise through
-//     Keyer.KeyBlock — and one pass over it sizes an entire batch of
-//     sibling children S ∪ {a₁}, …, S ∪ {aₖ} at once, scattering into k
-//     pooled compact-space accumulators with per-child exact cap-abort
-//     and worker sharding. Children added above the parent's maximum
-//     member index are again slot-keyed and materialize for free (the
-//     accumulated count slab IS the child index; no vector is built).
-//     LazyRefinable constructs such parents without any scan.
-//   - per-child eager (Refine/RefineSize): sets beyond the dense tier
-//     keep the PR 2 path — a materialized, renumbered group vector held
-//     in a budget-bounded PCCache, refined one child at a time.
-//   - raw fused scans for everything else.
+// Refinement never spills: its compact spaces are bounded by a
+// dense-keyable parent's key space times one attribute domain, so it is
+// in-memory by construction — the budget governs only raw scans.
 //
-// RefineFrom materializes any refined child bit-identically to BuildPC.
-// Package search's frontier scheduler routes every candidate through
-// these tiers in the order above, grouping each level by gen parent for
-// the batched tier.
+// Allocation is arena-managed: a VecPool recycles count slabs, key scratch
+// and spill buffers across refinements, fused scans and sharded builds
+// (CountOptions.Pool). Steady-state enumeration allocates a near-constant
+// working set (pinned by alloc_test.go) instead of one compact-space slab
+// per candidate.
 //
-// Refinement never spills: its compact (group, value) spaces are bounded
-// by an in-bound parent's group count times one attribute domain, so it
-// is in-memory by construction — the budget governs only raw scans.
-//
-// Allocation is arena-managed: a VecPool recycles group vectors, count
-// slabs, key scratch and spill buffers across refinements, fused scans
-// and sharded builds (CountOptions.Pool); PCCache releases evicted
-// indexes into it, and MemBytes counts slab capacities so cache budgets
-// bound pinned bytes. Eviction is level-pipelined: the frontier scheduler
-// drops a cached parent the moment its last refinement has run
-// (PCCache.Drop), so its slabs return to the pool before the next sibling
-// chunk allocates. Steady-state enumeration allocates a near-constant
-// working set (pinned by alloc_test.go) instead of one rows×4B vector per
-// cached set.
-//
-// Every parallel, dense, refinement and batch entry point returns results
+// Every parallel, dense and refinement entry point returns results
 // bit-identical to its sequential counterpart for all worker counts
-// (differentially tested in parallel_test.go, dense_test.go,
-// pccache_test.go and refinebatch_test.go).
+// (differentially tested in parallel_test.go, dense_test.go and
+// refinebatch_test.go).
 package core

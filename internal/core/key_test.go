@@ -194,3 +194,44 @@ func TestMarginalizeMatchesRebuild(t *testing.T) {
 		return true
 	})
 }
+
+// TestDifferentialMarginalize: on NULL-free data, marginalizing any parent
+// index to a subset must equal the raw group-by of the subset — for dense,
+// map and byte-key parents, and for dense and map outputs.
+func TestDifferentialMarginalize(t *testing.T) {
+	for ci, cfg := range diffConfigs {
+		if cfg.nullRate > 0 {
+			continue // NULL counts are not recoverable from the parent (documented)
+		}
+		t.Run(cfg.name(), func(t *testing.T) {
+			d := diffDataset(t, cfg, uint64(ci)+1)
+			rng := rand.New(rand.NewPCG(uint64(ci), 0x3A46))
+			parents := []lattice.AttrSet{lattice.FullSet(cfg.attrs)}
+			for _, parent := range parents {
+				pc := BuildPC(d, parent)
+				subs := []lattice.AttrSet{0, lattice.NewAttrSet(0)}
+				for len(subs) < 6 {
+					var s lattice.AttrSet
+					for _, a := range parent.Members() {
+						if rng.IntN(2) == 1 {
+							s = s.Add(a)
+						}
+					}
+					subs = append(subs, s)
+				}
+				for _, sub := range subs {
+					pcEqual(t, BuildPC(d, sub), pc.Marginalize(d, sub))
+				}
+			}
+		})
+	}
+	// Byte-key parent marginalized to a uint64/dense subset.
+	wide := diffDataset(t, diffConfig{rows: 800, attrs: 4, domain: 65000, nullRate: 0}, 9)
+	parent := BuildPC(wide, lattice.FullSet(4))
+	if pcRepr(parent) != "bytes" {
+		t.Fatalf("wide parent repr = %s, want bytes", pcRepr(parent))
+	}
+	for _, sub := range []lattice.AttrSet{lattice.NewAttrSet(0), lattice.NewAttrSet(1, 3)} {
+		pcEqual(t, BuildPC(wide, sub), parent.Marginalize(wide, sub))
+	}
+}

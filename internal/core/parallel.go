@@ -37,8 +37,8 @@ type CountOptions struct {
 	// negative value disables the dense kernel entirely — every scanned
 	// set counts through hash maps, the pre-dense engine behaviour,
 	// useful as a differential-testing oracle and an ablation baseline.
-	// RefinablePC's compact-space counting is internal to the refinement
-	// path and not governed by this knob.
+	// RefineSizes applies it only to pick its compact-space accumulators;
+	// the search's refinement passes leave it at the default.
 	DenseLimit int
 
 	// Stats, when non-nil, accumulates which kernel each scanned set was
@@ -51,9 +51,8 @@ type CountOptions struct {
 	// arrays, per-worker shard slabs, key-block scratch — from a recycled
 	// free-list arena instead of fresh allocations, and receives the
 	// transient ones back when a scan completes. Results never retain
-	// pooled memory unless documented (RefineBatch's built children own
-	// their count slabs until released). A nil pool means plain
-	// allocation; behaviour is identical either way.
+	// pooled memory. A nil pool means plain allocation; behaviour is
+	// identical either way.
 	Pool *VecPool
 
 	// MemBudget, when positive, bounds the estimated in-memory grouping

@@ -9,55 +9,46 @@ import (
 	"pcbl/internal/workpool"
 )
 
-// Batched sibling refinement: one pass over a parent's group assignment
-// serves the whole batch of sibling children S ∪ {a₁}, …, S ∪ {aₖ}. The
-// kernel reads each parent group id once per row block — streamed through
-// Keyer.KeyBlock for lazy slot-keyed parents, or converted from the
-// materialized group vector — and scatters into k per-child accumulators:
-// a dense []int32 slab when the compact (group, value) space is small, a
-// hash set otherwise. Each child keeps the exact sequential cap-abort
-// contract of LabelSize, and row chunks shard across workers exactly like
-// the fused frontier scan, so refinement scales with CountOptions.Workers.
-//
-// Child slots are numbered pg + (id-1)·gspace — the added attribute in the
-// highest radix position — so that when the parent is slot-keyed and the
-// added attribute lies above every parent member, the child's slots are
-// again exactly its dense mixed-radix keys. Such children materialize for
-// free: the count slab accumulated during the pass IS the child index, and
-// no row→group vector is ever built. This is what lets the frontier
-// scheduler size an entire lattice in near-constant allocation: group
-// vectors exist only virtually, recomputed blockwise when a parent is
-// consumed.
+// Batched sibling refinement: one pass over a dense-keyable parent set's
+// keys sizes the whole batch of sibling children S ∪ {a₁}, …, S ∪ {aₖ}. A
+// child's group-by refines its parent's — every child group is a (parent
+// key, added-attribute value) pair — so each child's label size is the
+// number of distinct pairs in a compact space of radix(S) × dom(a) slots,
+// numbered key + (value-1)·radix(S). The parent's keys are recomputed
+// blockwise through Keyer.KeyBlock rather than materialized; each block is
+// read once and scattered into k per-child accumulators — a pooled dense
+// []int32 slab when the compact space is small, a hash set otherwise. Each
+// child keeps the exact sequential cap-abort contract of LabelSize, and
+// row chunks shard across workers exactly like the fused frontier scan.
+// Refinement never spills: its compact spaces are bounded by the parent's
+// dense key space times one attribute domain.
 
-// BatchSpec names one sibling child of a batched refinement: the attribute
-// it adds to the parent set, and whether a materialized child index should
-// be returned. Build is honored only when the child can be kept in lazy
-// slot-keyed form (dense compact space, slot-keyed parent, attribute above
-// every parent member); otherwise the child is sized but BatchResult.Child
-// stays nil and the caller falls back (see RefinablePC.Refine).
-type BatchSpec struct {
-	Attr  int
-	Build bool
+// DenseKeyable reports whether attribute set s would be counted by the
+// dense kernel under the engine defaults, and the flat key-space size when
+// so. Any dense-keyable set can parent a RefineSizes pass; the frontier
+// scheduler uses it to route candidates onto the batched refinement tier.
+func DenseKeyable(d *dataset.Dataset, s lattice.AttrSet) (radix int, ok bool) {
+	return denseRadix(NewKeyer(d, s), d.NumRows(), DefaultDenseLimit)
 }
 
-// BatchResult is one sibling child's outcome: exactly what LabelSize(d,
-// S ∪ {a}, cap) reports, plus the materialized child when requested and
-// eligible. A returned child owns its (possibly pooled) count slab until
-// Release.
-type BatchResult struct {
-	Size   int
-	Within bool
-	Child  *RefinablePC
+// DenseExtendable reports whether extending a dense-keyable set with key
+// space radix by attribute a stays dense-keyable under the engine
+// defaults: the grown key space must respect both the slot limit and the
+// sparsity guard relative to the row count.
+func DenseExtendable(d *dataset.Dataset, radix, a int) bool {
+	dim := d.Attr(a).DomainSize()
+	if dim == 0 {
+		dim = 1 // matches the keyer's substitution for all-NULL attributes
+	}
+	return denseSpaceOK(uint64(radix)*uint64(dim), d.NumRows(), DefaultDenseLimit)
 }
 
 // batchPlan is the per-child static plan of one batched refinement.
 type batchPlan struct {
-	attr      int
-	col       []uint16
-	mult      uint64 // slot = pg + (id-1)*mult; mult = parent gspace
-	cspace    uint64 // compact child space: gspace × dom(attr)
-	dense     bool   // dense slab accumulator vs hash set
-	buildable bool   // child can be kept as a lazy slot-keyed index
+	col    []uint16
+	mult   uint64 // slot = pg + (id-1)*mult; mult = parent gspace
+	cspace uint64 // compact child space: gspace × dom(attr)
+	dense  bool   // dense slab accumulator vs hash set
 }
 
 // batchAcc is one worker's accumulator for one child.
@@ -68,141 +59,99 @@ type batchAcc struct {
 	done     bool // cap exceeded in this worker's rows
 }
 
-// RefineSizeBatch computes LabelSize(d, S ∪ {a}, cap) for every attribute
-// in attrs in a single blocked pass over the parent's group assignment;
-// result i matches what RefineSize(d, attrs[i], cap) — and hence the
-// sequential LabelSize — reports, for every worker count.
-func (r *RefinablePC) RefineSizeBatch(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) []BatchResult {
-	results, err := r.RefineSizeBatchE(d, attrs, cap, opts)
-	if err != nil {
-		panic("core: RefineSizeBatch: " + err.Error())
+// RefineSizes computes LabelSize(d, parent ∪ {a}, cap) for every attribute
+// a in attrs in a single blocked pass over the parent's dense keys: one
+// pass, k per-child accumulators, per-child exact cap-abort, sharded across
+// opts.Workers. (sizes[i], within[i]) is exactly what the sequential
+// LabelSize reports for attrs[i], for every worker count. Accumulator slabs
+// come from opts.Pool and all return to it before the call completes.
+//
+// The parent must be dense-keyable and attrs must name distinct
+// non-member attributes; anything else is a programmer error and panics.
+// With CountOptions.Ctx armed, every worker polls the context once per row
+// block; a fired context aborts the pass and surfaces the typed context
+// error with nil results — no partially counted child escapes.
+func RefineSizes(d *dataset.Dataset, parent lattice.AttrSet, attrs []int, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
+	rows := d.NumRows()
+	keyer := NewKeyer(d, parent)
+	gspace, ok := denseRadix(keyer, rows, DefaultDenseLimit)
+	if !ok {
+		panic(fmt.Sprintf("core: refine sizes of non-dense-keyable parent %v", parent))
 	}
-	return results
-}
-
-// RefineSizeBatchE is RefineSizeBatch returning cancellation as an error:
-// ctx-arming callers use it to stop a sizing pass mid-level (see
-// RefineBatchE for the polling contract).
-func (r *RefinablePC) RefineSizeBatchE(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) ([]BatchResult, error) {
-	specs := make([]BatchSpec, len(attrs))
-	for i, a := range attrs {
-		specs[i] = BatchSpec{Attr: a}
-	}
-	return r.RefineBatchE(d, specs, cap, opts)
-}
-
-// RefineBatch refines the parent by every spec'd attribute at once: one
-// pass over the parent group ids, k per-child accumulators, per-child
-// exact cap-abort, sharded across opts.Workers. Specs must name distinct
-// non-member attributes. See BatchSpec for when a child materializes. If
-// an armed CountOptions.Ctx fires mid-pass it panics; ctx-arming callers
-// use RefineBatchE.
-func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) []BatchResult {
-	results, err := r.RefineBatchE(d, specs, cap, opts)
-	if err != nil {
-		panic("core: RefineBatch: " + err.Error())
-	}
-	return results
-}
-
-// RefineBatchE is RefineBatch returning cancellation as an error: with
-// CountOptions.Ctx armed, every worker polls the context once per row
-// block; a fired context aborts the pass, returns every pooled accumulator
-// slab, and surfaces the typed context error with nil results — no
-// partially counted child escapes.
-func (r *RefinablePC) RefineBatchE(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) ([]BatchResult, error) {
-	results := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
-		return results, nil
-	}
-	pool := opts.Pool
-	rows := r.rows
 	limit := opts.denseLimit()
-	maxMember := r.attrs.MaxIndex()
-
 	var dup lattice.AttrSet
-	plans := make([]batchPlan, len(specs))
-	for j, sp := range specs {
-		a := sp.Attr
-		if r.attrs.Has(a) {
-			panic(fmt.Sprintf("core: batch refine by attribute %d already in %v", a, r.attrs))
+	plans := make([]batchPlan, len(attrs))
+	for j, a := range attrs {
+		if parent.Has(a) {
+			panic(fmt.Sprintf("core: refine sizes by attribute %d already in %v", a, parent))
 		}
 		if dup.Has(a) {
-			panic(fmt.Sprintf("core: duplicate attribute %d in batch refine of %v", a, r.attrs))
+			panic(fmt.Sprintf("core: duplicate attribute %d in refine sizes of %v", a, parent))
 		}
 		dup = dup.Add(a)
-		dim := d.Attr(a).DomainSize()
-		cspace := uint64(r.gspace) * uint64(dim)
-		dense := denseSpaceOK(cspace, rows, limit)
+		cspace := uint64(gspace) * uint64(d.Attr(a).DomainSize())
 		plans[j] = batchPlan{
-			attr:      a,
-			col:       d.Col(a),
-			mult:      uint64(r.gspace),
-			cspace:    cspace,
-			dense:     dense,
-			buildable: sp.Build && dense && r.slotKeys && a > maxMember,
+			col:    d.Col(a),
+			mult:   uint64(gspace),
+			cspace: cspace,
+			dense:  denseSpaceOK(cspace, rows, limit),
 		}
 	}
-
-	var keyer *Keyer
-	var cols [][]uint16
-	if r.groups == nil {
-		if !r.slotKeys {
-			panic("core: batch refine of an unmaterialized non-slot-keyed index")
-		}
-		keyer = NewKeyer(d, r.attrs)
-		cols = datasetCols(d)
+	sizes = make([]int, len(attrs))
+	within = make([]bool, len(attrs))
+	if len(attrs) == 0 {
+		return sizes, within, nil
 	}
 
+	pool := opts.Pool
+	cols := datasetCols(d)
 	stop := opts.stop()
 	workers := opts.scanWorkers(rows)
 	if workers <= 1 {
 		accs := newBatchAccs(plans, pool)
-		r.batchScan(plans, accs, keyer, cols, 0, rows, cap, nil, pool, stop)
+		batchScan(plans, accs, keyer, cols, 0, rows, cap, nil, pool, stop)
+		releaseBatchAccs([][]batchAcc{accs}, pool)
 		if err := stop.err(); err != nil {
-			releaseBatchAccs([][]batchAcc{accs}, pool)
-			return nil, err
+			return nil, nil, err
 		}
-		for j := range plans {
-			results[j] = finishBatchChild(r, &plans[j], accs[j].slab, accs[j].distinct, !accs[j].done, cap, pool)
+		for j, acc := range accs {
+			// A child that passed the cap stopped counting at exactly cap+1.
+			sizes[j], within[j] = acc.distinct, !acc.done
 		}
-		return results, nil
+		return sizes, within, nil
 	}
 
 	// Sharded pass: exceeded[j] fires when any worker's local distinct
 	// count for child j passes cap — a lower bound on the global count —
 	// so other workers stop accumulating it. The merge re-derives the
 	// exact verdict for the rest.
-	exceeded := make([]atomic.Bool, len(specs))
+	exceeded := make([]atomic.Bool, len(attrs))
 	shards := make([][]batchAcc, workers)
 	workpool.RunChunks(rows, workers, func(w, lo, hi int) {
 		accs := newBatchAccs(plans, pool)
-		r.batchScan(plans, accs, keyer, cols, lo, hi, cap, exceeded, pool, stop)
+		batchScan(plans, accs, keyer, cols, lo, hi, cap, exceeded, pool, stop)
 		shards[w] = accs
 	})
 	if err := stop.err(); err != nil {
 		releaseBatchAccs(shards, pool)
-		return nil, err
+		return nil, nil, err
 	}
-
 	for j := range plans {
-		pl := &plans[j]
 		if cap >= 0 && exceeded[j].Load() {
-			results[j] = BatchResult{Size: cap + 1, Within: false}
+			sizes[j], within[j] = cap+1, false
 			for _, accs := range shards {
 				pool.PutInt32(accs[j].slab)
-				accs[j].slab = nil
 			}
 			continue
 		}
-		slab, distinct, within := mergeBatchShards(shards, j, cap, pool)
-		results[j] = finishBatchChild(r, pl, slab, distinct, within, cap, pool)
+		sizes[j], within[j] = mergeBatchShards(shards, j, cap, pool)
 	}
-	return results, nil
+	return sizes, within, nil
 }
 
-// releaseBatchAccs returns every pooled slab of a cancelled batch pass;
-// the partial counts are discarded unread.
+// releaseBatchAccs returns every pooled accumulator slab of a finished
+// sequential pass or a cancelled pass; the slab contents are not read
+// afterwards.
 func releaseBatchAccs(shards [][]batchAcc, pool *VecPool) {
 	for _, accs := range shards {
 		for j := range accs {
@@ -227,14 +176,13 @@ func newBatchAccs(plans []batchPlan, pool *VecPool) []batchAcc {
 }
 
 // batchScan is the blocked counting loop over rows [lo, hi): the parent
-// group ids of a block are loaded once — keyed through the keyer for lazy
-// parents, converted from the group vector otherwise — and every still-
+// keys of a block are computed once through the keyer, and every still-
 // active child consumes them against its own column. Children that pass
 // the cap are swap-removed from the active list (publishing the shared
 // exceeded flag in sharded mode) so later blocks skip them. stop is polled
 // once per block, next to the exceeded flags; a fired context ends this
 // worker's pass with the accumulators partial — the caller discards them.
-func (r *RefinablePC) batchScan(plans []batchPlan, accs []batchAcc, keyer *Keyer, cols [][]uint16, lo, hi, cap int, exceeded []atomic.Bool, pool *VecPool, stop ctxStop) {
+func batchScan(plans []batchPlan, accs []batchAcc, keyer *Keyer, cols [][]uint16, lo, hi, cap int, exceeded []atomic.Bool, pool *VecPool, stop ctxStop) {
 	active := make([]int, len(plans))
 	for i := range active {
 		active[i] = i
@@ -246,17 +194,7 @@ func (r *RefinablePC) batchScan(plans []batchPlan, accs []batchAcc, keyer *Keyer
 			return
 		}
 		bhi := min(blo+keyBlockRows, hi)
-		if keyer != nil {
-			keyer.KeyBlock(cols, blo, bhi, pg)
-		} else {
-			for i, g := range r.groups[blo:bhi] {
-				if g < 0 {
-					pg[i] = InvalidKey
-				} else {
-					pg[i] = uint64(g)
-				}
-			}
-		}
+		keyer.KeyBlock(cols, blo, bhi, pg)
 		for ai := 0; ai < len(active); ai++ {
 			j := active[ai]
 			acc := &accs[j]
@@ -279,8 +217,8 @@ func (r *RefinablePC) batchScan(plans []batchPlan, accs []batchAcc, keyer *Keyer
 	}
 }
 
-// scanBlock feeds one block of parent group ids into a child's accumulator
-// and reports whether the child's distinct count passed the cap.
+// scanBlock feeds one block of parent keys into a child's accumulator and
+// reports whether the child's distinct count passed the cap.
 func (acc *batchAcc) scanBlock(pl *batchPlan, pg []uint64, blo, cap int) (done bool) {
 	col := pl.col[blo : blo+len(pg)]
 	mult := pl.mult
@@ -322,18 +260,14 @@ func (acc *batchAcc) scanBlock(pl *batchPlan, pg []uint64, blo, cap int) (done b
 // mergeBatchShards unions the per-worker accumulators for child j —
 // vector addition with a nonzero-slot counter on the dense path, set union
 // otherwise — aborting at the cap exactly as the sequential pass would.
-// On the dense path it returns the merged slab (worker 0's, others go back
-// to the pool); the sparse path returns no slab.
-func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (slab []int32, distinct int, within bool) {
+// Every dense slab of child j goes back to the pool.
+func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (size int, within bool) {
 	first := &shards[0][j]
-	if first.slab != nil {
-		merged := first.slab
-		first.slab = nil
-		distinct = first.distinct
+	if merged := first.slab; merged != nil {
+		distinct := first.distinct
 		within = true
 		for _, accs := range shards[1:] {
 			shard := accs[j].slab
-			accs[j].slab = nil
 			if within {
 				for slot, c := range shard {
 					if c == 0 {
@@ -351,44 +285,20 @@ func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (slab []in
 			}
 			pool.PutInt32(shard)
 		}
+		pool.PutInt32(merged)
 		if !within {
-			pool.PutInt32(merged)
-			return nil, cap + 1, false
+			return cap + 1, false
 		}
-		return merged, distinct, true
+		return distinct, true
 	}
 	seen := first.seen
 	for _, accs := range shards[1:] {
 		for slot := range accs[j].seen {
 			seen[slot] = struct{}{}
 			if cap >= 0 && len(seen) > cap {
-				return nil, cap + 1, false
+				return cap + 1, false
 			}
 		}
 	}
-	return nil, len(seen), true
-}
-
-// finishBatchChild converts one child's accumulated state into its
-// BatchResult, materializing the lazy slot-keyed child when eligible and
-// returning unneeded slabs to the pool.
-func finishBatchChild(r *RefinablePC, pl *batchPlan, slab []int32, distinct int, within bool, cap int, pool *VecPool) BatchResult {
-	if !within {
-		pool.PutInt32(slab)
-		return BatchResult{Size: cap + 1, Within: false}
-	}
-	if pl.buildable && slab != nil {
-		child := &RefinablePC{
-			attrs:    r.attrs.Add(pl.attr),
-			members:  insertInt(r.members, len(r.members), pl.attr),
-			rows:     r.rows,
-			gcount:   distinct,
-			gspace:   int(pl.cspace),
-			counts:   slab,
-			slotKeys: true,
-		}
-		return BatchResult{Size: distinct, Within: true, Child: child}
-	}
-	pool.PutInt32(slab)
-	return BatchResult{Size: distinct, Within: true}
+	return len(seen), true
 }

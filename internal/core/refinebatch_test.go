@@ -1,13 +1,13 @@
 package core
 
-// Differential coverage for batched sibling refinement: RefineBatch /
-// RefineSizeBatch must agree exactly with the per-child Refine/RefineSize
-// path and with sequential LabelSize — sizes, cap-abort verdicts at the
-// boundary values, and materialized child contents against naive BuildPC —
-// across randomized datasets, eager and lazy parents (including byte-key
-// fallback parents), with and without the pool, for workers 1, 2 and 8.
+// Differential coverage for batched sibling refinement: RefineSizes must
+// agree exactly with sequential LabelSize — sizes and cap-abort verdicts at
+// the boundary values — across randomized datasets and every dense-keyable
+// parent (dense-slab and hash-set accumulators alike), with and without the
+// pool, for workers 1, 2 and 8.
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -26,213 +26,94 @@ func nonMembers(s lattice.AttrSet, n int) []int {
 	return out
 }
 
-// batchParents returns the parent indexes to probe for a set: the eager
-// materialized one and, when the set is dense-keyable, the lazy slot-keyed
-// one (whose group ids are streamed through the keyer).
-func batchParents(t *testing.T, d *dataset.Dataset, s lattice.AttrSet) map[string]*RefinablePC {
-	t.Helper()
-	parents := map[string]*RefinablePC{}
-	if r := BuildRefinable(d, s); r != nil {
-		parents["eager"] = r
-	}
-	if r, ok := LazyRefinable(d, s); ok {
-		parents["lazy"] = r
-	}
-	if len(parents) == 0 {
-		t.Fatalf("set %v: no parent form available", s)
-	}
-	return parents
-}
-
-// TestDifferentialRefineSizeBatch: every batched size must equal the
-// per-child RefineSize and the sequential LabelSize across the cap grid,
-// for eager and lazy parents and every worker count.
-func TestDifferentialRefineSizeBatch(t *testing.T) {
+// TestDifferentialRefineSizes: every batched size must equal the
+// sequential LabelSize across the cap grid, for every dense-keyable parent
+// and every worker count.
+func TestDifferentialRefineSizes(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xBA7C4))
-			pool := NewVecPool(0)
-			for _, s := range diffAttrSets(cfg.attrs, rng) {
-				attrs := nonMembers(s, cfg.attrs)
-				if len(attrs) == 0 {
-					continue
-				}
-				// One representative child picks the cap grid; the batch is
-				// probed whole at each cap so siblings abort independently.
-				trueSize, _ := LabelSize(d, s.Add(attrs[0]), -1)
-				for form, parent := range batchParents(t, d, s) {
-					for _, cap := range diffCaps(trueSize) {
-						for _, workers := range diffWorkerCounts {
-							opts := testCountOptions(workers)
-							if workers == 2 {
-								opts.Pool = pool // exercise pooled and unpooled paths
-							}
-							res := parent.RefineSizeBatch(d, attrs, cap, opts)
-							for j, a := range attrs {
-								wantSize, wantWithin := LabelSize(d, s.Add(a), cap)
-								if res[j].Size != wantSize || res[j].Within != wantWithin {
-									t.Fatalf("%s parent %v+%d cap=%d workers=%d: got (%d, %v), want (%d, %v)",
-										form, s, a, cap, workers, res[j].Size, res[j].Within, wantSize, wantWithin)
-								}
-								if res[j].Child != nil {
-									t.Fatalf("%s parent %v+%d: size-only batch returned a child", form, s, a)
-								}
-							}
-						}
-					}
-				}
-			}
+			checkRefineSizes(t, d, diffAttrSets(cfg.attrs, rng))
 		})
 	}
+	// An all-NULL attribute has an empty domain: refining by it yields a
+	// zero-slot compact space, and a parent holding it has no groups.
+	t.Run("all-null", func(t *testing.T) {
+		bld := dataset.NewBuilder("nulls", "a", "b", "c")
+		for i := 0; i < 200; i++ {
+			bld.AppendStrings(fmt.Sprintf("x%d", i%2), "", fmt.Sprintf("y%d", i%3))
+		}
+		d, err := bld.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Attr(1).DomainSize() != 0 {
+			t.Fatalf("attribute b has domain %d, want 0", d.Attr(1).DomainSize())
+		}
+		checkRefineSizes(t, d, []lattice.AttrSet{0, lattice.NewAttrSet(0), lattice.NewAttrSet(1), lattice.NewAttrSet(0, 2)})
+	})
 }
 
-// TestDifferentialRefineBatchBuild: children materialized by the batch
-// pass must reproduce BuildPC bit-identically, and must themselves serve
-// as parents for the next batched level (the lazy chain the frontier
-// scheduler walks).
-func TestDifferentialRefineBatchBuild(t *testing.T) {
-	for ci, cfg := range diffConfigs {
-		if cfg.rows == 0 {
+// checkRefineSizes probes every dense-keyable parent among sets with the
+// batch of all its non-member attributes.
+func checkRefineSizes(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet) {
+	t.Helper()
+	pool := NewVecPool(0)
+	probed := 0
+	for _, s := range sets {
+		attrs := nonMembers(s, d.NumAttrs())
+		if _, ok := DenseKeyable(d, s); !ok || len(attrs) == 0 {
 			continue
 		}
-		t.Run(cfg.name(), func(t *testing.T) {
-			d := diffDataset(t, cfg, uint64(ci)+1)
-			pool := NewVecPool(0)
-			root, ok := LazyRefinable(d, lattice.AttrSet(0))
-			if !ok {
-				t.Skip("dataset not dense-keyable at the root")
-			}
-			// Walk two lattice levels through built lazy children.
-			specs := make([]BatchSpec, cfg.attrs)
-			for a := 0; a < cfg.attrs; a++ {
-				specs[a] = BatchSpec{Attr: a, Build: true}
-			}
+		probed++
+		// One representative child picks the cap grid; the batch is
+		// probed whole at each cap so siblings abort independently.
+		trueSize, _ := LabelSize(d, s.Add(attrs[0]), -1)
+		for _, cap := range diffCaps(trueSize) {
 			for _, workers := range diffWorkerCounts {
 				opts := testCountOptions(workers)
-				opts.Pool = pool
-				singles := root.RefineBatch(d, specs, -1, opts)
-				for a, res := range singles {
-					s := lattice.NewAttrSet(a)
-					want := BuildPC(d, s)
-					if res.Size != want.Size() {
-						t.Fatalf("single %d workers=%d: size %d, want %d", a, workers, res.Size, want.Size())
-					}
-					if res.Child == nil {
-						continue // not buildable in slot form (e.g. huge domain)
-					}
-					pcEqual(t, want, res.Child.PC(d))
-					// Second level: the built child as a lazy batch parent.
-					var childSpecs []BatchSpec
-					for _, b := range nonMembers(s, cfg.attrs) {
-						if b > a {
-							childSpecs = append(childSpecs, BatchSpec{Attr: b, Build: true})
-						}
-					}
-					if len(childSpecs) == 0 {
-						continue
-					}
-					pairs := res.Child.RefineBatch(d, childSpecs, -1, opts)
-					for j, pres := range pairs {
-						ps := s.Add(childSpecs[j].Attr)
-						pwant := BuildPC(d, ps)
-						if pres.Size != pwant.Size() {
-							t.Fatalf("pair %v workers=%d: size %d, want %d", ps, workers, pres.Size, pwant.Size())
-						}
-						if pres.Child != nil {
-							pcEqual(t, pwant, pres.Child.PC(d))
-							pres.Child.Release(pool)
-						}
-					}
-					res.Child.Release(pool)
+				if workers == 2 {
+					opts.Pool = pool // exercise pooled and unpooled paths
 				}
-			}
-		})
-	}
-}
-
-// TestRefineBatchByteKeyParent pins the fallback form: a parent whose own
-// group-by overflowed uint64 keys (byte-string path) still batch-refines
-// through its materialized group vector, with map accumulators for the
-// large compact spaces.
-func TestRefineBatchByteKeyParent(t *testing.T) {
-	cfg := diffConfig{rows: 2000, attrs: 4, domain: 65000, nullRate: 0.1}
-	d := diffDataset(t, cfg, 11)
-	parentSet := lattice.NewAttrSet(0, 1, 2)
-	if k := NewKeyer(d, lattice.FullSet(4)); k.Fits() {
-		t.Fatal("expected the full set to overflow uint64 keys")
-	}
-	parent := BuildRefinable(d, parentSet)
-	if _, ok := LazyRefinable(d, parentSet); ok {
-		t.Fatal("expected the wide parent to be ineligible for the lazy form")
-	}
-	trueSize, _ := LabelSize(d, lattice.FullSet(4), -1)
-	for _, cap := range diffCaps(trueSize) {
-		for _, workers := range diffWorkerCounts {
-			res := parent.RefineSizeBatch(d, []int{3}, cap, testCountOptions(workers))
-			wantSize, wantWithin := LabelSize(d, lattice.FullSet(4), cap)
-			if res[0].Size != wantSize || res[0].Within != wantWithin {
-				t.Fatalf("cap=%d workers=%d: got (%d, %v), want (%d, %v)",
-					cap, workers, res[0].Size, res[0].Within, wantSize, wantWithin)
+				sizes, within, err := RefineSizes(d, s, attrs, cap, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, a := range attrs {
+					wantSize, wantWithin := LabelSize(d, s.Add(a), cap)
+					if sizes[j] != wantSize || within[j] != wantWithin {
+						t.Fatalf("parent %v+%d cap=%d workers=%d: got (%d, %v), want (%d, %v)",
+							s, a, cap, workers, sizes[j], within[j], wantSize, wantWithin)
+					}
+				}
 			}
 		}
 	}
-}
-
-// TestRefineLazyParentFallback pins the per-child entry points on a lazy
-// parent: Refine must route through the batch kernel (building through a
-// raw scan when slot form is unavailable), bit-identical to BuildPC.
-func TestRefineLazyParentFallback(t *testing.T) {
-	cfg := diffConfig{rows: 1200, attrs: 5, domain: 5, nullRate: 0.1}
-	d := diffDataset(t, cfg, 29)
-	parentSet := lattice.NewAttrSet(1, 3)
-	lazy, ok := LazyRefinable(d, parentSet)
-	if !ok {
-		t.Fatal("parent unexpectedly not dense-keyable")
-	}
-	// Attribute above the max member: lazy slot-keyed child.
-	child, size, within := lazy.Refine(d, 4, -1)
-	want, _ := LabelSize(d, parentSet.Add(4), -1)
-	if !within || size != want || child == nil {
-		t.Fatalf("lazy refine +4: (%d, %v, child=%v), want (%d, true, non-nil)", size, within, child != nil, want)
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(4)), child.PC(d))
-	// Attribute below the max member breaks the slot-key chain: the build
-	// falls back to a raw scan but must stay bit-identical.
-	child0, size0, within0 := lazy.Refine(d, 0, -1)
-	want0, _ := LabelSize(d, parentSet.Add(0), -1)
-	if !within0 || size0 != want0 || child0 == nil {
-		t.Fatalf("lazy refine +0: (%d, %v, child=%v), want (%d, true, non-nil)", size0, within0, child0 != nil, want0)
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(0)), child0.PC(d))
-	// RefineFrom accepts a lazy parent.
-	pc, ok := RefineFrom(d, lazy, parentSet.Add(2))
-	if !ok {
-		t.Fatal("RefineFrom rejected a lazy parent")
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(2)), pc)
-	// Cap abort on the lazy path keeps the LabelSize contract.
-	if size, within := lazy.RefineSize(d, 4, 0); within || size != 1 {
-		t.Fatalf("lazy RefineSize cap=0: (%d, %v), want (1, false)", size, within)
+	if probed == 0 {
+		t.Fatal("no dense-keyable parent probed")
 	}
 }
 
-// TestRefineBatchPanics documents the programmer-error contract: member
-// and duplicate attributes are rejected.
-func TestRefineBatchPanics(t *testing.T) {
+// TestRefineSizesPanics documents the programmer-error contract: member
+// and duplicate attributes and a parent that is not dense-keyable are
+// rejected.
+func TestRefineSizesPanics(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 60, attrs: 3, domain: 3, nullRate: 0}, 5)
-	r := BuildRefinable(d, lattice.NewAttrSet(0))
-	for name, attrs := range map[string][]int{
-		"member":    {0},
-		"duplicate": {1, 1},
+	// A 2000-value domain exceeds the dense sparsity guard at 60 rows.
+	wide := diffDataset(t, diffConfig{rows: 60, attrs: 3, domain: 2000, nullRate: 0}, 5)
+	for name, call := range map[string]func(){
+		"member":            func() { RefineSizes(d, lattice.NewAttrSet(0), []int{0}, -1, CountOptions{Workers: 1}) },
+		"duplicate":         func() { RefineSizes(d, lattice.NewAttrSet(0), []int{1, 1}, -1, CountOptions{Workers: 1}) },
+		"non-dense-keyable": func() { RefineSizes(wide, lattice.NewAttrSet(0), []int{1}, -1, CountOptions{Workers: 1}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("batch refine with %s attribute must panic", name)
+					t.Errorf("refine sizes with a %s argument must panic", name)
 				}
 			}()
-			r.RefineSizeBatch(d, attrs, -1, CountOptions{Workers: 1})
+			call()
 		})
 	}
 }

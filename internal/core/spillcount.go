@@ -31,9 +31,9 @@ import (
 // and otherwise the PC keeps the on-disk runs and serves
 // Size/LookupVals/Each by streaming them (merge-on-read, spilledpc.go) —
 // the scan's careful budget is no longer blown by the result map.
-// Refinement (pccache.go, refinebatch.go) never spills: its compact spaces
-// are bounded by an in-bound parent's group count times one domain, so it
-// is in-memory by construction.
+// Refinement (refinebatch.go) never spills: its compact spaces are bounded
+// by a dense-keyable parent's key space times one domain, so it is
+// in-memory by construction.
 
 // spillFormat names the fixed-width record encoding a spilled set uses.
 type spillFormat uint8

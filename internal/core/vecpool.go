@@ -7,14 +7,11 @@ import (
 )
 
 // VecPool is a capacity-bucketed free-list arena for the flat slabs the
-// counting engine churns through: row→group vectors and dense count slabs
-// ([]int32), group value tables ([]uint16), and key-block scratch
-// ([]uint64). Refinement, fused frontier scans and sharded PC builds draw
-// their transient and retained slabs from one pool, and PCCache returns a
-// refinable index's slabs when it evicts, so steady-state enumeration
-// recycles a small working set instead of allocating one slab per
-// candidate (the PR 2 refinement path allocated a rows×4B vector per
-// cached set and a fresh compact-space slab per refinement).
+// counting engine churns through: dense count slabs ([]int32), key-block
+// scratch ([]uint64) and spill buffers ([]byte). Batched refinement, fused
+// frontier scans and sharded PC builds draw their transient slabs from one
+// pool, so steady-state enumeration recycles a small working set instead
+// of allocating one compact-space slab per candidate.
 //
 // All methods are safe for concurrent use and safe on a nil receiver: a
 // nil *VecPool degrades to plain make/garbage-collection, so every entry
@@ -24,7 +21,6 @@ type VecPool struct {
 	limit    int64 // soft cap on retained free bytes; Put drops beyond it
 	retained int64
 	i32      slabBuckets[int32]
-	u16      slabBuckets[uint16]
 	u64      slabBuckets[uint64]
 	b8       slabBuckets[byte]
 
@@ -49,7 +45,7 @@ func NewVecPool(limit int64) *VecPool {
 // slabBuckets holds free slabs indexed by ⌊log2(cap)⌋, so any slab in
 // bucket b has capacity in [2^b, 2^(b+1)) and every slab in bucket
 // ⌈log2(n)⌉ can serve a request for n elements.
-type slabBuckets[T int32 | uint16 | uint64 | byte] struct {
+type slabBuckets[T int32 | uint64 | byte] struct {
 	free [bucketCount][][]T
 }
 
@@ -104,7 +100,7 @@ func (b *slabBuckets[T]) put(s []T) {
 
 // get/put wrap one typed bucket set with the shared lock, hit/miss
 // accounting and the retained-bytes cap.
-func poolGet[T int32 | uint16 | uint64 | byte](p *VecPool, b *slabBuckets[T], n int, zero bool, elemSize int64) []T {
+func poolGet[T int32 | uint64 | byte](p *VecPool, b *slabBuckets[T], n int, zero bool, elemSize int64) []T {
 	if p == nil {
 		return make([]T, n)
 	}
@@ -131,7 +127,7 @@ func poolGet[T int32 | uint16 | uint64 | byte](p *VecPool, b *slabBuckets[T], n 
 	return s
 }
 
-func poolPut[T int32 | uint16 | uint64 | byte](p *VecPool, b *slabBuckets[T], s []T, elemSize int64) {
+func poolPut[T int32 | uint64 | byte](p *VecPool, b *slabBuckets[T], s []T, elemSize int64) {
 	if p == nil || cap(s) == 0 {
 		return
 	}
@@ -148,7 +144,7 @@ func poolPut[T int32 | uint16 | uint64 | byte](p *VecPool, b *slabBuckets[T], s 
 
 // Int32 returns a length-n slab with capacity >= n. With zero set the
 // prefix [0, n) is cleared; without it the contents are arbitrary (callers
-// that overwrite every element, like row→group vectors, skip the memclr).
+// that overwrite every element skip the memclr).
 func (p *VecPool) Int32(n int, zero bool) []int32 {
 	if p == nil {
 		return make([]int32, n)
@@ -163,22 +159,6 @@ func (p *VecPool) PutInt32(s []int32) {
 		return
 	}
 	poolPut(p, &p.i32, s, 4)
-}
-
-// Uint16 returns a length-n uint16 slab; see Int32 for the zero contract.
-func (p *VecPool) Uint16(n int, zero bool) []uint16 {
-	if p == nil {
-		return make([]uint16, n)
-	}
-	return poolGet(p, &p.u16, n, zero, 2)
-}
-
-// PutUint16 returns a slab to the pool.
-func (p *VecPool) PutUint16(s []uint16) {
-	if p == nil {
-		return
-	}
-	poolPut(p, &p.u16, s, 2)
 }
 
 // Uint64 returns a length-n uint64 slab (key-block scratch); see Int32 for

@@ -41,13 +41,8 @@ func TestVecPoolRoundtrip(t *testing.T) {
 
 func TestVecPoolTypesAndBuckets(t *testing.T) {
 	p := NewVecPool(0)
-	u := p.Uint16(33, true)
 	k := p.Uint64(4096, false)
-	p.PutUint16(u)
 	p.PutUint64(k)
-	if got := p.Uint16(20, true); cap(got) < 33 {
-		t.Fatalf("uint16 slab not recycled: cap %d", cap(got))
-	}
 	if got := p.Uint64(4096, false); cap(got) < 4096 {
 		t.Fatalf("uint64 slab not recycled: cap %d", cap(got))
 	}
@@ -75,14 +70,10 @@ func TestVecPoolNilSafety(t *testing.T) {
 	if s := p.Int32(10, true); len(s) != 10 {
 		t.Fatal("nil pool Int32 must fall back to make")
 	}
-	if s := p.Uint16(10, false); len(s) != 10 {
-		t.Fatal("nil pool Uint16 must fall back to make")
-	}
 	if s := p.Uint64(10, true); len(s) != 10 {
 		t.Fatal("nil pool Uint64 must fall back to make")
 	}
 	p.PutInt32(make([]int32, 5))
-	p.PutUint16(nil)
 	p.PutUint64(make([]uint64, 5))
 	if h, m := p.Stats(); h != 0 || m != 0 {
 		t.Fatal("nil pool stats must be zero")

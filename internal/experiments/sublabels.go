@@ -59,7 +59,10 @@ func RunSubLabels(nd NamedDataset, cfg Config, bound int) (*SubLabelsResult, err
 	for _, i := range members {
 		subs = append(subs, sr.Attrs.Remove(i))
 	}
-	evals := search.EvaluateSets(d, ps, subs, search.Options{Bound: bound, FastEval: cfg.FastEval, Workers: cfg.Workers})
+	evals, err := search.EvaluateSets(d, ps, subs, search.Options{Bound: bound, FastEval: cfg.FastEval, Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
 	for k, ev := range evals {
 		res.DropOne = append(res.DropOne, SubLabelEntry{
 			Attrs:   ev.Attrs.Format(d.AttrNames()),

@@ -3,8 +3,7 @@ package search
 // Allocation-regression pin for the frontier scheduler (PR 3): a
 // steady-state sizeLevel round over a dense-keyable level must cost only
 // per-batch planning allocations — every slab (child accumulators, key
-// scratch) cycles through the level sizer's pool, and no group vector is
-// materialized at all on the batched tier.
+// scratch) cycles through the level sizer's pool.
 
 import (
 	"testing"
@@ -59,9 +58,9 @@ func TestAllocsSizeLevelSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		z.sizeLevel(level, noop)
 	})
-	// Measured ~160 for 28 candidates in 7 batches (≈ 12 planning allocs
-	// per batch plus a lazy keyer per parent); a per-candidate slab or
-	// group vector would add thousands.
+	// Measured ~380 for 28 candidates in 27 batches (≈ 14 planning allocs
+	// per batch, the parent's keyer included); a per-candidate slab would
+	// add thousands.
 	if limit := float64(40 * batches); allocs > limit {
 		t.Fatalf("sizeLevel allocs/run = %.0f, want <= %.0f", allocs, limit)
 	}

@@ -1,8 +1,8 @@
 package search
 
 // Cancellation of the search: Options.Ctx threads through enumeration
-// (fused sizing scans, batched refinement, boundary builds) and evaluation
-// (label builds); a fired context abandons the search with the typed
+// (fused sizing scans, batched refinement) and evaluation (label builds,
+// EvaluateSets); a fired context abandons the search with the typed
 // context error, leaves no spill run files behind, and leaks no
 // goroutines.
 
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pcbl/internal/core"
+	"pcbl/internal/lattice"
 	"pcbl/internal/testutil"
 )
 
@@ -45,6 +46,10 @@ func TestSearchCancelledReturnsTypedError(t *testing.T) {
 	}
 	if _, err := Naive(d, ps, Options{Bound: 5, Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Naive: err = %v, want context.Canceled", err)
+	}
+	sets := []lattice.AttrSet{lattice.NewAttrSet(0, 1), lattice.NewAttrSet(2)}
+	if res, err := EvaluateSets(d, ps, sets, Options{Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("EvaluateSets: (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 

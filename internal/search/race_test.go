@@ -105,8 +105,9 @@ func TestParallelSearchBranchAndBound(t *testing.T) {
 }
 
 // TestFusedFrontierMatchesPerSetScan pins the enumeration rewiring at the
-// search level: the fused frontier sizes must agree with one-scan-per-set
-// sequential LabelSize over the exact frontiers TopDown visits.
+// search level: the level sizer's fused raw-scan path must agree with
+// one-scan-per-set sequential LabelSize over the exact frontiers TopDown
+// visits.
 func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 	d := raceDataset(t)
 	n := d.NumAttrs()
@@ -120,7 +121,8 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 		var stats Stats
 		var next []lattice.AttrSet
 		i := 0
-		err := sizeFrontier(d, children, Options{Bound: bound, Workers: 4}, &stats, func(s lattice.AttrSet, within bool) {
+		z := newLevelSizer(d, Options{Bound: bound, Workers: 4, DisableRefine: true}, &stats)
+		err := z.sizeLevel(children, func(s lattice.AttrSet, within bool) {
 			if s != children[i] {
 				t.Fatalf("visit order diverged at %d: got %v, want %v", i, s, children[i])
 			}
@@ -134,10 +136,10 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 			i++
 		})
 		if err != nil {
-			t.Fatalf("sizeFrontier: %v", err)
+			t.Fatalf("sizeLevel: %v", err)
 		}
-		if stats.SizeComputed != len(children) {
-			t.Fatalf("SizeComputed %d, want %d", stats.SizeComputed, len(children))
+		if stats.SizeComputed != len(children) || stats.ScannedSets != len(children) {
+			t.Fatalf("SizeComputed %d, ScannedSets %d, want %d", stats.SizeComputed, stats.ScannedSets, len(children))
 		}
 		frontier = next
 	}

@@ -3,16 +3,16 @@ package search
 // Differential coverage for the frontier scheduler: refinement-sized
 // searches must agree exactly with raw-scan-sized searches (the PR 1
 // behaviour, reachable via DisableRefine + a negative DenseLimit) for
-// every worker count, including under a cache budget so tight that most
-// candidates fall back to scans mid-search.
+// every worker count, including searches whose candidates split between
+// batched refinement and the fused raw scan.
 
 import (
+	"fmt"
 	"testing"
 
 	"pcbl/internal/core"
 	"pcbl/internal/datagen"
 	"pcbl/internal/dataset"
-	"pcbl/internal/lattice"
 )
 
 // schedulerDataset is small-domain and deep enough that the search runs
@@ -26,105 +26,95 @@ func schedulerDataset(t *testing.T) *dataset.Dataset {
 	return d
 }
 
+// uniformDataset draws 8000 rows uniformly and independently, one
+// attribute per given domain size.
+func uniformDataset(t *testing.T, domains ...int) *dataset.Dataset {
+	t.Helper()
+	spec := datagen.Spec{Name: "uniform"}
+	for a, dom := range domains {
+		vals := make([]string, dom)
+		for v := range vals {
+			vals[v] = fmt.Sprintf("v%d", v)
+		}
+		spec.Cols = append(spec.Cols, datagen.Col{Name: fmt.Sprintf("a%d", a), Values: vals})
+	}
+	d, err := spec.Generate(8000, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSchedulerMatchesScanEnumeration(t *testing.T) {
-	d := schedulerDataset(t)
-	for _, bound := range []int{10, 50, 300} {
-		base, baseStats, err := Enumerate(d, Options{
-			Bound: bound, Workers: 1, DisableRefine: true, DenseLimit: -1,
+	bn := schedulerDataset(t)
+	cases := []struct {
+		name  string
+		d     *dataset.Dataset
+		bound int
+		mixed bool // the search must size sets on both paths
+	}{
+		{"bluenile/10", bn, 10, false},
+		{"bluenile/50", bn, 50, false},
+		{"bluenile/300", bn, 300, false},
+		// Pairs and triples (900 and 27000 key slots) stay dense-keyable
+		// at 8000 rows and batch; quadruples and the full set do not and
+		// take the raw scan.
+		{"uniform30/8000", uniformDataset(t, 30, 30, 30, 30, 30), 8000, true},
+		// A 300-value attribute splits the triples level itself: triples
+		// without it batch, triples with it overflow the dense key space
+		// of their pair parent and scan, interleaved in frontier order. At
+		// this bound the batched triples (~6900 patterns) fit and the
+		// scanned ones (~7900) do not, so a verdict routed back to the
+		// wrong candidate changes the candidates.
+		{"uniform30+300/7400", uniformDataset(t, 30, 30, 30, 30, 300), 7400, true},
+	}
+	for _, c := range cases {
+		base, baseStats, err := Enumerate(c.d, Options{
+			Bound: c.bound, Workers: 1, DisableRefine: true, DenseLimit: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if baseStats.RefinedSets != 0 || baseStats.ScannedSets != baseStats.SizeComputed {
-			t.Fatalf("bound=%d: scan-only run reports refined=%d scanned=%d sized=%d",
-				bound, baseStats.RefinedSets, baseStats.ScannedSets, baseStats.SizeComputed)
+			t.Fatalf("%s: scan-only run reports refined=%d scanned=%d sized=%d",
+				c.name, baseStats.RefinedSets, baseStats.ScannedSets, baseStats.SizeComputed)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: workers})
+			cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(cands) != len(base) {
-				t.Fatalf("bound=%d workers=%d: %d candidates, scan path %d", bound, workers, len(cands), len(base))
+				t.Fatalf("%s workers=%d: %d candidates, scan path %d", c.name, workers, len(cands), len(base))
 			}
 			for i := range cands {
 				if cands[i] != base[i] {
-					t.Fatalf("bound=%d workers=%d: candidate %d = %v, scan path %v", bound, workers, i, cands[i], base[i])
+					t.Fatalf("%s workers=%d: candidate %d = %v, scan path %v", c.name, workers, i, cands[i], base[i])
 				}
 			}
 			if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
-				t.Fatalf("bound=%d workers=%d: sized/in-bound %d/%d, scan path %d/%d",
-					bound, workers, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
+				t.Fatalf("%s workers=%d: sized/in-bound %d/%d, scan path %d/%d",
+					c.name, workers, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
 			}
 			if stats.RefinedSets+stats.ScannedSets != stats.SizeComputed {
-				t.Fatalf("bound=%d workers=%d: path counters %d+%d do not cover %d sized sets",
-					bound, workers, stats.RefinedSets, stats.ScannedSets, stats.SizeComputed)
+				t.Fatalf("%s workers=%d: path counters %d+%d do not cover %d sized sets",
+					c.name, workers, stats.RefinedSets, stats.ScannedSets, stats.SizeComputed)
 			}
 			if stats.RefinedSets == 0 && stats.SizeComputed > 0 {
-				t.Fatalf("bound=%d workers=%d: refinement never fired", bound, workers)
+				t.Fatalf("%s workers=%d: refinement never fired", c.name, workers)
+			}
+			if c.mixed && stats.ScannedSets == 0 {
+				t.Fatalf("%s workers=%d: no set took the raw scan (refined=%d)", c.name, workers, stats.RefinedSets)
 			}
 		}
 	}
 }
 
-// TestSchedulerTinyCacheBudget starves the refinement cache so Put
-// rejections force raw-scan fallbacks mid-search on the per-child tier;
-// results must not change. The batched tier is disabled here on purpose —
-// it sizes dense-keyable candidates without any cache memory, so a starved
-// budget cannot push it onto scans (asserted at the end).
-func TestSchedulerTinyCacheBudget(t *testing.T) {
-	d := schedulerDataset(t)
-	bound := 50
-	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{1, 200_000} {
-		cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: 2, CacheBudget: budget, DisableBatchRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cands) != len(base) {
-			t.Fatalf("budget=%d: %d candidates, want %d", budget, len(cands), len(base))
-		}
-		for i := range cands {
-			if cands[i] != base[i] {
-				t.Fatalf("budget=%d: candidate %d = %v, want %v", budget, i, cands[i], base[i])
-			}
-		}
-		if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
-			t.Fatalf("budget=%d: sized/in-bound %d/%d, want %d/%d",
-				budget, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
-		}
-		if budget == 1 && stats.ScannedSets == 0 {
-			t.Fatal("budget=1: expected scan fallbacks, got none")
-		}
-	}
-	// With the batched tier on, a starved cache must not change results
-	// either — and must not push dense-keyable candidates onto scans.
-	cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: 2, CacheBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != len(base) {
-		t.Fatalf("batched budget=1: %d candidates, want %d", len(cands), len(base))
-	}
-	for i := range cands {
-		if cands[i] != base[i] {
-			t.Fatalf("batched budget=1: candidate %d = %v, want %v", i, cands[i], base[i])
-		}
-	}
-	if stats.BatchRefines == 0 {
-		t.Fatal("batched budget=1: batch tier never fired")
-	}
-}
-
-// TestSchedulerBatchAblation pins the three sizing tiers against each
-// other: batched sibling refinement (default), per-child cached-parent
-// refinement (DisableBatchRefine — the PR 2 path, kept reachable for
-// ablation) and raw scans (DisableRefine) must enumerate identical
-// candidates with identical examined/in-bound counters, and the counters
-// must attribute the work to the right tier.
+// TestSchedulerBatchAblation pins the two sizing paths against each
+// other: batched sibling refinement (default) and raw scans
+// (DisableRefine) must enumerate identical candidates with identical
+// examined/in-bound counters, and the counters must attribute the work to
+// the right path.
 func TestSchedulerBatchAblation(t *testing.T) {
 	d := schedulerDataset(t)
 	for _, bound := range []int{10, 100} {
@@ -132,32 +122,21 @@ func TestSchedulerBatchAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perChild, pcStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableBatchRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		batched, bStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]lattice.AttrSet{"per-child": perChild, "batched": batched} {
-			if len(got) != len(scan) {
-				t.Fatalf("bound=%d %s: %d candidates, scan path %d", bound, name, len(got), len(scan))
-			}
-			for i := range got {
-				if got[i] != scan[i] {
-					t.Fatalf("bound=%d %s: candidate %d = %v, scan path %v", bound, name, i, got[i], scan[i])
-				}
+		if len(batched) != len(scan) {
+			t.Fatalf("bound=%d: %d candidates, scan path %d", bound, len(batched), len(scan))
+		}
+		for i := range batched {
+			if batched[i] != scan[i] {
+				t.Fatalf("bound=%d: candidate %d = %v, scan path %v", bound, i, batched[i], scan[i])
 			}
 		}
-		for name, st := range map[string]Stats{"per-child": pcStats, "batched": bStats} {
-			if st.SizeComputed != scanStats.SizeComputed || st.InBound != scanStats.InBound {
-				t.Fatalf("bound=%d %s: sized/in-bound %d/%d, scan path %d/%d",
-					bound, name, st.SizeComputed, st.InBound, scanStats.SizeComputed, scanStats.InBound)
-			}
-		}
-		if pcStats.BatchRefines != 0 {
-			t.Fatalf("bound=%d: per-child run reports %d batch passes", bound, pcStats.BatchRefines)
+		if bStats.SizeComputed != scanStats.SizeComputed || bStats.InBound != scanStats.InBound {
+			t.Fatalf("bound=%d: sized/in-bound %d/%d, scan path %d/%d",
+				bound, bStats.SizeComputed, bStats.InBound, scanStats.SizeComputed, scanStats.InBound)
 		}
 		if bStats.BatchRefines == 0 {
 			t.Fatalf("bound=%d: batched run never used the batch tier", bound)

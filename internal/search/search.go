@@ -53,23 +53,11 @@ type Options struct {
 	// behaviour. Mainly for benchmarks and differential tests.
 	DenseLimit int
 
-	// DisableRefine turns off parent-PC reuse: every frontier is sized by
-	// raw fused scans, the pre-refinement engine behaviour. The result is
-	// identical either way (refinement is exact); only the work changes.
+	// DisableRefine turns off batched sibling refinement: every frontier
+	// is sized by raw fused scans, the pre-refinement engine behaviour.
+	// The result is identical either way (refinement is exact); only the
+	// work changes.
 	DisableRefine bool
-
-	// DisableBatchRefine turns off the batched slot-keyed refinement tier
-	// only: dense-keyable candidates are sized through the per-child
-	// cached-parent path (Refine/RefineSize against a bounded-memory
-	// PCCache — the PR 2 engine behaviour) instead of batched sibling
-	// passes over virtual parent group vectors. Result-identical; the knob
-	// exists for ablation.
-	DisableBatchRefine bool
-
-	// CacheBudget bounds the refinement cache's retained memory in bytes;
-	// 0 means core.DefaultPCCacheBudget. When the budget fills, candidate
-	// sets without a cached parent fall back to raw fused scans.
-	CacheBudget int64
 
 	// MemBudget bounds the in-memory grouping state of a single raw
 	// group-by in bytes (core.CountOptions.MemBudget): map- and byte-key
@@ -79,7 +67,7 @@ type Options struct {
 	// parallel — instead of joining the fused in-memory scan, and budgeted
 	// label builds whose result map models over the budget keep their runs
 	// and serve lookups merge-on-read. Refinement stays in-memory-only:
-	// its compact spaces are bounded by an in-bound parent's group count
+	// its compact spaces are bounded by a dense-keyable parent's key space
 	// times one attribute domain, so the budget never applies there. Zero
 	// means unlimited. Results are identical either way;
 	// Stats.SpilledSets/SpilledU64Sets/SpillRuns/SpillParallelRuns/
@@ -105,13 +93,28 @@ type Options struct {
 	// Ctx cancels the search cooperatively — cancel it or give it a
 	// deadline to bound a runaway search. Both phases poll it: enumeration
 	// at row-block granularity inside fused sizing scans and refinement
-	// passes (and between refinement chunks), evaluation between candidate
-	// labels and at block granularity inside each label build. A fired
+	// passes, evaluation between candidate labels and at block granularity
+	// inside each label build. A fired
 	// context abandons the search, releases every spill-backed label
 	// already built (no temp files survive), and returns the typed context
 	// error (context.Canceled or context.DeadlineExceeded). Nil means the
 	// search never cancels.
 	Ctx context.Context
+}
+
+// countOptions lowers the search options onto the counting engine for
+// raw sizing scans and label builds. Refinement passes set their own
+// narrower options: they ignore DenseLimit and MemBudget by design.
+func (o Options) countOptions() core.CountOptions {
+	return core.CountOptions{
+		Workers:            o.Workers,
+		DenseLimit:         o.DenseLimit,
+		MemBudget:          o.MemBudget,
+		SpillDir:           o.SpillDir,
+		FS:                 o.FS,
+		DisableSharedSpill: o.DisableSharedSpill,
+		Ctx:                o.Ctx,
+	}
 }
 
 // ctxErr reports a fired search context; nil ctx never fires.
@@ -143,20 +146,20 @@ type Stats struct {
 	// evaluations across the final phase; early termination keeps it far
 	// below Evaluated × |P|.
 	PatternsScanned int64
-	// RefinedSets counts examined sets sized by refinement — batched
-	// sibling passes or per-child refinement of a cached parent PC —
-	// instead of a raw scan.
+	// RefinedSets counts examined sets sized by batched sibling
+	// refinement instead of a raw scan.
 	RefinedSets int
 	// ScannedSets counts examined sets sized by raw fused dataset scans —
-	// sets with no refinable parent, or every set when refinement is off.
+	// sets whose gen parent or own key space is not dense-keyable, or
+	// every set when refinement is off.
 	ScannedSets int
 	// BatchRefines counts batched sibling-refinement passes: each sized a
 	// whole batch of same-parent candidates in one blocked pass over the
-	// parent's (virtual) group assignment (core.RefineBatch).
+	// parent's dense keys (core.RefineSizes).
 	BatchRefines int
 	// PoolHits and PoolMisses report the slab pool's cumulative counters:
-	// how often a group vector, count slab or key-block scratch was
-	// recycled from the arena versus freshly allocated.
+	// how often a count slab or key-block scratch was recycled from the
+	// arena versus freshly allocated.
 	PoolHits, PoolMisses int64
 	// DenseSets counts raw-scanned sets the engine routed to the dense
 	// flat-array kernel rather than a hash map.
@@ -210,168 +213,49 @@ type Result struct {
 	Stats Stats
 }
 
-// sizeFrontier computes the label sizes of a frontier of candidate sets
-// with the fused multi-set scanner (batched to bound memory) and invokes
-// visit for each set with its in-bound verdict, updating the examined/
-// in-bound counters. One call scans the dataset ⌈len(sets)/fusedBatch⌉
-// times instead of len(sets) times. This is the raw-scan path; the level
-// sizer below additionally schedules parent-PC refinements around it.
-func sizeFrontier(d *dataset.Dataset, sets []lattice.AttrSet, opts Options, stats *Stats, visit func(s lattice.AttrSet, within bool)) error {
-	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill, Ctx: opts.Ctx}
-	for lo := 0; lo < len(sets); lo += fusedBatch {
-		hi := lo + fusedBatch
-		if hi > len(sets) {
-			hi = len(sets)
-		}
-		_, within, err := core.LabelSizesFusedE(d, sets[lo:hi], opts.Bound, co)
-		if err != nil {
-			return err
-		}
-		for j, ok := range within {
-			stats.SizeComputed++
-			if ok {
-				stats.InBound++
-			}
-			visit(sets[lo+j], ok)
-		}
-	}
-	return nil
-}
-
-// refineBatch bounds how many refinement tasks run between cache updates,
-// capping the transient memory of freshly built child indexes before they
-// are offered to the (budget-enforcing) cache.
-const refineBatch = 64
-
-// refineTask is one candidate set scheduled onto the per-child (eager)
-// refinement path.
-type refineTask struct {
-	idx    int               // index into the level's set slice
-	parent *core.RefinablePC // cached parent to refine from
-	attr   int               // the one attribute the candidate adds
-	child  *core.RefinablePC // built during the pass when within bound
-}
+// schedulerPoolBudget bounds the free slabs the frontier scheduler's pool
+// retains between sizing passes.
+const schedulerPoolBudget int64 = 256 << 20
 
 // sibBatch is one batched refinement unit: all same-level candidates that
-// extend the same gen parent by one attribute. The parent is a lazy
-// slot-keyed index — its group ids are the dense mixed-radix keys, so no
-// group vector is ever materialized; core.RefineBatch streams the keys
-// blockwise and sizes every sibling in one pass.
+// extend the same dense-keyable gen parent by one attribute.
+// core.RefineSizes streams the parent's dense keys blockwise and sizes
+// every sibling in one pass.
 type sibBatch struct {
-	parent *core.RefinablePC
+	parent lattice.AttrSet
 	lo, hi int // half-open range into the level's batchIdx/batchAttrs
 }
 
-// sizeResult is a candidate set's sizing verdict.
-type sizeResult struct {
-	size   int
-	within bool
-}
-
-// levelSizer is the frontier scheduler of the enumeration phase. Per
-// candidate set it chooses the cheapest sizing source, in order:
+// levelSizer is the frontier scheduler of the enumeration phase. Each
+// candidate set goes down exactly one of two paths:
 //
-//   - batched sibling refinement, when the candidate is dense-keyable: the
-//     level's candidates are grouped by gen parent before dispatch, and
-//     one core.RefineBatch pass per (parent, sibling-batch) sizes them all
-//     against virtual parent group vectors — no per-set allocation beyond
-//     pooled compact-space slabs;
-//   - per-child refinement of a cached parent PC (the PR 2 path) for
-//     candidates beyond the dense tier whose parent index is cached;
-//   - the fused raw scan otherwise.
+//   - batched sibling refinement, when its gen parent is dense-keyable and
+//     the candidate stays dense-keyable: the level's candidates are grouped
+//     by gen parent, and one core.RefineSizes pass per parent sizes them
+//     all without any per-set allocation beyond pooled compact-space slabs;
+//   - the fused raw scan (core.LabelSizesFusedE) otherwise, which also
+//     routes over-budget sets onto the spill tier.
 //
-// In-bound candidates that will be needed as non-lazy parents are cached
-// eagerly (within a memory budget), levels the frontier has moved past are
-// evicted into the slab pool, and all scratch cycles through that pool, so
-// steady-state sizing allocates a near-constant working set. Every routing
-// and caching decision happens in deterministic slice order; results and
-// counters are identical for all worker counts.
+// All scratch cycles through one slab pool, so steady-state sizing
+// allocates a near-constant working set. Routing happens in deterministic
+// slice order; results and counters are identical for all worker counts.
 type levelSizer struct {
 	d     *dataset.Dataset
-	n     int
 	opts  Options
 	stats *Stats
-	cache *core.PCCache // created on demand; serves the eager tier
 	pool  *core.VecPool
 	scan  core.ScanStats
 
-	results    []sizeResult
+	within     []bool // per-candidate verdict of the level being sized
 	batches    []sibBatch
 	batchIdx   []int // candidate index per batched child
 	batchAttrs []int // added attribute per batched child
-	batchRadix []int // child key space per batched child (eager-need check)
-	specs      []core.BatchSpec
-	tasks      []refineTask
 	scanSets   []lattice.AttrSet
 	scanIdx    []int
 }
 
-// newLevelSizer builds the scheduler. Candidates on the batched tier need
-// no precomputed parents at all (any dense-keyable set is refinable-from
-// lazily), so the cache is seeded only with the singleton refinables that
-// non-dense level-2 candidates will look up — and skipped entirely when
-// every pair is dense-keyable.
 func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
-	z := &levelSizer{d: d, n: d.NumAttrs(), opts: opts, stats: stats}
-	// Size the arena to the refinement cache it backs: a level eviction
-	// returns up to a full cache budget of slabs at once, and the next
-	// level's builds draw them right back out.
-	poolBudget := opts.CacheBudget
-	if poolBudget <= 0 {
-		poolBudget = core.DefaultPCCacheBudget
-	}
-	z.pool = core.NewVecPool(poolBudget)
-	if opts.DisableRefine {
-		return z
-	}
-	// A singleton {a} must be cached eagerly when some pair containing a
-	// cannot take the batched tier: its sizing then goes through the
-	// per-child path, which looks the singleton up in the cache.
-	var eager []int
-	for a := 0; a < z.n; a++ {
-		need := opts.DisableBatchRefine
-		if !need {
-			radix, ok := core.DenseKeyable(d, lattice.NewAttrSet(a))
-			if !ok {
-				need = true
-			} else {
-				for b := a + 1; b < z.n; b++ {
-					if !core.DenseExtendable(d, radix, b) {
-						need = true
-						break
-					}
-				}
-			}
-		}
-		if need {
-			eager = append(eager, a)
-		}
-	}
-	if len(eager) == 0 {
-		return z
-	}
-	root := core.BuildRefinablePooled(d, lattice.AttrSet(0), z.pool)
-	if root == nil {
-		return z // dataset too large for group vectors: scan-only eager tier
-	}
-	z.ensureCache()
-	singles := make([]*core.RefinablePC, len(eager))
-	workpool.Do(len(eager), opts.Workers, func(i int) {
-		singles[i], _, _ = root.RefinePooled(d, eager[i], -1, z.pool)
-	})
-	for _, r := range singles {
-		if !z.cache.Put(r) {
-			r.Release(z.pool)
-		}
-	}
-	root.Release(z.pool)
-	return z
-}
-
-func (z *levelSizer) ensureCache() {
-	if z.cache == nil {
-		z.cache = core.NewPCCache(z.opts.CacheBudget, z.pool)
-	}
+	return &levelSizer{d: d, opts: opts, stats: stats, pool: core.NewVecPool(schedulerPoolBudget)}
 }
 
 // sizeLevel sizes one slice of same-level candidate sets, invoking visit
@@ -382,86 +266,65 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	if len(sets) == 0 {
 		return nil
 	}
-	if cap(z.results) < len(sets) {
-		z.results = make([]sizeResult, len(sets))
+	if cap(z.within) < len(sets) {
+		z.within = make([]bool, len(sets))
 	}
-	z.results = z.results[:len(sets)]
+	z.within = z.within[:len(sets)]
 	z.batches = z.batches[:0]
 	z.batchIdx = z.batchIdx[:0]
 	z.batchAttrs = z.batchAttrs[:0]
-	z.batchRadix = z.batchRadix[:0]
-	z.tasks = z.tasks[:0]
 	z.scanSets = z.scanSets[:0]
 	z.scanIdx = z.scanIdx[:0]
 
-	// Route every candidate: batched tier grouped by gen parent (children
-	// of one parent are consecutive in both traversals, so grouping is a
-	// run-length pass), then cached-parent per-child refinement, then raw
-	// scan. All routing is deterministic slice order.
-	batchOK := !z.opts.DisableRefine && !z.opts.DisableBatchRefine
-	curParent := lattice.AttrSet(0)
-	curKnown := false // curLazy (possibly nil) is the verdict for curParent
-	var curLazy *core.RefinablePC
+	// Route every candidate. Children of one gen parent are consecutive in
+	// both traversals, so grouping them into sibling batches is a
+	// run-length pass.
+	var parent lattice.AttrSet
+	var radix int
+	known, dense, open := false, false, false
 	for i, s := range sets {
-		if batchOK && !s.IsEmpty() {
+		if !z.opts.DisableRefine && !s.IsEmpty() {
 			max := s.MaxIndex()
-			p := s.Remove(max)
-			if !curKnown || p != curParent {
-				z.flushBatch()
-				curParent, curKnown = p, true
-				curLazy, _ = core.LazyRefinable(z.d, p)
+			if p := s.Remove(max); !known || p != parent {
+				parent, known, open = p, true, false
+				radix, dense = core.DenseKeyable(z.d, p)
 			}
-			if curLazy != nil && core.DenseExtendable(z.d, curLazy.KeySpace(), max) {
-				if len(z.batches) == 0 || z.batches[len(z.batches)-1].parent != curLazy {
-					z.batches = append(z.batches, sibBatch{parent: curLazy, lo: len(z.batchIdx)})
+			if dense && core.DenseExtendable(z.d, radix, max) {
+				if !open {
+					z.batches = append(z.batches, sibBatch{parent: parent, lo: len(z.batchIdx)})
+					open = true
 				}
 				z.batchIdx = append(z.batchIdx, i)
 				z.batchAttrs = append(z.batchAttrs, max)
-				z.batchRadix = append(z.batchRadix, curLazy.KeySpace()*z.d.Attr(max).DomainSize())
+				z.batches[len(z.batches)-1].hi = len(z.batchIdx)
 				continue
 			}
 		}
-		var parent *core.RefinablePC
-		attr := -1
-		if z.cache != nil && !z.opts.DisableRefine {
-			for _, a := range s.Members() {
-				if p := z.cache.Get(s.Remove(a)); p != nil && (parent == nil || p.Groups() < parent.Groups()) {
-					parent, attr = p, a
-				}
-			}
-		}
-		if parent != nil {
-			z.tasks = append(z.tasks, refineTask{idx: i, parent: parent, attr: attr})
-		} else {
-			z.scanIdx = append(z.scanIdx, i)
-			z.scanSets = append(z.scanSets, s)
-		}
+		z.scanIdx = append(z.scanIdx, i)
+		z.scanSets = append(z.scanSets, s)
 	}
-	z.flushBatch()
 
-	if err := z.runBatches(sets); err != nil {
-		return err
-	}
-	if err := z.runTasks(sets); err != nil {
+	if err := z.runBatches(); err != nil {
 		return err
 	}
 
-	// Raw-scan path for candidates on neither refinement tier. Spilled
-	// candidates (byte-key sets over the memory budget) are routed inside
-	// the fused sizing call onto external spill scans.
-	co := core.CountOptions{Workers: z.opts.Workers, DenseLimit: z.opts.DenseLimit, Stats: &z.scan, Pool: z.pool, MemBudget: z.opts.MemBudget, SpillDir: z.opts.SpillDir, FS: z.opts.FS, DisableSharedSpill: z.opts.DisableSharedSpill, Ctx: z.opts.Ctx}
+	// Raw-scan path for candidates off the batched tier. Spilled
+	// candidates (map- and byte-key sets over the memory budget) are
+	// routed inside the fused sizing call onto external spill scans.
+	co := z.opts.countOptions()
+	co.Stats, co.Pool = &z.scan, z.pool
 	for lo := 0; lo < len(z.scanSets); lo += fusedBatch {
 		hi := min(lo+fusedBatch, len(z.scanSets))
-		sizes, within, err := core.LabelSizesFusedE(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
+		_, within, err := core.LabelSizesFusedE(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
 		if err != nil {
 			return err
 		}
-		for j := range sizes {
-			z.results[z.scanIdx[lo+j]] = sizeResult{sizes[j], within[j]}
+		for j, ok := range within {
+			z.within[z.scanIdx[lo+j]] = ok
 		}
 	}
 
-	z.stats.RefinedSets += len(z.batchIdx) + len(z.tasks)
+	z.stats.RefinedSets += len(z.batchIdx)
 	z.stats.ScannedSets += len(z.scanSets)
 	z.stats.BatchRefines += len(z.batches)
 	z.stats.DenseSets = z.scan.Dense
@@ -475,38 +338,19 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	z.stats.SpillPassesSaved = int(z.scan.SpillPassesSaved)
 	z.stats.PoolHits, z.stats.PoolMisses = z.pool.Stats()
 	for i, s := range sets {
-		res := z.results[i]
 		z.stats.SizeComputed++
-		if res.within {
+		if z.within[i] {
 			z.stats.InBound++
 		}
-		visit(s, res.within)
-	}
-	// Drop parent references before the buffers are length-reset, so the
-	// reused backing arrays cannot pin evicted levels' group vectors.
-	for i := range z.tasks {
-		z.tasks[i].parent = nil
-	}
-	for i := range z.batches {
-		z.batches[i].parent = nil
+		visit(s, z.within[i])
 	}
 	return nil
 }
 
-// flushBatch closes the currently open sibling batch, if any.
-func (z *levelSizer) flushBatch() {
-	if n := len(z.batches); n > 0 && z.batches[n-1].hi == 0 {
-		z.batches[n-1].hi = len(z.batchIdx)
-	}
-}
-
-// runBatches executes the batched tier: one RefineSizeBatch pass per
-// (parent, sibling-batch), dispatched across workers — batches run
-// concurrently when the level has many, and a lone batch shards its rows
-// instead. Afterwards, in-bound candidates whose own children cannot all
-// take the batched tier are built eagerly into the cache (sequentially,
-// in slice order), so the per-child tier has parents at the next level.
-func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
+// runBatches executes the batched tier: one core.RefineSizes pass per
+// sibling batch, dispatched across workers — batches run concurrently
+// when the level has many, and a lone batch shards its rows instead.
+func (z *levelSizer) runBatches() error {
 	nb := len(z.batches)
 	if nb == 0 {
 		return nil
@@ -519,16 +363,15 @@ func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
 	}
 	errs := make([]error, nb)
 	workpool.Do(nb, outer, func(bi int) {
-		b := &z.batches[bi]
-		attrs := z.batchAttrs[b.lo:b.hi]
+		b := z.batches[bi]
 		co := core.CountOptions{Workers: inner, Pool: z.pool, Ctx: z.opts.Ctx}
-		res, err := b.parent.RefineSizeBatchE(z.d, attrs, z.opts.Bound, co)
+		_, within, err := core.RefineSizes(z.d, b.parent, z.batchAttrs[b.lo:b.hi], z.opts.Bound, co)
 		if err != nil {
 			errs[bi] = err
 			return
 		}
-		for k, r := range res {
-			z.results[z.batchIdx[b.lo+k]] = sizeResult{r.Size, r.Within}
+		for k, ok := range within {
+			z.within[z.batchIdx[b.lo+k]] = ok
 		}
 	})
 	for _, err := range errs {
@@ -536,118 +379,7 @@ func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
 			return err
 		}
 	}
-
-	// Boundary builds: a batched in-bound candidate some of whose gen
-	// children exceed the dense key space will be needed as a materialized
-	// parent next level. Build it from a raw scan within the cache budget.
-	for _, b := range z.batches {
-		for k := b.lo; k < b.hi; k++ {
-			i := z.batchIdx[k]
-			s := sets[i]
-			if !z.results[i].within || s.Size() >= z.n {
-				continue
-			}
-			radix := z.batchRadix[k]
-			need := false
-			for a := s.MaxIndex() + 1; a < z.n; a++ {
-				if !core.DenseExtendable(z.d, radix, a) {
-					need = true
-					break
-				}
-			}
-			if !need {
-				continue
-			}
-			z.ensureCache()
-			if !z.cache.HasRoom() {
-				continue
-			}
-			// A boundary build is a full raw scan; poll the context between
-			// builds so a cancelled search stops growing the cache.
-			if err := ctxErr(z.opts.Ctx); err != nil {
-				return err
-			}
-			if child := core.BuildRefinablePooled(z.d, s, z.pool); child != nil && !z.cache.Put(child) {
-				child.Release(z.pool)
-			}
-		}
-	}
 	return nil
-}
-
-// runTasks executes the per-child (eager) tier, chunked so freshly built
-// child indexes are offered to the cache's budget check before more are
-// built. Each chunk builds only as many children as the cache has bytes of
-// room for (a child's group vector costs ~4 bytes per row); the rest of
-// the chunk sizes without building, so transient memory stays within the
-// budget rather than within refineBatch × child size.
-//
-// Eviction is level-pipelined: a parent whose last referencing task has
-// completed is dropped from the cache right after its chunk — its group
-// vector and tables return to the pool before the next chunk's child
-// builds allocate — rather than held until endLevel. That roughly halves
-// the eager tier's peak (the old scheme held a full level of consumed
-// parents alongside the level being built), and the freed budget lets the
-// same CacheBudget retain more of the children that are still to be used.
-// Every decision that shapes the next level's cache happens in
-// deterministic slice order, so results and path counters are reproducible
-// for any worker count.
-func (z *levelSizer) runTasks(sets []lattice.AttrSet) error {
-	if len(z.tasks) == 0 {
-		return nil
-	}
-	lastUse := make(map[*core.RefinablePC]int, len(z.tasks))
-	for i := range z.tasks {
-		lastUse[z.tasks[i].parent] = i
-	}
-	childBytes := int64(z.d.NumRows())*4 + 4096
-	for lo := 0; lo < len(z.tasks); lo += refineBatch {
-		// Per-child refinements are pure in-memory passes; polling the
-		// context once per chunk keeps cancellation latency at one chunk
-		// of compact-space work without touching the refine hot loop.
-		if err := ctxErr(z.opts.Ctx); err != nil {
-			return err
-		}
-		hi := min(lo+refineBatch, len(z.tasks))
-		chunk := z.tasks[lo:hi]
-		buildAllowance := int(z.cache.Room() / childBytes)
-		workpool.Do(len(chunk), z.opts.Workers, func(ti int) {
-			t := &chunk[ti]
-			s := sets[t.idx]
-			if ti < buildAllowance && s.Size() < z.n {
-				child, size, within := t.parent.RefinePooled(z.d, t.attr, z.opts.Bound, z.pool)
-				t.child = child
-				z.results[t.idx] = sizeResult{size, within}
-			} else {
-				size, within := t.parent.RefineSizePooled(z.d, t.attr, z.opts.Bound, z.pool)
-				z.results[t.idx] = sizeResult{size, within}
-			}
-		})
-		for i := range chunk {
-			if chunk[i].child != nil {
-				if !z.cache.Put(chunk[i].child) {
-					chunk[i].child.Release(z.pool)
-				}
-				chunk[i].child = nil
-			}
-		}
-		for i := lo; i < hi; i++ {
-			p := z.tasks[i].parent
-			if last, live := lastUse[p]; live && last < hi {
-				delete(lastUse, p)
-				z.cache.Drop(p.Attrs())
-			}
-		}
-	}
-	return nil
-}
-
-// endLevel tells the scheduler the whole lattice level has been sized:
-// indexes below it can no longer serve as parents and are evicted.
-func (z *levelSizer) endLevel(level int) {
-	if z.cache != nil {
-		z.cache.DropBelow(level)
-	}
 }
 
 // Naive finds the optimal label by level-wise enumeration (paper §III):
@@ -668,10 +400,8 @@ func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, erro
 	var level []lattice.AttrSet // hoisted: reused across levels
 	for k := 2; k <= n; k++ {
 		// The whole level goes to the sizer in one call (as TopDown's
-		// frontier does): sizeLevel batches its raw scans and refinement
-		// chunks internally, and the pipelined eviction needs to see every
-		// reference to a parent before dropping it — per-256 flushing here
-		// would evict parents still needed by the rest of the level.
+		// frontier does): sizeLevel groups sibling batches and batches its
+		// raw scans internally.
 		level = level[:0]
 		lattice.Combinations(n, k, func(s lattice.AttrSet) bool {
 			level = append(level, s)
@@ -686,7 +416,6 @@ func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, erro
 		}); err != nil {
 			return nil, err
 		}
-		sizer.endLevel(k)
 		if !levelHit {
 			break
 		}
@@ -728,7 +457,6 @@ func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stat
 	// 3.8), so the concatenated child lists never repeat a set and the
 	// level-wise order visits exactly the sets the per-node BFS visited.
 	frontier := lattice.AttrSet(0).Gen(n) // the attribute singletons
-	level := 1
 	cands := make(map[lattice.AttrSet]struct{})
 	var children []lattice.AttrSet // hoisted: reused across levels
 	for len(frontier) > 0 {
@@ -737,7 +465,6 @@ func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stat
 			children = append(children, s.Gen(n)...)
 		}
 		frontier = frontier[:0]
-		level++
 		if err := sizer.sizeLevel(children, func(c lattice.AttrSet, within bool) {
 			if !within {
 				return // prune c's entire gen-subtree
@@ -752,7 +479,6 @@ func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stat
 		}); err != nil {
 			return nil, stats, err
 		}
-		sizer.endLevel(level)
 	}
 	list := make([]lattice.AttrSet, 0, len(cands))
 	for s := range cands {
@@ -851,9 +577,9 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 	// Each candidate's label build runs single-threaded when candidates
 	// themselves are scored concurrently; a lone candidate gets the whole
 	// engine instead.
-	co := core.CountOptions{Workers: 1, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill, Ctx: opts.Ctx}
-	if len(cands) == 1 {
-		co.Workers = opts.Workers
+	co := opts.countOptions()
+	if len(cands) > 1 {
+		co.Workers = 1
 	}
 	var failMu sync.Mutex
 	var failErr error
@@ -945,15 +671,23 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 
 // EvaluateSets scores an explicit list of attribute sets and returns them
 // ordered as given, with their label sizes and max errors. Fig 10 (optimal
-// label vs drop-one sub-labels) is produced from this helper.
-func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSet, opts Options) []Result {
+// label vs drop-one sub-labels) is produced from this helper. A fired
+// Options.Ctx abandons the evaluation, releases every label already built
+// and returns the typed context error.
+func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSet, opts Options) ([]Result, error) {
 	if opts.FastEval {
 		ps.SortByCountDesc()
 	}
 	out := make([]Result, len(sets))
-	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill}
+	co := opts.countOptions()
 	for i, s := range sets {
-		l := core.BuildLabelOpts(d, s, co)
+		l, err := core.BuildLabelOptsCtx(opts.Ctx, d, s, co)
+		if err != nil {
+			for _, r := range out[:i] {
+				r.Label.ReleaseSpill()
+			}
+			return nil, err
+		}
 		maxErr, scanned := core.MaxAbsError(l, ps, core.MaxErrOptions{Sorted: opts.FastEval, Workers: opts.Workers})
 		out[i] = Result{
 			Attrs:  s,
@@ -963,7 +697,7 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 			Stats:  Stats{Evaluated: 1, PatternsScanned: int64(scanned)},
 		}
 	}
-	return out
+	return out, nil
 }
 
 // SortSets sorts attribute sets deterministically (by size then value); it

@@ -230,7 +230,10 @@ func TestEvaluateSets(t *testing.T) {
 	ps := core.DistinctTuples(d)
 	s1, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
 	s2, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	res := EvaluateSets(d, ps, []lattice.AttrSet{s1, s2}, Options{Workers: 1})
+	res, err := EvaluateSets(d, ps, []lattice.AttrSet{s1, s2}, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}

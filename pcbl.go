@@ -266,77 +266,17 @@ type GenerateOptions struct {
 	Timeout time.Duration
 
 	// Engine configures the counting engine (workers, dense threshold,
-	// memory budget, spill placement, filesystem seam). A non-zero Engine
-	// field wins over the matching deprecated top-level field below.
+	// memory budget, spill placement, filesystem seam). Engine.Workers
+	// bounds parallelism in both search phases — enumeration shards its
+	// sizing scans, evaluation scores candidates concurrently — and
+	// parallel runs return exactly the sequential result.
 	Engine EngineOptions
 
-	// Workers bounds parallelism in both search phases (0 = NumCPU):
-	// candidate enumeration shards its fused label-size scans across
-	// workers, and the evaluation phase scores candidates concurrently.
-	// Parallel runs return exactly the sequential result.
-	//
-	// Deprecated: set Engine.Workers.
-	Workers int
-	// DisableRefine turns off parent-PC reuse during enumeration: every
-	// frontier is sized by raw fused scans instead of refining cached
-	// parent indexes. The search result is identical either way; the knob
-	// exists for ablation and for memory-constrained runs (the refinement
-	// cache retains up to ~256 MiB of group vectors by default).
+	// DisableRefine turns off batched sibling refinement during
+	// enumeration: every frontier is sized by raw fused scans instead of
+	// refining a dense-keyable parent's groups. The search result is
+	// identical either way; the knob exists for ablation.
 	DisableRefine bool
-	// DisableBatchRefine turns off only the batched sibling-refinement
-	// tier of the enumeration scheduler: dense-keyable candidates are then
-	// sized one at a time against cached parent indexes (the previous
-	// engine behaviour) instead of whole same-parent batches in single
-	// passes over virtual group vectors. Result-identical; for ablation.
-	DisableBatchRefine bool
-	// DenseLimit overrides the counting engine's dense-kernel threshold
-	// for raw dataset scans: 0 means the engine default (a 2^22-slot key
-	// space), a negative value forces scan group-bys onto the hash-map
-	// kernels. The refinement path has its own compact-space
-	// representation and is not affected; pair with DisableRefine to
-	// reproduce the full pre-dense engine behaviour.
-	//
-	// Deprecated: set Engine.DenseLimit.
-	DenseLimit int
-	// MemBudget bounds the in-memory grouping state of a single group-by
-	// in bytes. Attribute sets beyond the dense kernel whose estimated
-	// hash-map footprint exceeds the budget are counted out-of-core: keys
-	// hash-partition into on-disk runs (fixed-width uint64 records when
-	// the mixed-radix key fits uint64, byte records otherwise) sized to
-	// each counting worker's share of the budget, and the key-disjoint
-	// runs are counted in parallel. Label builds are bounded end to end: a
-	// result map that models over the budget stays on disk and is served
-	// merge-on-read. Results are identical to the in-memory engine. Zero
-	// means unlimited. SearchStats.SpilledSets/SpilledU64Sets/SpillRuns/
-	// SpillParallelRuns/SpillBytes report the tier's use.
-	//
-	// Deprecated: set Engine.MemBudget.
-	MemBudget int64
-	// SpillDir overrides where spill run files are written (system temp
-	// directory when empty).
-	//
-	// Deprecated: set Engine.SpillDir.
-	SpillDir string
-}
-
-// engine resolves the effective engine options: Engine, with each zero
-// field falling back to the matching deprecated top-level field, so
-// pre-EngineOptions callers keep their behaviour unchanged.
-func (o GenerateOptions) engine() EngineOptions {
-	e := o.Engine
-	if e.Workers == 0 {
-		e.Workers = o.Workers
-	}
-	if e.DenseLimit == 0 {
-		e.DenseLimit = o.DenseLimit
-	}
-	if e.MemBudget == 0 {
-		e.MemBudget = o.MemBudget
-	}
-	if e.SpillDir == "" {
-		e.SpillDir = o.SpillDir
-	}
-	return e
 }
 
 // GenerateLabel finds an (approximately) optimal label within the size
@@ -368,14 +308,13 @@ func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*Search
 	if ps == nil {
 		ps = core.DistinctTuples(d)
 	}
-	eng := opts.engine()
+	eng := opts.Engine
 	so := search.Options{
 		Bound:              opts.Bound,
 		FastEval:           opts.FastEval,
 		BranchAndBound:     opts.BranchAndBound,
 		Workers:            eng.Workers,
 		DisableRefine:      opts.DisableRefine,
-		DisableBatchRefine: opts.DisableBatchRefine,
 		DenseLimit:         eng.DenseLimit,
 		MemBudget:          eng.MemBudget,
 		SpillDir:           eng.SpillDir,
@@ -422,48 +361,8 @@ func DecodeLabel(data []byte) (*PortableLabel, error) { return core.DecodePortab
 // LabelOptions configures the counting engine behind BuildLabelWith. The
 // zero value matches BuildLabel.
 type LabelOptions struct {
-	// Engine configures the counting engine. A non-zero Engine field wins
-	// over the matching deprecated top-level field below.
+	// Engine configures the counting engine.
 	Engine EngineOptions
-
-	// Workers bounds group-by parallelism (0 = NumCPU).
-	//
-	// Deprecated: set Engine.Workers.
-	Workers int
-	// DenseLimit overrides the dense-kernel threshold (0 = engine default,
-	// negative forces the hash-map kernels).
-	//
-	// Deprecated: set Engine.DenseLimit.
-	DenseLimit int
-	// MemBudget bounds in-memory grouping state in bytes; over-budget
-	// results stay on disk and are served merge-on-read (0 = unlimited).
-	//
-	// Deprecated: set Engine.MemBudget.
-	MemBudget int64
-	// SpillDir overrides where spill runs are written (system temp when
-	// empty).
-	//
-	// Deprecated: set Engine.SpillDir.
-	SpillDir string
-}
-
-// engine resolves the effective engine options, exactly as
-// GenerateOptions.engine does.
-func (o LabelOptions) engine() EngineOptions {
-	e := o.Engine
-	if e.Workers == 0 {
-		e.Workers = o.Workers
-	}
-	if e.DenseLimit == 0 {
-		e.DenseLimit = o.DenseLimit
-	}
-	if e.MemBudget == 0 {
-		e.MemBudget = o.MemBudget
-	}
-	if e.SpillDir == "" {
-		e.SpillDir = o.SpillDir
-	}
-	return e
 }
 
 // BuildLabelWith is BuildLabel with explicit engine options — the
@@ -474,7 +373,7 @@ func BuildLabelWith(d *Dataset, opts LabelOptions, attrNames ...string) (*Label,
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(d, s, opts.engine().countOptions()), nil
+	return core.BuildLabelOpts(d, s, opts.Engine.countOptions()), nil
 }
 
 // LabelManifest describes a saved label artifact (see docs/artifact-format.md).

@@ -22,7 +22,7 @@ func TestGenerateCtxCancelled(t *testing.T) {
 	d := testutil.Fig2()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := GenerateCtx(ctx, d, GenerateOptions{Bound: 5, Workers: 2})
+	_, err := GenerateCtx(ctx, d, GenerateOptions{Bound: 5, Engine: EngineOptions{Workers: 2}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -31,7 +31,7 @@ func TestGenerateCtxCancelled(t *testing.T) {
 func TestGenerateTimeoutExpired(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	d := testutil.Fig2()
-	_, err := GenerateLabel(d, GenerateOptions{Bound: 5, Workers: 2, Timeout: time.Nanosecond})
+	_, err := GenerateLabel(d, GenerateOptions{Bound: 5, Engine: EngineOptions{Workers: 2}, Timeout: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -42,14 +42,14 @@ func TestGenerateCtxAndTimeoutCompose(t *testing.T) {
 	// A generous caller context with a tiny Timeout: the Timeout wins.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	_, err := GenerateCtx(ctx, d, GenerateOptions{Bound: 5, Workers: 1, Timeout: time.Nanosecond})
+	_, err := GenerateCtx(ctx, d, GenerateOptions{Bound: 5, Engine: EngineOptions{Workers: 1}, Timeout: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	// And a cancelled caller context with a generous Timeout: the caller wins.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	_, err = GenerateCtx(cctx, d, GenerateOptions{Bound: 5, Workers: 1, Timeout: time.Hour})
+	_, err = GenerateCtx(cctx, d, GenerateOptions{Bound: 5, Engine: EngineOptions{Workers: 1}, Timeout: time.Hour})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

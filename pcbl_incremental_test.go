@@ -142,54 +142,11 @@ func TestFacadeArtifactErrors(t *testing.T) {
 	}
 }
 
-// TestEngineOptionsCompat pins the options redesign contract: the
-// deprecated top-level fields still take effect when Engine is zero, and
-// any set Engine field wins over its deprecated counterpart.
+// TestEngineOptionsCompat pins the facade-to-engine lowering:
+// countOptions carries every engine field through to the core.
 func TestEngineOptionsCompat(t *testing.T) {
-	legacy := GenerateOptions{Workers: 3, DenseLimit: -1, MemBudget: 1 << 20, SpillDir: "/tmp/x"}
-	e := legacy.engine()
-	if e.Workers != 3 || e.DenseLimit != -1 || e.MemBudget != 1<<20 || e.SpillDir != "/tmp/x" {
-		t.Fatalf("legacy fallback broken: %+v", e)
-	}
-	mixed := GenerateOptions{
-		Workers: 3, MemBudget: 1 << 20,
-		Engine: EngineOptions{Workers: 5, SpillDir: "/tmp/y"},
-	}
-	e = mixed.engine()
-	if e.Workers != 5 || e.MemBudget != 1<<20 || e.SpillDir != "/tmp/y" {
-		t.Fatalf("Engine precedence broken: %+v", e)
-	}
-
-	lo := LabelOptions{Workers: 2, SpillDir: "/tmp/z"}
-	if le := lo.engine(); le.Workers != 2 || le.SpillDir != "/tmp/z" {
-		t.Fatalf("LabelOptions fallback broken: %+v", le)
-	}
-	lo.Engine = EngineOptions{MemBudget: 42}
-	if le := lo.engine(); le.Workers != 2 || le.MemBudget != 42 {
-		t.Fatalf("LabelOptions merge broken: %+v", le)
-	}
-
-	// countOptions carries every engine field through to the core.
 	co := EngineOptions{Workers: 7, DenseLimit: 9, MemBudget: 11, SpillDir: "s", DisableSharedSpill: true}.countOptions()
 	if co.Workers != 7 || co.DenseLimit != 9 || co.MemBudget != 11 || co.SpillDir != "s" || !co.DisableSharedSpill {
 		t.Fatalf("countOptions dropped a field: %+v", co)
-	}
-
-	// Compile-time compatibility: the pre-redesign literals still compile.
-	_ = GenerateOptions{Bound: 5, Workers: 1, DenseLimit: 0, MemBudget: 0, SpillDir: ""}
-	_ = LabelOptions{Workers: 1, DenseLimit: 0, MemBudget: 0, SpillDir: ""}
-
-	// Builds through both spellings agree.
-	d := testutil.Fig2()
-	a, err := BuildLabelWith(d, LabelOptions{Workers: 2}, "gender", "race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildLabelWith(d, LabelOptions{Engine: EngineOptions{Workers: 2}}, "gender", "race")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Size() != b.Size() {
-		t.Fatalf("sizes differ across option spellings: %d vs %d", a.Size(), b.Size())
 	}
 }

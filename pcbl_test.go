@@ -9,7 +9,7 @@ import (
 
 func TestFacadeEndToEnd(t *testing.T) {
 	d := testutil.Fig2()
-	res, err := GenerateLabel(d, GenerateOptions{Bound: 5, Workers: 1})
+	res, err := GenerateLabel(d, GenerateOptions{Bound: 5, Engine: EngineOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeNaive(t *testing.T) {
 	d := testutil.Fig2()
-	res, err := GenerateLabel(d, GenerateOptions{Bound: 5, Algorithm: Naive, Workers: 1})
+	res, err := GenerateLabel(d, GenerateOptions{Bound: 5, Algorithm: Naive, Engine: EngineOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
