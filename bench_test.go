@@ -44,6 +44,7 @@ var benchData struct {
 	wide                         *dataset.Dataset // forces byte-string keys
 	psBlueNile                   *core.PatternSet
 	psCompas                     *core.PatternSet
+	psCreditCard                 *core.PatternSet
 }
 
 func benchSetup(b *testing.B) {
@@ -62,6 +63,7 @@ func benchSetup(b *testing.B) {
 		benchData.wide = wideDataset(8000, 16, 32)
 		benchData.psBlueNile = core.DistinctTuples(benchData.bluenile)
 		benchData.psCompas = core.DistinctTuples(benchData.compas)
+		benchData.psCreditCard = core.DistinctTuples(benchData.creditcard)
 	})
 }
 
@@ -224,6 +226,21 @@ func BenchmarkFig06_TopDown_COMPAS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := search.TopDown(d, ps, search.Options{Bound: 30, FastEval: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFig06_TopDown_CreditCard is the evaluation-heavy shape: 24
+// attributes put many candidates in the bound, and the search builds and
+// scores a label for each.
+func BenchmarkFig06_TopDown_CreditCard(b *testing.B) {
+	benchSetup(b)
+	d := benchData.creditcard
+	ps := benchData.psCreditCard
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := search.TopDown(d, ps, search.Options{Bound: 100, FastEval: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,12 +5,15 @@ package core
 // number of small allocations — planning slices and keyer metadata, never
 // per-row or per-key-space slabs. The bounds are deliberately loose (2×-ish
 // headroom over measured values) so they catch a lost pooling path, not
-// compiler noise.
+// compiler noise. Label builds are pinned exactly: their allocations must
+// not grow with the dataset's attribute count.
 
 import (
 	"runtime"
 	"testing"
 
+	"pcbl/internal/datagen"
+	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 )
 
@@ -77,5 +80,29 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 	// (no MemBudget is set, and the key spaces are uint64-bounded anyway).
 	if scan.Spilled != 0 || scan.SpillRuns != 0 || scan.SpillBytes != 0 {
 		t.Fatalf("in-memory alloc workload spilled: %+v", scan)
+	}
+}
+
+// TestAllocsBuildLabelFlatInAttrs pins the shared VC table: once the
+// dataset's table is filled, a label build over S = {0, 1} allocates the
+// same on the 24-attribute Credit Card dataset as on its 3-attribute
+// prefix. Recounting VC per label cost 3 allocations per attribute.
+func TestAllocsBuildLabelFlatInAttrs(t *testing.T) {
+	wide, err := datagen.CreditCard(2000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := wide.Prefix(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := lattice.NewAttrSet(0, 1)
+	allocs := func(d *dataset.Dataset) float64 {
+		BuildLabel(d, s) // fills the table
+		return testing.AllocsPerRun(20, func() { BuildLabel(d, s) })
+	}
+	w, n := allocs(wide), allocs(narrow)
+	if w != n {
+		t.Fatalf("BuildLabel allocs/run: %.0f on %d attributes, %.0f on %d; want equal", w, wide.NumAttrs(), n, narrow.NumAttrs())
 	}
 }

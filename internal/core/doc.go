@@ -113,7 +113,12 @@
 // and spill buffers across refinements, fused scans and sharded builds
 // (CountOptions.Pool). Steady-state enumeration allocates a near-constant
 // working set (pinned by alloc_test.go) instead of one compact-space slab
-// per candidate.
+// per candidate. The evaluation phase builds one label per candidate, and
+// each build does only per-candidate work — the PC group-by — because a
+// label's VC section is its dataset's VC table (dataset.Dataset.VCTable),
+// counted once per dataset and shared read-only by every label built over
+// it. A label build's allocations therefore do not grow with the number
+// of attributes (also pinned by alloc_test.go).
 //
 // Every parallel, dense and refinement entry point returns results
 // bit-identical to its sequential counterpart for all worker counts

@@ -12,7 +12,12 @@ import (
 // counts PC of every positive-count pattern over the attribute set S, plus
 // the value counts VC of every attribute value in D. The label size — the
 // quantity bounded by B_s in the optimal-label problem — is |PC|; VC is
-// fixed for a given dataset and shared by all its labels.
+// fixed for a given dataset, so a label built from a dataset serves the
+// dataset's own read-only VC table (dataset.Dataset.VCTable), shared by all
+// its labels and counted once. Two kinds of label hold VC of their own,
+// because their dataset's rows are not the rows VC counts: a label reopened
+// from an artifact (its dataset is schema-only) and a merged label (its
+// dataset holds only the delta's rows).
 //
 // A Label retains a reference to its dataset to serve VC lookups and build
 // marginal indexes; use Portable to produce a self-contained, serializable
@@ -31,7 +36,9 @@ type Label struct {
 	// in-process label had materialized.
 	fromPC bool
 
-	// VC-derived tables, precomputed for estimation speed.
+	// The VC section and its independence fractions. Both are read-only:
+	// for a dataset-built label they are the dataset's shared VC table, and
+	// a merge replaces them with fresh slices instead of writing in place.
 	fracs [][]float64 // fracs[a][id-1] = c_D({A=v}) / Σ_u c_D({A=u})
 	vc    [][]int     // vc[a][id-1] = c_D({A=v})
 
@@ -76,29 +83,27 @@ func buildLabel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Labe
 		return nil, err
 	}
 	opts.Ctx = nil // the label outlives the build; see BuildLabelOptsCtx
-	l := &Label{
+	vc, fracs := d.VCTable()
+	return &Label{
 		d:         d,
 		attrs:     s,
 		pc:        pc,
 		rows:      d.NumRows(),
 		copts:     opts,
-		fracs:     make([][]float64, d.NumAttrs()),
-		vc:        make([][]int, d.NumAttrs()),
+		fracs:     fracs,
+		vc:        vc,
 		marginals: make(map[lattice.AttrSet]*PC),
-	}
-	for a := 0; a < d.NumAttrs(); a++ {
-		l.fracs[a] = d.Fractions(a)
-		l.vc[a] = d.ValueCounts(a)
-	}
-	return l, nil
+	}, nil
 }
 
 // NewLabelFromParts assembles a label from deserialized pieces — the
 // constructor behind internal/artifact. d may be schema-only (attribute
 // dictionaries with zero rows): rows carries |D| and vc carries the VC
 // section, so estimation never consults the dataset's row data. The label
-// serves lazy marginals by summing the PC section (see Label.fromPC);
-// callers restore previously materialized marginals with PutMarginal.
+// keeps vc as its own VC, not d's VCTable (all zeros on a schema-only
+// dataset), and vc must not be modified afterwards. The label serves lazy
+// marginals by summing the PC section (see Label.fromPC); callers restore
+// previously materialized marginals with PutMarginal.
 func NewLabelFromParts(d *dataset.Dataset, rows int, s lattice.AttrSet, pc *PC, vc [][]int) *Label {
 	l := &Label{
 		d:         d,
@@ -112,18 +117,7 @@ func NewLabelFromParts(d *dataset.Dataset, rows int, s lattice.AttrSet, pc *PC, 
 		marginals: make(map[lattice.AttrSet]*PC),
 	}
 	for a := 0; a < d.NumAttrs(); a++ {
-		counts := vc[a]
-		var total int64
-		for _, c := range counts {
-			total += int64(c)
-		}
-		fr := make([]float64, len(counts))
-		if total > 0 {
-			for i, c := range counts {
-				fr[i] = float64(c) / float64(total)
-			}
-		}
-		l.fracs[a] = fr
+		l.fracs[a] = dataset.FractionsOf(vc[a])
 	}
 	return l
 }

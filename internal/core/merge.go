@@ -92,6 +92,8 @@ func (l *Label) Merge(delta *Label, bound int) (size int, within bool, err error
 
 	// Commit: VC sums elementwise (base arrays are a prefix of the delta's
 	// under the dictionary-extension invariant), fracs derive from the sums.
+	// The sums go into fresh slices: l's and delta's VC may be their
+	// datasets' shared tables, which nothing writes.
 	n := delta.d.NumAttrs()
 	vc := make([][]int, n)
 	fracs := make([][]float64, n)
@@ -100,17 +102,7 @@ func (l *Label) Merge(delta *Label, bound int) (size int, within bool, err error
 		for i, c := range l.vc[a] {
 			counts[i] += c
 		}
-		var total int64
-		for _, c := range counts {
-			total += int64(c)
-		}
-		fr := make([]float64, len(counts))
-		if total > 0 {
-			for i, c := range counts {
-				fr[i] = float64(c) / float64(total)
-			}
-		}
-		vc[a], fracs[a] = counts, fr
+		vc[a], fracs[a] = counts, dataset.FractionsOf(counts)
 	}
 
 	l.mu.Lock()

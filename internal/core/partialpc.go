@@ -114,21 +114,18 @@ type PartialLabel struct {
 	d     *dataset.Dataset
 	attrs lattice.AttrSet
 	ppc   *PartialPC
-	fracs [][]float64
+	fracs [][]float64 // d's shared, read-only VC fractions (Dataset.VCTable)
 }
 
 // BuildPartialLabel computes the partial-pattern label of d over s.
 func BuildPartialLabel(d *dataset.Dataset, s lattice.AttrSet) *PartialLabel {
-	l := &PartialLabel{
+	_, fracs := d.VCTable()
+	return &PartialLabel{
 		d:     d,
 		attrs: s,
 		ppc:   BuildPartialPC(d, s),
-		fracs: make([][]float64, d.NumAttrs()),
+		fracs: fracs,
 	}
-	for a := 0; a < d.NumAttrs(); a++ {
-		l.fracs[a] = d.Fractions(a)
-	}
-	return l
 }
 
 // Attrs returns S.

@@ -22,7 +22,9 @@ type Pattern struct {
 // NewPattern builds a pattern from attribute-name → value-string
 // assignments. Values must belong to the attribute's active domain: a
 // pattern over a value that never occurs has count 0 by construction and the
-// paper's pattern sets P_S only contain patterns with positive count.
+// paper's pattern sets P_S only contain patterns with positive count. Only
+// attributes in the first lattice.MaxAttrs columns can be constrained; a
+// later column is reported as an error.
 func NewPattern(d *dataset.Dataset, assign map[string]string) (Pattern, error) {
 	p := Pattern{vals: make([]uint16, d.NumAttrs())}
 	// Sort names for deterministic error reporting.
@@ -35,6 +37,9 @@ func NewPattern(d *dataset.Dataset, assign map[string]string) (Pattern, error) {
 		i, ok := d.AttrIndex(name)
 		if !ok {
 			return Pattern{}, fmt.Errorf("core: unknown attribute %q", name)
+		}
+		if i >= lattice.MaxAttrs {
+			return Pattern{}, fmt.Errorf("core: attribute %q is column %d; a pattern constrains only the first %d columns", name, i, lattice.MaxAttrs)
 		}
 		id, ok := d.Attr(i).ID(assign[name])
 		if !ok {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Null is the reserved value identifier for a missing value.
@@ -95,11 +96,21 @@ func (a *Attribute) clone() *Attribute {
 
 // Dataset is an immutable-after-build, column-oriented categorical relation.
 // Use a Builder to construct one, or ReadCSV to load one from CSV text.
+//
+// A Dataset also holds its VC table (VCTable): every attribute's value
+// counts and independence fractions, counted on first use and shared by
+// every label built over the dataset. Immutability is what makes caching
+// the table sound: no row changes after Build, and Head, Slice and Project
+// return new Datasets, each with a table of its own.
 type Dataset struct {
 	name  string
 	attrs []*Attribute
 	cols  [][]uint16 // cols[a][row] is the value identifier
 	rows  int
+
+	vcOnce   sync.Once
+	vcCounts [][]int     // vcCounts[a][id-1] = c_D({A=v}); set by vcOnce
+	vcFracs  [][]float64 // vcFracs[a] = FractionsOf(vcCounts[a]); set by vcOnce
 }
 
 // Name returns the dataset's display name (may be empty).
@@ -157,6 +168,8 @@ func (d *Dataset) Row(row int) []uint16 {
 
 // ValueCounts returns, for attribute a, the tuple count of each domain value;
 // index i holds the count of identifier i+1. This is the VC entry c_D({A=v}).
+// The slice is a fresh copy the caller owns; VCTable serves the same counts
+// without rescanning.
 func (d *Dataset) ValueCounts(a int) []int {
 	counts := make([]int, d.attrs[a].DomainSize())
 	for _, id := range d.cols[a] {
@@ -180,14 +193,31 @@ func (d *Dataset) NonNullCount(a int) int {
 	return n
 }
 
-// Fractions returns, for attribute a, the independence factor of each domain
-// value: c_D({A=v}) / Σ_{u∈Dom(A)} c_D({A=u}). Index i corresponds to value
-// identifier i+1. When the attribute is entirely NULL all fractions are 0.
-func (d *Dataset) Fractions(a int) []float64 {
-	counts := d.ValueCounts(a)
-	total := 0
+// VCTable returns the dataset's VC section (Definition 2.9): counts[a][i]
+// is c_D({A=v}) for value identifier i+1 of attribute a, and fracs[a][i]
+// its independence factor c_D({A=v}) / Σ_{u∈Dom(A)} c_D({A=u}). The table
+// is counted once, on the first call, and every call returns the same
+// slices, which alias the dataset's storage and must not be modified. It
+// is safe for concurrent use.
+func (d *Dataset) VCTable() (counts [][]int, fracs [][]float64) {
+	d.vcOnce.Do(func() {
+		d.vcCounts = make([][]int, len(d.attrs))
+		d.vcFracs = make([][]float64, len(d.attrs))
+		for a := range d.attrs {
+			d.vcCounts[a] = d.ValueCounts(a)
+			d.vcFracs[a] = FractionsOf(d.vcCounts[a])
+		}
+	})
+	return d.vcCounts, d.vcFracs
+}
+
+// FractionsOf turns one attribute's value counts into independence
+// factors: out[i] = counts[i] / Σ counts, all 0 when the counts sum to 0
+// (an entirely NULL attribute).
+func FractionsOf(counts []int) []float64 {
+	var total int64
 	for _, c := range counts {
-		total += c
+		total += int64(c)
 	}
 	out := make([]float64, len(counts))
 	if total == 0 {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -86,7 +87,8 @@ func TestValueCountsAndFractions(t *testing.T) {
 	if got := d.NonNullCount(1); got != 4 {
 		t.Errorf("non-null = %d, want 4", got)
 	}
-	fr := d.Fractions(1)
+	_, fracs := d.VCTable()
+	fr := fracs[1]
 	var sum float64
 	for _, f := range fr {
 		sum += f
@@ -94,8 +96,98 @@ func TestValueCountsAndFractions(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("fractions sum = %v", sum)
 	}
+	if fr[0] != 0.25 || fr[1] != 0.5 || fr[2] != 0.25 { // S, M, L over 4 non-null
+		t.Errorf("size fractions = %v, want [0.25 0.5 0.25]", fr)
+	}
 	if got := d.VCSize(); got != 3+3 {
 		t.Errorf("VCSize = %d, want 6", got)
+	}
+}
+
+// checkVCTable asserts d's VC table equals a fresh count of d's own rows.
+func checkVCTable(t *testing.T, what string, d *Dataset) {
+	t.Helper()
+	counts, fracs := d.VCTable()
+	if len(counts) != d.NumAttrs() || len(fracs) != d.NumAttrs() {
+		t.Fatalf("%s: table has %d/%d attributes, want %d", what, len(counts), len(fracs), d.NumAttrs())
+	}
+	for a := 0; a < d.NumAttrs(); a++ {
+		want := d.ValueCounts(a)
+		wantFr := FractionsOf(want)
+		for i := range want {
+			if counts[a][i] != want[i] || fracs[a][i] != wantFr[i] {
+				t.Fatalf("%s: attribute %d table (%v, %v), want (%v, %v)", what, a, counts[a], fracs[a], want, wantFr)
+			}
+		}
+	}
+}
+
+// TestVCTable pins the table's contract: it counts the dataset's own rows,
+// every call returns the same slices, and the datasets Head, Slice and
+// Project return get tables of their own even when the source's table is
+// already filled.
+func TestVCTable(t *testing.T) {
+	d := sample(t)
+	checkVCTable(t, "sample", d)
+	c1, f1 := d.VCTable()
+	c2, f2 := d.VCTable()
+	if &c1[0][0] != &c2[0][0] || &f1[1][0] != &f2[1][0] {
+		t.Error("VCTable recounted on its second call")
+	}
+	if c1[0][0] != 3 {
+		t.Fatalf("red count = %d, want 3", c1[0][0])
+	}
+
+	head := d.Head(2)
+	checkVCTable(t, "Head(2)", head)
+	if hc, _ := head.VCTable(); hc[0][0] != 1 {
+		t.Errorf("Head(2) red count = %d, want 1", hc[0][0])
+	}
+	nullOnly, err := d.Slice(3, 4) // size is NULL in row 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVCTable(t, "Slice(3,4)", nullOnly)
+	if _, sf := nullOnly.VCTable(); sf[1][0] != 0 || sf[1][1] != 0 || sf[1][2] != 0 {
+		t.Errorf("all-NULL attribute fractions = %v, want zeros", sf[1])
+	}
+	proj, err := d.Project([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVCTable(t, "Project([1])", proj)
+	if pc, _ := proj.VCTable(); pc[0][1] != 2 {
+		t.Errorf("projected M count = %d, want 2", pc[0][1])
+	}
+	// The derived tables left the source's untouched.
+	if c, _ := d.VCTable(); &c[0][0] != &c1[0][0] || c[0][0] != 3 {
+		t.Error("source table changed after derived datasets were counted")
+	}
+}
+
+// TestVCTableConcurrentFirstUse fills a fresh dataset's table from eight
+// goroutines at once; run with -race.
+func TestVCTableConcurrentFirstUse(t *testing.T) {
+	b := NewBuilder("wide", "a", "b", "c")
+	for r := 0; r < 3000; r++ {
+		b.AppendStrings(string(rune('A'+r%7)), string(rune('A'+r%3)), string(rune('A'+r%11)))
+	}
+	d := build(t, b)
+	var wg sync.WaitGroup
+	tables := make([][][]int, 8)
+	for g := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tables[g], _ = d.VCTable()
+		}()
+	}
+	wg.Wait()
+	checkVCTable(t, "concurrent", d)
+	for g, c := range tables {
+		if &c[0][0] != &tables[0][0][0] {
+			t.Errorf("goroutine %d got a different table", g)
+		}
 	}
 }
 

@@ -129,7 +129,9 @@ func (s AttrSet) Format(names []string) string {
 }
 
 // FromNames builds an AttrSet from attribute names resolved against the
-// given name list. Unknown names are reported as an error.
+// given name list. Unknown names, and names whose column lies at or beyond
+// MaxAttrs (a CSV may have more columns than a set can hold), are reported
+// as an error.
 func FromNames(names []string, members ...string) (AttrSet, error) {
 	idx := make(map[string]int, len(names))
 	for i, n := range names {
@@ -140,6 +142,9 @@ func FromNames(names []string, members ...string) (AttrSet, error) {
 		i, ok := idx[m]
 		if !ok {
 			return 0, fmt.Errorf("lattice: unknown attribute %q", m)
+		}
+		if i >= MaxAttrs {
+			return 0, fmt.Errorf("lattice: attribute %q is column %d; an attribute set holds only the first %d columns", m, i, MaxAttrs)
 		}
 		s = s.Add(i)
 	}

@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +70,23 @@ func TestFromNames(t *testing.T) {
 	}
 	if _, err := FromNames(names, "zz"); err == nil {
 		t.Error("unknown name accepted")
+	}
+
+	// A CSV may have more columns than a set holds: a name in column 64 or
+	// later is an error naming its column, not a panic.
+	wide := make([]string, 70)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("c%d", i)
+	}
+	if s, err := FromNames(wide, "c0", "c63"); err != nil || s != NewAttrSet(0, 63) {
+		t.Errorf("FromNames(c0, c63) = %v, %v", s, err)
+	}
+	for _, col := range []int{64, 65, 69} {
+		name := fmt.Sprintf("c%d", col)
+		_, err := FromNames(wide, "c0", name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q is column %d", name, col)) {
+			t.Errorf("FromNames(c0, %s) error = %v, want one naming column %d", name, err, col)
+		}
 	}
 }
 

@@ -358,3 +358,41 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatalf("/v1/stats after adding /metrics: code %d, %+v", code, st)
 	}
 }
+
+// TestServeRejectsAttrBeyondColumn63 serves a label over a0,a1 of a
+// 70-column schema. Naming a69 in a count, estimate or marginal query is a
+// client error: it answers 400 and leaves the label healthy instead of
+// tripping the panic recovery and flagging the label degraded.
+func TestServeRejectsAttrBeyondColumn63(t *testing.T) {
+	d := testDataset(t, 500, 70, 3, 0x70)
+	dir := t.TempDir() + "/artifact"
+	if err := artifact.Save(core.BuildLabel(d, lattice.NewAttrSet(0, 1)), dir); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(l))
+	t.Cleanup(ts.Close)
+	c := ts.Client()
+
+	for _, u := range []string{
+		"/v1/count?q=" + url.QueryEscape("a69=v1"),
+		"/v1/estimate?q=" + url.QueryEscape("a0=v1,a69=v1"),
+		"/v1/marginal?attrs=a69",
+	} {
+		var out map[string]any
+		if code := getJSON(t, c, ts.URL+u, &out); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "column 69") {
+			t.Errorf("%s: status %d (%v), want 400 naming column 69", u, code, out)
+		}
+	}
+	var hr HealthResult
+	if code := getJSON(t, c, ts.URL+"/healthz", &hr); code != http.StatusOK || hr.Status != "ok" || hr.RecoveredPanics != 0 {
+		t.Fatalf("healthz after rejected queries: status %d, %+v", code, hr)
+	}
+	// The label still answers well-formed queries.
+	if code := getJSON(t, c, ts.URL+"/v1/estimate?q="+url.QueryEscape("a0=v1,a63=v1"), nil); code != http.StatusOK {
+		t.Errorf("estimate over a0,a63: status %d, want 200", code)
+	}
+}

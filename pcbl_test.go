@@ -1,6 +1,7 @@
 package pcbl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,6 +114,48 @@ func TestAttrSetOf(t *testing.T) {
 	}
 	if _, err := AttrSetOf(d, "nope"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// TestFacadeAttrBeyondColumn63 loads a 70-column CSV: the facade calls
+// that resolve attribute names return an error for c69, which lies past
+// the 64 columns an attribute set holds, instead of panicking.
+func TestFacadeAttrBeyondColumn63(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 70; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "c%d", i)
+	}
+	for r := 0; r < 4; r++ {
+		sb.WriteByte('\n')
+		for i := 0; i < 70; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "v%d", (r+i)%2)
+		}
+	}
+	d, err := ReadCSV(strings.NewReader(sb.String()), CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumAttrs() != 70 {
+		t.Fatalf("read %d attributes, want 70", d.NumAttrs())
+	}
+	if _, err := BuildLabel(d, "c0", "c1"); err != nil {
+		t.Fatalf("label over c0,c1: %v", err)
+	}
+	_, err1 := AttrSetOf(d, "c69")
+	_, err2 := BuildLabel(d, "c0", "c69")
+	_, _, err3 := LabelSize(d, -1, "c69")
+	_, err4 := ParsePattern(d, "c69 = v1")
+	_, err5 := NewPattern(d, map[string]string{"c0": "v1", "c69": "v1"})
+	for i, err := range []error{err1, err2, err3, err4, err5} {
+		if err == nil || !strings.Contains(err.Error(), "column 69") {
+			t.Errorf("call %d: error %v, want one naming column 69", i+1, err)
+		}
 	}
 }
 
