@@ -99,11 +99,11 @@ func BenchmarkFig01_RenderLabel(b *testing.B) {
 	benchSetup(b)
 	d := benchData.compas
 	s, _ := lattice.FromNames(d.AttrNames(), "Gender", "Race")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	eval := core.Evaluate(l, benchData.psCompas, core.EvalOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.Render(l, core.RenderOptions{Eval: &eval})
+		_ = must(core.Render(l, core.RenderOptions{Eval: &eval}))
 	}
 }
 
@@ -331,7 +331,7 @@ func BenchmarkCore_BuildLabel(b *testing.B) {
 	s, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText", "RecSupervisionLevel")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.BuildLabel(d, s)
+		_ = must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -339,7 +339,7 @@ func BenchmarkCore_Estimate(b *testing.B) {
 	benchSetup(b)
 	d := benchData.compas
 	s, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	ps := benchData.psCompas
 	row := ps.Row(0)
 	attrs := ps.Attrs(0)
@@ -395,7 +395,7 @@ func BenchmarkBuildPCSequential(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.BuildPC(d, full)
+		_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -405,7 +405,7 @@ func BenchmarkBuildPCParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: workers})
+				_ = must(core.BuildPC(d, full, core.CountOptions{Workers: workers}))
 			}
 		})
 	}
@@ -417,7 +417,7 @@ func BenchmarkBuildPCParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("pooled-workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: workers, Pool: pool})
+				_ = must(core.BuildPC(d, full, core.CountOptions{Workers: workers, Pool: pool}))
 			}
 		})
 	}
@@ -431,7 +431,7 @@ func BenchmarkLabelSizePerSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range sets {
-			_, _ = core.LabelSize(d, s, 50)
+			_, _ = must2(core.LabelSize(d, s, 50, core.CountOptions{Workers: 1}))
 		}
 	}
 }
@@ -442,7 +442,7 @@ func BenchmarkLabelSizeFused(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _ = core.LabelSizesFused(d, sets, 50, core.CountOptions{Workers: workers})
+				_, _ = must2(core.LabelSizes(d, sets, 50, core.CountOptions{Workers: workers}))
 			}
 		})
 	}
@@ -546,13 +546,13 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.Run("inmemory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: 1})
+			_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 		}
 	})
 	b.Run("spill", func(b *testing.B) {
 		var stats core.ScanStats
 		for i := 0; i < b.N; i++ {
-			pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats})
+			pc := must(core.BuildPC(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}))
 			pc.ReleaseSpill() // merge-on-read result: drop the retained runs
 		}
 		if stats.Spilled != int64(b.N) {
@@ -564,7 +564,7 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 		var stats core.ScanStats
 		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
 		for i := 0; i < b.N; i++ {
-			if _, within := core.LabelSizeParallel(d, full, -1, opts); !within {
+			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
 				b.Fatal("unbounded sizing reported out of bound")
 			}
 		}
@@ -575,7 +575,7 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 }
 
 // BenchmarkSpillSizeWorkers sweeps the counting workers over a spilled
-// frontier sizing (core.LabelSizesFused routes the over-budget byte-key
+// frontier sizing (core.LabelSizes routes the over-budget byte-key
 // set onto an external spill scan): the partition phase shards rows and
 // the count phase splits the key-disjoint runs K-way, so on a multi-core
 // runner the sizing wall clock scales with workers like the in-memory
@@ -588,7 +588,7 @@ func BenchmarkSpillSizeWorkers(b *testing.B) {
 			var stats core.ScanStats
 			opts := core.CountOptions{Workers: workers, MemBudget: budget, Stats: &stats}
 			for i := 0; i < b.N; i++ {
-				sizes, within := core.LabelSizesFused(d, sets, -1, opts)
+				sizes, within := must2(core.LabelSizes(d, sets, -1, opts))
 				if !within[0] || sizes[0] == 0 {
 					b.Fatal("unbounded spilled sizing failed")
 				}
@@ -625,7 +625,7 @@ func BenchmarkSpillRecordFormat(b *testing.B) {
 		b.SetBytes(int64(d.NumRows() * recW))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, within := core.LabelSizeParallel(d, full, -1, opts); !within {
+			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
 				b.Fatal("unbounded sizing reported out of bound")
 			}
 		}
@@ -699,7 +699,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				w.Cleanup()
 				b.Fatal(err)
 			}
-			size, _, err := w.CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+			size, _, err := w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -739,7 +739,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			merged := make(map[string]int)
-			_, _, err = w.CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+			_, _, err = w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 				for key, c := range m {
 					merged[key] = c
 				}
@@ -761,13 +761,13 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 		probe := pcProbeVals(d)
 		var peak uint64
 		for i := 0; i < b.N; i++ {
-			pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
+			pc := must(core.BuildPC(d, full, core.CountOptions{Workers: 1, MemBudget: budget}))
 			if !pc.Spilled() {
 				b.Fatal("build did not stay merge-on-read")
 			}
 			peak = max(peak, liveHeap()) // result live, runs on disk
 			for _, vals := range probe {
-				_ = pc.LookupVals(vals) // fault in the pinned hot-run cache
+				_ = must(pc.LookupValsCtx(nil, vals)) // fault in the pinned hot-run cache
 			}
 			peak = max(peak, liveHeap())
 			pc.ReleaseSpill()
@@ -779,7 +779,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 
 // BenchmarkSharedSpillPartition measures the shared-scan partition phase:
 // a frontier of n spilled uint64-key sets (11-attribute subsets of the
-// wide dataset, each over budget) sized through LabelSizesFused in one
+// wide dataset, each over budget) sized through LabelSizes in one
 // shared dataset pass versus one pass per set (the pre-shared baseline,
 // via DisableSharedSpill). partition-passes/op counts dataset scans spent
 // partitioning and rows-read/op the partition-phase row reads they imply:
@@ -803,7 +803,7 @@ func BenchmarkSharedSpillPartition(b *testing.B) {
 				var stats core.ScanStats
 				opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats, DisableSharedSpill: mode.disable}
 				for i := 0; i < b.N; i++ {
-					sizes, within := core.LabelSizesFused(d, sets, -1, opts)
+					sizes, within := must2(core.LabelSizes(d, sets, -1, opts))
 					if !within[0] || sizes[0] == 0 {
 						b.Fatal("unbounded sizing failed")
 					}
@@ -850,7 +850,7 @@ func BenchmarkSharedSpillPartition(b *testing.B) {
 					mw.Cleanup()
 					b.Fatal(err)
 				}
-				size, _, err := mw.Writer(t).CountRunsU64(-1, 1, nil)
+				size, _, err := mw.Writer(t).CountRunsU64Ctx(nil, -1, 1, nil)
 				if err != nil || size == 0 {
 					mw.Cleanup()
 					b.Fatalf("target %d: size=%d err=%v", t, size, err)
@@ -912,18 +912,18 @@ func lookupBenchSetup(b *testing.B) {
 		u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
 		d := u64SpillData
 		full := lattice.FullSet(d.NumAttrs())
-		oracle := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1})
+		oracle := must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 		// Budget one byte under the result's modeled uint64-map footprint:
 		// the build stays merge-on-read while the read side can pin (nearly)
 		// every run into the lock-free hot cache.
 		budget := int64(oracle.Size())*(8+48) - 1
-		pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
+		pc := must(core.BuildPC(d, full, core.CountOptions{Workers: 1, MemBudget: budget}))
 		if !pc.Spilled() {
 			panic("lookup benchmark build did not stay merge-on-read")
 		}
 		probes := pcProbeVals(d)
 		for _, vals := range probes {
-			_ = pc.LookupVals(vals) // fault the probed runs into the hot cache
+			_ = must(pc.LookupValsCtx(nil, vals)) // fault the probed runs into the hot cache
 		}
 		lookupBench.pc, lookupBench.probes = pc, probes
 	})
@@ -942,7 +942,7 @@ func BenchmarkSpilledPCLookup(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				var total, i int
 				for pb.Next() {
-					total += pc.LookupVals(probes[i%len(probes)])
+					total += must(pc.LookupValsCtx(nil, probes[i%len(probes)]))
 					i++
 				}
 				lookupSink.Add(int64(total))
@@ -993,7 +993,7 @@ func serveBenchSetup(b *testing.B) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
 		d := benchServeDataset(4000, 4, 300)
-		l := core.BuildLabelOpts(d, lattice.FullSet(d.NumAttrs()), core.CountOptions{MemBudget: 16 << 10})
+		l := must(core.BuildLabel(d, lattice.FullSet(d.NumAttrs()), core.CountOptions{MemBudget: 16 << 10}))
 		if !l.PC().Spilled() {
 			panic("serve benchmark label did not spill")
 		}
@@ -1101,7 +1101,7 @@ func BenchmarkAblation_EvalMode_Exact(b *testing.B) {
 	d := benchData.bluenile
 	ps := benchData.psBlueNile
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = core.MaxAbsError(l, ps, core.MaxErrOptions{Workers: 1})
@@ -1114,7 +1114,7 @@ func BenchmarkAblation_EvalMode_SortedEarlyStop(b *testing.B) {
 	ps := benchData.psBlueNile
 	ps.SortByCountDesc()
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = core.MaxAbsError(l, ps, core.MaxErrOptions{Sorted: true})
@@ -1128,7 +1128,7 @@ func BenchmarkAblation_Key_Uint64(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.BuildPC(d, full)
+		_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -1138,7 +1138,7 @@ func BenchmarkAblation_Key_Bytes(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.BuildPC(d, full)
+		_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -1148,7 +1148,7 @@ func BenchmarkAblation_Parallel_Workers1(b *testing.B) {
 	d := benchData.bluenile
 	ps := benchData.psBlueNile
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Evaluate(l, ps, core.EvalOptions{Workers: 1})
@@ -1160,7 +1160,7 @@ func BenchmarkAblation_Parallel_WorkersMax(b *testing.B) {
 	d := benchData.bluenile
 	ps := benchData.psBlueNile
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Evaluate(l, ps, core.EvalOptions{})
@@ -1174,7 +1174,7 @@ func BenchmarkAblation_SizeAbort_On(b *testing.B) {
 	s := lattice.NewAttrSet(0, 1, 2, 3, 4, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = core.LabelSize(d, s, 50)
+		_, _ = must2(core.LabelSize(d, s, 50, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -1184,7 +1184,7 @@ func BenchmarkAblation_SizeAbort_Off(b *testing.B) {
 	s := lattice.NewAttrSet(0, 1, 2, 3, 4, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = core.LabelSize(d, s, -1)
+		_, _ = must2(core.LabelSize(d, s, -1, core.CountOptions{Workers: 1}))
 	}
 }
 
@@ -1219,7 +1219,7 @@ func BenchmarkAblation_SingleLabel(b *testing.B) {
 	d := benchData.compas
 	ps := benchData.psCompas
 	s, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText", "RecSupervisionLevel")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.Evaluate(l, ps, core.EvalOptions{})
@@ -1232,7 +1232,7 @@ func BenchmarkAblation_MultiLabel(b *testing.B) {
 	ps := benchData.psCompas
 	s1, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText", "RecSupervisionLevel")
 	s2, _ := lattice.FromNames(d.AttrNames(), "Gender", "Race", "Age")
-	m, err := multilabel.New([]*core.Label{core.BuildLabel(d, s1), core.BuildLabel(d, s2)}, multilabel.BestOverlap)
+	m, err := multilabel.New([]*core.Label{must(core.BuildLabel(d, s1, core.CountOptions{Workers: 1})), must(core.BuildLabel(d, s2, core.CountOptions{Workers: 1}))}, multilabel.BestOverlap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1254,7 +1254,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.Run("nil", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPCParallelCtx(nil, d, full, core.CountOptions{Workers: 1}); err != nil {
+			if _, err := core.BuildPC(d, full, core.CountOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1266,7 +1266,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 		defer cancel()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPCParallelCtx(ctx, d, full, core.CountOptions{Workers: 1}); err != nil {
+			if _, err := core.BuildPC(d, full, core.CountOptions{Workers: 1, Ctx: ctx}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1300,11 +1300,11 @@ func benchIncrementalSplit(b *testing.B) (d, base, delta *dataset.Dataset) {
 func BenchmarkLabelMerge(b *testing.B) {
 	d, base, delta := benchIncrementalSplit(b)
 	s := lattice.FullSet(d.NumAttrs())
-	dl := core.BuildLabelOpts(delta, s, core.CountOptions{Workers: 1})
+	dl := must(core.BuildLabel(delta, s, core.CountOptions{Workers: 1}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		bl := core.BuildLabelOpts(base, s, core.CountOptions{Workers: 1})
+		bl := must(core.BuildLabel(base, s, core.CountOptions{Workers: 1}))
 		b.StartTimer()
 		if _, _, err := bl.Merge(dl, -1); err != nil {
 			b.Fatal(err)
@@ -1322,7 +1322,7 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		var st core.ScanStats
 		for i := 0; i < b.N; i++ {
-			_ = core.BuildLabelOpts(d, s, core.CountOptions{Workers: 1, Stats: &st})
+			_ = must(core.BuildLabel(d, s, core.CountOptions{Workers: 1, Stats: &st}))
 		}
 		b.ReportMetric(float64(st.RowsScanned)/float64(b.N), "rows-read/op")
 	})
@@ -1330,9 +1330,9 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 		var st core.ScanStats
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			bl := core.BuildLabelOpts(base, s, core.CountOptions{Workers: 1})
+			bl := must(core.BuildLabel(base, s, core.CountOptions{Workers: 1}))
 			b.StartTimer()
-			dl := core.BuildLabelOpts(delta, s, core.CountOptions{Workers: 1, Stats: &st})
+			dl := must(core.BuildLabel(delta, s, core.CountOptions{Workers: 1, Stats: &st}))
 			if _, _, err := bl.Merge(dl, -1); err != nil {
 				b.Fatal(err)
 			}

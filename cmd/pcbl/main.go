@@ -40,7 +40,6 @@ import (
 
 	"pcbl"
 	"pcbl/internal/datagen"
-	"pcbl/internal/htmlreport"
 	"pcbl/internal/patexpr"
 	"pcbl/internal/serve"
 )
@@ -206,10 +205,10 @@ func runLabel(args []string) error {
 	fmt.Printf("max abs error:    %.1f over %d distinct patterns\n", res.MaxErr, res.Stats.PatternsScanned)
 	fmt.Printf("search:           %d sets examined, %d in bound, %v total\n",
 		res.Stats.SizeComputed, res.Stats.InBound, res.Stats.Total().Round(1000))
-	if res.Stats.SpilledSets > 0 {
+	if res.Stats.Spilled > 0 {
 		fmt.Printf("spill:            %d sets (%d byte-key, %d uint64-key) via %d on-disk runs (%d counted in parallel), %.1f MiB written\n",
-			res.Stats.SpilledSets,
-			res.Stats.SpilledSets-res.Stats.SpilledU64Sets, res.Stats.SpilledU64Sets,
+			res.Stats.Spilled,
+			res.Stats.Spilled-res.Stats.SpilledU64, res.Stats.SpilledU64,
 			res.Stats.SpillRuns, res.Stats.SpillParallelRuns,
 			float64(res.Stats.SpillBytes)/(1<<20))
 	}
@@ -223,8 +222,12 @@ func runLabel(args []string) error {
 	}
 	if *render {
 		eval := pcbl.Evaluate(res.Label, nil)
+		text, err := pcbl.RenderLabel(res.Label, &eval)
+		if err != nil {
+			return err
+		}
 		fmt.Println()
-		fmt.Println(pcbl.RenderLabel(res.Label, &eval))
+		fmt.Println(text)
 	}
 	if *out != "" {
 		data, err := pcbl.EncodeLabel(res.Label)
@@ -242,7 +245,7 @@ func runLabel(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := htmlreport.Write(f, res.Label.Portable(), htmlreport.Options{Eval: &eval}); err != nil {
+		if err := pcbl.WriteHTMLReport(f, res.Label, &eval); err != nil {
 			f.Close()
 			return err
 		}

@@ -50,6 +50,19 @@ func TestLabelRejectsZeroRowDataset(t *testing.T) {
 	}
 }
 
+func TestRejectsDuplicateHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.csv")
+	if err := os.WriteFile(path, []byte("a,a\nx,y\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// main exits 1 on the returned error.
+	for name, run := range map[string]func([]string) error{"inspect": runInspect, "label": runLabel} {
+		if err := run([]string{"-in", path}); err == nil || !strings.Contains(err.Error(), `duplicate attribute name "a"`) {
+			t.Errorf("%s on a repeated header name: %v, want an error naming it", name, err)
+		}
+	}
+}
+
 func TestSaveRejectsUnknownAttribute(t *testing.T) {
 	path := writeCSV(t, 60)
 	err := runSave([]string{"-in", path, "-bins", "0", "-attrs", "color,nosuch", "-artifact", t.TempDir() + "/a"})

@@ -56,7 +56,7 @@ func countAt(t *testing.T, dir string, assign map[string]string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := l.Count(p)
+	c, _ := must2(l.CountCtx(nil, p))
 	return c
 }
 

@@ -22,7 +22,8 @@
 //
 //	d, _ := pcbl.ReadCSVFile("people.csv", pcbl.CSVOptions{})
 //	res, _ := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 50})
-//	fmt.Println(pcbl.RenderLabel(res.Label, nil))
+//	text, _ := pcbl.RenderLabel(res.Label, nil)
+//	fmt.Println(text)
 //
 //	p, _ := pcbl.NewPattern(d, map[string]string{"race": "Hispanic", "gender": "Female"})
 //	fmt.Printf("≈ %.0f rows\n", res.Label.Estimate(p))
@@ -50,24 +51,29 @@
 // GenerateOptions and LabelOptions and passed directly to
 // BuildDeltaLabel.
 //
-// # Errors and panics
+// # Errors, cancellation and panics
 //
 // The package reports expected failures — malformed input, unknown
 // attributes or values, artifact damage, disk trouble — as errors, and
 // artifact errors wrap the typed sentinels ErrArtifactIncomplete,
 // ErrArtifactCorrupt, ErrArtifactManifest and ErrEpochMismatch for
-// errors.Is dispatch. The core panics only on API misuse — a Pattern
-// built against a different dataset's dictionaries, an attribute index
-// out of range — never on data or disk contents, with one deliberate
-// exception: the error-free query methods (Count, Estimate) panic if a
-// spilled PC section hits an unrecoverable read fault, because returning
-// would mean returning a wrong count. Long-lived consumers of artifact-
-// backed labels should use the error-returning variants (CountE,
-// EstimateE), which surface the fault instead; the serving layer does,
-// degrading the request rather than the process.
+// errors.Is dispatch. Every label query has one form that returns its
+// error: Label.CountCtx, EstimateCtx and MarginalPCCtx take a context
+// first (nil never cancels), and a spilled PC section whose run read fails
+// answers with the error, never a wrong count. RenderLabel, EncodeLabel
+// and WriteHTMLReport read the whole PC section and return the same
+// error. The core panics only on API misuse — a Pattern built against a
+// different dataset's dictionaries, an attribute index out of range, a
+// label used after ReleaseSpill — never on data or disk contents, with
+// one deliberate exception: Label.Estimate, the error-free Est(p, l) of
+// the paper's examples, panics if a spilled PC section hits an
+// unrecoverable read fault, because returning would mean returning a
+// wrong estimate. Long-lived consumers of artifact-backed labels call
+// EstimateCtx instead; the serving layer does, degrading the request
+// rather than the process.
 //
-// Cancellation is a third, distinct family. Work bounded by a caller's
-// context — GenerateCtx, BuildLabelCtx, the *Ctx query variants — stops
+// Cancellation is a distinct error family. Work bounded by a caller's
+// context — GenerateCtx, BuildLabelCtx, the Ctx query methods — stops
 // cooperatively when the context fires and returns an error wrapping
 // context.Canceled or context.DeadlineExceeded (check with errors.Is),
 // never a panic and never a partial result: an interrupted build yields a

@@ -36,7 +36,10 @@ func main() {
 		count   int
 	}
 	var shares []share
-	pl := label.Portable()
+	pl, err := label.Portable()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, e := range pl.PC {
 		name := ""
 		for i, v := range e.Values {

@@ -65,8 +65,12 @@ func main() {
 
 	// 4. Render the full nutrition label with its error summary (Fig 1).
 	eval := pcbl.Evaluate(res.Label, nil)
+	text, err := pcbl.RenderLabel(res.Label, &eval)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	fmt.Println(pcbl.RenderLabel(res.Label, &eval))
+	fmt.Println(text)
 
 	// 5. Serialize the label: this JSON is the metadata you would publish
 	//    alongside the dataset.

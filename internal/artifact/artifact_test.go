@@ -56,14 +56,14 @@ func genDataset(t *testing.T, rows, attrs, domain int, nullRate float64, seed ui
 // pcDump flattens a PC into comparable form.
 func pcDump(pc *core.PC) map[string]int {
 	out := make(map[string]int)
-	pc.Each(lattice.MaxAttrs, func(vals []uint16, c int) bool {
+	noErr(pc.EachCtx(nil, lattice.MaxAttrs, func(vals []uint16, c int) bool {
 		var key strings.Builder
 		for _, a := range pc.Attrs().Members() {
 			fmt.Fprintf(&key, "%d=%d;", a, vals[a])
 		}
 		out[key.String()] = c
 		return true
-	})
+	}))
 	return out
 }
 
@@ -157,8 +157,8 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 	rd := rl.Dataset()
 	for i, p := range probes {
 		rp := reopenedPattern(t, d, rd, p)
-		wc, wok := l.Count(p)
-		gc, gok := rl.Count(rp)
+		wc, wok := must2(l.CountCtx(nil, p))
+		gc, gok := must2(rl.CountCtx(nil, rp))
 		if wc != gc || wok != gok {
 			t.Fatalf("probe %d: Count = (%d, %v), want (%d, %v)", i, gc, gok, wc, wok)
 		}
@@ -171,28 +171,28 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 
 func TestRoundTripDense(t *testing.T) {
 	d := genDataset(t, 2000, 4, 6, 0, 0x71)
-	l := core.BuildLabelOpts(d, lattice.FullSet(3), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{}))
 	assertRoundTrip(t, d, l, 0x71)
 }
 
 func TestRoundTripU64Map(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0.05, 0x72)
 	// A negative dense limit forces the map kernel even for small spaces.
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1}))
 	assertRoundTrip(t, d, l, 0x72)
 }
 
 func TestRoundTripBytesMap(t *testing.T) {
 	d := genDataset(t, 1500, 4, 65000, 0.05, 0x73)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
 	assertRoundTrip(t, d, l, 0x73)
 }
 
 func TestRoundTripSpilledU64(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x74)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
@@ -201,9 +201,9 @@ func TestRoundTripSpilledU64(t *testing.T) {
 
 func TestRoundTripSpilledBytes(t *testing.T) {
 	d := genDataset(t, 3000, 4, 65000, 0.1, 0x75)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 32 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
@@ -217,7 +217,7 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 // and there are none.
 func TestColdMarginalsNullFree(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0, 0x79)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1}))
 	dir := filepath.Join(t.TempDir(), "cold")
 	// Save before any marginal materializes: the artifact holds only the
 	// PC section.
@@ -234,8 +234,8 @@ func TestColdMarginalsNullFree(t *testing.T) {
 	rd := rl.Dataset()
 	for i, p := range probePatterns(t, d, 128, 0x7A) {
 		rp := reopenedPattern(t, d, rd, p)
-		wc, wok := l.Count(p)
-		gc, gok := rl.Count(rp)
+		wc, wok := must2(l.CountCtx(nil, p))
+		gc, gok := must2(rl.CountCtx(nil, rp))
 		if wc != gc || wok != gok {
 			t.Fatalf("probe %d: Count = (%d, %v), want (%d, %v)", i, gc, gok, wc, wok)
 		}
@@ -250,9 +250,9 @@ func TestColdMarginalsNullFree(t *testing.T) {
 // answering queries from the artifact's files.
 func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x76)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill")
 	}
@@ -279,7 +279,7 @@ func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 
 func TestSaveRefusesNonEmptyDir(t *testing.T) {
 	d := genDataset(t, 100, 3, 4, 0, 0x77)
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(2), core.CountOptions{}))
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "junk"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestSaveRefusesNonEmptyDir(t *testing.T) {
 
 func TestOpenRejectsUnknownVersion(t *testing.T) {
 	d := genDataset(t, 100, 3, 4, 0, 0x78)
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(2), core.CountOptions{}))
 	dir := filepath.Join(t.TempDir(), "vbad")
 	if err := Save(l, dir); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 
 func TestSaveENOSPCTypedError(t *testing.T) {
 	d := genDataset(t, 1000, 3, 50, 0, 0xE0)
-	l := core.BuildLabelOpts(d, lattice.FullSet(3), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{}))
 	ffs := iofault.NewFaultFS(nil)
 	ffs.NoSpaceFrom(iofault.OpWrite, 1)
 	err := SaveFS(l, filepath.Join(t.TempDir(), "a"), ffs)

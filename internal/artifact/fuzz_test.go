@@ -96,7 +96,7 @@ func realManifest(f *testing.F) string {
 	if err != nil {
 		return ""
 	}
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l := must(core.BuildLabel(d, lattice.FullSet(2), core.CountOptions{}))
 	dir := filepath.Join(f.TempDir(), "a")
 	if err := Save(l, dir); err != nil {
 		return ""

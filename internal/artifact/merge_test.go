@@ -27,10 +27,10 @@ type mergeOracle struct {
 
 func newMergeOracle(t *testing.T, full, gen *dataset.Dataset, probes []core.Pattern) *mergeOracle {
 	t.Helper()
-	l := core.BuildLabelOpts(gen, lattice.FullSet(gen.NumAttrs()), core.CountOptions{})
+	l := must(core.BuildLabel(gen, lattice.FullSet(gen.NumAttrs()), core.CountOptions{}))
 	o := &mergeOracle{d: full}
 	for _, p := range probes {
-		c, ok := l.Count(p)
+		c, ok := must2(l.CountCtx(nil, p))
 		o.counts = append(o.counts, c)
 		o.oks = append(o.oks, ok)
 	}
@@ -42,7 +42,7 @@ func (o *mergeOracle) check(t *testing.T, trial string, probes []core.Pattern, l
 	rd := l.Dataset()
 	for i, p := range probes {
 		rp := reopenedPattern(t, o.d, rd, p)
-		c, ok, err := l.CountE(rp)
+		c, ok, err := l.CountCtx(nil, rp)
 		if err != nil {
 			t.Fatalf("%s: probe %d failed: %v", trial, i, err)
 		}
@@ -89,9 +89,9 @@ func newMergeFixture(t *testing.T) *mergeFixture {
 // the committed artifact directory, the riskiest payload shape.
 func (f *mergeFixture) saveBase(t *testing.T, dir string) *Manifest {
 	t.Helper()
-	l := core.BuildLabelOpts(f.base, lattice.FullSet(4), core.CountOptions{
+	l := must(core.BuildLabel(f.base, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	defer l.ReleaseSpill()
 	if !l.PC().Spilled() {
 		t.Fatal("base label did not spill; fixture shape needs adjusting")
@@ -108,7 +108,7 @@ func (f *mergeFixture) saveBase(t *testing.T, dir string) *Manifest {
 
 func (f *mergeFixture) deltaLabel(t *testing.T) *core.Label {
 	t.Helper()
-	return core.BuildLabelOpts(f.delta, lattice.FullSet(4), core.CountOptions{})
+	return must(core.BuildLabel(f.delta, lattice.FullSet(4), core.CountOptions{}))
 }
 
 // copyDir clones a saved artifact so each trial mutates a fresh copy.

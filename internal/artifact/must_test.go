@@ -1,0 +1,24 @@
+package artifact
+
+// Shorthands for label builds and queries a test expects to succeed:
+// each panics on an error, which fails the test from any goroutine.
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[A, B any](a A, b B, err error) (A, B) {
+	if err != nil {
+		panic(err)
+	}
+	return a, b
+}
+
+func noErr(err error) {
+	if err != nil {
+		panic(err)
+	}
+}

@@ -138,8 +138,14 @@ func cycle(cfg Config, rng *rand.Rand, c int, rep *Report, logf func(string, ...
 		return err
 	}
 	s := lattice.FullSet(4)
-	baseOracle := core.BuildLabelOpts(base, s, core.CountOptions{})
-	fullOracle := core.BuildLabelOpts(d, s, core.CountOptions{})
+	baseOracle, err := core.BuildLabel(base, s, core.CountOptions{})
+	if err != nil {
+		return err
+	}
+	fullOracle, err := core.BuildLabel(d, s, core.CountOptions{})
+	if err != nil {
+		return err
+	}
 	probes := mkProbes(rng, d, s, 24)
 
 	if err := buildPhase(rng, base, s, baseOracle, probes, dir, rep); err != nil {
@@ -207,9 +213,9 @@ func buildPhase(rng *rand.Rand, d *dataset.Dataset, s lattice.AttrSet,
 		}()
 	}
 	var stats core.ScanStats
-	l, err := core.BuildLabelOptsCtx(ctx, d, s, core.CountOptions{
+	l, err := core.BuildLabel(d, s, core.CountOptions{
 		Workers: 1 + rng.IntN(4), MemBudget: 16 << 10,
-		SpillDir: spillDir, FS: ffs, Stats: &stats,
+		SpillDir: spillDir, FS: ffs, Stats: &stats, Ctx: ctx,
 	})
 	switch {
 	case err != nil:
@@ -219,7 +225,11 @@ func buildPhase(rng *rand.Rand, d *dataset.Dataset, s lattice.AttrSet,
 		rep.BuildCancels++
 	default:
 		for i, p := range probes {
-			want, wok := oracle.Count(p.pat)
+			want, wok, werr := oracle.CountCtx(nil, p.pat)
+			if werr != nil {
+				l.ReleaseSpill()
+				return fmt.Errorf("probe %d: oracle: %w", i, werr)
+			}
 			got, gok, cerr := l.CountCtx(nil, p.pat)
 			if cerr != nil || got != want || gok != wok {
 				l.ReleaseSpill()
@@ -239,9 +249,12 @@ func buildPhase(rng *rand.Rand, d *dataset.Dataset, s lattice.AttrSet,
 // directory holding a valid artifact and whether the merge committed.
 func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrSet,
 	dir string, rep *Report, logf func(string, ...any)) (string, bool, error) {
-	l := core.BuildLabelOpts(base, s, core.CountOptions{
+	l, err := core.BuildLabel(base, s, core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: filepath.Join(dir, "build-spill"),
 	})
+	if err != nil {
+		return "", false, err
+	}
 	defer l.ReleaseSpill()
 
 	artDir := filepath.Join(dir, "artifact")
@@ -280,7 +293,10 @@ func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrS
 		return "", false, err
 	}
 
-	dl := core.BuildLabelOpts(delta, s, core.CountOptions{})
+	dl, err := core.BuildLabel(delta, s, core.CountOptions{})
+	if err != nil {
+		return "", false, err
+	}
 	mffs := iofault.NewFaultFS(nil)
 	switch rng.IntN(3) {
 	case 1:
@@ -340,7 +356,9 @@ func servePhase(rng *rand.Rand, artDir string, d *dataset.Dataset,
 	wants := make([]int, len(probes))
 	for i, p := range probes {
 		urls[i] = ts.URL + "/v1/count?q=" + url.QueryEscape(p.expr)
-		wants[i], _ = oracle.Count(p.pat)
+		if wants[i], _, err = oracle.CountCtx(nil, p.pat); err != nil {
+			return fmt.Errorf("probe %d: oracle: %w", i, err)
+		}
 	}
 
 	clients := 4 + rng.IntN(4)

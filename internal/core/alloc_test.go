@@ -51,9 +51,9 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 
 	var scan ScanStats
 	seq := CountOptions{Workers: 1, Pool: pool, Stats: &scan}
-	BuildPCParallel(d, full, seq) // warm
+	must(BuildPC(d, full, seq)) // warm
 	allocs := testing.AllocsPerRun(10, func() {
-		BuildPCParallel(d, full, seq)
+		must(BuildPC(d, full, seq))
 	})
 	// Measured ~9 (PC + result slab + keyer metadata + column table).
 	if allocs > 20 {
@@ -61,12 +61,12 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 	}
 
 	par := CountOptions{Workers: 4, Pool: pool, Stats: &scan, minRowsPerWorker: 1}
-	BuildPCParallel(d, full, par) // warm (populates per-worker shard slabs)
+	must(BuildPC(d, full, par)) // warm (populates per-worker shard slabs)
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		BuildPCParallel(d, full, par)
+		must(BuildPC(d, full, par))
 	}
 	runtime.ReadMemStats(&after)
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / runs
@@ -98,8 +98,8 @@ func TestAllocsBuildLabelFlatInAttrs(t *testing.T) {
 	}
 	s := lattice.NewAttrSet(0, 1)
 	allocs := func(d *dataset.Dataset) float64 {
-		BuildLabel(d, s) // fills the table
-		return testing.AllocsPerRun(20, func() { BuildLabel(d, s) })
+		must(BuildLabel(d, s, CountOptions{Workers: 1})) // fills the table
+		return testing.AllocsPerRun(20, func() { must(BuildLabel(d, s, CountOptions{Workers: 1})) })
 	}
 	w, n := allocs(wide), allocs(narrow)
 	if w != n {

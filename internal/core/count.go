@@ -31,25 +31,22 @@ type PC struct {
 
 // BuildPC groups dataset d by attribute set s and returns the pattern-count
 // index. Rows with NULL in any attribute of s belong to no pattern over s
-// and are skipped. Small-domain sets are counted with the dense kernel
-// (see dense.go); BuildPCParallel additionally shards the scan.
-func BuildPC(d *dataset.Dataset, s lattice.AttrSet) *PC {
-	pc, err := buildPC(d, s, CountOptions{Workers: 1}, 1)
-	if err != nil {
-		// Unreachable: the options carry no context, so no kernel can fail.
-		panic("core: BuildPC: " + err.Error())
-	}
-	return pc
-}
-
-// buildPC routes a group-by to the kernel the selection rules pick. The
-// only non-nil error is CountOptions.Ctx firing mid-build (the typed
-// context error): disk trouble on the spill tier degrades to the in-memory
-// kernels internally and never surfaces here.
-func buildPC(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions, workers int) (*PC, error) {
+// and are skipped. The kernel selection rules in dense.go pick the
+// representation; the scan is sharded across opts.Workers (Workers: 1 is
+// the sequential scan), each worker grouping its row chunk into private
+// state that merges afterwards — vector addition for dense shards, map
+// union otherwise — so the result is identical for every worker count.
+//
+// The only error is opts.Ctx firing mid-build (the typed context error):
+// the build stops cleanly — spill temp directories removed, pooled slabs
+// returned — and a partially counted PC is never produced. Disk trouble on
+// the spill tier degrades to the in-memory kernels internally and never
+// surfaces here.
+func BuildPC(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, error) {
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)
 	rows := d.NumRows()
+	workers := opts.scanWorkers(rows)
 	if opts.Stats != nil {
 		atomic.AddInt64(&opts.Stats.RowsScanned, int64(rows))
 	}
@@ -115,19 +112,33 @@ func (pc *PC) SpillReadStats() (stats SpillReadStats, ok bool) {
 	return pc.sp.readStats(), true
 }
 
-// LookupVals returns the count of the pattern whose member values appear in
-// the dense identifier slice vals; 0 when the pattern is absent (count 0) or
-// any member slot is NULL. On a merge-on-read index a run read that fails
-// (after one bounded retry) panics; degradation-aware callers use
-// LookupValsE instead.
-func (pc *PC) LookupVals(vals []uint16) int {
-	if pc.sp != nil {
-		c, err := pc.sp.lookupValsE(nil, vals)
-		if err != nil {
-			panic(err.Error())
+// LookupValsCtx returns the count of the pattern whose member values
+// appear in the dense identifier slice vals; 0 when the pattern is absent
+// (count 0) or any member slot is NULL. Use a marginal PC (see Label) for
+// patterns that leave part of S unconstrained.
+//
+// In-memory representations never fail. A merge-on-read index reads run
+// files on demand, and a read that fails — an I/O error or a checksum
+// mismatch, after one bounded retry — returns the error instead of a wrong
+// count. ctx bounds that work: an already-fired context is refused at
+// entry, and a cache miss loads its run file with ctx polled every
+// spillReadCheckRecs records; a fired context returns the typed context
+// error. A nil ctx never cancels.
+func (pc *PC) LookupValsCtx(ctx context.Context, vals []uint16) (int, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		return c
 	}
+	if pc.sp != nil {
+		return pc.sp.lookupValsE(ctx, vals)
+	}
+	return pc.lookupVals(vals), nil
+}
+
+// lookupVals is LookupValsCtx for the in-memory representations, which
+// cannot fail.
+func (pc *PC) lookupVals(vals []uint16) int {
 	if pc.dz != nil {
 		key, ok := pc.keyer.KeyVals(vals)
 		if !ok {
@@ -150,100 +161,18 @@ func (pc *PC) LookupVals(vals []uint16) int {
 	return pc.s[string(b)]
 }
 
-// LookupValsE is LookupVals with an explicit error path: a merge-on-read
-// index reads run files on demand, and a read that fails — an I/O error or
-// a checksum mismatch, after one bounded retry — returns the error instead
-// of a wrong count. In-memory representations never fail. The serving
-// layer uses this form to degrade gracefully instead of crashing.
-func (pc *PC) LookupValsE(vals []uint16) (int, error) {
-	if pc.sp != nil {
-		return pc.sp.lookupValsE(nil, vals)
-	}
-	return pc.LookupVals(vals), nil
-}
-
-// LookupValsCtx is LookupValsE with cooperative cancellation: an
-// already-fired context is refused at entry, and on a merge-on-read index
-// a cache miss loads a run file on demand with ctx bounding that load
-// (polled every spillReadCheckRecs records); a fired context returns the
-// typed context error. Past the entry check, in-memory representations
-// and cache hits never consult ctx — the call is then exactly LookupValsE.
-func (pc *PC) LookupValsCtx(ctx context.Context, vals []uint16) (int, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	if pc.sp != nil {
-		return pc.sp.lookupValsE(ctx, vals)
-	}
-	return pc.LookupVals(vals), nil
-}
-
-// Lookup returns c_D(p|S) for pattern p: the count of p restricted to S.
-// The pattern must constrain every attribute of S; use a marginal PC (see
-// Label) otherwise.
-func (pc *PC) Lookup(p Pattern) int { return pc.LookupVals(p.vals) }
-
-// Each invokes fn for every stored pattern, passing a dense identifier slice
-// (valid only for the duration of the call) and the pattern's count.
-// Iteration stops early when fn returns false. Order is unspecified. On a
-// merge-on-read index a failed run read panics; degradation-aware callers
-// use EachE.
-func (pc *PC) Each(n int, fn func(vals []uint16, count int) bool) {
-	if pc.sp != nil {
-		if err := pc.sp.eachE(nil, n, fn); err != nil {
-			panic(err.Error())
-		}
-		return
-	}
-	vals := make([]uint16, n)
-	if pc.dz != nil {
-		for key, c := range pc.dz {
-			if c == 0 {
-				continue
-			}
-			pc.keyer.Decode(uint64(key), vals)
-			if !fn(vals, int(c)) {
-				return
-			}
-		}
-		return
-	}
-	if pc.u != nil {
-		for key, c := range pc.u {
-			pc.keyer.Decode(key, vals)
-			if !fn(vals, c) {
-				return
-			}
-		}
-		return
-	}
-	for key, c := range pc.s {
-		pc.keyer.DecodeBytes(key, vals)
-		if !fn(vals, c) {
-			return
-		}
-	}
-}
-
-// EachE is Each with an explicit error path: a failed run read on a
-// merge-on-read index aborts the iteration and returns the error (fn has
-// then seen a prefix of the entries — discard any partial aggregation).
-func (pc *PC) EachE(n int, fn func(vals []uint16, count int) bool) error {
-	if pc.sp != nil {
-		return pc.sp.eachE(nil, n, fn)
-	}
-	pc.Each(n, fn)
-	return nil
-}
-
-// EachCtx is EachE with cooperative cancellation: an already-fired
-// context is refused at entry, and a merge-on-read iteration checks ctx
-// at every run boundary and inside each run's file scan, so abandoning a
-// long streaming pass stops within one run quantum; the typed context
-// error is returned and fn has seen a prefix of the entries. Past the
-// entry check, in-memory representations iterate without consulting ctx.
+// EachCtx invokes fn for every stored pattern, passing a dense identifier
+// slice (valid only for the duration of the call) and the pattern's count.
+// Iteration stops early when fn returns false. Order is unspecified.
+//
+// On a merge-on-read index a failed run read aborts the iteration and
+// returns the error; fn has then seen a prefix of the entries — discard
+// any partial aggregation. ctx is refused at entry when already fired and,
+// on a merge-on-read index, checked at every run boundary and inside each
+// run's file scan, so abandoning a long streaming pass stops within one
+// run quantum with the typed context error. Past the entry check,
+// in-memory representations iterate without consulting ctx. A nil ctx
+// never cancels.
 func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -253,35 +182,53 @@ func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count i
 	if pc.sp != nil {
 		return pc.sp.eachE(ctx, n, fn)
 	}
-	pc.Each(n, fn)
+	vals := make([]uint16, n)
+	if pc.dz != nil {
+		for key, c := range pc.dz {
+			if c == 0 {
+				continue
+			}
+			pc.keyer.Decode(uint64(key), vals)
+			if !fn(vals, int(c)) {
+				return nil
+			}
+		}
+		return nil
+	}
+	if pc.u != nil {
+		for key, c := range pc.u {
+			pc.keyer.Decode(key, vals)
+			if !fn(vals, c) {
+				return nil
+			}
+		}
+		return nil
+	}
+	for key, c := range pc.s {
+		pc.keyer.DecodeBytes(key, vals)
+		if !fn(vals, c) {
+			return nil
+		}
+	}
 	return nil
 }
 
-// Marginalize returns the PC over sub ⊆ S computed by summing this index's
-// entries — no dataset rescan. Counts of rows that were NULL in S \ sub are
-// not recovered (they never entered this index); a Label therefore builds
-// marginals from the dataset when NULLs may matter, and from the parent PC
-// otherwise. For NULL-free datasets the two agree (tested). Summing a
-// merge-on-read index reads run files; a failed read panics — use
-// MarginalizeE to degrade instead.
-func (pc *PC) Marginalize(d *dataset.Dataset, sub lattice.AttrSet) *PC {
-	out, err := pc.MarginalizeE(d, sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
+// EachE is EachCtx with a nil ctx. It remains because cmd/pcblbench calls
+// it, and that benchmark's sources stay fixed so its runs compare across
+// commits; new code calls EachCtx.
+func (pc *PC) EachE(n int, fn func(vals []uint16, count int) bool) error {
+	return pc.EachCtx(nil, n, fn)
 }
 
-// MarginalizeE is Marginalize with an explicit error path: a failed run
-// read on a merge-on-read parent returns the error and no index.
-func (pc *PC) MarginalizeE(d *dataset.Dataset, sub lattice.AttrSet) (*PC, error) {
-	return pc.MarginalizeCtx(nil, d, sub)
-}
-
-// MarginalizeCtx is MarginalizeE with cooperative cancellation: ctx is
-// checked at run boundaries while summing a merge-on-read parent, and a
+// MarginalizeCtx returns the PC over sub ⊆ S computed by summing this
+// index's entries — no dataset rescan. Counts of rows that were NULL in
+// S \ sub are not recovered (they never entered this index); a Label
+// therefore builds marginals from the dataset when NULLs may matter, and
+// from the parent PC otherwise. For NULL-free datasets the two agree
+// (tested). Summing a merge-on-read parent reads run files: a failed read
+// returns the error and no index, and ctx is checked at run boundaries; a
 // fired context returns the typed context error and no index. A nil ctx
-// is exactly MarginalizeE.
+// never cancels.
 func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattice.AttrSet) (*PC, error) {
 	k := NewKeyer(d, sub)
 	out := &PC{keyer: k}
@@ -331,14 +278,15 @@ func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattic
 	return out, nil
 }
 
-// LabelSize returns |P_S| for attribute set s, the size a label built on s
-// would have (paper line 6 of Algorithm 1: labelSize(c, D)). When cap >= 0
-// and the distinct count exceeds cap, counting aborts and LabelSize returns
-// (cap+1, false): the caller only needs to know the bound was breached.
-// Label sizes are monotone in S (refining a grouping can only split groups),
-// which is what makes this early abort — and Algorithm 1's subtree pruning —
-// sound.
-func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within bool) {
+// labelSize is the sequential label-size loop: |P_S| for attribute set s,
+// the size a label built on s would have (paper line 6 of Algorithm 1:
+// labelSize(c, D)). When cap >= 0 and the distinct count exceeds cap,
+// counting aborts and it returns (cap+1, false): the caller only needs to
+// know the bound was breached. Label sizes are monotone in S (refining a
+// grouping can only split groups), which is what makes this early abort —
+// and Algorithm 1's subtree pruning — sound. It is LabelSize's one-worker
+// path and the oracle the differential tests compare every kernel against.
+func labelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within bool) {
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)
 	if k.Fits() {

@@ -52,7 +52,8 @@ func TestCancelledBuildReturnsTypedError(t *testing.T) {
 				if sh.spl {
 					opts.MemBudget = spillBudgetFor(d, s, 3)
 				}
-				pc, err := BuildPCParallelCtx(cancelledCtx(), d, s, opts)
+				opts.Ctx = cancelledCtx()
+				pc, err := BuildPC(d, s, opts)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 				}
@@ -69,7 +70,9 @@ func TestExpiredDeadlineBuildReturnsDeadlineExceeded(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 300}, 0xCD)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	_, err := BuildPCParallelCtx(ctx, d, lattice.FullSet(4), testCountOptions(4))
+	opts := testCountOptions(4)
+	opts.Ctx = ctx
+	_, err := BuildPC(d, lattice.FullSet(4), opts)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -89,12 +92,12 @@ func TestCancelledSizingReturnsTypedError(t *testing.T) {
 				if sh.spl {
 					opts.MemBudget = spillBudgetFor(d, s, 3)
 				}
-				if _, _, err := LabelSizeParallelE(d, s, -1, opts); !errors.Is(err, context.Canceled) {
-					t.Fatalf("LabelSizeParallelE workers=%d: err = %v, want context.Canceled", workers, err)
+				if _, _, err := LabelSize(d, s, -1, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("LabelSize workers=%d: err = %v, want context.Canceled", workers, err)
 				}
 				sets := []lattice.AttrSet{s, s.Remove(0)}
-				if _, _, err := LabelSizesFusedE(d, sets, -1, opts); !errors.Is(err, context.Canceled) {
-					t.Fatalf("LabelSizesFusedE workers=%d: err = %v, want context.Canceled", workers, err)
+				if _, _, err := LabelSizes(d, sets, -1, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("LabelSizes workers=%d: err = %v, want context.Canceled", workers, err)
 				}
 				assertNoSpillFiles(t, dir)
 			}
@@ -127,7 +130,9 @@ func TestCancelledRefineSizesReturnsTypedError(t *testing.T) {
 func TestLabelDoesNotRetainBuildContext(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 2000, attrs: 3, domain: 8}, 0xD0)
 	ctx, cancel := context.WithCancel(context.Background())
-	l, err := BuildLabelOptsCtx(ctx, d, lattice.FullSet(3), testCountOptions(2))
+	opts := testCountOptions(2)
+	opts.Ctx = ctx
+	l, err := BuildLabel(d, lattice.FullSet(3), opts)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -162,7 +167,7 @@ func TestCancelledSpilledReadReturnsTypedError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe %d after cancel: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := must(oracle.LookupValsCtx(nil, vals)); got != want {
 			t.Fatalf("probe %d: count %d, oracle %d", i, got, want)
 		}
 	}
@@ -178,7 +183,7 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 	}
 	oracle := make([]int, len(sets))
 	for i, s := range sets {
-		oracle[i], _ = LabelSize(d, s, -1)
+		oracle[i], _ = labelSize(d, s, -1)
 	}
 
 	ffs := iofault.NewFaultFS(nil)
@@ -190,7 +195,7 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 	opts.SpillDir = dir
 	opts.FS = ffs
 	opts.Stats = &stats
-	sizes, _, err := LabelSizesFusedE(d, sets, -1, opts)
+	sizes, _, err := LabelSizes(d, sets, -1, opts)
 	if err != nil {
 		t.Fatalf("full disk must degrade, not fail: %v", err)
 	}
@@ -209,14 +214,14 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 	assertNoSpillFiles(t, dir)
 
 	// The budgeted build degrades the same way, bit-identically.
-	want := BuildPC(d, full)
+	want := must(BuildPC(d, full, CountOptions{Workers: 1}))
 	var bstats ScanStats
 	bopts := testCountOptions(2)
 	bopts.MemBudget = spillBudgetFor(d, full, 3)
 	bopts.SpillDir = dir
 	bopts.FS = ffs
 	bopts.Stats = &bstats
-	got, err := BuildPCParallelCtx(nil, d, full, bopts)
+	got, err := BuildPC(d, full, bopts)
 	if err != nil {
 		t.Fatalf("budgeted build on full disk: %v", err)
 	}

@@ -16,9 +16,8 @@ import (
 // per-set key vector before the count phase, so the decode loop streams one
 // column at a time and the count loop is branch-light.
 //
-// Path selection (shared by BuildPC, BuildPCParallel, LabelSizesFused and
-// PC.Marginalize, so every entry point picks the same representation for
-// the same inputs):
+// Path selection (shared by BuildPC, LabelSizes and PC.MarginalizeCtx, so
+// every entry point picks the same representation for the same inputs):
 //
 //   - radix ≤ denseLimit AND radix ≤ denseRowFactor × rows (+64)  →  dense
 //   - key fits in uint64 otherwise                                →  uint64 map

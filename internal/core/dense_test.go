@@ -67,13 +67,13 @@ func TestDifferentialDenseBuildPC(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xDE45E))
 			for _, s := range diffAttrSets(cfg.attrs, rng) {
 				ref := refCounts(d, s)
-				dumpEqual(t, ref, BuildPC(d, s), fmt.Sprintf("set %v BuildPC", s))
+				dumpEqual(t, ref, must(BuildPC(d, s, CountOptions{Workers: 1})), fmt.Sprintf("set %v BuildPC", s))
 				for _, workers := range diffWorkerCounts {
 					opts := testCountOptions(workers)
-					dumpEqual(t, ref, BuildPCParallel(d, s, opts),
+					dumpEqual(t, ref, must(BuildPC(d, s, opts)),
 						fmt.Sprintf("set %v workers=%d dense", s, workers))
 					opts.DenseLimit = -1
-					pc := BuildPCParallel(d, s, opts)
+					pc := must(BuildPC(d, s, opts))
 					if pcRepr(pc) == "dense" {
 						t.Fatalf("set %v: DenseLimit=-1 still produced a dense PC", s)
 					}
@@ -92,21 +92,21 @@ func TestDensePathSelection(t *testing.T) {
 	d := diffDataset(t, cfg, 42)
 	full := lattice.FullSet(cfg.attrs) // 8^6 = 262144 ≤ 16×3000+64 is false → map
 	small := lattice.NewAttrSet(0, 1)  // 64 slots → dense
-	if got := pcRepr(BuildPC(d, small)); got != "dense" {
+	if got := pcRepr(must(BuildPC(d, small, CountOptions{Workers: 1}))); got != "dense" {
 		t.Errorf("small set repr = %s, want dense", got)
 	}
-	if got := pcRepr(BuildPC(d, full)); got != "map" {
+	if got := pcRepr(must(BuildPC(d, full, CountOptions{Workers: 1}))); got != "map" {
 		t.Errorf("full set repr = %s, want map (radix 262144 over 3000 rows)", got)
 	}
 	for _, workers := range diffWorkerCounts {
-		seq := BuildPC(d, small)
-		par := BuildPCParallel(d, small, testCountOptions(workers))
+		seq := must(BuildPC(d, small, CountOptions{Workers: 1}))
+		par := must(BuildPC(d, small, testCountOptions(workers)))
 		if pcRepr(seq) != pcRepr(par) {
 			t.Errorf("workers=%d: repr %s vs sequential %s", workers, pcRepr(par), pcRepr(seq))
 		}
 	}
 	wide := diffDataset(t, diffConfigs[6], 7) // 65000^4 overflows uint64
-	if got := pcRepr(BuildPC(wide, lattice.FullSet(4))); got != "bytes" {
+	if got := pcRepr(must(BuildPC(wide, lattice.FullSet(4), CountOptions{Workers: 1}))); got != "bytes" {
 		t.Errorf("wide set repr = %s, want bytes", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestDifferentialFusedDenseVsMap(t *testing.T) {
 			sets := diffAttrSets(cfg.attrs, rng)
 			maxSize := 0
 			for _, s := range sets {
-				if n, _ := LabelSize(d, s, -1); n > maxSize {
+				if n, _ := labelSize(d, s, -1); n > maxSize {
 					maxSize = n
 				}
 			}
@@ -166,9 +166,9 @@ func TestDifferentialFusedDenseVsMap(t *testing.T) {
 					for _, denseLimit := range []int{0, -1, 8} {
 						opts := testCountOptions(workers)
 						opts.DenseLimit = denseLimit
-						sizes, within := LabelSizesFused(d, sets, cap, opts)
+						sizes, within := must2(LabelSizes(d, sets, cap, opts))
 						for i, s := range sets {
-							wantSize, wantWithin := LabelSize(d, s, cap)
+							wantSize, wantWithin := labelSize(d, s, cap)
 							if sizes[i] != wantSize || within[i] != wantWithin {
 								t.Fatalf("set %v cap=%d workers=%d denseLimit=%d: got (%d, %v), want (%d, %v)",
 									s, cap, workers, denseLimit, sizes[i], within[i], wantSize, wantWithin)
@@ -195,13 +195,13 @@ func TestFusedScanStats(t *testing.T) {
 	var st ScanStats
 	opts := testCountOptions(2)
 	opts.Stats = &st
-	LabelSizesFused(d, sets, -1, opts)
+	must2(LabelSizes(d, sets, -1, opts))
 	if st.Dense != len(sets) || st.Map != 0 || st.Bytes != 0 {
 		t.Errorf("dense stats = %+v, want Dense=%d", st, len(sets))
 	}
 	st = ScanStats{}
 	opts.DenseLimit = -1
-	LabelSizesFused(d, sets, -1, opts)
+	must2(LabelSizes(d, sets, -1, opts))
 	if st.Map != len(sets) || st.Dense != 0 {
 		t.Errorf("map-forced stats = %+v, want Map=%d", st, len(sets))
 	}

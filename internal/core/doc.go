@@ -13,15 +13,24 @@
 // §IV-A), and parallel label evaluation with the paper's sorted
 // early-termination optimization (§IV-C).
 //
+// Each engine operation — BuildPC, LabelSize, LabelSizes, RefineSizes,
+// BuildLabel, PatternsOver — has one form: it takes CountOptions, whose
+// Ctx field is its only cancellation input, and returns an error. Each
+// query method on PC and Label — LookupValsCtx, EachCtx, MarginalizeCtx,
+// CountCtx, EstimateCtx, MarginalPCCtx — takes ctx first (a nil ctx never
+// cancels) and returns an error, because a merge-on-read PC section reads
+// run files that can fail. Three error-free wrappers remain, each
+// documented with its reason: BuildLabelOpts, PC.EachE and
+// Label.Estimate/EstimateRow (Est(p, l) as the paper's examples and the
+// Estimator interface use it).
+//
 // Dataset scans go through the sharded counting engine (parallel.go): the
 // row range is split into contiguous per-worker chunks (CountOptions
-// bounds the worker count), each worker fills private state with the
-// shared read-only Keyer, and the shards are merged — BuildPCParallel and
-// LabelSizeParallel are the drop-in parallel forms of BuildPC and
-// LabelSize. LabelSizesFused additionally evaluates the label sizes of a
-// whole frontier of candidate attribute sets in one blocked pass over the
-// rows with per-set cap abort; it is the scan behind package search's
-// enumeration phase.
+// bounds the worker count; Workers: 1 is the sequential path), each worker
+// fills private state with the shared read-only Keyer, and the shards are
+// merged. LabelSizes evaluates the label sizes of a whole frontier of
+// candidate attribute sets in one blocked pass over the rows with per-set
+// cap abort; it is the scan behind package search's enumeration phase.
 //
 // Group-by counting picks one of three kernels per attribute set,
 // deterministically from the key space and the row count (dense.go):
@@ -69,7 +78,7 @@
 // (budget cleared), siblings keep their on-disk results.
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — the PC retains its runs and serves
-// Size/LookupVals/Each merge-on-read (spilledpc.go), streaming runs
+// Size/LookupValsCtx/EachCtx merge-on-read (spilledpc.go), streaming runs
 // through a pinned hot-run cache; ReleaseSpill (or, as a safety net, the
 // GC) removes the runs. No budget means the tier is off.
 //
@@ -85,7 +94,7 @@
 // across the released-check plus file scan, release takes the write side,
 // and a lookup racing a completed ReleaseSpill fails with the documented
 // "use of a released spilled PC" panic rather than undefined behaviour.
-// No lock is held across user callbacks (Each/Marginalize), so callbacks
+// No lock is held across user callbacks (EachCtx/MarginalizeCtx), so callbacks
 // may re-enter the same PC. The locking model is spelled out on spilledPC
 // (spilledpc.go) and hammered by the race-matrix tests in
 // spilledpc_concurrent_test.go.
@@ -103,7 +112,7 @@
 // cap-abort and worker sharding. Package search's frontier scheduler sends
 // each candidate down one of two paths: batched refinement when its gen
 // parent is dense-keyable and the candidate stays dense-keyable, the fused
-// raw scan (LabelSizesFusedE) otherwise.
+// raw scan (LabelSizes) otherwise.
 //
 // Refinement never spills: its compact spaces are bounded by a
 // dense-keyable parent's key space times one attribute domain, so it is
@@ -120,8 +129,8 @@
 // it. A label build's allocations therefore do not grow with the number
 // of attributes (also pinned by alloc_test.go).
 //
-// Every parallel, dense and refinement entry point returns results
-// bit-identical to its sequential counterpart for all worker counts
+// Every parallel, dense and refinement path returns results
+// bit-identical to the sequential path for all worker counts
 // (differentially tested in parallel_test.go, dense_test.go and
 // refinebatch_test.go).
 package core

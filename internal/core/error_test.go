@@ -92,7 +92,7 @@ func TestDistinctTuplesMultiplicity(t *testing.T) {
 // pattern exactly, so all error metrics collapse.
 func TestEvaluateExactLabel(t *testing.T) {
 	d := testutil.Fig2()
-	l := BuildLabel(d, lattice.FullSet(d.NumAttrs()))
+	l := must(BuildLabel(d, lattice.FullSet(d.NumAttrs()), CountOptions{Workers: 1}))
 	ps := DistinctTuples(d)
 	res := Evaluate(l, ps, EvalOptions{})
 	if res.N != 18 {
@@ -112,7 +112,7 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	d := testutil.Fig2()
 	ps := DistinctTuples(d)
 	lattice.AllSubsets(d.NumAttrs(), func(s lattice.AttrSet) bool {
-		l := BuildLabel(d, s)
+		l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 		seq := Evaluate(l, ps, EvalOptions{Workers: 1})
 		par := Evaluate(l, ps, EvalOptions{Workers: 8})
 		if math.Abs(seq.MaxAbs-par.MaxAbs) > 1e-9 ||
@@ -132,7 +132,7 @@ func TestMaxAbsErrorModesAgree(t *testing.T) {
 	ps := DistinctTuples(d)
 	ps.SortByCountDesc()
 	lattice.AllSubsets(d.NumAttrs(), func(s lattice.AttrSet) bool {
-		l := BuildLabel(d, s)
+		l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 		exact, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1})
 		sorted, scanned := MaxAbsError(l, ps, MaxErrOptions{Sorted: true})
 		if exact != sorted {
@@ -150,7 +150,7 @@ func TestMaxAbsErrorModesAgree(t *testing.T) {
 func TestMaxAbsErrorStopAbove(t *testing.T) {
 	d := testutil.Fig2()
 	ps := DistinctTuples(d)
-	l := BuildLabel(d, lattice.AttrSet(0)) // independence label: nonzero errors
+	l := must(BuildLabel(d, lattice.AttrSet(0), CountOptions{Workers: 1})) // independence label: nonzero errors
 	full, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1})
 	if full <= 0 {
 		t.Skip("independence label happens to be exact")

@@ -3,13 +3,12 @@ package core
 // Read-path fault injection for the merge-on-read spilled PC: a transient
 // run-read failure must recover through the bounded retry without changing
 // any answer; a persistent failure must surface as a clean error from the
-// E-variant API (and the documented panic from the legacy one) and must
-// not be cached — once the disk heals, the same PC answers again. Every
+// query methods and must not be cached — once the disk heals, the same PC
+// answers again. Every
 // failure and retry is metered in both SpillReadStats and the build's
 // ScanStats.
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -26,7 +25,7 @@ func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracl
 	cfg := diffConfig{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}
 	d = diffDataset(t, cfg, seed)
 	s := spillSet(t, d)
-	oracle = BuildPC(d, s)
+	oracle = must(BuildPC(d, s, CountOptions{Workers: 1}))
 	ffs = iofault.NewFaultFS(nil)
 	st = &ScanStats{}
 	opts := testCountOptions(2)
@@ -34,7 +33,7 @@ func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracl
 	opts.SpillDir = t.TempDir()
 	opts.FS = ffs
 	opts.Stats = st
-	spilled = BuildPCParallel(d, s, opts)
+	spilled = must(BuildPC(d, s, opts))
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d)", oracle.Size())
 	}
@@ -57,11 +56,11 @@ func TestSpilledReadTransientFaultRetries(t *testing.T) {
 	// the bounded retry rescans, and the answer comes out unchanged.
 	ffs.FailAt(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
 	for i, vals := range probes {
-		got, err := spilled.LookupValsE(vals)
+		got, err := spilled.LookupValsCtx(nil, vals)
 		if err != nil {
 			t.Fatalf("probe %d: transient fault leaked: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := must(oracle.LookupValsCtx(nil, vals)); got != want {
 			t.Fatalf("probe %d: count %d after retry, oracle %d", i, got, want)
 		}
 	}
@@ -85,40 +84,26 @@ func TestSpilledReadPersistentFaultSurfacesAndRecovers(t *testing.T) {
 
 	ffs.FailFrom(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
 	// Nothing is cached yet, so the first probe must hit the dead disk:
-	// a clean error from the E surface, never a wrong count.
-	if _, err := spilled.LookupValsE(probes[0]); err == nil {
+	// a clean error, never a wrong count.
+	if _, err := spilled.LookupValsCtx(nil, probes[0]); err == nil {
 		t.Fatal("lookup on dead disk returned no error")
 	}
-	if err := spilled.EachE(4, func([]uint16, int) bool { return true }); err == nil {
-		t.Fatal("EachE on dead disk returned no error")
+	if err := spilled.EachCtx(nil, 4, func([]uint16, int) bool { return true }); err == nil {
+		t.Fatal("EachCtx on dead disk returned no error")
 	}
 	stats, _ := spilled.SpillReadStats()
 	if stats.ReadErrors < 2 || stats.Retries < 1 {
 		t.Fatalf("stats = %+v, want the failure plus its failed retry metered", stats)
 	}
 
-	// The legacy no-error surface documents a panic for deep callers.
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("legacy LookupVals on dead disk did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "spilled PC") {
-				t.Fatalf("legacy panic payload %v, want the documented message", r)
-			}
-		}()
-		spilled.LookupVals(probes[0])
-	}()
-
 	// Failed loads are not cached: heal the disk and the same PC answers.
 	ffs.Reset()
 	for i, vals := range probes {
-		got, err := spilled.LookupValsE(vals)
+		got, err := spilled.LookupValsCtx(nil, vals)
 		if err != nil {
 			t.Fatalf("probe %d: error after disk healed: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := must(oracle.LookupValsCtx(nil, vals)); got != want {
 			t.Fatalf("probe %d: count %d after heal, oracle %d", i, got, want)
 		}
 	}
@@ -133,12 +118,12 @@ func TestSpilledMarginalizeSurfacesReadFault(t *testing.T) {
 		break
 	}
 	ffs.FailFrom(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
-	if _, err := spilled.MarginalizeE(d, sub); err == nil {
-		t.Fatal("MarginalizeE on dead disk returned no error")
+	if _, err := spilled.MarginalizeCtx(nil, d, sub); err == nil {
+		t.Fatal("MarginalizeCtx on dead disk returned no error")
 	}
 	ffs.Reset()
-	if _, err := spilled.MarginalizeE(d, sub); err != nil {
-		t.Fatalf("MarginalizeE after heal: %v", err)
+	if _, err := spilled.MarginalizeCtx(nil, d, sub); err != nil {
+		t.Fatalf("MarginalizeCtx after heal: %v", err)
 	}
 }
 
@@ -160,7 +145,7 @@ func TestSharedSpillFaultDegradesOnlyFaultedSet(t *testing.T) {
 	budget := spillBudgetFor(d, full.Remove(0), 3)
 	oracle := make([]int, len(sets))
 	for i, s := range sets {
-		oracle[i], _ = LabelSize(d, s, -1)
+		oracle[i], _ = labelSize(d, s, -1)
 	}
 
 	run := func(ffs *iofault.FaultFS) (sizes []int, stats ScanStats) {
@@ -171,7 +156,7 @@ func TestSharedSpillFaultDegradesOnlyFaultedSet(t *testing.T) {
 		opts.SpillDir = t.TempDir()
 		opts.FS = ffs
 		opts.Stats = &stats
-		sizes, _ = LabelSizesFused(d, sets, -1, opts)
+		sizes, _ = must2(LabelSizes(d, sets, -1, opts))
 		return sizes, stats
 	}
 

@@ -131,18 +131,18 @@ func TestKeyerOverflowFallsBack(t *testing.T) {
 	if NewKeyer(d, full).Fits() {
 		t.Fatal("keyer unexpectedly fits in uint64")
 	}
-	pc := BuildPC(d, full)
+	pc := must(BuildPC(d, full, CountOptions{Workers: 1}))
 	total := 0
-	pc.Each(16, func(vals []uint16, c int) bool {
+	noErr(pc.EachCtx(nil, 16, func(vals []uint16, c int) bool {
 		total += c
 		return true
-	})
+	}))
 	if total != 500 {
 		t.Errorf("PC total = %d, want 500", total)
 	}
 	// Lookup agrees with a scan for an arbitrary row.
 	p := PatternFromRow(d, 0, full)
-	if got, want := pc.Lookup(p), CountPattern(d, p); got != want {
+	if got, want := must(pc.LookupValsCtx(nil, p.vals)), CountPattern(d, p); got != want {
 		t.Errorf("fallback lookup = %d, want %d", got, want)
 	}
 }
@@ -153,12 +153,12 @@ func TestPCAgainstScan(t *testing.T) {
 	d := testutil.Fig2()
 	n := d.NumAttrs()
 	lattice.AllSubsets(n, func(s lattice.AttrSet) bool {
-		pc := BuildPC(d, s)
-		sz, _ := LabelSize(d, s, -1)
+		pc := must(BuildPC(d, s, CountOptions{Workers: 1}))
+		sz, _ := labelSize(d, s, -1)
 		if pc.Size() != sz {
 			t.Errorf("PC size %d != LabelSize %d for %v", pc.Size(), sz, s)
 		}
-		pc.Each(n, func(vals []uint16, c int) bool {
+		noErr(pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			p, err := PatternFromIDs(s, vals)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPCAgainstScan(t *testing.T) {
 				t.Errorf("PC count %d != scan %d for %s", c, want, p.Format(d))
 			}
 			return true
-		})
+		}))
 		return true
 	})
 }
@@ -178,19 +178,19 @@ func TestMarginalizeMatchesRebuild(t *testing.T) {
 	d := testutil.Fig2()
 	n := d.NumAttrs()
 	full := lattice.FullSet(n)
-	parent := BuildPC(d, full)
+	parent := must(BuildPC(d, full, CountOptions{Workers: 1}))
 	lattice.AllSubsets(n, func(sub lattice.AttrSet) bool {
-		marg := parent.Marginalize(d, sub)
-		direct := BuildPC(d, sub)
+		marg := must(parent.MarginalizeCtx(nil, d, sub))
+		direct := must(BuildPC(d, sub, CountOptions{Workers: 1}))
 		if marg.Size() != direct.Size() {
 			t.Errorf("marginal size %d != direct %d for %v", marg.Size(), direct.Size(), sub)
 		}
-		direct.Each(n, func(vals []uint16, c int) bool {
-			if got := marg.LookupVals(vals); got != c {
+		noErr(direct.EachCtx(nil, n, func(vals []uint16, c int) bool {
+			if got := must(marg.LookupValsCtx(nil, vals)); got != c {
 				t.Errorf("marginal count %d != direct %d for %v", got, c, sub)
 			}
 			return true
-		})
+		}))
 		return true
 	})
 }
@@ -208,7 +208,7 @@ func TestDifferentialMarginalize(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(ci), 0x3A46))
 			parents := []lattice.AttrSet{lattice.FullSet(cfg.attrs)}
 			for _, parent := range parents {
-				pc := BuildPC(d, parent)
+				pc := must(BuildPC(d, parent, CountOptions{Workers: 1}))
 				subs := []lattice.AttrSet{0, lattice.NewAttrSet(0)}
 				for len(subs) < 6 {
 					var s lattice.AttrSet
@@ -220,18 +220,18 @@ func TestDifferentialMarginalize(t *testing.T) {
 					subs = append(subs, s)
 				}
 				for _, sub := range subs {
-					pcEqual(t, BuildPC(d, sub), pc.Marginalize(d, sub))
+					pcEqual(t, must(BuildPC(d, sub, CountOptions{Workers: 1})), must(pc.MarginalizeCtx(nil, d, sub)))
 				}
 			}
 		})
 	}
 	// Byte-key parent marginalized to a uint64/dense subset.
 	wide := diffDataset(t, diffConfig{rows: 800, attrs: 4, domain: 65000, nullRate: 0}, 9)
-	parent := BuildPC(wide, lattice.FullSet(4))
+	parent := must(BuildPC(wide, lattice.FullSet(4), CountOptions{Workers: 1}))
 	if pcRepr(parent) != "bytes" {
 		t.Fatalf("wide parent repr = %s, want bytes", pcRepr(parent))
 	}
 	for _, sub := range []lattice.AttrSet{lattice.NewAttrSet(0), lattice.NewAttrSet(1, 3)} {
-		pcEqual(t, BuildPC(wide, sub), parent.Marginalize(wide, sub))
+		pcEqual(t, must(BuildPC(wide, sub, CountOptions{Workers: 1})), must(parent.MarginalizeCtx(nil, wide, sub)))
 	}
 }

@@ -46,43 +46,22 @@ type Label struct {
 	marginals map[lattice.AttrSet]*PC // lazy indexes for S' ⊂ S lookups
 }
 
-// BuildLabel computes L_S(D) with a single-threaded scan. Callers already
-// running one build per worker (package search's evaluation phase) use
-// this form; use BuildLabelOpts to shard the group-by itself.
-func BuildLabel(d *dataset.Dataset, s lattice.AttrSet) *Label {
-	return BuildLabelOpts(d, s, CountOptions{Workers: 1})
-}
-
-// BuildLabelOpts computes L_S(D) through the sharded counting engine: the
-// PC group-by and every lazily built marginal index use the given options.
-// If an armed opts.Ctx fires mid-build it panics; ctx-arming callers use
-// BuildLabelOptsCtx.
-func BuildLabelOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *Label {
-	l, err := buildLabel(d, s, opts)
-	if err != nil {
-		panic("core: BuildLabelOpts: " + err.Error())
-	}
-	return l
-}
-
-// BuildLabelOptsCtx is BuildLabelOpts with cooperative cancellation: ctx
-// bounds the PC group-by (block/run granularity); a fired context aborts
-// the build cleanly — spill temp state removed, nothing half-counted — and
-// returns the typed context error with a nil label. The finished label
-// does NOT retain ctx: lazy marginal builds and queries are bounded by the
-// per-call contexts of CountCtx / EstimateCtx / MarginalPCCtx instead, so
-// a long-lived label never carries its build's (long-dead) context.
-func BuildLabelOptsCtx(ctx context.Context, d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Label, error) {
-	opts.Ctx = ctx
-	return buildLabel(d, s, opts)
-}
-
-func buildLabel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Label, error) {
-	pc, err := buildPC(d, s, opts, opts.scanWorkers(d.NumRows()))
+// BuildLabel computes L_S(D) through the counting engine: the PC group-by
+// and every lazily built marginal index use opts (Workers: 1 for a
+// single-threaded build, as callers already running one build per worker
+// use). opts.Ctx bounds the PC group-by (block/run granularity); a fired
+// context aborts the build cleanly — spill temp state removed, nothing
+// half-counted — and returns the typed context error with a nil label. The
+// finished label does NOT retain opts.Ctx: lazy marginal builds and
+// queries are bounded by the per-call contexts of CountCtx / EstimateCtx /
+// MarginalPCCtx instead, so a long-lived label never carries its build's
+// (long-dead) context.
+func BuildLabel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Label, error) {
+	pc, err := BuildPC(d, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Ctx = nil // the label outlives the build; see BuildLabelOptsCtx
+	opts.Ctx = nil // the label outlives the build
 	vc, fracs := d.VCTable()
 	return &Label{
 		d:         d,
@@ -94,6 +73,18 @@ func buildLabel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Labe
 		vc:        vc,
 		marginals: make(map[lattice.AttrSet]*PC),
 	}, nil
+}
+
+// BuildLabelOpts is BuildLabel for callers that take no error; it panics
+// if opts.Ctx fires mid-build. It remains because cmd/pcblbench calls it,
+// and that benchmark's sources stay fixed so its runs compare across
+// commits; new code calls BuildLabel.
+func BuildLabelOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *Label {
+	l, err := BuildLabel(d, s, opts)
+	if err != nil {
+		panic("core: BuildLabelOpts: " + err.Error())
+	}
+	return l
 }
 
 // NewLabelFromParts assembles a label from deserialized pieces — the
@@ -136,33 +127,19 @@ func (l *Label) Size() int { return l.pc.Size() }
 // attached dataset is schema-only.
 func (l *Label) Rows() int { return l.rows }
 
-// Count returns the exact restricted count c_D(p|S ∩ Attr(p)) when p
+// CountCtx returns the exact restricted count c_D(p|S ∩ Attr(p)) when p
 // constrains only attributes of S — the full PC section for Attr(p) = S, a
 // marginal index for Attr(p) ⊂ S, |D| for the empty pattern. ok is false
-// when p constrains an attribute outside S (use Estimate there: the count
-// is then approximated, not exact).
-func (l *Label) Count(p Pattern) (count int, ok bool) {
-	count, ok, err := l.CountE(p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return count, ok
-}
-
-// CountE is Count with an explicit error path: a label whose PC section is
-// merge-on-read reads run files on demand, and a failed (once-retried)
-// read returns the error instead of a wrong count. The serving layer uses
-// this form to degrade a request instead of crashing the process.
-func (l *Label) CountE(p Pattern) (count int, ok bool, err error) {
-	return l.CountCtx(nil, p)
-}
-
-// CountCtx is CountE with cooperative cancellation: ctx bounds the
-// on-demand work a lookup can trigger — run-file loads on a merge-on-read
-// PC section and first-use marginal index builds — and a fired context
-// returns the typed context error. A cancelled marginal build caches
-// nothing, so a later call rebuilds from scratch. A nil ctx is exactly
-// CountE.
+// when p constrains an attribute outside S (use EstimateCtx there: the
+// count is then approximated, not exact).
+//
+// A label whose PC section is merge-on-read reads run files on demand, and
+// a failed (once-retried) read returns the error instead of a wrong count;
+// the serving layer degrades the request instead of crashing the process.
+// ctx bounds the on-demand work a lookup can trigger — run-file loads and
+// first-use marginal index builds — and a fired context returns the typed
+// context error. A cancelled marginal build caches nothing, so a later
+// call rebuilds from scratch. A nil ctx never cancels.
 func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, err error) {
 	if !p.attrs.Diff(l.attrs).IsEmpty() {
 		return 0, false, nil
@@ -174,7 +151,7 @@ func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, er
 	case p.attrs.IsEmpty():
 		return l.rows, true, nil
 	default:
-		m, err := l.marginalE(ctx, p.attrs)
+		m, err := l.marginal(ctx, p.attrs)
 		if err != nil {
 			return 0, false, err
 		}
@@ -183,29 +160,14 @@ func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, er
 	}
 }
 
-// MarginalPC returns the pattern-count index over sub ⊆ S: the label's PC
-// section for sub = S, a (lazily built, cached) marginal index for proper
-// subsets. ok is false when sub reaches outside S. Query services use it
-// to enumerate restricted-count distributions.
-func (l *Label) MarginalPC(sub lattice.AttrSet) (pc *PC, ok bool) {
-	pc, ok, err := l.MarginalPCE(sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pc, ok
-}
-
-// MarginalPCE is MarginalPC with an explicit error path: lazily deriving a
+// MarginalPCCtx returns the pattern-count index over sub ⊆ S: the label's
+// PC section for sub = S, a (lazily built, cached) marginal index for
+// proper subsets. ok is false when sub reaches outside S. Query services
+// use it to enumerate restricted-count distributions. Lazily deriving a
 // marginal from a merge-on-read PC section reads run files, and a failed
-// read returns the error instead of panicking.
-func (l *Label) MarginalPCE(sub lattice.AttrSet) (pc *PC, ok bool, err error) {
-	return l.MarginalPCCtx(nil, sub)
-}
-
-// MarginalPCCtx is MarginalPCE with cooperative cancellation: ctx bounds
-// the first-use marginal build (dataset rescan or PC-section summation); a
-// fired context returns the typed context error and caches nothing. A nil
-// ctx is exactly MarginalPCE.
+// read returns the error. ctx bounds the first-use marginal build (dataset
+// rescan or PC-section summation); a fired context returns the typed
+// context error and caches nothing. A nil ctx never cancels.
 func (l *Label) MarginalPCCtx(ctx context.Context, sub lattice.AttrSet) (pc *PC, ok bool, err error) {
 	if !sub.SubsetOf(l.attrs) || sub.IsEmpty() {
 		return nil, false, nil
@@ -213,7 +175,7 @@ func (l *Label) MarginalPCCtx(ctx context.Context, sub lattice.AttrSet) (pc *PC,
 	if sub == l.attrs {
 		return l.pc, true, nil
 	}
-	pc, err = l.marginalE(ctx, sub)
+	pc, err = l.marginal(ctx, sub)
 	return pc, err == nil, err
 }
 
@@ -260,7 +222,7 @@ func (l *Label) Fraction(a int, id uint16) float64 {
 	return l.fracs[a][id-1]
 }
 
-// Estimate computes Est(p, l) (Definition 2.11): the count of p's
+// EstimateCtx computes Est(p, l) (Definition 2.11): the count of p's
 // restriction to S, multiplied by the independence fraction of every
 // pattern attribute outside S:
 //
@@ -271,44 +233,39 @@ func (l *Label) Fraction(a int, id uint16) float64 {
 // index. When Attr(p) ∩ S is empty the base count is |D| (the empty pattern
 // is satisfied by every tuple) and the estimate degenerates to the pure
 // independence estimate of Example 2.6.
+//
+// The base count may come from a merge-on-read index: a failed run read
+// returns the error instead of a wrong estimate. ctx bounds on-demand
+// run-file reads and first-use marginal builds behind the base count; a
+// fired context returns the typed context error. A nil ctx never cancels.
+func (l *Label) EstimateCtx(ctx context.Context, p Pattern) (float64, error) {
+	return l.estimateRow(ctx, p.vals, p.attrs)
+}
+
+// Estimate is EstimateCtx with a nil ctx for callers that take no error:
+// Est(p, l) as the paper's examples use it (Example 2.12). It panics if a
+// merge-on-read PC section hits an unrecoverable read fault, because
+// returning would mean returning a wrong estimate; callers that may hold
+// such a label use EstimateCtx.
 func (l *Label) Estimate(p Pattern) float64 {
 	return l.EstimateRow(p.vals, p.attrs)
 }
 
 // EstimateRow is Estimate on a dense value slice; vals must have one slot
 // per dataset attribute and attrs identifies the constrained slots. The
-// slice is not retained.
+// slice is not retained. It is the Estimator method the error metrics
+// score every estimator through, so it panics on a read fault exactly as
+// Estimate does.
 func (l *Label) EstimateRow(vals []uint16, attrs lattice.AttrSet) float64 {
-	est, err := l.EstimateRowE(vals, attrs)
+	est, err := l.estimateRow(nil, vals, attrs)
 	if err != nil {
 		panic(err.Error())
 	}
 	return est
 }
 
-// EstimateE is Estimate with an explicit error path (see EstimateRowE).
-func (l *Label) EstimateE(p Pattern) (float64, error) {
-	return l.EstimateRowE(p.vals, p.attrs)
-}
-
-// EstimateCtx is EstimateE with cooperative cancellation (see
-// EstimateRowCtx). A nil ctx is exactly EstimateE.
-func (l *Label) EstimateCtx(ctx context.Context, p Pattern) (float64, error) {
-	return l.EstimateRowCtx(ctx, p.vals, p.attrs)
-}
-
-// EstimateRowE is EstimateRow with an explicit error path: the base count
-// may come from a merge-on-read index, and a failed run read returns the
-// error instead of a wrong estimate.
-func (l *Label) EstimateRowE(vals []uint16, attrs lattice.AttrSet) (float64, error) {
-	return l.EstimateRowCtx(nil, vals, attrs)
-}
-
-// EstimateRowCtx is EstimateRowE with cooperative cancellation: ctx bounds
-// on-demand run-file reads and first-use marginal builds behind the base
-// count; a fired context returns the typed context error. A nil ctx is
-// exactly EstimateRowE.
-func (l *Label) EstimateRowCtx(ctx context.Context, vals []uint16, attrs lattice.AttrSet) (float64, error) {
+// estimateRow is the body of EstimateCtx and EstimateRow.
+func (l *Label) estimateRow(ctx context.Context, vals []uint16, attrs lattice.AttrSet) (float64, error) {
 	inter := attrs.Intersect(l.attrs)
 	var base float64
 	switch {
@@ -321,7 +278,7 @@ func (l *Label) EstimateRowCtx(ctx context.Context, vals []uint16, attrs lattice
 	case inter.IsEmpty():
 		base = float64(l.rows)
 	default:
-		m, err := l.marginalE(ctx, inter)
+		m, err := l.marginal(ctx, inter)
 		if err != nil {
 			return 0, err
 		}
@@ -368,21 +325,13 @@ func (l *Label) ReleaseSpill() {
 // the building process had already materialized from the dataset are
 // persisted and restored verbatim (PutMarginal), so those stay exact
 // either way.
-func (l *Label) marginal(sub lattice.AttrSet) *PC {
-	pc, err := l.marginalE(nil, sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pc
-}
-
-// marginalE is marginal with an explicit error path: summing a
-// merge-on-read PC section reads run files, and a failed read returns the
-// error without caching anything — a later call rebuilds from scratch.
-// ctx bounds the build (dataset rescan or PC-section summation); a fired
-// context returns the typed context error and likewise caches nothing. A
-// nil ctx never cancels.
-func (l *Label) marginalE(ctx context.Context, sub lattice.AttrSet) (*PC, error) {
+//
+// Summing a merge-on-read PC section reads run files, and a failed read
+// returns the error without caching anything — a later call rebuilds from
+// scratch. ctx bounds the build (dataset rescan or PC-section summation);
+// a fired context returns the typed context error and likewise caches
+// nothing. A nil ctx never cancels.
+func (l *Label) marginal(ctx context.Context, sub lattice.AttrSet) (*PC, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if pc, ok := l.marginals[sub]; ok {
@@ -399,7 +348,7 @@ func (l *Label) marginalE(ctx context.Context, sub lattice.AttrSet) (*PC, error)
 		opts := l.copts
 		opts.Ctx = ctx
 		var err error
-		pc, err = buildPC(l.d, sub, opts, opts.scanWorkers(l.d.NumRows()))
+		pc, err = BuildPC(l.d, sub, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ import (
 func TestExample210(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	l := BuildLabel(d, s)
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	if got := l.Size(); got != 3 {
 		t.Fatalf("|PC| = %d, want 3", got)
 	}
@@ -25,14 +25,14 @@ func TestExample210(t *testing.T) {
 	}
 	ageIdx, _ := d.AttrIndex("age group")
 	marIdx, _ := d.AttrIndex("marital status")
-	l.PC().Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	noErr(l.PC().EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
 		key := d.Attr(ageIdx).Value(vals[ageIdx]) + "|" + d.Attr(marIdx).Value(vals[marIdx])
 		if wantPC[key] != c {
 			t.Errorf("PC[%s] = %d, want %d", key, c, wantPC[key])
 		}
 		delete(wantPC, key)
 		return true
-	})
+	}))
 	if len(wantPC) != 0 {
 		t.Errorf("missing PC entries: %v", wantPC)
 	}
@@ -56,7 +56,7 @@ func TestExample210(t *testing.T) {
 	// The alternative label of Example 2.10: S' = {gender, age group} has
 	// four pattern counts (3, 3, 6, 6).
 	s2, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	l2 := BuildLabel(d, s2)
+	l2 := must(BuildLabel(d, s2, CountOptions{Workers: 1}))
 	if got := l2.Size(); got != 4 {
 		t.Errorf("|PC| over {gender, age group} = %d, want 4", got)
 	}
@@ -75,11 +75,11 @@ func TestExample212(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	if got := BuildLabel(d, s1).Estimate(p); got != 3 {
+	if got := must(BuildLabel(d, s1, CountOptions{Workers: 1})).Estimate(p); got != 3 {
 		t.Errorf("Est(p, L_{age,marital}) = %v, want 3", got)
 	}
 	s2, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	if got := BuildLabel(d, s2).Estimate(p); got != 2 {
+	if got := must(BuildLabel(d, s2, CountOptions{Workers: 1})).Estimate(p); got != 2 {
 		t.Errorf("Est(p, L_{gender,age}) = %v, want 2", got)
 	}
 }
@@ -95,11 +95,11 @@ func TestExample214(t *testing.T) {
 		t.Fatalf("c_D(p) = %d, want 3", got)
 	}
 	s1, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	if got := AbsError(3, BuildLabel(d, s1).Estimate(p)); got != 0 {
+	if got := AbsError(3, must(BuildLabel(d, s1, CountOptions{Workers: 1})).Estimate(p)); got != 0 {
 		t.Errorf("Err(l, p) = %v, want 0", got)
 	}
 	s2, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	if got := AbsError(3, BuildLabel(d, s2).Estimate(p)); got != 1 {
+	if got := AbsError(3, must(BuildLabel(d, s2, CountOptions{Workers: 1})).Estimate(p)); got != 1 {
 		t.Errorf("Err(l', p) = %v, want 1", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestExample26(t *testing.T) {
 	const n = 6
 	d := testutil.BinaryIndependent(n)
 	p, _ := NewPattern(d, map[string]string{"A1": "0", "A2": "0", "A3": "0"})
-	l := BuildLabel(d, lattice.AttrSet(0))
+	l := must(BuildLabel(d, lattice.AttrSet(0), CountOptions{Workers: 1}))
 	want := math.Pow(2, n-3)
 	if got := l.Estimate(p); got != want {
 		t.Errorf("independence estimate = %v, want %v", got, want)
@@ -135,12 +135,12 @@ func TestExample27And28(t *testing.T) {
 	if want := 1 << (n - 2); trueCount != want {
 		t.Fatalf("true count = %d, want %d", trueCount, want)
 	}
-	indep := BuildLabel(d, lattice.AttrSet(0))
+	indep := must(BuildLabel(d, lattice.AttrSet(0), CountOptions{Workers: 1}))
 	if got, want := indep.Estimate(p), math.Pow(2, n-3); got != want {
 		t.Errorf("independence estimate = %v, want %v", got, want)
 	}
 	s, _ := lattice.FromNames(d.AttrNames(), "A1", "A2")
-	fixed := BuildLabel(d, s)
+	fixed := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	if got := fixed.Estimate(p); got != float64(trueCount) {
 		t.Errorf("Est with {A1,A2} label = %v, want %d", got, trueCount)
 	}
@@ -152,7 +152,7 @@ func TestExample27And28(t *testing.T) {
 func TestExactWhenCovered(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	l := BuildLabel(d, s)
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	gIdx, _ := d.AttrIndex("gender")
 	rIdx, _ := d.AttrIndex("race")
 	for _, g := range d.Attr(gIdx).Domain() {
@@ -175,7 +175,7 @@ func TestExactWhenCovered(t *testing.T) {
 func TestEstimateZeroOnAbsentBase(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	l := BuildLabel(d, s)
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	// under 20 + married never co-occur in Figure 2.
 	p, _ := NewPattern(d, map[string]string{
 		"gender": "Male", "age group": "under 20", "marital status": "married",
@@ -191,9 +191,9 @@ func TestLabelSizeMonotone(t *testing.T) {
 	d := testutil.Fig2()
 	n := d.NumAttrs()
 	lattice.AllSubsets(n, func(s lattice.AttrSet) bool {
-		sz, _ := LabelSize(d, s, -1)
+		sz, _ := labelSize(d, s, -1)
 		for _, c := range s.Children(n) {
-			csz, _ := LabelSize(d, c, -1)
+			csz, _ := labelSize(d, c, -1)
 			if csz < sz {
 				t.Errorf("size(%v)=%d > size(%v)=%d", s, sz, c, csz)
 			}
@@ -207,14 +207,14 @@ func TestLabelSizeMonotone(t *testing.T) {
 func TestLabelSizeCap(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "race", "marital status") // size 9
-	full, ok := LabelSize(d, s, -1)
+	full, ok := labelSize(d, s, -1)
 	if !ok || full != 9 {
 		t.Fatalf("LabelSize uncapped = (%d, %v), want (9, true)", full, ok)
 	}
-	if got, ok := LabelSize(d, s, 5); ok || got != 6 {
+	if got, ok := labelSize(d, s, 5); ok || got != 6 {
 		t.Errorf("LabelSize cap 5 = (%d, %v), want (6, false)", got, ok)
 	}
-	if got, ok := LabelSize(d, s, 9); !ok || got != 9 {
+	if got, ok := labelSize(d, s, 9); !ok || got != 9 {
 		t.Errorf("LabelSize cap 9 = (%d, %v), want (9, true)", got, ok)
 	}
 }
@@ -242,7 +242,7 @@ func TestLabelSizeAgainstPaperTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := LabelSize(d, s, -1); got != wantSize {
+		if got, _ := labelSize(d, s, -1); got != wantSize {
 			t.Errorf("size(%s) = %d, want %d", names, got, wantSize)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 
 // SetCountOptions replaces the engine options the label uses for derived
 // work — merges, lazy marginal materialization, spill rewrites. Labels
-// built by BuildLabelOpts inherit the build's options; labels reopened
+// built by BuildLabel inherit the build's options; labels reopened
 // from an artifact start with defaults, and callers that merge into them
 // (or serve them under a memory budget) configure the engine here before
 // the first query. Not safe concurrently with queries.
@@ -170,7 +170,10 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 				basePC.ReleaseSpill()
 				continue
 			}
-			dpc = BuildPCParallel(delta.d, sub, delta.copts)
+			var err error
+			if dpc, err = BuildPC(delta.d, sub, delta.copts); err != nil {
+				return nil, err
+			}
 		}
 		merged, err := mergePC(basePC, dpc, delta.d, rows, l.copts)
 		if err != nil {
@@ -186,7 +189,7 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 // per-key sum of the two. The base representation is reused (and mutated)
 // when its key encoding is still valid over the union dictionaries d;
 // otherwise both indexes stream into a fresh representation keyed over d.
-// The delta streams via EachE regardless of its own representation —
+// The delta streams via EachCtx regardless of its own representation —
 // including merge-on-read spilled deltas.
 func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (*PC, error) {
 	k := NewKeyer(d, base.Attrs())
@@ -197,7 +200,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 	switch {
 	case base.dz != nil && sameKeyLayout(base.keyer, k):
 		out := &PC{keyer: k, dz: base.dz, distinct: base.distinct}
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				if out.dz[key] == 0 {
 					out.distinct++
@@ -211,7 +214,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 		return out, nil
 	case base.u != nil && sameKeyLayout(base.keyer, k):
 		out := &PC{keyer: k, u: base.u}
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				out.u[key] += c
 			}
@@ -225,7 +228,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 		// invalidates them, so the base map always absorbs the delta.
 		out := &PC{keyer: k, s: base.s}
 		var buf []byte
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -246,14 +249,14 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 }
 
 // mergeRekey streams any number of indexes into a fresh index keyed by k,
-// choosing dense / u64-map / byte-map exactly as MarginalizeE does.
+// choosing dense / u64-map / byte-map exactly as MarginalizeCtx does.
 func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
 	out := &PC{keyer: k}
 	if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok {
 		counts := make([]int32, radix)
 		distinct := 0
 		for _, pc := range parts {
-			if err := pc.EachE(n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					if counts[key] == 0 {
 						distinct++
@@ -271,7 +274,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	if k.Fits() {
 		out.u = make(map[uint64]int)
 		for _, pc := range parts {
-			if err := pc.EachE(n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					out.u[key] += c
 				}
@@ -285,7 +288,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	out.s = make(map[string]int)
 	var buf []byte
 	for _, pc := range parts {
-		if err := pc.EachE(n, func(vals []uint16, c int) bool {
+		if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -348,7 +351,7 @@ func mergeSpilledAppend(sp *spilledPC, delta *PC, k *Keyer, n, workers int, form
 
 	if format == spillFmtU64 {
 		perRun := make(map[int]map[uint64]int)
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				run := w.RunOfU64(key)
 				m := perRun[run]
@@ -385,7 +388,7 @@ func mergeSpilledAppend(sp *spilledPC, delta *PC, k *Keyer, n, workers int, form
 	} else {
 		perRun := make(map[int]map[string]int)
 		var buf []byte
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -491,7 +494,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 			return nil, err
 		}
 	}
-	if err := delta.EachE(n, func(dvals []uint16, c int) bool {
+	if err := delta.EachCtx(nil, n, func(dvals []uint16, c int) bool {
 		if outFormat == spillFmtU64 {
 			if key, ok := k.KeyVals(dvals); ok {
 				for i := 0; i < c; i++ {
@@ -519,7 +522,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 	entry := outFormat.entryBytes(k)
 	out := &PC{keyer: k}
 	if outFormat == spillFmtU64 {
-		m, size, err := countMerge(nw.CountRunsU64, workers, budget, entry, runSizes)
+		m, size, err := countMerge(nil, nw.CountRunsU64Ctx, workers, budget, entry, runSizes)
 		if err != nil {
 			return nil, err
 		}
@@ -533,7 +536,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 		out.sp = newSpilledPC(nw, k, outFormat, size, runSizes, budget, opts.Stats)
 		return out, nil
 	}
-	m, size, err := countMerge(nw.CountRuns, workers, budget, entry, runSizes)
+	m, size, err := countMerge(nil, nw.CountRunsCtx, workers, budget, entry, runSizes)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +575,7 @@ func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFo
 	if int64(newSize)*entry <= budget {
 		if format == spillFmtU64 {
 			m := make(map[uint64]int, newSize)
-			if _, _, err := w.CountRunsU64(-1, workers, func(_ int, counts map[uint64]int) bool {
+			if _, _, err := w.CountRunsU64Ctx(nil, -1, workers, func(_ int, counts map[uint64]int) bool {
 				for key, c := range counts {
 					m[key] = c
 				}
@@ -583,7 +586,7 @@ func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFo
 			out.u = m
 		} else {
 			m := make(map[string]int, newSize)
-			if _, _, err := w.CountRuns(-1, workers, func(_ int, counts map[string]int) bool {
+			if _, _, err := w.CountRunsCtx(nil, -1, workers, func(_ int, counts map[string]int) bool {
 				for key, c := range counts {
 					m[key] = c
 				}

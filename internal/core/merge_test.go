@@ -71,9 +71,9 @@ func TestLabelMergeDifferential(t *testing.T) {
 				}
 				for _, workers := range diffWorkerCounts {
 					opts := testCountOptions(workers)
-					want := BuildLabelOpts(d, s, opts)
-					bl := BuildLabelOpts(base, s, opts)
-					dl := BuildLabelOpts(delta, s, opts)
+					want := must(BuildLabel(d, s, opts))
+					bl := must(BuildLabel(base, s, opts))
+					dl := must(BuildLabel(delta, s, opts))
 					size, within, err := bl.Merge(dl, -1)
 					if err != nil {
 						t.Fatalf("set %v workers=%d: Merge: %v", s, workers, err)
@@ -89,8 +89,8 @@ func TestLabelMergeDifferential(t *testing.T) {
 					// marginals on the merged label) must agree too.
 					if cfg.nullRate == 0 && s.Size() > 1 {
 						sub := lattice.NewAttrSet(s.Members()[0])
-						wpc, wok := want.MarginalPC(sub)
-						gpc, gok := bl.MarginalPC(sub)
+						wpc, wok := must2(want.MarginalPCCtx(nil, sub))
+						gpc, gok := must2(bl.MarginalPCCtx(nil, sub))
 						if wok != gok {
 							t.Fatalf("set %v: marginal availability differs: oracle %v, merged %v", s, wok, gok)
 						}
@@ -111,10 +111,10 @@ func TestLabelMergeBound(t *testing.T) {
 	d := diffDataset(t, cfg, 0xB0)
 	base, delta := splitDataset(t, d, 450)
 	s := lattice.FullSet(cfg.attrs)
-	exact := BuildPC(d, s).Size()
+	exact := must(BuildPC(d, s, CountOptions{Workers: 1})).Size()
 	for _, bound := range []int{exact - 1, exact, exact + 1} {
-		bl := BuildLabelOpts(base, s, CountOptions{})
-		dl := BuildLabelOpts(delta, s, CountOptions{})
+		bl := must(BuildLabel(base, s, CountOptions{}))
+		dl := must(BuildLabel(delta, s, CountOptions{}))
 		size, within, err := bl.Merge(dl, bound)
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestLabelMergeSpilled(t *testing.T) {
 			format := wantFormat(d, s)
 			cut := cfg.rows - cfg.rows/8
 			base, delta := splitDataset(t, d, cut)
-			want := BuildLabelOpts(d, s, CountOptions{})
+			want := must(BuildLabel(d, s, CountOptions{}))
 			entry := format.entryBytes(NewKeyer(d, s))
 
 			for _, spillDelta := range []bool{false, true} {
@@ -162,7 +162,7 @@ func TestLabelMergeSpilled(t *testing.T) {
 						opts := testCountOptions(2)
 						opts.MemBudget = tight
 						opts.SpillDir = dir
-						bl := BuildLabelOpts(base, s, opts)
+						bl := must(BuildLabel(base, s, opts))
 						if !bl.PC().Spilled() {
 							t.Skipf("base did not spill under budget %d", tight)
 						}
@@ -175,7 +175,7 @@ func TestLabelMergeSpilled(t *testing.T) {
 							dopts.MemBudget = spillBudgetFor(delta, s, 2)
 							dopts.SpillDir = t.TempDir()
 						}
-						dl := BuildLabelOpts(delta, s, dopts)
+						dl := must(BuildLabel(delta, s, dopts))
 						size, _, err := bl.Merge(dl, -1)
 						if err != nil {
 							t.Fatal(err)
@@ -287,9 +287,9 @@ func TestLabelMergeDomainGrowth(t *testing.T) {
 			if s.IsEmpty() {
 				continue
 			}
-			want := BuildLabelOpts(full, s, CountOptions{})
-			bl := BuildLabelOpts(base, s, CountOptions{})
-			dl := BuildLabelOpts(delta, s, CountOptions{})
+			want := must(BuildLabel(full, s, CountOptions{}))
+			bl := must(BuildLabel(base, s, CountOptions{}))
+			dl := must(BuildLabel(delta, s, CountOptions{}))
 			if _, _, err := bl.Merge(dl, -1); err != nil {
 				t.Fatalf("set %v: %v", s, err)
 			}
@@ -305,15 +305,15 @@ func TestLabelMergeDomainGrowth(t *testing.T) {
 		if !NewKeyer(base, s).Fits() || NewKeyer(full, s).Fits() {
 			t.Fatalf("test shape broken: base fits=%v full fits=%v", NewKeyer(base, s).Fits(), NewKeyer(full, s).Fits())
 		}
-		want := BuildLabelOpts(full, s, CountOptions{})
+		want := must(BuildLabel(full, s, CountOptions{}))
 		opts := testCountOptions(2)
 		opts.MemBudget = spillBudgetFor(base, s, 3)
 		opts.SpillDir = t.TempDir()
-		bl := BuildLabelOpts(base, s, opts)
+		bl := must(BuildLabel(base, s, opts))
 		if !bl.PC().Spilled() {
 			t.Skip("base did not spill")
 		}
-		dl := BuildLabelOpts(delta, s, CountOptions{})
+		dl := must(BuildLabel(delta, s, CountOptions{}))
 		if _, _, err := bl.Merge(dl, -1); err != nil {
 			t.Fatal(err)
 		}
@@ -333,18 +333,18 @@ func TestLabelMergeRowsScanned(t *testing.T) {
 
 	var deltaStats ScanStats
 	opts := CountOptions{Stats: &deltaStats}
-	dl := BuildLabelOpts(delta, s, opts)
+	dl := must(BuildLabel(delta, s, opts))
 	if got, want := deltaStats.RowsScanned, int64(delta.NumRows()); got != want {
 		t.Fatalf("delta build scanned %d rows, want %d", got, want)
 	}
 
 	var fullStats ScanStats
-	BuildLabelOpts(d, s, CountOptions{Stats: &fullStats})
+	must(BuildLabel(d, s, CountOptions{Stats: &fullStats}))
 	if got, want := fullStats.RowsScanned, int64(d.NumRows()); got != want {
 		t.Fatalf("full rebuild scanned %d rows, want %d", got, want)
 	}
 
-	bl := BuildLabelOpts(base, s, CountOptions{})
+	bl := must(BuildLabel(base, s, CountOptions{}))
 	if _, _, err := bl.Merge(dl, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -360,20 +360,20 @@ func TestLabelMergeValidation(t *testing.T) {
 	cfg := diffConfig{rows: 100, attrs: 3, domain: 4, nullRate: 0}
 	d := diffDataset(t, cfg, 0xE1)
 	base, delta := splitDataset(t, d, 90)
-	bl := BuildLabelOpts(base, lattice.FullSet(3), CountOptions{})
+	bl := must(BuildLabel(base, lattice.FullSet(3), CountOptions{}))
 
 	if _, _, err := bl.Merge(nil, -1); err == nil {
 		t.Fatal("nil delta accepted")
 	}
-	dl := BuildLabelOpts(delta, lattice.NewAttrSet(0, 1), CountOptions{})
+	dl := must(BuildLabel(delta, lattice.NewAttrSet(0, 1), CountOptions{}))
 	if _, _, err := bl.Merge(dl, -1); err == nil {
 		t.Fatal("mismatched attribute sets accepted")
 	}
 	// A dataset with the same attribute names but its own (diverging)
 	// dictionary order must be rejected: ids would not line up.
 	other := diffDataset(t, diffConfig{rows: 10, attrs: 3, domain: 2, nullRate: 0}, 0xE2)
-	ol := BuildLabelOpts(other, lattice.FullSet(3), CountOptions{})
-	bigger := BuildLabelOpts(d, lattice.FullSet(3), CountOptions{})
+	ol := must(BuildLabel(other, lattice.FullSet(3), CountOptions{}))
+	bigger := must(BuildLabel(d, lattice.FullSet(3), CountOptions{}))
 	if _, _, err := bigger.Merge(ol, -1); err == nil {
 		t.Fatal("shrinking domains accepted")
 	}

@@ -14,10 +14,9 @@ import (
 // scanning. A dataset scan is split into contiguous row chunks, one per
 // worker; each worker fills private maps with the shared read-only Keyer
 // and the shards are merged afterwards, so the hot row loops run without
-// any synchronization. All parallel entry points are differentially tested
-// against the sequential implementations in count.go (parallel_test.go):
-// they produce bit-identical results for every worker count, including the
-// cap-abort behaviour of label sizing.
+// any synchronization. Every entry point is differentially tested against
+// the sequential paths (parallel_test.go): results are bit-identical for
+// every worker count, including the cap-abort behaviour of label sizing.
 
 // defaultMinRowsPerWorker is the smallest per-worker chunk worth a
 // goroutine: below it, map-merge and scheduling overhead exceeds the scan
@@ -95,13 +94,13 @@ type CountOptions struct {
 	// fusedBlockRows rows), run granularity (K-way spill counting) and
 	// chunk/item granularity (workpool dispatch), stop cleanly when it
 	// fires — deferred spill Cleanups still run, no partial result
-	// escapes — and the error-returning entry points surface the typed
-	// context error (context.Canceled or context.DeadlineExceeded). The
-	// error-free entry points (BuildPCParallel, LabelSizesFused, …) panic
-	// if an armed context fires mid-scan, exactly like the error-free
-	// query methods on unrecoverable spill reads; callers arming Ctx
-	// should use the *E / *Ctx variants. A nil Ctx (or a never-cancelled
-	// context) makes every check a single nil compare — see ctx.go.
+	// escapes — and BuildPC, LabelSize, LabelSizes, RefineSizes,
+	// BuildLabel and PatternsOver return the typed context error
+	// (context.Canceled or context.DeadlineExceeded). Only
+	// BuildLabelOpts, which cannot return an error, panics instead. A
+	// built label does not keep Ctx: its queries take their own ctx. A nil
+	// Ctx (or a never-cancelled context) makes every check a single nil
+	// compare — see ctx.go.
 	Ctx context.Context
 
 	// minRowsPerWorker overrides the sequential-fallback threshold. Only
@@ -119,50 +118,20 @@ func (o CountOptions) scanWorkers(rows int) int {
 	return workpool.Resolve(o.Workers, rows/min)
 }
 
-// BuildPCParallel is BuildPC with a sharded scan: each worker groups its
-// row chunk into private state (a flat dense array or a map, per the
-// kernel selection rules in dense.go) and the shards are merged — vector
-// addition for dense shards, map union otherwise. The result is identical
-// to BuildPC for every worker count. If an armed CountOptions.Ctx fires
-// mid-build it panics; ctx-arming callers use BuildPCParallelCtx.
-func BuildPCParallel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *PC {
-	pc, err := buildPC(d, s, opts, opts.scanWorkers(d.NumRows()))
-	if err != nil {
-		panic("core: BuildPCParallel: " + err.Error())
-	}
-	return pc
-}
-
-// BuildPCParallelCtx is BuildPCParallel with cooperative cancellation: ctx
-// (stored into opts.Ctx) is checked at block granularity during the scan
-// and at run granularity during spilled counting. A fired context aborts
-// the build cleanly — spill temp directories are removed, pooled slabs
-// returned — and the typed context error is returned with a nil PC; a
-// partially counted PC is never produced.
-func BuildPCParallelCtx(ctx context.Context, d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, error) {
-	opts.Ctx = ctx
-	return buildPC(d, s, opts, opts.scanWorkers(d.NumRows()))
-}
-
-// LabelSizeParallel is LabelSize with a sharded scan. Cap-abort semantics
-// are preserved exactly: the result is (cap+1, false) precisely when the
-// true distinct count exceeds cap, regardless of worker count or
-// scheduling. If an armed CountOptions.Ctx fires mid-scan it panics;
-// ctx-arming callers use LabelSizeParallelE.
-func LabelSizeParallel(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool) {
-	size, within, err := LabelSizeParallelE(d, s, cap, opts)
-	if err != nil {
-		panic("core: LabelSizeParallel: " + err.Error())
-	}
-	return size, within
-}
-
-// LabelSizeParallelE is LabelSizeParallel returning cancellation as an
-// error: with CountOptions.Ctx armed, a fired context aborts the scan at
-// the next block (or spill-run) boundary and surfaces the typed context
-// error. Disk trouble on the spill tier is not an error here — it degrades
-// to the in-memory kernels exactly as before, metered in ScanStats.
-func LabelSizeParallelE(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
+// LabelSize returns |P_S| for attribute set s, the size a label built on s
+// would have (paper line 6 of Algorithm 1: labelSize(c, D)). When cap >= 0
+// and the distinct count exceeds cap, counting aborts and LabelSize
+// returns (cap+1, false): the caller only needs to know the bound was
+// breached. Label sizes are monotone in S (refining a grouping can only
+// split groups), which is what makes this early abort — and Algorithm 1's
+// subtree pruning — sound. The cap-abort result is exact for every worker
+// count and schedule.
+//
+// The only error is opts.Ctx firing: the scan aborts at the next block
+// (or spill-run) boundary and surfaces the typed context error. Disk
+// trouble on the spill tier is not an error here — it degrades to the
+// in-memory kernels, metered in ScanStats.
+func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
 	stop := opts.stop()
 	if opts.MemBudget > 0 {
 		k := NewKeyer(d, s)
@@ -180,14 +149,14 @@ func LabelSizeParallelE(d *dataset.Dataset, s lattice.AttrSet, cap int, opts Cou
 			opts.Stats.addSpillFallbackErr(serr)
 		}
 	}
-	// The sequential LabelSize loop has no cancellation points; with an
+	// The sequential labelSize loop has no cancellation points; with an
 	// armed context the single-set fused scan (bit-identical results)
 	// carries the per-block checks instead.
 	if opts.scanWorkers(d.NumRows()) <= 1 && stop.done == nil {
-		sz, w := LabelSize(d, s, cap)
+		sz, w := labelSize(d, s, cap)
 		return sz, w, nil
 	}
-	sizes, within2, err := LabelSizesFusedE(d, []lattice.AttrSet{s}, cap, opts)
+	sizes, within2, err := LabelSizes(d, []lattice.AttrSet{s}, cap, opts)
 	if err != nil {
 		return 0, false, err
 	}
@@ -205,12 +174,12 @@ type fusedSet struct {
 	seenS    map[string]struct{}
 }
 
-// LabelSizesFused evaluates the label sizes of a whole frontier of
-// candidate attribute sets in a single pass over the rows: one Keyer per
-// set, shared column access, and per-set early abort once a set's distinct
-// count exceeds cap. Row chunks are additionally sharded across workers
+// LabelSizes evaluates the label sizes of a whole frontier of candidate
+// attribute sets in a single pass over the rows: one Keyer per set, shared
+// column access, and per-set early abort once a set's distinct count
+// exceeds cap. Row chunks are additionally sharded across workers
 // (CountOptions). For each set i the returned pair (sizes[i], within[i])
-// is exactly what LabelSize(d, sets[i], cap) returns.
+// is exactly what LabelSize(d, sets[i], cap, opts) returns.
 //
 // With cap >= 0 the per-worker memory is bounded by len(sets) × (cap+1)
 // entries: a set stops accumulating the moment it is proven out of bound.
@@ -225,22 +194,11 @@ type fusedSet struct {
 // with K-way parallel run counting), in frontier order (deterministic for
 // every worker count); all other sets scan fused as usual.
 //
-// If an armed CountOptions.Ctx fires mid-scan it panics; ctx-arming
-// callers use LabelSizesFusedE.
-func LabelSizesFused(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool) {
-	sizes, within, err := LabelSizesFusedE(d, sets, cap, opts)
-	if err != nil {
-		panic("core: LabelSizesFused: " + err.Error())
-	}
-	return sizes, within
-}
-
-// LabelSizesFusedE is LabelSizesFused returning cancellation as an error:
-// with CountOptions.Ctx armed, every worker of the fused scan checks the
-// context once per fusedBlockRows row block (and the spill tier once per
-// run) and the whole frontier evaluation aborts with the typed context
-// error — sizes and within are nil then, never partially filled.
-func LabelSizesFusedE(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
+// The only error is opts.Ctx firing: every worker of the fused scan checks
+// it once per fusedBlockRows row block (and the spill tier once per run),
+// and the whole frontier evaluation aborts with the typed context error —
+// sizes and within are nil then, never partially filled.
+func LabelSizes(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
 	if opts.MemBudget > 0 {
 		if si, ok := planSpilledSets(d, sets, opts); ok {
 			return labelSizesSplit(d, sets, cap, opts, si)
@@ -330,7 +288,7 @@ func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts C
 	return sizes, within, nil
 }
 
-// labelSizesFusedScan is the in-memory fused scan behind LabelSizesFused.
+// labelSizesFusedScan is the in-memory fused scan behind LabelSizes.
 func labelSizesFusedScan(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
 	sizes = make([]int, len(sets))
 	within = make([]bool, len(sets))
@@ -445,7 +403,7 @@ func newFusedStates(keyers []*Keyer, radixes []int, pool *VecPool) []fusedSet {
 
 // fusedBlockRows is the row-block granularity of the fused scan. Within a
 // block each set runs its own tight row loop (the keyer fields stay in
-// registers, as in the sequential LabelSize loop) while successive sets
+// registers, as in the sequential labelSize loop) while successive sets
 // re-read the same cache-resident column block, so one effective pass over
 // memory serves the whole frontier.
 const fusedBlockRows = 4096

@@ -128,14 +128,14 @@ func pcRepr(pc *PC) string {
 // the storage representation.
 func pcDump(pc *PC) map[string]int {
 	out := make(map[string]int)
-	pc.Each(lattice.MaxAttrs, func(vals []uint16, c int) bool {
+	noErr(pc.EachCtx(nil, lattice.MaxAttrs, func(vals []uint16, c int) bool {
 		var key strings.Builder
 		for _, a := range pc.Attrs().Members() {
 			fmt.Fprintf(&key, "%d=%d;", a, vals[a])
 		}
 		out[key.String()] = c
 		return true
-	})
+	}))
 	return out
 }
 
@@ -164,9 +164,9 @@ func TestDifferentialBuildPCParallel(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xBEEF))
 			for _, s := range diffAttrSets(cfg.attrs, rng) {
-				want := BuildPC(d, s)
+				want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 				for _, workers := range diffWorkerCounts {
-					got := BuildPCParallel(d, s, testCountOptions(workers))
+					got := must(BuildPC(d, s, testCountOptions(workers)))
 					pcEqual(t, want, got)
 					if got.Size() != want.Size() {
 						t.Fatalf("set %v workers=%d: Size %d, want %d", s, workers, got.Size(), want.Size())
@@ -194,11 +194,11 @@ func TestDifferentialLabelSizeParallel(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xF00D))
 			for _, s := range diffAttrSets(cfg.attrs, rng) {
-				trueSize, _ := LabelSize(d, s, -1)
+				trueSize, _ := labelSize(d, s, -1)
 				for _, cap := range diffCaps(trueSize) {
-					wantSize, wantWithin := LabelSize(d, s, cap)
+					wantSize, wantWithin := labelSize(d, s, cap)
 					for _, workers := range diffWorkerCounts {
-						gotSize, gotWithin := LabelSizeParallel(d, s, cap, testCountOptions(workers))
+						gotSize, gotWithin := must2(LabelSize(d, s, cap, testCountOptions(workers)))
 						if gotSize != wantSize || gotWithin != wantWithin {
 							t.Fatalf("set %v cap=%d workers=%d: got (%d, %v), want (%d, %v)",
 								s, cap, workers, gotSize, gotWithin, wantSize, wantWithin)
@@ -224,19 +224,19 @@ func TestDifferentialLabelSizesFused(t *testing.T) {
 			// Pick caps that split the frontier: some sets abort, some not.
 			maxSize := 0
 			for _, s := range sets {
-				if n, _ := LabelSize(d, s, -1); n > maxSize {
+				if n, _ := labelSize(d, s, -1); n > maxSize {
 					maxSize = n
 				}
 			}
 			for _, cap := range []int{-1, 0, 1, maxSize / 2, maxSize, maxSize + 1} {
 				for _, workers := range diffWorkerCounts {
-					sizes, within := LabelSizesFused(d, sets, cap, testCountOptions(workers))
+					sizes, within := must2(LabelSizes(d, sets, cap, testCountOptions(workers)))
 					if len(sizes) != len(sets) || len(within) != len(sets) {
 						t.Fatalf("cap=%d workers=%d: result length %d/%d, want %d",
 							cap, workers, len(sizes), len(within), len(sets))
 					}
 					for i, s := range sets {
-						wantSize, wantWithin := LabelSize(d, s, cap)
+						wantSize, wantWithin := labelSize(d, s, cap)
 						if sizes[i] != wantSize || within[i] != wantWithin {
 							t.Fatalf("set %v cap=%d workers=%d: got (%d, %v), want (%d, %v)",
 								s, cap, workers, sizes[i], within[i], wantSize, wantWithin)
@@ -252,7 +252,7 @@ func TestDifferentialLabelSizesFused(t *testing.T) {
 // batcher can produce.
 func TestLabelSizesFusedEmptyFrontier(t *testing.T) {
 	d := diffDataset(t, diffConfigs[2], 7)
-	sizes, within := LabelSizesFused(d, nil, 10, CountOptions{Workers: 4})
+	sizes, within := must2(LabelSizes(d, nil, 10, CountOptions{Workers: 4}))
 	if len(sizes) != 0 || len(within) != 0 {
 		t.Fatalf("got %d/%d results for empty frontier", len(sizes), len(within))
 	}
@@ -268,7 +268,7 @@ func TestBuildPCParallelSequentialFallback(t *testing.T) {
 		t.Fatalf("scanWorkers(%d) = %d, want 1 (below per-worker minimum)", d.NumRows(), w)
 	}
 	s := lattice.FullSet(cfg.attrs)
-	pcEqual(t, BuildPC(d, s), BuildPCParallel(d, s, CountOptions{Workers: 8}))
+	pcEqual(t, must(BuildPC(d, s, CountOptions{Workers: 1})), must(BuildPC(d, s, CountOptions{Workers: 8})))
 }
 
 // TestDifferentialSearchStyleFrontier mirrors how package search drives the
@@ -285,9 +285,9 @@ func TestDifferentialSearchStyleFrontier(t *testing.T) {
 				return true
 			})
 			for _, workers := range diffWorkerCounts {
-				sizes, within := LabelSizesFused(d, frontier, bound, testCountOptions(workers))
+				sizes, within := must2(LabelSizes(d, frontier, bound, testCountOptions(workers)))
 				for i, s := range frontier {
-					wantSize, wantWithin := LabelSize(d, s, bound)
+					wantSize, wantWithin := labelSize(d, s, bound)
 					if sizes[i] != wantSize || within[i] != wantWithin {
 						t.Fatalf("bound=%d k=%d set %v workers=%d: got (%d, %v), want (%d, %v)",
 							bound, k, s, workers, sizes[i], within[i], wantSize, wantWithin)

@@ -17,7 +17,7 @@ func TestPartialEqualsFullOnNullFree(t *testing.T) {
 		if s.Size() < 2 {
 			return true
 		}
-		full, _ := LabelSize(d, s, -1)
+		full, _ := labelSize(d, s, -1)
 		part, _ := PartialLabelSize(d, s, -1)
 		if full != part {
 			t.Errorf("%v: partial %d != full %d", s, part, full)
@@ -46,7 +46,7 @@ func TestPartialCountsPartialPatterns(t *testing.T) {
 		t.Errorf("partial size = (%d, %v), want (2, true)", got, within)
 	}
 	// Standard LabelSize sees only the fully non-NULL rows.
-	full, _ := LabelSize(d, s, -1)
+	full, _ := labelSize(d, s, -1)
 	if full != 1 {
 		t.Errorf("full size = %d, want 1", full)
 	}

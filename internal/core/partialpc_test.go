@@ -14,7 +14,7 @@ func TestPartialLabelMatchesLabelOnNullFree(t *testing.T) {
 	d := testutil.Fig2()
 	ps := DistinctTuples(d)
 	lattice.AllSubsets(d.NumAttrs(), func(s lattice.AttrSet) bool {
-		std := BuildLabel(d, s)
+		std := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 		part := BuildPartialLabel(d, s)
 		if s.Size() >= 2 && std.Size() != part.Size() {
 			t.Errorf("%v: sizes differ %d vs %d", s, std.Size(), part.Size())
@@ -55,7 +55,7 @@ func TestPartialPCExactOnNulls(t *testing.T) {
 	ppc := BuildPartialPC(d, s)
 	// Every pattern over every subset must match a scan.
 	lattice.AllSubsets(3, func(r lattice.AttrSet) bool {
-		CrossProductPatterns(d, r) // sanity: builder works on null data
+		must(CrossProductPatterns(d, r)) // sanity: builder works on null data
 		vals := make([]uint16, 3)
 		var rec func(ms []int)
 		rec = func(ms []int) {
@@ -90,19 +90,19 @@ func TestPartialPCExactOnNulls(t *testing.T) {
 func TestPartialBeatsStandardOnNulls(t *testing.T) {
 	d := nullData(t)
 	s := lattice.FullSet(3)
-	std := BuildPC(d, s)
+	std := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	part := BuildPartialPC(d, s)
 	// Count of {x=a} by summing the standard PC: only rows non-NULL
 	// everywhere survive (rows 1, 2) — undercount.
 	xa := lattice.NewAttrSet(0)
 	vals := []uint16{1, 0, 0} // x = "a"
 	sum := 0
-	std.Each(3, func(v []uint16, c int) bool {
+	noErr(std.EachCtx(nil, 3, func(v []uint16, c int) bool {
 		if v[0] == 1 {
 			sum += c
 		}
 		return true
-	})
+	}))
 	if sum >= 4 {
 		t.Fatalf("standard PC summation = %d; expected an undercount < 4", sum)
 	}

@@ -9,19 +9,18 @@ import (
 // evaluation set): every pattern with Attr(p) = s and positive count. The
 // problem definition (2.15) explicitly allows optimizing a label for such
 // restricted workloads — "patterns that include only sensitive attributes" —
-// instead of the default P_A.
-func PatternsOver(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
-	return PatternsOverOpts(d, s, CountOptions{Workers: 1})
-}
-
-// PatternsOverOpts is PatternsOver with the underlying group-by routed
-// through the sharded counting engine.
-func PatternsOverOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *PatternSet {
-	pc := BuildPCParallel(d, s, opts)
+// instead of the default P_A. The group-by runs on the counting engine
+// configured by opts; the error is opts.Ctx firing or a failed run read of
+// a merge-on-read index.
+func PatternsOver(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PatternSet, error) {
+	pc, err := BuildPC(d, s, opts)
+	if err != nil {
+		return nil, err
+	}
 	defer pc.ReleaseSpill() // transient index: drop merge-on-read runs eagerly
 	n := d.NumAttrs()
 	ps := &PatternSet{stride: n}
-	pc.Each(n, func(vals []uint16, c int) bool {
+	if err := pc.EachCtx(opts.Ctx, n, func(vals []uint16, c int) bool {
 		base := len(ps.flat)
 		ps.flat = append(ps.flat, make([]uint16, n)...)
 		for _, a := range s.Members() {
@@ -30,19 +29,26 @@ func PatternsOverOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) 
 		ps.counts = append(ps.counts, c)
 		ps.attrs = append(ps.attrs, s)
 		return true
-	})
-	return ps
+	}); err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 // CrossProductPatterns builds every value combination over s from the
 // active domains — including combinations with count zero. Audits use it to
 // ask "which intersections are missing entirely?", which P_S by definition
 // cannot reveal (it only contains positive-count patterns).
-func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
+func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) (*PatternSet, error) {
 	n := d.NumAttrs()
 	members := s.Members()
 	ps := &PatternSet{stride: n}
-	pc := BuildPC(d, s) // true counts for the non-zero combinations
+	// True counts for the non-zero combinations: a sequential, unbudgeted
+	// build is an in-memory index, whose lookups cannot fail.
+	pc, err := BuildPC(d, s, CountOptions{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
 	vals := make([]uint16, n)
 	var rec func(int)
 	rec = func(j int) {
@@ -50,7 +56,7 @@ func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
 			base := len(ps.flat)
 			ps.flat = append(ps.flat, make([]uint16, n)...)
 			copy(ps.flat[base:], vals)
-			ps.counts = append(ps.counts, pc.LookupVals(vals))
+			ps.counts = append(ps.counts, pc.lookupVals(vals))
 			ps.attrs = append(ps.attrs, s)
 			return
 		}
@@ -62,5 +68,5 @@ func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
 		vals[a] = dataset.Null
 	}
 	rec(0)
-	return ps
+	return ps, nil
 }

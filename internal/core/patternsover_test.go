@@ -10,7 +10,7 @@ import (
 func TestPatternsOver(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	ps := PatternsOver(d, s)
+	ps := must(PatternsOver(d, s, CountOptions{Workers: 1}))
 	// Example 2.10: exactly 3 positive-count patterns over this set.
 	if ps.Len() != 3 {
 		t.Fatalf("patterns = %d, want 3", ps.Len())
@@ -35,7 +35,7 @@ func TestPatternsOver(t *testing.T) {
 func TestCrossProductPatterns(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	ps := CrossProductPatterns(d, s)
+	ps := must(CrossProductPatterns(d, s))
 	// 2 age groups × 3 marital statuses = 6 combinations.
 	if ps.Len() != 6 {
 		t.Fatalf("patterns = %d, want 6", ps.Len())
@@ -61,8 +61,8 @@ func TestCrossProductPatterns(t *testing.T) {
 func TestLabelOptimizedForRestrictedWorkload(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	ps := PatternsOver(d, s)
-	l := BuildLabel(d, s)
+	ps := must(PatternsOver(d, s, CountOptions{Workers: 1}))
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	res := Evaluate(l, ps, EvalOptions{})
 	if res.MaxAbs != 0 {
 		t.Errorf("label over the workload's own attrs has max err %v", res.MaxAbs)

@@ -40,8 +40,10 @@ type PortablePattern struct {
 	Count  int      `json:"count"`
 }
 
-// Portable converts the label to its self-contained form.
-func (l *Label) Portable() *PortableLabel {
+// Portable converts the label to its self-contained form. Reading a
+// merge-on-read PC section can fail; the read error is returned and no
+// label.
+func (l *Label) Portable() (*PortableLabel, error) {
 	d := l.Dataset()
 	pl := &PortableLabel{
 		Dataset:   d.Name(),
@@ -59,18 +61,20 @@ func (l *Label) Portable() *PortableLabel {
 	for _, i := range members {
 		pl.LabelAttrs = append(pl.LabelAttrs, d.Attr(i).Name())
 	}
-	l.pc.Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
 		e := PortablePattern{Count: c}
 		for _, i := range members {
 			e.Values = append(e.Values, d.Attr(i).Value(vals[i]))
 		}
 		pl.PC = append(pl.PC, e)
 		return true
-	})
+	}); err != nil {
+		return nil, err
+	}
 	sort.Slice(pl.PC, func(x, y int) bool {
 		return strings.Join(pl.PC[x].Values, "\x00") < strings.Join(pl.PC[y].Values, "\x00")
 	})
-	return pl
+	return pl, nil
 }
 
 // MarshalJSON is provided by encoding/json on the exported fields; Encode is

@@ -13,8 +13,8 @@ import (
 func TestPortableRoundTrip(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	l := BuildLabel(d, s)
-	data, err := l.Portable().Encode()
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	data, err := must(l.Portable()).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestPortableRoundTrip(t *testing.T) {
 func TestPortableEstimateMatchesLive(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	l := BuildLabel(d, s)
-	pl := l.Portable()
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	pl := must(l.Portable())
 	ps := DistinctTuples(d)
 	for i := 0; i < ps.Len(); i++ {
 		assign := map[string]string{}
@@ -59,8 +59,8 @@ func TestPortableEstimateMatchesLive(t *testing.T) {
 func TestPortableMarginalization(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	l := BuildLabel(d, s)
-	pl := l.Portable()
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	pl := must(l.Portable())
 	got, err := pl.Estimate(map[string]string{"gender": "Female"})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPortableMarginalization(t *testing.T) {
 func TestPortableEstimateErrors(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	pl := BuildLabel(d, s).Portable()
+	pl := must(must(BuildLabel(d, s, CountOptions{Workers: 1})).Portable())
 	if _, err := pl.Estimate(map[string]string{"ghost": "x"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
@@ -110,12 +110,12 @@ func TestPortableDeterministicEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := BuildLabel(d, s)
-	a, err := l.Portable().Encode()
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	a, err := must(l.Portable()).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Portable().Encode()
+	b, err := must(l.Portable()).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestPortableDeterministicEncoding(t *testing.T) {
 func TestPortableRandomPatterns(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "race")
-	l := BuildLabel(d, s)
-	pl := l.Portable()
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	pl := must(l.Portable())
 	prop := func(mask uint8, pick uint16) bool {
 		attrs := lattice.AttrSet(mask) & lattice.FullSet(d.NumAttrs())
 		assign := map[string]string{}

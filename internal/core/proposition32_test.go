@@ -38,9 +38,9 @@ func checkProposition32(t *testing.T, d *dataset.Dataset) {
 	n := d.NumAttrs()
 	ps := DistinctTuples(d)
 	labels := make(map[lattice.AttrSet]*Label)
-	labels[0] = BuildLabel(d, 0)
+	labels[0] = must(BuildLabel(d, 0, CountOptions{Workers: 1}))
 	lattice.AllSubsets(n, func(s lattice.AttrSet) bool {
-		labels[s] = BuildLabel(d, s)
+		labels[s] = must(BuildLabel(d, s, CountOptions{Workers: 1}))
 		return true
 	})
 
@@ -52,10 +52,10 @@ func checkProposition32(t *testing.T, d *dataset.Dataset) {
 		}
 		pc, ok := pcCache[s]
 		if !ok {
-			pc = BuildPC(d, s)
+			pc = must(BuildPC(d, s, CountOptions{Workers: 1}))
 			pcCache[s] = pc
 		}
-		return pc.LookupVals(row)
+		return must(pc.LookupValsCtx(nil, row))
 	}
 
 	violations := 0

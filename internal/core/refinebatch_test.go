@@ -69,7 +69,7 @@ func checkRefineSizes(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet) 
 		probed++
 		// One representative child picks the cap grid; the batch is
 		// probed whole at each cap so siblings abort independently.
-		trueSize, _ := LabelSize(d, s.Add(attrs[0]), -1)
+		trueSize, _ := labelSize(d, s.Add(attrs[0]), -1)
 		for _, cap := range diffCaps(trueSize) {
 			for _, workers := range diffWorkerCounts {
 				opts := testCountOptions(workers)
@@ -81,7 +81,7 @@ func checkRefineSizes(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet) 
 					t.Fatal(err)
 				}
 				for j, a := range attrs {
-					wantSize, wantWithin := LabelSize(d, s.Add(a), cap)
+					wantSize, wantWithin := labelSize(d, s.Add(a), cap)
 					if sizes[j] != wantSize || within[j] != wantWithin {
 						t.Fatalf("parent %v+%d cap=%d workers=%d: got (%d, %v), want (%d, %v)",
 							s, a, cap, workers, sizes[j], within[j], wantSize, wantWithin)

@@ -22,8 +22,9 @@ type RenderOptions struct {
 
 // Render produces the human-readable "nutrition label" of Fig 1: total data
 // size, the per-attribute value counts with percentages, the pattern counts
-// of the label's attribute set, and optionally an error summary.
-func Render(l *Label, opts RenderOptions) string {
+// of the label's attribute set, and optionally an error summary. Reading a
+// merge-on-read PC section can fail; the read error is returned then.
+func Render(l *Label, opts RenderOptions) (string, error) {
 	d := l.Dataset()
 	total := d.NumRows()
 	var b strings.Builder
@@ -72,14 +73,16 @@ func Render(l *Label, opts RenderOptions) string {
 		count int
 	}
 	rows := make([]row, 0, l.Size())
-	l.pc.Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
 		r := row{count: c}
 		for _, i := range l.attrs.Members() {
 			r.vals = append(r.vals, d.Attr(i).Value(vals[i]))
 		}
 		rows = append(rows, r)
 		return true
-	})
+	}); err != nil {
+		return "", err
+	}
 	sort.Slice(rows, func(x, y int) bool {
 		if rows[x].count != rows[y].count {
 			return rows[x].count > rows[y].count
@@ -104,7 +107,7 @@ func Render(l *Label, opts RenderOptions) string {
 		fmt.Fprintf(&b, "Maximal Error\t%s\t%s\n", groupDigits(int(e.MaxAbs+0.5)), pctFloat(e.MaxAbs, total))
 		fmt.Fprintf(&b, "Standard deviation\t%s\n", groupDigits(int(e.StdAbs+0.5)))
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // groupDigits renders 1234567 as "1,234,567".

@@ -11,10 +11,10 @@ import (
 func TestRenderFig1Layout(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	l := BuildLabel(d, s)
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	ps := DistinctTuples(d)
 	eval := Evaluate(l, ps, EvalOptions{})
-	out := Render(l, RenderOptions{Eval: &eval})
+	out := must(Render(l, RenderOptions{Eval: &eval}))
 
 	for _, want := range []string{
 		"Total size: 18",
@@ -34,8 +34,8 @@ func TestRenderFig1Layout(t *testing.T) {
 func TestRenderVCFilter(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	l := BuildLabel(d, s)
-	out := Render(l, RenderOptions{VCAttrs: []string{"gender"}})
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	out := must(Render(l, RenderOptions{VCAttrs: []string{"gender"}}))
 	if strings.Contains(out, "marital") {
 		t.Error("filtered attribute still rendered in VC section")
 	}
@@ -43,7 +43,7 @@ func TestRenderVCFilter(t *testing.T) {
 		t.Error("kept attribute missing")
 	}
 	// Unknown names in the filter are ignored, not fatal.
-	out2 := Render(l, RenderOptions{VCAttrs: []string{"gender", "ghost"}})
+	out2 := must(Render(l, RenderOptions{VCAttrs: []string{"gender", "ghost"}}))
 	if !strings.Contains(out2, "Female") {
 		t.Error("render with unknown VC attr broke")
 	}
@@ -52,8 +52,8 @@ func TestRenderVCFilter(t *testing.T) {
 func TestRenderTruncation(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "race", "marital status") // 9 patterns
-	l := BuildLabel(d, s)
-	out := Render(l, RenderOptions{MaxPCRows: 4})
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+	out := must(Render(l, RenderOptions{MaxPCRows: 4}))
 	if !strings.Contains(out, "more patterns elided") {
 		t.Error("truncation note missing")
 	}

@@ -22,7 +22,7 @@ import (
 func sharedSpillCaps(d *dataset.Dataset, sets []lattice.AttrSet) []int {
 	minSz, maxSz := int(^uint(0)>>1), 0
 	for _, s := range sets {
-		sz, _ := LabelSize(d, s, -1)
+		sz, _ := labelSize(d, s, -1)
 		if sz < minSz {
 			minSz = sz
 		}
@@ -48,7 +48,7 @@ func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice
 	for _, cap := range caps {
 		res := make([]oracleRes, len(sets))
 		for i, s := range sets {
-			sz, w := LabelSize(d, s, cap)
+			sz, w := labelSize(d, s, cap)
 			res[i] = oracleRes{sz, w}
 		}
 		oracle[cap] = res
@@ -63,7 +63,7 @@ func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice
 				opts.SpillDir = dir
 				opts.Stats = &stats
 				opts.DisableSharedSpill = disable
-				sizes, within := LabelSizesFused(d, sets, cap, opts)
+				sizes, within := must2(LabelSizes(d, sets, cap, opts))
 				for i := range sets {
 					want := oracle[cap][i]
 					if sizes[i] != want.size || within[i] != want.within {
@@ -140,7 +140,7 @@ func TestDifferentialSharedSpillU64Frontier(t *testing.T) {
 	opts.MemBudget = budget
 	opts.SpillDir = t.TempDir()
 	opts.Stats = &stats
-	if _, _ = LabelSizesFused(d, sets, -1, opts); stats.SpilledU64 != stats.Spilled {
+	if _, _ = must2(LabelSizes(d, sets, -1, opts)); stats.SpilledU64 != stats.Spilled {
 		t.Fatalf("frontier not pure uint64: %d of %d spilled sets", stats.SpilledU64, stats.Spilled)
 	}
 	runSharedSpillDifferential(t, d, sets, budget, len(sets), false)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 
@@ -23,13 +24,13 @@ import (
 // over-budget kernels: fixed-width 8-byte uint64 records for sets whose
 // mixed-radix key fits uint64 (the common case once domains multiply), and
 // 2-bytes-per-member byte-string records for keys that overflow it.
-// Results are bit-identical to BuildPC / LabelSize for every worker count
+// Results are bit-identical to the in-memory kernels for every worker count
 // and both formats (spillcount_test.go).
 //
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
 // and otherwise the PC keeps the on-disk runs and serves
-// Size/LookupVals/Each by streaming them (merge-on-read, spilledpc.go) —
+// Size/LookupValsCtx/EachCtx by streaming them (merge-on-read, spilledpc.go) —
 // the scan's careful budget is no longer blown by the result map.
 // Refinement (refinebatch.go) never spills: its compact spaces are bounded
 // by a dense-keyable parent's key space times one domain, so it is
@@ -201,7 +202,7 @@ func (st *ScanStats) addSharedSpillPass(n int) {
 // context error (the fallback scan itself honors CountOptions.Ctx).
 func labelSizeFallback(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
 	opts.MemBudget = 0
-	return LabelSizeParallelE(d, s, cap, opts)
+	return LabelSize(d, s, cap, opts)
 }
 
 // spillPartition is the shared partition phase: rows shard across workers,
@@ -266,12 +267,13 @@ func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers in
 // outcome is independent of the (parallel) run completion order. A nil
 // returned map means "stream": the result models over budget.
 func countMerge[K comparable](
-	count func(cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
+	ctx context.Context,
+	count func(ctx context.Context, cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
 	workers int, budget, entry int64, runSizes []int,
 ) (merged map[K]int, size int, err error) {
 	merged = make(map[K]int)
 	over := false
-	size, _, err = count(-1, workers, func(run int, counts map[K]int) bool {
+	size, _, err = count(ctx, -1, workers, func(run int, counts map[K]int) bool {
 		runSizes[run] = len(counts)
 		if !over {
 			if int64(len(merged)+len(counts))*entry > budget {
@@ -346,10 +348,7 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 	runSizes := make([]int, runs)
 	pc = &PC{keyer: k}
 	if format == spillFmtU64 {
-		count := func(cap, workers int, emit func(run int, counts map[uint64]int) bool) (int, bool, error) {
-			return w.CountRunsU64Ctx(opts.Ctx, cap, workers, emit)
-		}
-		m, size, err := countMerge(count, workers, opts.MemBudget, entry, runSizes)
+		m, size, err := countMerge(opts.Ctx, w.CountRunsU64Ctx, workers, opts.MemBudget, entry, runSizes)
 		if err != nil {
 			return nil, err
 		}
@@ -362,10 +361,7 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 		pc.sp = newSpilledPC(w, k, format, size, runSizes, opts.MemBudget, opts.Stats)
 		return pc, nil
 	}
-	count := func(cap, workers int, emit func(run int, counts map[string]int) bool) (int, bool, error) {
-		return w.CountRunsCtx(opts.Ctx, cap, workers, emit)
-	}
-	m, size, err := countMerge(count, workers, opts.MemBudget, entry, runSizes)
+	m, size, err := countMerge(opts.Ctx, w.CountRunsCtx, workers, opts.MemBudget, entry, runSizes)
 	if err != nil {
 		return nil, err
 	}

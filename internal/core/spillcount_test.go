@@ -8,7 +8,7 @@ package core
 // on any exit path. Budgeted builds whose result models over the budget
 // come back merge-on-read (spilledpc.go): those are additionally pinned
 // against the in-memory oracle through the whole consumer surface
-// (Size/LookupVals/Each/Marginalize) and release their runs on demand.
+// (Size/LookupValsCtx/EachCtx/MarginalizeCtx) and release their runs on demand.
 
 import (
 	"math/rand/v2"
@@ -107,7 +107,7 @@ func TestDifferentialSpillBuildPC(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+0x51)
 			s := spillSet(t, d)
 			format := wantFormat(d, s)
-			want := BuildPC(d, s)
+			want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 			budget := spillBudgetFor(d, s, 4)
 			for _, workers := range diffWorkerCounts {
 				dir := t.TempDir()
@@ -116,7 +116,7 @@ func TestDifferentialSpillBuildPC(t *testing.T) {
 				opts.MemBudget = budget
 				opts.SpillDir = dir
 				opts.Stats = &stats
-				got := BuildPCParallel(d, s, opts)
+				got := must(BuildPC(d, s, opts))
 				pcEqualContents(t, want, got)
 				if stats.Spilled != 1 {
 					t.Fatalf("workers=%d: Spilled = %d, want 1", workers, stats.Spilled)
@@ -156,17 +156,17 @@ func TestDifferentialSpillLabelSize(t *testing.T) {
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+0x52)
 			s := spillSet(t, d)
-			exact, _ := LabelSize(d, s, -1)
+			exact, _ := labelSize(d, s, -1)
 			budget := spillBudgetFor(d, s, 4)
 			caps := []int{-1, 0, 1, exact - 1, exact, exact + 1}
 			for _, workers := range diffWorkerCounts {
 				for _, cap := range caps {
-					wantSize, wantWithin := LabelSize(d, s, cap)
+					wantSize, wantWithin := labelSize(d, s, cap)
 					dir := t.TempDir()
 					opts := testCountOptions(workers)
 					opts.MemBudget = budget
 					opts.SpillDir = dir
-					gotSize, gotWithin := LabelSizeParallel(d, s, cap, opts)
+					gotSize, gotWithin := must2(LabelSize(d, s, cap, opts))
 					if gotSize != wantSize || gotWithin != wantWithin {
 						t.Fatalf("workers=%d cap=%d: got (%d, %v), want (%d, %v)",
 							workers, cap, gotSize, gotWithin, wantSize, wantWithin)
@@ -192,7 +192,7 @@ func TestDifferentialSpillFused(t *testing.T) {
 		wantSizes := make([]int, len(sets))
 		wantWithin := make([]bool, len(sets))
 		for i, s := range sets {
-			wantSizes[i], wantWithin[i] = LabelSize(d, s, cap)
+			wantSizes[i], wantWithin[i] = labelSize(d, s, cap)
 		}
 		for _, workers := range diffWorkerCounts {
 			dir := t.TempDir()
@@ -201,7 +201,7 @@ func TestDifferentialSpillFused(t *testing.T) {
 			opts.MemBudget = budget
 			opts.SpillDir = dir
 			opts.Stats = &stats
-			sizes, within := LabelSizesFused(d, sets, cap, opts)
+			sizes, within := must2(LabelSizes(d, sets, cap, opts))
 			for i := range sets {
 				if sizes[i] != wantSizes[i] || within[i] != wantWithin[i] {
 					t.Fatalf("cap=%d workers=%d set %v: got (%d, %v), want (%d, %v)",
@@ -230,13 +230,13 @@ func TestSpillU64Format(t *testing.T) {
 	if _, dense := denseRadix(k, d.NumRows(), DefaultDenseLimit); dense {
 		t.Fatalf("config %v unexpectedly dense-keyable", cfg)
 	}
-	want := BuildPC(d, s)
+	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	var stats ScanStats
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
 	opts.Stats = &stats
-	got := BuildPCParallel(d, s, opts)
+	got := must(BuildPC(d, s, opts))
 	pcEqualContents(t, want, got)
 	if stats.Spilled != 1 || stats.SpilledU64 != 1 {
 		t.Fatalf("Spilled=%d SpilledU64=%d, want 1/1", stats.Spilled, stats.SpilledU64)
@@ -264,8 +264,8 @@ func TestSpillNeverDense(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.MemBudget = 1 // absurdly small
 	opts.Stats = &stats
-	want := BuildPC(d, s)
-	got := BuildPCParallel(d, s, opts)
+	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
+	got := must(BuildPC(d, s, opts))
 	pcEqual(t, want, got)
 	if stats.Spilled != 0 {
 		t.Fatalf("dense-keyable set spilled %d times", stats.Spilled)
@@ -350,7 +350,7 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	if err != nil || !within {
 		t.Fatalf("spill sizing failed: err=%v within=%v", err, within)
 	}
-	if exact, _ := LabelSize(d, s, -1); size != exact {
+	if exact, _ := labelSize(d, s, -1); size != exact {
 		t.Fatalf("size %d != exact %d", size, exact)
 	}
 	modeled := stats.SpillMaxRunEntries * int64(2*s.Size()+spillEntryBytes)
@@ -373,14 +373,14 @@ func TestSpillMaterializeDecision(t *testing.T) {
 	if NewKeyer(d, s).Fits() {
 		t.Fatal("expected byte keys")
 	}
-	want := BuildPC(d, s)
+	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	dir := t.TempDir()
 	var stats ScanStats
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = dir
 	opts.Stats = &stats
-	got := BuildPCParallel(d, s, opts)
+	got := must(BuildPC(d, s, opts))
 	if stats.Spilled != 1 {
 		t.Fatalf("scan did not spill (Spilled=%d)", stats.Spilled)
 	}
@@ -424,18 +424,18 @@ func dupDataset(t *testing.T, cfg diffConfig, distinct int, seed uint64) *datase
 }
 
 // TestSpilledPCConsumerSurface pins the merge-on-read representation
-// against the oracle through every consumer path: Size, LookupVals of
-// every present pattern, LookupVals of absent and NULL-bearing patterns,
+// against the oracle through every consumer path: Size, LookupValsCtx of
+// every present pattern, LookupValsCtx of absent and NULL-bearing patterns,
 // Each early stop, and concurrent lookups from many goroutines.
 func TestSpilledPCConsumerSurface(t *testing.T) {
 	cfg := diffConfig{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}
 	d := diffDataset(t, cfg, 0x5B)
 	s := spillSet(t, d)
-	want := BuildPC(d, s)
+	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
-	got := BuildPCParallel(d, s, opts)
+	got := must(BuildPC(d, s, opts))
 	if !got.Spilled() {
 		t.Fatalf("near-distinct build did not stay merge-on-read")
 	}
@@ -447,31 +447,31 @@ func TestSpilledPCConsumerSurface(t *testing.T) {
 	n := d.NumAttrs()
 	// Every stored pattern looks up identically (also exercises the pinned
 	// hot-run cache on repeated probes of the same runs).
-	want.Each(n, func(vals []uint16, c int) bool {
-		if g := got.LookupVals(vals); g != c {
-			t.Fatalf("LookupVals(%v) = %d, want %d", vals, g, c)
+	noErr(want.EachCtx(nil, n, func(vals []uint16, c int) bool {
+		if g := must(got.LookupValsCtx(nil, vals)); g != c {
+			t.Fatalf("LookupValsCtx(%v) = %d, want %d", vals, g, c)
 		}
 		return true
-	})
+	}))
 	// Absent and NULL-bearing patterns return 0.
 	absent := make([]uint16, n)
 	for a := range absent {
 		absent[a] = uint16(d.Attr(a).DomainSize()) // valid ids, unlikely combo
 	}
-	if want.LookupVals(absent) == 0 && got.LookupVals(absent) != 0 {
-		t.Fatalf("absent pattern returned %d", got.LookupVals(absent))
+	if must(want.LookupValsCtx(nil, absent)) == 0 && must(got.LookupValsCtx(nil, absent)) != 0 {
+		t.Fatalf("absent pattern returned %d", must(got.LookupValsCtx(nil, absent)))
 	}
 	withNull := make([]uint16, n)
 	withNull[0] = dataset.Null
-	if got.LookupVals(withNull) != 0 {
-		t.Fatalf("NULL-bearing pattern returned %d", got.LookupVals(withNull))
+	if must(got.LookupValsCtx(nil, withNull)) != 0 {
+		t.Fatalf("NULL-bearing pattern returned %d", must(got.LookupValsCtx(nil, withNull)))
 	}
 	// Each with early stop.
 	seen := 0
-	got.Each(n, func(vals []uint16, c int) bool {
+	noErr(got.EachCtx(nil, n, func(vals []uint16, c int) bool {
 		seen++
 		return seen < 10
-	})
+	}))
 	if seen != 10 {
 		t.Fatalf("Each early stop visited %d patterns, want 10", seen)
 	}
@@ -484,7 +484,7 @@ func TestSpilledPCConsumerSurface(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(rows); i += 4 {
-				if got.LookupVals(rows[i].vals) != rows[i].count {
+				if must(got.LookupValsCtx(nil, rows[i].vals)) != rows[i].count {
 					panic("concurrent lookup mismatch")
 				}
 			}
@@ -501,12 +501,12 @@ type pcRow struct {
 
 func pcDumpRows(pc *PC, n int) []pcRow {
 	var rows []pcRow
-	pc.Each(n, func(vals []uint16, c int) bool {
+	noErr(pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 		v := make([]uint16, n)
 		copy(v, vals)
 		rows = append(rows, pcRow{v, c})
 		return true
-	})
+	}))
 	return rows
 }
 
@@ -517,11 +517,11 @@ func TestMarginalizeFromSpilledPC(t *testing.T) {
 	opts := testCountOptions(1)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
-	spilled := BuildPCParallel(d, s, opts)
+	spilled := must(BuildPC(d, s, opts))
 	defer spilled.ReleaseSpill()
 	sub := lattice.NewAttrSet(0, 2)
-	want := BuildPC(d, s).Marginalize(d, sub)
-	got := spilled.Marginalize(d, sub)
+	want := must(must(BuildPC(d, s, CountOptions{Workers: 1})).MarginalizeCtx(nil, d, sub))
+	got := must(spilled.MarginalizeCtx(nil, d, sub))
 	pcEqual(t, want, got)
 }
 
@@ -533,7 +533,7 @@ func TestSpillStatsRaceSafe(t *testing.T) {
 	d := diffDataset(t, cfg, 0x5C)
 	s := spillSet(t, d)
 	budget := spillBudgetFor(d, s, 4)
-	exact, _ := LabelSize(d, s, -1)
+	exact, _ := labelSize(d, s, -1)
 	var stats ScanStats
 	const goroutines = 4
 	var wg sync.WaitGroup
@@ -544,7 +544,7 @@ func TestSpillStatsRaceSafe(t *testing.T) {
 			opts := testCountOptions(2)
 			opts.MemBudget = budget
 			opts.Stats = &stats
-			if size, _ := LabelSizeParallel(d, s, -1, opts); size != exact {
+			if size, _ := must2(LabelSize(d, s, -1, opts)); size != exact {
 				panic("concurrent spilled sizing mismatch")
 			}
 		}()

@@ -1,8 +1,8 @@
 package core
 
 // Concurrency tests for the merge-on-read spilled PC: the read surface
-// (LookupVals / Each / Marginalize) must serve many goroutines at once,
-// bit-identical to the in-memory oracle, for both record formats; Each
+// (LookupValsCtx / EachCtx / MarginalizeCtx) must serve many goroutines at once,
+// bit-identical to the in-memory oracle, for both record formats; EachCtx
 // must tolerate callbacks that re-enter the same PC (the pre-rework code
 // held a global mutex across the callback and deadlocked); and a lookup
 // racing ReleaseSpill must surface only the documented panic, never a raw
@@ -32,11 +32,11 @@ func buildSpilledWithOracle(t *testing.T, cfg diffConfig, seed uint64, minRuns i
 	t.Helper()
 	d = diffDataset(t, cfg, seed)
 	s := spillSet(t, d)
-	oracle = BuildPC(d, s)
+	oracle = must(BuildPC(d, s, CountOptions{Workers: 1}))
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, minRuns)
 	opts.SpillDir = t.TempDir()
-	spilled = BuildPCParallel(d, s, opts)
+	spilled = must(BuildPC(d, s, opts))
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d, budget %d)", oracle.Size(), opts.MemBudget)
 	}
@@ -73,11 +73,11 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 			probes := probeRows(d, 256, uint64(ci)+0x62)
 			want := make([]int, len(probes))
 			for i, p := range probes {
-				want[i] = oracle.LookupVals(p)
+				want[i] = must(oracle.LookupValsCtx(nil, p))
 			}
 			wantDump := pcDump(oracle)
 			sub := lattice.FullSet(2)
-			wantMarg := pcDump(oracle.Marginalize(d, sub))
+			wantMarg := pcDump(must(oracle.MarginalizeCtx(nil, d, sub)))
 
 			const readers = 16
 			var wg sync.WaitGroup
@@ -90,7 +90,7 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 					case 0: // point lookups
 						for rep := 0; rep < 3; rep++ {
 							for i, p := range probes {
-								if got := spilled.LookupVals(p); got != want[i] {
+								if got := must(spilled.LookupValsCtx(nil, p)); got != want[i] {
 									errs <- fmt.Errorf("reader %d: probe %d: got %d, want %d", g, i, got, want[i])
 									return
 								}
@@ -109,7 +109,7 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 							}
 						}
 					case 2: // marginals (Each + aggregation, re-entrant by design)
-						got := pcDump(spilled.Marginalize(d, sub))
+						got := pcDump(must(spilled.MarginalizeCtx(nil, d, sub)))
 						for k, c := range wantMarg {
 							if got[k] != c {
 								errs <- fmt.Errorf("reader %d: marginal %q: got %d, want %d", g, k, got[k], c)
@@ -147,14 +147,14 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 	cfg := spillConcurrencyConfigs[1]
 	d := diffDataset(t, cfg, 0x63)
 	s := spillSet(t, d)
-	oracle := BuildPC(d, s)
+	oracle := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	// Budget one byte under the exact result cost: the build must stay
 	// merge-on-read, but on the read side all runs except a sliver pin.
 	entry := wantFormat(d, s).entryBytes(NewKeyer(d, s))
 	opts := testCountOptions(2)
 	opts.MemBudget = int64(oracle.Size())*entry - 1
 	opts.SpillDir = t.TempDir()
-	spilled := BuildPCParallel(d, s, opts)
+	spilled := must(BuildPC(d, s, opts))
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d, budget %d)", oracle.Size(), opts.MemBudget)
 	}
@@ -163,11 +163,11 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 	probes := probeRows(d, 256, 0x64)
 	want := make([]int, len(probes))
 	for i, p := range probes {
-		want[i] = oracle.LookupVals(p)
+		want[i] = must(oracle.LookupValsCtx(nil, p))
 	}
 	// Warm every run once so subsequent lookups hit the pinned cache.
 	for i, p := range probes {
-		if got := spilled.LookupVals(p); got != want[i] {
+		if got := must(spilled.LookupValsCtx(nil, p)); got != want[i] {
 			t.Fatalf("warm probe %d: got %d, want %d", i, got, want[i])
 		}
 	}
@@ -179,7 +179,7 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, p := range probes {
-				if got := spilled.LookupVals(p); got != want[i] {
+				if got := must(spilled.LookupValsCtx(nil, p)); got != want[i] {
 					t.Errorf("probe %d: got %d, want %d", i, got, want[i])
 					return
 				}
@@ -197,7 +197,7 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 // TestSpilledPCEachReentrantProbe is the deadlock regression for the
 // documented contract that Each's callback may probe the same PC: the
 // pre-rework implementation held one global mutex across the callback, so
-// a LookupVals (or Marginalize) from inside fn self-deadlocked.
+// a LookupValsCtx (or MarginalizeCtx) from inside fn self-deadlocked.
 func TestSpilledPCEachReentrantProbe(t *testing.T) {
 	for ci, cfg := range spillConcurrencyConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -209,23 +209,23 @@ func TestSpilledPCEachReentrantProbe(t *testing.T) {
 				defer close(done)
 				n := d.NumAttrs()
 				first := true
-				spilled.Each(n, func(vals []uint16, count int) bool {
+				noErr(spilled.EachCtx(nil, n, func(vals []uint16, count int) bool {
 					// Re-entrant point probe: the emitted pattern must look
 					// itself up with the emitted count.
-					if got := spilled.LookupVals(vals); got != count {
+					if got := must(spilled.LookupValsCtx(nil, vals)); got != count {
 						t.Errorf("re-entrant lookup: got %d, want %d", got, count)
 						return false
 					}
 					if first {
 						first = false
-						// Full re-entrant scan: Marginalize drives Each over
-						// this same PC from inside the outer Each.
-						if m := spilled.Marginalize(d, lattice.FullSet(2)); m.Size() == 0 {
-							t.Error("re-entrant Marginalize returned an empty PC")
+						// Full re-entrant scan: MarginalizeCtx drives EachCtx over
+						// this same PC from inside the outer EachCtx.
+						if m := must(spilled.MarginalizeCtx(nil, d, lattice.FullSet(2))); m.Size() == 0 {
+							t.Error("re-entrant MarginalizeCtx returned an empty PC")
 						}
 					}
 					return true
-				})
+				}))
 			}()
 			select {
 			case <-done:
@@ -261,7 +261,7 @@ func TestSpilledPCReleaseLookupRace(t *testing.T) {
 					started <- struct{}{}
 					for {
 						for _, p := range probes {
-							spilled.LookupVals(p)
+							must(spilled.LookupValsCtx(nil, p))
 						}
 					}
 				}(g)

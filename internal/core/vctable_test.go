@@ -56,8 +56,8 @@ func valueCounts(d *dataset.Dataset) [][]int {
 func TestLabelsShareDatasetVC(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 3000, attrs: 5, domain: 6, nullRate: 0.1}, 0x5C)
 	base, delta := splitDataset(t, d, 2700)
-	l1 := BuildLabel(base, lattice.NewAttrSet(0, 1))
-	l2 := BuildLabel(base, lattice.NewAttrSet(1, 2))
+	l1 := must(BuildLabel(base, lattice.NewAttrSet(0, 1), CountOptions{Workers: 1}))
+	l2 := must(BuildLabel(base, lattice.NewAttrSet(1, 2), CountOptions{Workers: 1}))
 	part := BuildPartialLabel(base, lattice.NewAttrSet(3))
 
 	counts, fracs := base.VCTable()
@@ -69,12 +69,12 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 	}
 	baseVC := valueCounts(base)
 	checkVC(t, "l2 before merge", l2, baseVC)
-	enc2, err := l2.Portable().Encode()
+	enc2, err := must(l2.Portable()).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dl := BuildLabel(delta, l1.Attrs())
+	dl := must(BuildLabel(delta, l1.Attrs(), CountOptions{Workers: 1}))
 	if _, _, err := l1.Merge(dl, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 	}
 
 	checkVC(t, "l2 after merge", l2, baseVC)
-	after, err := l2.Portable().Encode()
+	after, err := must(l2.Portable()).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 		t.Error("merge into l1 changed l2's portable encoding")
 	}
 	// A fresh label over each dataset serves that dataset's table as is.
-	checkVC(t, "base dataset's table", BuildLabel(base, l1.Attrs()), baseVC)
-	checkVC(t, "delta dataset's table", BuildLabel(delta, l1.Attrs()), valueCounts(delta))
+	checkVC(t, "base dataset's table", must(BuildLabel(base, l1.Attrs(), CountOptions{Workers: 1})), baseVC)
+	checkVC(t, "delta dataset's table", must(BuildLabel(delta, l1.Attrs(), CountOptions{Workers: 1})), valueCounts(delta))
 }
 
 // TestReopenedLabelKeepsItsVC assembles a label the way artifact.Open
@@ -102,7 +102,7 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 func TestReopenedLabelKeepsItsVC(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 1000, attrs: 4, domain: 5, nullRate: 0.1}, 0x5D)
 	s := lattice.NewAttrSet(0, 2)
-	built := BuildLabel(d, s)
+	built := must(BuildLabel(d, s, CountOptions{Workers: 1}))
 	schema, err := dataset.NewBuilderFrom(d, d.Name()).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestConcurrentLabelBuildsShareVC(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			labels[g] = BuildLabel(d, lattice.NewAttrSet(g%6, (g+1)%6))
+			labels[g] = must(BuildLabel(d, lattice.NewAttrSet(g%6, (g+1)%6), CountOptions{Workers: 1}))
 		}()
 	}
 	wg.Wait()

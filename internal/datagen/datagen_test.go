@@ -143,8 +143,8 @@ func TestCOMPASCorrelationStrength(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := core.DistinctTuples(proj)
-	indep := core.BuildLabel(proj, lattice.AttrSet(0))
-	labeled := core.BuildLabel(proj, lattice.NewAttrSet(0, 1)) // DecileScore+ScoreText
+	indep := must(core.BuildLabel(proj, lattice.AttrSet(0), core.CountOptions{Workers: 1}))
+	labeled := must(core.BuildLabel(proj, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})) // DecileScore+ScoreText
 	ei := core.Evaluate(indep, ps, core.EvalOptions{})
 	el := core.Evaluate(labeled, ps, core.EvalOptions{})
 	if el.MaxAbs >= ei.MaxAbs {

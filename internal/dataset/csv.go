@@ -84,6 +84,11 @@ func readCSVHeader(r io.Reader, opts CSVOptions) ([]string, *csv.Reader, error) 
 // readCSVRows streams data rows into the builder, honoring SkipRows and
 // MaxRows.
 func readCSVRows(cr *csv.Reader, b *Builder, opts CSVOptions) (*Dataset, error) {
+	// A rejected header (a repeated name) leaves the builder with fewer
+	// attributes than the rows have fields.
+	if err := b.Err(); err != nil {
+		return nil, err
+	}
 	nulls := make(map[string]bool, len(opts.NullTokens))
 	for _, t := range opts.NullTokens {
 		nulls[t] = true
@@ -134,7 +139,20 @@ func ReadCSVFile(path string, opts CSVOptions) (*Dataset, error) {
 // empty fields.
 func WriteCSV(w io.Writer, d *Dataset) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(d.AttrNames()); err != nil {
+	write := func(rec []string) error {
+		if len(rec) != 1 || rec[0] != "" {
+			return cw.Write(rec)
+		}
+		// encoding/csv writes a lone empty field as an empty line, which
+		// readers skip; the quoted empty field reads back as one field.
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, "\"\"\n")
+		return err
+	}
+	if err := write(d.AttrNames()); err != nil {
 		return err
 	}
 	row := make([]string, d.NumAttrs())
@@ -142,7 +160,7 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 		for a := 0; a < d.NumAttrs(); a++ {
 			row[a] = d.Value(r, a)
 		}
-		if err := cw.Write(row); err != nil {
+		if err := write(row); err != nil {
 			return err
 		}
 	}

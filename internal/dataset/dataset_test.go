@@ -255,23 +255,37 @@ func TestConcat(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	d := sample(t)
-	var sb strings.Builder
-	if err := WriteCSV(&sb, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(strings.NewReader(sb.String()), CSVOptions{Name: "sample"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRows() != d.NumRows() || back.NumAttrs() != d.NumAttrs() {
-		t.Fatalf("shape mismatch (%d,%d)", back.NumRows(), back.NumAttrs())
-	}
-	for r := 0; r < d.NumRows(); r++ {
-		for a := 0; a < d.NumAttrs(); a++ {
-			if back.Value(r, a) != d.Value(r, a) {
-				t.Errorf("(%d,%d): %q != %q", r, a, back.Value(r, a), d.Value(r, a))
+	// A one-column row whose value is NULL must not become a blank line,
+	// which CSV readers skip.
+	oneCol := build(t, NewBuilder("one", "c").AppendStrings("x").AppendStrings("").AppendStrings("y"))
+	for _, d := range []*Dataset{sample(t), oneCol} {
+		var sb strings.Builder
+		if err := WriteCSV(&sb, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(strings.NewReader(sb.String()), CSVOptions{Name: d.Name()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumRows() != d.NumRows() || back.NumAttrs() != d.NumAttrs() {
+			t.Fatalf("%s: shape mismatch (%d,%d)", d.Name(), back.NumRows(), back.NumAttrs())
+		}
+		for r := 0; r < d.NumRows(); r++ {
+			for a := 0; a < d.NumAttrs(); a++ {
+				if back.Value(r, a) != d.Value(r, a) {
+					t.Errorf("%s (%d,%d): %q != %q", d.Name(), r, a, back.Value(r, a), d.Value(r, a))
+				}
 			}
+		}
+	}
+}
+
+func TestCSVRejectsDuplicateHeader(t *testing.T) {
+	// Names are trimmed before the duplicate check, so "a, a" repeats too.
+	for _, in := range []string{"a,a\nx,y\n", "a, a\nx,y\n"} {
+		_, err := ReadCSV(strings.NewReader(in), CSVOptions{})
+		if err == nil || !strings.Contains(err.Error(), `duplicate attribute name "a"`) {
+			t.Errorf("ReadCSV(%q) = %v, want the duplicate name error", in, err)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestRunAccuracy(t *testing.T) {
 	// most tuples have count 1 and tiny fractional PCBL estimates blow up
 	// the q-error while the sampling baseline's est:=1 rule caps it; see
 	// EXPERIMENTS.md.
-	indep := core.Evaluate(core.BuildLabel(nd.D, lattice.AttrSet(0)), core.DistinctTuples(nd.D), core.EvalOptions{})
+	indep := core.Evaluate(must(core.BuildLabel(nd.D, lattice.AttrSet(0), core.CountOptions{Workers: 1})), core.DistinctTuples(nd.D), core.EvalOptions{})
 	for _, p := range res.Points {
 		if p.PCBL.MaxAbs > indep.MaxAbs+1e-9 {
 			t.Errorf("bound %d: PCBL max err %.1f worse than independence %.1f",

@@ -24,11 +24,14 @@ func RenderFig1(nd NamedDataset, cfg Config) (string, error) {
 		return "", fmt.Errorf("experiments: dataset %q has no Race attribute", nd.Name)
 	}
 	s := lattice.NewAttrSet(gIdx, rIdx)
-	l := core.BuildLabel(d, s)
+	l, err := core.BuildLabel(d, s, core.CountOptions{Workers: 1})
+	if err != nil {
+		return "", err
+	}
 	ps := core.DistinctTuples(d)
 	eval := core.Evaluate(l, ps, core.EvalOptions{Workers: cfg.Workers})
 	return core.Render(l, core.RenderOptions{
 		VCAttrs: []string{"Gender", "Age", "Race", "MaritalStatus"},
 		Eval:    &eval,
-	}), nil
+	})
 }

@@ -17,7 +17,7 @@ func fig2Portable(t *testing.T, names ...string) *core.PortableLabel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.BuildLabel(d, s).Portable()
+	return must(must(core.BuildLabel(d, s, core.CountOptions{Workers: 1})).Portable())
 }
 
 func TestWriteBasics(t *testing.T) {
@@ -46,10 +46,10 @@ func TestWriteBasics(t *testing.T) {
 func TestWriteWithEval(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	l := core.BuildLabel(d, s)
+	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	eval := core.Evaluate(l, core.DistinctTuples(d), core.EvalOptions{})
 	var sb strings.Builder
-	if err := Write(&sb, l.Portable(), Options{Eval: &eval, Title: "My data"}); err != nil {
+	if err := Write(&sb, must(l.Portable()), Options{Eval: &eval, Title: "My data"}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -66,9 +66,9 @@ func TestWriteEscapesHTML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := core.BuildLabel(d, lattice.NewAttrSet(0, 1))
+	l := must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1}))
 	var sb strings.Builder
-	if err := Write(&sb, l.Portable(), Options{}); err != nil {
+	if err := Write(&sb, must(l.Portable()), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "<script>alert") {

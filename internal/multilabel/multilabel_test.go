@@ -15,8 +15,8 @@ func TestNewValidation(t *testing.T) {
 	}
 	d1 := testutil.Fig2()
 	d2 := testutil.Fig2()
-	l1 := core.BuildLabel(d1, lattice.NewAttrSet(0, 1))
-	l2 := core.BuildLabel(d2, lattice.NewAttrSet(2, 3))
+	l1 := must(core.BuildLabel(d1, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1}))
+	l2 := must(core.BuildLabel(d2, lattice.NewAttrSet(2, 3), core.CountOptions{Workers: 1}))
 	if _, err := New([]*core.Label{l1, l2}, BestOverlap); err == nil {
 		t.Error("labels over different datasets accepted")
 	}
@@ -24,8 +24,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestBestOverlapPicksCoveringLabel(t *testing.T) {
 	d := testutil.Fig2()
-	lGA := core.BuildLabel(d, lattice.NewAttrSet(0, 1)) // gender, age
-	lRM := core.BuildLabel(d, lattice.NewAttrSet(2, 3)) // race, marital
+	lGA := must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})) // gender, age
+	lRM := must(core.BuildLabel(d, lattice.NewAttrSet(2, 3), core.CountOptions{Workers: 1})) // race, marital
 	m, err := New([]*core.Label{lGA, lRM}, BestOverlap)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +55,8 @@ func TestMultiBeatsBestSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := core.DistinctTuples(proj)
-	lA := core.BuildLabel(proj, lattice.NewAttrSet(0, 1, 2)) // score cluster
-	lB := core.BuildLabel(proj, lattice.NewAttrSet(3, 4, 5)) // demographics
+	lA := must(core.BuildLabel(proj, lattice.NewAttrSet(0, 1, 2), core.CountOptions{Workers: 1})) // score cluster
+	lB := must(core.BuildLabel(proj, lattice.NewAttrSet(3, 4, 5), core.CountOptions{Workers: 1})) // demographics
 	m, err := New([]*core.Label{lA, lB}, BestOverlap)
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +73,9 @@ func TestMultiBeatsBestSingle(t *testing.T) {
 func TestMedianStrategy(t *testing.T) {
 	d := testutil.Fig2()
 	labels := []*core.Label{
-		core.BuildLabel(d, lattice.NewAttrSet(0, 1)),
-		core.BuildLabel(d, lattice.NewAttrSet(1, 3)),
-		core.BuildLabel(d, lattice.NewAttrSet(2, 3)),
+		must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})),
+		must(core.BuildLabel(d, lattice.NewAttrSet(1, 3), core.CountOptions{Workers: 1})),
+		must(core.BuildLabel(d, lattice.NewAttrSet(2, 3), core.CountOptions{Workers: 1})),
 	}
 	m, err := New(labels, Median)
 	if err != nil {
@@ -116,8 +116,8 @@ func TestMedianStrategy(t *testing.T) {
 
 func TestTotalSize(t *testing.T) {
 	d := testutil.Fig2()
-	l1 := core.BuildLabel(d, lattice.NewAttrSet(1, 3)) // size 3
-	l2 := core.BuildLabel(d, lattice.NewAttrSet(0, 1)) // size 4
+	l1 := must(core.BuildLabel(d, lattice.NewAttrSet(1, 3), core.CountOptions{Workers: 1})) // size 3
+	l2 := must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})) // size 4
 	m, _ := New([]*core.Label{l1, l2}, BestOverlap)
 	if got := m.TotalSize(); got != 7 {
 		t.Errorf("total size = %d, want 7", got)

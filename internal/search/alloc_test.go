@@ -71,8 +71,8 @@ func TestAllocsSizeLevelSteadyState(t *testing.T) {
 		t.Fatalf("steady-state sizeLevel missed the pool %d times", after-before)
 	}
 	// The in-memory enumeration workload must never touch the spill tier.
-	if stats.SpilledSets != 0 || stats.SpillRuns != 0 || stats.SpillBytes != 0 {
-		t.Fatalf("in-memory sizing workload spilled: SpilledSets=%d SpillRuns=%d SpillBytes=%d",
-			stats.SpilledSets, stats.SpillRuns, stats.SpillBytes)
+	if stats.Spilled != 0 || stats.SpillRuns != 0 || stats.SpillBytes != 0 {
+		t.Fatalf("in-memory sizing workload spilled: Spilled=%d SpillRuns=%d SpillBytes=%d",
+			stats.Spilled, stats.SpillRuns, stats.SpillBytes)
 	}
 }

@@ -37,10 +37,10 @@ func TestNaiveIsOptimal(t *testing.T) {
 	ps := core.DistinctTuples(d)
 	for _, bound := range []int{4, 6, 9, 50} {
 		best := bruteForceOptimum(t, d, bound, func(s lattice.AttrSet) (float64, bool) {
-			if _, within := core.LabelSize(d, s, bound); !within {
+			if _, within := must2(core.LabelSize(d, s, bound, core.CountOptions{Workers: 1})); !within {
 				return 0, false
 			}
-			l := core.BuildLabel(d, s)
+			l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 			maxErr, _ := core.MaxAbsError(l, ps, core.MaxErrOptions{Workers: 1})
 			return maxErr, true
 		})

@@ -126,7 +126,7 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 			if s != children[i] {
 				t.Fatalf("visit order diverged at %d: got %v, want %v", i, s, children[i])
 			}
-			_, want := core.LabelSize(d, s, bound)
+			_, want := must2(core.LabelSize(d, s, bound, core.CountOptions{Workers: 1}))
 			if within != want {
 				t.Fatalf("set %v: fused within=%v, sequential %v", s, within, want)
 			}

@@ -32,7 +32,7 @@ type Options struct {
 	BranchAndBound bool
 	// Workers bounds parallelism in both phases: the enumeration phase
 	// shards its fused label-size scans across this many workers (see
-	// core.LabelSizesFused), and the final evaluation phase scores this
+	// core.LabelSizes), and the final evaluation phase scores this
 	// many candidates concurrently. runtime.NumCPU() when 0, 1 for a
 	// single-threaded run. Note that enumeration always sizes frontiers
 	// through the fused batch scan (a beyond-paper optimization, result-
@@ -70,8 +70,8 @@ type Options struct {
 	// its compact spaces are bounded by a dense-keyable parent's key space
 	// times one attribute domain, so the budget never applies there. Zero
 	// means unlimited. Results are identical either way;
-	// Stats.SpilledSets/SpilledU64Sets/SpillRuns/SpillParallelRuns/
-	// SpillBytes report the tier's use.
+	// Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
+	// report the tier's use.
 	MemBudget int64
 
 	// SpillDir overrides where spill run files are written (system temp
@@ -161,34 +161,12 @@ type Stats struct {
 	// how often a count slab or key-block scratch was recycled from the
 	// arena versus freshly allocated.
 	PoolHits, PoolMisses int64
-	// DenseSets counts raw-scanned sets the engine routed to the dense
-	// flat-array kernel rather than a hash map.
-	DenseSets int
-	// SpilledSets counts raw-scanned sets the engine routed to the
-	// external-memory spill group-by (map- or byte-key sets over
-	// Options.MemBudget). Zero on fully in-memory runs.
-	SpilledSets int
-	// SpilledU64Sets counts the subset of SpilledSets spilled with the
-	// fixed-width uint64 record format (mixed-radix key fits uint64); the
-	// remainder spilled byte-string records.
-	SpilledU64Sets int
-	// SpillRuns totals the on-disk partitions those sets were split into.
-	SpillRuns int
-	// SpillParallelRuns totals the runs counted by multi-worker (parallel)
-	// run-counting phases.
-	SpillParallelRuns int
-	// SpillBytes totals the bytes written to spill run files.
-	SpillBytes int64
-	// SpillFallbacks counts spilled sets that hit disk trouble and fell
-	// back to the unbounded in-memory kernel (results stay correct; the
-	// memory budget was not honored for those sets).
-	SpillFallbacks int
-	// SharedSpillPasses counts shared partition passes: frontiers with
-	// several spilled sets partition all of them in one dataset scan.
-	SharedSpillPasses int
-	// SpillPassesSaved totals the dataset partition scans the shared
-	// passes avoided (sets-in-pass minus one, summed over passes).
-	SpillPassesSaved int
+	// ScanStats meters the raw-scanned sets (refined sets never reach the
+	// counting kernels): which kernel each went to — Dense, Map, Bytes,
+	// Spilled (SpilledU64 of them with uint64 records) — and the spill
+	// tier's runs, bytes, fallbacks and shared partition passes. All zero
+	// spill counters mean a fully in-memory run.
+	core.ScanStats
 	// SearchTime covers candidate enumeration (label-size computation).
 	SearchTime time.Duration
 	// EvalTime covers the find-best-candidate phase (paper §IV-C reports
@@ -233,7 +211,7 @@ type sibBatch struct {
 //     the candidate stays dense-keyable: the level's candidates are grouped
 //     by gen parent, and one core.RefineSizes pass per parent sizes them
 //     all without any per-set allocation beyond pooled compact-space slabs;
-//   - the fused raw scan (core.LabelSizesFusedE) otherwise, which also
+//   - the fused raw scan (core.LabelSizes) otherwise, which also
 //     routes over-budget sets onto the spill tier.
 //
 // All scratch cycles through one slab pool, so steady-state sizing
@@ -244,7 +222,6 @@ type levelSizer struct {
 	opts  Options
 	stats *Stats
 	pool  *core.VecPool
-	scan  core.ScanStats
 
 	within     []bool // per-candidate verdict of the level being sized
 	batches    []sibBatch
@@ -312,10 +289,10 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	// candidates (map- and byte-key sets over the memory budget) are
 	// routed inside the fused sizing call onto external spill scans.
 	co := z.opts.countOptions()
-	co.Stats, co.Pool = &z.scan, z.pool
+	co.Stats, co.Pool = &z.stats.ScanStats, z.pool
 	for lo := 0; lo < len(z.scanSets); lo += fusedBatch {
 		hi := min(lo+fusedBatch, len(z.scanSets))
-		_, within, err := core.LabelSizesFusedE(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
+		_, within, err := core.LabelSizes(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
 		if err != nil {
 			return err
 		}
@@ -327,15 +304,6 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	z.stats.RefinedSets += len(z.batchIdx)
 	z.stats.ScannedSets += len(z.scanSets)
 	z.stats.BatchRefines += len(z.batches)
-	z.stats.DenseSets = z.scan.Dense
-	z.stats.SpilledSets = int(z.scan.Spilled)
-	z.stats.SpilledU64Sets = int(z.scan.SpilledU64)
-	z.stats.SpillRuns = int(z.scan.SpillRuns)
-	z.stats.SpillParallelRuns = int(z.scan.SpillParallelRuns)
-	z.stats.SpillBytes = z.scan.SpillBytes
-	z.stats.SpillFallbacks = int(z.scan.SpillFallbacks)
-	z.stats.SharedSpillPasses = int(z.scan.SharedSpillPasses)
-	z.stats.SpillPassesSaved = int(z.scan.SpillPassesSaved)
 	z.stats.PoolHits, z.stats.PoolMisses = z.pool.Stats()
 	for i, s := range sets {
 		z.stats.SizeComputed++
@@ -524,7 +492,11 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 		for i := 0; i < d.NumAttrs(); i++ {
 			s := lattice.NewAttrSet(i)
 			stats.SizeComputed++
-			if _, within := core.LabelSize(d, s, opts.Bound); within {
+			_, within, err := core.LabelSize(d, s, opts.Bound, core.CountOptions{Workers: 1})
+			if err != nil {
+				return nil, err
+			}
+			if within {
 				stats.InBound++
 				cands = append(cands, s)
 			}
@@ -592,7 +564,7 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 	}
 	workpool.DoCtx(opts.Ctx, len(cands), opts.Workers, func(i int) {
 		s := cands[i]
-		l, err := core.BuildLabelOptsCtx(opts.Ctx, d, s, co)
+		l, err := core.BuildLabel(d, s, co)
 		if err != nil {
 			fail(err)
 			return
@@ -637,7 +609,7 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 	}
 	if bestIdx < 0 { // all cut off: re-evaluate the first exactly
 		results[0].label.ReleaseSpill() // replaced below
-		l, err := core.BuildLabelOptsCtx(opts.Ctx, d, cands[0], co)
+		l, err := core.BuildLabel(d, cands[0], co)
 		if err != nil {
 			for i := 1; i < len(results); i++ {
 				results[i].label.ReleaseSpill()
@@ -681,7 +653,7 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 	out := make([]Result, len(sets))
 	co := opts.countOptions()
 	for i, s := range sets {
-		l, err := core.BuildLabelOptsCtx(opts.Ctx, d, s, co)
+		l, err := core.BuildLabel(d, s, co)
 		if err != nil {
 			for _, r := range out[:i] {
 				r.Label.ReleaseSpill()

@@ -124,7 +124,7 @@ func TestCandidatesAreAntichain(t *testing.T) {
 			curr := queue[0]
 			queue = queue[1:]
 			for _, c := range curr.Gen(n) {
-				if _, within := core.LabelSize(d, c, bound); !within {
+				if _, within := must2(core.LabelSize(d, c, bound, core.CountOptions{Workers: 1})); !within {
 					continue
 				}
 				queue = append(queue, c)

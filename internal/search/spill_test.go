@@ -61,8 +61,8 @@ func TestSearchSpillIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseStats.SpilledSets != 0 {
-		t.Fatalf("unbudgeted run spilled %d sets", baseStats.SpilledSets)
+	if baseStats.Spilled != 0 {
+		t.Fatalf("unbudgeted run spilled %d sets", baseStats.Spilled)
 	}
 	// Budget small enough that the full set's byte-map estimate exceeds
 	// it: raw sizing of that candidate must go through spill runs.
@@ -84,8 +84,8 @@ func TestSearchSpillIdentity(t *testing.T) {
 				t.Fatalf("workers=%d: candidate %d = %v, want %v", workers, i, got[i], base[i])
 			}
 		}
-		if stats.SpilledSets == 0 || stats.SpillRuns < 4 {
-			t.Fatalf("workers=%d: SpilledSets=%d SpillRuns=%d, want a >=4-run spill", workers, stats.SpilledSets, stats.SpillRuns)
+		if stats.Spilled == 0 || stats.SpillRuns < 4 {
+			t.Fatalf("workers=%d: Spilled=%d SpillRuns=%d, want a >=4-run spill", workers, stats.Spilled, stats.SpillRuns)
 		}
 		if stats.SpillBytes == 0 {
 			t.Fatalf("workers=%d: spill reported zero bytes written", workers)
@@ -93,9 +93,9 @@ func TestSearchSpillIdentity(t *testing.T) {
 		// Per-format split: under this budget the uint64-keyable pairs and
 		// triples spill with uint64 records while the full set spills byte
 		// records — both formats must be represented and counted apart.
-		if stats.SpilledU64Sets == 0 || stats.SpilledU64Sets >= stats.SpilledSets {
-			t.Fatalf("workers=%d: SpilledU64Sets=%d of SpilledSets=%d, want both formats present",
-				workers, stats.SpilledU64Sets, stats.SpilledSets)
+		if stats.SpilledU64 == 0 || stats.SpilledU64 >= stats.Spilled {
+			t.Fatalf("workers=%d: SpilledU64=%d of Spilled=%d, want both formats present",
+				workers, stats.SpilledU64, stats.Spilled)
 		}
 		// At 3000 rows the engine's per-worker row floor resolves every
 		// scan to one effective worker, so run counting stays sequential
@@ -110,9 +110,9 @@ func TestSearchSpillIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: SharedSpillPasses=%d SpillPassesSaved=%d, want shared partitioning",
 				workers, stats.SharedSpillPasses, stats.SpillPassesSaved)
 		}
-		if stats.SharedSpillPasses+stats.SpillPassesSaved > stats.SpilledSets {
+		if stats.SharedSpillPasses+stats.SpillPassesSaved > stats.Spilled {
 			t.Fatalf("workers=%d: pass accounting inconsistent: %d passes + %d saved > %d spilled sets",
-				workers, stats.SharedSpillPasses, stats.SpillPassesSaved, stats.SpilledSets)
+				workers, stats.SharedSpillPasses, stats.SpillPassesSaved, stats.Spilled)
 		}
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -147,9 +147,9 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseStats.SpilledSets == 0 || baseStats.SpillParallelRuns != 0 {
-		t.Fatalf("workers=1 baseline: SpilledSets=%d SpillParallelRuns=%d, want spills counted sequentially",
-			baseStats.SpilledSets, baseStats.SpillParallelRuns)
+	if baseStats.Spilled == 0 || baseStats.SpillParallelRuns != 0 {
+		t.Fatalf("workers=1 baseline: Spilled=%d SpillParallelRuns=%d, want spills counted sequentially",
+			baseStats.Spilled, baseStats.SpillParallelRuns)
 	}
 	dir := t.TempDir()
 	got, stats, err := Enumerate(d, Options{
@@ -167,9 +167,9 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 			t.Fatalf("workers=8: candidate %d = %v, want %v", i, got[i], base[i])
 		}
 	}
-	if stats.SpilledSets == 0 || stats.SpillParallelRuns == 0 {
-		t.Fatalf("workers=8: SpilledSets=%d SpillParallelRuns=%d, want parallel-counted spills",
-			stats.SpilledSets, stats.SpillParallelRuns)
+	if stats.Spilled == 0 || stats.SpillParallelRuns == 0 {
+		t.Fatalf("workers=8: Spilled=%d SpillParallelRuns=%d, want parallel-counted spills",
+			stats.Spilled, stats.SpillParallelRuns)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {

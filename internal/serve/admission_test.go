@@ -25,7 +25,7 @@ import (
 func limitedServer(t *testing.T, lim Limits) (h *Handler, ts *httptest.Server) {
 	t.Helper()
 	d := testDataset(t, 500, 3, 8, 0xA1)
-	l := core.BuildLabel(d, lattice.FullSet(3))
+	l := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{Workers: 1}))
 	h = NewHandler(l)
 	h.SetLimits(lim)
 	ts = httptest.NewServer(h)

@@ -24,9 +24,9 @@ import (
 func openServedLabelFS(t *testing.T, seed uint64) (l *core.Label, ffs *iofault.FaultFS, h *Handler, ts *httptest.Server, probe string) {
 	t.Helper()
 	d := testDataset(t, 4000, 4, 300, seed)
-	inproc := core.BuildLabelOpts(d, lattice.FullSet(3), core.CountOptions{
+	inproc := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	if !inproc.PC().Spilled() {
 		t.Fatal("label did not spill; adjust the test shape")
 	}

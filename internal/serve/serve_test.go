@@ -87,9 +87,9 @@ func exprFor(d *dataset.Dataset, r, k int) string {
 func openServedLabel(t *testing.T, d *dataset.Dataset) (inproc, reopened *core.Label, ts *httptest.Server) {
 	t.Helper()
 	s := lattice.FullSet(3)
-	inproc = core.BuildLabelOpts(d, s, core.CountOptions{
+	inproc = must(core.BuildLabel(d, s, core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
-	})
+	}))
 	if !inproc.PC().Spilled() {
 		t.Fatal("label did not spill; adjust the test shape")
 	}
@@ -135,7 +135,7 @@ func TestServeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := inproc.Count(p)
+		want, _ := must2(inproc.CountCtx(nil, p))
 		var cr CountResult
 		if code := getJSON(t, c, ts.URL+"/v1/count?q="+url.QueryEscape(full), &cr); code != http.StatusOK {
 			t.Fatalf("/v1/count %q: status %d", full, code)
@@ -165,7 +165,7 @@ func TestServeIdentity(t *testing.T) {
 	if code := getJSON(t, c, ts.URL+"/v1/marginal?attrs=a0,a1", &mr); code != http.StatusOK {
 		t.Fatalf("/v1/marginal: status %d", code)
 	}
-	wantPC, _ := inproc.MarginalPC(lattice.NewAttrSet(0, 1))
+	wantPC, _ := must2(inproc.MarginalPCCtx(nil, lattice.NewAttrSet(0, 1)))
 	if len(mr.Patterns) != wantPC.Size() {
 		t.Fatalf("marginal has %d patterns, want %d", len(mr.Patterns), wantPC.Size())
 	}
@@ -174,7 +174,7 @@ func TestServeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := inproc.Count(p); e.Count != want {
+		if want, _ := must2(inproc.CountCtx(nil, p)); e.Count != want {
 			t.Fatalf("marginal %v: got %d, want %d", e.Pattern, e.Count, want)
 		}
 	}
@@ -217,7 +217,7 @@ func TestServeConcurrentClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := inproc.Count(p)
+		want, _ := must2(inproc.CountCtx(nil, p))
 		probes[i] = probe{url: ts.URL + "/v1/count?q=" + url.QueryEscape(expr), want: want}
 	}
 
@@ -366,7 +366,7 @@ func TestServeMetrics(t *testing.T) {
 func TestServeRejectsAttrBeyondColumn63(t *testing.T) {
 	d := testDataset(t, 500, 70, 3, 0x70)
 	dir := t.TempDir() + "/artifact"
-	if err := artifact.Save(core.BuildLabel(d, lattice.NewAttrSet(0, 1)), dir); err != nil {
+	if err := artifact.Save(must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})), dir); err != nil {
 		t.Fatal(err)
 	}
 	l, _, err := artifact.Open(dir)

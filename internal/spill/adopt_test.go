@@ -23,7 +23,7 @@ func spillRecords(t *testing.T, n, distinct, width int) (*Writer, map[string]int
 func countAll(t *testing.T, w *Writer) map[string]int {
 	t.Helper()
 	got := make(map[string]int)
-	_, _, err := w.CountRuns(-1, 1, func(run int, counts map[string]int) bool {
+	_, _, err := w.CountRunsCtx(nil, -1, 1, func(run int, counts map[string]int) bool {
 		for k, v := range counts {
 			got[k] += v
 		}

@@ -107,7 +107,7 @@ func TestScanDetectsFrameCorruption(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = w.CountRuns(-1, 2, nil)
+	_, _, err = w.CountRunsCtx(nil, -1, 2, nil)
 	if err == nil {
 		t.Fatal("CountRuns accepted a corrupted frame")
 	}
@@ -183,7 +183,7 @@ func TestMultiWriterWriteFaultIsolatesTarget(t *testing.T) {
 			continue
 		}
 		counts := make(map[string]int)
-		size, _, err := mw.Writer(i).CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+		size, _, err := mw.Writer(i).CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 			for k, c := range m {
 				counts[k] = c
 			}
@@ -238,7 +238,7 @@ func TestMultiWriterCreateFaultIsolatesTarget(t *testing.T) {
 		if err := mw.Err(i); err != nil {
 			t.Fatalf("sibling %d errored: %v", i, err)
 		}
-		size, _, err := mw.Writer(i).CountRuns(-1, 1, nil)
+		size, _, err := mw.Writer(i).CountRunsCtx(nil, -1, 1, nil)
 		if err != nil || size != len(refs[i]) {
 			t.Fatalf("sibling %d: size=%d err=%v, want %d", i, size, err, len(refs[i]))
 		}

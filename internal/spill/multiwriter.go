@@ -6,7 +6,7 @@ package spill
 // Each target keeps its own Writer — its own run directory, record width,
 // run count and framed layout — and the run files it produces are
 // byte-identical to the ones a standalone per-set pass would write, so the
-// counting side (CountRuns/CountRunsU64) needs no changes at all.
+// counting side (CountRunsCtx/CountRunsU64Ctx) needs no changes at all.
 //
 // Failure isolation is per target: a target whose run files cannot be
 // created, or whose shard hits a write error mid-pass, is marked failed

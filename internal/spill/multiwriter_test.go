@@ -78,7 +78,7 @@ func TestMultiWriterMatchesStandalone(t *testing.T) {
 		}
 		solo.Cleanup()
 		counts := make(map[string]int)
-		size, within, err := w.CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+		size, within, err := w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 			for k, c := range m {
 				counts[k] = c
 			}

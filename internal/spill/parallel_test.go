@@ -60,7 +60,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 				}
 				got := make(map[uint64]int)
-				size, within, err := w.CountRunsU64(-1, workers, func(run int, m map[uint64]int) bool {
+				size, within, err := w.CountRunsU64Ctx(nil, -1, workers, func(run int, m map[uint64]int) bool {
 					for k, c := range m {
 						if _, dup := got[k]; dup {
 							t.Fatalf("key emitted by two runs: partition not disjoint")
@@ -103,7 +103,7 @@ func TestU64CapAbort(t *testing.T) {
 			if err := sw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			size, within, err := w.CountRunsU64(cap, workers, nil)
+			size, within, err := w.CountRunsU64Ctx(nil, cap, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 
 	t.Run("success", func(t *testing.T) {
 		w := build(t)
-		if _, _, err := w.CountRuns(-1, workers, nil); err != nil {
+		if _, _, err := w.CountRunsCtx(nil, -1, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		w.Cleanup()
@@ -184,7 +184,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 
 	t.Run("cap-abort", func(t *testing.T) {
 		w := build(t)
-		size, within, err := w.CountRuns(3, workers, nil)
+		size, within, err := w.CountRunsCtx(nil, 3, workers, nil)
 		if err != nil || within || size != 4 {
 			t.Fatalf("cap-abort: got (%d, %v, %v), want (4, false, nil)", size, within, err)
 		}
@@ -202,14 +202,14 @@ func TestParallelCountLifecycle(t *testing.T) {
 			}()
 			w = build(t)
 			defer w.Cleanup()
-			w.CountRuns(-1, workers, func(run int, m map[string]int) bool {
+			w.CountRunsCtx(nil, -1, workers, func(run int, m map[string]int) bool {
 				panic("injected mid-merge failure")
 			})
 		}()
 		assertEmptyDir(t, w, "after panic unwound through the deferred cleanup")
 		// The writer must stay usable for error reporting after a recovered
 		// panic (no lock left held).
-		if _, _, err := w.CountRuns(-1, workers, nil); err == nil {
+		if _, _, err := w.CountRunsCtx(nil, -1, workers, nil); err == nil {
 			t.Fatal("CountRuns after Cleanup should error")
 		}
 	})

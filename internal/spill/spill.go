@@ -17,10 +17,10 @@
 // whole key space.
 //
 // Two record encodings share the machinery: opaque RecWidth-byte records
-// counted into map[string]int (CountRuns), and fixed-width 8-byte
+// counted into map[string]int (CountRunsCtx), and fixed-width 8-byte
 // little-endian uint64 records counted into map[uint64]int (AddU64 /
-// CountRunsU64) for key spaces that fit uint64 but whose map state is over
-// budget. Run counting is parallel: runs are key-disjoint, so CountRuns
+// CountRunsU64Ctx) for key spaces that fit uint64 but whose map state is
+// over budget. Run counting is parallel: runs are key-disjoint, so CountRunsCtx
 // splits them K-way across workers with a shared atomic distinct total for
 // exact cross-worker cap-abort, and each worker reuses one pooled map and
 // read chunk across its runs.
@@ -66,11 +66,11 @@ type BufPool interface {
 // Config describes one spill group-by.
 type Config struct {
 	// RecWidth is the fixed record width in bytes. Required, > 0. Callers
-	// using the uint64 record format (AddU64/CountRunsU64) must set it to 8.
+	// using the uint64 record format (AddU64/CountRunsU64Ctx) must set it to 8.
 	RecWidth int
 	// Runs is the number of hash partitions K. Required, >= 1. Callers
 	// size it so one run's estimated in-memory map fits each counting
-	// worker's share of their budget (CountRuns keeps one run map live per
+	// worker's share of their budget (CountRunsCtx keeps one run map live per
 	// worker).
 	Runs int
 	// Dir is the parent directory for the run files; the writer creates
@@ -98,7 +98,7 @@ type Stats struct {
 	// included.
 	BytesWritten int64
 	// MaxRunEntries is the largest per-run distinct-key count observed by
-	// CountRuns — the quantity the caller's run-sizing bounds.
+	// CountRunsCtx — the quantity the caller's run-sizing bounds.
 	MaxRunEntries int
 }
 
@@ -202,7 +202,7 @@ func routeHash(rec []byte) uint64 {
 
 // Writer partitions fixed-width records into K on-disk runs. Create one
 // with NewWriter, obtain one ShardWriter per producing goroutine, and after
-// all shards are closed call CountRuns (or CountRunsU64); always Cleanup
+// all shards are closed call CountRunsCtx (or CountRunsU64Ctx); always Cleanup
 // (it is idempotent and safe to defer before any error handling, including
 // panics).
 type Writer struct {
@@ -503,7 +503,7 @@ func (w *Writer) RunOfU64(key uint64) int {
 // Shard returns a writer-local view for one producing goroutine: Add is not
 // safe for concurrent use on a single ShardWriter, but any number of shards
 // may add concurrently. Close flushes and returns the shard's buffers to
-// the pool; it must be called (even after errors) before CountRuns.
+// the pool; it must be called (even after errors) before CountRunsCtx.
 func (w *Writer) Shard() *ShardWriter {
 	s := &ShardWriter{w: w, bufs: make([][]byte, w.cfg.Runs)}
 	for i := range s.bufs {
@@ -719,10 +719,10 @@ func (w *Writer) ScanRun(run int, fn func(rec []byte) bool) error {
 	return err
 }
 
-// CountRuns counts each run with an in-memory map[string]int and reports
-// the total distinct-record count with exactly the sequential cap-abort
-// contract of label sizing: when cap >= 0 and the total distinct count
-// exceeds cap, counting stops and the result is (cap+1, false).
+// CountRunsCtx counts each run with an in-memory map[string]int and
+// reports the total distinct-record count with exactly the sequential
+// cap-abort contract of label sizing: when cap >= 0 and the total distinct
+// count exceeds cap, counting stops and the result is (cap+1, false).
 //
 // Runs hold disjoint keys, so they are counted independently: with
 // workers > 1 the runs are split K-way across worker goroutines, each
@@ -740,29 +740,20 @@ func (w *Writer) ScanRun(run int, fn func(rec []byte) bool) error {
 // for the worker's next run: emit must not retain it. A panic in emit (or
 // anywhere in a counting worker) is re-raised on the calling goroutine, so
 // the caller's deferred Cleanup still runs.
-func (w *Writer) CountRuns(cap, workers int, emit func(run int, counts map[string]int) bool) (size int, within bool, err error) {
-	return countRuns(nil, w, cap, workers, addRecBytes, emit)
-}
-
-// CountRunsU64 is CountRuns for the uint64 record format: 8-byte
-// little-endian records counted into map[uint64]int — no per-key string
-// materialization, the same cap-abort and parallelism contract.
-func (w *Writer) CountRunsU64(cap, workers int, emit func(run int, counts map[uint64]int) bool) (size int, within bool, err error) {
-	return countRuns(nil, w, cap, workers, addRecU64, emit)
-}
-
-// CountRunsCtx is CountRuns with cooperative cancellation: when ctx fires,
-// workers stop at the next run boundary (and, within a run, at the next
-// ctxCheckRecs-record stride), the shared stop flag fans the abort out to
-// every worker — the same machinery as the cap-abort — and the context's
-// error is returned. A nil ctx (or context.Background()) costs a single
-// nil compare per check.
+//
+// When ctx fires, workers stop at the next run boundary (and, within a
+// run, at the next ctxCheckRecs-record stride), the shared stop flag fans
+// the abort out to every worker — the same machinery as the cap-abort —
+// and the context's error is returned. A nil ctx never cancels, and it (or
+// context.Background()) costs a single nil compare per check.
 func (w *Writer) CountRunsCtx(ctx context.Context, cap, workers int, emit func(run int, counts map[string]int) bool) (size int, within bool, err error) {
 	return countRuns(ctx, w, cap, workers, addRecBytes, emit)
 }
 
-// CountRunsU64Ctx is CountRunsU64 with cooperative cancellation; see
-// CountRunsCtx.
+// CountRunsU64Ctx is CountRunsCtx for the uint64 record format: 8-byte
+// little-endian records counted into map[uint64]int — no per-key string
+// materialization, the same cap-abort, parallelism and cancellation
+// contract.
 func (w *Writer) CountRunsU64Ctx(ctx context.Context, cap, workers int, emit func(run int, counts map[uint64]int) bool) (size int, within bool, err error) {
 	return countRuns(ctx, w, cap, workers, addRecU64, emit)
 }
@@ -789,7 +780,7 @@ func addRecU64(m map[uint64]int, rec []byte) bool {
 }
 
 // countRuns is the shared, format-generic run-counting engine behind
-// CountRuns and CountRunsU64.
+// CountRunsCtx and CountRunsU64Ctx.
 func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, add func(map[K]int, []byte) bool, emit func(run int, counts map[K]int) bool) (size int, within bool, err error) {
 	if w.done {
 		return 0, false, fmt.Errorf("spill: CountRuns after Cleanup")
@@ -910,7 +901,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 }
 
 // Stats returns the writer's accumulated counters. Call after the shards
-// are closed (and after CountRuns for MaxRunEntries).
+// are closed (and after CountRunsCtx for MaxRunEntries).
 func (w *Writer) Stats() Stats {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()

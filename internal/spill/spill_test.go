@@ -78,7 +78,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 				writeAll(t, w, recs, shards)
 				got := make(map[string]int)
 				seenRuns := 0
-				size, within, err := w.CountRuns(-1, workers, func(run int, m map[string]int) bool {
+				size, within, err := w.CountRunsCtx(nil, -1, workers, func(run int, m map[string]int) bool {
 					seenRuns++
 					for k, c := range m {
 						if _, dup := got[k]; dup {
@@ -130,7 +130,7 @@ func TestCapAbort(t *testing.T) {
 				t.Fatal(err)
 			}
 			writeAll(t, w, recs, 2)
-			size, within, err := w.CountRuns(cap, workers, nil)
+			size, within, err := w.CountRunsCtx(nil, cap, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestCleanupOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeAll(t, w, recs, 1)
-	if _, _, err := w.CountRuns(-1, 1, nil); err != nil {
+	if _, _, err := w.CountRunsCtx(nil, -1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Cleanup()
@@ -245,7 +245,7 @@ func TestBuffersCycleThroughPool(t *testing.T) {
 	}
 	defer w.Cleanup()
 	writeAll(t, w, recs, 2)
-	size, _, err := w.CountRuns(-1, 1, nil)
+	size, _, err := w.CountRunsCtx(nil, -1, 1, nil)
 	if err != nil || size != len(ref) {
 		t.Fatalf("size=%d err=%v, want %d", size, err, len(ref))
 	}

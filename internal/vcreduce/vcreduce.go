@@ -231,14 +231,17 @@ func (in *Instance) CoverAttrSet(cover []int) lattice.AttrSet {
 }
 
 // LabelMaxError evaluates Err(L_S(D), P) over the reduction's pattern set.
-func (in *Instance) LabelMaxError(s lattice.AttrSet) float64 {
-	l := core.BuildLabel(in.Data, s)
+func (in *Instance) LabelMaxError(s lattice.AttrSet) (float64, error) {
+	l, err := core.BuildLabel(in.Data, s, core.CountOptions{Workers: 1})
+	if err != nil {
+		return 0, err
+	}
 	ps, err := core.FromPatterns(in.Data, in.Patterns)
 	if err != nil {
 		panic(err) // patterns were built against in.Data; cannot mismatch
 	}
 	maxErr, _ := core.MaxAbsError(l, ps, core.MaxErrOptions{Workers: 1})
-	return maxErr
+	return maxErr, nil
 }
 
 // LabelSize returns the reduction's label-size accounting for S: partial
@@ -269,21 +272,26 @@ func (in *Instance) PredictedLabelSize(s lattice.AttrSet) int {
 // ZeroErrorWithinBound brute-forces whether some attribute set yields a
 // zero-error label within the bound, returning a witness. Only feasible for
 // the small graphs used in tests.
-func (in *Instance) ZeroErrorWithinBound() (lattice.AttrSet, bool) {
+func (in *Instance) ZeroErrorWithinBound() (lattice.AttrSet, bool, error) {
 	n := in.Data.NumAttrs()
 	var witness lattice.AttrSet
 	found := false
+	var err error
 	lattice.AllSubsets(n, func(s lattice.AttrSet) bool {
 		if in.LabelSize(s) > in.Bound {
 			return true
 		}
-		if in.LabelMaxError(s) == 0 {
+		var maxErr float64
+		if maxErr, err = in.LabelMaxError(s); err != nil {
+			return false
+		}
+		if maxErr == 0 {
 			witness, found = s, true
 			return false
 		}
 		return true
 	})
-	return witness, found
+	return witness, found, err
 }
 
 // SortedCover returns cover vertices in ascending order (determinism for

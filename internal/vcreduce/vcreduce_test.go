@@ -127,18 +127,18 @@ func TestLemmaA5Forward(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := float64(len(g.Edges))
-	l := core.BuildLabel(in.Data, in.CoverAttrSet([]int{1})) // {AE, A2}
+	l := must(core.BuildLabel(in.Data, in.CoverAttrSet([]int{1}), core.CountOptions{Workers: 1})) // {AE, A2}
 	// Edge e1 = {v1, v2}: endpoint v2 ∈ S ⇒ exact.
 	if got := core.AbsError(int(m), l.Estimate(in.Patterns[0])); got != 0 {
 		t.Errorf("case 1 error = %v, want 0", got)
 	}
 	// Case 2: S = {A1, A2} without AE on edge e1.
-	l2 := core.BuildLabel(in.Data, lattice.NewAttrSet(0, 1))
+	l2 := must(core.BuildLabel(in.Data, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1}))
 	if got := core.AbsError(int(m), l2.Estimate(in.Patterns[0])); got != m+1 {
 		t.Errorf("case 2 error = %v, want |E|+1 = %v", got, m+1)
 	}
 	// Case 3: S = {A4} for edge e1 = {v1, v2}: pure independence.
-	l3 := core.BuildLabel(in.Data, lattice.NewAttrSet(3))
+	l3 := must(core.BuildLabel(in.Data, lattice.NewAttrSet(3), core.CountOptions{Workers: 1}))
 	if got := core.AbsError(int(m), l3.Estimate(in.Patterns[0])); got <= 0 {
 		t.Errorf("case 3 error = %v, want > 0", got)
 	}
@@ -176,7 +176,7 @@ func TestPropositionA4Forward(t *testing.T) {
 			t.Fatalf("trial %d: no cover of size %d found", trial, k)
 		}
 		s := in.CoverAttrSet(cover)
-		if got := in.LabelMaxError(s); got != 0 {
+		if got := must(in.LabelMaxError(s)); got != 0 {
 			t.Errorf("trial %d: cover label error = %v, want 0", trial, got)
 		}
 		size := in.LabelSize(s)
@@ -227,12 +227,12 @@ func TestLemmaA5ReverseGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	aeOnly := lattice.NewAttrSet(in.AEIndex())
-	if got := in.LabelMaxError(aeOnly); got != 0 {
+	if got := must(in.LabelMaxError(aeOnly)); got != 0 {
 		t.Errorf("Err(L_{AE}, P) = %v; the documented gap expected exactly 0", got)
 	}
 	// The witness search therefore finds a zero-error in-bound label even
 	// when no size-k cover is required to exist.
-	if _, found := in.ZeroErrorWithinBound(); !found {
+	if _, found := must2(in.ZeroErrorWithinBound()); !found {
 		t.Error("no zero-error in-bound label found at all")
 	}
 }

@@ -149,7 +149,7 @@ func BuildLabel(d *Dataset, attrNames ...string) (*Label, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(d, s, core.CountOptions{}), nil
+	return core.BuildLabel(d, s, core.CountOptions{})
 }
 
 // BuildLabelCtx is BuildLabel with cooperative cancellation: the counting
@@ -162,7 +162,7 @@ func BuildLabelCtx(ctx context.Context, d *Dataset, attrNames ...string) (*Label
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOptsCtx(ctx, d, s, core.CountOptions{})
+	return core.BuildLabel(d, s, core.CountOptions{Ctx: ctx})
 }
 
 // PartialLabel is the partial-pattern label extension (paper §II-C future
@@ -200,8 +200,7 @@ func LabelSize(d *Dataset, bound int, attrNames ...string) (size int, within boo
 	if err != nil {
 		return 0, false, err
 	}
-	size, within = core.LabelSizeParallel(d, s, bound, core.CountOptions{})
-	return size, within, nil
+	return core.LabelSize(d, s, bound, core.CountOptions{})
 }
 
 // LabelSizes computes |P_S| for a whole frontier of attribute sets in one
@@ -209,9 +208,10 @@ func LabelSize(d *Dataset, bound int, attrNames ...string) (size int, within boo
 // access, per-set early abort at the bound), sharded across workers
 // (0 = NumCPU). For each set i the pair (sizes[i], within[i]) matches what
 // LabelSize would report. This is the scan the label search's enumeration
-// phase runs level by level.
-func LabelSizes(d *Dataset, sets []AttrSet, bound, workers int) (sizes []int, within []bool) {
-	return core.LabelSizesFused(d, sets, bound, core.CountOptions{Workers: workers})
+// phase runs level by level. err reports an engine failure, as LabelSize's
+// does.
+func LabelSizes(d *Dataset, sets []AttrSet, bound, workers int) (sizes []int, within []bool, err error) {
+	return core.LabelSizes(d, sets, bound, core.CountOptions{Workers: workers})
 }
 
 // PatternsOver builds the workload P_S: every positive-count pattern over
@@ -223,14 +223,19 @@ func PatternsOver(d *Dataset, attrNames ...string) (*PatternSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.PatternsOverOpts(d, s, core.CountOptions{}), nil
+	return core.PatternsOver(d, s, core.CountOptions{})
 }
 
 // WriteHTMLReport renders a self-contained HTML page for a label (the
 // paper's "simple user interface" presentation). A nil eval omits the
-// estimation-quality block.
+// estimation-quality block. Reading a spilled PC section can fail; the
+// read error is returned and nothing is written.
 func WriteHTMLReport(w io.Writer, l *Label, eval *EvalResult) error {
-	return htmlreport.Write(w, l.Portable(), htmlreport.Options{Eval: eval})
+	pl, err := l.Portable()
+	if err != nil {
+		return err
+	}
+	return htmlreport.Write(w, pl, htmlreport.Options{Eval: eval})
 }
 
 // Algorithm selects the label search strategy.
@@ -346,13 +351,21 @@ func Evaluate(l *Label, ps *PatternSet) EvalResult {
 }
 
 // RenderLabel renders the human-readable nutrition label of Fig 1. Pass a
-// non-nil eval to append the error summary block.
-func RenderLabel(l *Label, eval *EvalResult) string {
+// non-nil eval to append the error summary block. Reading a spilled PC
+// section can fail; the read error is returned then.
+func RenderLabel(l *Label, eval *EvalResult) (string, error) {
 	return core.Render(l, core.RenderOptions{Eval: eval})
 }
 
 // EncodeLabel serializes a label into its self-contained JSON form.
-func EncodeLabel(l *Label) ([]byte, error) { return l.Portable().Encode() }
+// Reading a spilled PC section can fail; the read error is returned then.
+func EncodeLabel(l *Label) ([]byte, error) {
+	pl, err := l.Portable()
+	if err != nil {
+		return nil, err
+	}
+	return pl.Encode()
+}
 
 // DecodeLabel parses a label previously produced by EncodeLabel. The result
 // can estimate pattern counts without access to the original dataset.
@@ -373,7 +386,7 @@ func BuildLabelWith(d *Dataset, opts LabelOptions, attrNames ...string) (*Label,
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(d, s, opts.Engine.countOptions()), nil
+	return core.BuildLabel(d, s, opts.Engine.countOptions())
 }
 
 // LabelManifest describes a saved label artifact (see docs/artifact-format.md).
@@ -440,7 +453,7 @@ func BuildDeltaLabel(delta *Dataset, engine EngineOptions, attrNames ...string) 
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(delta, s, engine.countOptions()), nil
+	return core.BuildLabel(delta, s, engine.countOptions())
 }
 
 // SaveDeltaArtifact writes a delta label as its own artifact, tagged with

@@ -96,8 +96,8 @@ func TestFacadeIncrementalUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, _ := want.Count(wp)
-	mc, _ := ml.Count(mp)
+	wc, _ := must2(want.CountCtx(nil, wp))
+	mc, _ := must2(ml.CountCtx(nil, mp))
 	if wc != mc {
 		t.Fatalf("merged count %d, rebuild %d", mc, wc)
 	}

@@ -38,7 +38,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if eval.N != 18 {
 		t.Errorf("eval N = %d", eval.N)
 	}
-	out := RenderLabel(l, &eval)
+	out, err := RenderLabel(l, &eval)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out, "Total size: 18") {
 		t.Errorf("render missing total: %s", out)
 	}
@@ -231,7 +234,10 @@ func TestFacadeLabelSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes, withins := LabelSizes(d, []AttrSet{s1, s2}, 5, 2)
+	sizes, withins, err := LabelSizes(d, []AttrSet{s1, s2}, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sizes[0] != 3 || !withins[0] {
 		t.Errorf("LabelSizes[0] = (%d, %v), want (3, true)", sizes[0], withins[0])
 	}
