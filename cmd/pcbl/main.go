@@ -4,19 +4,22 @@
 //
 //	pcbl gen      -name compas|bluenile|creditcard -rows N -seed S -out data.csv
 //	pcbl inspect  -in data.csv
-//	pcbl label    -in data.csv -bound 50 [-algo topdown|naive] [-out label.json] [-render]
-//	pcbl estimate -label label.json -pattern "attr=value,attr2=value2"
+//	pcbl label    -in data.csv -bound 50 [-algo topdown|naive] [-render] [-html report.html]
 //	pcbl save     -in data.csv {-attrs a,b,c | -bound N} -artifact DIR
+//	pcbl estimate -artifact DIR -pattern "attr=value,attr2=value2"
+//	pcbl audit    -artifact DIR -attrs a,b [-threshold N] [-all]
 //	pcbl load     -artifact DIR
 //	pcbl update   -in data.csv -artifact DIR [-since N] [-delta-out DIR]
 //	pcbl serve    -artifact DIR [-addr :8077] [-request-timeout 30s] [-max-inflight 256] [-queue-timeout 1s]
 //
 // The gen subcommand materializes the synthetic evaluation datasets so the
 // rest of the pipeline can be exercised on files, like a user's own data.
-// save/load/serve work with the versioned on-disk artifact format (see
+// label runs the optimal-label search and prints or renders the result. The
+// label is published as a versioned on-disk artifact (see
 // docs/artifact-format.md): save builds a label — over an explicit attribute
 // set or by running the optimal-label search — and persists it including any
-// merge-on-read spill runs; load summarizes a saved artifact; serve answers
+// merge-on-read spill runs; load summarizes a saved artifact; estimate and
+// audit answer from a saved artifact without the data; serve answers
 // count/estimate/marginal queries over HTTP/JSON from a reopened artifact.
 // update maintains an artifact incrementally: when the CSV has grown, it
 // counts ONLY the appended rows and merges them in (epoch incremented,
@@ -88,11 +91,12 @@ func usage() {
 subcommands:
   gen       generate a synthetic evaluation dataset as CSV
   inspect   summarize a CSV dataset (attributes, domains, value counts)
-  label     generate an optimal label for a CSV dataset
-  estimate  estimate a pattern count from a saved label, without the data
-  audit     flag under-represented attribute-value intersections from a label
+  label     generate an optimal label for a CSV dataset and print it
   save      build a label and persist it as an on-disk artifact directory
   load      summarize a saved label artifact
+  estimate  estimate a pattern count from a saved artifact, without the data
+  audit     flag under-represented attribute-value intersections from a
+            saved artifact
   update    fold rows appended to the CSV into a saved artifact, reading
             only the appended suffix (or write them as a delta artifact)
   serve     answer label queries over HTTP/JSON from a saved artifact`)
@@ -177,7 +181,6 @@ func runLabel(args []string) error {
 	in := fs.String("in", "", "input CSV path (required)")
 	bound := fs.Int("bound", 50, "label size bound B_s")
 	algo := fs.String("algo", "topdown", "search algorithm: topdown or naive")
-	out := fs.String("out", "", "write the label as JSON to this path")
 	htmlOut := fs.String("html", "", "write a standalone HTML label report to this path")
 	render := fs.Bool("render", false, "print the human-readable nutrition label")
 	bins := fs.Int("bins", 5, "bucketize numeric attributes into this many bins (0 disables)")
@@ -228,16 +231,6 @@ func runLabel(args []string) error {
 		}
 		fmt.Println()
 		fmt.Println(text)
-	}
-	if *out != "" {
-		data, err := pcbl.EncodeLabel(res.Label)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("label written to %s (%d bytes)\n", *out, len(data))
 	}
 	if *htmlOut != "" {
 		eval := pcbl.Evaluate(res.Label, nil)
@@ -549,69 +542,59 @@ func labelSetNames(l *pcbl.Label) []string {
 
 func runEstimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
-	labelPath := fs.String("label", "", "label JSON path (required)")
+	artifactDir := fs.String("artifact", "", "label artifact directory written by `pcbl save` (required)")
 	patternArg := fs.String("pattern", "", `pattern as "attr=value,attr2=value2" (required)`)
 	fs.Parse(args)
-	if *labelPath == "" || *patternArg == "" {
-		return fmt.Errorf("-label and -pattern are required")
+	if *artifactDir == "" || *patternArg == "" {
+		return fmt.Errorf("-artifact and -pattern are required")
 	}
-	data, err := os.ReadFile(*labelPath)
+	l, _, err := pcbl.OpenLabelArtifact(*artifactDir)
 	if err != nil {
 		return err
 	}
-	pl, err := pcbl.DecodeLabel(data)
+	defer l.ReleaseSpill()
+	p, err := pcbl.ParsePattern(l.Dataset(), *patternArg)
 	if err != nil {
 		return err
 	}
-	assign, err := patexpr.Parse(*patternArg)
-	if err != nil {
-		return err
-	}
-	est, err := pl.Estimate(assign)
+	est, err := l.EstimateCtx(nil, p)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("estimated count: %.1f of %d total rows (%.3f%%)\n",
-		est, pl.TotalRows, 100*est/float64(pl.TotalRows))
+		est, l.Rows(), 100*est/float64(l.Rows()))
 	return nil
 }
 
 // runAudit estimates the size of every value combination over the given
-// attributes from a saved label and flags those under the threshold — the
-// paper's fitness-for-use scenario (inadequate representation of protected
-// groups) as a command.
+// attributes from a saved artifact and flags those under the threshold —
+// the paper's fitness-for-use scenario (inadequate representation of
+// protected groups) as a command.
 func runAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ExitOnError)
-	labelPath := fs.String("label", "", "label JSON path (required)")
+	artifactDir := fs.String("artifact", "", "label artifact directory written by `pcbl save` (required)")
 	attrsArg := fs.String("attrs", "", "comma-separated attributes to intersect (required)")
 	threshold := fs.Float64("threshold", 0, "flag combinations with estimated count below this (default: 0.5% of rows)")
 	all := fs.Bool("all", false, "print every combination, not only flagged ones")
 	fs.Parse(args)
-	if *labelPath == "" || *attrsArg == "" {
-		return fmt.Errorf("-label and -attrs are required")
+	if *artifactDir == "" || *attrsArg == "" {
+		return fmt.Errorf("-artifact and -attrs are required")
 	}
-	data, err := os.ReadFile(*labelPath)
+	l, _, err := pcbl.OpenLabelArtifact(*artifactDir)
 	if err != nil {
 		return err
 	}
-	pl, err := pcbl.DecodeLabel(data)
-	if err != nil {
-		return err
-	}
+	defer l.ReleaseSpill()
+	d := l.Dataset()
 	if *threshold <= 0 {
-		*threshold = 0.005 * float64(pl.TotalRows)
+		*threshold = 0.005 * float64(l.Rows())
 	}
 
-	// Resolve the audited attributes and their recorded domains.
-	domains := map[string][]string{}
-	for _, a := range pl.Attrs {
-		domains[a.Name] = a.Values
-	}
 	var names []string
 	for _, n := range strings.Split(*attrsArg, ",") {
 		n = strings.TrimSpace(n)
-		if _, ok := domains[n]; !ok {
-			return fmt.Errorf("attribute %q not in label (have: %s)", n, strings.Join(labelAttrNames(pl), ", "))
+		if _, ok := d.AttrIndex(n); !ok {
+			return fmt.Errorf("attribute %q not in label (have: %s)", n, strings.Join(d.AttrNames(), ", "))
 		}
 		names = append(names, n)
 	}
@@ -625,7 +608,11 @@ func runAudit(args []string) error {
 	var rec func(int) error
 	rec = func(i int) error {
 		if i == len(names) {
-			est, err := pl.Estimate(assign)
+			p, err := pcbl.NewPattern(d, assign)
+			if err != nil {
+				return err
+			}
+			est, err := l.EstimateCtx(nil, p)
 			if err != nil {
 				return err
 			}
@@ -634,7 +621,8 @@ func runAudit(args []string) error {
 			}
 			return nil
 		}
-		for _, v := range domains[names[i]] {
+		a, _ := d.AttrIndex(names[i])
+		for _, v := range d.Attr(a).Domain() {
 			assign[names[i]] = v
 			if err := rec(i + 1); err != nil {
 				return err
@@ -647,7 +635,7 @@ func runAudit(args []string) error {
 		return err
 	}
 	sort.Slice(findings, func(i, j int) bool { return findings[i].est < findings[j].est })
-	fmt.Printf("auditing %s over %d rows (threshold %.0f)\n\n", strings.Join(names, " × "), pl.TotalRows, *threshold)
+	fmt.Printf("auditing %s over %d rows (threshold %.0f)\n\n", strings.Join(names, " × "), l.Rows(), *threshold)
 	for _, f := range findings {
 		marker := " "
 		if f.est < *threshold {
@@ -659,13 +647,4 @@ func runAudit(args []string) error {
 		fmt.Println("no combinations below the threshold")
 	}
 	return nil
-}
-
-// labelAttrNames lists the attribute names recorded in a portable label.
-func labelAttrNames(pl *pcbl.PortableLabel) []string {
-	out := make([]string, len(pl.Attrs))
-	for i, a := range pl.Attrs {
-		out[i] = a.Name
-	}
-	return out
 }

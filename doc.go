@@ -28,9 +28,23 @@
 //	p, _ := pcbl.NewPattern(d, map[string]string{"race": "Hispanic", "gender": "Female"})
 //	fmt.Printf("≈ %.0f rows\n", res.Label.Estimate(p))
 //
-// A label can be serialized into a self-contained JSON artifact
-// (PortableLabel) and shipped as metadata with the dataset; consumers can
-// then estimate counts without the data itself.
+// # Publishing a label
+//
+// A label is published as a versioned artifact directory
+// (docs/artifact-format.md) and shipped as metadata with the dataset:
+// SaveLabelArtifact writes it, and a consumer without the data reopens it
+// with OpenLabelArtifact and estimates from it alone:
+//
+//	_ = pcbl.SaveLabelArtifact(res.Label, "label-artifact")
+//	l, _, _ := pcbl.OpenLabelArtifact("label-artifact")
+//	p, _ := pcbl.ParsePattern(l.Dataset(), "race = Hispanic AND gender = Female")
+//	est, _ := l.EstimateCtx(nil, p)
+//
+// The reopened label is the same *Label type with the same Est(p, l), so
+// it answers exactly as the label that was saved. The `pcbl save`,
+// `estimate`, `audit` and `serve` subcommands work from the same artifact.
+// Only the current artifact format is read; an artifact of an older format
+// fails OpenLabelArtifact with ErrArtifactManifest or ErrArtifactCorrupt.
 //
 // # Incremental maintenance
 //
@@ -46,8 +60,8 @@
 // daemon swaps to the merged artifact on SIGHUP or POST /v1/reload
 // without dropping in-flight queries.
 //
-// Engine configuration (workers, dense-kernel threshold, memory budget,
-// spill placement) lives in EngineOptions, embedded as the Engine field of
+// Engine configuration (workers, memory budget, spill placement, the
+// filesystem seam) lives in EngineOptions, embedded as the Engine field of
 // GenerateOptions and LabelOptions and passed directly to
 // BuildDeltaLabel.
 //
@@ -60,9 +74,8 @@
 // errors.Is dispatch. Every label query has one form that returns its
 // error: Label.CountCtx, EstimateCtx and MarginalPCCtx take a context
 // first (nil never cancels), and a spilled PC section whose run read fails
-// answers with the error, never a wrong count. RenderLabel, EncodeLabel
-// and WriteHTMLReport read the whole PC section and return the same
-// error. The core panics only on API misuse — a Pattern built against a
+// answers with the error, never a wrong count. RenderLabel and
+// WriteHTMLReport read the whole PC section and return the same error. The core panics only on API misuse — a Pattern built against a
 // different dataset's dictionaries, an attribute index out of range, a
 // label used after ReleaseSpill — never on data or disk contents, with
 // one deliberate exception: Label.Estimate, the error-free Est(p, l) of

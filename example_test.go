@@ -2,6 +2,7 @@ package pcbl_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"pcbl"
@@ -49,18 +50,20 @@ func ExampleLabel_Estimate() {
 	// Output: estimate 3, true 3
 }
 
-// ExamplePortableLabel_Estimate shows consuming a published label without
-// access to the data.
-func ExamplePortableLabel_Estimate() {
+// ExampleOpenLabelArtifact shows consuming a published label without
+// access to the data: the publisher saves the label as an artifact, and a
+// consumer reopens it and estimates from it alone.
+func ExampleOpenLabelArtifact() {
 	d, _ := pcbl.ReadCSV(strings.NewReader(exampleCSV), pcbl.CSVOptions{})
 	l, _ := pcbl.BuildLabel(d, "gender", "race")
-	labelJSON, _ := pcbl.EncodeLabel(l)
+	dir, _ := os.MkdirTemp("", "pcbl-example-*")
+	defer os.RemoveAll(dir)
+	_ = pcbl.SaveLabelArtifact(l, dir)
 
-	// Elsewhere, with only the JSON:
-	published, _ := pcbl.DecodeLabel(labelJSON)
-	est, _ := published.Estimate(map[string]string{
-		"gender": "Female", "race": "Hispanic", "marital status": "divorced",
-	})
+	// Elsewhere, with only the artifact:
+	published, _, _ := pcbl.OpenLabelArtifact(dir)
+	p, _ := pcbl.ParsePattern(published.Dataset(), "gender=Female, race=Hispanic, marital status=divorced")
+	est, _ := published.EstimateCtx(nil, p)
 	fmt.Printf("≈ %.0f rows\n", est)
 	// Output: ≈ 1 rows
 }

@@ -9,34 +9,46 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"pcbl"
 	"pcbl/internal/datagen"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	d, err := datagen.BlueNile(116300, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("catalog: %s\n\n", d)
 
 	res, err := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 60, FastEval: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	data, err := pcbl.EncodeLabel(res.Label)
+	dir, err := os.MkdirTemp("", "pcbl-bluenile-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("published label: %s, %d pattern counts, %d bytes of JSON\n\n",
-		res.Attrs.Format(d.AttrNames()), res.Size, len(data))
+	defer os.RemoveAll(dir)
+	if err := pcbl.SaveLabelArtifact(res.Label, dir); err != nil {
+		return err
+	}
+	fmt.Printf("published label: %s, %d pattern counts\n\n",
+		res.Attrs.Format(d.AttrNames()), res.Size)
 
-	// The consumer side: only the JSON label.
-	label, err := pcbl.DecodeLabel(data)
+	// The consumer side: only the label artifact.
+	label, _, err := pcbl.OpenLabelArtifact(dir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer label.ReleaseSpill()
 
 	queries := []map[string]string{
 		{"cut": "Ideal", "polish": "Excellent"},
@@ -48,13 +60,17 @@ func main() {
 	}
 	fmt.Printf("%-72s %9s %9s %7s\n", "filter", "estimate", "true", "q-err")
 	for _, q := range queries {
-		est, err := label.Estimate(q)
+		lp, err := pcbl.NewPattern(label.Dataset(), q)
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		est, err := label.EstimateCtx(nil, lp)
+		if err != nil {
+			return err
 		}
 		p, err := pcbl.NewPattern(d, q)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		trueCount := pcbl.Count(d, p)
 		fmt.Printf("%-72s %9.0f %9d %7.2f\n", format(q), est, trueCount, qerr(float64(trueCount), est))
@@ -64,7 +80,7 @@ func main() {
 	// marginal counts — no PC section).
 	indep, err := pcbl.BuildLabel(d) // empty attribute set
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eval := pcbl.Evaluate(res.Label, nil)
 	evalIndep := pcbl.Evaluate(indep, nil)
@@ -73,6 +89,7 @@ func main() {
 		res.Size, eval.MaxAbs, eval.MeanAbs, eval.MeanQ)
 	fmt.Printf("  independence only:  max err %6.0f  mean err %6.2f  mean q %5.2f\n",
 		evalIndep.MaxAbs, evalIndep.MeanAbs, evalIndep.MeanQ)
+	return nil
 }
 
 func format(q map[string]string) string {

@@ -1,11 +1,13 @@
 // Quickstart: build a dataset, generate an optimal pattern count–based
-// label for it, estimate pattern counts, and render the nutrition label —
-// the paper's §II examples end to end on the Figure 2 sample data.
+// label for it, estimate pattern counts, render the nutrition label and
+// publish it as an artifact — the paper's §II examples end to end on the
+// Figure 2 sample data.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"pcbl"
@@ -34,10 +36,16 @@ Female,20-39,Hispanic,divorced
 `
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	// 1. Load the data.
 	d, err := pcbl.ReadCSV(strings.NewReader(fig2CSV), pcbl.CSVOptions{Name: "compas-fig2"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(d)
 
@@ -45,7 +53,7 @@ func main() {
 	//    (the walkthrough of the paper's Example 3.7).
 	res, err := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("\noptimal label uses %s — %d pattern counts, max estimation error %.0f\n",
 		res.Attrs.Format(d.AttrNames()), res.Size, res.MaxErr)
@@ -56,7 +64,7 @@ func main() {
 		"gender": "Female", "age group": "20-39", "marital status": "married",
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("\npattern %v\n", map[string]string{
 		"gender": "Female", "age group": "20-39", "marital status": "married"})
@@ -67,16 +75,35 @@ func main() {
 	eval := pcbl.Evaluate(res.Label, nil)
 	text, err := pcbl.RenderLabel(res.Label, &eval)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Println(text)
 
-	// 5. Serialize the label: this JSON is the metadata you would publish
-	//    alongside the dataset.
-	data, err := pcbl.EncodeLabel(res.Label)
+	// 5. Publish the label: the artifact directory is the metadata you
+	//    would ship alongside the dataset. A consumer reopens it and
+	//    estimates without the data.
+	dir, err := os.MkdirTemp("", "pcbl-quickstart-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("portable label: %d bytes of JSON\n", len(data))
+	defer os.RemoveAll(dir)
+	if err := pcbl.SaveLabelArtifact(res.Label, dir); err != nil {
+		return err
+	}
+	published, _, err := pcbl.OpenLabelArtifact(dir)
+	if err != nil {
+		return err
+	}
+	defer published.ReleaseSpill()
+	q, err := pcbl.ParsePattern(published.Dataset(), "gender=Female,age group=20-39,marital status=married")
+	if err != nil {
+		return err
+	}
+	est, err := published.EstimateCtx(nil, q)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("published label: estimated count %.0f from the artifact alone\n", est)
+	return nil
 }

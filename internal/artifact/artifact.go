@@ -30,8 +30,8 @@
 // Open validates the manifest eagerly (structure and self-checksum, with
 // typed errors) and payload data as it is read: file payloads verify their
 // section checksum when loaded, spilled runs verify each frame as it is
-// scanned. Format v1 artifacts (no checksums, raw run files) still open
-// read-only and are written back as v2 when saved again.
+// scanned. Only the current format is read: an artifact of an older
+// format fails Open with a typed error.
 //
 // Numbers in binary payloads are little-endian. See docs/artifact-format.md
 // for the byte-level layout.
@@ -58,13 +58,9 @@ import (
 	"pcbl/internal/spill"
 )
 
-// FormatVersion is the artifact layout version this package writes.
-// Readers accept it and formatVersionV1 (read-compat).
+// FormatVersion is the artifact layout version this package writes and
+// the only one it reads.
 const FormatVersion = 2
-
-// formatVersionV1 is the original layout: bare JSON manifest, no
-// checksums, raw (unframed) spill runs.
-const formatVersionV1 = 1
 
 // manifestName is the artifact's index file; its atomic rename into place
 // is the save's commit point.
@@ -130,7 +126,7 @@ func manifestErr(format string, args ...any) error {
 // same polynomial the spill frames use.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// envelope is the v2 on-disk form of manifest.json: the manifest itself as
+// envelope is the on-disk form of manifest.json: the manifest itself as
 // a raw JSON value plus a CRC32C over its compacted bytes, so the index
 // that describes every other checksum is itself verified.
 type envelope struct {
@@ -210,10 +206,9 @@ type PCMeta struct {
 	Distinct int `json:"distinct,omitempty"`
 	// Entries is the map kinds' entry count.
 	Entries int `json:"entries,omitempty"`
-	// SizeBytes is the payload file's byte length (v2; 0 in v1 manifests).
+	// SizeBytes is the payload file's byte length.
 	SizeBytes int64 `json:"size_bytes,omitempty"`
-	// Checksum is the CRC32C of the payload file's bytes (v2; 0 in v1
-	// manifests means unverified).
+	// Checksum is the CRC32C of the payload file's bytes.
 	Checksum uint32 `json:"crc32c,omitempty"`
 
 	// Spilled kinds: the adopted run directory and the read-path metadata.
@@ -222,9 +217,6 @@ type PCMeta struct {
 	Size     int    `json:"size,omitempty"`
 	RunSizes []int  `json:"run_sizes,omitempty"`
 	Budget   int64  `json:"budget,omitempty"`
-	// Framed reports whether the run files use the checksummed v2 frame
-	// layout; false for raw v1 runs preserved byte-for-byte by a resave.
-	Framed bool `json:"framed,omitempty"`
 }
 
 // Save writes label l as an artifact at dir, which must not yet exist (or
@@ -438,7 +430,6 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 		meta.Size = sr.Size
 		meta.RunSizes = sr.RunSizes
 		meta.Budget = sr.Budget
-		meta.Framed = sr.Writer.Framed()
 	default:
 		meta.File = fmt.Sprintf("pc-%03d%s.bin", idx, suffix)
 		f, err := fsi.Create(filepath.Join(dir, meta.File))
@@ -513,10 +504,12 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 // exactly as the building process served them — and every persisted
 // marginal index. The returned manifest describes what was loaded.
 //
-// The manifest is verified eagerly (structure and, for v2, its
-// self-checksum); payload bytes are verified as they are read. Errors are
-// typed: ErrIncomplete for a missing manifest, ErrManifest for invalid
-// metadata, ErrCorrupt (a CorruptError) for data that fails verification.
+// The manifest is verified eagerly (structure and self-checksum); payload
+// bytes are verified as they are read. Errors are typed: ErrIncomplete for
+// a missing manifest, ErrManifest for invalid metadata or another format
+// version, ErrCorrupt (a CorruptError) for data that fails verification.
+// Spill runs that are not checksummed frames fail as ErrCorrupt, at Open
+// or at the first scan that reaches them.
 func Open(dir string) (*core.Label, *Manifest, error) { return OpenFS(dir, nil) }
 
 // OpenFS is Open with an explicit filesystem seam; nil means the real OS
@@ -569,7 +562,7 @@ func OpenFS(dir string, fsys iofault.FS) (*core.Label, *Manifest, error) {
 
 	pcs := make([]*core.PC, len(m.PCs))
 	for i, pm := range m.PCs {
-		pc, err := openPC(d, pm, dir, m.FormatVersion, fsi)
+		pc, err := openPC(d, pm, dir, fsi)
 		if err != nil {
 			// Release spilled payloads already reopened; their writers
 			// don't own the artifact's files, so this only closes
@@ -596,27 +589,17 @@ func OpenFS(dir string, fsys iofault.FS) (*core.Label, *Manifest, error) {
 	return l, m, nil
 }
 
-// decodeManifest parses manifest.json in either format: the v2
-// self-checksummed envelope, or a bare v1 manifest (no "manifest" member).
+// decodeManifest parses manifest.json: the self-checksummed envelope
+// around the manifest. Any other format version fails with ErrManifest
+// naming the version found — including a bare manifest without an
+// envelope, the layout of format 1.
 func decodeManifest(data []byte) (*Manifest, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%w: bad JSON: %v", ErrManifest, err)
 	}
-	var m Manifest
-	if len(env.Manifest) == 0 {
-		// Bare manifest: the v1 layout.
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("%w: bad JSON: %v", ErrManifest, err)
-		}
-		if m.FormatVersion != formatVersionV1 {
-			return nil, manifestErr("bare manifest with format version %d, want %d", m.FormatVersion, formatVersionV1)
-		}
-		m.Epoch = epochOf(&m)
-		return &m, nil
-	}
 	if env.FormatVersion != FormatVersion {
-		return nil, manifestErr("envelope format version %d, this build reads %d and %d", env.FormatVersion, formatVersionV1, FormatVersion)
+		return nil, manifestErr("format version %d, this build reads only %d", env.FormatVersion, FormatVersion)
 	}
 	crc, err := manifestCRC(env.Manifest)
 	if err != nil {
@@ -626,6 +609,7 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		return nil, &CorruptError{Path: manifestName,
 			Detail: fmt.Sprintf("manifest checksum mismatch (got %08x, want %08x)", crc, env.CRC32C)}
 	}
+	var m Manifest
 	if err := json.Unmarshal(env.Manifest, &m); err != nil {
 		return nil, fmt.Errorf("%w: bad JSON: %v", ErrManifest, err)
 	}
@@ -661,7 +645,6 @@ func validateManifest(m *Manifest) error {
 			return manifestErr("attribute %q has %d counts for %d values", am.Name, len(am.Counts), len(am.Domain))
 		}
 	}
-	v2 := m.FormatVersion >= FormatVersion
 	seen := make(map[string]int) // payload file/dir name -> first payload index
 	for i, pm := range m.PCs {
 		switch pm.Kind {
@@ -678,10 +661,10 @@ func validateManifest(m *Manifest) error {
 			var width int64
 			switch pm.Kind {
 			case kindDense:
-				if v2 && pm.SizeBytes%4 != 0 {
+				if pm.SizeBytes%4 != 0 {
 					return manifestErr("payload %d dense slab length %d is not a whole number of int32 slots", i, pm.SizeBytes)
 				}
-				if v2 && int64(pm.Distinct) > pm.SizeBytes/4 {
+				if int64(pm.Distinct) > pm.SizeBytes/4 {
 					return manifestErr("payload %d declares %d nonzero slots in a %d-slot slab", i, pm.Distinct, pm.SizeBytes/4)
 				}
 			case kindU64:
@@ -692,7 +675,7 @@ func validateManifest(m *Manifest) error {
 				}
 				width = int64(pm.RecWidth) + 8
 			}
-			if v2 && width > 0 && pm.SizeBytes != int64(pm.Entries)*width {
+			if width > 0 && pm.SizeBytes != int64(pm.Entries)*width {
 				return manifestErr("payload %d declares %d entries of %d bytes but a %d-byte section", i, pm.Entries, width, pm.SizeBytes)
 			}
 		case kindSpilledU64, kindSpilledBytes:
@@ -749,8 +732,8 @@ func validateRef(seen map[string]int, name string, idx int, what string) error {
 }
 
 // openPC loads one PC payload, verifying file payloads against their
-// section checksum (v2) before decoding.
-func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.FS) (*core.PC, error) {
+// section checksum before decoding.
+func openPC(d *dataset.Dataset, pm PCMeta, dir string, fsi iofault.FS) (*core.PC, error) {
 	s, err := lattice.FromNames(d.AttrNames(), pm.Attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
@@ -758,8 +741,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.
 	r := core.PCRepr{Attrs: s}
 	switch pm.Kind {
 	case kindSpilledU64, kindSpilledBytes:
-		framed := pm.Framed && version >= FormatVersion
-		w, err := spill.Open(filepath.Join(dir, pm.Dir), pm.RecWidth, len(pm.RunSizes), framed, nil, fsi)
+		w, err := spill.Open(filepath.Join(dir, pm.Dir), pm.RecWidth, len(pm.RunSizes), nil, fsi)
 		if err != nil {
 			if errors.Is(err, spill.ErrCorrupt) {
 				return nil, &CorruptError{Path: pm.Dir, Detail: err.Error()}
@@ -774,7 +756,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.
 			Budget:   pm.Budget,
 		}
 	case kindDense:
-		data, err := readPayload(dir, pm, version, fsi)
+		data, err := readPayload(dir, pm, fsi)
 		if err != nil {
 			return nil, err
 		}
@@ -788,7 +770,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.
 		r.Dense, r.Distinct = slab, pm.Distinct
 	case kindU64:
 		m := make(map[uint64]int, pm.Entries)
-		err := readEntries(dir, pm, version, 16, fsi, func(rec []byte) {
+		err := readEntries(dir, pm, 16, fsi, func(rec []byte) {
 			m[binary.LittleEndian.Uint64(rec)] = int(int64(binary.LittleEndian.Uint64(rec[8:])))
 		})
 		if err != nil {
@@ -800,7 +782,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.
 		r.U = m
 	case kindBytes:
 		m := make(map[string]int, pm.Entries)
-		err := readEntries(dir, pm, version, pm.RecWidth+8, fsi, func(rec []byte) {
+		err := readEntries(dir, pm, pm.RecWidth+8, fsi, func(rec []byte) {
 			m[string(rec[:pm.RecWidth])] = int(int64(binary.LittleEndian.Uint64(rec[pm.RecWidth:])))
 		})
 		if err != nil {
@@ -824,30 +806,27 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, version int, fsi iofault.
 }
 
 // readPayload reads one payload file whole and verifies its length and
-// CRC32C against the manifest descriptor (v2; v1 payloads carry no
-// checksum and are returned as-is).
-func readPayload(dir string, pm PCMeta, version int, fsi iofault.FS) ([]byte, error) {
+// CRC32C against the manifest descriptor.
+func readPayload(dir string, pm PCMeta, fsi iofault.FS) ([]byte, error) {
 	data, err := fsi.ReadFile(filepath.Join(dir, pm.File))
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	if version >= FormatVersion {
-		if int64(len(data)) != pm.SizeBytes {
-			return nil, &CorruptError{Path: pm.File,
-				Detail: fmt.Sprintf("%d bytes, manifest says %d", len(data), pm.SizeBytes)}
-		}
-		if got := crc32.Checksum(data, castagnoli); got != pm.Checksum {
-			return nil, &CorruptError{Path: pm.File,
-				Detail: fmt.Sprintf("section checksum mismatch (got %08x, want %08x)", got, pm.Checksum)}
-		}
+	if int64(len(data)) != pm.SizeBytes {
+		return nil, &CorruptError{Path: pm.File,
+			Detail: fmt.Sprintf("%d bytes, manifest says %d", len(data), pm.SizeBytes)}
+	}
+	if got := crc32.Checksum(data, castagnoli); got != pm.Checksum {
+		return nil, &CorruptError{Path: pm.File,
+			Detail: fmt.Sprintf("section checksum mismatch (got %08x, want %08x)", got, pm.Checksum)}
 	}
 	return data, nil
 }
 
 // readEntries streams a payload file of fixed-width entries through fn,
 // after whole-file checksum verification.
-func readEntries(dir string, pm PCMeta, version, width int, fsi iofault.FS, fn func(rec []byte)) error {
-	data, err := readPayload(dir, pm, version, fsi)
+func readEntries(dir string, pm PCMeta, width int, fsi iofault.FS, fn func(rec []byte)) error {
+	data, err := readPayload(dir, pm, fsi)
 	if err != nil {
 		return err
 	}

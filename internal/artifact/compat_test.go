@@ -1,25 +1,26 @@
 package artifact
 
-// v1 read-compat: artifacts written by the original layout — bare JSON
-// manifest, no checksums, raw (unframed) spill runs — must still open and
-// answer bit-identically. No v1 writer survives in the tree, so the test
-// down-converts a freshly saved v2 artifact: strip the manifest envelope
-// and the v2-only fields, and splice the frame headers out of every run
-// file. That exercises exactly the code paths a real v1 artifact hits
-// (bare-manifest decoding, checksum-free payload reads, raw run scans).
+// Older formats fail typed: this build reads only the current artifact
+// format. No writer of an older format survives in the tree, so the test
+// down-converts a freshly saved artifact: strip the manifest envelope and
+// the checksum fields, and splice the frame headers out of every run file.
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pcbl/internal/core"
 	"pcbl/internal/lattice"
+	"pcbl/internal/spill"
 )
 
-// downConvertV1 rewrites the artifact at dir in place from v2 to v1.
+// downConvertV1 rewrites the artifact at dir in place into format 1: a
+// bare manifest without checksums over raw (unframed) runs.
 func downConvertV1(t *testing.T, dir string) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -58,7 +59,7 @@ func downConvertV1(t *testing.T, dir string) {
 }
 
 // unframeRuns strips the [len][crc] frame headers from every run file,
-// leaving the raw record concatenation of the v1 layout.
+// leaving the raw record concatenation of format 1.
 func unframeRuns(t *testing.T, runDir string) {
 	t.Helper()
 	ents, err := os.ReadDir(runDir)
@@ -95,9 +96,13 @@ func unframeRuns(t *testing.T, runDir string) {
 // change breaks this test loudly.
 const frameHdrLen = 8
 
-func TestOpenV1Artifact(t *testing.T) {
-	for _, spilled := range []bool{false, true} {
-		o := newSweepOracle(t)
+// TestOlderFormatsFailTyped: a format-1 artifact fails Open with
+// ErrManifest naming its version, and a current manifest over unframed
+// runs — what resaving a format-1 artifact wrote — fails as corrupt, at
+// Open or at its first lookup. Neither ever answers a count.
+func TestOlderFormatsFailTyped(t *testing.T) {
+	o := newSweepOracle(t)
+	save := func(spilled bool) string {
 		dir := filepath.Join(t.TempDir(), "a")
 		var l *core.Label
 		if spilled {
@@ -109,26 +114,55 @@ func TestOpenV1Artifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.ReleaseSpill()
-		downConvertV1(t, dir)
+		return dir
+	}
 
-		rl, m, err := Open(dir)
-		if err != nil {
-			t.Fatalf("spilled=%v: opening down-converted v1 artifact: %v", spilled, err)
+	for _, spilled := range []bool{false, true} {
+		dir := save(spilled)
+		downConvertV1(t, dir)
+		if _, _, err := Open(dir); !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), "format version 1") {
+			t.Fatalf("spilled=%v: Open of a format-1 artifact: %v, want ErrManifest naming format 1", spilled, err)
 		}
-		if m.FormatVersion != 1 {
-			t.Fatalf("spilled=%v: manifest version %d, want 1", spilled, m.FormatVersion)
+	}
+
+	dir := save(true)
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pm := range m.PCs {
+		if pm.Dir != "" {
+			unframeRuns(t, filepath.Join(dir, pm.Dir))
 		}
-		if got := o.check(t, "v1compat", rl); got != len(o.probes) {
-			t.Fatalf("spilled=%v: v1 artifact answered only %d/%d probes", spilled, got, len(o.probes))
+	}
+	rl, _, err := Open(dir)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open over unframed runs: %v, want ErrCorrupt", err)
 		}
-		rl.ReleaseSpill()
+		return
+	}
+	defer rl.ReleaseSpill()
+	for i, p := range o.probes {
+		c, _, err := rl.CountCtx(nil, reopenedPattern(t, o.d, rl.Dataset(), p))
+		if err == nil {
+			t.Fatalf("probe %d counted %d from unframed runs", i, c)
+		}
+		if !errors.Is(err, spill.ErrCorrupt) {
+			t.Fatalf("probe %d over unframed runs: %v, want a corrupt-run error", i, err)
+		}
 	}
 }
 
-// TestResaveV1KeepsAnswers: a v1 artifact reopened and saved again becomes
-// a v2 artifact (checksummed manifest; runs stay raw and are marked
-// unframed) that still answers bit-identically.
-func TestResaveV1KeepsAnswers(t *testing.T) {
+// TestOpenIgnoresFramedField: manifests written before the run layout
+// became the only one carry "framed": true on every spilled payload. The
+// field is no longer read, and such an artifact opens and answers like a
+// fresh save.
+func TestOpenIgnoresFramedField(t *testing.T) {
 	o := newSweepOracle(t)
 	dir := filepath.Join(t.TempDir(), "a")
 	l := o.buildSpilled(t, t.TempDir(), nil)
@@ -136,25 +170,49 @@ func TestResaveV1KeepsAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ReleaseSpill()
-	downConvertV1(t, dir)
-	rl, _, err := Open(dir)
+
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir2 := filepath.Join(t.TempDir(), "b")
-	if err := Save(rl, dir2); err != nil {
-		t.Fatalf("resaving reopened v1 artifact: %v", err)
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
 	}
-	rl.ReleaseSpill()
-	rl2, m2, err := Open(dir2)
+	var m map[string]any
+	if err := json.Unmarshal(env.Manifest, &m); err != nil {
+		t.Fatal(err)
+	}
+	spilled := 0
+	for _, p := range m["pcs"].([]any) {
+		if pm := p.(map[string]any); pm["dir"] != nil {
+			pm["framed"] = true
+			spilled++
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("saved label has no spilled payload")
+	}
+	if env.Manifest, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if env.CRC32C, err = manifestCRC(env.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(&env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rl, _, err := Open(dir)
 	if err != nil {
-		t.Fatalf("opening resaved artifact: %v", err)
+		t.Fatalf("Open of a manifest carrying \"framed\": %v", err)
 	}
-	if m2.FormatVersion != FormatVersion {
-		t.Fatalf("resaved artifact version %d, want %d", m2.FormatVersion, FormatVersion)
+	defer rl.ReleaseSpill()
+	if got := o.check(t, "framed-field", rl); got != len(o.probes) {
+		t.Fatalf("answered %d/%d probes", got, len(o.probes))
 	}
-	if got := o.check(t, "v1resave", rl2); got != len(o.probes) {
-		t.Fatalf("resaved artifact answered only %d/%d probes", got, len(o.probes))
-	}
-	rl2.ReleaseSpill()
 }

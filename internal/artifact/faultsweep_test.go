@@ -271,7 +271,8 @@ func TestFaultSweepOpen(t *testing.T) {
 // asserts the checksums hold the line: each flip is either caught at Open
 // (typed corruption error), caught at query time (clean error from the
 // lazy run CRC), or — only for flips outside any checksummed region, which
-// v2 does not have — answered identically. Wrong answers fail the sweep.
+// the format does not have — answered identically. Wrong answers fail the
+// sweep.
 func TestFaultSweepCorruption(t *testing.T) {
 	o := newSweepOracle(t)
 	srcDir := filepath.Join(t.TempDir(), "a")

@@ -19,15 +19,16 @@ import (
 	"pcbl/internal/lattice"
 )
 
-// seedManifests covers both accepted layouts and the common corruption
-// shapes: the v2 envelope, the bare v1 manifest, and mutations of each.
+// seedManifests covers the current envelope, bare manifests of format 1
+// (which take the rejection path: only the current format is read), and
+// the common corruption shapes of each.
 var seedManifests = []string{
-	// Minimal well-formed v1 (bare) manifest.
+	// Minimal well-formed format-1 (bare) manifest.
 	`{"format_version":1,"dataset":"d","total_rows":2,
 	  "attributes":[{"name":"a0","domain":["x"],"counts":[2]}],
 	  "label_attrs":["a0"],
 	  "pcs":[{"attrs":["a0"],"kind":"dense","file":"pc-000.bin","distinct":1}]}`,
-	// v2 envelope around the same manifest (checksum intentionally wrong
+	// Current envelope around the same manifest (checksum intentionally wrong
 	// in most mutations the fuzzer derives; the seed itself uses 0).
 	`{"format_version":2,"crc32c":0,"manifest":{"format_version":2,
 	  "dataset":"d","total_rows":2,

@@ -230,52 +230,7 @@ func (pc *PC) EachE(n int, fn func(vals []uint16, count int) bool) error {
 // fired context returns the typed context error and no index. A nil ctx
 // never cancels.
 func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattice.AttrSet) (*PC, error) {
-	k := NewKeyer(d, sub)
-	out := &PC{keyer: k}
-	n := d.NumAttrs()
-	if radix, ok := denseRadix(k, d.NumRows(), DefaultDenseLimit); ok {
-		counts := make([]int32, radix)
-		distinct := 0
-		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-			if key, ok := k.KeyVals(vals); ok {
-				if counts[key] == 0 {
-					distinct++
-				}
-				counts[key] += int32(c)
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		out.dz, out.distinct = counts, distinct
-		return out, nil
-	}
-	if k.Fits() {
-		out.u = make(map[uint64]int)
-		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-			key, ok := k.KeyVals(vals)
-			if ok {
-				out.u[key] += c
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	out.s = make(map[string]int)
-	var buf []byte
-	if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-		b, ok := k.AppendBytesVals(buf[:0], vals)
-		buf = b
-		if ok {
-			out.s[string(b)] += c
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return mergeRekey(ctx, NewKeyer(d, sub), d.NumAttrs(), d.NumRows(), CountOptions{}, pc)
 }
 
 // labelSize is the sequential label-size loop: |P_S| for attribute set s,

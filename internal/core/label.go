@@ -20,8 +20,8 @@ import (
 // dataset holds only the delta's rows).
 //
 // A Label retains a reference to its dataset to serve VC lookups and build
-// marginal indexes; use Portable to produce a self-contained, serializable
-// label for shipping as dataset metadata.
+// marginal indexes; internal/artifact persists it as the self-contained
+// form that ships as dataset metadata.
 type Label struct {
 	d     *dataset.Dataset
 	attrs lattice.AttrSet

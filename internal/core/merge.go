@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
@@ -245,18 +246,20 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 	// rebuild over the union rows would pick (minus the spill tier — the
 	// merged result materializes in memory here; spilled bases take the
 	// run-level path above).
-	return mergeRekey(k, n, rows, opts, base, delta)
+	return mergeRekey(nil, k, n, rows, opts, base, delta)
 }
 
 // mergeRekey streams any number of indexes into a fresh index keyed by k,
-// choosing dense / u64-map / byte-map exactly as MarginalizeCtx does.
-func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
+// choosing dense / u64-map / byte-map as a build over rows would; it is
+// the body of a re-keying merge and of MarginalizeCtx. A fired ctx returns
+// the typed context error and no index.
+func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
 	out := &PC{keyer: k}
 	if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok {
 		counts := make([]int32, radix)
 		distinct := 0
 		for _, pc := range parts {
-			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					if counts[key] == 0 {
 						distinct++
@@ -274,7 +277,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	if k.Fits() {
 		out.u = make(map[uint64]int)
 		for _, pc := range parts {
-			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					out.u[key] += c
 				}
@@ -288,7 +291,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	out.s = make(map[string]int)
 	var buf []byte
 	for _, pc := range parts {
-		if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
+		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {

@@ -1,32 +1,52 @@
 package core
 
+// A portable label is the form a consumer of a published label holds: no
+// rows, only the schema, |D|, the VC section and the PC section. It is
+// what internal/artifact.Open assembles, so these tests build it the same
+// way (see portable) and check that it answers like the live label.
+
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"pcbl/internal/datagen"
+	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 	"pcbl/internal/testutil"
 )
 
+// portable assembles l's data-free form the way artifact.Open does: a
+// schema-only dataset, |D|, the VC section and the PC section keyed over
+// the schema.
+func portable(t *testing.T, l *Label) *Label {
+	t.Helper()
+	d := l.Dataset()
+	schema, err := dataset.NewBuilderFrom(d, d.Name()).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := PCFromRepr(schema, l.PC().Repr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := make([][]int, d.NumAttrs())
+	for a := range vc {
+		for id := 1; id <= d.Attr(a).DomainSize(); id++ {
+			vc[a] = append(vc[a], l.ValueCount(a, uint16(id)))
+		}
+	}
+	return NewLabelFromParts(schema, l.Rows(), l.Attrs(), pc, vc)
+}
+
 func TestPortableRoundTrip(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
-	data, err := must(l.Portable()).Encode()
-	if err != nil {
-		t.Fatal(err)
+	pl := portable(t, must(BuildLabel(d, s, CountOptions{Workers: 1})))
+	if pl.Size() != 3 || pl.Rows() != 18 || pl.Dataset().NumRows() != 0 {
+		t.Fatalf("portable size %d rows %d, dataset rows %d", pl.Size(), pl.Rows(), pl.Dataset().NumRows())
 	}
-	pl, err := DecodePortableLabel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Size() != 3 || pl.TotalRows != 18 {
-		t.Fatalf("decoded size %d rows %d", pl.Size(), pl.TotalRows)
-	}
-	if len(pl.LabelAttrs) != 2 {
-		t.Fatalf("label attrs = %v", pl.LabelAttrs)
+	if pl.Attrs() != s {
+		t.Fatalf("label attrs = %v, want %v", pl.Attrs(), s)
 	}
 }
 
@@ -36,18 +56,11 @@ func TestPortableEstimateMatchesLive(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
 	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
-	pl := must(l.Portable())
+	pl := portable(t, l)
 	ps := DistinctTuples(d)
 	for i := 0; i < ps.Len(); i++ {
-		assign := map[string]string{}
 		row := ps.Row(i)
-		for _, a := range ps.Attrs(i).Members() {
-			assign[d.Attr(a).Name()] = d.Attr(a).Value(row[a])
-		}
-		got, err := pl.Estimate(assign)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := must(pl.estimateRow(nil, row, ps.Attrs(i)))
 		if want := l.EstimateRow(row, ps.Attrs(i)); got != want {
 			t.Errorf("pattern %d: portable %v != live %v", i, got, want)
 		}
@@ -59,71 +72,53 @@ func TestPortableEstimateMatchesLive(t *testing.T) {
 func TestPortableMarginalization(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
-	pl := must(l.Portable())
-	got, err := pl.Estimate(map[string]string{"gender": "Female"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 9 {
+	pl := portable(t, must(BuildLabel(d, s, CountOptions{Workers: 1})))
+	p := must(NewPattern(pl.Dataset(), map[string]string{"gender": "Female"}))
+	if got := must(pl.EstimateCtx(nil, p)); got != 9 {
 		t.Errorf("marginal estimate = %v, want 9", got)
 	}
 }
 
+// TestPortableEstimateErrors: a pattern naming an unknown attribute or a
+// value outside its attribute's domain is an error, and the empty pattern
+// estimates |D| although the portable label holds no rows.
 func TestPortableEstimateErrors(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	pl := must(must(BuildLabel(d, s, CountOptions{Workers: 1})).Portable())
-	if _, err := pl.Estimate(map[string]string{"ghost": "x"}); err == nil {
+	pl := portable(t, must(BuildLabel(d, s, CountOptions{Workers: 1})))
+	if _, err := NewPattern(pl.Dataset(), map[string]string{"ghost": "x"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	// Out-of-domain value → estimate 0, no error.
-	got, err := pl.Estimate(map[string]string{"gender": "Robot"})
-	if err != nil || got != 0 {
-		t.Errorf("out-of-domain = (%v, %v), want (0, nil)", got, err)
+	if _, err := NewPattern(pl.Dataset(), map[string]string{"gender": "Robot"}); err == nil {
+		t.Error("out-of-domain value accepted")
 	}
-	// Empty assignment → |D|.
-	got, err = pl.Estimate(nil)
-	if err != nil || got != 18 {
+	empty := must(NewPattern(pl.Dataset(), nil))
+	if got, err := pl.EstimateCtx(nil, empty); err != nil || got != 18 {
 		t.Errorf("empty pattern = (%v, %v), want (18, nil)", got, err)
 	}
 }
 
-func TestDecodeValidation(t *testing.T) {
-	cases := []string{
-		`{`, // broken JSON
-		`{"attributes":[{"name":"a","values":["x"],"counts":[1,2]}]}`,                                                                          // misaligned counts
-		`{"attributes":[{"name":"a","values":[],"counts":[]},{"name":"a","values":[],"counts":[]}]}`,                                           // duplicate attr
-		`{"attributes":[{"name":"a","values":[],"counts":[]}],"label_attributes":["zz"]}`,                                                      // unknown label attr
-		`{"attributes":[{"name":"a","values":["x"],"counts":[1]}],"label_attributes":["a"],"pattern_counts":[{"values":["x","y"],"count":1}]}`, // arity
-	}
-	for i, c := range cases {
-		if _, err := DecodePortableLabel([]byte(c)); err == nil {
-			t.Errorf("bad document %d accepted", i)
-		}
-	}
-}
-
+// TestPortableDeterministicEncoding: the rendered label does not follow
+// map iteration order, so a map-backed label renders the same text every
+// time, and its portable form renders byte-identically.
 func TestPortableDeterministicEncoding(t *testing.T) {
 	d, err := datagen.BlueNile(500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish")
-	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
-	a, err := must(l.Portable()).Encode()
-	if err != nil {
-		t.Fatal(err)
+	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish", "clarity")
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1, DenseLimit: -1}))
+	if l.PC().Repr().U == nil {
+		t.Fatal("label is not map-backed")
 	}
-	b, err := must(l.Portable()).Encode()
-	if err != nil {
-		t.Fatal(err)
+	a := must(Render(l, RenderOptions{}))
+	for i := 0; i < 5; i++ {
+		if b := must(Render(l, RenderOptions{})); b != a {
+			t.Fatal("rendering not deterministic (PC ordering unstable)")
+		}
 	}
-	if string(a) != string(b) {
-		t.Error("encoding not deterministic (PC ordering unstable)")
-	}
-	if !strings.Contains(string(a), "pattern_counts") {
-		t.Error("JSON missing pattern_counts field")
+	if b := must(Render(portable(t, l), RenderOptions{})); b != a {
+		t.Errorf("portable form renders differently:\n%s\nwant:\n%s", b, a)
 	}
 }
 
@@ -133,23 +128,15 @@ func TestPortableRandomPatterns(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "race")
 	l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
-	pl := must(l.Portable())
+	pl := portable(t, l)
 	prop := func(mask uint8, pick uint16) bool {
 		attrs := lattice.AttrSet(mask) & lattice.FullSet(d.NumAttrs())
-		assign := map[string]string{}
 		vals := make([]uint16, d.NumAttrs())
 		for _, a := range attrs.Members() {
-			dom := d.Attr(a).DomainSize()
-			id := uint16(int(pick)%dom) + 1
-			vals[a] = id
-			assign[d.Attr(a).Name()] = d.Attr(a).Value(id)
+			vals[a] = uint16(int(pick)%d.Attr(a).DomainSize()) + 1
 		}
-		got, err := pl.Estimate(assign)
-		if err != nil {
-			return false
-		}
-		want := l.EstimateRow(vals, attrs)
-		return got == want
+		got, err := pl.estimateRow(nil, vals, attrs)
+		return err == nil && got == l.EstimateRow(vals, attrs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -22,11 +22,14 @@ type RenderOptions struct {
 
 // Render produces the human-readable "nutrition label" of Fig 1: total data
 // size, the per-attribute value counts with percentages, the pattern counts
-// of the label's attribute set, and optionally an error summary. Reading a
-// merge-on-read PC section can fail; the read error is returned then.
+// of the label's attribute set, and optionally an error summary. The total
+// is |D| as the label records it (Label.Rows), so a label reopened from an
+// artifact or grown by a merge renders like a rebuild over the same rows.
+// Reading a merge-on-read PC section can fail; the read error is returned
+// then.
 func Render(l *Label, opts RenderOptions) (string, error) {
 	d := l.Dataset()
-	total := d.NumRows()
+	total := l.Rows()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Total size: %s\n\n", groupDigits(total))
 
@@ -68,33 +71,16 @@ func Render(l *Label, opts RenderOptions) (string, error) {
 	}
 	fmt.Fprintln(w, strings.Join(header, "\t")+"\tCount\t%")
 
-	type row struct {
-		vals  []string
-		count int
-	}
-	rows := make([]row, 0, l.Size())
-	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
-		r := row{count: c}
-		for _, i := range l.attrs.Members() {
-			r.vals = append(r.vals, d.Attr(i).Value(vals[i]))
-		}
-		rows = append(rows, r)
-		return true
-	}); err != nil {
+	rows, err := l.PCRows()
+	if err != nil {
 		return "", err
 	}
-	sort.Slice(rows, func(x, y int) bool {
-		if rows[x].count != rows[y].count {
-			return rows[x].count > rows[y].count
-		}
-		return strings.Join(rows[x].vals, "\x00") < strings.Join(rows[y].vals, "\x00")
-	})
 	shown := len(rows)
 	if opts.MaxPCRows > 0 && shown > opts.MaxPCRows {
 		shown = opts.MaxPCRows
 	}
 	for _, r := range rows[:shown] {
-		fmt.Fprintf(w, "%s\t%s\t%s\n", strings.Join(r.vals, "\t"), groupDigits(r.count), pct(r.count, total))
+		fmt.Fprintf(w, "%s\t%s\t%s\n", strings.Join(r.Values, "\t"), groupDigits(r.Count), pct(r.Count, total))
 	}
 	w.Flush()
 	if shown < len(rows) {
@@ -108,6 +94,40 @@ func Render(l *Label, opts RenderOptions) (string, error) {
 		fmt.Fprintf(&b, "Standard deviation\t%s\n", groupDigits(int(e.StdAbs+0.5)))
 	}
 	return b.String(), nil
+}
+
+// PCRow is one entry of the PC section as a renderer shows it: the
+// pattern's values over S, in member order, and its count.
+type PCRow struct {
+	Values []string
+	Count  int
+}
+
+// PCRows returns the PC section in display order: by decreasing count,
+// ties by value. Render and the HTML report both list patterns in it.
+// Reading a merge-on-read PC section can fail; the read error is returned
+// then.
+func (l *Label) PCRows() ([]PCRow, error) {
+	d := l.Dataset()
+	members := l.attrs.Members()
+	rows := make([]PCRow, 0, l.Size())
+	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
+		r := PCRow{Count: c}
+		for _, i := range members {
+			r.Values = append(r.Values, d.Attr(i).Value(vals[i]))
+		}
+		rows = append(rows, r)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	sort.Slice(rows, func(x, y int) bool {
+		if rows[x].Count != rows[y].Count {
+			return rows[x].Count > rows[y].Count
+		}
+		return strings.Join(rows[x].Values, "\x00") < strings.Join(rows[y].Values, "\x00")
+	})
+	return rows, nil
 }
 
 // groupDigits renders 1234567 as "1,234,567".

@@ -3,7 +3,9 @@
 // ("the label's presentation may be manually refined and attributes can be
 // filtered-out in order to adjust the information to the user's interest").
 // The page is self-contained (inline CSS, no scripts) so it can be
-// published next to the dataset together with the JSON label.
+// published next to the dataset together with the label artifact. It
+// renders from a *core.Label, in-process or reopened from its artifact,
+// and reads |D| from Label.Rows, so both render identically.
 package htmlreport
 
 import (
@@ -11,7 +13,6 @@ import (
 	"html/template"
 	"io"
 	"sort"
-	"strings"
 
 	"pcbl/internal/core"
 )
@@ -57,16 +58,21 @@ type vcGroup struct {
 	Rows []vcRow
 }
 
-// Write renders the report for a portable label to w.
-func Write(w io.Writer, pl *core.PortableLabel, opts Options) error {
+// Write renders the report for label l to w. Reading a merge-on-read PC
+// section can fail; the read error is returned and nothing is written.
+func Write(w io.Writer, l *core.Label, opts Options) error {
+	d := l.Dataset()
+	total := l.Rows()
 	data := reportData{
-		Title:      opts.Title,
-		TotalRows:  pl.TotalRows,
-		LabelAttrs: pl.LabelAttrs,
-		Eval:       opts.Eval,
+		Title:     opts.Title,
+		TotalRows: total,
+		Eval:      opts.Eval,
+	}
+	for _, a := range l.Attrs().Members() {
+		data.LabelAttrs = append(data.LabelAttrs, d.Attr(a).Name())
 	}
 	if data.Title == "" {
-		data.Title = pl.Dataset
+		data.Title = d.Name()
 	}
 	if data.Title == "" {
 		data.Title = "Dataset label"
@@ -75,40 +81,35 @@ func Write(w io.Writer, pl *core.PortableLabel, opts Options) error {
 	for _, n := range opts.VCAttrs {
 		keep[n] = true
 	}
-	for _, a := range pl.Attrs {
-		if len(keep) > 0 && !keep[a.Name] {
+	for a := 0; a < d.NumAttrs(); a++ {
+		attr := d.Attr(a)
+		if len(keep) > 0 && !keep[attr.Name()] {
 			continue
 		}
-		g := vcGroup{Attr: a.Name}
-		for i, v := range a.Values {
-			g.Rows = append(g.Rows, vcRow{
-				Attr:    a.Name,
-				Value:   v,
-				Count:   a.Counts[i],
-				Percent: pct(a.Counts[i], pl.TotalRows),
-			})
+		g := vcGroup{Attr: attr.Name()}
+		for i, v := range attr.Domain() {
+			c := l.ValueCount(a, uint16(i+1))
+			g.Rows = append(g.Rows, vcRow{Attr: attr.Name(), Value: v, Count: c, Percent: pct(c, total)})
 		}
 		sort.SliceStable(g.Rows, func(x, y int) bool { return g.Rows[x].Count > g.Rows[y].Count })
 		data.VCGroups = append(data.VCGroups, g)
 	}
-	rows := make([]pcRow, 0, len(pl.PC))
-	for _, e := range pl.PC {
-		rows = append(rows, pcRow{Values: e.Values, Count: e.Count, Percent: pct(e.Count, pl.TotalRows)})
+	pcRows, err := l.PCRows()
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(rows, func(x, y int) bool {
-		if rows[x].Count != rows[y].Count {
-			return rows[x].Count > rows[y].Count
-		}
-		return strings.Join(rows[x].Values, "\x00") < strings.Join(rows[y].Values, "\x00")
-	})
+	rows := make([]pcRow, len(pcRows))
+	for i, r := range pcRows {
+		rows[i] = pcRow{Values: r.Values, Count: r.Count, Percent: pct(r.Count, total)}
+	}
 	if opts.MaxPCRows > 0 && len(rows) > opts.MaxPCRows {
 		data.Elided = len(rows) - opts.MaxPCRows
 		rows = rows[:opts.MaxPCRows]
 	}
 	data.PCRows = rows
-	if opts.Eval != nil && pl.TotalRows > 0 {
-		data.EvalMeanPct = 100 * opts.Eval.MeanAbs / float64(pl.TotalRows)
-		data.EvalMaxPct = 100 * opts.Eval.MaxAbs / float64(pl.TotalRows)
+	if opts.Eval != nil && total > 0 {
+		data.EvalMeanPct = 100 * opts.Eval.MeanAbs / float64(total)
+		data.EvalMaxPct = 100 * opts.Eval.MaxAbs / float64(total)
 	}
 	return tmpl.Execute(w, data)
 }

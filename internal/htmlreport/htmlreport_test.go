@@ -10,20 +10,20 @@ import (
 	"pcbl/internal/testutil"
 )
 
-func fig2Portable(t *testing.T, names ...string) *core.PortableLabel {
+func fig2Label(t *testing.T, names ...string) *core.Label {
 	t.Helper()
 	d := testutil.Fig2()
 	s, err := lattice.FromNames(d.AttrNames(), names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return must(must(core.BuildLabel(d, s, core.CountOptions{Workers: 1})).Portable())
+	return must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 }
 
 func TestWriteBasics(t *testing.T) {
-	pl := fig2Portable(t, "gender", "race")
+	l := fig2Label(t, "gender", "race")
 	var sb strings.Builder
-	if err := Write(&sb, pl, Options{}); err != nil {
+	if err := Write(&sb, l, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -49,7 +49,7 @@ func TestWriteWithEval(t *testing.T) {
 	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
 	eval := core.Evaluate(l, core.DistinctTuples(d), core.EvalOptions{})
 	var sb strings.Builder
-	if err := Write(&sb, must(l.Portable()), Options{Eval: &eval, Title: "My data"}); err != nil {
+	if err := Write(&sb, l, Options{Eval: &eval, Title: "My data"}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -68,7 +68,7 @@ func TestWriteEscapesHTML(t *testing.T) {
 	}
 	l := must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1}))
 	var sb strings.Builder
-	if err := Write(&sb, must(l.Portable()), Options{}); err != nil {
+	if err := Write(&sb, l, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "<script>alert") {
@@ -80,9 +80,9 @@ func TestWriteEscapesHTML(t *testing.T) {
 }
 
 func TestWriteFiltersAndTruncates(t *testing.T) {
-	pl := fig2Portable(t, "race", "marital status") // 9 patterns
+	l := fig2Label(t, "race", "marital status") // 9 patterns
 	var sb strings.Builder
-	err := Write(&sb, pl, Options{VCAttrs: []string{"gender"}, MaxPCRows: 4})
+	err := Write(&sb, l, Options{VCAttrs: []string{"gender"}, MaxPCRows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

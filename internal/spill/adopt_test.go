@@ -93,7 +93,7 @@ func TestOpenServesAdoptedRuns(t *testing.T) {
 	}
 	w.Cleanup()
 
-	r, err := Open(dst, width, runs, true, nil, nil)
+	r, err := Open(dst, width, runs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
 	// Both artifact directories must hold complete, independently readable
 	// run sets.
 	for _, dir := range []string{first, second} {
-		r, err := Open(dir, 6, w.NumRuns(), true, nil, nil)
+		r, err := Open(dir, 6, w.NumRuns(), nil, nil)
 		if err != nil {
 			t.Fatalf("open %s: %v", dir, err)
 		}
@@ -144,8 +144,7 @@ func TestOpenRejectsTruncatedRun(t *testing.T) {
 	if err := w.AdoptInto(dst); err != nil {
 		t.Fatal(err)
 	}
-	// Chop one byte off a run so its size is no longer a whole number of
-	// records.
+	// Chop one byte off a run so its last frame is truncated.
 	path := runPath(dst, 0)
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -154,7 +153,7 @@ func TestOpenRejectsTruncatedRun(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dst, 6, w.NumRuns(), true, nil, nil); err == nil {
+	if _, err := Open(dst, 6, w.NumRuns(), nil, nil); err == nil {
 		t.Fatal("Open accepted a truncated run file")
 	}
 }
@@ -164,7 +163,7 @@ func TestOpenMissingRun(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "run-0000"), make([]byte, 12), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 6, 2, true, nil, nil); err == nil {
+	if _, err := Open(dir, 6, 2, nil, nil); err == nil {
 		t.Fatal("Open accepted a directory missing run files")
 	}
 }

@@ -4,7 +4,7 @@ package spill
 // spill group-bys off one record stream, so a single dataset pass can
 // partition every spilled set of a frontier instead of one pass per set.
 // Each target keeps its own Writer — its own run directory, record width,
-// run count and framed layout — and the run files it produces are
+// run count and frame stream — and the run files it produces are
 // byte-identical to the ones a standalone per-set pass would write, so the
 // counting side (CountRunsCtx/CountRunsU64Ctx) needs no changes at all.
 //

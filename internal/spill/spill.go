@@ -25,14 +25,12 @@
 // exact cross-worker cap-abort, and each worker reuses one pooled map and
 // read chunk across its runs.
 //
-// Run files are a corruption-detecting format (v2): every flush writes one
+// Run files are a corruption-detecting format: every flush writes one
 // CRC32C-checksummed frame, and every read path verifies the frame it
 // decodes before a single record reaches a count map — a torn sector or
 // bit flip surfaces as a typed CorruptError, never as a silently wrong
-// count. Unframed (v1) run files written by earlier releases still open
-// read-only; see Open. All file access goes through an injectable
-// iofault.FS seam, so durability tests can script the exact fault a disk
-// would produce.
+// count. All file access goes through an injectable iofault.FS seam, so
+// durability tests can script the exact fault a disk would produce.
 //
 // The package is deliberately below internal/core in the import order: it
 // deals only in opaque fixed-width byte records, so core can select it from
@@ -107,11 +105,11 @@ type Stats struct {
 var ErrCorrupt = errors.New("spill: corrupt run data")
 
 // CorruptError reports where a run file failed verification: a frame
-// checksum mismatch, a truncated frame, or a mid-record truncation of an
-// unframed (v1) run. It wraps ErrCorrupt.
+// checksum mismatch, a bad frame length or a truncated frame. It wraps
+// ErrCorrupt.
 type CorruptError struct {
 	Run    int   // run index within the writer
-	Off    int64 // byte offset of the bad frame (framed runs) or tail
+	Off    int64 // byte offset of the bad frame
 	Detail string
 }
 
@@ -165,7 +163,7 @@ const (
 // hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Frame layout of v2 run files: every flush appends one frame,
+// Frame layout of run files: every flush appends one frame,
 //
 //	uint32 payload length | uint32 CRC32C(payload) | payload
 //
@@ -206,20 +204,18 @@ func routeHash(rec []byte) uint64 {
 // (it is idempotent and safe to defer before any error handling, including
 // panics).
 type Writer struct {
-	cfg    Config
-	fs     iofault.FS
-	dir    string
-	owns   bool // created the run files; Cleanup deletes them and the dir
-	framed bool // v2 checksummed-frame layout (vs raw v1 records)
-	files  []iofault.File
-	mus    []sync.Mutex
-	wmu    sync.Mutex // guards stats accumulation from shards and count workers
-	stats  Stats
-	done   bool
+	cfg   Config
+	fs    iofault.FS
+	dir   string
+	owns  bool // created the run files; Cleanup deletes them and the dir
+	files []iofault.File
+	mus   []sync.Mutex
+	wmu   sync.Mutex // guards stats accumulation from shards and count workers
+	stats Stats
+	done  bool
 }
 
-// NewWriter creates the run files in a fresh private directory. New runs
-// are always written in the framed (v2) layout.
+// NewWriter creates the run files in a fresh private directory.
 func NewWriter(cfg Config) (*Writer, error) {
 	if cfg.RecWidth <= 0 {
 		return nil, fmt.Errorf("spill: record width must be positive, got %d", cfg.RecWidth)
@@ -243,13 +239,12 @@ func NewWriter(cfg Config) (*Writer, error) {
 		return nil, wrapNoSpace(err)
 	}
 	w := &Writer{
-		cfg:    cfg,
-		fs:     fsys,
-		dir:    dir,
-		owns:   true,
-		framed: true,
-		files:  make([]iofault.File, cfg.Runs),
-		mus:    make([]sync.Mutex, cfg.Runs),
+		cfg:   cfg,
+		fs:    fsys,
+		dir:   dir,
+		owns:  true,
+		files: make([]iofault.File, cfg.Runs),
+		mus:   make([]sync.Mutex, cfg.Runs),
 	}
 	w.stats.Runs = cfg.Runs
 	for i := range w.files {
@@ -269,15 +264,14 @@ func runPath(dir string, i int) string { return fmt.Sprintf("%s/run-%04d", dir, 
 
 // Open reopens an existing run directory read-only — the reverse of
 // AdoptInto, used to serve a label artifact's spilled PCs without
-// re-counting. The directory must hold run files named as NewWriter
-// creates them. framed selects the layout: true for checksummed v2 frames
-// (every file's frame chain is structurally validated here — lengths and
-// truncation; checksums verify lazily on each scan), false for raw v1
-// records (every file must be a whole number of recWidth-byte records).
-// The returned writer does not own the files: Cleanup closes the
-// descriptors but leaves the directory intact, and shard writes are not
-// supported. fsys nil means the OS filesystem.
-func Open(dir string, recWidth, runs int, framed bool, pool BufPool, fsys iofault.FS) (*Writer, error) {
+// re-counting. The directory must hold run files named and framed as
+// NewWriter writes them; every file's frame chain is structurally
+// validated here (lengths and truncation), and checksums verify lazily on
+// each scan. A file that is not a valid frame chain fails with a
+// CorruptError. The returned writer does not own the files: Cleanup
+// closes the descriptors but leaves the directory intact, and shard
+// writes are not supported. fsys nil means the OS filesystem.
+func Open(dir string, recWidth, runs int, pool BufPool, fsys iofault.FS) (*Writer, error) {
 	if recWidth <= 0 {
 		return nil, fmt.Errorf("spill: record width must be positive, got %d", recWidth)
 	}
@@ -286,12 +280,11 @@ func Open(dir string, recWidth, runs int, framed bool, pool BufPool, fsys iofaul
 	}
 	f := iofault.Resolve(fsys)
 	w := &Writer{
-		cfg:    Config{RecWidth: recWidth, Runs: runs, BufBytes: defaultBufBytes(runs), Pool: pool, FS: fsys},
-		fs:     f,
-		dir:    dir,
-		framed: framed,
-		files:  make([]iofault.File, runs),
-		mus:    make([]sync.Mutex, runs),
+		cfg:   Config{RecWidth: recWidth, Runs: runs, BufBytes: defaultBufBytes(runs), Pool: pool, FS: fsys},
+		fs:    f,
+		dir:   dir,
+		files: make([]iofault.File, runs),
+		mus:   make([]sync.Mutex, runs),
 	}
 	w.stats.Runs = runs
 	for i := range w.files {
@@ -317,9 +310,8 @@ func Open(dir string, recWidth, runs int, framed bool, pool BufPool, fsys iofaul
 	return w, nil
 }
 
-// validateRun checks run i's structure and returns its record count: for
-// framed runs it walks the frame chain (headers only — checksums verify on
-// scan), for raw runs it checks whole-record length.
+// validateRun walks run i's frame chain (headers only — checksums verify
+// on scan) and returns its record count.
 func (w *Writer) validateRun(run int) (records int64, err error) {
 	f := w.files[run]
 	fi, err := f.Stat()
@@ -327,13 +319,6 @@ func (w *Writer) validateRun(run int) (records int64, err error) {
 		return 0, err
 	}
 	size := fi.Size()
-	if !w.framed {
-		if size%int64(w.cfg.RecWidth) != 0 {
-			return 0, &CorruptError{Run: run, Off: size - size%int64(w.cfg.RecWidth),
-				Detail: fmt.Sprintf("truncated mid-record (%d trailing bytes)", size%int64(w.cfg.RecWidth))}
-		}
-		return size / int64(w.cfg.RecWidth), nil
-	}
 	var hdr [frameHdrLen]byte
 	var off int64
 	for off < size {
@@ -364,11 +349,6 @@ func checkFrameLen(run int, off int64, plen, recWidth int) error {
 	}
 	return nil
 }
-
-// Framed reports whether the writer's run files use the checksummed v2
-// frame layout. Artifact manifests record it so a reopened (or re-adopted)
-// run directory is always read with the layout it was written in.
-func (w *Writer) Framed() bool { return w.framed }
 
 // AdoptInto relocates the run files into dst (an existing directory) and
 // hands their ownership to it: the writer keeps serving scans and lookups
@@ -595,71 +575,33 @@ func (s *ShardWriter) Close() error {
 	return s.err
 }
 
-// readChunkBytes is the streaming granularity of raw-run counting: v1 runs
-// are read in chunks of this size (rounded to whole records) so peak
-// reader memory stays fixed no matter how large a run file grew. Framed
-// runs read frame-at-a-time instead, bounded by the flush buffer that
-// wrote them.
+// readChunkBytes is the floor of the pooled read buffer, rounded to whole
+// records. Scans read a frame at a time, so peak reader memory stays
+// fixed no matter how large a run file grew.
 const readChunkBytes = 256 << 10
 
-// chunkLen sizes the pooled read buffer: whole records near readChunkBytes
-// for raw runs, at least one write buffer plus header for framed runs
+// chunkLen sizes the pooled read buffer: whole records near
+// readChunkBytes, and at least one write buffer plus its frame header
 // (scans grow past it only for frames written with a larger BufBytes).
 func (w *Writer) chunkLen() int {
 	n := readChunkBytes - readChunkBytes%w.cfg.RecWidth
 	if n < w.cfg.RecWidth {
 		n = w.cfg.RecWidth
 	}
-	if w.framed && n < w.cfg.BufBytes+frameHdrLen {
+	if n < w.cfg.BufBytes+frameHdrLen {
 		n = w.cfg.BufBytes + frameHdrLen
 	}
 	return n
 }
 
-// scanRun streams run r's records through chunk, invoking fn once per
-// record (the slice is only valid for the duration of the call). fn
-// returning false aborts the scan. Reads go through ReadAt at explicit
-// offsets, so any number of scans — of the same or different runs — may
-// proceed concurrently without sharing file positions. Framed runs verify
-// every frame's checksum before decoding records from it; corruption
-// surfaces as a CorruptError, never as wrong records.
+// scanRun streams run r's records through chunk, frame by frame, invoking
+// fn once per record (the slice is only valid for the duration of the
+// call). fn returning false aborts the scan. Every frame's CRC32C is
+// verified before any record from it reaches fn, so corruption surfaces as
+// a CorruptError, never as wrong records. Reads go through ReadAt at
+// explicit offsets, so any number of scans — of the same or different
+// runs — may proceed concurrently without sharing file positions.
 func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) (aborted bool, err error) {
-	if w.framed {
-		return w.scanRunFramed(run, chunk, fn)
-	}
-	return w.scanRunRaw(run, chunk, fn)
-}
-
-// scanRunRaw streams an unframed (v1) run.
-func (w *Writer) scanRunRaw(run int, chunk []byte, fn func(rec []byte) bool) (aborted bool, err error) {
-	f := w.files[run]
-	var off int64
-	for {
-		n, rerr := f.ReadAt(chunk, off)
-		if rerr != nil && rerr != io.EOF {
-			return false, rerr
-		}
-		// ReadAt fills the whole chunk unless it hit EOF or an error, so a
-		// ragged tail can only appear on the final chunk.
-		if n%w.cfg.RecWidth != 0 {
-			return false, &CorruptError{Run: run, Off: off + int64(n-n%w.cfg.RecWidth),
-				Detail: fmt.Sprintf("truncated mid-record (%d trailing bytes)", n%w.cfg.RecWidth)}
-		}
-		for o := 0; o < n; o += w.cfg.RecWidth {
-			if !fn(chunk[o : o+w.cfg.RecWidth]) {
-				return true, nil
-			}
-		}
-		off += int64(n)
-		if rerr == io.EOF {
-			return false, nil
-		}
-	}
-}
-
-// scanRunFramed streams a framed (v2) run frame-by-frame, verifying each
-// frame's CRC32C before any record from it reaches fn.
-func (w *Writer) scanRunFramed(run int, chunk []byte, fn func(rec []byte) bool) (aborted bool, err error) {
 	f := w.files[run]
 	var hdr [frameHdrLen]byte
 	var off int64

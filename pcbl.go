@@ -34,8 +34,6 @@ type (
 	Pattern = core.Pattern
 	// Label is a pattern count–based label L_S(D) (Definition 2.9).
 	Label = core.Label
-	// PortableLabel is a self-contained serializable label.
-	PortableLabel = core.PortableLabel
 	// PatternSet is an evaluation workload of patterns with true counts.
 	PatternSet = core.PatternSet
 	// EvalResult aggregates estimation error over a pattern set.
@@ -62,14 +60,11 @@ type FS = iofault.FS
 // EngineOptions is the one knob set for the counting engine behind every
 // facade entry point — label builds (LabelOptions.Engine), label searches
 // (GenerateOptions.Engine), and incremental merges. The zero value means
-// all defaults: all CPUs, the engine's dense threshold, unlimited memory,
-// system temp spill, the OS filesystem.
+// all defaults: all CPUs, unlimited memory, system temp spill, the OS
+// filesystem.
 type EngineOptions struct {
 	// Workers bounds group-by parallelism (0 = NumCPU).
 	Workers int
-	// DenseLimit overrides the dense-kernel threshold (0 = engine default,
-	// a 2^22-slot key space; negative forces the hash-map kernels).
-	DenseLimit int
 	// MemBudget bounds the in-memory grouping state of a single group-by
 	// in bytes; over-budget group-bys count out-of-core via hash-
 	// partitioned on-disk runs, and over-budget result maps stay on disk
@@ -82,20 +77,15 @@ type EngineOptions struct {
 	// FS is the filesystem seam spill runs are written through; nil means
 	// the real OS filesystem.
 	FS FS
-	// DisableSharedSpill turns off the shared-scan spill partitioner
-	// during searches (result-identical; for ablation).
-	DisableSharedSpill bool
 }
 
 // countOptions lowers the facade options onto the internal engine.
 func (e EngineOptions) countOptions() core.CountOptions {
 	return core.CountOptions{
-		Workers:            e.Workers,
-		DenseLimit:         e.DenseLimit,
-		MemBudget:          e.MemBudget,
-		SpillDir:           e.SpillDir,
-		FS:                 e.FS,
-		DisableSharedSpill: e.DisableSharedSpill,
+		Workers:   e.Workers,
+		MemBudget: e.MemBudget,
+		SpillDir:  e.SpillDir,
+		FS:        e.FS,
 	}
 }
 
@@ -231,11 +221,7 @@ func PatternsOver(d *Dataset, attrNames ...string) (*PatternSet, error) {
 // estimation-quality block. Reading a spilled PC section can fail; the
 // read error is returned and nothing is written.
 func WriteHTMLReport(w io.Writer, l *Label, eval *EvalResult) error {
-	pl, err := l.Portable()
-	if err != nil {
-		return err
-	}
-	return htmlreport.Write(w, pl, htmlreport.Options{Eval: eval})
+	return htmlreport.Write(w, l, htmlreport.Options{Eval: eval})
 }
 
 // Algorithm selects the label search strategy.
@@ -270,18 +256,12 @@ type GenerateOptions struct {
 	// context.DeadlineExceeded. Zero means no deadline.
 	Timeout time.Duration
 
-	// Engine configures the counting engine (workers, dense threshold,
-	// memory budget, spill placement, filesystem seam). Engine.Workers
+	// Engine configures the counting engine (workers, memory budget,
+	// spill placement, filesystem seam). Engine.Workers
 	// bounds parallelism in both search phases — enumeration shards its
 	// sizing scans, evaluation scores candidates concurrently — and
 	// parallel runs return exactly the sequential result.
 	Engine EngineOptions
-
-	// DisableRefine turns off batched sibling refinement during
-	// enumeration: every frontier is sized by raw fused scans instead of
-	// refining a dense-keyable parent's groups. The search result is
-	// identical either way; the knob exists for ablation.
-	DisableRefine bool
 }
 
 // GenerateLabel finds an (approximately) optimal label within the size
@@ -315,17 +295,14 @@ func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*Search
 	}
 	eng := opts.Engine
 	so := search.Options{
-		Bound:              opts.Bound,
-		FastEval:           opts.FastEval,
-		BranchAndBound:     opts.BranchAndBound,
-		Workers:            eng.Workers,
-		DisableRefine:      opts.DisableRefine,
-		DenseLimit:         eng.DenseLimit,
-		MemBudget:          eng.MemBudget,
-		SpillDir:           eng.SpillDir,
-		FS:                 eng.FS,
-		DisableSharedSpill: eng.DisableSharedSpill,
-		Ctx:                ctx,
+		Bound:          opts.Bound,
+		FastEval:       opts.FastEval,
+		BranchAndBound: opts.BranchAndBound,
+		Workers:        eng.Workers,
+		MemBudget:      eng.MemBudget,
+		SpillDir:       eng.SpillDir,
+		FS:             eng.FS,
+		Ctx:            ctx,
 	}
 	switch opts.Algorithm {
 	case "", TopDown:
@@ -356,20 +333,6 @@ func Evaluate(l *Label, ps *PatternSet) EvalResult {
 func RenderLabel(l *Label, eval *EvalResult) (string, error) {
 	return core.Render(l, core.RenderOptions{Eval: eval})
 }
-
-// EncodeLabel serializes a label into its self-contained JSON form.
-// Reading a spilled PC section can fail; the read error is returned then.
-func EncodeLabel(l *Label) ([]byte, error) {
-	pl, err := l.Portable()
-	if err != nil {
-		return nil, err
-	}
-	return pl.Encode()
-}
-
-// DecodeLabel parses a label previously produced by EncodeLabel. The result
-// can estimate pattern counts without access to the original dataset.
-func DecodeLabel(data []byte) (*PortableLabel, error) { return core.DecodePortableLabel(data) }
 
 // LabelOptions configures the counting engine behind BuildLabelWith. The
 // zero value matches BuildLabel.

@@ -1,8 +1,7 @@
 package pcbl
 
-// Whole-label readers — Portable, Render and the facade's EncodeLabel,
-// WriteHTMLReport and RenderLabel — stream a spilled PC section from its
-// on-disk runs. A run read that fails must come back as an error, never a
+// Whole-label readers — Render and the facade's WriteHTMLReport and
+// RenderLabel — stream a spilled PC section from its on-disk runs. A run read that fails must come back as an error, never a
 // panic, and once the disk heals the same label must produce exactly the
 // output of an in-memory build.
 
@@ -49,19 +48,7 @@ func TestSpilledLabelReadersSurfaceReadFault(t *testing.T) {
 	}
 
 	readers := map[string]func(*Label) (string, error){
-		"Portable": func(l *Label) (string, error) {
-			pl, err := l.Portable()
-			if err != nil {
-				return "", err
-			}
-			b, err := pl.Encode()
-			return string(b), err
-		},
 		"Render": func(l *Label) (string, error) { return core.Render(l, core.RenderOptions{}) },
-		"EncodeLabel": func(l *Label) (string, error) {
-			b, err := EncodeLabel(l)
-			return string(b), err
-		},
 		"WriteHTMLReport": func(l *Label) (string, error) {
 			var buf bytes.Buffer
 			err := WriteHTMLReport(&buf, l, nil)

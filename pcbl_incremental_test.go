@@ -7,11 +7,14 @@ package pcbl
 // winning on conflict.
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pcbl/internal/datagen"
+	"pcbl/internal/iofault"
 	"pcbl/internal/testutil"
 )
 
@@ -145,8 +148,64 @@ func TestFacadeArtifactErrors(t *testing.T) {
 // TestEngineOptionsCompat pins the facade-to-engine lowering:
 // countOptions carries every engine field through to the core.
 func TestEngineOptionsCompat(t *testing.T) {
-	co := EngineOptions{Workers: 7, DenseLimit: 9, MemBudget: 11, SpillDir: "s", DisableSharedSpill: true}.countOptions()
-	if co.Workers != 7 || co.DenseLimit != 9 || co.MemBudget != 11 || co.SpillDir != "s" || !co.DisableSharedSpill {
+	fs := iofault.NewFaultFS(nil)
+	co := EngineOptions{Workers: 7, MemBudget: 11, SpillDir: "s", FS: fs}.countOptions()
+	if co.Workers != 7 || co.MemBudget != 11 || co.SpillDir != "s" || co.FS != fs {
 		t.Fatalf("countOptions dropped a field: %+v", co)
+	}
+}
+
+// TestRenderMatchesRebuild: a label reopened from its artifact, or grown
+// by a merge, renders — as text and as HTML — byte-identically to a label
+// rebuilt in process over the same rows. Both renderers read |D| from
+// Label.Rows: the attached dataset holds no rows after a reopen and only
+// the delta's rows after a merge.
+func TestRenderMatchesRebuild(t *testing.T) {
+	src, err := datagen.BlueNile(6000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullCSV, baseCSV := splitCSV(t, src, 5000)
+	opts := CSVOptions{Name: "bluenile"}
+	full := must(ReadCSV(strings.NewReader(fullCSV), opts))
+	base := must(ReadCSV(strings.NewReader(baseCSV), opts))
+	attrs := []string{"cut", "polish", "symmetry"}
+
+	dir := filepath.Join(t.TempDir(), "artifact")
+	if err := SaveLabelArtifact(must(BuildLabel(base, attrs...)), dir); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := OpenLabelArtifact(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	merged := must(BuildLabel(base, attrs...))
+	opts.SkipRows = base.NumRows()
+	delta := must(ReadCSVAppend(strings.NewReader(fullCSV), base, opts))
+	if _, _, err := merged.Merge(must(BuildLabel(delta, attrs...)), -1); err != nil {
+		t.Fatal(err)
+	}
+
+	html := func(l *Label) string {
+		var b bytes.Buffer
+		if err := WriteHTMLReport(&b, l, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *Label
+	}{
+		{"reopened", reopened, must(BuildLabel(base, attrs...))},
+		{"merged", merged, must(BuildLabel(full, attrs...))},
+	} {
+		if got, want := must(RenderLabel(c.got, nil)), must(RenderLabel(c.want, nil)); got != want {
+			t.Errorf("%s: RenderLabel differs from the rebuild:\n%s\nwant:\n%s", c.name, got, want)
+		}
+		if html(c.got) != html(c.want) {
+			t.Errorf("%s: WriteHTMLReport differs from the rebuild", c.name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package pcbl
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,33 +62,35 @@ func TestFacadeNaive(t *testing.T) {
 	}
 }
 
+// TestFacadePortableRoundTrip: a label published as an artifact and
+// reopened without its data (its portable form) keeps its size and
+// estimates exactly like the live label.
 func TestFacadePortableRoundTrip(t *testing.T) {
 	d := testutil.Fig2()
 	l, err := BuildLabel(d, "gender", "race")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeLabel(l)
+	dir := filepath.Join(t.TempDir(), "artifact")
+	if err := SaveLabelArtifact(l, dir); err != nil {
+		t.Fatal(err)
+	}
+	pl, _, err := OpenLabelArtifact(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := DecodeLabel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Size() != l.Size() {
-		t.Errorf("portable size %d != %d", pl.Size(), l.Size())
+	if pl.Size() != l.Size() || pl.Rows() != l.Rows() {
+		t.Errorf("reopened size %d rows %d, want %d rows %d", pl.Size(), pl.Rows(), l.Size(), l.Rows())
 	}
 	// Estimates agree with the live label.
-	assign := map[string]string{"gender": "Female", "race": "Hispanic", "marital status": "divorced"}
-	p, _ := NewPattern(d, assign)
-	want := l.Estimate(p)
-	got, err := pl.Estimate(assign)
+	const expr = "gender=Female, race=Hispanic, marital status=divorced"
+	want := must(l.EstimateCtx(nil, must(ParsePattern(d, expr))))
+	got, err := pl.EstimateCtx(nil, must(ParsePattern(pl.Dataset(), expr)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("portable estimate %v != live %v", got, want)
+		t.Errorf("reopened estimate %v != live %v", got, want)
 	}
 }
 
