@@ -356,7 +356,7 @@ func BenchmarkCore_DistinctTuples(b *testing.B) {
 	}
 }
 
-// --- Counting engine: sharded group-by and fused frontier scans ----------
+// --- Counting engine: sharded group-by and frontier sizing ---------------
 //
 // Recorded baselines live in BENCH_pr1.json (note the environment block:
 // wall-clock speedup requires more than one CPU; single-core runs measure
@@ -380,7 +380,7 @@ func benchPaperScale(b *testing.B) *dataset.Dataset {
 }
 
 // benchFrontier is the kind of level the search's enumeration phase sizes
-// in one fused scan: every 2-subset of the dataset's attributes.
+// in one LabelSizes call: every 2-subset of the dataset's attributes.
 func benchFrontier(d *dataset.Dataset) []lattice.AttrSet {
 	var sets []lattice.AttrSet
 	lattice.Combinations(d.NumAttrs(), 2, func(s lattice.AttrSet) bool {
@@ -480,39 +480,25 @@ var frontierData *dataset.Dataset
 
 // BenchmarkFrontierSizing measures the enumeration phase (search.Enumerate:
 // frontier sizing across every lattice level, no evaluation) on a
-// small-domain multi-level workload, comparing the PR 1 fused-scan path
-// against the dense kernel alone and the batched refinement scheduler.
-// Recorded in BENCH_pr3.json;
-// the acceptance bars are scheduler ≥ 2× faster than pr1-fused and
-// scheduler bytes/op ≥ 10× below the BENCH_pr2 scheduler baseline at
-// equal-or-better ns/op.
+// small-domain multi-level workload. The scheduler variant's bytes/op is
+// gated against BENCH_pr3.json by bench_manifest.json.
 func BenchmarkFrontierSizing(b *testing.B) {
 	frontierOnce.Do(func() {
 		frontierData = smallDomainDataset(120000, 12, 3)
 	})
 	d := frontierData
-	bound := 200
-	variants := []struct {
-		name string
-		opts search.Options
-	}{
-		{"pr1-fused", search.Options{Bound: bound, Workers: 1, DisableRefine: true, DenseLimit: -1}},
-		{"dense-only", search.Options{Bound: bound, Workers: 1, DisableRefine: true}},
-		{"scheduler", search.Options{Bound: bound, Workers: 1}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cands, stats, err := search.Enumerate(d, v.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cands) == 0 || stats.SizeComputed == 0 {
-					b.Fatal("empty enumeration")
-				}
+	opts := search.Options{Bound: 200, Workers: 1}
+	b.Run("scheduler", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cands, stats, err := search.Enumerate(d, opts)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(cands) == 0 || stats.SizeComputed == 0 {
+				b.Fatal("empty enumeration")
+			}
+		}
+	})
 }
 
 // --- External-memory spill group-by (PR 4) --------------------------------
@@ -1246,7 +1232,7 @@ func BenchmarkAblation_MultiLabel(b *testing.B) {
 //
 // The context plumbing's hot-path cost: an unarmed engine (nil Ctx) pays a
 // nil compare per block, an armed one a non-blocking channel poll per
-// fusedBlockRows rows — ~28 polls across this 116300-row build. Recorded
+// 4096-row block — ~28 polls across this 116300-row build. Recorded
 // in BENCH_pr10.json; the acceptance bar is armed ns/op within 2% of nil
 // (i.e. inside run-to-run noise on a quiet machine).
 func BenchmarkCancellationOverhead(b *testing.B) {

@@ -10,7 +10,7 @@
 // The package is a thin facade over the implementation packages:
 //
 //   - internal/core     — patterns, labels, estimation, error metrics,
-//     and the sharded parallel counting engine (fused frontier scans)
+//     and the sharded parallel counting engine (grouped frontier sizing)
 //   - internal/search   — optimal-label search (naive and Algorithm 1)
 //   - internal/dataset  — categorical columnar tables, CSV, bucketization
 //   - internal/sampling, internal/pgstats — the paper's baselines

@@ -1,7 +1,7 @@
 package core
 
-// Allocation-regression pins for the pooled engine: steady-state batched
-// refinement and pooled dense PC builds must run in a near-constant
+// Allocation-regression pins for the pooled engine: steady-state sibling
+// group sizing and pooled dense PC builds must run in a near-constant
 // number of small allocations — planning slices and keyer metadata, never
 // per-row or per-key-space slabs. The bounds are deliberately loose (2×-ish
 // headroom over measured values) so they catch a lost pooling path, not
@@ -17,24 +17,23 @@ import (
 	"pcbl/internal/lattice"
 )
 
-// TestAllocsRefineSizes pins the steady-state allocations of one batched
-// sibling pass: after warmup every slab (child accumulators, key-block
+// TestAllocsSiblingGroup pins the steady-state allocations of sizing one
+// sibling group: after warmup every slab (child accumulators, key-block
 // scratch) comes from the pool, leaving only the per-call planning slices.
-func TestAllocsRefineSizes(t *testing.T) {
+func TestAllocsSiblingGroup(t *testing.T) {
 	cfg := diffConfig{rows: 5000, attrs: 6, domain: 4, nullRate: 0}
 	d := diffDataset(t, cfg, 41)
-	parent := lattice.NewAttrSet(0, 1)
-	attrs := []int{2, 3, 4, 5}
+	siblings := lattice.NewAttrSet(0, 1).Gen(cfg.attrs) // {0,1,2} … {0,1,5}
 	opts := CountOptions{Workers: 1, Pool: NewVecPool(0)}
-	RefineSizes(d, parent, attrs, -1, opts) // warm the pool
+	must2(LabelSizes(d, siblings, -1, opts)) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
-		RefineSizes(d, parent, attrs, -1, opts)
+		must2(LabelSizes(d, siblings, -1, opts))
 	})
-	// Measured ~10 (sizes + within + plans + accs + keyer metadata +
-	// column table + active list); anything near the child count × key
-	// space means pooling broke.
+	// Measured 15 (results, planning slices, the parent's keyer, column
+	// table, accumulators, active list); anything near the child count ×
+	// key space means pooling broke.
 	if allocs > 25 {
-		t.Fatalf("RefineSizes allocs/run = %.0f, want <= 25", allocs)
+		t.Fatalf("sibling group allocs/run = %.0f, want <= 25", allocs)
 	}
 }
 

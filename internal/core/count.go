@@ -239,8 +239,8 @@ func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattic
 // counting aborts and it returns (cap+1, false): the caller only needs to
 // know the bound was breached. Label sizes are monotone in S (refining a
 // grouping can only split groups), which is what makes this early abort —
-// and Algorithm 1's subtree pruning — sound. It is LabelSize's one-worker
-// path and the oracle the differential tests compare every kernel against.
+// and Algorithm 1's subtree pruning — sound. No caller uses it: it is the
+// oracle the differential tests compare LabelSizes against.
 func labelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within bool) {
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)

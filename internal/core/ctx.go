@@ -13,7 +13,7 @@ import (
 // merge point. The hot path never calls ctx.Err(): an unarmed engine (nil
 // Ctx, or a context that can never be cancelled) carries a nil done
 // channel, so the per-block check is one nil compare; an armed engine pays
-// one non-blocking channel poll per fusedBlockRows rows, which the
+// one non-blocking channel poll per keyBlockRows rows, which the
 // cancellation-overhead benchmark pins at noise level.
 //
 // Cancellation is clean by construction: workers stop cooperatively (no

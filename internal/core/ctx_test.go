@@ -105,24 +105,24 @@ func TestCancelledSizingReturnsTypedError(t *testing.T) {
 	}
 }
 
-func TestCancelledRefineSizesReturnsTypedError(t *testing.T) {
+func TestCancelledSiblingGroupReturnsTypedError(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 2000, attrs: 4, domain: 8}, 0xCF)
 	pool := NewVecPool(0)
 	opts := testCountOptions(2)
 	opts.Pool = pool
 	opts.Ctx = cancelledCtx()
-	sizes, within, err := RefineSizes(d, lattice.NewAttrSet(0), []int{1, 2}, -1, opts)
+	sizes, within, err := LabelSizes(d, lattice.NewAttrSet(0).Gen(4), -1, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if sizes != nil || within != nil {
-		t.Fatal("cancelled batch returned partial results")
+		t.Fatal("cancelled group returned partial results")
 	}
 	// The cancelled pass must have returned its slabs: the pool is still
 	// usable (a double-put would corrupt it).
 	v := pool.Int32(128, false)
 	if len(v) != 128 {
-		t.Fatal("pool returned wrong-size slab after cancelled batch")
+		t.Fatal("pool returned wrong-size slab after cancelled group")
 	}
 	pool.PutInt32(v)
 }

@@ -40,12 +40,6 @@ const DefaultDenseLimit = 1 << 22
 // (plus a small absolute floor so tiny datasets still take the fast path).
 const denseRowFactor = 16
 
-// fusedDenseSlotBudget caps the total dense slots one fused frontier scan
-// allocates per worker (int32 slots; 1<<23 = 32 MiB). Sets beyond the
-// budget fall back to the map path; the assignment is made in frontier
-// order before the scan starts, so it is deterministic.
-const fusedDenseSlotBudget = 1 << 23
-
 // denseLimit resolves the effective dense threshold: 0 means
 // DefaultDenseLimit, negative disables the dense kernel entirely.
 func (o CountOptions) denseLimit() int {
@@ -60,12 +54,12 @@ func (o CountOptions) denseLimit() int {
 
 // denseSpaceOK is THE dense-eligibility predicate: a flat count space of
 // the given size is worth allocating for a rows-sized scan iff it fits
-// the slot limit and is not vastly sparser than the scan. Every caller —
-// kernel selection (denseRadix), refinement accumulators (RefineSizes) and
-// scheduler routing (DenseKeyable, DenseExtendable) — shares it, so
-// routing decisions and representation choices cannot drift apart.
+// the slot limit and is not vastly sparser than the scan, and no int32
+// count can overflow. Kernel selection (denseRadix) and the sizing
+// kernel's per-set accumulators (LabelSizes) share it, so a set's label
+// size is counted on the representation its PC would get.
 func denseSpaceOK(space uint64, rows, limit int) bool {
-	return limit > 0 && space <= uint64(limit) && space <= uint64(rows)*denseRowFactor+64
+	return limit > 0 && rows <= math.MaxInt32 && space <= uint64(limit) && space <= uint64(rows)*denseRowFactor+64
 }
 
 // denseRadix reports whether the dense kernel applies to a keyer over a
@@ -73,10 +67,7 @@ func denseSpaceOK(space uint64, rows, limit int) bool {
 // length.
 func denseRadix(k *Keyer, rows, limit int) (radix int, ok bool) {
 	r, fits := k.Radix()
-	if !fits || rows > math.MaxInt32 {
-		return 0, false
-	}
-	if !denseSpaceOK(r, rows, limit) {
+	if !fits || !denseSpaceOK(r, rows, limit) {
 		return 0, false
 	}
 	return int(r), true

@@ -146,44 +146,9 @@ func TestKeyBlockMatchesKeyRow(t *testing.T) {
 	}
 }
 
-// TestDifferentialFusedDenseVsMap runs the fused frontier scan with the
-// dense kernel enabled and disabled across cap-abort boundaries; both must
-// reproduce the sequential LabelSize contract exactly.
-func TestDifferentialFusedDenseVsMap(t *testing.T) {
-	for ci, cfg := range diffConfigs {
-		t.Run(cfg.name(), func(t *testing.T) {
-			d := diffDataset(t, cfg, uint64(ci)+1)
-			rng := rand.New(rand.NewPCG(uint64(ci), 0xFD5E))
-			sets := diffAttrSets(cfg.attrs, rng)
-			maxSize := 0
-			for _, s := range sets {
-				if n, _ := labelSize(d, s, -1); n > maxSize {
-					maxSize = n
-				}
-			}
-			for _, cap := range []int{-1, 0, 1, maxSize - 1, maxSize, maxSize + 1} {
-				for _, workers := range diffWorkerCounts {
-					for _, denseLimit := range []int{0, -1, 8} {
-						opts := testCountOptions(workers)
-						opts.DenseLimit = denseLimit
-						sizes, within := must2(LabelSizes(d, sets, cap, opts))
-						for i, s := range sets {
-							wantSize, wantWithin := labelSize(d, s, cap)
-							if sizes[i] != wantSize || within[i] != wantWithin {
-								t.Fatalf("set %v cap=%d workers=%d denseLimit=%d: got (%d, %v), want (%d, %v)",
-									s, cap, workers, denseLimit, sizes[i], within[i], wantSize, wantWithin)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestFusedScanStats checks kernel-path accounting: every set is counted
-// on exactly one path, and disabling the dense kernel moves its sets to
-// the map path.
+// TestFusedScanStats checks kernel-path accounting: every set of a sized
+// frontier is counted on exactly one path, and disabling the dense kernel
+// moves its sets to the map path.
 func TestFusedScanStats(t *testing.T) {
 	cfg := diffConfig{rows: 2000, attrs: 5, domain: 4, nullRate: 0}
 	d := diffDataset(t, cfg, 5)

@@ -13,8 +13,8 @@
 // §IV-A), and parallel label evaluation with the paper's sorted
 // early-termination optimization (§IV-C).
 //
-// Each engine operation — BuildPC, LabelSize, LabelSizes, RefineSizes,
-// BuildLabel, PatternsOver — has one form: it takes CountOptions, whose
+// Each engine operation — BuildPC, LabelSize, LabelSizes, BuildLabel,
+// PatternsOver — has one form: it takes CountOptions, whose
 // Ctx field is its only cancellation input, and returns an error. Each
 // query method on PC and Label — LookupValsCtx, EachCtx, MarginalizeCtx,
 // CountCtx, EstimateCtx, MarginalPCCtx — takes ctx first (a nil ctx never
@@ -28,12 +28,28 @@
 // row range is split into contiguous per-worker chunks (CountOptions
 // bounds the worker count; Workers: 1 is the sequential path), each worker
 // fills private state with the shared read-only Keyer, and the shards are
-// merged. LabelSizes evaluates the label sizes of a whole frontier of
-// candidate attribute sets in one blocked pass over the rows with per-set
-// cap abort; it is the scan behind package search's enumeration phase.
+// merged.
+//
+// LabelSizes is the one label-sizing kernel (LabelSize is its one-set
+// form, and package search calls it once per lattice level). It groups a
+// frontier's sets by gen parent — S minus its largest attribute a — across
+// the whole frontier. A child's group-by refines its parent's, and since a
+// is the last member of S's mixed-radix key, S's key is the parent's key
+// plus (v_a − 1)·radix(parent) whenever it fits uint64. So each group
+// computes its parent's keys once per row block through Keyer.KeyBlock,
+// never materializing them, and every child extends the block by one
+// column and counts the result with the sequential loop's exact per-set
+// cap-abort: into a pooled dense slab when its key space passes the dense
+// predicate below, into a uint64 hash set otherwise. A set whose key
+// overflows uint64 keeps the per-row byte-key loop, and ∅ (one empty key
+// per row) is sized without a scan. Groups are the unit of parallelism:
+// each worker holds one group's accumulators at a time, and workers left
+// over when groups are few shard each group's rows, merging with the same
+// exact cap-abort.
 //
 // Group-by counting picks one of three kernels per attribute set,
-// deterministically from the key space and the row count (dense.go):
+// deterministically from the key space and the row count (dense.go); a
+// sized set's accumulator follows the same rule:
 //
 //   - dense: when the mixed-radix product is at most DefaultDenseLimit
 //     (2^22 slots) and not vastly sparser than the scan (at most 16× the
@@ -69,9 +85,9 @@
 // key-disjoint runs are counted K-way in parallel with a shared atomic
 // distinct total (exact cap-abort across workers), and counts merge with
 // the exact cap-abort of label sizing (per-run counts are final and the
-// distinct total is a monotone sum). Fused frontier scans exclude spilled
-// sets and size them afterwards, in frontier order: one spill scan for a
-// lone spilled set, the shared partition pass when there are several
+// distinct total is a monotone sum). LabelSizes keeps spilled sets out of
+// its groups and sizes them afterwards, in frontier order: one spill scan
+// for a lone spilled set, the shared partition pass when there are several
 // (ScanStats.SharedSpillPasses/SpillPassesSaved meter the saved scans).
 // Disk trouble during any spill scan degrades per set, never per pass:
 // the affected set re-counts in memory with the caller's full options
@@ -99,38 +115,19 @@
 // (spilledpc.go) and hammered by the race-matrix tests in
 // spilledpc_concurrent_test.go.
 //
-// Orthogonally, refinebatch.go reuses work across lattice levels. A
-// child set's group-by refines its parent's, so the label size of S ∪ {a}
-// follows from a two-column pass — parent groups joined with a's column —
-// counted in the compact (group, value) space, which is bounded by the
-// parent's key space × dom(a) rather than by the full mixed-radix product.
-// When the parent is dense-keyable its group ids can be DEFINED as its
-// dense mixed-radix keys, so the row→group vector is virtual —
-// recomputable blockwise through Keyer.KeyBlock — and one RefineSizes pass
-// sizes an entire batch of sibling children S ∪ {a₁}, …, S ∪ {aₖ} at once,
-// scattering into k pooled compact-space accumulators with per-child exact
-// cap-abort and worker sharding. Package search's frontier scheduler sends
-// each candidate down one of two paths: batched refinement when its gen
-// parent is dense-keyable and the candidate stays dense-keyable, the fused
-// raw scan (LabelSizes) otherwise.
-//
-// Refinement never spills: its compact spaces are bounded by a
-// dense-keyable parent's key space times one attribute domain, so it is
-// in-memory by construction — the budget governs only raw scans.
-//
 // Allocation is arena-managed: a VecPool recycles count slabs, key scratch
-// and spill buffers across refinements, fused scans and sharded builds
+// and spill buffers across sizing calls and sharded builds
 // (CountOptions.Pool). Steady-state enumeration allocates a near-constant
-// working set (pinned by alloc_test.go) instead of one compact-space slab
-// per candidate. The evaluation phase builds one label per candidate, and
+// working set (pinned by alloc_test.go) instead of one count slab per
+// candidate. The evaluation phase builds one label per candidate, and
 // each build does only per-candidate work — the PC group-by — because a
 // label's VC section is its dataset's VC table (dataset.Dataset.VCTable),
 // counted once per dataset and shared read-only by every label built over
 // it. A label build's allocations therefore do not grow with the number
 // of attributes (also pinned by alloc_test.go).
 //
-// Every parallel, dense and refinement path returns results
-// bit-identical to the sequential path for all worker counts
-// (differentially tested in parallel_test.go, dense_test.go and
-// refinebatch_test.go).
+// Every parallel and dense path returns results bit-identical to the
+// sequential path for all worker counts (differentially tested in
+// parallel_test.go, whose one sizing harness checks LabelSizes against the
+// sequential labelSize loop, and dense_test.go).
 package core

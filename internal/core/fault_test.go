@@ -9,6 +9,7 @@ package core
 // ScanStats.
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -213,6 +214,43 @@ func TestSharedSpillFaultDegradesOnlyFaultedSet(t *testing.T) {
 			// blast radius must stay a single set.
 			if stats.SpillFallbacks > 1 {
 				t.Fatalf("op=%v n=%d: %d sets degraded from one injected fault", op, n, stats.SpillFallbacks)
+			}
+		}
+	}
+}
+
+// TestLabelSizeSpillFallsBackOnce pins LabelSize as LabelSizes of one set:
+// with every spill-file create failing, the over-budget set falls back to
+// memory exactly once — one spill directory, one fallback — and reports
+// the same counters for every worker count, with or without an armed ctx.
+func TestLabelSizeSpillFallsBackOnce(t *testing.T) {
+	d := diffDataset(t, diffConfig{rows: 20000, attrs: 4, domain: 300}, 0xFB)
+	s := spillSet(t, d)
+	want, _ := labelSize(d, s, -1)
+	armed, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var first ScanStats
+	for _, workers := range []int{1, 2, 4} {
+		for _, ctx := range []context.Context{nil, armed} {
+			ffs := iofault.NewFaultFS(nil)
+			ffs.FailFrom(iofault.OpCreate, 1, nil)
+			var stats ScanStats
+			opts := CountOptions{Workers: workers, MemBudget: 64 << 10, SpillDir: t.TempDir(), FS: ffs, Stats: &stats, Ctx: ctx}
+			size, within := must2(LabelSize(d, s, -1, opts))
+			if size != want || !within {
+				t.Fatalf("workers=%d ctx=%v: got (%d, %v), oracle %d", workers, ctx != nil, size, within, want)
+			}
+			if stats.SpillFallbacks != 1 || stats.Spilled != 0 {
+				t.Fatalf("workers=%d ctx=%v: SpillFallbacks=%d Spilled=%d, want 1 and 0",
+					workers, ctx != nil, stats.SpillFallbacks, stats.Spilled)
+			}
+			if dirs := ffs.Counts()[iofault.OpMkdir]; dirs != 1 {
+				t.Fatalf("workers=%d ctx=%v: %d spill directories, want 1", workers, ctx != nil, dirs)
+			}
+			if workers == 1 && ctx == nil {
+				first = stats
+			} else if stats != first {
+				t.Fatalf("workers=%d ctx=%v: stats %+v, workers=1 nil ctx %+v", workers, ctx != nil, stats, first)
 			}
 		}
 	}

@@ -32,26 +32,35 @@ func NewKeyer(d *dataset.Dataset, s lattice.AttrSet) *Keyer {
 		fits:    true,
 	}
 	prod := uint64(1)
-	const limit = uint64(math.MaxInt64)
 	for j, i := range members {
-		dim := uint64(d.Attr(i).DomainSize())
-		if dim == 0 {
-			dim = 1 // attribute entirely NULL; no row will produce a key
-		}
+		dim := domainRadix(d, i)
 		k.dims[j] = dim
 		k.mult[j] = prod
 		if k.fits {
-			if prod > limit/dim {
-				k.fits = false
-			} else {
-				prod *= dim
-			}
+			prod, k.fits = mulRadix(prod, dim)
 		}
 	}
 	if k.fits {
 		k.radix = prod
 	}
 	return k
+}
+
+// domainRadix is attribute a's digit in a mixed-radix key: its domain
+// size, or 1 for an attribute that is entirely NULL (no row of it
+// produces a key).
+func domainRadix(d *dataset.Dataset, a int) uint64 {
+	return max(uint64(d.Attr(a).DomainSize()), 1)
+}
+
+// mulRadix grows a key space by one attribute's digit. When the product
+// would pass MaxInt64 the key no longer fits: it reports false and returns
+// the key space unchanged.
+func mulRadix(radix, dim uint64) (uint64, bool) {
+	if radix > math.MaxInt64/dim {
+		return radix, false
+	}
+	return radix * dim, true
 }
 
 // Attrs returns the attribute set the keyer covers.

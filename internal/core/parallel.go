@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"pcbl/internal/dataset"
@@ -10,9 +13,9 @@ import (
 	"pcbl/internal/workpool"
 )
 
-// The counting engine: sharded parallel group-by and fused multi-set
-// scanning. A dataset scan is split into contiguous row chunks, one per
-// worker; each worker fills private maps with the shared read-only Keyer
+// The counting engine: sharded parallel group-by and grouped frontier
+// sizing. A dataset scan is split into contiguous row chunks, one per
+// worker; each worker fills private state with the shared read-only Keyer
 // and the shards are merged afterwards, so the hot row loops run without
 // any synchronization. Every entry point is differentially tested against
 // the sequential paths (parallel_test.go): results are bit-identical for
@@ -36,8 +39,7 @@ type CountOptions struct {
 	// negative value disables the dense kernel entirely — every scanned
 	// set counts through hash maps, the pre-dense engine behaviour,
 	// useful as a differential-testing oracle and an ablation baseline.
-	// RefineSizes applies it only to pick its compact-space accumulators;
-	// the search's refinement passes leave it at the default.
+	// LabelSizes applies it to each set's accumulator the same way.
 	DenseLimit int
 
 	// Stats, when non-nil, accumulates which kernel each scanned set was
@@ -90,17 +92,16 @@ type CountOptions struct {
 	DisableSharedSpill bool
 
 	// Ctx, when non-nil, arms cooperative cancellation: scans check it at
-	// block granularity (fused scans and build kernels, every
-	// fusedBlockRows rows), run granularity (K-way spill counting) and
-	// chunk/item granularity (workpool dispatch), stop cleanly when it
-	// fires — deferred spill Cleanups still run, no partial result
-	// escapes — and BuildPC, LabelSize, LabelSizes, RefineSizes,
-	// BuildLabel and PatternsOver return the typed context error
-	// (context.Canceled or context.DeadlineExceeded). Only
-	// BuildLabelOpts, which cannot return an error, panics instead. A
-	// built label does not keep Ctx: its queries take their own ctx. A nil
-	// Ctx (or a never-cancelled context) makes every check a single nil
-	// compare — see ctx.go.
+	// block granularity (sizing and build kernels, every keyBlockRows
+	// rows), run granularity (K-way spill counting) and chunk/item
+	// granularity (workpool dispatch), stop cleanly when it fires —
+	// deferred spill Cleanups still run, no partial result escapes — and
+	// BuildPC, LabelSize, LabelSizes, BuildLabel and PatternsOver return
+	// the typed context error (context.Canceled or
+	// context.DeadlineExceeded). Only BuildLabelOpts, which cannot return
+	// an error, panics instead. A built label does not keep Ctx: its
+	// queries take their own ctx. A nil Ctx (or a never-cancelled context)
+	// makes every check a single nil compare — see ctx.go.
 	Ctx context.Context
 
 	// minRowsPerWorker overrides the sequential-fallback threshold. Only
@@ -124,87 +125,62 @@ func (o CountOptions) scanWorkers(rows int) int {
 // returns (cap+1, false): the caller only needs to know the bound was
 // breached. Label sizes are monotone in S (refining a grouping can only
 // split groups), which is what makes this early abort — and Algorithm 1's
-// subtree pruning — sound. The cap-abort result is exact for every worker
-// count and schedule.
+// subtree pruning — sound. It is LabelSizes of the one set: the same
+// result, kernel counters and spill behaviour for every worker count.
 //
 // The only error is opts.Ctx firing: the scan aborts at the next block
 // (or spill-run) boundary and surfaces the typed context error. Disk
 // trouble on the spill tier is not an error here — it degrades to the
-// in-memory kernels, metered in ScanStats.
+// in-memory kernel, metered in ScanStats.
 func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
-	stop := opts.stop()
-	if opts.MemBudget > 0 {
-		k := NewKeyer(d, s)
-		workers := opts.scanWorkers(d.NumRows())
-		if runs, format, spillOK := opts.spillFor(k, d.NumRows(), workers); spillOK {
-			sz, w, serr := labelSizeSpill(k, datasetCols(d), d.NumRows(), workers, runs, format, opts, cap)
-			if serr == nil {
-				return sz, w, nil
-			}
-			if isCtxErr(serr) {
-				return 0, false, serr
-			}
-			// Disk trouble: the in-memory paths below produce the identical
-			// result at unbounded memory.
-			opts.Stats.addSpillFallbackErr(serr)
-		}
-	}
-	// The sequential labelSize loop has no cancellation points; with an
-	// armed context the single-set fused scan (bit-identical results)
-	// carries the per-block checks instead.
-	if opts.scanWorkers(d.NumRows()) <= 1 && stop.done == nil {
-		sz, w := labelSize(d, s, cap)
-		return sz, w, nil
-	}
-	sizes, within2, err := LabelSizes(d, []lattice.AttrSet{s}, cap, opts)
+	sizes, withins, err := LabelSizes(d, []lattice.AttrSet{s}, cap, opts)
 	if err != nil {
 		return 0, false, err
 	}
-	return sizes[0], within2[0], nil
-}
-
-// fusedSet is the per-attribute-set state of one fused scan worker. Exactly
-// one of seenD/seenU/seenS is active, matching the kernel the planning pass
-// assigned to the set.
-type fusedSet struct {
-	keyer    *Keyer
-	seenD    []int32 // dense path: flat counts; distinct tracks nonzero slots
-	distinct int
-	seenU    map[uint64]struct{}
-	seenS    map[string]struct{}
+	return sizes[0], withins[0], nil
 }
 
 // LabelSizes evaluates the label sizes of a whole frontier of candidate
-// attribute sets in a single pass over the rows: one Keyer per set, shared
-// column access, and per-set early abort once a set's distinct count
-// exceeds cap. Row chunks are additionally sharded across workers
-// (CountOptions). For each set i the returned pair (sizes[i], within[i])
-// is exactly what LabelSize(d, sets[i], cap, opts) returns.
+// attribute sets. For each set i the pair (sizes[i], within[i]) is exactly
+// what the sequential labelSize loop reports for sets[i], for every worker
+// count and with or without Ctx; LabelSize is its one-set form.
 //
-// With cap >= 0 the per-worker memory is bounded by len(sets) × (cap+1)
-// entries: a set stops accumulating the moment it is proven out of bound.
-// Callers with very large frontiers should batch (package search uses
-// batches of a few hundred sets).
+// It is the engine's one sizing kernel. Sets are grouped by gen parent — S
+// minus its largest attribute a — across the whole frontier. Because a is
+// the last member of S's mixed-radix key, that key is the parent's key
+// plus (v_a − 1)·radix(parent) whenever it fits uint64, so each group
+// computes its parent's keys once per row block (Keyer.KeyBlock) and every
+// child extends them by one column. A child counts into a pooled dense
+// slab when its key space passes denseSpaceOK (dense.go) and into a uint64
+// hash set otherwise; a set whose key overflows uint64 keeps the per-row
+// byte-key loop. Every child has the sequential loop's exact cap-abort: it
+// stops counting the moment it is proven out of bound, so a hash set never
+// holds more than cap+1 keys.
 //
-// Under a CountOptions.MemBudget, map-kernel sets (uint64 or byte keys)
-// whose estimated map footprint exceeds the budget do not join the fused
-// in-memory scan at all — their seen-sets are exactly the unbounded state
-// the budget forbids. They are sized afterwards, one external spill
+// Groups are the unit of parallelism: while there are at least as many
+// groups as workers, each worker sizes whole groups and holds one group's
+// accumulators at a time; spare workers shard each group's rows, and the
+// shards merge with the same exact cap-abort.
+//
+// Under a CountOptions.MemBudget, uint64- and byte-key sets whose
+// estimated map footprint exceeds the budget join no group — their
+// seen-sets are exactly the unbounded state the budget forbids. They are
+// sized afterwards on the spill tier, in frontier order: one external
 // group-by each (uint64 or byte record format, matching the key encoding,
-// with K-way parallel run counting), in frontier order (deterministic for
-// every worker count); all other sets scan fused as usual.
+// with K-way parallel run counting), or one shared partition pass when
+// there are several.
 //
-// The only error is opts.Ctx firing: every worker of the fused scan checks
-// it once per fusedBlockRows row block (and the spill tier once per run),
-// and the whole frontier evaluation aborts with the typed context error —
-// sizes and within are nil then, never partially filled.
+// The only error is opts.Ctx firing: every worker checks it once per row
+// block (and the spill tier once per run), and the whole frontier
+// evaluation aborts with the typed context error — sizes and within are
+// nil then, never partially filled.
 func LabelSizes(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
 	if opts.MemBudget > 0 {
 		if si, ok := planSpilledSets(d, sets, opts); ok {
 			return labelSizesSplit(d, sets, cap, opts, si)
 		}
 	}
-	return labelSizesFusedScan(d, sets, cap, opts)
+	return labelSizesInMemory(d, sets, cap, opts)
 }
 
 // spilledSet is one frontier set routed to the external-memory tier.
@@ -216,8 +192,8 @@ type spilledSet struct {
 }
 
 // planSpilledSets applies the spill predicate to a frontier; ok is false
-// when no set spills (the common case — the caller takes the plain fused
-// path with zero overhead beyond the predicate).
+// when no set spills (the common case — the caller sizes the whole
+// frontier in memory with zero overhead beyond the predicate).
 func planSpilledSets(d *dataset.Dataset, sets []lattice.AttrSet, opts CountOptions) (spilled []spilledSet, ok bool) {
 	rows := d.NumRows()
 	workers := opts.scanWorkers(rows)
@@ -231,7 +207,7 @@ func planSpilledSets(d *dataset.Dataset, sets []lattice.AttrSet, opts CountOptio
 }
 
 // labelSizesSplit sizes a frontier whose spill plan is non-empty: the
-// in-memory sets run through the fused scan, then each spilled set runs
+// in-memory sets go through the grouped kernel, then each spilled set runs
 // its own partitioned on-disk group-by.
 func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, spilled []spilledSet) (sizes []int, within []bool, err error) {
 	sizes = make([]int, len(sets))
@@ -240,20 +216,20 @@ func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts C
 	for _, sp := range spilled {
 		isSpilled[sp.idx] = true
 	}
-	var scanSets []lattice.AttrSet
-	var scanIdx []int
+	var memSets []lattice.AttrSet
+	var memIdx []int
 	for i, s := range sets {
 		if !isSpilled[i] {
-			scanSets = append(scanSets, s)
-			scanIdx = append(scanIdx, i)
+			memSets = append(memSets, s)
+			memIdx = append(memIdx, i)
 		}
 	}
-	if len(scanSets) > 0 {
-		subSizes, subWithin, err := labelSizesFusedScan(d, scanSets, cap, opts)
+	if len(memSets) > 0 {
+		subSizes, subWithin, err := labelSizesInMemory(d, memSets, cap, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		for j, i := range scanIdx {
+		for j, i := range memIdx {
 			sizes[i], within[i] = subSizes[j], subWithin[j]
 		}
 	}
@@ -288,221 +264,287 @@ func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts C
 	return sizes, within, nil
 }
 
-// labelSizesFusedScan is the in-memory fused scan behind LabelSizes.
-func labelSizesFusedScan(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
+// sizeGroup is the frontier sets that share a gen parent.
+type sizeGroup struct {
+	parent   *Keyer
+	children []sizeChild
+}
+
+// sizeChild is one set of a sizing group. A uint64-key child's key is the
+// parent's key plus (id-1)·mult, id being its row's value of the added
+// attribute; a byte-key child carries its own keyer instead.
+type sizeChild struct {
+	idx   int      // frontier index
+	col   []uint16 // the added attribute's column
+	mult  uint64   // the parent's key space
+	slots int      // dense slab length; 0 counts into a hash set
+	bytes *Keyer   // non-nil when the set's key overflows uint64
+}
+
+// sizeAcc is one worker's accumulator for one child; exactly one of slab,
+// seen and seenS is set.
+type sizeAcc struct {
+	slab     []int32 // counts by key
+	distinct int     // nonzero slab slots
+	seen     map[uint64]struct{}
+	seenS    map[string]struct{}
+}
+
+// size is the accumulator's distinct-key count.
+func (a *sizeAcc) size() int { return a.distinct + len(a.seen) + len(a.seenS) }
+
+// capSize applies the cap-abort contract to a distinct count: past cap it
+// reads (cap+1, false).
+func capSize(n, cap int) (int, bool) {
+	if cap >= 0 && n > cap {
+		return cap + 1, false
+	}
+	return n, true
+}
+
+// labelSizesInMemory is LabelSizes for sets that do not spill: plan the
+// groups, then size them concurrently, splitting the workers between
+// groups and row shards.
+func labelSizesInMemory(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
 	sizes = make([]int, len(sets))
 	within = make([]bool, len(sets))
-	if len(sets) == 0 {
-		return sizes, within, nil
-	}
+	groups := planSizeGroups(d, sets, cap, opts, sizes, within)
 	rows := d.NumRows()
 	cols := datasetCols(d)
-	keyers := make([]*Keyer, len(sets))
-	// Plan the kernel per set up front (deterministically, in frontier
-	// order): dense flat arrays while the per-worker slot budget lasts,
-	// hash maps afterwards and for large or overflowing key spaces.
-	radixes := make([]int, len(sets))
-	budget := fusedDenseSlotBudget
-	for i, s := range sets {
-		k := NewKeyer(d, s)
-		keyers[i] = k
-		if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok && radix <= budget {
-			radixes[i] = radix
-			budget -= radix
-			if opts.Stats != nil {
-				opts.Stats.Dense++
-			}
-		} else if opts.Stats != nil {
-			if k.Fits() {
-				opts.Stats.Map++
-			} else {
-				opts.Stats.Bytes++
-			}
-		}
-	}
-
 	stop := opts.stop()
-	workers := opts.scanWorkers(rows)
-	if workers <= 1 {
-		st := newFusedStates(keyers, radixes, opts.Pool)
-		scanFused(st, cols, 0, rows, cap, nil, opts.Pool, stop)
-		shards := [][]fusedSet{st}
-		if err := stop.err(); err != nil {
-			// Cancelled mid-scan: the seen states are partial — release
-			// them unread so no torn size escapes.
-			releaseFusedStates(shards, opts.Pool)
-			return nil, nil, err
-		}
-		for i := range st {
-			sizes[i], within[i] = st[i].result(cap)
-		}
-		releaseFusedStates(shards, opts.Pool)
-		return sizes, within, nil
-	}
-
-	// exceeded[i] fires when any worker's local distinct count for set i
-	// passes cap — a lower bound on the global count, so the set is
-	// globally out of bound. Other workers then stop tracking it; this
-	// only ever skips work whose outcome is already decided.
-	exceeded := make([]atomic.Bool, len(sets))
-	shards := make([][]fusedSet, workers)
-	workpool.RunChunks(rows, workers, func(w, lo, hi int) {
-		st := newFusedStates(keyers, radixes, opts.Pool)
-		scanFused(st, cols, lo, hi, cap, exceeded, opts.Pool, stop)
-		shards[w] = st
-	})
-	if err := stop.err(); err != nil {
-		releaseFusedStates(shards, opts.Pool)
+	eff := workpool.Resolve(opts.Workers, math.MaxInt)
+	outer := min(len(groups), eff)
+	perGroup := opts
+	perGroup.Workers = eff / max(outer, 1)
+	workers := perGroup.scanWorkers(rows)
+	if err := workpool.DoCtx(opts.Ctx, len(groups), outer, func(gi int) {
+		groups[gi].size(cols, rows, workers, cap, opts.Pool, stop, sizes, within)
+	}); err != nil {
 		return nil, nil, err
 	}
-
-	for i := range sets {
-		if cap >= 0 && exceeded[i].Load() {
-			sizes[i], within[i] = cap+1, false
-			continue
-		}
-		sizes[i], within[i] = mergeFused(shards, i, cap)
-	}
-	releaseFusedStates(shards, opts.Pool)
 	return sizes, within, nil
 }
 
-// releaseFusedStates returns every dense seen-slab of a finished fused
-// scan to the pool; the sizes have been extracted, so no shard state is
-// retained.
-func releaseFusedStates(shards [][]fusedSet, pool *VecPool) {
-	if pool == nil {
+// planSizeGroups groups a frontier's sets by gen parent, in ascending
+// parent order and frontier order within a parent, and picks each set's
+// accumulator. The kernel counters are bumped here, single-threaded, so
+// they are identical for every worker count. ∅ has no gen parent and no
+// key members — every row carries its one empty key — so it is sized here
+// without a scan.
+func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, sizes []int, within []bool) []sizeGroup {
+	rows := d.NumRows()
+	limit := opts.denseLimit()
+	var discard ScanStats
+	stats := opts.Stats
+	if stats == nil {
+		stats = &discard
+	}
+	genParent := func(i int) lattice.AttrSet { return sets[i].Remove(sets[i].MaxIndex()) }
+	order := make([]int, 0, len(sets))
+	for i, s := range sets {
+		if s.IsEmpty() {
+			sizes[i], within[i] = capSize(min(rows, 1), cap)
+			continue
+		}
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(genParent(a), genParent(b)) })
+
+	children := make([]sizeChild, len(order))
+	var groups []sizeGroup
+	for lo := 0; lo < len(order); {
+		p := genParent(order[lo])
+		hi := lo + 1
+		for hi < len(order) && genParent(order[hi]) == p {
+			hi++
+		}
+		g := sizeGroup{parent: NewKeyer(d, p), children: children[lo:hi]}
+		pr, parentFits := g.parent.Radix()
+		for j, i := range order[lo:hi] {
+			c := &g.children[j]
+			c.idx = i
+			a := sets[i].MaxIndex()
+			radix, fits := mulRadix(pr, domainRadix(d, a))
+			switch {
+			case !parentFits || !fits:
+				c.bytes = NewKeyer(d, sets[i])
+				stats.Bytes++
+			case denseSpaceOK(radix, rows, limit):
+				c.col, c.mult, c.slots = d.Col(a), pr, int(radix)
+				stats.Dense++
+			default:
+				c.col, c.mult = d.Col(a), pr
+				stats.Map++
+			}
+		}
+		groups = append(groups, g)
+		lo = hi
+	}
+	return groups
+}
+
+// size counts one group over all rows with up to workers row shards and
+// writes each child's (size, within) pair. After a fired stop the pairs
+// are partial; the caller discards them.
+func (g *sizeGroup) size(cols [][]uint16, rows, workers, cap int, pool *VecPool, stop ctxStop, sizes []int, within []bool) {
+	if workers <= 1 {
+		accs := newSizeAccs(g.children, pool)
+		scanGroup(g, accs, cols, 0, rows, cap, nil, pool, stop)
+		for j, c := range g.children {
+			sizes[c.idx], within[c.idx] = capSize(accs[j].size(), cap)
+		}
+		releaseSizeAccs(accs, pool)
 		return
 	}
-	for _, st := range shards {
-		for i := range st {
-			pool.PutInt32(st[i].seenD)
-			st[i].seenD = nil
+	// exceeded[j] fires when any worker's local distinct count for child j
+	// passes cap — a lower bound on the global count, so the child is out
+	// of bound. Other workers then stop counting it; this only ever skips
+	// work whose outcome is already decided.
+	exceeded := make([]atomic.Bool, len(g.children))
+	shards := make([][]sizeAcc, workers)
+	workpool.RunChunks(rows, workers, func(w, lo, hi int) {
+		shards[w] = newSizeAccs(g.children, pool)
+		scanGroup(g, shards[w], cols, lo, hi, cap, exceeded, pool, stop)
+	})
+	for j, c := range g.children {
+		if cap >= 0 && exceeded[j].Load() {
+			sizes[c.idx], within[c.idx] = cap+1, false
+			continue
 		}
+		sizes[c.idx], within[c.idx] = capSize(mergeSizeShards(shards, j, cap), cap)
+	}
+	for _, accs := range shards {
+		releaseSizeAccs(accs, pool)
 	}
 }
 
-// newFusedStates allocates per-set scan state for one worker, following
-// the kernel plan (radixes[i] > 0 means the dense path). Dense seen-slabs
-// come from the pool when one is attached.
-func newFusedStates(keyers []*Keyer, radixes []int, pool *VecPool) []fusedSet {
-	st := make([]fusedSet, len(keyers))
-	for i, k := range keyers {
-		st[i].keyer = k
+// newSizeAccs allocates one worker's accumulators for a group's children:
+// pooled zeroed slabs for dense children, hash sets otherwise.
+func newSizeAccs(children []sizeChild, pool *VecPool) []sizeAcc {
+	accs := make([]sizeAcc, len(children))
+	for j, c := range children {
 		switch {
-		case radixes[i] > 0:
-			st[i].seenD = pool.Int32(radixes[i], true)
-		case k.Fits():
-			st[i].seenU = make(map[uint64]struct{})
+		case c.bytes != nil:
+			accs[j].seenS = make(map[string]struct{})
+		case c.slots > 0:
+			accs[j].slab = pool.Int32(c.slots, true)
 		default:
-			st[i].seenS = make(map[string]struct{})
+			accs[j].seen = make(map[uint64]struct{})
 		}
 	}
-	return st
+	return accs
 }
 
-// fusedBlockRows is the row-block granularity of the fused scan. Within a
-// block each set runs its own tight row loop (the keyer fields stay in
-// registers, as in the sequential labelSize loop) while successive sets
-// re-read the same cache-resident column block, so one effective pass over
-// memory serves the whole frontier.
-const fusedBlockRows = 4096
+// releaseSizeAccs returns a worker's dense slabs to the pool; their sizes
+// have been read or are discarded.
+func releaseSizeAccs(accs []sizeAcc, pool *VecPool) {
+	for j := range accs {
+		pool.PutInt32(accs[j].slab)
+		accs[j].slab = nil
+	}
+}
 
-// scanFused runs the fused distinct-count loop over rows [lo, hi). A nil
-// exceeded slice means single-worker mode (no shared flags to consult or
-// publish). Finished sets are swap-removed from the active list so later
-// blocks skip them; the scan stops once no set remains active. Sets on the
-// uint64 paths decode each block into a shared key vector before counting
-// (columnar batching); byte-string sets keep the per-row loop.
-//
-// stop is polled once per row block, next to the exceeded flags it
-// mirrors; a fired context ends this worker's scan mid-range, leaving the
-// seen states partial — the caller detects that via stop.err() and
-// discards them.
-func scanFused(st []fusedSet, cols [][]uint16, lo, hi, cap int, exceeded []atomic.Bool, pool *VecPool, stop ctxStop) {
-	active := make([]int, len(st))
+// scanGroup counts rows [lo, hi) into one worker's accumulators for a
+// group. A row block's parent keys are computed once, when the first
+// active uint64-key child needs them, and each such child extends them by
+// its own column; byte-key children run the per-row loop. A child that
+// passes the cap is swap-removed from the active list so later blocks skip
+// it. In sharded mode (non-nil exceeded) it also publishes its flag, and a
+// child another worker already proved out of bound is dropped. stop is
+// polled once per block; a fired context ends the pass with the
+// accumulators partial, and the caller discards them.
+func scanGroup(g *sizeGroup, accs []sizeAcc, cols [][]uint16, lo, hi, cap int, exceeded []atomic.Bool, pool *VecPool, stop ctxStop) {
+	active := make([]int, len(accs))
 	for i := range active {
 		active[i] = i
 	}
-	var keys []uint64 // lazily allocated: byte-only frontiers never need it
-	defer func() { pool.PutUint64(keys) }()
-	for blockLo := lo; blockLo < hi && len(active) > 0; blockLo += fusedBlockRows {
+	var pg []uint64 // drawn on first use: a byte-key group never needs it
+	defer func() { pool.PutUint64(pg) }()
+	var buf []byte
+	for blo := lo; blo < hi && len(active) > 0; blo += keyBlockRows {
 		if stop.hit() {
 			return
 		}
-		blockHi := blockLo + fusedBlockRows
-		if blockHi > hi {
-			blockHi = hi
-		}
-		for a := 0; a < len(active); a++ {
-			i := active[a]
-			done := false
-			if exceeded != nil && cap >= 0 && exceeded[i].Load() {
+		bhi := min(blo+keyBlockRows, hi)
+		keyed := false
+		for ai := 0; ai < len(active); ai++ {
+			j := active[ai]
+			c, acc := &g.children[j], &accs[j]
+			var done bool
+			switch {
+			case exceeded != nil && cap >= 0 && exceeded[j].Load():
 				done = true
-			} else {
-				if keys == nil && st[i].keyer.Fits() {
-					keys = pool.Uint64(fusedBlockRows, false)
-				}
-				if st[i].scanBlock(cols, keys, blockLo, blockHi, cap) {
-					done = true
-					if exceeded != nil {
-						exceeded[i].Store(true)
+			case c.bytes != nil:
+				done = acc.addRows(c.bytes, cols, blo, bhi, cap, &buf)
+			default:
+				if !keyed {
+					if pg == nil {
+						pg = pool.Uint64(keyBlockRows, false)
 					}
+					g.parent.KeyBlock(cols, blo, bhi, pg)
+					keyed = true
 				}
+				done = acc.addBlock(c, pg[:bhi-blo], blo, cap)
 			}
 			if done {
-				active[a] = active[len(active)-1]
+				if exceeded != nil {
+					exceeded[j].Store(true)
+				}
+				active[ai] = active[len(active)-1]
 				active = active[:len(active)-1]
-				a--
+				ai--
 			}
 		}
 	}
 }
 
-// scanBlock feeds rows [lo, hi) into the set's seen state and reports
-// whether the distinct count passed the cap (the set is finished). keys is
-// a shared per-worker scratch vector for the columnar key decode.
-func (s *fusedSet) scanBlock(cols [][]uint16, keys []uint64, lo, hi, cap int) (done bool) {
-	k := s.keyer
-	if s.seenD != nil {
-		k.KeyBlock(cols, lo, hi, keys)
-		seen := s.seenD
-		for _, key := range keys[:hi-lo] {
-			if key == InvalidKey {
+// addBlock extends one block of parent keys pg, starting at row blo, by a
+// uint64-key child's column and counts the child keys; it reports whether
+// the distinct count passed the cap.
+func (a *sizeAcc) addBlock(c *sizeChild, pg []uint64, blo, cap int) (done bool) {
+	col := c.col[blo : blo+len(pg)]
+	mult := c.mult
+	if slab := a.slab; slab != nil {
+		for i, id := range col {
+			if id == dataset.Null || pg[i] == InvalidKey {
 				continue
 			}
-			if seen[key] == 0 {
-				s.distinct++
-				if cap >= 0 && s.distinct > cap {
-					seen[key]++
+			key := pg[i] + uint64(id-1)*mult
+			if slab[key] == 0 {
+				a.distinct++
+				if cap >= 0 && a.distinct > cap {
 					return true
 				}
 			}
-			seen[key]++
+			slab[key]++
 		}
 		return false
 	}
-	if seen := s.seenU; seen != nil {
-		k.KeyBlock(cols, lo, hi, keys)
-		for _, key := range keys[:hi-lo] {
-			if key == InvalidKey {
-				continue
-			}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			if cap >= 0 && len(seen) > cap {
-				return true
-			}
+	seen := a.seen
+	for i, id := range col {
+		if id == dataset.Null || pg[i] == InvalidKey {
+			continue
 		}
-		return false
+		key := pg[i] + uint64(id-1)*mult
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		seen[key] = struct{}{}
+		if cap >= 0 && len(seen) > cap {
+			return true
+		}
 	}
-	seen := s.seenS
-	var buf []byte
+	return false
+}
+
+// addRows counts rows [lo, hi) of a byte-key child one row at a time; buf
+// is the worker's key scratch. It reports whether the distinct count
+// passed the cap.
+func (a *sizeAcc) addRows(k *Keyer, cols [][]uint16, lo, hi, cap int, buf *[]byte) (done bool) {
+	seen := a.seenS
 	for r := lo; r < hi; r++ {
-		b, ok := k.AppendBytesRow(buf[:0], cols, r)
-		buf = b
+		b, ok := k.AppendBytesRow((*buf)[:0], cols, r)
+		*buf = b
 		if !ok {
 			continue
 		}
@@ -517,57 +559,48 @@ func (s *fusedSet) scanBlock(cols [][]uint16, keys []uint64, lo, hi, cap int) (d
 	return false
 }
 
-// result reads a single-worker state into LabelSize's contract.
-func (s *fusedSet) result(cap int) (size int, within bool) {
-	n := s.distinct + len(s.seenU) + len(s.seenS)
-	if cap >= 0 && n > cap {
-		return cap + 1, false
-	}
-	return n, true
-}
-
-// mergeFused unions the per-worker seen states for frontier index i,
-// aborting at the cap exactly as the sequential scan would. Dense shards
-// merge by vector addition with a nonzero-slot counter.
-func mergeFused(shards [][]fusedSet, i, cap int) (size int, within bool) {
-	if merged := shards[0][i].seenD; merged != nil {
-		distinct := shards[0][i].distinct
-		for _, st := range shards[1:] {
-			for slot, c := range st[i].seenD {
+// mergeSizeShards unions child j's per-worker accumulators into the first
+// worker's — vector addition with a nonzero-slot counter for dense slabs,
+// set union otherwise — and returns the distinct count, stopping as soon
+// as it passes cap, exactly where the sequential loop would.
+func mergeSizeShards(shards [][]sizeAcc, j, cap int) int {
+	first := &shards[0][j]
+	switch {
+	case first.slab != nil:
+		n := first.distinct
+		for _, accs := range shards[1:] {
+			for key, c := range accs[j].slab {
 				if c == 0 {
 					continue
 				}
-				if merged[slot] == 0 {
-					distinct++
-					if cap >= 0 && distinct > cap {
-						return cap + 1, false
+				if first.slab[key] == 0 {
+					if n++; cap >= 0 && n > cap {
+						return n
 					}
 				}
-				merged[slot] += c
+				first.slab[key] += c
 			}
 		}
-		return distinct, true
-	}
-	if shards[0][i].seenU != nil {
-		merged := shards[0][i].seenU
-		for _, st := range shards[1:] {
-			for key := range st[i].seenU {
-				merged[key] = struct{}{}
-				if cap >= 0 && len(merged) > cap {
-					return cap + 1, false
+		return n
+	case first.seen != nil:
+		for _, accs := range shards[1:] {
+			for key := range accs[j].seen {
+				first.seen[key] = struct{}{}
+				if cap >= 0 && len(first.seen) > cap {
+					return len(first.seen)
 				}
 			}
 		}
-		return len(merged), true
-	}
-	merged := shards[0][i].seenS
-	for _, st := range shards[1:] {
-		for key := range st[i].seenS {
-			merged[key] = struct{}{}
-			if cap >= 0 && len(merged) > cap {
-				return cap + 1, false
+		return len(first.seen)
+	default:
+		for _, accs := range shards[1:] {
+			for key := range accs[j].seenS {
+				first.seenS[key] = struct{}{}
+				if cap >= 0 && len(first.seenS) > cap {
+					return len(first.seenS)
+				}
 			}
 		}
+		return len(first.seenS)
 	}
-	return len(merged), true
 }

@@ -8,6 +8,7 @@ package core
 // every configuration.
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -177,79 +178,232 @@ func TestDifferentialBuildPCParallel(t *testing.T) {
 	}
 }
 
-// diffCaps returns the cap grid probed for a set whose true size is known:
-// no cap, zero, around the true size, and far beyond it — covering both
-// abort and non-abort outcomes plus the boundary.
-func diffCaps(trueSize int) []int {
-	caps := []int{-1, 0, 1, trueSize, trueSize + 1, 10 * trueSize}
-	if trueSize > 0 {
-		caps = append(caps, trueSize-1)
-	}
-	return caps
+// sizingConfigs are the dataset shapes of the sizing harness: diffConfigs,
+// plus a 65000-value table whose 4-sets overflow the uint64 key from a
+// fitting parent and whose 5-set overflows from an overflowing parent,
+// and a table long enough that a scan spans several row blocks, both at
+// NULL rate 0.3.
+var sizingConfigs = append(diffConfigs[:len(diffConfigs):len(diffConfigs)],
+	diffConfig{rows: 2000, attrs: 5, domain: 65000, nullRate: 0.3},
+	diffConfig{rows: 9000, attrs: 5, domain: 12, nullRate: 0.3},
+)
+
+// sizingFrontier is one frontier the harness sizes. budget sends its sets
+// beyond the dense tier to the spill tier (sizingBudget); single sizes its
+// one set through LabelSize instead of LabelSizes.
+type sizingFrontier struct {
+	name   string
+	sets   []lattice.AttrSet
+	budget bool
+	single bool
 }
 
-func TestDifferentialLabelSizeParallel(t *testing.T) {
-	for ci, cfg := range diffConfigs {
+// sizingBudget is the harness's MemBudget: under the uint64 and byte map
+// footprints of a 2000-row set beyond the dense tier, so those spill in a
+// few runs each.
+const sizingBudget = 100 << 10
+
+// allNullDataset has an attribute whose every value is NULL: its domain is
+// empty, so a child adding it has a zero-slot key space, and a parent
+// holding it has no groups.
+func allNullDataset(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	bld := dataset.NewBuilder("nulls", "a", "b", "c")
+	for i := 0; i < 200; i++ {
+		bld.AppendStrings(fmt.Sprintf("x%d", i%2), "", fmt.Sprintf("y%d", i%3))
+	}
+	d, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Attr(1).DomainSize() != 0 {
+		t.Fatalf("attribute b has domain %d, want 0", d.Attr(1).DomainSize())
+	}
+	return d
+}
+
+// runSizingHarness is the one differential harness for sizing: on every
+// sizingConfigs shape and on a table with an all-NULL attribute, it checks
+// each frontier that frontiers builds with checkSizing. The differential
+// sizing tests below drive it with one frontier kind each.
+func runSizingHarness(t *testing.T, frontiers func(n int, rng *rand.Rand) []sizingFrontier) {
+	for ci, cfg := range sizingConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
-			rng := rand.New(rand.NewPCG(uint64(ci), 0xF00D))
-			for _, s := range diffAttrSets(cfg.attrs, rng) {
-				trueSize, _ := labelSize(d, s, -1)
-				for _, cap := range diffCaps(trueSize) {
-					wantSize, wantWithin := labelSize(d, s, cap)
-					for _, workers := range diffWorkerCounts {
-						gotSize, gotWithin := must2(LabelSize(d, s, cap, testCountOptions(workers)))
-						if gotSize != wantSize || gotWithin != wantWithin {
-							t.Fatalf("set %v cap=%d workers=%d: got (%d, %v), want (%d, %v)",
-								s, cap, workers, gotSize, gotWithin, wantSize, wantWithin)
-						}
-					}
-				}
+			rng := rand.New(rand.NewPCG(uint64(ci), 0x512E))
+			for _, f := range frontiers(cfg.attrs, rng) {
+				checkSizing(t, d, f)
 			}
 		})
 	}
+	t.Run("all-null", func(t *testing.T) {
+		d := allNullDataset(t)
+		rng := rand.New(rand.NewPCG(uint64(len(sizingConfigs)), 0x512E))
+		for _, f := range frontiers(d.NumAttrs(), rng) {
+			checkSizing(t, d, f)
+		}
+	})
 }
 
-// TestDifferentialLabelSizesFused checks the fused multi-set scanner
-// against per-set sequential LabelSize for the whole frontier at once:
-// mixed in-bound and out-of-bound sets in the same scan, every worker
-// count, and (through the wide config) frontiers mixing the uint64 and
-// byte-string key paths.
-func TestDifferentialLabelSizesFused(t *testing.T) {
-	for ci, cfg := range diffConfigs {
-		t.Run(cfg.name(), func(t *testing.T) {
-			d := diffDataset(t, cfg, uint64(ci)+1)
-			rng := rand.New(rand.NewPCG(uint64(ci), 0xFACE))
-			sets := diffAttrSets(cfg.attrs, rng)
-			// Pick caps that split the frontier: some sets abort, some not.
-			maxSize := 0
-			for _, s := range sets {
-				if n, _ := labelSize(d, s, -1); n > maxSize {
-					maxSize = n
-				}
-			}
-			for _, cap := range []int{-1, 0, 1, maxSize / 2, maxSize, maxSize + 1} {
-				for _, workers := range diffWorkerCounts {
-					sizes, within := must2(LabelSizes(d, sets, cap, testCountOptions(workers)))
-					if len(sizes) != len(sets) || len(within) != len(sets) {
-						t.Fatalf("cap=%d workers=%d: result length %d/%d, want %d",
-							cap, workers, len(sizes), len(within), len(sets))
+// checkSizing sizes one frontier at every cap around its largest size,
+// dense limit (default, small, disabled), worker count and ctx (nil, or
+// armed and never fired). Every set must get exactly the sequential
+// labelSize oracle's (size, within), and the Dense/Map/Bytes kernel
+// counters must be the same for every worker count and ctx. A budgeted
+// frontier must leave no spill files behind and, on tables of 2000 rows
+// or more, spill some set.
+func checkSizing(t *testing.T, d *dataset.Dataset, f sizingFrontier) {
+	t.Helper()
+	armed, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pool := NewVecPool(0)
+	var dir string
+	if f.budget {
+		dir = t.TempDir()
+	}
+	maxSize := 0
+	for _, s := range f.sets {
+		n, _ := labelSize(d, s, -1)
+		maxSize = max(maxSize, n)
+	}
+	for _, cap := range []int{-1, 0, 1, maxSize / 2, maxSize - 1, maxSize, maxSize + 1} {
+		wantSizes := make([]int, len(f.sets))
+		wantWithin := make([]bool, len(f.sets))
+		for i, s := range f.sets {
+			wantSizes[i], wantWithin[i] = labelSize(d, s, cap)
+		}
+		for _, denseLimit := range []int{0, 8, -1} {
+			var kernels [][3]int
+			for _, workers := range []int{1, 2, 4, 8} {
+				for _, ctx := range []context.Context{nil, armed} {
+					var stats ScanStats
+					opts := testCountOptions(workers)
+					opts.DenseLimit, opts.Ctx, opts.Stats = denseLimit, ctx, &stats
+					if workers == 2 {
+						opts.Pool = pool // pooled and unpooled slabs
 					}
-					for i, s := range sets {
-						wantSize, wantWithin := labelSize(d, s, cap)
-						if sizes[i] != wantSize || within[i] != wantWithin {
-							t.Fatalf("set %v cap=%d workers=%d: got (%d, %v), want (%d, %v)",
-								s, cap, workers, sizes[i], within[i], wantSize, wantWithin)
+					if f.budget {
+						opts.MemBudget, opts.SpillDir = sizingBudget, dir
+					}
+					var sizes []int
+					var within []bool
+					if f.single {
+						size, in := must2(LabelSize(d, f.sets[0], cap, opts))
+						sizes, within = []int{size}, []bool{in}
+					} else {
+						sizes, within = must2(LabelSizes(d, f.sets, cap, opts))
+					}
+					if len(sizes) != len(f.sets) || len(within) != len(f.sets) {
+						t.Fatalf("%s cap=%d workers=%d: result length %d/%d, want %d",
+							f.name, cap, workers, len(sizes), len(within), len(f.sets))
+					}
+					for i, s := range f.sets {
+						if sizes[i] != wantSizes[i] || within[i] != wantWithin[i] {
+							t.Fatalf("%s set %v cap=%d dense=%d workers=%d ctx=%v: got (%d, %v), want (%d, %v)",
+								f.name, s, cap, denseLimit, workers, ctx != nil, sizes[i], within[i], wantSizes[i], wantWithin[i])
 						}
 					}
+					kernels = append(kernels, [3]int{stats.Dense, stats.Map, stats.Bytes})
+					if kernels[len(kernels)-1] != kernels[0] {
+						t.Fatalf("%s cap=%d dense=%d workers=%d ctx=%v: Dense/Map/Bytes %v, workers=1 nil ctx %v",
+							f.name, cap, denseLimit, workers, ctx != nil, kernels[len(kernels)-1], kernels[0])
+					}
+					if f.budget && d.NumRows() >= 2000 && stats.Spilled == 0 {
+						t.Fatalf("%s cap=%d dense=%d workers=%d: no set spilled", f.name, cap, denseLimit, workers)
+					}
+					if f.budget {
+						assertNoSpillFiles(t, dir)
+					}
 				}
 			}
-		})
+		}
 	}
 }
 
-// TestLabelSizesFusedEmptyFrontier covers the zero-sets edge the search
-// batcher can produce.
+// siblingFrontiers returns one sibling group per probe set that has gen
+// children: the children LabelSizes sizes from one shared parent key
+// block.
+func siblingFrontiers(n int, rng *rand.Rand) []sizingFrontier {
+	var out []sizingFrontier
+	for _, p := range diffAttrSets(n, rng) {
+		if children := p.Gen(n); len(children) > 0 {
+			out = append(out, sizingFrontier{name: fmt.Sprintf("siblings of %v", p), sets: children})
+		}
+	}
+	return out
+}
+
+// singleFrontiers returns each probe set on its own, sized through
+// LabelSize.
+func singleFrontiers(n int, rng *rand.Rand) []sizingFrontier {
+	var out []sizingFrontier
+	for _, s := range diffAttrSets(n, rng) {
+		out = append(out, sizingFrontier{name: fmt.Sprintf("set %v", s), sets: []lattice.AttrSet{s}, single: true})
+	}
+	return out
+}
+
+// mixedFrontiers returns arbitrary frontiers: the probe sets (∅, every
+// singleton, the full set and random subsets) in one call, and the full
+// set with its parents (byte keys on wide data).
+func mixedFrontiers(n int, rng *rand.Rand) []sizingFrontier {
+	full := lattice.FullSet(n)
+	return []sizingFrontier{
+		{name: "arbitrary", sets: diffAttrSets(n, rng)},
+		{name: "bytes", sets: append([]lattice.AttrSet{full}, full.Parents()...)},
+	}
+}
+
+// levelFrontiers returns the frontiers a search sizes: a TopDown level
+// (the children of one gen parent adjacent) and a Naive level in bitmask
+// order (siblings scattered).
+func levelFrontiers(n int, _ *rand.Rand) []sizingFrontier {
+	topdown := lattice.AttrSet(0).Gen(n)
+	for level := 2; level <= 3; level++ {
+		var next []lattice.AttrSet
+		for _, s := range topdown {
+			next = append(next, s.Gen(n)...)
+		}
+		topdown = next
+	}
+	var naive []lattice.AttrSet
+	lattice.Combinations(n, 3, func(s lattice.AttrSet) bool {
+		naive = append(naive, s)
+		return true
+	})
+	return []sizingFrontier{{name: "topdown", sets: topdown}, {name: "naive", sets: naive}}
+}
+
+// budgetFrontiers returns, under sizingBudget, one frontier mixing sets
+// that stay in memory (dense slabs and hash sets) with sets that spill.
+func budgetFrontiers(n int, _ *rand.Rand) []sizingFrontier {
+	full := lattice.FullSet(n)
+	return []sizingFrontier{
+		{name: "over-budget", sets: []lattice.AttrSet{0, full, lattice.NewAttrSet(0), full.Remove(0)}, budget: true},
+	}
+}
+
+// TestDifferentialRefineSizes sizes sibling groups through the grouped
+// kernel.
+func TestDifferentialRefineSizes(t *testing.T) { runSizingHarness(t, siblingFrontiers) }
+
+// TestDifferentialLabelSizeParallel sizes single sets: LabelSize is
+// LabelSizes of one set.
+func TestDifferentialLabelSizeParallel(t *testing.T) { runSizingHarness(t, singleFrontiers) }
+
+// TestDifferentialLabelSizesFused sizes arbitrary frontiers mixing uint64-
+// and byte-key sets, in-bound and out-of-bound, in one call.
+func TestDifferentialLabelSizesFused(t *testing.T) { runSizingHarness(t, mixedFrontiers) }
+
+// TestDifferentialSearchStyleFrontier sizes TopDown and Naive levels.
+func TestDifferentialSearchStyleFrontier(t *testing.T) { runSizingHarness(t, levelFrontiers) }
+
+// TestDifferentialFusedDenseVsMap sizes, under a memory budget, a frontier
+// whose sets land on dense slabs, hash sets and the spill tier.
+func TestDifferentialFusedDenseVsMap(t *testing.T) { runSizingHarness(t, budgetFrontiers) }
+
+// TestLabelSizesFusedEmptyFrontier covers the zero-sets edge: an empty
+// frontier sizes to empty results.
 func TestLabelSizesFusedEmptyFrontier(t *testing.T) {
 	d := diffDataset(t, diffConfigs[2], 7)
 	sizes, within := must2(LabelSizes(d, nil, 10, CountOptions{Workers: 4}))
@@ -269,31 +423,4 @@ func TestBuildPCParallelSequentialFallback(t *testing.T) {
 	}
 	s := lattice.FullSet(cfg.attrs)
 	pcEqual(t, must(BuildPC(d, s, CountOptions{Workers: 1})), must(BuildPC(d, s, CountOptions{Workers: 8})))
-}
-
-// TestDifferentialSearchStyleFrontier mirrors how package search drives the
-// fused scanner: a level-wise frontier of all 2-subsets then all
-// 3-subsets, bound-capped, compared against the sequential sizes.
-func TestDifferentialSearchStyleFrontier(t *testing.T) {
-	cfg := diffConfig{rows: 2000, attrs: 6, domain: 5, nullRate: 0.05}
-	d := diffDataset(t, cfg, 11)
-	for _, bound := range []int{5, 25, 125} {
-		for k := 2; k <= 3; k++ {
-			var frontier []lattice.AttrSet
-			lattice.Combinations(cfg.attrs, k, func(s lattice.AttrSet) bool {
-				frontier = append(frontier, s)
-				return true
-			})
-			for _, workers := range diffWorkerCounts {
-				sizes, within := must2(LabelSizes(d, frontier, bound, testCountOptions(workers)))
-				for i, s := range frontier {
-					wantSize, wantWithin := labelSize(d, s, bound)
-					if sizes[i] != wantSize || within[i] != wantWithin {
-						t.Fatalf("bound=%d k=%d set %v workers=%d: got (%d, %v), want (%d, %v)",
-							bound, k, s, workers, sizes[i], within[i], wantSize, wantWithin)
-					}
-				}
-			}
-		}
-	}
 }

@@ -32,9 +32,6 @@ import (
 // and otherwise the PC keeps the on-disk runs and serves
 // Size/LookupValsCtx/EachCtx by streaming them (merge-on-read, spilledpc.go) —
 // the scan's careful budget is no longer blown by the result map.
-// Refinement (refinebatch.go) never spills: its compact spaces are bounded
-// by a dense-keyable parent's key space times one domain, so it is
-// in-memory by construction.
 
 // spillFormat names the fixed-width record encoding a spilled set uses.
 type spillFormat uint8
@@ -482,7 +479,7 @@ func labelSizesSpilledShared(d *dataset.Dataset, sets []lattice.AttrSet, cap int
 // rest — and routes them through a per-worker MultiShard. A set that
 // failed stops costing key computation on every shard; group-by is
 // order-blind, so interleaving sets per block changes nothing downstream.
-// stop is polled once per row block, like the fused scan's workers.
+// stop is polled once per row block, like the sizing kernel's workers.
 func sharedSpillPartition(mw *spill.MultiWriter, spilled []spilledSet, cols [][]uint16, rows, workers int, pool *VecPool, stop ctxStop) {
 	needU64 := false
 	for _, sp := range spilled {

@@ -8,10 +8,10 @@ import (
 
 // VecPool is a capacity-bucketed free-list arena for the flat slabs the
 // counting engine churns through: dense count slabs ([]int32), key-block
-// scratch ([]uint64) and spill buffers ([]byte). Batched refinement, fused
-// frontier scans and sharded PC builds draw their transient slabs from one
-// pool, so steady-state enumeration recycles a small working set instead
-// of allocating one compact-space slab per candidate.
+// scratch ([]uint64) and spill buffers ([]byte). Frontier sizing and
+// sharded PC builds draw their transient slabs from one pool, so
+// steady-state enumeration recycles a small working set instead of
+// allocating one count slab per candidate.
 //
 // All methods are safe for concurrent use and safe on a nil receiver: a
 // nil *VecPool degrades to plain make/garbage-collection, so every entry

@@ -1,9 +1,8 @@
 package search
 
-// Allocation-regression pin for the frontier scheduler (PR 3): a
-// steady-state sizeLevel round over a dense-keyable level must cost only
-// per-batch planning allocations — every slab (child accumulators, key
-// scratch) cycles through the level sizer's pool.
+// Allocation-regression pin for the level sizer: a steady-state sizeLevel
+// round must cost only per-group planning allocations — every slab (child
+// accumulators, key scratch) cycles through the level sizer's pool.
 
 import (
 	"testing"
@@ -12,8 +11,8 @@ import (
 	"pcbl/internal/lattice"
 )
 
-// allocDataset is a small dense-keyable table: every candidate set routes
-// onto the batched refinement tier.
+// allocDataset is a small table whose every candidate set counts on a
+// dense slab.
 func allocDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	const rows, attrs, domain = 6000, 8, 3
@@ -49,19 +48,23 @@ func TestAllocsSizeLevelSteadyState(t *testing.T) {
 		level = append(level, s)
 		return true
 	})
+	groups := make(map[lattice.AttrSet]struct{}) // sibling groups: distinct gen parents
+	for _, s := range level {
+		groups[s.Remove(s.MaxIndex())] = struct{}{}
+	}
 	noop := func(lattice.AttrSet, bool) {}
-	z.sizeLevel(level, noop) // warm the pool and the reusable buffers
-	batches := stats.BatchRefines
-	if batches == 0 || stats.ScannedSets != 0 {
-		t.Fatalf("level not fully batched: batches=%d scanned=%d", batches, stats.ScannedSets)
+	z.sizeLevel(level, noop) // warm the pool
+	if stats.RefinedSets != len(level) || stats.Dense != len(level) {
+		t.Fatalf("level not sized on dense slabs from parent keys: refined=%d dense=%d of %d",
+			stats.RefinedSets, stats.Dense, len(level))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		z.sizeLevel(level, noop)
 	})
-	// Measured ~380 for 28 candidates in 27 batches (≈ 14 planning allocs
-	// per batch, the parent's keyer included); a per-candidate slab would
-	// add thousands.
-	if limit := float64(40 * batches); allocs > limit {
+	// Measured 54 for 28 candidates in 7 sibling groups (≈ 8 planning
+	// allocs per group, the parent's keyer included); a per-candidate slab
+	// would add thousands.
+	if limit := float64(40 * len(groups)); allocs > limit {
 		t.Fatalf("sizeLevel allocs/run = %.0f, want <= %.0f", allocs, limit)
 	}
 	_, misses := z.pool.Stats()

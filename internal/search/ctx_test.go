@@ -73,7 +73,7 @@ func TestSearchCancelledSpillLeavesNoFiles(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
 	defer cancel()
 	_, _, err := Enumerate(d, Options{
-		Bound: 4000, Workers: 2, DisableRefine: true,
+		Bound: 4000, Workers: 2,
 		MemBudget: 50 << 10, SpillDir: dir, Ctx: ctx,
 	})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -2,9 +2,9 @@ package search
 
 // Concurrency coverage for the search pipeline: run these under
 // `go test -race` to exercise the shared work pool in both phases — the
-// sharded fused label-size scans of the enumeration phase and the
-// concurrent candidate evaluation of the final phase — and to prove the
-// parallel runs return exactly the sequential result.
+// concurrent sibling groups and row shards of the enumeration phase and
+// the concurrent candidate evaluation of the final phase — and to prove
+// the parallel runs return exactly the sequential result.
 
 import (
 	"testing"
@@ -104,9 +104,9 @@ func TestParallelSearchBranchAndBound(t *testing.T) {
 	}
 }
 
-// TestFusedFrontierMatchesPerSetScan pins the enumeration rewiring at the
-// search level: the level sizer's fused raw-scan path must agree with
-// one-scan-per-set sequential LabelSize over the exact frontiers TopDown
+// TestFusedFrontierMatchesPerSetScan pins the enumeration at the search
+// level: the level sizer's one LabelSizes call per level must agree with
+// one sequential LabelSize per set over the exact frontiers TopDown
 // visits.
 func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 	d := raceDataset(t)
@@ -121,14 +121,14 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 		var stats Stats
 		var next []lattice.AttrSet
 		i := 0
-		z := newLevelSizer(d, Options{Bound: bound, Workers: 4, DisableRefine: true}, &stats)
+		z := newLevelSizer(d, Options{Bound: bound, Workers: 4}, &stats)
 		err := z.sizeLevel(children, func(s lattice.AttrSet, within bool) {
 			if s != children[i] {
 				t.Fatalf("visit order diverged at %d: got %v, want %v", i, s, children[i])
 			}
 			_, want := must2(core.LabelSize(d, s, bound, core.CountOptions{Workers: 1}))
 			if within != want {
-				t.Fatalf("set %v: fused within=%v, sequential %v", s, within, want)
+				t.Fatalf("set %v: level within=%v, sequential %v", s, within, want)
 			}
 			if within {
 				next = append(next, s)
@@ -138,8 +138,8 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sizeLevel: %v", err)
 		}
-		if stats.SizeComputed != len(children) || stats.ScannedSets != len(children) {
-			t.Fatalf("SizeComputed %d, ScannedSets %d, want %d", stats.SizeComputed, stats.ScannedSets, len(children))
+		if stats.SizeComputed != len(children) || stats.RefinedSets != len(children) {
+			t.Fatalf("SizeComputed %d, RefinedSets %d, want %d", stats.SizeComputed, stats.RefinedSets, len(children))
 		}
 		frontier = next
 	}

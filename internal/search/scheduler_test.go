@@ -1,18 +1,20 @@
 package search
 
-// Differential coverage for the frontier scheduler: refinement-sized
-// searches must agree exactly with raw-scan-sized searches (the PR 1
-// behaviour, reachable via DisableRefine + a negative DenseLimit) for
-// every worker count, including searches whose candidates split between
-// batched refinement and the fused raw scan.
+// Differential coverage for the level sizer: enumeration and full searches
+// must agree exactly with reference traversals that size every set on its
+// own with a naive per-row group-by, for every worker count — including
+// levels whose sibling groups mix dense slabs and hash sets.
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pcbl/internal/core"
 	"pcbl/internal/datagen"
 	"pcbl/internal/dataset"
+	"pcbl/internal/lattice"
 )
 
 // schedulerDataset is small-domain and deep enough that the search runs
@@ -45,141 +47,172 @@ func uniformDataset(t *testing.T, domains ...int) *dataset.Dataset {
 	return d
 }
 
+// refSize is the reference label size: the distinct NULL-free tuples of d
+// over s, collected as value-id strings without any engine code.
+func refSize(d *dataset.Dataset, s lattice.AttrSet) int {
+	seen := make(map[string]struct{})
+	var b strings.Builder
+rows:
+	for r := 0; r < d.NumRows(); r++ {
+		b.Reset()
+		for _, a := range s.Members() {
+			id := d.ID(r, a)
+			if id == dataset.Null {
+				continue rows
+			}
+			b.WriteString(strconv.Itoa(int(id)))
+			b.WriteByte(',')
+		}
+		seen[b.String()] = struct{}{}
+	}
+	return len(seen)
+}
+
+// refTopDown is Algorithm 1's enumeration with every set sized by refSize:
+// the sorted maximal in-bound candidates and the sized/in-bound counts.
+func refTopDown(d *dataset.Dataset, bound int) (cands []lattice.AttrSet, sized, inBound int) {
+	n := d.NumAttrs()
+	maximal := make(map[lattice.AttrSet]struct{})
+	for frontier := lattice.AttrSet(0).Gen(n); len(frontier) > 0; {
+		var next []lattice.AttrSet
+		for _, s := range frontier {
+			for _, c := range s.Gen(n) {
+				sized++
+				if refSize(d, c) > bound {
+					continue
+				}
+				inBound++
+				next = append(next, c)
+				for _, p := range c.Parents() {
+					delete(maximal, p)
+				}
+				maximal[c] = struct{}{}
+			}
+		}
+		frontier = next
+	}
+	for s := range maximal {
+		cands = append(cands, s)
+	}
+	lattice.SortAttrSets(cands)
+	return cands, sized, inBound
+}
+
+// refNaive is the naive level-wise enumeration with every set sized by
+// refSize: all in-bound sets of size ≥ 2 up to the first level with none.
+func refNaive(d *dataset.Dataset, bound int) (cands []lattice.AttrSet, sized, inBound int) {
+	n := d.NumAttrs()
+	for k := 2; k <= n; k++ {
+		hit := false
+		lattice.Combinations(n, k, func(s lattice.AttrSet) bool {
+			sized++
+			if refSize(d, s) <= bound {
+				inBound++
+				hit = true
+				cands = append(cands, s)
+			}
+			return true
+		})
+		if !hit {
+			break
+		}
+	}
+	lattice.SortAttrSets(cands)
+	return cands, sized, inBound
+}
+
 func TestSchedulerMatchesScanEnumeration(t *testing.T) {
 	bn := schedulerDataset(t)
 	cases := []struct {
 		name  string
 		d     *dataset.Dataset
 		bound int
-		mixed bool // the search must size sets on both paths
 	}{
-		{"bluenile/10", bn, 10, false},
-		{"bluenile/50", bn, 50, false},
-		{"bluenile/300", bn, 300, false},
-		// Pairs and triples (900 and 27000 key slots) stay dense-keyable
-		// at 8000 rows and batch; quadruples and the full set do not and
-		// take the raw scan.
-		{"uniform30/8000", uniformDataset(t, 30, 30, 30, 30, 30), 8000, true},
+		{"bluenile/10", bn, 10},
+		{"bluenile/50", bn, 50},
+		{"bluenile/300", bn, 300},
+		// Pairs and triples (900 and 27000 key slots) count on dense slabs
+		// at 8000 rows; quadruples and the full set count in hash sets.
+		{"uniform30/8000", uniformDataset(t, 30, 30, 30, 30, 30), 8000},
 		// A 300-value attribute splits the triples level itself: triples
-		// without it batch, triples with it overflow the dense key space
-		// of their pair parent and scan, interleaved in frontier order. At
-		// this bound the batched triples (~6900 patterns) fit and the
-		// scanned ones (~7900) do not, so a verdict routed back to the
-		// wrong candidate changes the candidates.
-		{"uniform30+300/7400", uniformDataset(t, 30, 30, 30, 30, 300), 7400, true},
+		// without it count on dense slabs, triples with it in hash sets,
+		// side by side in the same sibling groups. At this bound the dense
+		// triples (~6900 patterns) fit and the others (~7900) do not, so a
+		// verdict routed back to the wrong candidate changes the
+		// candidates.
+		{"uniform30+300/7400", uniformDataset(t, 30, 30, 30, 30, 300), 7400},
 	}
 	for _, c := range cases {
-		base, baseStats, err := Enumerate(c.d, Options{
-			Bound: c.bound, Workers: 1, DisableRefine: true, DenseLimit: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseStats.RefinedSets != 0 || baseStats.ScannedSets != baseStats.SizeComputed {
-			t.Fatalf("%s: scan-only run reports refined=%d scanned=%d sized=%d",
-				c.name, baseStats.RefinedSets, baseStats.ScannedSets, baseStats.SizeComputed)
-		}
+		want, sized, inBound := refTopDown(c.d, c.bound)
 		for _, workers := range []int{1, 2, 8} {
 			cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(cands) != len(base) {
-				t.Fatalf("%s workers=%d: %d candidates, scan path %d", c.name, workers, len(cands), len(base))
+			if len(cands) != len(want) {
+				t.Fatalf("%s workers=%d: %d candidates, reference %d", c.name, workers, len(cands), len(want))
 			}
 			for i := range cands {
-				if cands[i] != base[i] {
-					t.Fatalf("%s workers=%d: candidate %d = %v, scan path %v", c.name, workers, i, cands[i], base[i])
+				if cands[i] != want[i] {
+					t.Fatalf("%s workers=%d: candidate %d = %v, reference %v", c.name, workers, i, cands[i], want[i])
 				}
 			}
-			if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
-				t.Fatalf("%s workers=%d: sized/in-bound %d/%d, scan path %d/%d",
-					c.name, workers, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
+			if stats.SizeComputed != sized || stats.InBound != inBound {
+				t.Fatalf("%s workers=%d: sized/in-bound %d/%d, reference %d/%d",
+					c.name, workers, stats.SizeComputed, stats.InBound, sized, inBound)
 			}
-			if stats.RefinedSets+stats.ScannedSets != stats.SizeComputed {
-				t.Fatalf("%s workers=%d: path counters %d+%d do not cover %d sized sets",
-					c.name, workers, stats.RefinedSets, stats.ScannedSets, stats.SizeComputed)
+			// Every set here keys in uint64 and stays in memory, so every
+			// set is sized from its gen parent's key block.
+			if stats.RefinedSets != stats.SizeComputed {
+				t.Fatalf("%s workers=%d: %d of %d sets sized from a parent key block",
+					c.name, workers, stats.RefinedSets, stats.SizeComputed)
 			}
-			if stats.RefinedSets == 0 && stats.SizeComputed > 0 {
-				t.Fatalf("%s workers=%d: refinement never fired", c.name, workers)
-			}
-			if c.mixed && stats.ScannedSets == 0 {
-				t.Fatalf("%s workers=%d: no set took the raw scan (refined=%d)", c.name, workers, stats.RefinedSets)
+			if workers == 1 && stats.PoolHits == 0 {
+				t.Fatalf("%s: sizing never recycled a slab", c.name)
 			}
 		}
 	}
 }
 
-// TestSchedulerBatchAblation pins the two sizing paths against each
-// other: batched sibling refinement (default) and raw scans
-// (DisableRefine) must enumerate identical candidates with identical
-// examined/in-bound counters, and the counters must attribute the work to
-// the right path.
-func TestSchedulerBatchAblation(t *testing.T) {
-	d := schedulerDataset(t)
-	for _, bound := range []int{10, 100} {
-		scan, scanStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, bStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batched) != len(scan) {
-			t.Fatalf("bound=%d: %d candidates, scan path %d", bound, len(batched), len(scan))
-		}
-		for i := range batched {
-			if batched[i] != scan[i] {
-				t.Fatalf("bound=%d: candidate %d = %v, scan path %v", bound, i, batched[i], scan[i])
-			}
-		}
-		if bStats.SizeComputed != scanStats.SizeComputed || bStats.InBound != scanStats.InBound {
-			t.Fatalf("bound=%d: sized/in-bound %d/%d, scan path %d/%d",
-				bound, bStats.SizeComputed, bStats.InBound, scanStats.SizeComputed, scanStats.InBound)
-		}
-		if bStats.BatchRefines == 0 {
-			t.Fatalf("bound=%d: batched run never used the batch tier", bound)
-		}
-		if bStats.PoolHits == 0 {
-			t.Fatalf("bound=%d: batched run never recycled a slab", bound)
-		}
-		if bStats.RefinedSets == 0 {
-			t.Fatalf("bound=%d: batched run attributes no sets to refinement", bound)
-		}
-	}
-}
-
-// TestSchedulerFullSearchAgreement runs both algorithms end to end with
-// the scheduler on and off; chosen label, error and counters must match.
+// TestSchedulerFullSearchAgreement runs both algorithms end to end against
+// their reference enumerations: the counters match, and the chosen label
+// is the first candidate, in sorted order, with the smallest max error.
 func TestSchedulerFullSearchAgreement(t *testing.T) {
 	d := schedulerDataset(t)
 	ps := core.DistinctTuples(d)
 	type algo struct {
 		name string
 		run  func(opts Options) (*Result, error)
+		ref  func(d *dataset.Dataset, bound int) ([]lattice.AttrSet, int, int)
 	}
 	algos := []algo{
-		{"topdown", func(o Options) (*Result, error) { return TopDown(d, ps, o) }},
-		{"naive", func(o Options) (*Result, error) { return Naive(d, ps, o) }},
+		{"topdown", func(o Options) (*Result, error) { return TopDown(d, ps, o) }, refTopDown},
+		{"naive", func(o Options) (*Result, error) { return Naive(d, ps, o) }, refNaive},
 	}
 	for _, bound := range []int{20, 100} {
 		for _, a := range algos {
-			want, err := a.run(Options{Bound: bound, FastEval: true, Workers: 1, DisableRefine: true, DenseLimit: -1})
-			if err != nil {
-				t.Fatal(err)
+			cands, sized, inBound := a.ref(d, bound)
+			wantAttrs, wantErr := lattice.AttrSet(0), 0.0
+			for i, s := range cands {
+				l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
+				e, _ := core.MaxAbsError(l, ps, core.MaxErrOptions{Workers: 1})
+				if i == 0 || e < wantErr {
+					wantAttrs, wantErr = s, e
+				}
 			}
-			got, err := a.run(Options{Bound: bound, FastEval: true, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Attrs != want.Attrs || got.Size != want.Size || got.MaxErr != want.MaxErr {
-				t.Errorf("%s bound=%d: scheduler chose (%v, %d, %v), scan path (%v, %d, %v)",
-					a.name, bound, got.Attrs, got.Size, got.MaxErr, want.Attrs, want.Size, want.MaxErr)
-			}
-			if got.Stats.SizeComputed != want.Stats.SizeComputed || got.Stats.InBound != want.Stats.InBound {
-				t.Errorf("%s bound=%d: counters %d/%d, scan path %d/%d", a.name, bound,
-					got.Stats.SizeComputed, got.Stats.InBound, want.Stats.SizeComputed, want.Stats.InBound)
+			for _, workers := range []int{1, 2} {
+				got, err := a.run(Options{Bound: bound, FastEval: true, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Attrs != wantAttrs || got.MaxErr != wantErr {
+					t.Errorf("%s bound=%d workers=%d: chose (%v, %v), reference (%v, %v)",
+						a.name, bound, workers, got.Attrs, got.MaxErr, wantAttrs, wantErr)
+				}
+				if got.Stats.SizeComputed != sized || got.Stats.InBound != inBound {
+					t.Errorf("%s bound=%d workers=%d: counters %d/%d, reference %d/%d", a.name, bound, workers,
+						got.Stats.SizeComputed, got.Stats.InBound, sized, inBound)
+				}
 			}
 		}
 	}

@@ -31,13 +31,14 @@ type Options struct {
 	// optimization beyond the paper; it never changes the result.
 	BranchAndBound bool
 	// Workers bounds parallelism in both phases: the enumeration phase
-	// shards its fused label-size scans across this many workers (see
-	// core.LabelSizes), and the final evaluation phase scores this
-	// many candidates concurrently. runtime.NumCPU() when 0, 1 for a
-	// single-threaded run. Note that enumeration always sizes frontiers
-	// through the fused batch scan (a beyond-paper optimization, result-
-	// identical to per-set scanning), so Workers=1 timings are not
-	// comparable to the paper's one-scan-per-set cost model.
+	// sizes each level's sibling groups and their row shards on this many
+	// workers (see core.LabelSizes), and the final evaluation phase scores
+	// this many candidates concurrently. runtime.NumCPU() when 0, 1 for a
+	// single-threaded run. Note that enumeration sizes each sibling group
+	// off one pass over its gen parent's keys (a beyond-paper
+	// optimization, result-identical to per-set scanning), so Workers=1
+	// timings are not comparable to the paper's one-scan-per-set cost
+	// model.
 	//
 	// When no attribute set of size ≥ 2 yields an in-bound label, both
 	// algorithms fall back to in-bound singletons, and failing that to
@@ -45,32 +46,15 @@ type Options struct {
 	// this degenerate case unspecified.
 	Workers int
 
-	// DenseLimit overrides the counting engine's dense-kernel threshold
-	// for raw dataset scans (core.CountOptions.DenseLimit): 0 means the
-	// engine default, a negative value forces scans onto the hash-map
-	// kernels. Refinement's compact-space counting is not affected; set
-	// DisableRefine as well to reproduce the full pre-dense (PR 1)
-	// behaviour. Mainly for benchmarks and differential tests.
-	DenseLimit int
-
-	// DisableRefine turns off batched sibling refinement: every frontier
-	// is sized by raw fused scans, the pre-refinement engine behaviour.
-	// The result is identical either way (refinement is exact); only the
-	// work changes.
-	DisableRefine bool
-
-	// MemBudget bounds the in-memory grouping state of a single raw
-	// group-by in bytes (core.CountOptions.MemBudget): map- and byte-key
-	// candidates whose estimated map footprint exceeds it are scheduled
-	// onto external spill scans — hash-partitioned on-disk runs (uint64 or
-	// byte record format, matching the key encoding) counted K-way in
-	// parallel — instead of joining the fused in-memory scan, and budgeted
-	// label builds whose result map models over the budget keep their runs
-	// and serve lookups merge-on-read. Refinement stays in-memory-only:
-	// its compact spaces are bounded by a dense-keyable parent's key space
-	// times one attribute domain, so the budget never applies there. Zero
-	// means unlimited. Results are identical either way;
-	// Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
+	// MemBudget bounds the in-memory grouping state of a single group-by
+	// in bytes (core.CountOptions.MemBudget): map- and byte-key candidates
+	// whose estimated map footprint exceeds it are sized on external spill
+	// scans — hash-partitioned on-disk runs (uint64 or byte record format,
+	// matching the key encoding) counted K-way in parallel — instead of in
+	// their sibling group, and budgeted label builds whose result map
+	// models over the budget keep their runs and serve lookups
+	// merge-on-read. Zero means unlimited. Results are identical either
+	// way; Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
 	// report the tier's use.
 	MemBudget int64
 
@@ -84,36 +68,26 @@ type Options struct {
 	// injection scripts failures here.
 	FS iofault.FS
 
-	// DisableSharedSpill turns off the shared-scan spill partitioner
-	// (core.CountOptions.DisableSharedSpill): spilled sets in one frontier
-	// then partition with one dataset pass each instead of sharing a pass.
-	// Result-identical; for ablation.
-	DisableSharedSpill bool
-
 	// Ctx cancels the search cooperatively — cancel it or give it a
 	// deadline to bound a runaway search. Both phases poll it: enumeration
-	// at row-block granularity inside fused sizing scans and refinement
-	// passes, evaluation between candidate labels and at block granularity
-	// inside each label build. A fired
-	// context abandons the search, releases every spill-backed label
-	// already built (no temp files survive), and returns the typed context
-	// error (context.Canceled or context.DeadlineExceeded). Nil means the
-	// search never cancels.
+	// at row-block granularity inside each level's sizing, evaluation
+	// between candidate labels and at block granularity inside each label
+	// build. A fired context abandons the search, releases every
+	// spill-backed label already built (no temp files survive), and
+	// returns the typed context error (context.Canceled or
+	// context.DeadlineExceeded). Nil means the search never cancels.
 	Ctx context.Context
 }
 
 // countOptions lowers the search options onto the counting engine for
-// raw sizing scans and label builds. Refinement passes set their own
-// narrower options: they ignore DenseLimit and MemBudget by design.
+// sizing and label builds.
 func (o Options) countOptions() core.CountOptions {
 	return core.CountOptions{
-		Workers:            o.Workers,
-		DenseLimit:         o.DenseLimit,
-		MemBudget:          o.MemBudget,
-		SpillDir:           o.SpillDir,
-		FS:                 o.FS,
-		DisableSharedSpill: o.DisableSharedSpill,
-		Ctx:                o.Ctx,
+		Workers:   o.Workers,
+		MemBudget: o.MemBudget,
+		SpillDir:  o.SpillDir,
+		FS:        o.FS,
+		Ctx:       o.Ctx,
 	}
 }
 
@@ -124,11 +98,6 @@ func ctxErr(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// fusedBatch bounds how many candidate sets one fused scan tracks at once,
-// keeping per-worker frontier memory at fusedBatch × (Bound+1) set entries
-// while still amortizing column access across the whole batch.
-const fusedBatch = 256
 
 // Stats reports the work a search performed; Fig 6–9 of the paper are
 // plotted from these counters and timings.
@@ -146,26 +115,19 @@ type Stats struct {
 	// evaluations across the final phase; early termination keeps it far
 	// below Evaluated × |P|.
 	PatternsScanned int64
-	// RefinedSets counts examined sets sized by batched sibling
-	// refinement instead of a raw scan.
+	// RefinedSets counts examined sets sized from their gen parent's
+	// shared key block: every set counted in memory on uint64 keys
+	// (ScanStats.Dense + Map). Byte-key sets and spilled sets are not.
 	RefinedSets int
-	// ScannedSets counts examined sets sized by raw fused dataset scans —
-	// sets whose gen parent or own key space is not dense-keyable, or
-	// every set when refinement is off.
-	ScannedSets int
-	// BatchRefines counts batched sibling-refinement passes: each sized a
-	// whole batch of same-parent candidates in one blocked pass over the
-	// parent's dense keys (core.RefineSizes).
-	BatchRefines int
 	// PoolHits and PoolMisses report the slab pool's cumulative counters:
 	// how often a count slab or key-block scratch was recycled from the
 	// arena versus freshly allocated.
 	PoolHits, PoolMisses int64
-	// ScanStats meters the raw-scanned sets (refined sets never reach the
-	// counting kernels): which kernel each went to — Dense, Map, Bytes,
-	// Spilled (SpilledU64 of them with uint64 records) — and the spill
-	// tier's runs, bytes, fallbacks and shared partition passes. All zero
-	// spill counters mean a fully in-memory run.
+	// ScanStats meters the sizing of every examined set: which kernel each
+	// went to — Dense, Map, Bytes, Spilled (SpilledU64 of them with uint64
+	// records) — and the spill tier's runs, bytes, fallbacks and shared
+	// partition passes. All zero spill counters mean a fully in-memory
+	// run.
 	core.ScanStats
 	// SearchTime covers candidate enumeration (label-size computation).
 	SearchTime time.Duration
@@ -191,44 +153,20 @@ type Result struct {
 	Stats Stats
 }
 
-// schedulerPoolBudget bounds the free slabs the frontier scheduler's pool
-// retains between sizing passes.
+// schedulerPoolBudget bounds the free slabs the level sizer's pool retains
+// between levels.
 const schedulerPoolBudget int64 = 256 << 20
 
-// sibBatch is one batched refinement unit: all same-level candidates that
-// extend the same dense-keyable gen parent by one attribute.
-// core.RefineSizes streams the parent's dense keys blockwise and sizes
-// every sibling in one pass.
-type sibBatch struct {
-	parent lattice.AttrSet
-	lo, hi int // half-open range into the level's batchIdx/batchAttrs
-}
-
-// levelSizer is the frontier scheduler of the enumeration phase. Each
-// candidate set goes down exactly one of two paths:
-//
-//   - batched sibling refinement, when its gen parent is dense-keyable and
-//     the candidate stays dense-keyable: the level's candidates are grouped
-//     by gen parent, and one core.RefineSizes pass per parent sizes them
-//     all without any per-set allocation beyond pooled compact-space slabs;
-//   - the fused raw scan (core.LabelSizes) otherwise, which also
-//     routes over-budget sets onto the spill tier.
-//
-// All scratch cycles through one slab pool, so steady-state sizing
-// allocates a near-constant working set. Routing happens in deterministic
-// slice order; results and counters are identical for all worker counts.
+// levelSizer sizes the enumeration phase one lattice level at a time:
+// each level is one core.LabelSizes call, which groups the level's sets by
+// gen parent and routes over-budget sets to the spill tier. One slab pool
+// serves every level, so steady-state sizing allocates a near-constant
+// working set.
 type levelSizer struct {
 	d     *dataset.Dataset
 	opts  Options
 	stats *Stats
 	pool  *core.VecPool
-
-	within     []bool // per-candidate verdict of the level being sized
-	batches    []sibBatch
-	batchIdx   []int // candidate index per batched child
-	batchAttrs []int // added attribute per batched child
-	scanSets   []lattice.AttrSet
-	scanIdx    []int
 }
 
 func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
@@ -243,109 +181,20 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	if len(sets) == 0 {
 		return nil
 	}
-	if cap(z.within) < len(sets) {
-		z.within = make([]bool, len(sets))
-	}
-	z.within = z.within[:len(sets)]
-	z.batches = z.batches[:0]
-	z.batchIdx = z.batchIdx[:0]
-	z.batchAttrs = z.batchAttrs[:0]
-	z.scanSets = z.scanSets[:0]
-	z.scanIdx = z.scanIdx[:0]
-
-	// Route every candidate. Children of one gen parent are consecutive in
-	// both traversals, so grouping them into sibling batches is a
-	// run-length pass.
-	var parent lattice.AttrSet
-	var radix int
-	known, dense, open := false, false, false
-	for i, s := range sets {
-		if !z.opts.DisableRefine && !s.IsEmpty() {
-			max := s.MaxIndex()
-			if p := s.Remove(max); !known || p != parent {
-				parent, known, open = p, true, false
-				radix, dense = core.DenseKeyable(z.d, p)
-			}
-			if dense && core.DenseExtendable(z.d, radix, max) {
-				if !open {
-					z.batches = append(z.batches, sibBatch{parent: parent, lo: len(z.batchIdx)})
-					open = true
-				}
-				z.batchIdx = append(z.batchIdx, i)
-				z.batchAttrs = append(z.batchAttrs, max)
-				z.batches[len(z.batches)-1].hi = len(z.batchIdx)
-				continue
-			}
-		}
-		z.scanIdx = append(z.scanIdx, i)
-		z.scanSets = append(z.scanSets, s)
-	}
-
-	if err := z.runBatches(); err != nil {
-		return err
-	}
-
-	// Raw-scan path for candidates off the batched tier. Spilled
-	// candidates (map- and byte-key sets over the memory budget) are
-	// routed inside the fused sizing call onto external spill scans.
 	co := z.opts.countOptions()
 	co.Stats, co.Pool = &z.stats.ScanStats, z.pool
-	for lo := 0; lo < len(z.scanSets); lo += fusedBatch {
-		hi := min(lo+fusedBatch, len(z.scanSets))
-		_, within, err := core.LabelSizes(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
-		if err != nil {
-			return err
-		}
-		for j, ok := range within {
-			z.within[z.scanIdx[lo+j]] = ok
-		}
+	_, within, err := core.LabelSizes(z.d, sets, z.opts.Bound, co)
+	if err != nil {
+		return err
 	}
-
-	z.stats.RefinedSets += len(z.batchIdx)
-	z.stats.ScannedSets += len(z.scanSets)
-	z.stats.BatchRefines += len(z.batches)
+	z.stats.RefinedSets = z.stats.Dense + z.stats.Map
 	z.stats.PoolHits, z.stats.PoolMisses = z.pool.Stats()
 	for i, s := range sets {
 		z.stats.SizeComputed++
-		if z.within[i] {
+		if within[i] {
 			z.stats.InBound++
 		}
-		visit(s, z.within[i])
-	}
-	return nil
-}
-
-// runBatches executes the batched tier: one core.RefineSizes pass per
-// sibling batch, dispatched across workers — batches run concurrently
-// when the level has many, and a lone batch shards its rows instead.
-func (z *levelSizer) runBatches() error {
-	nb := len(z.batches)
-	if nb == 0 {
-		return nil
-	}
-	eff := workpool.Resolve(z.opts.Workers, 1<<30)
-	outer := min(nb, eff)
-	inner := 1
-	if outer < eff {
-		inner = eff / outer
-	}
-	errs := make([]error, nb)
-	workpool.Do(nb, outer, func(bi int) {
-		b := z.batches[bi]
-		co := core.CountOptions{Workers: inner, Pool: z.pool, Ctx: z.opts.Ctx}
-		_, within, err := core.RefineSizes(z.d, b.parent, z.batchAttrs[b.lo:b.hi], z.opts.Bound, co)
-		if err != nil {
-			errs[bi] = err
-			return
-		}
-		for k, ok := range within {
-			z.within[z.batchIdx[b.lo+k]] = ok
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+		visit(s, within[i])
 	}
 	return nil
 }
@@ -354,8 +203,8 @@ func (z *levelSizer) runBatches() error {
 // subsets of size 2, 3, … are generated with their label sizes; every
 // in-bound subset's label error is evaluated; enumeration stops at the first
 // level where no subset fits the bound (label sizes are monotone, so deeper
-// levels cannot fit either). Each level is sized with fused batch scans
-// rather than one dataset scan per subset.
+// levels cannot fit either). Each level is sized in one core.LabelSizes
+// call rather than one dataset scan per subset.
 func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, error) {
 	if err := checkOptions(d, opts); err != nil {
 		return nil, err
@@ -367,9 +216,6 @@ func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, erro
 	sizer := newLevelSizer(d, opts, &stats)
 	var level []lattice.AttrSet // hoisted: reused across levels
 	for k := 2; k <= n; k++ {
-		// The whole level goes to the sizer in one call (as TopDown's
-		// frontier does): sizeLevel groups sibling batches and batches its
-		// raw scans internally.
 		level = level[:0]
 		lattice.Combinations(n, k, func(s lattice.AttrSet) bool {
 			level = append(level, s)
@@ -389,7 +235,7 @@ func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, erro
 		}
 	}
 	stats.SearchTime = time.Since(start)
-	return finish(d, ps, cands, opts, stats)
+	return finish(sizer, ps, cands)
 }
 
 // TopDown is Algorithm 1: a breadth-first traversal of the label lattice
@@ -403,24 +249,24 @@ func TopDown(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, er
 		return nil, err
 	}
 	start := time.Now()
-	list, stats, err := enumerateTopDown(d, opts)
+	var stats Stats
+	sizer := newLevelSizer(d, opts, &stats)
+	list, err := enumerateTopDown(sizer)
 	if err != nil {
 		return nil, err
 	}
 	stats.SearchTime = time.Since(start)
-	return finish(d, ps, list, opts, stats)
+	return finish(sizer, ps, list)
 }
 
 // enumerateTopDown runs Algorithm 1's enumeration phase: the level-wise
-// Gen traversal with subtree pruning, sized through the frontier
-// scheduler. It returns the maximal in-bound candidate sets (unsorted) and
-// the enumeration counters.
-func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stats, error) {
-	n := d.NumAttrs()
-	var stats Stats
-	sizer := newLevelSizer(d, opts, &stats)
+// Gen traversal with subtree pruning, sized level by level. It returns the
+// maximal in-bound candidate sets (unsorted); the enumeration counters
+// accumulate in the sizer's stats.
+func enumerateTopDown(sizer *levelSizer) ([]lattice.AttrSet, error) {
+	n := sizer.d.NumAttrs()
 	// The BFS queue is processed one lattice level at a time so the whole
-	// frontier's children can be sized in fused batch scans. Gen generates
+	// frontier's children can be sized in one call. Gen generates
 	// each lattice node exactly once across the traversal (Proposition
 	// 3.8), so the concatenated child lists never repeat a set and the
 	// level-wise order visits exactly the sets the per-node BFS visited.
@@ -445,14 +291,14 @@ func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stat
 			}
 			cands[c] = struct{}{}
 		}); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 	}
 	list := make([]lattice.AttrSet, 0, len(cands))
 	for s := range cands {
 		list = append(list, s)
 	}
-	return list, stats, nil
+	return list, nil
 }
 
 // Enumerate runs only the candidate-enumeration phase of the top-down
@@ -465,7 +311,8 @@ func Enumerate(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stats, erro
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	list, stats, err := enumerateTopDown(d, opts)
+	var stats Stats
+	list, err := enumerateTopDown(newLevelSizer(d, opts, &stats))
 	if err != nil {
 		return nil, stats, err
 	}
@@ -485,21 +332,18 @@ func checkOptions(d *dataset.Dataset, opts Options) error {
 }
 
 // finish evaluates every candidate set and returns the best label. When no
-// candidate of size ≥ 2 exists it falls back to in-bound singletons, then to
-// the empty set (pure independence estimation).
-func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, opts Options, stats Stats) (*Result, error) {
+// candidate of size ≥ 2 exists it falls back to in-bound singletons —
+// sized by the same sizer, as the sibling group under ∅ — then to the
+// empty set (pure independence estimation).
+func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*Result, error) {
+	d, opts, stats := sizer.d, sizer.opts, sizer.stats
 	if len(cands) == 0 {
-		for i := 0; i < d.NumAttrs(); i++ {
-			s := lattice.NewAttrSet(i)
-			stats.SizeComputed++
-			_, within, err := core.LabelSize(d, s, opts.Bound, core.CountOptions{Workers: 1})
-			if err != nil {
-				return nil, err
-			}
+		if err := sizer.sizeLevel(lattice.AttrSet(0).Gen(d.NumAttrs()), func(s lattice.AttrSet, within bool) {
 			if within {
-				stats.InBound++
 				cands = append(cands, s)
 			}
+		}); err != nil {
+			return nil, err
 		}
 		if len(cands) == 0 {
 			cands = append(cands, lattice.AttrSet(0))
@@ -637,7 +481,7 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 		Label:  r.label,
 		MaxErr: r.maxErr,
 		Size:   r.label.Size(),
-		Stats:  stats,
+		Stats:  *stats,
 	}, nil
 }
 

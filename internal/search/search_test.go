@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"testing"
 
 	"pcbl/internal/core"
@@ -211,6 +212,39 @@ func TestTinyBoundFallsBackToSingletons(t *testing.T) {
 	}
 	if res.Size > 2 {
 		t.Errorf("fallback label size %d exceeds bound", res.Size)
+	}
+}
+
+// TestSingletonFallbackUsesSearchOptions: when no pair fits, both
+// algorithms size the singletons through the level sizer with the
+// search's own options — metered like every other examined set, and the
+// same for every worker count.
+func TestSingletonFallbackUsesSearchOptions(t *testing.T) {
+	d := uniformDataset(t, 30, 30, 30) // 900-pattern pairs, 30-pattern singletons
+	ps := core.DistinctTuples(d)
+	for name, run := range map[string]func(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, error){
+		"topdown": TopDown,
+		"naive":   Naive,
+	} {
+		var seq *Result
+		for _, workers := range []int{1, 4} {
+			res, err := run(d, ps, Options{Bound: 40, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Attrs.Size() != 1 {
+				t.Fatalf("%s workers=%d: chose %v, want a singleton", name, workers, res.Attrs)
+			}
+			if st := res.Stats; st.SizeComputed != 6 || st.InBound != 3 || st.RefinedSets != st.SizeComputed {
+				t.Fatalf("%s workers=%d: SizeComputed=%d InBound=%d RefinedSets=%d, want 6, 3 and 6",
+					name, workers, st.SizeComputed, st.InBound, st.RefinedSets)
+			}
+			if seq == nil {
+				seq = res
+			} else {
+				sameResult(t, fmt.Sprintf("%s workers=%d", name, workers), seq, res)
+			}
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package search
 
 // Integration of the external-memory spill tier with the enumeration
-// phase: under Options.MemBudget, byte-key candidates on the raw-scan tier
-// are sized through on-disk spill runs with results identical to the
-// unbudgeted run, and run files are cleaned up. With refinement enabled
-// these candidates still take the raw scan — none is dense-keyable — so
-// the budget governs them either way.
+// phase: under Options.MemBudget, candidates beyond the dense tier are
+// sized through on-disk spill runs with results identical to the
+// unbudgeted run, and run files are cleaned up.
 
 import (
 	"fmt"
@@ -14,7 +12,6 @@ import (
 	"testing"
 
 	"pcbl/internal/dataset"
-	"pcbl/internal/lattice"
 )
 
 // spillSearchDataset builds a 4-attribute dataset whose full-set key
@@ -56,21 +53,23 @@ func spillSearchDataset(t *testing.T, rows int) *dataset.Dataset {
 func TestSearchSpillIdentity(t *testing.T) {
 	d := spillSearchDataset(t, 3000)
 	const bound = 4000
-	// Raw-scan-only baseline, unbudgeted: every candidate in memory.
-	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
+	// Unbudgeted baseline: every candidate in memory, the full set on
+	// byte keys and every other set from its parent's key block.
+	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseStats.Spilled != 0 {
-		t.Fatalf("unbudgeted run spilled %d sets", baseStats.Spilled)
+	if baseStats.Spilled != 0 || baseStats.Bytes != 1 || baseStats.RefinedSets != baseStats.SizeComputed-1 {
+		t.Fatalf("unbudgeted run: Spilled=%d Bytes=%d RefinedSets=%d of %d sets",
+			baseStats.Spilled, baseStats.Bytes, baseStats.RefinedSets, baseStats.SizeComputed)
 	}
-	// Budget small enough that the full set's byte-map estimate exceeds
-	// it: raw sizing of that candidate must go through spill runs.
+	// Budget small enough that every set's map estimate exceeds it: every
+	// candidate must be sized through spill runs.
 	budget := int64(50 << 10)
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
 		got, stats, err := Enumerate(d, Options{
-			Bound: bound, Workers: workers, DisableRefine: true,
+			Bound: bound, Workers: workers,
 			MemBudget: budget, SpillDir: dir,
 		})
 		if err != nil {
@@ -84,8 +83,9 @@ func TestSearchSpillIdentity(t *testing.T) {
 				t.Fatalf("workers=%d: candidate %d = %v, want %v", workers, i, got[i], base[i])
 			}
 		}
-		if stats.Spilled == 0 || stats.SpillRuns < 4 {
-			t.Fatalf("workers=%d: Spilled=%d SpillRuns=%d, want a >=4-run spill", workers, stats.Spilled, stats.SpillRuns)
+		if stats.Spilled != int64(stats.SizeComputed) || stats.RefinedSets != 0 || stats.SpillRuns < 4 {
+			t.Fatalf("workers=%d: Spilled=%d RefinedSets=%d of %d sets, SpillRuns=%d; want every set spilled, >=4 runs",
+				workers, stats.Spilled, stats.RefinedSets, stats.SizeComputed, stats.SpillRuns)
 		}
 		if stats.SpillBytes == 0 {
 			t.Fatalf("workers=%d: spill reported zero bytes written", workers)
@@ -122,14 +122,6 @@ func TestSearchSpillIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: %d spill entries left behind", workers, len(ents))
 		}
 	}
-	// With refinement on, nothing changes: no set here is dense-keyable
-	// (a 65000-value domain is far above 16 × rows), so every candidate
-	// takes the budgeted raw scan.
-	refined, refStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, MemBudget: budget, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkScanned(t, base, refined, refStats)
 }
 
 // TestSearchSpillParallelRuns pins the K-way parallel count phase through
@@ -141,7 +133,7 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	const bound = 25000
 	budget := int64(200 << 10)
 	base, baseStats, err := Enumerate(d, Options{
-		Bound: bound, Workers: 1, DisableRefine: true,
+		Bound: bound, Workers: 1,
 		MemBudget: budget, SpillDir: t.TempDir(),
 	})
 	if err != nil {
@@ -153,7 +145,7 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	}
 	dir := t.TempDir()
 	got, stats, err := Enumerate(d, Options{
-		Bound: bound, Workers: 8, DisableRefine: true,
+		Bound: bound, Workers: 8,
 		MemBudget: budget, SpillDir: dir,
 	})
 	if err != nil {
@@ -177,23 +169,5 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("%d spill entries left behind", len(ents))
-	}
-}
-
-// checkScanned asserts a refinement-enabled budgeted run reproduced the
-// baseline candidates with every set sized by the raw scan.
-func checkScanned(t *testing.T, base, refined []lattice.AttrSet, refStats Stats) {
-	t.Helper()
-	if len(refined) != len(base) {
-		t.Fatalf("refined run: %d candidates, want %d", len(refined), len(base))
-	}
-	for i := range refined {
-		if refined[i] != base[i] {
-			t.Fatalf("refined candidate %d = %v, want %v", i, refined[i], base[i])
-		}
-	}
-	if refStats.RefinedSets != 0 || refStats.ScannedSets != refStats.SizeComputed {
-		t.Fatalf("refinement-enabled run: refined=%d scanned=%d sized=%d, want every set scanned",
-			refStats.RefinedSets, refStats.ScannedSets, refStats.SizeComputed)
 	}
 }

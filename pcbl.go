@@ -193,13 +193,14 @@ func LabelSize(d *Dataset, bound int, attrNames ...string) (size int, within boo
 	return core.LabelSize(d, s, bound, core.CountOptions{})
 }
 
-// LabelSizes computes |P_S| for a whole frontier of attribute sets in one
-// fused pass over the dataset (one group-by keyer per set, shared column
-// access, per-set early abort at the bound), sharded across workers
-// (0 = NumCPU). For each set i the pair (sizes[i], within[i]) matches what
-// LabelSize would report. This is the scan the label search's enumeration
-// phase runs level by level. err reports an engine failure, as LabelSize's
-// does.
+// LabelSizes computes |P_S| for a whole frontier of attribute sets: sets
+// that share a gen parent (the set minus its largest attribute) are sized
+// off one pass over that parent's keys, each with early abort at the
+// bound, and the groups and their rows are shared out across workers (0 =
+// NumCPU). For each set i the pair (sizes[i], within[i]) matches what
+// LabelSize would report. This is the call the label search's enumeration
+// phase makes once per level. err reports an engine failure, as
+// LabelSize's does.
 func LabelSizes(d *Dataset, sets []AttrSet, bound, workers int) (sizes []int, within []bool, err error) {
 	return core.LabelSizes(d, sets, bound, core.CountOptions{Workers: workers})
 }
@@ -273,8 +274,8 @@ func GenerateLabel(d *Dataset, opts GenerateOptions) (*SearchResult, error) {
 }
 
 // GenerateCtx is GenerateLabel with cooperative cancellation: both search
-// phases poll ctx (enumeration at row-block granularity inside fused
-// sizing scans, evaluation between and inside candidate label builds), and
+// phases poll ctx (enumeration at row-block granularity inside each
+// level's sizing, evaluation between and inside candidate label builds), and
 // a fired context abandons the search, releases every spill-backed label
 // already built, and returns the typed context error. opts.Timeout, when
 // positive, is composed as a deadline on top of ctx. A nil ctx with a zero

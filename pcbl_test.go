@@ -228,7 +228,7 @@ func TestFacadeLabelSize(t *testing.T) {
 		t.Error("unknown attribute accepted")
 	}
 
-	// The fused frontier scan agrees with the per-set path.
+	// Sizing a frontier agrees with the per-set path.
 	s1, err := AttrSetOf(d, "age group", "marital status")
 	if err != nil {
 		t.Fatal(err)
