@@ -19,6 +19,17 @@
 //	go test -run xxx -bench 'FrontierSizing|BuildPCParallel|SpillGroupBy' \
 //	    -benchmem -benchtime 1x . \
 //	    | go run ./cmd/benchguard -manifest bench_manifest.json
+//
+// An entry may name the -benchtime its baseline was recorded at; CI runs
+// each benchtime group as its own `go test` call and feeds benchguard the
+// concatenated output. A benchmark whose per-run setup allocates (such as
+// RunParallel's) needs enough iterations for bytes/op to measure the loop
+// body rather than the setup.
+//
+// A baseline of 0 B/op cannot be divided by: it is gated as 1 B/op, so an
+// allocation-free benchmark may read up to max-bytes-ratio B/op (rounding
+// and amortized setup) and fails as soon as it allocates once per op,
+// which costs at least 8 bytes.
 package main
 
 import (
@@ -57,6 +68,16 @@ type manifestEntry struct {
 	// MaxBytesRatio fails the gate when measured bytes/op exceeds
 	// baseline × ratio; 0 means 2.
 	MaxBytesRatio float64 `json:"max_bytes_ratio"`
+	// Benchtime is the -benchtime the baseline was recorded at and CI runs
+	// the benchmark at; empty means 5x. benchguard itself only reads the
+	// output it is given.
+	Benchtime string `json:"benchtime,omitempty"`
+}
+
+// bytesLimit returns the largest bytes/op an entry may measure against its
+// baseline: baseline × ratio, with a baseline of 0 B/op counted as 1.
+func bytesLimit(baseBytes int64, ratio float64) float64 {
+	return float64(max(baseBytes, 1)) * ratio
 }
 
 // benchResult is one benchmark line scanned from the `go test` output.
@@ -144,11 +165,11 @@ func main() {
 			failed++
 			continue
 		}
-		bytesRatio := float64(res.bytesPerOp) / float64(baseBytes)
+		limit := bytesLimit(baseBytes, e.MaxBytesRatio)
 		fmt.Printf("benchguard %s vs %s:\n", e.Bench, base.ID)
-		fmt.Printf("  bytes/op %d vs baseline %d (%.2fx, limit %.2fx)\n", res.bytesPerOp, baseBytes, bytesRatio, e.MaxBytesRatio)
+		fmt.Printf("  bytes/op %d vs baseline %d (limit %.0f = %.2fx)\n", res.bytesPerOp, baseBytes, limit, e.MaxBytesRatio)
 		fmt.Printf("  ns/op %d vs baseline %d (%.2fx, advisory)\n", int64(res.nsPerOp), int64(baseNs), res.nsPerOp/baseNs)
-		if bytesRatio > e.MaxBytesRatio {
+		if float64(res.bytesPerOp) > limit {
 			fmt.Printf("FAIL %s: bytes/op regressed beyond %.2fx\n", e.Bench, e.MaxBytesRatio)
 			failed++
 		}

@@ -12,9 +12,11 @@
 //     the VC section (per-value counts), the label's attribute set, and a
 //     descriptor per PC payload carrying that payload's CRC32C and length.
 //   - pc-NNN.bin — an in-memory representation serialized directly:
-//     the dense path as a raw little-endian int32 slab, the uint64 and
-//     byte-string map paths as sorted fixed-width (key, int64 count)
-//     entries. The section checksum in the manifest covers the whole file.
+//     the dense path as a raw little-endian int32 slab, the sorted uint64
+//     path and the byte-string map path as sorted fixed-width (key, int64
+//     count) entries. The section checksum in the manifest covers the
+//     whole file, and u64 entries load straight into the sorted layout,
+//     so their keys must ascend strictly.
 //   - pc-NNN-runs/ — a merge-on-read (spilled) representation: the
 //     build's own run files, adopted into the artifact by rename instead
 //     of being re-counted, exactly as internal/spill wrote them — with
@@ -47,6 +49,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -335,24 +338,10 @@ func epochOf(m *Manifest) int64 {
 // artifact, followed by a final directory fsync so the commit itself is
 // durable.
 func commitManifest(m *Manifest, dir string, fsi iofault.FS) error {
-	inner, err := json.MarshalIndent(m, "    ", "  ")
+	data, err := encodeManifest(m)
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	crc, err := manifestCRC(inner)
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	data, err := json.MarshalIndent(&envelope{
-		FormatVersion: FormatVersion,
-		CRC32C:        crc,
-		Manifest:      inner,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	data = append(data, '\n')
-
 	tmp := filepath.Join(dir, manifestTmpName)
 	f, err := fsi.Create(tmp)
 	if err != nil {
@@ -379,6 +368,25 @@ func commitManifest(m *Manifest, dir string, fsi iofault.FS) error {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	return nil
+}
+
+// encodeManifest renders manifest.json: the self-checksummed envelope
+// around the indented manifest.
+func encodeManifest(m *Manifest) ([]byte, error) {
+	inner, err := json.MarshalIndent(m, "    ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	crc, err := manifestCRC(inner)
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.MarshalIndent(&envelope{
+		FormatVersion: FormatVersion,
+		CRC32C:        crc,
+		Manifest:      inner,
+	}, "", "  ")
+	return append(data, '\n'), err
 }
 
 // crcWriter tees payload bytes into a buffered file writer while
@@ -448,16 +456,11 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 			}
 		case r.U != nil:
 			meta.Kind = kindU64
-			meta.Entries = len(r.U)
-			keys := make([]uint64, 0, len(r.U))
-			for k := range r.U {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
+			meta.Entries = len(r.U.Keys)
 			buf := make([]byte, 16)
-			for _, k := range keys {
+			for i, k := range r.U.Keys {
 				binary.LittleEndian.PutUint64(buf, k)
-				binary.LittleEndian.PutUint64(buf[8:], uint64(int64(r.U[k])))
+				binary.LittleEndian.PutUint64(buf[8:], uint64(int64(r.U.Counts[i])))
 				w.Write(buf)
 			}
 		default:
@@ -562,7 +565,7 @@ func OpenFS(dir string, fsys iofault.FS) (*core.Label, *Manifest, error) {
 
 	pcs := make([]*core.PC, len(m.PCs))
 	for i, pm := range m.PCs {
-		pc, err := openPC(d, pm, dir, fsi)
+		pc, err := openPC(d, pm, m.TotalRows, dir, fsi)
 		if err != nil {
 			// Release spilled payloads already reopened; their writers
 			// don't own the artifact's files, so this only closes
@@ -622,15 +625,18 @@ func decodeManifest(data []byte) (*Manifest, error) {
 
 // validateManifest rejects structurally inconsistent metadata up front —
 // duplicate payload references, run-size tables that disagree with the
-// declared size, section byte lengths that cannot match their kind —
-// rather than deferring to whatever fails first downstream. All errors
-// wrap ErrManifest.
+// declared size, section byte lengths that cannot match their kind, a row
+// count the int32 counts cannot hold — rather than deferring to whatever
+// fails first downstream. All errors wrap ErrManifest.
 func validateManifest(m *Manifest) error {
 	if len(m.PCs) == 0 {
 		return manifestErr("no PC payloads")
 	}
 	if m.Epoch < 1 {
 		return manifestErr("epoch %d, want >= 1", m.Epoch)
+	}
+	if m.TotalRows < 0 || m.TotalRows > math.MaxInt32 {
+		return manifestErr("total rows %d outside [0, %d]", m.TotalRows, math.MaxInt32)
 	}
 	if dm := m.DeltaOf; dm != nil {
 		if dm.BaseEpoch < 1 {
@@ -696,8 +702,10 @@ func validateManifest(m *Manifest) error {
 			}
 			total := 0
 			for r, n := range pm.RunSizes {
-				if n < 0 {
-					return manifestErr("payload %d run %d has negative size %d", i, r, n)
+				// total stays in [0, size], so neither the sum nor
+				// pm.Size-total can overflow.
+				if n < 0 || n > pm.Size-total {
+					return manifestErr("payload %d run %d has size %d, outside [0, %d]", i, r, n, max(pm.Size-total, 0))
 				}
 				total += n
 			}
@@ -732,8 +740,12 @@ func validateRef(seen map[string]int, name string, idx int, what string) error {
 }
 
 // openPC loads one PC payload, verifying file payloads against their
-// section checksum before decoding.
-func openPC(d *dataset.Dataset, pm PCMeta, dir string, fsi iofault.FS) (*core.PC, error) {
+// section checksum before decoding. Each of the label's rows counts
+// toward at most one pattern of a PC, so a payload whose counts (for a
+// spilled payload, whose records) add up to more than rows is corrupt.
+// That bound also keeps every count a marginal or a merge sums from this
+// payload inside the int32 the in-memory layouts store.
+func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS) (*core.PC, error) {
 	s, err := lattice.FromNames(d.AttrNames(), pm.Attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
@@ -747,6 +759,13 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, fsi iofault.FS) (*core.PC
 				return nil, &CorruptError{Path: pm.Dir, Detail: err.Error()}
 			}
 			return nil, fmt.Errorf("artifact: %w", err)
+		}
+		// Every distinct key is at least one record, so a declared size
+		// past the runs' records is corrupt; it would otherwise size the
+		// read path's allocations.
+		if recs := w.Stats().RecordsSpilled; int64(pm.Size) > recs || recs > int64(rows) {
+			w.Cleanup()
+			return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("declares %d distinct keys in %d records of %d rows", pm.Size, recs, rows)}
 		}
 		r.Spill = &core.SpillRepr{
 			Writer:   w,
@@ -764,32 +783,55 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, fsi iofault.FS) (*core.PC
 			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("%d bytes, not a whole int32 slab", len(data))}
 		}
 		slab := make([]int32, len(data)/4)
+		left := rows
 		for i := range slab {
-			slab[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+			c := int32(binary.LittleEndian.Uint32(data[4*i:]))
+			if c > 0 {
+				if int(c) > left {
+					return nil, rowsErr(pm, i, int64(c), left)
+				}
+				left -= int(c)
+			}
+			slab[i] = c
 		}
 		r.Dense, r.Distinct = slab, pm.Distinct
 	case kindU64:
-		m := make(map[uint64]int, pm.Entries)
-		err := readEntries(dir, pm, 16, fsi, func(rec []byte) {
-			m[binary.LittleEndian.Uint64(rec)] = int(int64(binary.LittleEndian.Uint64(rec[8:])))
-		})
+		// Entries are written in ascending key order, so they load
+		// straight into the sorted layout; PCFromRepr rejects any order a
+		// binary search could not serve.
+		data, err := readEntries(dir, pm, 16, fsi)
 		if err != nil {
 			return nil, err
 		}
-		if len(m) != pm.Entries {
-			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("holds %d entries, manifest says %d", len(m), pm.Entries)}
+		u := &core.SortedCounts{Keys: make([]uint64, pm.Entries), Counts: make([]int32, pm.Entries)}
+		left := rows
+		for i := range u.Keys {
+			rec := data[16*i:]
+			c, err := entryCount(pm, i, rec[8:], &left)
+			if err != nil {
+				return nil, err
+			}
+			u.Keys[i], u.Counts[i] = binary.LittleEndian.Uint64(rec), int32(c)
 		}
-		r.U = m
+		r.U = u
 	case kindBytes:
-		m := make(map[string]int, pm.Entries)
-		err := readEntries(dir, pm, pm.RecWidth+8, fsi, func(rec []byte) {
-			m[string(rec[:pm.RecWidth])] = int(int64(binary.LittleEndian.Uint64(rec[pm.RecWidth:])))
-		})
+		width := pm.RecWidth + 8
+		data, err := readEntries(dir, pm, width, fsi)
 		if err != nil {
 			return nil, err
 		}
+		m := make(map[string]int, pm.Entries)
+		left := rows
+		for i := 0; i < pm.Entries; i++ {
+			rec := data[width*i : width*(i+1)]
+			c, err := entryCount(pm, i, rec[pm.RecWidth:], &left)
+			if err != nil {
+				return nil, err
+			}
+			m[string(rec[:pm.RecWidth])] = c
+		}
 		if len(m) != pm.Entries {
-			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("holds %d entries, manifest says %d", len(m), pm.Entries)}
+			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("holds %d distinct keys, manifest says %d entries", len(m), pm.Entries)}
 		}
 		r.S = m
 	default:
@@ -797,12 +839,35 @@ func openPC(d *dataset.Dataset, pm PCMeta, dir string, fsi iofault.FS) (*core.PC
 	}
 	pc, err := core.PCFromRepr(d, r)
 	if err != nil {
+		path := pm.File
 		if r.Spill != nil {
 			r.Spill.Writer.Cleanup()
+			path = pm.Dir
 		}
-		return nil, err
+		return nil, &CorruptError{Path: path, Detail: err.Error()}
 	}
 	return pc, nil
+}
+
+// entryCount decodes entry i's int64 count field, which must be positive
+// and no more than left, the label's rows the payload's earlier entries
+// have not counted; it takes the count off left.
+func entryCount(pm PCMeta, i int, field []byte, left *int) (int, error) {
+	c := int64(binary.LittleEndian.Uint64(field))
+	if c <= 0 {
+		return 0, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("entry %d has count %d, not positive", i, c)}
+	}
+	if c > int64(*left) {
+		return 0, rowsErr(pm, i, c, *left)
+	}
+	*left -= int(c)
+	return int(c), nil
+}
+
+// rowsErr reports entry i's count c past the left rows the payload's
+// earlier entries have not counted.
+func rowsErr(pm PCMeta, i int, c int64, left int) error {
+	return &CorruptError{Path: pm.File, Detail: fmt.Sprintf("entry %d has count %d, more than the %d rows left uncounted", i, c, left)}
 }
 
 // readPayload reads one payload file whole and verifies its length and
@@ -823,21 +888,18 @@ func readPayload(dir string, pm PCMeta, fsi iofault.FS) ([]byte, error) {
 	return data, nil
 }
 
-// readEntries streams a payload file of fixed-width entries through fn,
-// after whole-file checksum verification.
-func readEntries(dir string, pm PCMeta, width int, fsi iofault.FS, fn func(rec []byte)) error {
+// readEntries reads a payload file of fixed-width entries, verifying its
+// checksum and that it holds exactly the manifest's entry count.
+func readEntries(dir string, pm PCMeta, width int, fsi iofault.FS) ([]byte, error) {
 	data, err := readPayload(dir, pm, fsi)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(data)%width != 0 {
-		return &CorruptError{Path: pm.File,
-			Detail: fmt.Sprintf("%d bytes, not a whole number of %d-byte entries", len(data), width)}
+	if len(data) != pm.Entries*width {
+		return nil, &CorruptError{Path: pm.File,
+			Detail: fmt.Sprintf("%d bytes, not %d entries of %d bytes", len(data), pm.Entries, width)}
 	}
-	for off := 0; off < len(data); off += width {
-		fn(data[off : off+width])
-	}
-	return nil
+	return data, nil
 }
 
 // attrNames resolves an attribute set to names in member order.

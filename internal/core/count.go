@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync/atomic"
 
 	"pcbl/internal/dataset"
@@ -15,16 +17,17 @@ import (
 // Four storage representations share the PC interface; the kernel
 // selection rules in dense.go pick one deterministically from the key
 // space, the row count and the memory budget: a flat dense count array for
-// small-domain sets, a uint64 hash map for larger mixed-radix key spaces,
-// a byte-string map when the key overflows uint64, and a merge-on-read
-// spilled index (spilledpc.go) when a budgeted build's merged map models
-// over CountOptions.MemBudget — the counts then stay in the build's
-// on-disk runs and stream on demand.
+// small-domain sets, sorted uint64 keys with parallel counts (SortedCounts)
+// for larger mixed-radix key spaces, a byte-string map when the key
+// overflows uint64, and a merge-on-read spilled index (spilledpc.go) when
+// a budgeted build's merged map models over CountOptions.MemBudget — the
+// counts then stay in the build's on-disk runs and stream on demand, each
+// uint64 run cached in the same sorted layout once read.
 type PC struct {
 	keyer    *Keyer
 	dz       []int32        // dense path (flat counts indexed by key)
 	distinct int            // nonzero slots in dz
-	u        map[uint64]int // map path (mixed-radix keys)
+	u        *SortedCounts  // sorted path (mixed-radix keys)
 	s        map[string]int // fallback (byte-string keys)
 	sp       *spilledPC     // merge-on-read path (budgeted out-of-core builds)
 }
@@ -37,15 +40,19 @@ type PC struct {
 // state that merges afterwards — vector addition for dense shards, map
 // union otherwise — so the result is identical for every worker count.
 //
-// The only error is opts.Ctx firing mid-build (the typed context error):
-// the build stops cleanly — spill temp directories removed, pooled slabs
-// returned — and a partially counted PC is never produced. Disk trouble on
-// the spill tier degrades to the in-memory kernels internally and never
-// surfaces here.
+// An error is opts.Ctx firing mid-build (the typed context error): the
+// build stops cleanly — spill temp directories removed, pooled slabs
+// returned — and a partially counted PC is never produced. The only other
+// error is a dataset of more than math.MaxInt32 rows, whose counts the
+// int32 layouts cannot hold. Disk trouble on the spill tier degrades to
+// the in-memory kernels internally and never surfaces here.
 func BuildPC(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, error) {
+	rows := d.NumRows()
+	if rows > math.MaxInt32 {
+		return nil, errTooManyRows(rows)
+	}
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)
-	rows := d.NumRows()
 	workers := opts.scanWorkers(rows)
 	if opts.Stats != nil {
 		atomic.AddInt64(&opts.Stats.RowsScanned, int64(rows))
@@ -69,6 +76,13 @@ func BuildPC(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, err
 	return pc, nil
 }
 
+// errTooManyRows reports a PC over more rows than an int32 count holds:
+// the dense and sorted layouts store int32 counts, and any count may reach
+// the row count.
+func errTooManyRows(rows int) error {
+	return fmt.Errorf("core: %d rows exceed the %d a pattern count holds", rows, math.MaxInt32)
+}
+
 // Attrs returns the attribute set S the index covers.
 func (pc *PC) Attrs() lattice.AttrSet { return pc.keyer.Attrs() }
 
@@ -82,7 +96,7 @@ func (pc *PC) Size() int {
 		return pc.distinct
 	}
 	if pc.u != nil {
-		return len(pc.u)
+		return len(pc.u.Keys)
 	}
 	return len(pc.s)
 }
@@ -151,7 +165,7 @@ func (pc *PC) lookupVals(vals []uint16) int {
 		if !ok {
 			return 0
 		}
-		return pc.u[key]
+		return pc.u.lookup(key)
 	}
 	var buf [128]byte
 	b, ok := pc.keyer.AppendBytesVals(buf[:0], vals)
@@ -163,7 +177,8 @@ func (pc *PC) lookupVals(vals []uint16) int {
 
 // EachCtx invokes fn for every stored pattern, passing a dense identifier
 // slice (valid only for the duration of the call) and the pattern's count.
-// Iteration stops early when fn returns false. Order is unspecified.
+// Iteration stops early when fn returns false. Order is unspecified (the
+// dense and sorted layouts walk in key order, byte maps in map order).
 //
 // On a merge-on-read index a failed run read aborts the iteration and
 // returns the error; fn has then seen a prefix of the entries — discard
@@ -196,9 +211,9 @@ func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count i
 		return nil
 	}
 	if pc.u != nil {
-		for key, c := range pc.u {
+		for i, key := range pc.u.Keys {
 			pc.keyer.Decode(key, vals)
-			if !fn(vals, c) {
+			if !fn(vals, int(pc.u.Counts[i])) {
 				return nil
 			}
 		}

@@ -16,19 +16,24 @@ import (
 // per-set key vector before the count phase, so the decode loop streams one
 // column at a time and the count loop is branch-light.
 //
-// Path selection (shared by BuildPC, LabelSizes and PC.MarginalizeCtx, so
-// every entry point picks the same representation for the same inputs):
+// Path selection (shared by BuildPC, LabelSizes, PC.MarginalizeCtx and
+// merges, so every entry point picks the same representation for the same
+// inputs; rows is the row count the counts cover — a reopened label's
+// marginals use the label's |D|, not its schema-only dataset's zero):
 //
 //   - radix ≤ denseLimit AND radix ≤ denseRowFactor × rows (+64)  →  dense
-//   - key fits in uint64 otherwise                                →  uint64 map
+//   - key fits in uint64 otherwise                                →  sorted
 //   - key overflows uint64, fits CountOptions.MemBudget           →  byte-string map
-//   - key overflows uint64, estimated map footprint over budget   →  spill
+//   - key fits or overflows uint64, modeled map footprint over
+//     CountOptions.MemBudget                                      →  spill
 //     (external group-by: hash-partitioned on-disk runs, counted one at a
 //     time with the map kernel — see spillcount.go; no budget means the
-//     byte map is never considered over it)
+//     tier is off)
 //
-// The row-factor guard keeps the kernel off sparse key spaces where zeroing
-// and walking the flat array would dominate the scan itself.
+// A sorted build counts into hash maps and freezes them into SortedCounts
+// when the scan ends. The row-factor guard keeps the dense kernel off
+// sparse key spaces where zeroing and walking the flat array would
+// dominate the scan itself.
 
 // DefaultDenseLimit is the largest mixed-radix key space the dense kernel
 // will allocate a flat count array for: 1<<22 slots = 16 MiB of int32 per
@@ -201,8 +206,9 @@ func buildPCDense(k *Keyer, cols [][]uint16, rows, radix, workers int, pool *Vec
 	return pc
 }
 
-// buildPCMap is the hash-map BuildPC kernel for uint64 keys, fed by the
-// same columnar key vectors as the dense kernel.
+// buildPCMap is the BuildPC kernel for non-dense uint64 keys, fed by the
+// same columnar key vectors as the dense kernel: each worker counts into a
+// hash map, and the merged map freezes into the sorted layout.
 func buildPCMap(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
 	pc := &PC{keyer: k}
 	if workers <= 1 {
@@ -216,7 +222,7 @@ func buildPCMap(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC 
 			k.KeyBlock(cols, lo, hi, keys)
 			addKeysMap(m, keys[:hi-lo])
 		}
-		pc.u = m
+		pc.u = sortedFromMap(m)
 		return pc
 	}
 	shards := make([]map[uint64]int, workers)
@@ -233,12 +239,13 @@ func buildPCMap(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC 
 		}
 		shards[w] = m
 	})
-	pc.u = shards[0]
+	merged := shards[0]
 	for _, m := range shards[1:] {
 		for key, c := range m {
-			pc.u[key] += c
+			merged[key] += c
 		}
 	}
+	pc.u = sortedFromMap(merged)
 	return pc
 }
 

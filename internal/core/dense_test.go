@@ -90,13 +90,13 @@ func TestDifferentialDenseBuildPC(t *testing.T) {
 func TestDensePathSelection(t *testing.T) {
 	cfg := diffConfig{rows: 3000, attrs: 6, domain: 8, nullRate: 0.05}
 	d := diffDataset(t, cfg, 42)
-	full := lattice.FullSet(cfg.attrs) // 8^6 = 262144 ≤ 16×3000+64 is false → map
+	full := lattice.FullSet(cfg.attrs) // 8^6 = 262144 ≤ 16×3000+64 is false → sorted
 	small := lattice.NewAttrSet(0, 1)  // 64 slots → dense
 	if got := pcRepr(must(BuildPC(d, small, CountOptions{Workers: 1}))); got != "dense" {
 		t.Errorf("small set repr = %s, want dense", got)
 	}
-	if got := pcRepr(must(BuildPC(d, full, CountOptions{Workers: 1}))); got != "map" {
-		t.Errorf("full set repr = %s, want map (radix 262144 over 3000 rows)", got)
+	if got := pcRepr(must(BuildPC(d, full, CountOptions{Workers: 1}))); got != "sorted" {
+		t.Errorf("full set repr = %s, want sorted (radix 262144 over 3000 rows)", got)
 	}
 	for _, workers := range diffWorkerCounts {
 		seq := must(BuildPC(d, small, CountOptions{Workers: 1}))

@@ -49,7 +49,9 @@
 //
 // Group-by counting picks one of three kernels per attribute set,
 // deterministically from the key space and the row count (dense.go); a
-// sized set's accumulator follows the same rule:
+// sized set's accumulator follows the same rule. A PC keeps one of four
+// representations: a dense slab, the sorted layout, a byte-string map, or
+// a merge-on-read spilled index.
 //
 //   - dense: when the mixed-radix product is at most DefaultDenseLimit
 //     (2^22 slots) and not vastly sparser than the scan (at most 16× the
@@ -57,17 +59,23 @@
 //     merge is vector addition, cap-abort is a nonzero-slot counter, and
 //     per-worker memory is the key space itself. CountOptions.DenseLimit
 //     overrides the threshold (negative disables the kernel).
-//   - map: larger key spaces that still fit in uint64 count into hash
-//     maps. Both uint64 kernels are fed by columnar key vectors
-//     (Keyer.KeyBlock decodes a row block one member column at a time).
+//   - sorted: larger key spaces that still fit in uint64 count into hash
+//     maps while the scan runs, and the result freezes into SortedCounts:
+//     ascending keys with a parallel int32 count slice, 12 bytes an entry,
+//     looked up by binary search and walked in key order. Marginals and
+//     in-memory merges build the same layout by radix sort-and-compress
+//     of their re-keyed entries, with no map at all. Both uint64 kernels
+//     are fed by columnar key vectors (Keyer.KeyBlock decodes a row block
+//     one member column at a time).
 //   - bytes: key spaces overflowing uint64 fall back to byte-string keys
 //     with the original per-row loop.
-//   - uint64 spill: map-kernel sets (uint64 keys beyond the dense tier)
-//     whose estimated map footprint exceeds CountOptions.MemBudget run the
-//     external group-by with fixed-width 8-byte records — the common
-//     over-budget case once domains multiply; count maps stay
-//     map[uint64]int, no per-key string materialization. The dense kernel
-//     is exempt: its flat state is bounded by the dense slot limit.
+//   - uint64 spill: sets with uint64 keys beyond the dense tier whose
+//     modeled map footprint (56 bytes an entry) exceeds
+//     CountOptions.MemBudget run the external group-by with fixed-width
+//     8-byte records — the common over-budget case once domains multiply;
+//     runs count into map[uint64]int, no per-key string materialization.
+//     The dense kernel is exempt: its flat state is bounded by the dense
+//     slot limit.
 //   - byte spill: byte-key sets over the budget — the unbounded-domain,
 //     out-of-core case — spill 2-bytes-per-member records.
 //   - shared spill partition: a frontier with several spilled sets
@@ -96,14 +104,17 @@
 // the budget is not materialized — the PC retains its runs and serves
 // Size/LookupValsCtx/EachCtx merge-on-read (spilledpc.go), streaming runs
 // through a pinned hot-run cache; ReleaseSpill (or, as a safety net, the
-// GC) removes the runs. No budget means the tier is off.
+// GC) removes the runs. No budget means the tier is off. The cache holds
+// a uint64 run in the sorted layout and charges its real 12 bytes an
+// entry, not the 56-byte map model that decided to spill.
 //
 // The merge-on-read read path is built for concurrent readers (the label
 // serving daemon of internal/serve): there is no per-lookup mutex. Pinned
-// hot runs live in an immutable map snapshot swapped in by copy-on-write
-// through an atomic pointer, so steady-state lookups are lock-free map
-// probes; a per-run load lock serializes only the first fault of each run
-// (concurrent readers of *different* cold runs load in parallel); a small
+// hot runs live in an immutable snapshot swapped in by copy-on-write
+// through an atomic pointer, so steady-state lookups are lock-free binary
+// searches (map probes for byte-string runs); a per-run load lock
+// serializes only the first fault of each run (concurrent readers of
+// *different* cold runs load in parallel); a small
 // admission lock guards the hot-cache cost accounting and the single
 // floating (unpinned) slot, and is never held across I/O; and a liveness
 // RWMutex arbitrates the release/lookup race — readers hold the read side

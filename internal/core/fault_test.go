@@ -30,7 +30,7 @@ func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracl
 	ffs = iofault.NewFaultFS(nil)
 	st = &ScanStats{}
 	opts := testCountOptions(2)
-	opts.MemBudget = spillBudgetFor(d, s, 3)
+	opts.MemBudget = spillBudgetFor(d, s, evictRuns)
 	opts.SpillDir = t.TempDir()
 	opts.FS = ffs
 	opts.Stats = st

@@ -339,8 +339,12 @@ func (l *Label) marginal(ctx context.Context, sub lattice.AttrSet) (*PC, error) 
 	}
 	var pc *PC
 	if l.fromPC {
+		// MarginalizeCtx with l.rows, not l.d's: a reopened label's
+		// dataset is schema-only and a merged one's holds only the delta,
+		// so the marginal gets the representation a build over the
+		// label's |D| rows would pick.
 		var err error
-		pc, err = l.pc.MarginalizeCtx(ctx, l.d, sub)
+		pc, err = mergeRekey(ctx, NewKeyer(l.d, sub), l.d.NumAttrs(), l.rows, CountOptions{}, l.pc)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
@@ -12,10 +13,12 @@ import (
 
 // Incremental label maintenance: a delta label counted over only appended
 // rows folds into an existing label without rescanning history. Every
-// representation merges exactly — dense slabs by vector addition, map PCs
-// by key union, and spilled PCs run-by-run: the deterministic partition
-// routing (spill.RunOf) sends every occurrence of a key to the same run,
-// so base and delta occurrences of one pattern always count together.
+// representation merges exactly — dense slabs by vector addition, sorted
+// PCs by re-keying both sides as a rebuild over the union rows would,
+// byte maps by key union, and spilled PCs run-by-run: the deterministic
+// partition routing (spill.RunOf) sends every occurrence of a key to the
+// same run, so base and delta occurrences of one pattern always count
+// together.
 // Sizes are monotone under merge (a pattern's count can only grow, a new
 // pattern only adds), which is what makes the bound re-check at merge time
 // exact: Merge completes fully and compares the final size against the
@@ -66,9 +69,11 @@ func sameKeyLayout(a, b *Keyer) bool {
 // rows no longer cover history, so rescanning them would undercount.
 // Materialized base marginals are merged when an exact delta counterpart
 // is available (the delta label has rows to scan, or had the marginal
-// materialized) and dropped otherwise. On error l is left in an
-// unspecified state and must be discarded — errors only arise from disk
-// trouble on spilled representations.
+// materialized) and dropped otherwise. A union of more than
+// math.MaxInt32 rows is refused with an error before anything changes.
+// On any other error l is left in an unspecified state and must be
+// discarded — those errors only arise from disk trouble on spilled
+// representations.
 func (l *Label) Merge(delta *Label, bound int) (size int, within bool, err error) {
 	if delta == nil {
 		return 0, false, fmt.Errorf("core: Merge with nil delta")
@@ -80,6 +85,9 @@ func (l *Label) Merge(delta *Label, bound int) (size int, within bool, err error
 		return 0, false, err
 	}
 	rows := l.rows + delta.rows
+	if rows > math.MaxInt32 {
+		return 0, false, errTooManyRows(rows)
+	}
 
 	mergedPC, err := mergePC(l.pc, delta.pc, delta.d, rows, l.copts)
 	if err != nil {
@@ -187,9 +195,10 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 
 // mergePC merges a delta index into a base index over the same attribute
 // set, returning the index a build over the union rows would answer: the
-// per-key sum of the two. The base representation is reused (and mutated)
-// when its key encoding is still valid over the union dictionaries d;
-// otherwise both indexes stream into a fresh representation keyed over d.
+// per-key sum of the two. A dense or byte-map base is reused (and
+// mutated) when its key encoding is still valid over the union
+// dictionaries d; otherwise both indexes stream into a fresh
+// representation keyed over d.
 // The delta streams via EachCtx regardless of its own representation —
 // including merge-on-read spilled deltas.
 func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (*PC, error) {
@@ -213,17 +222,6 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 			return nil, err
 		}
 		return out, nil
-	case base.u != nil && sameKeyLayout(base.keyer, k):
-		out := &PC{keyer: k, u: base.u}
-		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
-			if key, ok := k.KeyVals(vals); ok {
-				out.u[key] += c
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
 	case base.s != nil:
 		// Byte-string keys encode raw value ids: domain growth never
 		// invalidates them, so the base map always absorbs the delta.
@@ -241,16 +239,16 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 		}
 		return out, nil
 	}
-	// The base encoding shifted (delta grew a member domain): re-key both
-	// epochs into a fresh index with the same representation dispatch a
-	// rebuild over the union rows would pick (minus the spill tier — the
-	// merged result materializes in memory here; spilled bases take the
-	// run-level path above).
+	// A sorted base, or a dense one whose encoding shifted (delta grew a
+	// member domain): stream both epochs into a fresh index with the
+	// representation a rebuild over the union rows would pick (minus the
+	// spill tier — the merged result materializes in memory here; spilled
+	// bases take the run-level path above).
 	return mergeRekey(nil, k, n, rows, opts, base, delta)
 }
 
 // mergeRekey streams any number of indexes into a fresh index keyed by k,
-// choosing dense / u64-map / byte-map as a build over rows would; it is
+// choosing dense / sorted / byte-map as a build over rows would; it is
 // the body of a re-keying merge and of MarginalizeCtx. A fired ctx returns
 // the typed context error and no index.
 func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
@@ -275,17 +273,11 @@ func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, p
 		return out, nil
 	}
 	if k.Fits() {
-		out.u = make(map[uint64]int)
-		for _, pc := range parts {
-			if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-				if key, ok := k.KeyVals(vals); ok {
-					out.u[key] += c
-				}
-				return true
-			}); err != nil {
-				return nil, err
-			}
+		u, err := rekeySorted(ctx, k, n, parts...)
+		if err != nil {
+			return nil, err
 		}
+		out.u = u
 		return out, nil
 	}
 	out.s = make(map[string]int)
@@ -303,6 +295,30 @@ func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, p
 		}
 	}
 	return out, nil
+}
+
+// rekeySorted streams the indexes' entries, re-keyed by k, into the
+// sorted layout: one radix sort-and-compress, no hash map. A fired ctx
+// returns the typed context error.
+func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCounts, error) {
+	total := 0
+	for _, pc := range parts {
+		total += pc.Size()
+	}
+	keys := make([]uint64, 0, total)
+	counts := make([]int32, 0, total)
+	for _, pc := range parts {
+		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
+			if key, ok := k.KeyVals(vals); ok {
+				keys = append(keys, key)
+				counts = append(counts, count32(c))
+			}
+			return true
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return sortedFrom(keys, counts), nil
 }
 
 // mergeSpilled merges a delta into a merge-on-read base. Two shapes:
@@ -522,34 +538,16 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 	}
 
 	runSizes := make([]int, nw.NumRuns())
-	entry := outFormat.entryBytes(k)
 	out := &PC{keyer: k}
-	if outFormat == spillFmtU64 {
-		m, size, err := countMerge(nil, nw.CountRunsU64Ctx, workers, budget, entry, runSizes)
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			out.u = m
-			sp.release()
-			return out, nil
-		}
-		keep = true
-		sp.release()
-		out.sp = newSpilledPC(nw, k, outFormat, size, runSizes, budget, opts.Stats)
-		return out, nil
-	}
-	m, size, err := countMerge(nil, nw.CountRunsCtx, workers, budget, entry, runSizes)
+	size, materialized, err := countMergeInto(nil, out, nw, outFormat, workers, budget, outFormat.entryBytes(k), runSizes)
 	if err != nil {
 		return nil, err
 	}
-	if m != nil {
-		out.s = m
-		sp.release()
+	sp.release()
+	if materialized {
 		return out, nil
 	}
 	keep = true
-	sp.release()
 	out.sp = newSpilledPC(nw, k, outFormat, size, runSizes, budget, opts.Stats)
 	return out, nil
 }
@@ -567,26 +565,29 @@ func mergeBudget(sp *spilledPC, opts CountOptions) int64 {
 }
 
 // finishSpilledMerge applies the modeled-footprint re-check after an
-// in-place append: within budget materializes the merged map from the runs
-// and releases them; over budget retires the stale view (detach — the
-// successor keeps the writer and its appended runs) and publishes a fresh
-// merge-on-read index with the exact new size and run sizes.
+// in-place append: within budget materializes the merged counts from the
+// runs (sorted for uint64 keys) and releases them; over budget retires
+// the stale view (detach — the successor keeps the writer and its
+// appended runs) and publishes a fresh merge-on-read index with the exact
+// new size and run sizes.
 func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFormat, newSize int, newRunSizes []int, workers int, opts CountOptions) (*PC, error) {
 	entry := format.entryBytes(k)
 	budget := mergeBudget(sp, opts)
 	out := &PC{keyer: k}
 	if int64(newSize)*entry <= budget {
 		if format == spillFmtU64 {
-			m := make(map[uint64]int, newSize)
-			if _, _, err := w.CountRunsU64Ctx(nil, -1, workers, func(_ int, counts map[uint64]int) bool {
-				for key, c := range counts {
-					m[key] = c
+			keys := make([]uint64, 0, newSize)
+			counts := make([]int32, 0, newSize)
+			if _, _, err := w.CountRunsU64Ctx(nil, -1, workers, func(_ int, run map[uint64]int) bool {
+				for key, c := range run {
+					keys = append(keys, key)
+					counts = append(counts, count32(c))
 				}
 				return true
 			}); err != nil {
 				return nil, err
 			}
-			out.u = m
+			out.u = sortedFrom(keys, counts)
 		} else {
 			m := make(map[string]int, newSize)
 			if _, _, err := w.CountRunsCtx(nil, -1, workers, func(_ int, counts map[string]int) bool {

@@ -4,7 +4,7 @@ package core
 // a delta label (counted over only the appended rows) merged with
 // Label.Merge must be bit-identical — PC contents, size, VC section, row
 // count — to a full rebuild over base+delta rows, for every worker count,
-// every storage representation (dense, u64 map, byte map, spilled u64,
+// every storage representation (dense, sorted, byte map, spilled u64,
 // spilled bytes), spilled runs in both epochs, and across the key-layout
 // shift a delta that grows an attribute domain induces.
 
@@ -98,6 +98,56 @@ func TestLabelMergeDifferential(t *testing.T) {
 							pcEqualContents(t, wpc, gpc)
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestLabelMergeRepresentationMatchesRebuild: an in-memory merge lands on
+// the representation a rebuild over the union rows picks, not on the
+// base's. In the first case the base's 50 rows are too few for a dense
+// slab over 40 × 40 key slots, so its PC is sorted, while the union's 150
+// rows make that key space dense.
+func TestLabelMergeRepresentationMatchesRebuild(t *testing.T) {
+	check := func(t *testing.T, d *dataset.Dataset, cut int, s lattice.AttrSet, workers int) (baseRepr string) {
+		t.Helper()
+		base, delta := splitDataset(t, d, cut)
+		opts := testCountOptions(workers)
+		want := must(BuildLabel(d, s, opts))
+		bl := must(BuildLabel(base, s, opts))
+		dl := must(BuildLabel(delta, s, opts))
+		baseRepr = pcRepr(bl.PC())
+		if _, _, err := bl.Merge(dl, -1); err != nil {
+			t.Fatalf("set %v workers=%d: Merge: %v", s, workers, err)
+		}
+		if w, g := pcRepr(want.PC()), pcRepr(bl.PC()); w != g {
+			t.Fatalf("set %v workers=%d: a %s base merged into %s, the rebuild is %s", s, workers, baseRepr, g, w)
+		}
+		pcEqualContents(t, want.PC(), bl.PC())
+		return baseRepr
+	}
+	t.Run("sparse base, dense union", func(t *testing.T) {
+		d := diffDataset(t, diffConfig{rows: 150, attrs: 2, domain: 40}, 0x18)
+		for _, workers := range diffWorkerCounts {
+			if got := check(t, d, 50, lattice.FullSet(2), workers); got != "sorted" {
+				t.Fatalf("workers=%d: the base PC is %s, want sorted; the test shape needs adjusting", workers, got)
+			}
+		}
+	})
+	rng := rand.New(rand.NewPCG(0x9E2, 0))
+	for ci, cfg := range diffConfigs {
+		if cfg.rows < 2 {
+			continue
+		}
+		t.Run(cfg.name(), func(t *testing.T) {
+			d := diffDataset(t, cfg, uint64(ci)+0x91)
+			for _, s := range diffAttrSets(cfg.attrs, rng) {
+				if s.IsEmpty() {
+					continue
+				}
+				for _, workers := range []int{1, 8} {
+					check(t, d, cfg.rows-cfg.rows/10-1, s, workers)
 				}
 			}
 		})

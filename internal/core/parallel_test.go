@@ -119,7 +119,7 @@ func pcRepr(pc *PC) string {
 	case pc.dz != nil:
 		return "dense"
 	case pc.u != nil:
-		return "map"
+		return "sorted"
 	default:
 		return "bytes"
 	}

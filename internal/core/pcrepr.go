@@ -21,8 +21,10 @@ type PCRepr struct {
 	Dense    []int32
 	Distinct int
 
-	// Map paths.
-	U map[uint64]int
+	// Sorted path: ascending mixed-radix keys with their counts.
+	U *SortedCounts
+
+	// Byte-string path.
 	S map[string]int
 
 	// Merge-on-read path.
@@ -67,6 +69,12 @@ func (pc *PC) Repr() PCRepr {
 // hook behind label artifacts. A spilled representation takes ownership of
 // the writer exactly as a freshly built merge-on-read index would: the PC
 // releases it via ReleaseSpill or a GC cleanup.
+//
+// In-memory representations are checked against the invariants their
+// lookups rely on, and one that breaks them is an error, never a PC that
+// answers wrongly: a dense slab must match the key space, hold no negative
+// count and have Distinct nonzero slots; a sorted layout must have
+// strictly ascending keys inside the key space and positive counts.
 func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 	k := NewKeyer(d, r.Attrs)
 	pc := &PC{keyer: k}
@@ -92,10 +100,26 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 		if !ok || radix != uint64(len(r.Dense)) {
 			return nil, fmt.Errorf("core: dense PC slab has %d slots, attribute set %v keys %d", len(r.Dense), r.Attrs, radix)
 		}
+		distinct := 0
+		for key, c := range r.Dense {
+			if c < 0 {
+				return nil, fmt.Errorf("core: dense PC slot %d holds negative count %d", key, c)
+			}
+			if c > 0 {
+				distinct++
+			}
+		}
+		if distinct != r.Distinct {
+			return nil, fmt.Errorf("core: dense PC has %d nonzero slots, representation says %d", distinct, r.Distinct)
+		}
 		pc.dz, pc.distinct = r.Dense, r.Distinct
 	case r.U != nil:
-		if !k.Fits() {
-			return nil, fmt.Errorf("core: uint64 PC map for attribute set %v whose key space overflows uint64", r.Attrs)
+		radix, ok := k.Radix()
+		if !ok {
+			return nil, fmt.Errorf("core: sorted uint64 PC for attribute set %v whose key space overflows uint64", r.Attrs)
+		}
+		if err := r.U.validate(radix); err != nil {
+			return nil, err
 		}
 		pc.u = r.U
 	case r.S != nil:

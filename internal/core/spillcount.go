@@ -41,7 +41,8 @@ const (
 	// overflows uint64) counted into map[string]int.
 	spillFmtBytes spillFormat = iota
 	// spillFmtU64 spills fixed-width 8-byte little-endian uint64 records
-	// (mixed-radix key fits uint64) counted into map[uint64]int.
+	// (mixed-radix key fits uint64) counted into map[uint64]int; a
+	// materialized result and every cached run hold the sorted layout.
 	spillFmtU64
 )
 
@@ -51,7 +52,10 @@ const (
 const spillEntryBytes = 64
 
 // spillEntryBytesU64 is the per-distinct-key estimate of the uint64 map
-// kernel: bucket share and bookkeeping, no string header or key bytes.
+// kernel: bucket share and bookkeeping, no string header or key bytes. It
+// models the build's count maps, so it decides spilling and run counts;
+// a merge-on-read index's run cache charges the sorted layout's real 12
+// bytes an entry instead (spilledpc.go).
 const spillEntryBytesU64 = 48
 
 // spillRecWidthU64 is the fixed uint64 record width.
@@ -344,32 +348,36 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 	entry := format.entryBytes(k)
 	runSizes := make([]int, runs)
 	pc = &PC{keyer: k}
-	if format == spillFmtU64 {
-		m, size, err := countMerge(opts.Ctx, w.CountRunsU64Ctx, workers, opts.MemBudget, entry, runSizes)
-		if err != nil {
-			return nil, err
-		}
-		opts.Stats.addSpill(w.Stats(), format, countWorkers)
-		if m != nil {
-			pc.u = m
-			return pc, nil
-		}
-		keep = true
-		pc.sp = newSpilledPC(w, k, format, size, runSizes, opts.MemBudget, opts.Stats)
-		return pc, nil
-	}
-	m, size, err := countMerge(opts.Ctx, w.CountRunsCtx, workers, opts.MemBudget, entry, runSizes)
+	size, materialized, err := countMergeInto(opts.Ctx, pc, w, format, workers, opts.MemBudget, entry, runSizes)
 	if err != nil {
 		return nil, err
 	}
 	opts.Stats.addSpill(w.Stats(), format, countWorkers)
-	if m != nil {
-		pc.s = m
+	if materialized {
 		return pc, nil
 	}
 	keep = true
 	pc.sp = newSpilledPC(w, k, format, size, runSizes, opts.MemBudget, opts.Stats)
 	return pc, nil
+}
+
+// countMergeInto runs countMerge over w's runs in its record format and,
+// when the merged counts model within the budget, stores them in pc —
+// frozen into the sorted layout for uint64 keys — and reports
+// materialized. Otherwise pc is untouched and the caller keeps the runs.
+func countMergeInto(ctx context.Context, pc *PC, w *spill.Writer, format spillFormat, workers int, budget, entry int64, runSizes []int) (size int, materialized bool, err error) {
+	if format == spillFmtU64 {
+		m, size, err := countMerge(ctx, w.CountRunsU64Ctx, workers, budget, entry, runSizes)
+		if err == nil && m != nil {
+			pc.u = sortedFromMap(m)
+		}
+		return size, m != nil, err
+	}
+	m, size, err := countMerge(ctx, w.CountRunsCtx, workers, budget, entry, runSizes)
+	if err == nil && m != nil {
+		pc.s = m
+	}
+	return size, m != nil, err
 }
 
 // labelSizeSpill is the external-memory LabelSize kernel: exactly the

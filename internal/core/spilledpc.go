@@ -16,24 +16,32 @@ import (
 // materializing it the index retains its on-disk spill runs and serves the
 // PC consumer surface (Size / LookupValsCtx / EachCtx) by streaming them.
 // Size is precomputed during the build's count pass; EachCtx streams one
-// run's map at a time; LookupValsCtx routes a key to the single run that
-// can hold it
-// (the same hash partition every occurrence took) and consults that run's
-// map.
+// run at a time; LookupValsCtx routes a key to the single run that can
+// hold it (the same hash partition every occurrence took) and consults
+// that run's counts.
 //
-// Reads are budget-bounded: a pinned hot-run cache admits run maps while
-// their modeled footprint fits the budget, and one floating slot holds the
-// most recently loaded run beyond it, so peak read memory is roughly the
-// budget plus one run map (~2x MemBudget worst case) — never the whole
-// distinct-key space.
+// A run is read into memory whole, once per cache miss, by counting its
+// records into a map of its distinct keys: byte-string runs are cached as
+// that map[string]int, uint64 runs as the map frozen into the sorted
+// layout (SortedCounts, looked up by binary search). Reads are
+// budget-bounded: a pinned hot-run cache admits loaded runs while their
+// cost fits the budget, and one floating slot holds the most recently
+// loaded run beyond it, so peak read memory is roughly the budget plus
+// one run, plus the map of the run being loaded. The cache charges what a
+// run really holds — 12 bytes an entry for a sorted run, the map model
+// for a byte run — not the 56-byte uint64 map model (spillEntryBytesU64
+// plus the key) that decided, at build time, to spill and how many runs
+// to write.
+// So a uint64 index pins every run when its entries would fill up to 4.7
+// budgets at the map model, and its lookups then read no run file at all.
 //
 // Locking model (a label is built once and consulted by many concurrent
 // readers, so the read path must not serialize):
 //
 //   - The hot cache is an immutable snapshot behind an atomic pointer,
-//     republished copy-on-write when a run is pinned. Run maps are never
-//     mutated after load, so lookups that hit a pinned run take no lock at
-//     all — the read-mostly fast path.
+//     republished copy-on-write when a run is pinned. Loaded runs are
+//     never mutated, so lookups that hit a pinned run take no lock at all
+//     — the read-mostly fast path: one snapshot load and one binary search.
 //   - A per-run load mutex serializes loading any one run, so concurrent
 //     misses on the same run perform one file scan, while misses on
 //     different runs load in parallel.
@@ -54,9 +62,9 @@ import (
 // attached). Every PC query method returns the error; only
 // Label.Estimate/EstimateRow, which take no error, panic on it.
 //
-// No lock is held while user callbacks run: EachCtx fetches each run's map
-// and then iterates it lock-free, so the callback may freely probe the
-// same PC.
+// No lock is held while user callbacks run: EachCtx fetches each run and
+// then iterates it lock-free, so the callback may freely probe the same
+// PC.
 //
 // The on-disk runs live until ReleaseSpill is called; a GC cleanup is
 // attached as a safety net so an unreferenced spilled PC still removes its
@@ -67,7 +75,6 @@ type spilledPC struct {
 	u64      bool // uint64 record format (vs byte-string)
 	size     int  // total distinct patterns, exact
 	runSizes []int
-	entry    int64 // modeled bytes per cached map entry
 	budget   int64 // pinned hot-run cache budget
 
 	liveMu   sync.RWMutex // read side: run-file access; write side: release
@@ -79,8 +86,8 @@ type spilledPC struct {
 	// errors and retries are mirrored into its atomic Spill* counters.
 	scanStats *ScanStats
 
-	ru *runStore[uint64]
-	rs *runStore[string]
+	ru *runStore[*SortedCounts]
+	rs *runStore[map[string]int]
 }
 
 // spillReadStats counts read-path events on a spilled PC; the atomic
@@ -107,41 +114,45 @@ type SpillReadStats struct {
 	Retries      int64
 }
 
-// runStore caches one spilled PC's per-run count maps for one key type.
-// Maps are immutable once published; see the locking model on spilledPC.
-type runStore[K comparable] struct {
-	sp  *spilledPC
-	dec func(rec []byte) K
+// runStore caches one spilled PC's loaded runs, R being a run's in-memory
+// form: *SortedCounts for uint64 records, map[string]int for byte-string
+// records. Runs are immutable once published; see the locking model on
+// spilledPC.
+type runStore[R any] struct {
+	sp   *spilledPC
+	read func(ctx context.Context, run int) (R, error) // one scan attempt
+	cost func(R) int64                                 // bytes a loaded run holds
 
-	hot atomic.Pointer[map[int]map[K]int] // immutable snapshot, copy-on-write
+	hot atomic.Pointer[map[int]R] // immutable snapshot, copy-on-write
 
 	loadMu []sync.Mutex // per run: serializes loading that run
 
 	admit   sync.Mutex // guards hotCost, curRun, cur; never held across I/O
-	hotCost int64      // modeled bytes pinned in the hot cache
+	hotCost int64      // bytes pinned in the hot cache
 	curRun  int        // floating slot: most recent non-pinned run (-1 = none)
-	cur     map[K]int
+	cur     R
 }
 
-func newRunStore[K comparable](sp *spilledPC, dec func(rec []byte) K) *runStore[K] {
-	rs := &runStore[K]{
+func newRunStore[R any](sp *spilledPC, read func(context.Context, int) (R, error), cost func(R) int64) *runStore[R] {
+	rs := &runStore[R]{
 		sp:     sp,
-		dec:    dec,
+		read:   read,
+		cost:   cost,
 		loadMu: make([]sync.Mutex, len(sp.runSizes)),
 		curRun: -1,
 	}
-	empty := make(map[int]map[K]int)
+	empty := make(map[int]R)
 	rs.hot.Store(&empty)
 	return rs
 }
 
-// get returns run's count map, loading (and possibly pinning) it on a
-// miss. The returned map is immutable and remains valid even after the
+// get returns run's loaded counts, loading (and possibly pinning) it on a
+// miss. The returned run is immutable and remains valid even after the
 // floating slot moves on — callers may iterate it without any lock. A
 // failed (and once-retried) run read returns an error; nothing is cached,
 // so a later call retries the load from scratch. ctx (nil for unarmed
 // callers) bounds the load's file scan; cache hits never consult it.
-func (rs *runStore[K]) get(ctx context.Context, run int) (map[K]int, error) {
+func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 	if m, ok := (*rs.hot.Load())[run]; ok {
 		rs.sp.stats.hotHits.Add(1)
 		return m, nil
@@ -162,52 +173,54 @@ func (rs *runStore[K]) get(ctx context.Context, run int) (map[K]int, error) {
 		return m, nil
 	}
 	rs.admit.Unlock()
+	var zero R
 	// A miss means disk IO: an already-fired context stops here, before
 	// the load, not one polling stride into it — so small runs (under the
 	// polling stride) still honor cancellation.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return zero, err
 		}
 	}
 	m, err := rs.load(ctx, run)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	rs.place(run, m)
 	return m, nil
 }
 
-// load scans run's file into a fresh map, retrying once on failure. The
-// liveness read-lock is held across the released-check and the scans, so a
-// concurrent release cannot delete the files mid-read: a lookup racing
-// ReleaseSpill either completes or panics with the documented message.
+// load reads run's file, retrying once on failure. The liveness read-lock
+// is held across the released-check and the scans, so a concurrent
+// release cannot delete the files mid-read: a lookup racing ReleaseSpill
+// either completes or panics with the documented message.
 //
-// A read error here must never become a wrong count: the partial map is
+// A read error here must never become a wrong count: the partial run is
 // discarded and the error propagates. One bounded retry absorbs transient
 // faults (a device-level hiccup recovers; a checksum mismatch on corrupt
 // data fails again deterministically). Both the failures and the retry are
 // metered. A cancelled scan is neither retried nor metered as a read
 // error: the disk did nothing wrong, the caller just left.
-func (rs *runStore[K]) load(ctx context.Context, run int) (map[K]int, error) {
+func (rs *runStore[R]) load(ctx context.Context, run int) (R, error) {
 	sp := rs.sp
 	sp.liveMu.RLock()
 	defer sp.liveMu.RUnlock()
 	sp.checkLive()
-	m, err := rs.scan(ctx, run)
+	var zero R
+	m, err := rs.read(ctx, run)
 	if err != nil {
 		if isCtxErr(err) {
-			return nil, err
+			return zero, err
 		}
 		sp.noteReadError()
 		sp.noteRetry()
-		m, err = rs.scan(ctx, run)
+		m, err = rs.read(ctx, run)
 		if err != nil {
 			if isCtxErr(err) {
-				return nil, err
+				return zero, err
 			}
 			sp.noteReadError()
-			return nil, fmt.Errorf("core: spilled PC run read failed: %w", err)
+			return zero, fmt.Errorf("core: spilled PC run read failed: %w", err)
 		}
 	}
 	sp.stats.runLoads.Add(1)
@@ -220,14 +233,12 @@ func (rs *runStore[K]) load(ctx context.Context, run int) (map[K]int, error) {
 // in the noise. Unarmed (nil-ctx) scans skip the polling entirely.
 const spillReadCheckRecs = 1024
 
-// scan is one attempt at streaming run's records into a fresh map.
-func (rs *runStore[K]) scan(ctx context.Context, run int) (map[K]int, error) {
+// scanRecords is one attempt at streaming run's records through add.
+func (sp *spilledPC) scanRecords(ctx context.Context, run int, add func(rec []byte)) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	sp := rs.sp
-	m := make(map[K]int, sp.runSizes[run])
 	recs := 0
 	canceled := false
 	if err := sp.w.ScanRun(run, func(rec []byte) bool {
@@ -241,27 +252,48 @@ func (rs *runStore[K]) scan(ctx context.Context, run int) (map[K]int, error) {
 				}
 			}
 		}
-		m[rs.dec(rec)]++
+		add(rec)
 		return true
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	if canceled {
-		return nil, ctx.Err()
+		return ctx.Err()
+	}
+	return nil
+}
+
+// readSorted loads a uint64 run as the sorted layout: its records (one per
+// counted row) are counted into a map of the run's distinct keys, which is
+// then frozen, so a load's transient memory follows the run's keys, not
+// its records.
+func (sp *spilledPC) readSorted(ctx context.Context, run int) (*SortedCounts, error) {
+	m := make(map[uint64]int, sp.runSizes[run])
+	if err := sp.scanRecords(ctx, run, func(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }); err != nil {
+		return nil, err
+	}
+	return sortedFromMap(m), nil
+}
+
+// readMap loads a byte-string run as a count map.
+func (sp *spilledPC) readMap(ctx context.Context, run int) (map[string]int, error) {
+	m := make(map[string]int, sp.runSizes[run])
+	if err := sp.scanRecords(ctx, run, func(rec []byte) { m[string(rec)]++ }); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// place admits a freshly loaded run map: pinned into the hot snapshot when
-// the modeled cost fits the budget, otherwise into the floating slot.
-// Callers hold loadMu[run], so no other goroutine is placing the same run.
-func (rs *runStore[K]) place(run int, m map[K]int) {
-	cost := int64(len(m)) * rs.sp.entry
+// place admits a freshly loaded run: pinned into the hot snapshot when its
+// cost fits the budget, otherwise into the floating slot. Callers hold
+// loadMu[run], so no other goroutine is placing the same run.
+func (rs *runStore[R]) place(run int, m R) {
+	cost := rs.cost(m)
 	rs.admit.Lock()
 	defer rs.admit.Unlock()
 	if rs.hotCost+cost <= rs.sp.budget {
 		old := *rs.hot.Load()
-		next := make(map[int]map[K]int, len(old)+1)
+		next := make(map[int]R, len(old)+1)
 		for r, rm := range old {
 			next[r] = rm
 		}
@@ -274,11 +306,12 @@ func (rs *runStore[K]) place(run int, m map[K]int) {
 }
 
 // drop empties the store during release.
-func (rs *runStore[K]) drop() {
-	empty := make(map[int]map[K]int)
+func (rs *runStore[R]) drop() {
+	empty := make(map[int]R)
 	rs.hot.Store(&empty)
+	var zero R
 	rs.admit.Lock()
-	rs.curRun, rs.cur, rs.hotCost = -1, nil, 0
+	rs.curRun, rs.cur, rs.hotCost = -1, zero, 0
 	rs.admit.Unlock()
 }
 
@@ -289,14 +322,14 @@ func newSpilledPC(w *spill.Writer, k *Keyer, format spillFormat, size int, runSi
 		u64:       format == spillFmtU64,
 		size:      size,
 		runSizes:  runSizes,
-		entry:     format.entryBytes(k),
 		budget:    budget,
 		scanStats: scanStats,
 	}
 	if sp.u64 {
-		sp.ru = newRunStore(sp, func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) })
+		sp.ru = newRunStore(sp, sp.readSorted, func(s *SortedCounts) int64 { return 12 * int64(len(s.Keys)) })
 	} else {
-		sp.rs = newRunStore(sp, func(rec []byte) string { return string(rec) })
+		entry := format.entryBytes(k)
+		sp.rs = newRunStore(sp, sp.readMap, func(m map[string]int) int64 { return int64(len(m)) * entry })
 	}
 	// Safety net: when the PC is dropped without ReleaseSpill, the GC
 	// still removes the run files. The argument is the writer (not sp), so
@@ -305,7 +338,7 @@ func newSpilledPC(w *spill.Writer, k *Keyer, format spillFormat, size int, runSi
 	return sp
 }
 
-// release frees the on-disk runs and the cached maps. Idempotent. The
+// release frees the on-disk runs and the cached runs. Idempotent. The
 // liveness write-lock excludes every in-flight run read, so the files are
 // only deleted once no reader is inside a scan.
 func (sp *spilledPC) release() {
@@ -325,7 +358,7 @@ func (sp *spilledPC) release() {
 }
 
 // detach retires this spilled view without touching the run files: the GC
-// cleanup is stopped and the cached maps dropped, but the writer — and the
+// cleanup is stopped and the cached runs dropped, but the writer — and the
 // on-disk runs it manages — passes to a successor index built over the same
 // (possibly appended-to) directory. Incremental merge uses it when the
 // merged PC stays spilled: the old view must stop serving (its size and run
@@ -391,11 +424,11 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 		if !ok {
 			return 0, nil
 		}
-		m, err := sp.ru.get(ctx, sp.w.RunOfU64(key))
+		run, err := sp.ru.get(ctx, sp.w.RunOfU64(key))
 		if err != nil {
 			return 0, err
 		}
-		return m[key], nil
+		return run.lookup(key), nil
 	}
 	var buf [128]byte
 	b, ok := sp.keyer.AppendBytesVals(buf[:0], vals)
@@ -411,10 +444,10 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 
 // eachE implements PC.EachCtx for the spilled representation: runs stream
 // one at a time, pinned runs straight from the cache and the rest through
-// freshly loaded maps that pass through the floating slot, so live
-// iteration memory stays one non-pinned run map. No lock is held while fn
-// runs — the run maps are immutable once fetched — so fn may re-enter this
-// PC (LookupValsCtx, EachCtx, MarginalizeCtx) freely. A failed run read aborts the
+// freshly loaded runs that pass through the floating slot, so live
+// iteration memory stays one non-pinned run. No lock is held while fn
+// runs — loaded runs are immutable — so fn may re-enter this PC
+// (LookupValsCtx, EachCtx, MarginalizeCtx) freely. A failed run read aborts the
 // iteration with the error; fn has then seen a prefix of the entries. ctx
 // (nil when unarmed) is consulted at run boundaries and inside each run's
 // file scan, so abandoning a long streaming iteration stops promptly.
@@ -431,13 +464,13 @@ func (sp *spilledPC) eachE(ctx context.Context, n int, fn func(vals []uint16, co
 					return err
 				}
 			}
-			m, err := sp.ru.get(ctx, run)
+			sc, err := sp.ru.get(ctx, run)
 			if err != nil {
 				return err
 			}
-			for key, c := range m {
+			for i, key := range sc.Keys {
 				sp.keyer.Decode(key, vals)
-				if !fn(vals, c) {
+				if !fn(vals, int(sc.Counts[i])) {
 					return nil
 				}
 			}

@@ -26,6 +26,13 @@ var spillConcurrencyConfigs = []diffConfig{
 	{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05},  // uint64 records
 }
 
+// evictRuns is the minRuns the read-path tests pass to spillBudgetFor so a
+// uint64 index cannot pin every run and the floating slot keeps churning.
+// The run cache charges a sorted run 12 bytes an entry, against the
+// 56-byte map model spillBudgetFor divides: at 4 runs the budget is 14
+// bytes a row and every run pins; at 8 it is 7, so some runs float.
+const evictRuns = 8
+
 // buildSpilledWithOracle builds the same group-by twice: unbudgeted (the
 // in-memory oracle) and under a budget that forces a merge-on-read result.
 func buildSpilledWithOracle(t *testing.T, cfg diffConfig, seed uint64, minRuns int) (d *dataset.Dataset, oracle, spilled *PC) {
@@ -67,7 +74,7 @@ func probeRows(d *dataset.Dataset, n int, seed uint64) [][]uint16 {
 func TestSpilledPCConcurrentReads(t *testing.T) {
 	for ci, cfg := range spillConcurrencyConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
-			d, oracle, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x61, 4)
+			d, oracle, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x61, evictRuns)
 			defer spilled.ReleaseSpill()
 
 			probes := probeRows(d, 256, uint64(ci)+0x62)
@@ -201,7 +208,7 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 func TestSpilledPCEachReentrantProbe(t *testing.T) {
 	for ci, cfg := range spillConcurrencyConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
-			d, _, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x65, 4)
+			d, _, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x65, evictRuns)
 			defer spilled.ReleaseSpill()
 
 			done := make(chan struct{})
@@ -242,7 +249,7 @@ func TestSpilledPCEachReentrantProbe(t *testing.T) {
 func TestSpilledPCReleaseLookupRace(t *testing.T) {
 	for ci, cfg := range spillConcurrencyConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
-			d, _, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x67, 4)
+			d, _, spilled := buildSpilledWithOracle(t, cfg, uint64(ci)+0x67, evictRuns)
 			probes := probeRows(d, 64, uint64(ci)+0x68)
 
 			const readers = 8
