@@ -943,6 +943,52 @@ func BenchmarkSpilledPCLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSpilledMerge is one update of the hicard-spill shape through
+// the library: reopen a 200,000 × 4 × domain-200 label saved under a 4 MiB
+// budget, which keeps its PC section on disk in six runs, fold a delta of
+// 1% more rows into it with Label.Merge, and release it. The merged runs
+// are written under a scratch directory. bytes/op is gated: a merge that
+// re-counts every run into a map allocates several times what one linear
+// merge per run does.
+func BenchmarkSpilledMerge(b *testing.B) {
+	const rows, deltaRows = 200000, 2000
+	vals := make([]string, 200)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%03d", i)
+	}
+	spec := datagen.Spec{Name: "hicard"}
+	for c := 0; c < 4; c++ {
+		spec.Cols = append(spec.Cols, datagen.Col{Name: fmt.Sprintf("c%d", c), Values: vals})
+	}
+	d := must(spec.Generate(rows+deltaRows, 1))
+	base, delta := must(d.Slice(0, rows)), must(d.Slice(rows, rows+deltaRows))
+	full := lattice.FullSet(4)
+	l := must(core.BuildLabel(base, full, core.CountOptions{Workers: 2, MemBudget: 4 << 20, SpillDir: b.TempDir()}))
+	dir := filepath.Join(b.TempDir(), "artifact")
+	if err := SaveLabelArtifact(l, dir); err != nil {
+		b.Fatal(err)
+	}
+	l.ReleaseSpill()
+	dl := must(core.BuildLabel(delta, full, core.CountOptions{Workers: 2}))
+	spillDir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ol, _, err := OpenLabelArtifact(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ol.PC().Spilled() {
+			b.Fatal("the reopened label is not merge-on-read")
+		}
+		ol.SetCountOptions(core.CountOptions{Workers: 2, SpillDir: spillDir})
+		if _, _, err := ol.Merge(dl, -1); err != nil {
+			b.Fatal(err)
+		}
+		ol.ReleaseSpill()
+	}
+}
+
 var serveBenchOnce sync.Once
 var serveBench struct {
 	ts   *httptest.Server

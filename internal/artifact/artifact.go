@@ -18,9 +18,10 @@
 //     whole file, and u64 entries load straight into the sorted layout,
 //     so their keys must ascend strictly.
 //   - pc-NNN-runs/ — a merge-on-read (spilled) representation: the
-//     build's own run files, adopted into the artifact by rename instead
-//     of being re-counted, exactly as internal/spill wrote them — with
-//     per-flush CRC32C frames that the run scans verify. The
+//     build's own sorted runs of (key, count) entries, adopted into the
+//     artifact by rename instead of being re-counted, exactly as
+//     internal/spill wrote them — gap- and varint-coded in CRC32C frames
+//     whose headers carry each frame's entry and row totals. The
 //     partition-routing hash is fixed, so a reopened artifact routes
 //     point lookups to the same single run the build spilled them into.
 //
@@ -31,9 +32,10 @@
 // ErrIncomplete, and a crash after it leaves a complete, durable artifact.
 // Open validates the manifest eagerly (structure and self-checksum, with
 // typed errors) and payload data as it is read: file payloads verify their
-// section checksum when loaded, spilled runs verify each frame as it is
-// scanned. Only the current format is read: an artifact of an older
-// format fails Open with a typed error.
+// section checksum when loaded; spilled runs are checked against the
+// manifest from their frame headers at Open, and verify each frame's
+// checksum and entries when a run is first read. Only the current format
+// is read: an artifact of an older format fails Open with ErrManifest.
 //
 // Numbers in binary payloads are little-endian. See docs/artifact-format.md
 // for the byte-level layout.
@@ -62,8 +64,9 @@ import (
 )
 
 // FormatVersion is the artifact layout version this package writes and
-// the only one it reads.
-const FormatVersion = 2
+// the only one it reads. Version 3 stores spilled runs as sorted
+// (key, count) entries.
+const FormatVersion = 3
 
 // manifestName is the artifact's index file; its atomic rename into place
 // is the save's commit point.
@@ -215,6 +218,8 @@ type PCMeta struct {
 	Checksum uint32 `json:"crc32c,omitempty"`
 
 	// Spilled kinds: the adopted run directory and the read-path metadata.
+	// RecWidth is the key width: 8 for uint64 keys (stored as varint
+	// gaps), 2 per member for byte-string keys.
 	Dir      string `json:"dir,omitempty"`
 	RecWidth int    `json:"rec_width,omitempty"`
 	Size     int    `json:"size,omitempty"`
@@ -425,7 +430,7 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 		if err := fsi.Mkdir(runDir, 0o755); err != nil {
 			return fmt.Errorf("artifact: %w", err)
 		}
-		if err := sr.Writer.AdoptInto(runDir); err != nil {
+		if err := sr.Runs.AdoptInto(runDir); err != nil {
 			return fmt.Errorf("artifact: %w", err)
 		}
 		if sr.U64 {
@@ -511,8 +516,9 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 // bytes are verified as they are read. Errors are typed: ErrIncomplete for
 // a missing manifest, ErrManifest for invalid metadata or another format
 // version, ErrCorrupt (a CorruptError) for data that fails verification.
-// Spill runs that are not checksummed frames fail as ErrCorrupt, at Open
-// or at the first scan that reaches them.
+// A spilled payload's frame headers must agree with the manifest at Open;
+// its entries verify when a run is first read, where a failure is a
+// spill.ErrCorrupt from the query that read it.
 func Open(dir string) (*core.Label, *Manifest, error) { return OpenFS(dir, nil) }
 
 // OpenFS is Open with an explicit filesystem seam; nil means the real OS
@@ -692,10 +698,10 @@ func validateManifest(m *Manifest) error {
 				return manifestErr("payload %d kind %q with a file", i, pm.Kind)
 			}
 			if pm.Kind == kindSpilledU64 && pm.RecWidth != 8 {
-				return manifestErr("payload %d uint64 spill record width %d, want 8", i, pm.RecWidth)
+				return manifestErr("payload %d uint64 spill key width %d, want 8", i, pm.RecWidth)
 			}
 			if pm.Kind == kindSpilledBytes && (pm.RecWidth <= 0 || pm.RecWidth%2 != 0) {
-				return manifestErr("payload %d byte spill record width %d", i, pm.RecWidth)
+				return manifestErr("payload %d byte spill key width %d", i, pm.RecWidth)
 			}
 			if len(pm.RunSizes) == 0 {
 				return manifestErr("payload %d spilled with no runs", i)
@@ -742,7 +748,8 @@ func validateRef(seen map[string]int, name string, idx int, what string) error {
 // openPC loads one PC payload, verifying file payloads against their
 // section checksum before decoding. Each of the label's rows counts
 // toward at most one pattern of a PC, so a payload whose counts (for a
-// spilled payload, whose records) add up to more than rows is corrupt.
+// spilled payload, whose frame row totals) add up to more than rows is
+// corrupt.
 // That bound also keeps every count a marginal or a merge sums from this
 // payload inside the int32 the in-memory layouts store.
 func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS) (*core.PC, error) {
@@ -753,22 +760,32 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 	r := core.PCRepr{Attrs: s}
 	switch pm.Kind {
 	case kindSpilledU64, kindSpilledBytes:
-		w, err := spill.Open(filepath.Join(dir, pm.Dir), pm.RecWidth, len(pm.RunSizes), nil, fsi)
+		keyWidth := pm.RecWidth
+		if pm.Kind == kindSpilledU64 {
+			keyWidth = spill.U64Keys
+		}
+		runs, err := spill.Open(filepath.Join(dir, pm.Dir), keyWidth, len(pm.RunSizes), fsi)
 		if err != nil {
 			if errors.Is(err, spill.ErrCorrupt) {
 				return nil, &CorruptError{Path: pm.Dir, Detail: err.Error()}
 			}
 			return nil, fmt.Errorf("artifact: %w", err)
 		}
-		// Every distinct key is at least one record, so a declared size
-		// past the runs' records is corrupt; it would otherwise size the
-		// read path's allocations.
-		if recs := w.Stats().RecordsSpilled; int64(pm.Size) > recs || recs > int64(rows) {
-			w.Cleanup()
-			return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("declares %d distinct keys in %d records of %d rows", pm.Size, recs, rows)}
+		// The run sizes size the read path's allocations, so each must be
+		// what its run's frame headers declare — which Open bounded by
+		// the run's bytes — and the rows the runs count are the label's.
+		for run, n := range pm.RunSizes {
+			if got := runs.Entries(run); got != n {
+				runs.Cleanup()
+				return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("run %d holds %d entries, manifest says %d", run, got, n)}
+			}
+		}
+		if got := runs.Rows(); got > int64(rows) {
+			runs.Cleanup()
+			return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("runs count %d rows of a %d-row label", got, rows)}
 		}
 		r.Spill = &core.SpillRepr{
-			Writer:   w,
+			Runs:     runs,
 			U64:      pm.Kind == kindSpilledU64,
 			Size:     pm.Size,
 			RunSizes: pm.RunSizes,
@@ -841,7 +858,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 	if err != nil {
 		path := pm.File
 		if r.Spill != nil {
-			r.Spill.Writer.Cleanup()
+			r.Spill.Runs.Cleanup()
 			path = pm.Dir
 		}
 		return nil, &CorruptError{Path: path, Detail: err.Error()}

@@ -301,7 +301,7 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangled := strings.Replace(string(data), `"format_version": 2`, `"format_version": 99`, 1)
+	mangled := strings.Replace(string(data), fmt.Sprintf(`"format_version": %d`, FormatVersion), `"format_version": 99`, 1)
 	if mangled == string(data) {
 		t.Fatal("version field not found in manifest")
 	}

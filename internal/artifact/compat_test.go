@@ -2,13 +2,17 @@ package artifact
 
 // Older formats fail typed: this build reads only the current artifact
 // format. No writer of an older format survives in the tree, so the test
-// down-converts a freshly saved artifact: strip the manifest envelope and
-// the checksum fields, and splice the frame headers out of every run file.
+// down-converts a freshly saved artifact: version 2 kept the checksummed
+// manifest envelope but stored a spilled run as one 8-byte key record per
+// counted row in [len][crc] frames; version 1 had neither the envelope
+// and checksums nor the frames.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,12 +20,11 @@ import (
 
 	"pcbl/internal/core"
 	"pcbl/internal/lattice"
-	"pcbl/internal/spill"
 )
 
-// downConvertV1 rewrites the artifact at dir in place into format 1: a
-// bare manifest without checksums over raw (unframed) runs.
-func downConvertV1(t *testing.T, dir string) {
+// downConvert rewrites the artifact at dir in place into format version
+// 1 or 2.
+func downConvert(t *testing.T, dir string, version int) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -35,32 +38,50 @@ func downConvertV1(t *testing.T, dir string) {
 	if err := json.Unmarshal(env.Manifest, &m); err != nil {
 		t.Fatal(err)
 	}
-	m["format_version"] = 1
+	m["format_version"] = version
 	pcs, ok := m["pcs"].([]any)
 	if !ok {
 		t.Fatal("manifest without pcs")
 	}
 	for _, p := range pcs {
 		pm := p.(map[string]any)
-		delete(pm, "size_bytes")
-		delete(pm, "crc32c")
-		delete(pm, "framed")
+		if version == 1 {
+			delete(pm, "size_bytes")
+			delete(pm, "crc32c")
+		}
 		if runDir, ok := pm["dir"].(string); ok && runDir != "" {
-			unframeRuns(t, filepath.Join(dir, runDir))
+			keyWidth := 0
+			if pm["kind"] == kindSpilledBytes {
+				keyWidth = int(pm["rec_width"].(float64))
+			}
+			recordRuns(t, filepath.Join(dir, runDir), keyWidth, version == 2)
 		}
 	}
-	bare, err := json.MarshalIndent(m, "", "  ")
+	var out []byte
+	if version == 1 {
+		out, err = json.MarshalIndent(m, "", "  ")
+	} else {
+		if env.Manifest, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if env.CRC32C, err = manifestCRC(env.Manifest); err != nil {
+			t.Fatal(err)
+		}
+		env.FormatVersion = version
+		out, err = json.MarshalIndent(&env, "", "  ")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), bare, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// unframeRuns strips the [len][crc] frame headers from every run file,
-// leaving the raw record concatenation of format 1.
-func unframeRuns(t *testing.T, runDir string) {
+// recordRuns rewrites every sorted run in runDir as the record layout of
+// formats 1 and 2: each entry's key record repeated once per counted row,
+// in [len][crc32c] frames when framed.
+func recordRuns(t *testing.T, runDir string, keyWidth int, framed bool) {
 	t.Helper()
 	ents, err := os.ReadDir(runDir)
 	if err != nil {
@@ -72,96 +93,63 @@ func unframeRuns(t *testing.T, runDir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var raw []byte
-		for off := 0; off < len(data); {
-			if off+frameHdrLen > len(data) {
-				t.Fatalf("%s: torn frame header at %d", path, off)
-			}
-			plen := int(binary.LittleEndian.Uint32(data[off : off+4]))
-			off += frameHdrLen
-			if off+plen > len(data) {
-				t.Fatalf("%s: torn frame payload at %d", path, off)
-			}
-			raw = append(raw, data[off:off+plen]...)
-			off += plen
+		entries, _, err := decodeRunRef(data, keyWidth)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		var recs []byte
+		for _, en := range entries {
+			rec := en.kb
+			if keyWidth == 0 {
+				rec = binary.LittleEndian.AppendUint64(nil, en.key)
+			}
+			for c := uint64(0); c < en.count; c++ {
+				recs = append(recs, rec...)
+			}
+		}
+		out := recs
+		if framed && len(recs) > 0 {
+			out = binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
+			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(recs, castagnoli))
+			out = append(out, recs...)
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// frameHdrLen mirrors internal/spill's frame header size; the constant is
-// asserted against a saved run file rather than imported, so a layout
-// change breaks this test loudly.
-const frameHdrLen = 8
-
-// TestOlderFormatsFailTyped: a format-1 artifact fails Open with
-// ErrManifest naming its version, and a current manifest over unframed
-// runs — what resaving a format-1 artifact wrote — fails as corrupt, at
-// Open or at its first lookup. Neither ever answers a count.
+// TestOlderFormatsFailTyped: an artifact of format 1 or 2, dense or
+// spilled, fails Open with ErrManifest naming its version, before any run
+// is read. Neither ever answers a count.
 func TestOlderFormatsFailTyped(t *testing.T) {
 	o := newSweepOracle(t)
-	save := func(spilled bool) string {
-		dir := filepath.Join(t.TempDir(), "a")
-		var l *core.Label
-		if spilled {
-			l = o.buildSpilled(t, t.TempDir(), nil)
-		} else {
-			l = must(core.BuildLabel(o.d, lattice.FullSet(4), core.CountOptions{}))
-		}
-		if err := Save(l, dir); err != nil {
-			t.Fatal(err)
-		}
-		l.ReleaseSpill()
-		return dir
-	}
-
-	for _, spilled := range []bool{false, true} {
-		dir := save(spilled)
-		downConvertV1(t, dir)
-		if _, _, err := Open(dir); !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), "format version 1") {
-			t.Fatalf("spilled=%v: Open of a format-1 artifact: %v, want ErrManifest naming format 1", spilled, err)
-		}
-	}
-
-	dir := save(true)
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := decodeManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pm := range m.PCs {
-		if pm.Dir != "" {
-			unframeRuns(t, filepath.Join(dir, pm.Dir))
-		}
-	}
-	rl, _, err := Open(dir)
-	if err != nil {
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Open over unframed runs: %v, want ErrCorrupt", err)
-		}
-		return
-	}
-	defer rl.ReleaseSpill()
-	for i, p := range o.probes {
-		c, _, err := rl.CountCtx(nil, reopenedPattern(t, o.d, rl.Dataset(), p))
-		if err == nil {
-			t.Fatalf("probe %d counted %d from unframed runs", i, c)
-		}
-		if !errors.Is(err, spill.ErrCorrupt) {
-			t.Fatalf("probe %d over unframed runs: %v, want a corrupt-run error", i, err)
+	for _, version := range []int{1, 2} {
+		for _, spilled := range []bool{false, true} {
+			dir := filepath.Join(t.TempDir(), "a")
+			var l *core.Label
+			if spilled {
+				l = o.buildSpilled(t, t.TempDir(), nil)
+			} else {
+				l = must(core.BuildLabel(o.d, lattice.FullSet(4), core.CountOptions{}))
+			}
+			if err := Save(l, dir); err != nil {
+				t.Fatal(err)
+			}
+			l.ReleaseSpill()
+			downConvert(t, dir, version)
+			want := fmt.Sprintf("format version %d", version)
+			if _, _, err := Open(dir); !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("spilled=%v: Open of a format-%d artifact: %v, want ErrManifest naming %s", spilled, version, err, want)
+			}
 		}
 	}
 }
 
-// TestOpenIgnoresFramedField: manifests written before the run layout
-// became the only one carry "framed": true on every spilled payload. The
-// field is no longer read, and such an artifact opens and answers like a
-// fresh save.
+// TestOpenIgnoresFramedField: a descriptor field this build does not
+// read — here the "framed" flag format-2 writers once set on spilled
+// payloads — is ignored, and the artifact opens and answers like a fresh
+// save.
 func TestOpenIgnoresFramedField(t *testing.T) {
 	o := newSweepOracle(t)
 	dir := filepath.Join(t.TempDir(), "a")

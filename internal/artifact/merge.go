@@ -76,10 +76,24 @@ func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault
 		return nil, err
 	}
 
-	// Merge in core. Spill rewrites the merge performs go through the same
+	// Merge in core. The runs a spilled merge writes go through the same
 	// filesystem seam as the artifact writes, so fault injection covers
-	// them; they land in fresh temp-dir runs that the save below adopts.
-	l.SetCountOptions(core.CountOptions{FS: fsys})
+	// them, and are staged in a private directory inside the artifact, so
+	// the save below adopts them by rename: never a second copy through
+	// another filesystem, never a tmpfs holding them in memory. The
+	// staging directory goes when the merge returns; after a crash it is
+	// unreferenced, and the next merge's sweep removes it.
+	stage, err := fsi.MkdirTemp(baseDir, "merge-stage-*")
+	if err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
+	staged := true
+	defer func() {
+		if staged {
+			fsi.RemoveAll(stage)
+		}
+	}()
+	l.SetCountOptions(core.CountOptions{FS: fsys, SpillDir: stage})
 	if _, _, err := l.Merge(delta, -1); err != nil {
 		return nil, err
 	}
@@ -99,6 +113,10 @@ func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault
 	// world here like everywhere else. The manifest is already committed,
 	// so even that error leaves a complete merged artifact behind.
 	if err := removeStale(baseDir, m, fsi); err != nil {
+		return nil, err
+	}
+	staged = false
+	if err := fsi.RemoveAll(stage); errors.Is(err, iofault.ErrKilled) {
 		return nil, err
 	}
 	return nm, nil

@@ -8,8 +8,10 @@ package artifact
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pcbl/internal/core"
@@ -343,4 +345,61 @@ func (f *mergeFixture) checkGeneration(t *testing.T, trial string, n int64, dir 
 		t.Fatalf("%s@%d: epoch %d (mustNew=%v mustOld=%v)", trial, n, rm.Epoch, mustNew, mustOld)
 	}
 	return rm.Epoch
+}
+
+// dirRecorder is an iofault.FS that records every directory it creates.
+type dirRecorder struct {
+	iofault.FS
+	dirs []string
+}
+
+func (r *dirRecorder) Mkdir(name string, perm fs.FileMode) error {
+	r.dirs = append(r.dirs, name)
+	return r.FS.Mkdir(name, perm)
+}
+
+func (r *dirRecorder) MkdirAll(name string, perm fs.FileMode) error {
+	r.dirs = append(r.dirs, name)
+	return r.FS.MkdirAll(name, perm)
+}
+
+func (r *dirRecorder) MkdirTemp(dir, pattern string) (string, error) {
+	name, err := r.FS.MkdirTemp(dir, pattern)
+	if err == nil {
+		r.dirs = append(r.dirs, name)
+	}
+	return name, err
+}
+
+// TestMergeStagesRunsInsideArtifact: the runs a spilled merge writes are
+// staged inside the artifact, so adopting them is a rename on the
+// artifact's own filesystem — never a copy out of the temp directory —
+// and the staging directory is gone once the merge commits.
+func TestMergeStagesRunsInsideArtifact(t *testing.T) {
+	f := newMergeFixture(t)
+	dir := filepath.Join(t.TempDir(), "a")
+	m := f.saveBase(t, dir)
+	rec := &dirRecorder{FS: iofault.OS}
+	if _, err := MergeIntoFS(dir, f.deltaLabel(t), m, rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.dirs) == 0 {
+		t.Fatal("the merge created no directory; the recorder saw nothing")
+	}
+	for _, d := range rec.dirs {
+		if rel, err := filepath.Rel(dir, d); err != nil || rel == "." || strings.HasPrefix(rel, "..") {
+			t.Errorf("the merge created %s outside the artifact %s", d, dir)
+		}
+	}
+	_, nm, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(nm.PCs) + 1; len(ents) != want {
+		t.Errorf("the merged artifact holds %d entries, want its %d payloads and manifest", len(ents), want-1)
+	}
 }

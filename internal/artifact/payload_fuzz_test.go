@@ -1,16 +1,19 @@
 package artifact
 
 // FuzzOpenPayload hardens the payload decoders behind Open, the bytes
-// FuzzDecodeManifest never reaches: a saved artifact's u64 and dense
-// payloads are replaced by mutated bytes, and the manifest's length,
-// entry count and CRC are fixed up so the mutation gets past the
-// checksum to the decoder. Open must then fail with a typed error, or
-// serve a PC that answers every lookup exactly as the payload's entries
-// say, each a positive count, and marginals that sum those entries
-// exactly. A sorted layout is looked up by binary search, which is only
-// correct on strictly ascending keys, so a reordered payload must fail;
-// and counts are stored as int32, so a payload whose counts sum past the
-// label's rows must fail before a marginal sums them.
+// FuzzDecodeManifest never reaches: a saved artifact's u64 or dense
+// payload, or one run file of a saved spilled artifact, is replaced by
+// mutated bytes, and the manifest's length, entry counts and CRCs (the
+// run frames' own checksums included) are fixed up so the mutation gets
+// past the checksum to the decoder. Open must then fail with a typed
+// error — for a spilled run, Open or the run's first read — or serve a PC
+// that answers every lookup exactly as the payload's entries say, each a
+// positive count, and marginals that sum those entries exactly. A sorted
+// layout is looked up by binary search, which is only correct on strictly
+// ascending keys, so a reordered payload must fail; a spilled key is
+// looked up in the one run its hash routes to, so a key in another run
+// must fail; and counts are stored as int32, so a payload whose counts sum
+// past the label's rows must fail before a marginal sums them.
 
 import (
 	"bytes"
@@ -27,6 +30,7 @@ import (
 	"pcbl/internal/core"
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
+	"pcbl/internal/spill"
 )
 
 // payloadTemplate is a saved artifact held in memory: its manifest and
@@ -150,6 +154,279 @@ func (tp *payloadTemplate) decodeKey(key uint64, members []int) (vals []uint16, 
 	return vals, key == 0
 }
 
+// spillTemplate is a saved spilled artifact held in memory: a 4-attribute
+// label whose PC section is a spilled-u64 payload, its manifest and run
+// files, and the run the fuzz arm replaces.
+type spillTemplate struct {
+	m         *Manifest
+	runs      [][]byte
+	victim    int
+	others    []runEntry // the entries of every other run
+	otherRows int64
+	route     *spill.Runs // the saved runs, for their routing
+}
+
+// spillDomains are the spill template's attribute domains: 20,736 key
+// slots over 600 rows is too sparse for a dense slab, and an 8 KiB budget
+// spills the full set into five runs that stay on disk.
+var spillDomains = []int{12, 12, 12, 12}
+
+func newSpillTemplate(f *testing.F) *spillTemplate {
+	names := []string{"a0", "a1", "a2", "a3"}
+	bld := dataset.NewBuilder("spillfuzz", names...)
+	for a, dim := range spillDomains {
+		for v := 0; v < dim; v++ {
+			if _, err := bld.InternValue(a, fmt.Sprintf("v%d", v)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	for r := 0; r < 600; r++ {
+		bld.AppendStrings(fmt.Sprintf("v%d", r%12), fmt.Sprintf("v%d", (r*7/5)%12), fmt.Sprintf("v%d", (r*13/3)%12), fmt.Sprintf("v%d", (r*r)%11))
+	}
+	d, err := bld.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{Workers: 1, MemBudget: 8 << 10, SpillDir: f.TempDir()}))
+	dir := filepath.Join(f.TempDir(), "a")
+	if err := Save(l, dir); err != nil {
+		f.Fatal(err)
+	}
+	l.ReleaseSpill()
+	_, m, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(m.PCs) != 1 || m.PCs[0].Kind != kindSpilledU64 || len(m.PCs[0].RunSizes) < 2 {
+		f.Fatalf("spill template payloads are %+v, want one spilled-u64 PC section over several runs", m.PCs)
+	}
+	st := &spillTemplate{m: m, victim: -1}
+	runDir := filepath.Join(dir, m.PCs[0].Dir)
+	if st.route, err = spill.Open(runDir, spill.U64Keys, len(m.PCs[0].RunSizes), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(st.route.Cleanup)
+	for run, n := range m.PCs[0].RunSizes {
+		data, err := os.ReadFile(filepath.Join(runDir, fmt.Sprintf("run-%04d", run)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		st.runs = append(st.runs, data)
+		if st.victim < 0 && n >= 2 {
+			st.victim = run
+			continue
+		}
+		entries, rows, err := decodeRunRef(data, 0)
+		if err != nil {
+			f.Fatalf("saved run %d: %v", run, err)
+		}
+		st.others = append(st.others, entries...)
+		st.otherRows += rows
+	}
+	if st.victim < 0 {
+		f.Fatal("no run of the spill template holds two entries")
+	}
+	return st
+}
+
+// write lays the template out in dir with the victim run replaced by data,
+// whose frame checksums it fixes up, and the manifest's run sizes set to
+// what data's frame headers declare. It returns the fixed-up run.
+func (st *spillTemplate) write(t *testing.T, dir string, data []byte) []byte {
+	t.Helper()
+	data = fixRunCRCs(slices.Clone(data))
+	m := *st.m
+	m.PCs = slices.Clone(st.m.PCs)
+	pm := &m.PCs[0]
+	pm.RunSizes = slices.Clone(pm.RunSizes)
+	pm.RunSizes[st.victim] = runHeaderEntries(data)
+	pm.Size = 0
+	for _, n := range pm.RunSizes {
+		pm.Size += n
+	}
+	runDir := filepath.Join(dir, pm.Dir)
+	if err := os.Mkdir(runDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for run, run0 := range st.runs {
+		if run == st.victim {
+			run0 = data
+		}
+		if err := os.WriteFile(filepath.Join(runDir, fmt.Sprintf("run-%04d", run)), run0, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest, err := encodeManifest(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// seeds returns mutations of the victim run that break one rule each:
+// two entries swapped, a repeated key, a zero count, a truncated varint,
+// a header overstating its entries, a key of another run and a key past
+// the key space; and the saved run itself.
+func (st *spillTemplate) seeds(f *testing.F) [][]byte {
+	saved := st.runs[st.victim]
+	entries, _, err := decodeRunRef(saved, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mutate := func(edit func(e []runEntry)) []byte {
+		e := slices.Clone(entries)
+		edit(e)
+		return encodeRunRef(e, 0)
+	}
+	truncated := slices.Clone(saved)
+	truncated[len(truncated)-1] = 0x80
+	overstated := slices.Clone(saved)
+	binary.LittleEndian.PutUint32(overstated[4:], binary.LittleEndian.Uint32(overstated[4:])+1)
+	misrouted := mutate(func(e []runEntry) {
+		// The first key, moved up to one that routes to another run.
+		for k := e[0].key + 1; k < e[1].key; k++ {
+			if st.route.RunOfU64(k) != st.victim {
+				e[0].key = k
+				return
+			}
+		}
+		f.Fatal("no key between the victim's first two routes elsewhere")
+	})
+	past := mutate(func(e []runEntry) {
+		// The last key, moved past the key space into its own run.
+		k := uint64(1)
+		for _, dim := range spillDomains {
+			k *= uint64(dim)
+		}
+		for st.route.RunOfU64(k) != st.victim {
+			k++
+		}
+		e[len(e)-1].key = k
+	})
+	return [][]byte{
+		saved,
+		mutate(func(e []runEntry) { e[0], e[1] = e[1], e[0] }),
+		mutate(func(e []runEntry) { e[1].key = e[0].key }),
+		mutate(func(e []runEntry) { e[0].count = 0 }),
+		truncated,
+		overstated,
+		misrouted,
+		past,
+	}
+}
+
+// check is the spilled arm of the fuzz target: the run data replaces the
+// victim run, and the label must fail typed or answer exactly as the
+// reference decoding of every run says.
+func (st *spillTemplate) check(t *testing.T, data []byte) {
+	dir := t.TempDir()
+	data = st.write(t, dir, data)
+	entries, rows, bad := decodeRunRef(data, 0)
+	radix := uint64(1)
+	for _, dim := range spillDomains {
+		radix *= uint64(dim)
+	}
+	for _, e := range entries {
+		if bad != nil {
+			break
+		}
+		if e.key >= radix {
+			bad = fmt.Errorf("key %d outside the key space", e.key)
+		} else if r := st.route.RunOfU64(e.key); r != st.victim {
+			bad = fmt.Errorf("key %d routes to run %d", e.key, r)
+		}
+	}
+	if bad == nil && st.otherRows+rows > int64(st.m.TotalRows) {
+		bad = fmt.Errorf("runs count %d rows of %d", st.otherRows+rows, st.m.TotalRows)
+	}
+	l, _, err := Open(dir)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
+			t.Fatalf("untyped Open error: %v", err)
+		}
+		if bad == nil {
+			t.Fatalf("Open rejected runs the format accepts: %v", err)
+		}
+		return
+	}
+	defer l.ReleaseSpill()
+	pc := l.PC()
+	n := len(spillDomains)
+	got := make(map[string]int)
+	err = pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
+		got[fmt.Sprint(vals)] = c
+		return true
+	})
+	if bad != nil {
+		if err == nil {
+			t.Fatalf("a run breaking the format (%v) loaded", bad)
+		}
+		if !errors.Is(err, spill.ErrCorrupt) {
+			t.Fatalf("untyped run-load error: %v", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("a run the format accepts fails to load: %v", err)
+	}
+	all := append(slices.Clone(st.others), entries...)
+	members := []int{0, 1, 2, 3}
+	tp := &payloadTemplate{dims: spillDomains}
+	rd := l.Dataset()
+	for _, e := range all {
+		vals, _ := tp.decodeKey(e.key, members)
+		if c := got[fmt.Sprint(vals)]; c != int(e.count) {
+			t.Fatalf("EachCtx yields %v = %d, the runs say %d", vals, c, e.count)
+		}
+		assign := make(map[string]string, n)
+		for a, id := range vals {
+			assign[rd.Attr(a).Name()] = rd.Attr(a).Value(id)
+		}
+		p, err := core.NewPattern(rd, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, _, err := l.CountCtx(nil, p); err != nil || c != int(e.count) {
+			t.Fatalf("CountCtx of %v = (%d, %v), the runs say %d", vals, c, err, e.count)
+		}
+	}
+	if len(got) != len(all) || pc.Size() != len(all) {
+		t.Fatalf("EachCtx yields %d entries and Size is %d, the runs hold %d", len(got), pc.Size(), len(all))
+	}
+	for _, sub := range properSubsets(pc.Attrs()) {
+		subMembers := sub.Members()
+		spell := func(vals []uint16) string {
+			out := make([]uint16, len(subMembers))
+			for j, a := range subMembers {
+				out[j] = vals[a]
+			}
+			return fmt.Sprint(out)
+		}
+		wantSub := make(map[string]int)
+		for _, e := range all {
+			vals, _ := tp.decodeKey(e.key, members)
+			wantSub[spell(vals)] += int(e.count)
+		}
+		mpc, ok, err := l.MarginalPCCtx(nil, sub)
+		if err != nil || !ok {
+			t.Fatalf("marginal %v: ok=%v err=%v", sub, ok, err)
+		}
+		if mpc.Size() != len(wantSub) {
+			t.Fatalf("marginal %v: Size = %d, the runs sum to %d patterns", sub, mpc.Size(), len(wantSub))
+		}
+		noErr(mpc.EachCtx(nil, n, func(vals []uint16, c int) bool {
+			if w := wantSub[spell(vals)]; w != c {
+				t.Fatalf("marginal %v yields %v = %d, the runs sum to %d", sub, vals, c, w)
+			}
+			return true
+		}))
+	}
+}
+
 func FuzzOpenPayload(f *testing.F) {
 	tp := newPayloadTemplate(f)
 	u64, dense := tp.payloads[0], tp.payloads[1]
@@ -199,6 +476,12 @@ func FuzzOpenPayload(f *testing.F) {
 	overDense := slices.Clone(dense)
 	binary.LittleEndian.PutUint32(overDense, binary.LittleEndian.Uint32(overDense)+1)
 	f.Add(uint8(1), overDense)
+	// The spilled arm: the victim run as saved, then one seed per rule a
+	// run's first read enforces.
+	st := newSpillTemplate(f)
+	for _, run := range st.seeds(f) {
+		f.Add(uint8(2), run)
+	}
 
 	// The marginals the template persists; every other one is summed
 	// from the PC section when queried.
@@ -212,7 +495,11 @@ func FuzzOpenPayload(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		idx := int(which % 2)
+		idx := int(which % 3)
+		if idx == 2 {
+			st.check(t, data)
+			return
+		}
 		dir := t.TempDir()
 		tp.write(t, dir, idx, data)
 		l, _, err := Open(dir)

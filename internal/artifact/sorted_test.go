@@ -10,9 +10,12 @@ package artifact
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -237,4 +240,157 @@ func TestOpenRejectsSpilledSizeBeyondRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpilledRunLayoutAndMerge pins the sorted run layout and the merge
+// over it with counts, not timings, at the benchmark's hicard-spill shape:
+// the runs take at most 4.5 bytes a distinct key (a raw record took 8 a
+// row); a reopened label answers exactly as BuildPC over the same rows,
+// loading a run with at most 20 bytes of allocation a distinct key; and a
+// merge — of a 1% delta, and of one that adds a value to a0 and so changes
+// every key — answers exactly as a rebuild over the union rows, with every
+// merged run strictly ascending and holding only keys routed to it.
+func TestSpilledRunLayoutAndMerge(t *testing.T) {
+	const rows, deltaRows = 200000, 2000
+	base := genDataset(t, rows, 4, 200, 0, 0x191)
+	full := lattice.FullSet(4)
+	built := must(core.BuildLabel(base, full, core.CountOptions{
+		Workers: 2, MemBudget: hicardBudget, SpillDir: t.TempDir(),
+	}))
+	dir := filepath.Join(t.TempDir(), "hicard")
+	if err := Save(built, dir); err != nil {
+		t.Fatal(err)
+	}
+	built.ReleaseSpill()
+	_, m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := m.PCs[0]
+	if pm.Kind != kindSpilledU64 {
+		t.Fatalf("PC section is %s, want %s", pm.Kind, kindSpilledU64)
+	}
+	var runBytes int64
+	for run := range pm.RunSizes {
+		fi, err := os.Stat(filepath.Join(dir, pm.Dir, fmt.Sprintf("run-%04d", run)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runBytes += fi.Size()
+	}
+	t.Logf("%d runs take %d bytes for %d distinct keys over %d rows", len(pm.RunSizes), runBytes, pm.Size, rows)
+	if per := float64(runBytes) / float64(pm.Size); per > 4.5 {
+		t.Errorf("runs take %d bytes for %d distinct keys, %.2f a key, want at most 4.5", runBytes, pm.Size, per)
+	}
+
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	want := must(core.BuildPC(base, full, core.CountOptions{}))
+	runtime.ReadMemStats(&after)
+	buildAlloc := after.TotalAlloc - before.TotalAlloc
+	runtime.ReadMemStats(&before)
+	noErr(l.PC().EachCtx(nil, 4, func([]uint16, int) bool { return true }))
+	runtime.ReadMemStats(&after)
+	t.Logf("loading every run allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(pm.Size); per > 20 {
+		t.Errorf("loading every run allocated %.1f bytes a distinct key, want at most 20 (BuildPC: %.1f)",
+			per, float64(buildAlloc)/float64(pm.Size))
+	}
+	assertSamePC(t, "reopened", want, l.PC())
+	l.ReleaseSpill()
+
+	for _, tc := range []struct {
+		name string
+		grow bool
+	}{{"delta-1pct", false}, {"delta-grows-a0", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			delta, union := appendRows(t, base, deltaRows, tc.grow, 0x192)
+			dl := must(core.BuildLabel(delta, full, core.CountOptions{Workers: 2}))
+			mdir := copyDir(t, dir)
+			if _, err := MergeInto(mdir, dl, m); err != nil {
+				t.Fatal(err)
+			}
+			ml, mm, err := Open(mdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ml.ReleaseSpill()
+			wantPC := must(core.BuildPC(union, full, core.CountOptions{}))
+			if ml.Size() != wantPC.Size() || mm.TotalRows != union.NumRows() {
+				t.Fatalf("merged label: size %d over %d rows, rebuild %d over %d", ml.Size(), mm.TotalRows, wantPC.Size(), union.NumRows())
+			}
+			assertSamePC(t, tc.name, wantPC, ml.PC())
+			runs := ml.PC().Repr().Spill.Runs
+			mpm := mm.PCs[0]
+			for run := range mpm.RunSizes {
+				data, err := os.ReadFile(filepath.Join(mdir, mpm.Dir, fmt.Sprintf("run-%04d", run)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries, _, err := decodeRunRef(data, 0)
+				if err != nil {
+					t.Fatalf("merged run %d: %v", run, err)
+				}
+				if len(entries) != mpm.RunSizes[run] {
+					t.Fatalf("merged run %d holds %d entries, manifest says %d", run, len(entries), mpm.RunSizes[run])
+				}
+				for _, e := range entries {
+					if r := runs.RunOfU64(e.key); r != run {
+						t.Fatalf("merged run %d holds key %d, which routes to run %d", run, e.key, r)
+					}
+				}
+			}
+		})
+	}
+}
+
+// appendRows draws n more rows shaped like base's, with dictionaries
+// extending base's — plus, when grow is set, a new value of a0 in every
+// tenth row — and returns them and the union dataset over the delta's
+// dictionaries.
+func appendRows(t *testing.T, base *dataset.Dataset, n int, grow bool, seed uint64) (delta, union *dataset.Dataset) {
+	t.Helper()
+	db := dataset.NewBuilderFrom(base, "delta")
+	rng := rand.New(rand.NewPCG(seed, 0xD17))
+	vals := make([]string, base.NumAttrs())
+	for r := 0; r < n; r++ {
+		for a := range vals {
+			vals[a] = fmt.Sprintf("v%d", rng.IntN(200))
+		}
+		if grow && r%10 == 0 {
+			vals[0] = "v200"
+		}
+		db.AppendStrings(vals...)
+	}
+	delta, err := db.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grow && delta.Attr(0).DomainSize() == base.Attr(0).DomainSize() {
+		t.Fatal("the growing delta did not add a value to a0")
+	}
+	union, err = dataset.NewBuilderFrom(delta, "union").AppendRows(base).AppendRows(delta).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return delta, union
+}
+
+// assertSamePC checks got holds exactly want's patterns and counts.
+func assertSamePC(t *testing.T, what string, want, got *core.PC) {
+	t.Helper()
+	if got.Size() != want.Size() {
+		t.Fatalf("%s: %d patterns, want %d", what, got.Size(), want.Size())
+	}
+	noErr(got.EachCtx(nil, 4, func(vals []uint16, c int) bool {
+		if w := must(want.LookupValsCtx(nil, vals)); w != c {
+			t.Fatalf("%s: pattern %v counts %d, want %d", what, vals, c, w)
+		}
+		return true
+	}))
 }

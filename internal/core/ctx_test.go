@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"pcbl/internal/dataset"
 	"pcbl/internal/iofault"
 	"pcbl/internal/lattice"
 	"pcbl/internal/spill"
@@ -238,5 +239,138 @@ func TestENOSPCWriterSurfacesTypedError(t *testing.T) {
 	_, err := spill.NewWriter(spill.Config{RecWidth: 8, Runs: 4, Dir: t.TempDir(), FS: ffs})
 	if !errors.Is(err, spill.ErrNoSpace) {
 		t.Fatalf("err = %v, want spill.ErrNoSpace", err)
+	}
+}
+
+// cancelAtMkdir cancels a context at its nth directory creation, so a
+// spilled build or merge is cancelled after every check before its disk
+// work: here, as it creates the directory of its sorted runs.
+type cancelAtMkdir struct {
+	iofault.FS
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtMkdir) MkdirTemp(dir, pattern string) (string, error) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.FS.MkdirTemp(dir, pattern)
+}
+
+// TestCancelledSortedRunWriteLeavesNoFiles: a build cancelled while it
+// writes its sorted runs, and a merge cancelled while it writes its
+// merged runs (by linear merge, or re-partitioned after a domain grew),
+// return the typed context error and leave no run file behind.
+func TestCancelledSortedRunWriteLeavesNoFiles(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	cfg := diffConfig{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}
+	d := diffDataset(t, cfg, 0xD5)
+	s := spillSet(t, d)
+	budget := spillBudgetFor(d, s, 3)
+	spilledOpts := func(workers int, dir string, mkdir int) (CountOptions, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := testCountOptions(workers)
+		opts.MemBudget = budget
+		opts.SpillDir = dir
+		opts.Ctx = ctx
+		opts.FS = &cancelAtMkdir{FS: iofault.OS, n: mkdir, cancel: cancel}
+		return opts, cancel
+	}
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		opts, cancel := spilledOpts(workers, dir, 2) // partition dir, then sorted runs
+		pc, err := BuildPC(d, s, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) || pc != nil {
+			t.Fatalf("workers=%d: build = (%v, %v), want context.Canceled and no index", workers, pc != nil, err)
+		}
+		assertNoSpillFiles(t, dir)
+	}
+
+	cut := cfg.rows - cfg.rows/8
+	grownBase, grownDelta, _ := growthDataset(t, 3000, 4, 60, 80, 300, 0xD6)
+	for _, tc := range []struct {
+		name        string
+		base, delta *dataset.Dataset
+	}{
+		{"linear", nil, nil},
+		{"rekey", grownBase, grownDelta},
+	} {
+		base, delta := tc.base, tc.delta
+		if base == nil {
+			base, delta = splitDataset(t, d, cut)
+		}
+		s := lattice.FullSet(4)
+		bopts := testCountOptions(2)
+		bopts.MemBudget = spillBudgetFor(base, s, 3)
+		bopts.SpillDir = t.TempDir()
+		bl := must(BuildLabel(base, s, bopts))
+		if !bl.PC().Spilled() {
+			t.Fatalf("%s: base did not spill", tc.name)
+		}
+		dl := must(BuildLabel(delta, s, CountOptions{}))
+		dir := t.TempDir()
+		opts, cancel := spilledOpts(2, dir, 1) // the merge's first directory
+		opts.MemBudget = 0
+		bl.SetCountOptions(opts)
+		_, _, err := bl.Merge(dl, -1)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: merge = %v, want context.Canceled", tc.name, err)
+		}
+		assertNoSpillFiles(t, dir)
+		bl.ReleaseSpill()
+		assertNoSpillFiles(t, bopts.SpillDir)
+	}
+}
+
+// TestSortedRunWriteFaultFallsBack: a failed or full-disk write of the
+// sorted runs a budgeted build keeps falls back to the in-memory kernel
+// exactly as a failed partition write does — metered in SpillFallbacks,
+// and in SpillNoSpaceFallbacks when the disk is full — with an exact
+// result and no run file left behind.
+func TestSortedRunWriteFaultFallsBack(t *testing.T) {
+	cfg := diffConfig{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}
+	d := diffDataset(t, cfg, 0xD7)
+	s := spillSet(t, d)
+	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
+	opts := CountOptions{Workers: 1, MemBudget: spillBudgetFor(d, s, 3)}
+	// Sizing the set runs the same partition pass and writes nothing else,
+	// so its op counts mark where the sorted-run writes start.
+	rec := iofault.NewFaultFS(nil)
+	ropts := opts
+	ropts.FS, ropts.SpillDir = rec, t.TempDir()
+	if _, _, err := LabelSize(d, s, -1, ropts); err != nil {
+		t.Fatal(err)
+	}
+	part := rec.Counts()
+	for _, tc := range []struct {
+		name    string
+		script  func(*iofault.FaultFS)
+		noSpace bool
+	}{
+		{"dir", func(f *iofault.FaultFS) { f.FailAt(iofault.OpMkdir, part[iofault.OpMkdir]+1, nil) }, false},
+		{"create-full", func(f *iofault.FaultFS) { f.NoSpaceAt(iofault.OpCreate, part[iofault.OpCreate]+1) }, true},
+		{"write-full", func(f *iofault.FaultFS) { f.NoSpaceAt(iofault.OpWrite, part[iofault.OpWrite]+1) }, true},
+		{"write-eio", func(f *iofault.FaultFS) { f.FailAt(iofault.OpWrite, part[iofault.OpWrite]+2, nil) }, false},
+	} {
+		ffs := iofault.NewFaultFS(nil)
+		tc.script(ffs)
+		var stats ScanStats
+		o := opts
+		o.FS, o.SpillDir, o.Stats = ffs, t.TempDir(), &stats
+		got := must(BuildPC(d, s, o))
+		pcEqualContents(t, want, got)
+		wantNoSpace := int64(0)
+		if tc.noSpace {
+			wantNoSpace = 1
+		}
+		if stats.Spilled != 0 || stats.SpillFallbacks != 1 || stats.SpillNoSpaceFallbacks != wantNoSpace {
+			t.Fatalf("%s: Spilled=%d SpillFallbacks=%d SpillNoSpaceFallbacks=%d, want 0, 1, %d",
+				tc.name, stats.Spilled, stats.SpillFallbacks, stats.SpillNoSpaceFallbacks, wantNoSpace)
+		}
+		got.ReleaseSpill()
+		assertNoSpillFiles(t, o.SpillDir)
 	}
 }

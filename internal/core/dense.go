@@ -326,7 +326,8 @@ type ScanStats struct {
 	// SpillParallelRuns totals the runs counted by multi-worker (parallel)
 	// run-counting phases; zero when every count phase ran sequentially.
 	SpillParallelRuns int64
-	// SpillBytes totals the bytes written to spill run files.
+	// SpillBytes totals the bytes written to spill run files: partition
+	// runs, plus the sorted runs a spilled build keeps.
 	SpillBytes int64
 	// SpillMaxRunEntries is the largest per-run distinct-key count any
 	// spilled set's merge observed — the quantity the run sizing bounds to

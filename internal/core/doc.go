@@ -101,12 +101,19 @@
 // the affected set re-counts in memory with the caller's full options
 // (budget cleared), siblings keep their on-disk results.
 // Budgeted builds are bounded end to end: a result map that models over
-// the budget is not materialized — the PC retains its runs and serves
-// Size/LookupValsCtx/EachCtx merge-on-read (spilledpc.go), streaming runs
-// through a pinned hot-run cache; ReleaseSpill (or, as a safety net, the
-// GC) removes the runs. No budget means the tier is off. The cache holds
-// a uint64 run in the sorted layout and charges its real 12 bytes an
-// entry, not the 56-byte map model that decided to spill.
+// the budget is not materialized — each counted run is written once as a
+// sorted run of (key, count) entries (uint64 keys gap- and varint-coded,
+// spill.Runs) and its partition file deleted, and the PC serves
+// Size/LookupValsCtx/EachCtx merge-on-read from the sorted runs
+// (spilledpc.go) through a pinned hot-run cache; ReleaseSpill (or, as a
+// safety net, the GC) removes the runs. No budget means the tier is off.
+// A run load decodes its entries straight into the cache's form, with no
+// counting map: the sorted layout for a uint64 run, charged its real 12
+// bytes an entry rather than the 56-byte map model that decided to spill.
+// Label.Merge over a spilled PC writes fresh runs, each one linear
+// two-way merge of a base run with its share of the delta; a delta that
+// grew a member domain re-partitions instead (merge.go). Sizing-only
+// scans keep partition runs alone: nothing reopens them.
 //
 // The merge-on-read read path is built for concurrent readers (the label
 // serving daemon of internal/serve): there is no per-lookup mutex. Pinned

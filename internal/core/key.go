@@ -180,3 +180,20 @@ func (k *Keyer) DecodeBytes(key string, vals []uint16) {
 		vals[i] = uint16(key[2*j]) | uint16(key[2*j+1])<<8
 	}
 }
+
+// validBytes reports whether a byte-string key read from outside the
+// engine names a value of every member's domain, as AppendBytesRow keys
+// do: a key holding NULL or an identifier past a domain would decode to
+// values no lookup could ask for.
+func (k *Keyer) validBytes(key []byte) bool {
+	if len(key) != 2*len(k.members) {
+		return false
+	}
+	for j, dim := range k.dims {
+		id := uint64(key[2*j]) | uint64(key[2*j+1])<<8
+		if id == uint64(dataset.Null) || id > dim {
+			return false
+		}
+	}
+	return true
+}

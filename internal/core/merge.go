@@ -1,24 +1,28 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 	"pcbl/internal/spill"
+	"pcbl/internal/workpool"
 )
 
 // Incremental label maintenance: a delta label counted over only appended
 // rows folds into an existing label without rescanning history. Every
 // representation merges exactly — dense slabs by vector addition, sorted
 // PCs by re-keying both sides as a rebuild over the union rows would,
-// byte maps by key union, and spilled PCs run-by-run: the deterministic
-// partition routing (spill.RunOf) sends every occurrence of a key to the
-// same run, so base and delta occurrences of one pattern always count
-// together.
+// byte maps by key union, and spilled PCs run by run, each one linear
+// two-way merge of a sorted base run with its share of the delta: the
+// deterministic partition routing (spill.Runs.RunOf) sends every
+// occurrence of a key to the same run, so base and delta occurrences of
+// one pattern always count together.
 // Sizes are monotone under merge (a pattern's count can only grow, a new
 // pattern only adds), which is what makes the bound re-check at merge time
 // exact: Merge completes fully and compares the final size against the
@@ -321,153 +325,200 @@ func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCou
 	return sortedFrom(keys, counts), nil
 }
 
-// mergeSpilled merges a delta into a merge-on-read base. Two shapes:
+// mergeSpilled merges a delta into a merge-on-read base. The base's runs
+// are sorted and its keys keep their meaning unless a member domain grew,
+// so the usual merge is one linear two-way merge per run: the delta's
+// entries are routed to their runs and sorted, and each base run streams
+// through a merge with its share of the delta into a fresh run file.
+// Fresh files leave the base's untouched — an artifact-owned base's
+// committed manifest keeps describing its run files exactly — and are
+// written under opts.SpillDir. When the delta grew a member domain the
+// uint64 keys shift (or overflow into byte-string keys), so every key
+// changes run: base and delta re-partition through the build's
+// count-and-write step instead (mergeSpilledRekey).
 //
-//   - Append: the base still owns its run files (an in-process build, not
-//     an artifact) and the record encoding is still valid — delta records
-//     append to the existing runs through the same deterministic routing,
-//     so one run keeps holding every occurrence of its keys. One scan per
-//     affected run computes the exact new size before a byte is written.
-//   - Rewrite: the runs belong to a committed artifact (appending would
-//     desync the manifest; the files are open read-only anyway) or the u64
-//     encoding shifted — base records stream (re-keyed as needed) together
-//     with the delta's into a fresh writer.
-//
-// Either way the modeled merged-map footprint is re-checked against the
-// base's budget, exactly countMerge's criterion: a merge that shrank below
-// budget relative to the model (sizes grew, so in practice: a budget that
-// still fits) materializes in memory and releases the runs; otherwise the
-// result stays spilled behind a fresh merge-on-read view.
+// Either way the merged size is re-checked against the base's budget
+// with countAndSeal's criterion: a merge that fits (in practice, a caller
+// that granted more memory) materializes in memory and releases the runs;
+// otherwise the result stays spilled behind a fresh merge-on-read view.
+// opts.Ctx cancels the merge; a cancelled or failed merge leaves no new
+// run file behind and the base unreleased.
 func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*PC, error) {
 	sp := base.sp
+	budget := mergeBudget(sp, opts)
+	if sp.u64 && !(k.Fits() && sameKeyLayout(base.keyer, k)) {
+		return mergeSpilledRekey(sp, base.keyer, delta, k, n, rows, budget, opts)
+	}
 	format := spillFmtBytes
 	if sp.u64 {
 		format = spillFmtU64
 	}
-	sameLayout := format == spillFmtBytes || (k.Fits() && sameKeyLayout(base.keyer, k))
-	workers := opts.scanWorkers(rows)
-	if sp.w.Owned() && sameLayout {
-		return mergeSpilledAppend(sp, delta, k, n, workers, format, opts)
-	}
-	return mergeSpilledRewrite(sp, base.keyer, delta, k, n, workers, format, opts)
-}
-
-// mergeSpilledAppend folds the delta into the base's own run files in
-// place. Size accounting first (scan each affected run once, count delta
-// keys not present), then the append — c copies of a key's record, exactly
-// the stream partitioning the delta rows would have produced.
-func mergeSpilledAppend(sp *spilledPC, delta *PC, k *Keyer, n, workers int, format spillFormat, opts CountOptions) (*PC, error) {
-	w := sp.w
-	newRunSizes := append([]int(nil), sp.runSizes...)
-	newSize := sp.size
-	sw := w.Shard()
-	closed := false
-	defer func() {
-		if !closed {
-			sw.Close()
-		}
-	}()
-
-	if format == spillFmtU64 {
-		perRun := make(map[int]map[uint64]int)
-		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
-			if key, ok := k.KeyVals(vals); ok {
-				run := w.RunOfU64(key)
-				m := perRun[run]
-				if m == nil {
-					m = make(map[uint64]int)
-					perRun[run] = m
-				}
-				m[key] += c
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		for run, m := range perRun {
-			seen := make(map[uint64]struct{}, sp.runSizes[run])
-			if err := w.ScanRun(run, func(rec []byte) bool {
-				seen[binary.LittleEndian.Uint64(rec)] = struct{}{}
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			for key := range m {
-				if _, dup := seen[key]; !dup {
-					newSize++
-					newRunSizes[run]++
-				}
-			}
-			for key, c := range m {
-				for i := 0; i < c; i++ {
-					sw.AddU64(key)
-				}
-			}
-		}
-	} else {
-		perRun := make(map[int]map[string]int)
-		var buf []byte
-		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
-			b, ok := k.AppendBytesVals(buf[:0], vals)
-			buf = b
-			if ok {
-				run := w.RunOf(b)
-				m := perRun[run]
-				if m == nil {
-					m = make(map[string]int)
-					perRun[run] = m
-				}
-				m[string(b)] += c
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		for run, m := range perRun {
-			seen := make(map[string]struct{}, sp.runSizes[run])
-			if err := w.ScanRun(run, func(rec []byte) bool {
-				seen[string(rec)] = struct{}{}
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			for key := range m {
-				if _, dup := seen[key]; !dup {
-					newSize++
-					newRunSizes[run]++
-				}
-			}
-			for key, c := range m {
-				for i := 0; i < c; i++ {
-					sw.Add([]byte(key))
-				}
-			}
-		}
-	}
-	closed = true
-	if err := sw.Close(); err != nil {
+	rs, err := spill.NewRuns(opts.SpillDir, sp.runs.KeyWidth(), sp.runs.NumRuns(), opts.FS)
+	if err != nil {
 		return nil, err
 	}
-	return finishSpilledMerge(sp, w, k, format, newSize, newRunSizes, workers, opts)
+	keep := false
+	defer func() {
+		if !keep {
+			rs.Cleanup()
+		}
+	}()
+	if format == spillFmtU64 {
+		err = mergeRunsU64(opts.Ctx, sp, rs, delta, k, n, opts.scanWorkers(rows))
+	} else {
+		err = mergeRunsBytes(opts.Ctx, sp, rs, delta, k, n, opts.scanWorkers(rows))
+	}
+	if err != nil {
+		return nil, err
+	}
+	runSizes := make([]int, rs.NumRuns())
+	size := 0
+	for run := range runSizes {
+		runSizes[run] = rs.Entries(run)
+		size += runSizes[run]
+	}
+	out := &PC{keyer: k}
+	if int64(size)*format.entryBytes(k) <= budget {
+		if err := out.loadRuns(opts.Ctx, rs, size); err != nil {
+			return nil, err
+		}
+		sp.release()
+		return out, nil
+	}
+	sp.release()
+	keep = true
+	out.sp = newSpilledPC(rs, k, format, size, runSizes, budget, opts.Stats)
+	return out, nil
 }
 
-// mergeSpilledRewrite streams the base's records (re-keyed when the u64
-// encoding shifted or overflowed) and the delta's entries into a fresh
-// writer, leaving the old runs untouched — the path for artifact-owned
-// bases, whose committed manifest must keep describing its run files
-// exactly.
-func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, workers int, format spillFormat, opts CountOptions) (*PC, error) {
-	w := sp.w
-	budget := mergeBudget(sp, opts)
-	outFormat := format
-	if format == spillFmtU64 && !k.Fits() {
-		outFormat = spillFmtBytes // union key space overflowed uint64
+// mergeRunsU64 writes every run of out as the linear two-way merge of the
+// base's run with the delta's entries routed to it. Base keys are read
+// under the base's layout, which the caller checked is k's. Runs are
+// independent, so workers merge them in parallel.
+func mergeRunsU64(ctx context.Context, sp *spilledPC, out *spill.Runs, delta *PC, k *Keyer, n, workers int) error {
+	runs := sp.runs.NumRuns()
+	dkeys := make([][]uint64, runs)
+	dcounts := make([][]int32, runs)
+	if err := delta.EachCtx(ctx, n, func(vals []uint16, c int) bool {
+		if key, ok := k.KeyVals(vals); ok {
+			r := sp.runs.RunOfU64(key)
+			dkeys[r] = append(dkeys[r], key)
+			dcounts[r] = append(dcounts[r], count32(c))
+		}
+		return true
+	}); err != nil {
+		return err
 	}
-	rekey := format == spillFmtU64 && !(outFormat == spillFmtU64 && sameKeyLayout(baseKeyer, k))
+	radix, _ := k.Radix()
+	return eachRun(runs, workers, func(run int) error {
+		d := sortedFrom(dkeys[run], dcounts[run])
+		rw := out.RunWriter(run)
+		i := 0
+		var bad error
+		err := sp.runs.EachU64(ctx, run, func(key uint64, c int) bool {
+			if key >= radix {
+				bad = runCorrupt(run, "key %d outside the key space [0, %d)", key, radix)
+				return false
+			}
+			for ; i < len(d.Keys) && d.Keys[i] < key; i++ {
+				rw.AddU64(d.Keys[i], int(d.Counts[i]))
+			}
+			if i < len(d.Keys) && d.Keys[i] == key {
+				c += int(d.Counts[i])
+				i++
+			}
+			rw.AddU64(key, c)
+			return true
+		})
+		for ; i < len(d.Keys); i++ {
+			rw.AddU64(d.Keys[i], int(d.Counts[i]))
+		}
+		return cmp.Or(err, bad, rw.Close())
+	})
+}
 
-	nw, err := spill.NewWriter(spill.Config{
-		RecWidth: outFormat.recWidth(k),
-		Runs:     w.NumRuns(),
+// mergeRunsBytes is mergeRunsU64 for byte-string keys, which encode raw
+// value ids and so never change meaning as domains grow.
+func mergeRunsBytes(ctx context.Context, sp *spilledPC, out *spill.Runs, delta *PC, k *Keyer, n, workers int) error {
+	type entry struct {
+		key   string
+		count int
+	}
+	runs := sp.runs.NumRuns()
+	dents := make([][]entry, runs)
+	var buf []byte
+	if err := delta.EachCtx(ctx, n, func(vals []uint16, c int) bool {
+		b, ok := k.AppendBytesVals(buf[:0], vals)
+		buf = b
+		if ok {
+			r := sp.runs.RunOf(b)
+			dents[r] = append(dents[r], entry{string(b), c})
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	return eachRun(runs, workers, func(run int) error {
+		d := dents[run]
+		slices.SortFunc(d, func(x, y entry) int { return strings.Compare(x.key, y.key) })
+		rw := out.RunWriter(run)
+		i := 0
+		var bad error
+		var dk []byte
+		addDelta := func() {
+			dk = append(dk[:0], d[i].key...)
+			rw.AddBytes(dk, d[i].count)
+		}
+		err := sp.runs.EachBytes(ctx, run, func(key []byte, c int) bool {
+			if !k.validBytes(key) {
+				bad = runCorrupt(run, "key %x holds a value outside its attribute's domain", key)
+				return false
+			}
+			for ; i < len(d) && d[i].key < string(key); i++ {
+				addDelta()
+			}
+			if i < len(d) && d[i].key == string(key) {
+				c += d[i].count
+				i++
+			}
+			rw.AddBytes(key, c)
+			return true
+		})
+		for ; i < len(d); i++ {
+			addDelta()
+		}
+		return cmp.Or(err, bad, rw.Close())
+	})
+}
+
+// eachRun calls fn for every run, the runs split across workers, and
+// returns the first error in run order; a worker stops at its first.
+func eachRun(runs, workers int, fn func(run int) error) error {
+	errs := make([]error, runs)
+	workpool.RunChunks(runs, workpool.Resolve(workers, runs), func(_, lo, hi int) {
+		for run := lo; run < hi; run++ {
+			if errs[run] = fn(run); errs[run] != nil {
+				return
+			}
+		}
+	})
+	return cmp.Or(errs...)
+}
+
+// mergeSpilledRekey merges a delta that grew a member domain into a uint64
+// base: the base's entries decode under its own layout and re-key under
+// k's — still uint64, or byte-string when the union key space overflows —
+// and, with the delta's, re-partition as one record per counted row into
+// a fresh partition writer, whose runs countAndSeal counts and seals as a
+// build does.
+func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, rows int, budget int64, opts CountOptions) (*PC, error) {
+	format := spillFmtU64
+	if !k.Fits() {
+		format = spillFmtBytes
+	}
+	w, err := spill.NewWriter(spill.Config{
+		RecWidth: format.recWidth(k),
+		Runs:     sp.runs.NumRuns(),
 		Dir:      opts.SpillDir,
 		Pool:     opts.Pool,
 		FS:       opts.FS,
@@ -475,80 +526,57 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 	if err != nil {
 		return nil, err
 	}
-	keep := false
-	defer func() {
-		if !keep {
-			nw.Cleanup()
-		}
-	}()
-
-	sw := nw.Shard()
-	closed := false
-	defer func() {
-		if !closed {
-			sw.Close()
-		}
-	}()
-	vals := make([]uint16, n)
+	defer w.Cleanup()
+	sw := w.Shard()
 	var buf []byte
-	for run := 0; run < w.NumRuns(); run++ {
-		if err := w.ScanRun(run, func(rec []byte) bool {
-			if !rekey {
-				sw.Add(rec)
-				return true
-			}
-			baseKeyer.Decode(binary.LittleEndian.Uint64(rec), vals)
-			if outFormat == spillFmtU64 {
-				if key, ok := k.KeyVals(vals); ok {
+	add := func(vals []uint16, c int) {
+		if format == spillFmtU64 {
+			if key, ok := k.KeyVals(vals); ok {
+				for ; c > 0; c-- {
 					sw.AddU64(key)
 				}
-			} else {
-				if b, ok := k.AppendBytesVals(buf[:0], vals); ok {
-					buf = b
-					sw.Add(b)
-				}
 			}
+			return
+		}
+		b, ok := k.AppendBytesVals(buf[:0], vals)
+		buf = b
+		for ; ok && c > 0; c-- {
+			sw.Add(b)
+		}
+	}
+	vals := make([]uint16, n)
+	baseRadix, _ := baseKeyer.Radix()
+	var werr error
+	for run := 0; run < sp.runs.NumRuns() && werr == nil; run++ {
+		var bad error
+		err := sp.runs.EachU64(opts.Ctx, run, func(key uint64, c int) bool {
+			if key >= baseRadix {
+				bad = runCorrupt(run, "key %d outside the key space [0, %d)", key, baseRadix)
+				return false
+			}
+			baseKeyer.Decode(key, vals)
+			add(vals, c)
 			return true
-		}); err != nil {
-			return nil, err
-		}
+		})
+		werr = cmp.Or(err, bad)
 	}
-	if err := delta.EachCtx(nil, n, func(dvals []uint16, c int) bool {
-		if outFormat == spillFmtU64 {
-			if key, ok := k.KeyVals(dvals); ok {
-				for i := 0; i < c; i++ {
-					sw.AddU64(key)
-				}
-			}
-		} else {
-			if b, ok := k.AppendBytesVals(buf[:0], dvals); ok {
-				buf = b
-				for i := 0; i < c; i++ {
-					sw.Add(b)
-				}
-			}
-		}
-		return true
-	}); err != nil {
-		return nil, err
+	if werr == nil {
+		werr = delta.EachCtx(opts.Ctx, n, func(dvals []uint16, c int) bool {
+			add(dvals, c)
+			return true
+		})
 	}
-	closed = true
-	if err := sw.Close(); err != nil {
-		return nil, err
+	if err := sw.Close(); werr == nil {
+		werr = err
 	}
-
-	runSizes := make([]int, nw.NumRuns())
-	out := &PC{keyer: k}
-	size, materialized, err := countMergeInto(nil, out, nw, outFormat, workers, budget, outFormat.entryBytes(k), runSizes)
+	if werr != nil {
+		return nil, werr
+	}
+	out, err := countAndSeal(w, k, format, opts.scanWorkers(rows), budget, opts)
 	if err != nil {
 		return nil, err
 	}
 	sp.release()
-	if materialized {
-		return out, nil
-	}
-	keep = true
-	out.sp = newSpilledPC(nw, k, outFormat, size, runSizes, budget, opts.Stats)
 	return out, nil
 }
 
@@ -564,50 +592,33 @@ func mergeBudget(sp *spilledPC, opts CountOptions) int64 {
 	return sp.budget
 }
 
-// finishSpilledMerge applies the modeled-footprint re-check after an
-// in-place append: within budget materializes the merged counts from the
-// runs (sorted for uint64 keys) and releases them; over budget retires
-// the stale view (detach — the successor keeps the writer and its
-// appended runs) and publishes a fresh merge-on-read index with the exact
-// new size and run sizes.
-func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFormat, newSize int, newRunSizes []int, workers int, opts CountOptions) (*PC, error) {
-	entry := format.entryBytes(k)
-	budget := mergeBudget(sp, opts)
-	out := &PC{keyer: k}
-	if int64(newSize)*entry <= budget {
-		if format == spillFmtU64 {
-			keys := make([]uint64, 0, newSize)
-			counts := make([]int32, 0, newSize)
-			if _, _, err := w.CountRunsU64Ctx(nil, -1, workers, func(_ int, run map[uint64]int) bool {
-				for key, c := range run {
-					keys = append(keys, key)
-					counts = append(counts, count32(c))
-				}
+// loadRuns materializes every entry of rs, size in all, into pc: the
+// sorted layout for uint64 keys, a map for byte-string keys.
+func (pc *PC) loadRuns(ctx context.Context, rs *spill.Runs, size int) error {
+	if rs.KeyWidth() == spill.U64Keys {
+		keys := make([]uint64, 0, size)
+		counts := make([]int32, 0, size)
+		for run := range rs.NumRuns() {
+			if err := rs.EachU64(ctx, run, func(key uint64, c int) bool {
+				keys = append(keys, key)
+				counts = append(counts, int32(c))
 				return true
 			}); err != nil {
-				return nil, err
+				return err
 			}
-			out.u = sortedFrom(keys, counts)
-		} else {
-			m := make(map[string]int, newSize)
-			if _, _, err := w.CountRunsCtx(nil, -1, workers, func(_ int, counts map[string]int) bool {
-				for key, c := range counts {
-					m[key] = c
-				}
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			out.s = m
 		}
-		sp.release()
-		return out, nil
+		pc.u = sortedFrom(keys, counts)
+		return nil
 	}
-	scanStats := sp.scanStats
-	if scanStats == nil {
-		scanStats = opts.Stats
+	m := make(map[string]int, size)
+	for run := range rs.NumRuns() {
+		if err := rs.EachBytes(ctx, run, func(key []byte, c int) bool {
+			m[string(key)] = c
+			return true
+		}); err != nil {
+			return err
+		}
 	}
-	sp.detach()
-	out.sp = newSpilledPC(w, k, format, newSize, newRunSizes, budget, scanStats)
-	return out, nil
+	pc.s = m
+	return nil
 }

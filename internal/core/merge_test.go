@@ -9,12 +9,15 @@ package core
 // shift a delta that grows an attribute domain induces.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
+	"pcbl/internal/spill"
 )
 
 // splitDataset cuts d into a base prefix and a delta suffix sharing d's
@@ -179,10 +182,10 @@ func TestLabelMergeBound(t *testing.T) {
 }
 
 // TestLabelMergeSpilled drives the merge-on-read paths: a budgeted base
-// whose PC stays on disk absorbs deltas through the in-place append path
-// (the base owns its runs and the layout is stable), across both record
-// formats and both outcomes of the footprint re-check (stay spilled vs
-// materialize), with the delta itself spilled in the second epoch too.
+// whose PC stays on disk absorbs deltas by one linear merge per sorted
+// run (the key layout is stable), across both key formats and both
+// outcomes of the footprint re-check (stay spilled vs materialize), with
+// the delta itself spilled in the second epoch too.
 func TestLabelMergeSpilled(t *testing.T) {
 	for ci, cfg := range spillConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -426,5 +429,72 @@ func TestLabelMergeValidation(t *testing.T) {
 	bigger := must(BuildLabel(d, lattice.FullSet(3), CountOptions{}))
 	if _, _, err := bigger.Merge(ol, -1); err == nil {
 		t.Fatal("shrinking domains accepted")
+	}
+}
+
+// withKeyPastSpace copies a spilled uint64 PC's runs into fresh ones, adds
+// to run 0 a key past the key space that routes to it — every frame
+// checksum and header right — and returns a PC over the copy.
+func withKeyPastSpace(t *testing.T, d *dataset.Dataset, pc *PC) *PC {
+	t.Helper()
+	sp := pc.sp
+	rs, err := spill.NewRuns(t.TempDir(), spill.U64Keys, sp.runs.NumRuns(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, _ := sp.keyer.Radix()
+	for rs.RunOfU64(past) != 0 {
+		past++
+	}
+	sizes := slices.Clone(sp.runSizes)
+	sizes[0]++
+	for run := range sizes {
+		rw := rs.RunWriter(run)
+		noErr(sp.runs.EachU64(nil, run, func(key uint64, c int) bool {
+			rw.AddU64(key, c)
+			return true
+		}))
+		if run == 0 {
+			rw.AddU64(past, 1)
+		}
+		noErr(rw.Close())
+	}
+	return must(PCFromRepr(d, PCRepr{Attrs: pc.Attrs(), Spill: &SpillRepr{
+		Runs: rs, U64: true, Size: sp.size + 1, RunSizes: sizes, Budget: sp.budget,
+	}}))
+}
+
+// TestSpilledKeyPastSpaceFailsTyped: a uint64 run whose frames verify but
+// which holds a key past its attribute set's key space — a key that would
+// decode to values outside the domains — fails its load, a linear merge
+// and a re-keying merge with spill.ErrCorrupt, never feeding the key on.
+func TestSpilledKeyPastSpaceFailsTyped(t *testing.T) {
+	d := diffDataset(t, diffConfig{rows: 4000, attrs: 4, domain: 300}, 0xE1)
+	linBase, linDelta := splitDataset(t, d, 3500)
+	grownBase, grownDelta, _ := growthDataset(t, 3000, 4, 60, 80, 300, 0xE2)
+	s := lattice.FullSet(4)
+	for _, tc := range []struct {
+		name        string
+		base, delta *dataset.Dataset
+	}{{"linear", linBase, linDelta}, {"rekey", grownBase, grownDelta}} {
+		opts := testCountOptions(2)
+		opts.MemBudget = spillBudgetFor(tc.base, s, 3)
+		opts.SpillDir = t.TempDir()
+		bl := must(BuildLabel(tc.base, s, opts))
+		if !bl.PC().Spilled() || !bl.PC().sp.u64 {
+			t.Fatalf("%s: base did not spill uint64 runs", tc.name)
+		}
+		bad := withKeyPastSpace(t, tc.base, bl.PC())
+		if err := bad.EachCtx(nil, 4, func([]uint16, int) bool { return true }); !errors.Is(err, spill.ErrCorrupt) {
+			t.Fatalf("%s: load = %v, want spill.ErrCorrupt", tc.name, err)
+		}
+		dl := must(BuildLabel(tc.delta, s, CountOptions{}))
+		mopts := CountOptions{SpillDir: t.TempDir()}
+		if _, err := mergePC(bad, dl.PC(), tc.delta, tc.base.NumRows()+tc.delta.NumRows(), mopts); !errors.Is(err, spill.ErrCorrupt) {
+			t.Fatalf("%s: merge = %v, want spill.ErrCorrupt", tc.name, err)
+		}
+		bad.ReleaseSpill()
+		bl.ReleaseSpill()
+		assertNoSpillFiles(t, mopts.SpillDir)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // PCRepr is the representation-level view of a pattern-count index — the
 // serialization hook behind label artifacts (internal/artifact). Exactly
 // one of Dense, U, S and Spill is populated, mirroring the four storage
-// representations of PC. The exposed slices, maps and writer are the PC's
+// representations of PC. The exposed slices, maps and runs are the PC's
 // own state, not copies: callers must treat them as read-only and must
 // have exclusive access while adopting a spilled index's run files.
 type PCRepr struct {
@@ -31,11 +31,11 @@ type PCRepr struct {
 	Spill *SpillRepr
 }
 
-// SpillRepr describes a merge-on-read index: the spill writer holding the
-// on-disk runs plus the metadata needed to reconstruct the read path.
+// SpillRepr describes a merge-on-read index: its sorted on-disk runs plus
+// the metadata needed to reconstruct the read path.
 type SpillRepr struct {
-	Writer   *spill.Writer
-	U64      bool  // uint64 record format (vs byte-string)
+	Runs     *spill.Runs
+	U64      bool  // uint64 keys (vs byte-string)
 	Size     int   // total distinct patterns, exact
 	RunSizes []int // per-run distinct-key counts
 	Budget   int64 // pinned hot-run cache budget
@@ -47,7 +47,7 @@ func (pc *PC) Repr() PCRepr {
 	switch {
 	case pc.sp != nil:
 		r.Spill = &SpillRepr{
-			Writer:   pc.sp.w,
+			Runs:     pc.sp.runs,
 			U64:      pc.sp.u64,
 			Size:     pc.sp.size,
 			RunSizes: pc.sp.runSizes,
@@ -67,8 +67,9 @@ func (pc *PC) Repr() PCRepr {
 // be a schema-only dataset: only the attribute dictionaries are consulted)
 // from a representation previously exposed by Repr — the deserialization
 // hook behind label artifacts. A spilled representation takes ownership of
-// the writer exactly as a freshly built merge-on-read index would: the PC
-// releases it via ReleaseSpill or a GC cleanup.
+// the runs exactly as a freshly built merge-on-read index would: the PC
+// releases them via ReleaseSpill or a GC cleanup. Its run entries are
+// verified as each run is first read.
 //
 // In-memory representations are checked against the invariants their
 // lookups rely on, and one that breaks them is an error, never a PC that
@@ -81,11 +82,11 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 	switch {
 	case r.Spill != nil:
 		sr := r.Spill
-		if sr.Writer == nil {
-			return nil, fmt.Errorf("core: spilled PC representation without a writer")
+		if sr.Runs == nil {
+			return nil, fmt.Errorf("core: spilled PC representation without runs")
 		}
-		if sr.Writer.NumRuns() != len(sr.RunSizes) {
-			return nil, fmt.Errorf("core: spilled PC has %d runs but %d run sizes", sr.Writer.NumRuns(), len(sr.RunSizes))
+		if sr.Runs.NumRuns() != len(sr.RunSizes) {
+			return nil, fmt.Errorf("core: spilled PC has %d runs but %d run sizes", sr.Runs.NumRuns(), len(sr.RunSizes))
 		}
 		format := spillFmtBytes
 		if sr.U64 {
@@ -94,7 +95,10 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 			}
 			format = spillFmtU64
 		}
-		pc.sp = newSpilledPC(sr.Writer, k, format, sr.Size, sr.RunSizes, sr.Budget, nil)
+		if w := format.keyWidth(k); sr.Runs.KeyWidth() != w {
+			return nil, fmt.Errorf("core: spilled PC runs hold %d-byte keys, attribute set %v keys %d", sr.Runs.KeyWidth(), r.Attrs, w)
+		}
+		pc.sp = newSpilledPC(sr.Runs, k, format, sr.Size, sr.RunSizes, sr.Budget, nil)
 	case r.Dense != nil:
 		radix, ok := k.Radix()
 		if !ok || radix != uint64(len(r.Dense)) {

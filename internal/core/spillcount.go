@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"pcbl/internal/dataset"
@@ -29,9 +32,12 @@ import (
 //
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
-// and otherwise the PC keeps the on-disk runs and serves
-// Size/LookupValsCtx/EachCtx by streaming them (merge-on-read, spilledpc.go) —
-// the scan's careful budget is no longer blown by the result map.
+// and otherwise each counted partition run is written once as a sorted run
+// of (key, count) entries (spill.Runs) and its partition file deleted; the
+// PC keeps the sorted runs and serves Size/LookupValsCtx/EachCtx from them
+// (merge-on-read, spilledpc.go) — the scan's careful budget is no longer
+// blown by the result map. Sizing-only scans never reopen their runs, so
+// they keep partition runs alone.
 
 // spillFormat names the fixed-width record encoding a spilled set uses.
 type spillFormat uint8
@@ -42,7 +48,8 @@ const (
 	spillFmtBytes spillFormat = iota
 	// spillFmtU64 spills fixed-width 8-byte little-endian uint64 records
 	// (mixed-radix key fits uint64) counted into map[uint64]int; a
-	// materialized result and every cached run hold the sorted layout.
+	// materialized result, every sorted run and every cached run hold the
+	// keys in ascending order.
 	spillFmtU64
 )
 
@@ -76,6 +83,14 @@ func spillFootprint(distinct, recWidth, entryBytes int) int64 {
 func (f spillFormat) recWidth(k *Keyer) int {
 	if f == spillFmtU64 {
 		return spillRecWidthU64
+	}
+	return 2 * len(k.members)
+}
+
+// keyWidth returns the key width of a format's sorted runs.
+func (f spillFormat) keyWidth(k *Keyer) int {
+	if f == spillFmtU64 {
+		return spill.U64Keys
 	}
 	return 2 * len(k.members)
 }
@@ -134,10 +149,11 @@ func (o CountOptions) spillFor(k *Keyer, rows, countWorkers int) (runs int, form
 	return runs, format, true
 }
 
-// addSpill accumulates one spilled scan's counters. Updates are atomic so
-// scans sharing a ScanStats may run on concurrent goroutines (the label
-// evaluation phase scores candidates in parallel).
-func (st *ScanStats) addSpill(s spill.Stats, format spillFormat, countWorkers int) {
+// addSpill accumulates one spilled scan's counters: the partition
+// writer's and the bytes of the sorted runs a spilled build kept. Updates
+// are atomic so scans sharing a ScanStats may run on concurrent goroutines
+// (the label evaluation phase scores candidates in parallel).
+func (st *ScanStats) addSpill(s spill.Stats, sortedBytes int64, format spillFormat, countWorkers int) {
 	if st == nil {
 		return
 	}
@@ -149,7 +165,7 @@ func (st *ScanStats) addSpill(s spill.Stats, format spillFormat, countWorkers in
 	if countWorkers > 1 {
 		atomic.AddInt64(&st.SpillParallelRuns, int64(s.Runs))
 	}
-	atomic.AddInt64(&st.SpillBytes, s.BytesWritten)
+	atomic.AddInt64(&st.SpillBytes, s.BytesWritten+sortedBytes)
 	for {
 		cur := atomic.LoadInt64(&st.SpillMaxRunEntries)
 		if int64(s.MaxRunEntries) <= cur ||
@@ -259,45 +275,16 @@ func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers in
 	return stop.err()
 }
 
-// countMerge folds the runs of a build-mode spill scan: runs merge into
-// one map while the modeled merged footprint stays within the budget; the
-// first run that would cross it drops the partial merge and the scan
-// continues counting only (total size plus per-run sizes, which the
-// merge-on-read representation needs). Prefix sums of the positive per-run
-// sizes cross the budget iff the total does, so the materialize-or-stream
-// outcome is independent of the (parallel) run completion order. A nil
-// returned map means "stream": the result models over budget.
-func countMerge[K comparable](
-	ctx context.Context,
-	count func(ctx context.Context, cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
-	workers int, budget, entry int64, runSizes []int,
-) (merged map[K]int, size int, err error) {
-	merged = make(map[K]int)
-	over := false
-	size, _, err = count(ctx, -1, workers, func(run int, counts map[K]int) bool {
-		runSizes[run] = len(counts)
-		if !over {
-			if int64(len(merged)+len(counts))*entry > budget {
-				over, merged = true, nil
-			} else {
-				for key, c := range counts {
-					merged[key] = c // runs are key-disjoint: plain inserts
-				}
-			}
-		}
-		return true
-	})
-	return merged, size, err
-}
-
 // buildPCSpill is the external-memory BuildPC kernel: bit-identical to the
 // in-memory kernels, with grouping state bounded by the budget instead of
 // the key space. When the counted result models within the budget it
-// materializes as an ordinary map PC (one disk pass); otherwise the PC
-// retains the on-disk runs and serves lookups merge-on-read. Disk trouble
-// falls back to the in-memory kernel, trading the budget for correctness;
-// a fired CountOptions.Ctx instead aborts the build with the typed context
-// error — cancellation is a caller decision, never a degradation.
+// materializes as an ordinary in-memory PC (one disk pass); otherwise the
+// PC keeps its counted runs on disk, sorted, and serves lookups
+// merge-on-read. Disk trouble — a failed partition or sorted-run write
+// alike — falls back to the in-memory kernel, trading the budget for
+// correctness; a fired CountOptions.Ctx instead aborts the build with the
+// typed context error — cancellation is a caller decision, never a
+// degradation.
 func buildPCSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (*PC, error) {
 	pc, err := buildPCSpillScan(k, cols, rows, workers, runs, format, opts)
 	if err == nil {
@@ -319,7 +306,7 @@ func buildPCSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spi
 	return pc, nil
 }
 
-func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (pc *PC, err error) {
+func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (*PC, error) {
 	w, err := spill.NewWriter(spill.Config{
 		RecWidth: format.recWidth(k),
 		Runs:     runs,
@@ -330,54 +317,205 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 	if err != nil {
 		return nil, err
 	}
-	// Cleanup runs on every exit — success, error, cancellation and panic
-	// alike — except when the result keeps the runs for merge-on-read
-	// reading (the spilledPC then owns the writer and its directory).
-	keep := false
-	defer func() {
-		if !keep {
-			w.Cleanup()
-		}
-	}()
-	stop := opts.stop()
-	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, stop); err != nil {
+	// The partition runs are removed on every exit — success, error,
+	// cancellation and panic alike; a spilled result keeps only the sorted
+	// runs countAndSeal wrote.
+	defer w.Cleanup()
+	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, opts.stop()); err != nil {
 		return nil, err
 	}
-
-	countWorkers := workpool.Resolve(workers, runs)
-	entry := format.entryBytes(k)
-	runSizes := make([]int, runs)
-	pc = &PC{keyer: k}
-	size, materialized, err := countMergeInto(opts.Ctx, pc, w, format, workers, opts.MemBudget, entry, runSizes)
+	pc, err := countAndSeal(w, k, format, workers, opts.MemBudget, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Stats.addSpill(w.Stats(), format, countWorkers)
-	if materialized {
-		return pc, nil
+	var sorted int64
+	if pc.sp != nil {
+		sorted = pc.sp.runs.Bytes()
 	}
-	keep = true
-	pc.sp = newSpilledPC(w, k, format, size, runSizes, opts.MemBudget, opts.Stats)
+	opts.Stats.addSpill(w.Stats(), sorted, format, workpool.Resolve(workers, runs))
 	return pc, nil
 }
 
-// countMergeInto runs countMerge over w's runs in its record format and,
-// when the merged counts model within the budget, stores them in pc —
-// frozen into the sorted layout for uint64 keys — and reports
-// materialized. Otherwise pc is untouched and the caller keeps the runs.
-func countMergeInto(ctx context.Context, pc *PC, w *spill.Writer, format spillFormat, workers int, budget, entry int64, runSizes []int) (size int, materialized bool, err error) {
+// countAndSeal is the count-and-write step of a spilled build, and of a
+// merge that must re-partition: it counts w's partition runs K-way and
+// turns them into the result. While the counted keys model within budget
+// (the format's map model, so the outcome matches the decision to spill),
+// each counted run is held in memory; the run that crosses the budget
+// writes every held run, itself and each later run to fresh sorted Runs.
+// Prefix sums of the per-run sizes cross the budget iff the total does, so
+// the materialize-or-stream outcome is independent of the (parallel) run
+// completion order. Each partition file is dropped once counted. A
+// result within budget materializes as an in-memory PC (sorted for uint64
+// keys); otherwise the PC serves the sorted runs merge-on-read. opts.Ctx
+// is polled before every sorted-run write as well as by the count. On
+// error nothing is left on disk but w's files, which the caller cleans up.
+func countAndSeal(w *spill.Writer, k *Keyer, format spillFormat, workers int, budget int64, opts CountOptions) (*PC, error) {
+	pc := &PC{keyer: k}
+	newRuns := func() (*spill.Runs, error) {
+		return spill.NewRuns(opts.SpillDir, format.keyWidth(k), w.NumRuns(), opts.FS)
+	}
+	entry := format.entryBytes(k)
+	var (
+		rs       *spill.Runs
+		runSizes []int
+		err      error
+	)
 	if format == spillFmtU64 {
-		m, size, err := countMerge(ctx, w.CountRunsU64Ctx, workers, budget, entry, runSizes)
-		if err == nil && m != nil {
-			pc.u = sortedFromMap(m)
+		var keys []uint64
+		var counts []int32
+		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsU64Ctx, writeRunU64, workers, budget, entry, newRuns)
+		if err == nil && rs == nil {
+			pc.u = sortedFrom(keys, counts)
 		}
-		return size, m != nil, err
+	} else {
+		var keys []string
+		var counts []int32
+		var bw byteRunWriter
+		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsCtx, bw.write, workers, budget, entry, newRuns)
+		if err == nil && rs == nil {
+			pc.s = make(map[string]int, len(keys))
+			for i, key := range keys {
+				pc.s[key] = int(counts[i])
+			}
+		}
 	}
-	m, size, err := countMerge(ctx, w.CountRunsCtx, workers, budget, entry, runSizes)
-	if err == nil && m != nil {
-		pc.s = m
+	if err != nil {
+		return nil, err
 	}
-	return size, m != nil, err
+	if rs != nil {
+		size := 0
+		for _, n := range runSizes {
+			size += n
+		}
+		pc.sp = newSpilledPC(rs, k, format, size, runSizes, budget, opts.Stats)
+	}
+	return pc, nil
+}
+
+// sealRuns is countAndSeal over one key type: count counts w's runs into
+// maps of K, write sorts one run's entries and encodes them. It returns
+// the counted entries, unsorted, when they fit the budget, and the sorted
+// runs with their sizes otherwise.
+func sealRuns[K comparable](
+	ctx context.Context, w *spill.Writer,
+	count func(ctx context.Context, cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
+	write func(rw *spill.RunWriter, keys []K, counts []int32),
+	workers int, budget, entry int64, newRuns func() (*spill.Runs, error),
+) (keys []K, counts []int32, rs *spill.Runs, runSizes []int, err error) {
+	runSizes = make([]int, w.NumRuns())
+	type heldRun struct {
+		keys   []K
+		counts []int32
+	}
+	held := make([]heldRun, w.NumRuns())
+	distinct := 0
+	var werr error
+	seal := func(run int, keys []K, counts []int32) {
+		if ctx != nil && werr == nil {
+			werr = ctx.Err()
+		}
+		if werr != nil {
+			return
+		}
+		rw := rs.RunWriter(run)
+		write(rw, keys, counts)
+		if err := rw.Close(); err != nil && werr == nil {
+			werr = err
+		}
+	}
+	// emit calls are serialized, so the closure state needs no lock.
+	_, _, err = count(ctx, -1, workers, func(run int, m map[K]int) bool {
+		ks := make([]K, 0, len(m))
+		cs := make([]int32, 0, len(m))
+		for key, c := range m {
+			ks = append(ks, key)
+			cs = append(cs, count32(c))
+		}
+		w.DropRun(run)
+		runSizes[run] = len(ks)
+		distinct += len(ks)
+		if rs == nil && int64(distinct)*entry > budget {
+			if rs, werr = newRuns(); werr != nil {
+				return false
+			}
+			for r, h := range held {
+				if len(h.keys) > 0 {
+					seal(r, h.keys, h.counts)
+				}
+			}
+			held = nil
+		}
+		if rs != nil {
+			seal(run, ks, cs)
+		} else {
+			held[run] = heldRun{ks, cs}
+		}
+		return werr == nil
+	})
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		if rs != nil {
+			rs.Cleanup()
+		}
+		return nil, nil, nil, nil, err
+	}
+	if rs != nil {
+		return nil, nil, rs, runSizes, nil
+	}
+	keys = make([]K, 0, distinct)
+	counts = make([]int32, 0, distinct)
+	for _, h := range held {
+		keys = append(keys, h.keys...)
+		counts = append(counts, h.counts...)
+	}
+	return keys, counts, nil, runSizes, nil
+}
+
+// writeRunU64 sorts one run's uint64 entries and encodes them.
+func writeRunU64(rw *spill.RunWriter, keys []uint64, counts []int32) {
+	sc := sortedFrom(keys, counts)
+	for i, key := range sc.Keys {
+		rw.AddU64(key, int(sc.Counts[i]))
+	}
+}
+
+// byteRunWriter sorts and encodes byte-string runs, reusing its scratch
+// across runs: countAndSeal's emit calls are serialized.
+type byteRunWriter struct {
+	prefix []uint64
+	order  []int32
+	key    []byte
+}
+
+// write orders one run's entries by key — a radix sort on each key's
+// first eight bytes read big-endian, then a comparison sort of the rare
+// keys that share them — and encodes them.
+func (bw *byteRunWriter) write(rw *spill.RunWriter, keys []string, counts []int32) {
+	bw.prefix, bw.order = bw.prefix[:0], bw.order[:0]
+	var b [8]byte
+	for i, key := range keys {
+		b = [8]byte{}
+		copy(b[:], key)
+		bw.prefix = append(bw.prefix, binary.BigEndian.Uint64(b[:]))
+		bw.order = append(bw.order, int32(i))
+	}
+	prefix, order := radixSort(bw.prefix, bw.order)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && prefix[hi] == prefix[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(x, y int32) int { return strings.Compare(keys[x], keys[y]) })
+		}
+		lo = hi
+	}
+	for _, i := range order {
+		bw.key = append(bw.key[:0], keys[i]...)
+		rw.AddBytes(bw.key, int(counts[i]))
+	}
 }
 
 // labelSizeSpill is the external-memory LabelSize kernel: exactly the
@@ -410,7 +548,7 @@ func labelSizeSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format s
 	if err != nil {
 		return 0, false, err
 	}
-	opts.Stats.addSpill(w.Stats(), format, workpool.Resolve(workers, runs))
+	opts.Stats.addSpill(w.Stats(), 0, format, workpool.Resolve(workers, runs))
 	return size, within, nil
 }
 
@@ -561,6 +699,6 @@ func countSharedTarget(mw *spill.MultiWriter, i int, sp spilledSet, cap, workers
 	if err != nil {
 		return 0, false, err
 	}
-	opts.Stats.addSpill(w.Stats(), sp.format, workpool.Resolve(workers, sp.runs))
+	opts.Stats.addSpill(w.Stats(), 0, sp.format, workpool.Resolve(workers, sp.runs))
 	return size, within, nil
 }

@@ -241,9 +241,14 @@ func TestSpillU64Format(t *testing.T) {
 	if stats.Spilled != 1 || stats.SpilledU64 != 1 {
 		t.Fatalf("Spilled=%d SpilledU64=%d, want 1/1", stats.Spilled, stats.SpilledU64)
 	}
-	// 8-byte records, one per non-NULL row.
-	if stats.SpillBytes%spillRecWidthU64 != 0 {
-		t.Fatalf("SpillBytes = %d not a multiple of the u64 record width", stats.SpillBytes)
+	// 8-byte records, one per non-NULL row, in 8-byte-header frames,
+	// plus the sorted runs a spilled result keeps.
+	var sorted int64
+	if r := got.Repr(); r.Spill != nil {
+		sorted = r.Spill.Runs.Bytes()
+	}
+	if (stats.SpillBytes-sorted)%spillRecWidthU64 != 0 {
+		t.Fatalf("SpillBytes = %d less %d sorted-run bytes is not a multiple of the u64 record width", stats.SpillBytes, sorted)
 	}
 	got.ReleaseSpill()
 	assertNoSpillFiles(t, opts.SpillDir)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,26 +11,27 @@ import (
 )
 
 // spilledPC is the merge-on-read PC representation: a pattern-count index
-// whose merged map modeled over CountOptions.MemBudget, so instead of
-// materializing it the index retains its on-disk spill runs and serves the
-// PC consumer surface (Size / LookupValsCtx / EachCtx) by streaming them.
-// Size is precomputed during the build's count pass; EachCtx streams one
-// run at a time; LookupValsCtx routes a key to the single run that can
-// hold it (the same hash partition every occurrence took) and consults
-// that run's counts.
+// whose counted map modeled over CountOptions.MemBudget, so instead of
+// materializing it the index keeps its counted runs on disk as sorted
+// (key, count) entries (spill.Runs) and serves the PC consumer surface
+// (Size / LookupValsCtx / EachCtx) from them. Size and the run sizes are
+// known from the count pass; EachCtx walks one run at a time; LookupValsCtx
+// routes a key to the single run that can hold it (the same hash partition
+// every occurrence took) and consults that run's counts.
 //
-// A run is read into memory whole, once per cache miss, by counting its
-// records into a map of its distinct keys: byte-string runs are cached as
-// that map[string]int, uint64 runs as the map frozen into the sorted
-// layout (SortedCounts, looked up by binary search). Reads are
-// budget-bounded: a pinned hot-run cache admits loaded runs while their
-// cost fits the budget, and one floating slot holds the most recently
-// loaded run beyond it, so peak read memory is roughly the budget plus
-// one run, plus the map of the run being loaded. The cache charges what a
-// run really holds — 12 bytes an entry for a sorted run, the map model
-// for a byte run — not the 56-byte uint64 map model (spillEntryBytesU64
-// plus the key) that decided, at build time, to spill and how many runs
-// to write.
+// A run is read into memory whole, once per cache miss, by decoding its
+// entries straight into their in-memory form: a uint64 run into the
+// sorted layout (SortedCounts, looked up by binary search), a byte-string
+// run into a map[string]int. No counting map is built: the entries on
+// disk are already distinct and in key order, and their number (the run
+// size) sizes the load's allocations exactly. Reads are budget-bounded: a
+// pinned hot-run cache admits loaded runs while their cost fits the
+// budget, and one floating slot holds the most recently loaded run beyond
+// it, so peak read memory is roughly the budget plus one run, plus the
+// run being loaded. The cache charges what a run really holds — 12 bytes
+// an entry for a sorted run, the map model for a byte run — not the
+// 56-byte uint64 map model (spillEntryBytesU64 plus the key) that decided,
+// at build time, to spill and how many runs to write.
 // So a uint64 index pins every run when its entries would fill up to 4.7
 // budgets at the map model, and its lookups then read no run file at all.
 //
@@ -43,13 +43,13 @@ import (
 //     never mutated, so lookups that hit a pinned run take no lock at all
 //     — the read-mostly fast path: one snapshot load and one binary search.
 //   - A per-run load mutex serializes loading any one run, so concurrent
-//     misses on the same run perform one file scan, while misses on
+//     misses on the same run perform one run read, while misses on
 //     different runs load in parallel.
 //   - A small admission mutex guards the floating slot and the hot-cost
 //     accounting — the only remaining shared-write section, held for a few
 //     pointer updates, never across I/O.
 //   - A liveness RWMutex makes release atomic with run reads: loads hold
-//     the read side across the released-check and the file scan, release
+//     the read side across the released-check and the run read, release
 //     takes the write side before deleting the run files. A lookup racing
 //     ReleaseSpill therefore either completes or fails with the documented
 //     "use of a released spilled PC" panic — never a raw file-read error.
@@ -70,9 +70,9 @@ import (
 // attached as a safety net so an unreferenced spilled PC still removes its
 // private temp directory. Using a released spilled PC panics.
 type spilledPC struct {
-	w        *spill.Writer
+	runs     *spill.Runs
 	keyer    *Keyer
-	u64      bool // uint64 record format (vs byte-string)
+	u64      bool // uint64 keys (vs byte-string)
 	size     int  // total distinct patterns, exact
 	runSizes []int
 	budget   int64 // pinned hot-run cache budget
@@ -102,7 +102,7 @@ type spillReadStats struct {
 
 // SpillReadStats is a point-in-time snapshot of a spilled PC's read-path
 // counters: lock-free pinned-run hits, floating-slot hits, run-file loads
-// (each load is one full scan of a run file), failed read attempts, and
+// (each load is one full decode of a run file), failed read attempts, and
 // bounded retries of failed attempts. A ReadErrors count equal to Retries
 // means every failure recovered on retry; ReadErrors beyond that surfaced
 // to callers as errors.
@@ -115,12 +115,12 @@ type SpillReadStats struct {
 }
 
 // runStore caches one spilled PC's loaded runs, R being a run's in-memory
-// form: *SortedCounts for uint64 records, map[string]int for byte-string
-// records. Runs are immutable once published; see the locking model on
+// form: *SortedCounts for uint64 keys, map[string]int for byte-string
+// keys. Runs are immutable once published; see the locking model on
 // spilledPC.
 type runStore[R any] struct {
 	sp   *spilledPC
-	read func(ctx context.Context, run int) (R, error) // one scan attempt
+	read func(ctx context.Context, run int) (R, error) // one read attempt
 	cost func(R) int64                                 // bytes a loaded run holds
 
 	hot atomic.Pointer[map[int]R] // immutable snapshot, copy-on-write
@@ -151,7 +151,7 @@ func newRunStore[R any](sp *spilledPC, read func(context.Context, int) (R, error
 // floating slot moves on — callers may iterate it without any lock. A
 // failed (and once-retried) run read returns an error; nothing is cached,
 // so a later call retries the load from scratch. ctx (nil for unarmed
-// callers) bounds the load's file scan; cache hits never consult it.
+// callers) bounds the load's run read; cache hits never consult it.
 func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 	if m, ok := (*rs.hot.Load())[run]; ok {
 		rs.sp.stats.hotHits.Add(1)
@@ -191,7 +191,7 @@ func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 }
 
 // load reads run's file, retrying once on failure. The liveness read-lock
-// is held across the released-check and the scans, so a concurrent
+// is held across the released-check and the decode, so a concurrent
 // release cannot delete the files mid-read: a lookup racing ReleaseSpill
 // either completes or panics with the documented message.
 //
@@ -199,7 +199,7 @@ func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 // discarded and the error propagates. One bounded retry absorbs transient
 // faults (a device-level hiccup recovers; a checksum mismatch on corrupt
 // data fails again deterministically). Both the failures and the retry are
-// metered. A cancelled scan is neither retried nor metered as a read
+// metered. A cancelled read is neither retried nor metered as a read
 // error: the disk did nothing wrong, the caller just left.
 func (rs *runStore[R]) load(ctx context.Context, run int) (R, error) {
 	sp := rs.sp
@@ -227,61 +227,55 @@ func (rs *runStore[R]) load(ctx context.Context, run int) (R, error) {
 	return m, nil
 }
 
-// spillReadCheckRecs is the cancellation stride of a run-file scan: an
-// armed context is polled once per this many records, so an abandoned
-// spilled read stops mid-run while the per-record cost of the check stays
-// in the noise. Unarmed (nil-ctx) scans skip the polling entirely.
-const spillReadCheckRecs = 1024
-
-// scanRecords is one attempt at streaming run's records through add.
-func (sp *spilledPC) scanRecords(ctx context.Context, run int, add func(rec []byte)) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	recs := 0
-	canceled := false
-	if err := sp.w.ScanRun(run, func(rec []byte) bool {
-		if done != nil {
-			if recs++; recs%spillReadCheckRecs == 0 {
-				select {
-				case <-done:
-					canceled = true
-					return false
-				default:
-				}
-			}
-		}
-		add(rec)
+// decodeSorted loads a uint64 run into the sorted layout: its entries decode
+// straight into key and count slices of the run's exact size. The keys
+// must also lie inside the key space, which the last (largest) bounds.
+func (sp *spilledPC) decodeSorted(ctx context.Context, run int) (*SortedCounts, error) {
+	n := sp.runSizes[run]
+	sc := &SortedCounts{Keys: make([]uint64, 0, n), Counts: make([]int32, 0, n)}
+	if err := sp.runs.EachU64(ctx, run, func(key uint64, c int) bool {
+		sc.Keys = append(sc.Keys, key)
+		sc.Counts = append(sc.Counts, int32(c))
 		return true
 	}); err != nil {
-		return err
-	}
-	if canceled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// readSorted loads a uint64 run as the sorted layout: its records (one per
-// counted row) are counted into a map of the run's distinct keys, which is
-// then frozen, so a load's transient memory follows the run's keys, not
-// its records.
-func (sp *spilledPC) readSorted(ctx context.Context, run int) (*SortedCounts, error) {
-	m := make(map[uint64]int, sp.runSizes[run])
-	if err := sp.scanRecords(ctx, run, func(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }); err != nil {
 		return nil, err
 	}
-	return sortedFromMap(m), nil
+	if len(sc.Keys) != n {
+		return nil, runCorrupt(run, "holds %d entries, run size %d", len(sc.Keys), n)
+	}
+	if radix, _ := sp.keyer.Radix(); n > 0 && sc.Keys[n-1] >= radix {
+		return nil, runCorrupt(run, "key %d outside the key space [0, %d)", sc.Keys[n-1], radix)
+	}
+	return sc, nil
 }
 
-// readMap loads a byte-string run as a count map.
-func (sp *spilledPC) readMap(ctx context.Context, run int) (map[string]int, error) {
+// decodeMap loads a byte-string run into a count map.
+func (sp *spilledPC) decodeMap(ctx context.Context, run int) (map[string]int, error) {
 	m := make(map[string]int, sp.runSizes[run])
-	if err := sp.scanRecords(ctx, run, func(rec []byte) { m[string(rec)]++ }); err != nil {
+	var bad []byte
+	if err := sp.runs.EachBytes(ctx, run, func(key []byte, c int) bool {
+		if !sp.keyer.validBytes(key) {
+			bad = append(bad, key...)
+			return false
+		}
+		m[string(key)] = c
+		return true
+	}); err != nil {
 		return nil, err
+	}
+	if bad != nil {
+		return nil, runCorrupt(run, "key %x holds a value outside its attribute's domain", bad)
+	}
+	if len(m) != sp.runSizes[run] {
+		return nil, runCorrupt(run, "holds %d entries, run size %d", len(m), sp.runSizes[run])
 	}
 	return m, nil
+}
+
+// runCorrupt reports a run whose verified entries still cannot be this
+// index's: a typed spill.CorruptError, like every failed run read.
+func runCorrupt(run int, format string, args ...any) error {
+	return &spill.CorruptError{Run: run, Off: -1, Detail: fmt.Sprintf(format, args...)}
 }
 
 // place admits a freshly loaded run: pinned into the hot snapshot when its
@@ -315,9 +309,9 @@ func (rs *runStore[R]) drop() {
 	rs.admit.Unlock()
 }
 
-func newSpilledPC(w *spill.Writer, k *Keyer, format spillFormat, size int, runSizes []int, budget int64, scanStats *ScanStats) *spilledPC {
+func newSpilledPC(rs *spill.Runs, k *Keyer, format spillFormat, size int, runSizes []int, budget int64, scanStats *ScanStats) *spilledPC {
 	sp := &spilledPC{
-		w:         w,
+		runs:      rs,
 		keyer:     k,
 		u64:       format == spillFmtU64,
 		size:      size,
@@ -326,21 +320,21 @@ func newSpilledPC(w *spill.Writer, k *Keyer, format spillFormat, size int, runSi
 		scanStats: scanStats,
 	}
 	if sp.u64 {
-		sp.ru = newRunStore(sp, sp.readSorted, func(s *SortedCounts) int64 { return 12 * int64(len(s.Keys)) })
+		sp.ru = newRunStore(sp, sp.decodeSorted, func(s *SortedCounts) int64 { return 12 * int64(len(s.Keys)) })
 	} else {
 		entry := format.entryBytes(k)
-		sp.rs = newRunStore(sp, sp.readMap, func(m map[string]int) int64 { return int64(len(m)) * entry })
+		sp.rs = newRunStore(sp, sp.decodeMap, func(m map[string]int) int64 { return int64(len(m)) * entry })
 	}
 	// Safety net: when the PC is dropped without ReleaseSpill, the GC
-	// still removes the run files. The argument is the writer (not sp), so
+	// still removes the run files. The argument is the runs (not sp), so
 	// the cleanup does not keep sp reachable.
-	sp.cleanup = runtime.AddCleanup(sp, func(w *spill.Writer) { w.Cleanup() }, w)
+	sp.cleanup = runtime.AddCleanup(sp, func(rs *spill.Runs) { rs.Cleanup() }, rs)
 	return sp
 }
 
 // release frees the on-disk runs and the cached runs. Idempotent. The
 // liveness write-lock excludes every in-flight run read, so the files are
-// only deleted once no reader is inside a scan.
+// only deleted once no reader is inside a run read.
 func (sp *spilledPC) release() {
 	sp.liveMu.Lock()
 	defer sp.liveMu.Unlock()
@@ -348,29 +342,7 @@ func (sp *spilledPC) release() {
 		return
 	}
 	sp.cleanup.Stop()
-	sp.w.Cleanup()
-	if sp.ru != nil {
-		sp.ru.drop()
-	}
-	if sp.rs != nil {
-		sp.rs.drop()
-	}
-}
-
-// detach retires this spilled view without touching the run files: the GC
-// cleanup is stopped and the cached runs dropped, but the writer — and the
-// on-disk runs it manages — passes to a successor index built over the same
-// (possibly appended-to) directory. Incremental merge uses it when the
-// merged PC stays spilled: the old view must stop serving (its size and run
-// sizes are stale) yet must not delete runs the new view is about to serve.
-// Idempotent; using the detached view afterwards panics like a released one.
-func (sp *spilledPC) detach() {
-	sp.liveMu.Lock()
-	defer sp.liveMu.Unlock()
-	if sp.released.Swap(true) {
-		return
-	}
-	sp.cleanup.Stop()
+	sp.runs.Cleanup()
 	if sp.ru != nil {
 		sp.ru.drop()
 	}
@@ -424,7 +396,7 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 		if !ok {
 			return 0, nil
 		}
-		run, err := sp.ru.get(ctx, sp.w.RunOfU64(key))
+		run, err := sp.ru.get(ctx, sp.runs.RunOfU64(key))
 		if err != nil {
 			return 0, err
 		}
@@ -435,7 +407,7 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 	if !ok {
 		return 0, nil
 	}
-	m, err := sp.rs.get(ctx, sp.w.RunOf(b))
+	m, err := sp.rs.get(ctx, sp.runs.RunOf(b))
 	if err != nil {
 		return 0, err
 	}
@@ -449,8 +421,8 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 // runs — loaded runs are immutable — so fn may re-enter this PC
 // (LookupValsCtx, EachCtx, MarginalizeCtx) freely. A failed run read aborts the
 // iteration with the error; fn has then seen a prefix of the entries. ctx
-// (nil when unarmed) is consulted at run boundaries and inside each run's
-// file scan, so abandoning a long streaming iteration stops promptly.
+// (nil when unarmed) is consulted at run boundaries and at every frame of
+// a run's decode, so abandoning a long streaming iteration stops promptly.
 func (sp *spilledPC) eachE(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
 	sp.checkLive()
 	vals := make([]uint16, n)

@@ -179,5 +179,5 @@ func lDir(t *testing.T, l *core.Label) string {
 	if r.Spill == nil {
 		t.Fatal("label is not spilled")
 	}
-	return filepath.Dir(r.Spill.Writer.Dir())
+	return filepath.Dir(r.Spill.Runs.Dir())
 }

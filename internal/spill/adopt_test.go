@@ -1,17 +1,38 @@
 package spill
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"pcbl/internal/iofault"
 )
 
-// spillRecords writes n records through one shard and returns the writer
-// plus the reference counts.
-func spillRecords(t *testing.T, n, distinct, width int) (*Writer, map[string]int) {
+// spillRecords partitions n records into five runs and seals them into
+// sorted runs, returning those plus the reference counts.
+func spillRecords(t *testing.T, n, distinct, width int) (*Runs, map[string]int) {
+	t.Helper()
+	return spillRecordsFS(t, nil, n, distinct, width)
+}
+
+// spillRecordsFS is spillRecords with the I/O routed through fsys.
+func spillRecordsFS(t *testing.T, fsys iofault.FS, n, distinct, width int) (*Runs, map[string]int) {
+	t.Helper()
+	w, ref := partitionRecords(t, fsys, n, distinct, width)
+	defer w.Cleanup()
+	return sealRecords(t, w, fsys), ref
+}
+
+// partitionRecords writes n records through two shards into five
+// partition runs and returns the writer plus the reference counts.
+func partitionRecords(t *testing.T, fsys iofault.FS, n, distinct, width int) (*Writer, map[string]int) {
 	t.Helper()
 	recs, ref := genRecords(n, distinct, width, 0xADAF)
-	w, err := NewWriter(Config{RecWidth: width, Runs: 5})
+	w, err := NewWriter(Config{RecWidth: width, Runs: 5, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,18 +40,48 @@ func spillRecords(t *testing.T, n, distinct, width int) (*Writer, map[string]int
 	return w, ref
 }
 
-// countAll merges every run of w into one map.
-func countAll(t *testing.T, w *Writer) map[string]int {
+// sealRecords counts w's partition runs and writes each as a sorted run,
+// as a spilled build does.
+func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 	t.Helper()
-	got := make(map[string]int)
-	_, _, err := w.CountRunsCtx(nil, -1, 1, func(run int, counts map[string]int) bool {
-		for k, v := range counts {
-			got[k] += v
-		}
-		return true
-	})
+	rs, err := NewRuns("", w.cfg.RecWidth, w.NumRuns(), fsys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var werr error
+	if _, _, err := w.CountRunsCtx(nil, -1, 1, func(run int, counts map[string]int) bool {
+		keys := make([]string, 0, len(counts))
+		for k := range counts {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		rw := rs.RunWriter(run)
+		for _, k := range keys {
+			rw.AddBytes([]byte(k), counts[k])
+		}
+		werr = rw.Close()
+		return werr == nil
+	}); err != nil || werr != nil {
+		t.Fatal(err, werr)
+	}
+	return rs
+}
+
+// countAll reads every run of rs into one map, checking that each key
+// routes to the run holding it.
+func countAll(t *testing.T, rs *Runs) map[string]int {
+	t.Helper()
+	got := make(map[string]int)
+	for run := 0; run < rs.NumRuns(); run++ {
+		if err := rs.EachBytes(nil, run, func(key []byte, c int) bool {
+			if rs.RunOf(key) != run {
+				t.Fatalf("key %x in run %d routes to run %d", key, run, rs.RunOf(key))
+			}
+			got[string(key)] += c
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return got
 }
@@ -93,7 +144,7 @@ func TestOpenServesAdoptedRuns(t *testing.T) {
 	}
 	w.Cleanup()
 
-	r, err := Open(dst, width, runs, nil, nil)
+	r, err := Open(dst, width, runs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +179,7 @@ func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
 	// Both artifact directories must hold complete, independently readable
 	// run sets.
 	for _, dir := range []string{first, second} {
-		r, err := Open(dir, 6, w.NumRuns(), nil, nil)
+		r, err := Open(dir, 6, w.NumRuns(), nil)
 		if err != nil {
 			t.Fatalf("open %s: %v", dir, err)
 		}
@@ -153,7 +204,7 @@ func TestOpenRejectsTruncatedRun(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dst, 6, w.NumRuns(), nil, nil); err == nil {
+	if _, err := Open(dst, 6, w.NumRuns(), nil); err == nil {
 		t.Fatal("Open accepted a truncated run file")
 	}
 }
@@ -163,7 +214,58 @@ func TestOpenMissingRun(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "run-0000"), make([]byte, 12), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 6, 2, nil, nil); err == nil {
+	if _, err := Open(dir, 6, 2, nil); err == nil {
 		t.Fatal("Open accepted a directory missing run files")
+	}
+}
+
+// TestOpenChecksSortedHeaders: Open rejects, from frame headers alone, a
+// frame whose entries could not fit its payload (at least two bytes an
+// entry), that declares no entries or more than a frame holds, or fewer
+// rows than entries — so the entries a run declares, which size its load,
+// are bounded by its bytes on disk.
+func TestOpenChecksSortedHeaders(t *testing.T) {
+	rs, err := NewRuns(t.TempDir(), U64Keys, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Cleanup()
+	rw := rs.RunWriter(0)
+	for k := uint64(0); k < 100; k++ {
+		rw.AddU64(k*1000, 1)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(runPath(rs.Dir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Open(rs.Dir(), U64Keys, 1, nil); err != nil || r.Entries(0) != 100 || r.Rows() != 100 {
+		t.Fatalf("Open of the saved run: %v", err)
+	} else {
+		r.Cleanup()
+	}
+	plen := binary.LittleEndian.Uint32(saved[0:4])
+	for _, tc := range []struct {
+		name          string
+		entries, rows uint32
+	}{
+		{"entries past payload/2", plen/2 + 1, plen},
+		{"no entries", 0, 100},
+		{"entries past a frame", frameEntries + 1, frameEntries + 1},
+		{"rows under entries", 100, 99},
+	} {
+		data := slices.Clone(saved)
+		binary.LittleEndian.PutUint32(data[4:8], tc.entries)
+		binary.LittleEndian.PutUint32(data[8:12], tc.rows)
+		binary.LittleEndian.PutUint32(data[12:16], crc32.Update(crc32.Checksum(data[:12], castagnoli), castagnoli, data[sortedHdrLen:]))
+		dir := t.TempDir()
+		if err := os.WriteFile(runPath(dir, 0), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, U64Keys, 1, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }

@@ -13,18 +13,6 @@ import (
 	"pcbl/internal/iofault"
 )
 
-// spillRecordsFS is spillRecords with the I/O routed through fsys.
-func spillRecordsFS(t *testing.T, fsys iofault.FS, n, distinct, width int) (*Writer, map[string]int) {
-	t.Helper()
-	recs, ref := genRecords(n, distinct, width, 0xADAF)
-	w, err := NewWriter(Config{RecWidth: width, Runs: 5, FS: fsys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeAll(t, w, recs, 2)
-	return w, ref
-}
-
 // TestAdoptIntoCopyFallbackIsDurable forces every rename to fail — the
 // EXDEV case, dst on another filesystem — so AdoptInto must fall back to
 // copying. The copies must be fsynced before the source directory is
@@ -81,11 +69,11 @@ func TestAdoptIntoCopyFaultKeepsSource(t *testing.T) {
 	}
 }
 
-// TestScanDetectsFrameCorruption flips one payload byte in a framed run
-// and asserts the scan reports a typed corruption error instead of
-// feeding the damaged records to the callback.
+// TestScanDetectsFrameCorruption flips one payload byte in a framed
+// partition run and asserts the scan reports a typed corruption error
+// instead of feeding the damaged records to the callback.
 func TestScanDetectsFrameCorruption(t *testing.T) {
-	w, _ := spillRecords(t, 4000, 300, 6)
+	w, _ := partitionRecords(t, nil, 4000, 300, 6)
 	defer w.Cleanup()
 	// Corrupt a payload byte (past the 8-byte header) of the largest run.
 	var victim string

@@ -6,6 +6,7 @@ package spill
 // multiple counting workers.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -120,37 +121,90 @@ func TestU64CapAbort(t *testing.T) {
 	}
 }
 
-// TestScanRunRoundTrip pins the merge-on-read reading surface: ScanRun
-// streams exactly the records of one run, every record routes back to its
-// run via RunOf, and concatenating all runs reproduces the reference
-// multiset.
+// TestScanRunRoundTrip pins the merge-on-read reading surface: a sealed
+// run streams exactly its entries, in strictly ascending key order, every
+// key routes back to its run, and the runs together reproduce the
+// reference counts — for byte-string keys and for gap-coded uint64 keys
+// spanning many frames.
 func TestScanRunRoundTrip(t *testing.T) {
 	const width = 5
-	recs, ref := genRecords(8000, 300, width, 21)
-	w, err := NewWriter(Config{RecWidth: width, Runs: 4, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Cleanup()
-	writeAll(t, w, recs, 2)
-	got := make(map[string]int)
-	for run := 0; run < w.NumRuns(); run++ {
-		if err := w.ScanRun(run, func(rec []byte) bool {
-			if w.RunOf(rec) != run {
-				t.Fatalf("record in run %d routes to run %d", run, w.RunOf(rec))
+	rs, ref := spillRecords(t, 8000, 300, width)
+	defer rs.Cleanup()
+	for run := 0; run < rs.NumRuns(); run++ {
+		var last []byte
+		n := 0
+		if err := rs.EachBytes(nil, run, func(key []byte, c int) bool {
+			if last != nil && bytes.Compare(key, last) <= 0 {
+				t.Fatalf("run %d: key %x after %x", run, key, last)
 			}
-			got[string(rec)]++
+			last = append(last[:0], key...)
+			n++
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if n != rs.Entries(run) {
+			t.Fatalf("run %d streamed %d entries, wrote %d", run, n, rs.Entries(run))
+		}
 	}
+	got := countAll(t, rs)
 	if len(got) != len(ref) {
-		t.Fatalf("scanned %d distinct records, want %d", len(got), len(ref))
+		t.Fatalf("scanned %d distinct keys, want %d", len(got), len(ref))
 	}
 	for k, c := range ref {
 		if got[k] != c {
-			t.Fatalf("record multiplicity mismatch: got %d, want %d", got[k], c)
+			t.Fatalf("key count mismatch: got %d, want %d", got[k], c)
+		}
+	}
+
+	// uint64 keys: 3 runs of up to 3 frames each, with gaps from 1 to 2^40.
+	u, err := NewRuns(t.TempDir(), U64Keys, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Cleanup()
+	want := make([][]uint64, 3)
+	rng := rand.New(rand.NewPCG(22, 0))
+	key := uint64(0)
+	for i := 0; i < 3*frameEntries; i++ {
+		key += 1 + rng.Uint64N(1<<uint(rng.IntN(41)))
+		want[u.RunOfU64(key)] = append(want[u.RunOfU64(key)], key)
+	}
+	var rows int64
+	for run, keys := range want {
+		rw := u.RunWriter(run)
+		for i, k := range keys {
+			rw.AddU64(k, 1+i%7)
+			rows += int64(1 + i%7)
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := Open(u.Dir(), U64Keys, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cleanup()
+	if r.Rows() != rows {
+		t.Fatalf("headers declare %d rows, wrote %d", r.Rows(), rows)
+	}
+	for run, keys := range want {
+		if r.Entries(run) != len(keys) {
+			t.Fatalf("run %d headers declare %d entries, wrote %d", run, r.Entries(run), len(keys))
+		}
+		i := 0
+		if err := r.EachU64(nil, run, func(k uint64, c int) bool {
+			if k != keys[i] || c != 1+i%7 {
+				t.Fatalf("run %d entry %d = (%d, %d), wrote (%d, %d)", run, i, k, c, keys[i], 1+i%7)
+			}
+			i++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(keys) {
+			t.Fatalf("run %d streamed %d entries, wrote %d", run, i, len(keys))
 		}
 	}
 }

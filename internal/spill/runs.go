@@ -1,0 +1,660 @@
+package spill
+
+// Sorted runs: the persistent layout of a spilled pattern-count index.
+//
+// A partition run (Writer) holds one raw record per counted row, in
+// arrival order; it exists only until it is counted. A sorted run holds
+// what counting a partition run yields — its distinct keys, strictly
+// ascending, each with its count — and is what a merge-on-read index
+// serves, what an artifact persists and what a merge rewrites. The K
+// sorted runs keep the partition routing of the records they were counted
+// from, so every key still lives in the single run RunOf names.
+//
+// A sorted run file is a sequence of self-checksummed frames of at most
+// frameEntries entries:
+//
+//	uint32 payload_len | uint32 entries | uint32 rows | uint32 crc32c | payload
+//
+// rows is the sum of the frame's counts and crc32c is the CRC32C of the
+// first twelve header bytes followed by the payload. An entry is
+//
+//	uint64 keys:     uvarint key gap | uvarint count
+//	byte-string keys: key (KeyWidth bytes) | uvarint count
+//
+// where a uint64 key is stored as its gap from the previous key of the
+// same frame, and the first key of a frame as its gap from 0. This is
+// delta plus variable-byte coding of sorted integers (Lemire & Boytsov,
+// "Decoding billions of integers per second through vectorization", SPE
+// 2015): the keys of a high-cardinality run cost three to four bytes
+// each instead of the raw record's eight per row.
+//
+// Open walks the frame headers only, so it learns every run's entries and
+// rows without decoding a payload and rejects a header that promises more
+// entries than its payload bytes can hold. Payloads verify on first read:
+// each frame's checksum before any of its entries is decoded, then strict
+// key order (across frames too), positive counts, whole varints, totals
+// that match the header and keys that route to their run.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"sync"
+
+	"pcbl/internal/iofault"
+)
+
+// U64Keys is the key width that selects uint64 keys, stored as uvarint
+// gaps; any positive key width selects fixed-width byte-string keys.
+const U64Keys = 0
+
+const (
+	// sortedHdrLen is the byte length of a sorted-run frame header.
+	sortedHdrLen = 16
+	// frameEntries bounds the entries of one sorted-run frame, so a reader
+	// holds one frame of at most a few tens of KiB at a time.
+	frameEntries = 4096
+	// maxCountBytes and maxGapBytes are the longest uvarints a count (at
+	// most math.MaxUint32) and a uint64 key gap take.
+	maxCountBytes = 5
+	maxGapBytes   = binary.MaxVarintLen64
+)
+
+// Runs is a directory of K sorted runs. NewRuns creates an empty one that
+// RunWriter fills run by run; Open reopens one an artifact adopted. Reads
+// are safe for concurrent use with each other; Cleanup and AdoptInto
+// must not run concurrently with reads or writes.
+type Runs struct {
+	fs       iofault.FS
+	dir      string
+	owns     bool // created the files; Cleanup deletes them and the dir
+	keyWidth int
+	files    []iofault.File
+	entries  []int   // per run: entries, from the frame headers
+	rows     []int64 // per run: rows, from the frame headers
+	bytes    []int64 // per run: file bytes
+	done     bool
+}
+
+func newRuns(fsys iofault.FS, dir string, keyWidth, runs int) (*Runs, error) {
+	if keyWidth < 0 {
+		return nil, fmt.Errorf("spill: key width must not be negative, got %d", keyWidth)
+	}
+	if runs < 1 {
+		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", runs)
+	}
+	return &Runs{
+		fs:       fsys,
+		dir:      dir,
+		keyWidth: keyWidth,
+		files:    make([]iofault.File, runs),
+		entries:  make([]int, runs),
+		rows:     make([]int64, runs),
+		bytes:    make([]int64, runs),
+	}, nil
+}
+
+// NewRuns creates K empty sorted runs in a fresh private directory under
+// dir (empty means the system temp directory); the Runs owns them until
+// AdoptInto. Fill each run once with RunWriter. fsys nil means the OS
+// filesystem.
+func NewRuns(dir string, keyWidth, runs int, fsys iofault.FS) (*Runs, error) {
+	fsys = iofault.Resolve(fsys)
+	rs, err := newRuns(fsys, "", keyWidth, runs)
+	if err != nil {
+		return nil, err
+	}
+	if rs.dir, err = fsys.MkdirTemp(dir, "pcbl-runs-*"); err != nil {
+		return nil, wrapNoSpace(err)
+	}
+	rs.owns = true
+	for i := range rs.files {
+		f, err := fsys.Create(runPath(rs.dir, i))
+		if err != nil {
+			rs.Cleanup()
+			return nil, wrapNoSpace(err)
+		}
+		rs.files[i] = f
+	}
+	return rs, nil
+}
+
+// Open reopens a directory of sorted runs read-only — the runs a label
+// artifact adopted. Every run's frame chain is walked header by header:
+// a truncated frame, a bad length, or a frame promising more entries or
+// fewer rows than its payload can hold fails with a CorruptError, and the
+// totals the headers declare are available from Entries and Rows without
+// any payload read. Payloads verify on first read. The Runs does not own
+// the files: Cleanup closes them and leaves the directory intact. fsys
+// nil means the OS filesystem.
+func Open(dir string, keyWidth, runs int, fsys iofault.FS) (*Runs, error) {
+	rs, err := newRuns(iofault.Resolve(fsys), dir, keyWidth, runs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rs.files {
+		f, err := rs.fs.Open(runPath(dir, i))
+		if err != nil {
+			rs.Cleanup()
+			return nil, err
+		}
+		rs.files[i] = f
+		if err := rs.walkHeaders(i); err != nil {
+			rs.Cleanup()
+			return nil, err
+		}
+	}
+	return rs, nil
+}
+
+// walkHeaders validates run's frame chain from its headers alone and
+// records the run's entries, rows and bytes.
+func (rs *Runs) walkHeaders(run int) error {
+	f := rs.files[run]
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	var hdr [sortedHdrLen]byte
+	var off int64
+	for off < size {
+		if size-off < sortedHdrLen {
+			return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d trailing bytes)", size-off)}
+		}
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return err
+		}
+		plen, n, rows := rs.parseHeader(hdr[:])
+		if err := rs.checkHeader(run, off, plen, n, rows); err != nil {
+			return err
+		}
+		if off+sortedHdrLen+int64(plen) > size {
+			return &CorruptError{Run: run, Off: off,
+				Detail: fmt.Sprintf("frame declares %d payload bytes, file ends %d short", plen, off+sortedHdrLen+int64(plen)-size)}
+		}
+		rs.entries[run] += n
+		rs.rows[run] += int64(rows)
+		off += sortedHdrLen + int64(plen)
+	}
+	rs.bytes[run] = size
+	return nil
+}
+
+func (rs *Runs) parseHeader(hdr []byte) (plen, entries int, rows uint32) {
+	return int(binary.LittleEndian.Uint32(hdr[0:4])), int(binary.LittleEndian.Uint32(hdr[4:8])), binary.LittleEndian.Uint32(hdr[8:12])
+}
+
+// minEntryBytes and maxEntryBytes bound one entry's encoded length: a
+// uint64 entry is at least a gap byte and a count byte.
+func (rs *Runs) minEntryBytes() int { return max(rs.keyWidth, 1) + 1 }
+
+func (rs *Runs) maxEntryBytes() int {
+	if rs.keyWidth == U64Keys {
+		return maxGapBytes + maxCountBytes
+	}
+	return rs.keyWidth + maxCountBytes
+}
+
+// checkHeader validates one frame header: between 1 and frameEntries
+// entries, a payload long enough to hold them and no longer than their
+// longest encoding, and at least one row per entry.
+func (rs *Runs) checkHeader(run int, off int64, plen, entries int, rows uint32) error {
+	switch {
+	case entries < 1 || entries > frameEntries:
+		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries, want 1 to %d", entries, frameEntries)}
+	case plen < entries*rs.minEntryBytes() || plen > entries*rs.maxEntryBytes():
+		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries in %d payload bytes", entries, plen)}
+	case int64(rows) < int64(entries):
+		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries over %d rows", entries, rows)}
+	}
+	return nil
+}
+
+// NumRuns returns the run count K.
+func (rs *Runs) NumRuns() int { return len(rs.files) }
+
+// KeyWidth returns the byte-string key width, or U64Keys.
+func (rs *Runs) KeyWidth() int { return rs.keyWidth }
+
+// Dir returns the directory holding the run files.
+func (rs *Runs) Dir() string { return rs.dir }
+
+// Entries returns run's entry count: what its frame headers declare for
+// an opened run, what was written for a new one.
+func (rs *Runs) Entries(run int) int { return rs.entries[run] }
+
+// Rows returns the sum of every run's row totals.
+func (rs *Runs) Rows() int64 {
+	var n int64
+	for _, r := range rs.rows {
+		n += r
+	}
+	return n
+}
+
+// Bytes returns the run files' total length, frame headers included.
+func (rs *Runs) Bytes() int64 {
+	var n int64
+	for _, b := range rs.bytes {
+		n += b
+	}
+	return n
+}
+
+// RunOf returns the run a byte-string key routes to; the routing is the
+// partition Writer's, so a key counted from run r's records is found in
+// run r.
+func (rs *Runs) RunOf(key []byte) int { return runOf(key, len(rs.files)) }
+
+// RunOfU64 is RunOf for a uint64 key.
+func (rs *Runs) RunOfU64(key uint64) int { return runOfU64(key, len(rs.files)) }
+
+// RunWriter encodes one sorted run: entries are added in strictly
+// ascending key order with positive counts, framed as they accumulate,
+// and written in batches of whole frames. Close must be called, after
+// errors too. A RunWriter is not safe for concurrent use; distinct runs
+// may be written concurrently.
+type RunWriter struct {
+	rs      *Runs
+	run     int
+	buf     []byte // sealed frames not yet written, then the open frame
+	frame   int    // offset of the open frame's header in buf
+	n       int    // entries in the open frame
+	rows    uint64 // rows in the open frame
+	prev    uint64 // previous uint64 key
+	last    []byte // previous byte-string key
+	entries int
+	total   int64
+	err     error
+}
+
+// writeBatchBytes is how many bytes of sealed frames a RunWriter gathers
+// before it writes them in one call.
+const writeBatchBytes = 64 << 10
+
+// runBufs recycles RunWriter buffers: a batch plus one uint64-key frame
+// at its longest, so a merge writing one run after another reuses them.
+var runBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, writeBatchBytes+sortedHdrLen+frameEntries*(maxGapBytes+maxCountBytes))
+	return &b
+}}
+
+// RunWriter starts writing run, which must still be empty.
+func (rs *Runs) RunWriter(run int) *RunWriter {
+	buf := runBufs.Get().(*[]byte)
+	return &RunWriter{rs: rs, run: run, buf: append((*buf)[:0], make([]byte, sortedHdrLen)...)}
+}
+
+// AddU64 appends a uint64-key entry.
+func (w *RunWriter) AddU64(key uint64, count int) {
+	if w.err != nil {
+		return
+	}
+	if w.entries > 0 && key <= w.prev {
+		w.err = fmt.Errorf("spill: run %d entry %d: key %d does not ascend from %d", w.run, w.entries, key, w.prev)
+		return
+	}
+	if !w.fits(count) {
+		return
+	}
+	gap := key
+	if w.n > 0 {
+		gap = key - w.prev
+	}
+	w.buf = binary.AppendUvarint(w.buf, gap)
+	w.prev = key
+	w.add(count)
+}
+
+// AddBytes appends a byte-string-key entry of the run's key width.
+func (w *RunWriter) AddBytes(key []byte, count int) {
+	if w.err != nil {
+		return
+	}
+	if len(key) != w.rs.keyWidth {
+		w.err = fmt.Errorf("spill: run %d key length %d, want %d", w.run, len(key), w.rs.keyWidth)
+		return
+	}
+	if w.entries > 0 && bytes.Compare(key, w.last) <= 0 {
+		w.err = fmt.Errorf("spill: run %d entry %d: key %x does not ascend from %x", w.run, w.entries, key, w.last)
+		return
+	}
+	if !w.fits(count) {
+		return
+	}
+	w.buf = append(w.buf, key...)
+	w.last = append(w.last[:0], key...)
+	w.add(count)
+}
+
+// fits checks count and seals the open frame first when count would take
+// its row total past a uint32.
+func (w *RunWriter) fits(count int) bool {
+	if count <= 0 || count > math.MaxUint32 {
+		w.err = fmt.Errorf("spill: run %d entry %d has count %d", w.run, w.entries, count)
+		return false
+	}
+	if w.rows+uint64(count) > math.MaxUint32 {
+		w.seal()
+	}
+	return w.err == nil
+}
+
+func (w *RunWriter) add(count int) {
+	w.buf = binary.AppendUvarint(w.buf, uint64(count))
+	w.n++
+	w.rows += uint64(count)
+	w.entries++
+	w.total += int64(count)
+	if w.n == frameEntries {
+		w.seal()
+	}
+}
+
+// seal fills in the open frame's header and checksum, writes the sealed
+// frames once a batch has gathered, and opens the next frame.
+func (w *RunWriter) seal() {
+	if w.n == 0 || w.err != nil {
+		return
+	}
+	hdr, payload := w.buf[w.frame:w.frame+sortedHdrLen], w.buf[w.frame+sortedHdrLen:]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(w.n))
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.rows))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload))
+	w.n, w.rows = 0, 0
+	if len(w.buf) >= writeBatchBytes {
+		w.write()
+	}
+	w.frame = len(w.buf)
+	w.buf = append(w.buf, make([]byte, sortedHdrLen)...)
+}
+
+// write writes the sealed frames gathered in buf.
+func (w *RunWriter) write() {
+	if _, err := w.rs.files[w.run].Write(w.buf); err != nil {
+		w.err = wrapNoSpace(err)
+		return
+	}
+	w.rs.bytes[w.run] += int64(len(w.buf))
+	w.buf = w.buf[:0]
+}
+
+// Close seals and writes the last frames and records the run's totals. It
+// returns the first error the writer hit.
+func (w *RunWriter) Close() error {
+	w.seal()
+	if w.err == nil {
+		w.buf = w.buf[:w.frame] // drop the empty open frame
+		if len(w.buf) > 0 {
+			w.write()
+		}
+	}
+	if w.err == nil {
+		w.rs.entries[w.run] = w.entries
+		w.rs.rows[w.run] = w.total
+	}
+	buf := w.buf[:0]
+	runBufs.Put(&buf)
+	w.buf = nil
+	return w.err
+}
+
+// EachU64 streams run's uint64-key entries in ascending key order. Every
+// frame is verified (checksum, then strict key order across frames,
+// positive counts, whole varints, totals matching its header, routing)
+// as it is decoded, and a failure is a CorruptError; fn may then have
+// seen a prefix of the entries, which the caller must discard. fn
+// returning false stops the scan. ctx (nil never cancels) is checked once
+// per frame.
+func (rs *Runs) EachU64(ctx context.Context, run int, fn func(key uint64, count int) bool) error {
+	if rs.keyWidth != U64Keys {
+		return fmt.Errorf("spill: EachU64 over %d-byte keys", rs.keyWidth)
+	}
+	return rs.each(ctx, run, func(key uint64, _ []byte, count int) bool { return fn(key, count) })
+}
+
+// EachBytes is EachU64 for byte-string keys; the key slice is valid only
+// during the call.
+func (rs *Runs) EachBytes(ctx context.Context, run int, fn func(key []byte, count int) bool) error {
+	if rs.keyWidth == U64Keys {
+		return fmt.Errorf("spill: EachBytes over uint64 keys")
+	}
+	return rs.each(ctx, run, func(_ uint64, key []byte, count int) bool { return fn(key, count) })
+}
+
+func (rs *Runs) each(ctx context.Context, run int, fn func(key uint64, kb []byte, count int) bool) error {
+	if rs.done {
+		return fmt.Errorf("spill: read after Cleanup")
+	}
+	if run < 0 || run >= len(rs.files) {
+		return fmt.Errorf("spill: run %d out of range [0, %d)", run, len(rs.files))
+	}
+	var (
+		payload []byte
+		off     int64
+		prev    uint64 // previous uint64 key
+		last    []byte // previous byte-string key
+		started bool
+	)
+	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		var entries int
+		var rows uint32
+		var err error
+		if payload, entries, rows, err = rs.readFrame(run, off, payload); err != nil || payload == nil {
+			return err
+		}
+		bad := func(what string, args ...any) error {
+			return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf(what, args...)}
+		}
+		p := payload
+		left := uint64(rows)
+		for i := 0; i < entries; i++ {
+			var key uint64
+			var kb []byte
+			if rs.keyWidth == U64Keys {
+				gap, m := binary.Uvarint(p)
+				if m <= 0 {
+					return bad("entry %d: truncated or overlong key gap", i)
+				}
+				p = p[m:]
+				key = gap
+				if i > 0 {
+					if gap == 0 || gap > math.MaxUint64-prev {
+						return bad("entry %d: keys do not ascend", i)
+					}
+					key = prev + gap
+				} else if started && key <= prev {
+					return bad("entry %d: keys do not ascend across frames", i)
+				}
+				if r := runOfU64(key, len(rs.files)); r != run {
+					return bad("entry %d: key %d routes to run %d", i, key, r)
+				}
+				prev = key
+			} else {
+				if len(p) < rs.keyWidth {
+					return bad("entry %d: truncated key", i)
+				}
+				kb, p = p[:rs.keyWidth], p[rs.keyWidth:]
+				if started && bytes.Compare(kb, last) <= 0 {
+					return bad("entry %d: keys do not ascend", i)
+				}
+				if r := runOf(kb, len(rs.files)); r != run {
+					return bad("entry %d: key routes to run %d", i, r)
+				}
+				last = append(last[:0], kb...)
+			}
+			started = true
+			c, m := binary.Uvarint(p)
+			if m <= 0 {
+				return bad("entry %d: truncated or overlong count", i)
+			}
+			p = p[m:]
+			if c == 0 || c > left {
+				return bad("entry %d: count %d with %d of the frame's %d rows left", i, c, left, rows)
+			}
+			left -= c
+			if !fn(key, kb, int(c)) {
+				return nil
+			}
+		}
+		if len(p) != 0 || left != 0 {
+			return bad("%d payload bytes and %d of %d rows past the frame's %d entries", len(p), left, rows, entries)
+		}
+		off += sortedHdrLen + int64(len(payload))
+	}
+}
+
+// readFrame reads and checksums the frame of run at off into buf (grown
+// as needed), returning its payload and header totals; a nil payload
+// means the run ends at off.
+func (rs *Runs) readFrame(run int, off int64, buf []byte) (payload []byte, entries int, rows uint32, err error) {
+	f := rs.files[run]
+	var hdr [sortedHdrLen]byte
+	n, rerr := f.ReadAt(hdr[:], off)
+	if n == 0 && rerr == io.EOF {
+		return nil, 0, 0, nil
+	}
+	if n < sortedHdrLen {
+		if rerr == nil || rerr == io.EOF {
+			return nil, 0, 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d bytes)", n)}
+		}
+		return nil, 0, 0, rerr
+	}
+	plen, entries, rows := rs.parseHeader(hdr[:])
+	if err := rs.checkHeader(run, off, plen, entries, rows); err != nil {
+		return nil, 0, 0, err
+	}
+	if plen > cap(buf) {
+		buf = make([]byte, plen)
+	}
+	payload = buf[:plen]
+	if pn, perr := f.ReadAt(payload, off+sortedHdrLen); pn < plen {
+		if perr == nil || perr == io.EOF {
+			return nil, 0, 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}
+		}
+		return nil, 0, 0, perr
+	}
+	want := binary.LittleEndian.Uint32(hdr[12:16])
+	if got := crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload); got != want {
+		return nil, 0, 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame checksum mismatch (got %08x, want %08x)", got, want)}
+	}
+	return payload, entries, rows, nil
+}
+
+// AdoptInto relocates the run files into dst (an existing directory) and
+// hands their ownership to it: the Runs keeps serving reads from the new
+// location, and Cleanup thereafter closes descriptors without deleting
+// anything. Owned files move by rename — the open descriptors stay valid
+// because the inodes do not change — with a copy-and-reopen fallback when
+// rename cannot cross the filesystem boundary; runs that are not owned
+// (already adopted, or reopened with Open) are copied instead, so adopting
+// the same runs into a second artifact never steals them from the first.
+// Adoption is durable on return: every adopted run is fsynced (copies
+// before the source is ever deleted), then dst's directory entries are
+// fsynced. Must not run concurrently with reads or writes.
+func (rs *Runs) AdoptInto(dst string) error {
+	if rs.done {
+		return fmt.Errorf("spill: AdoptInto after Cleanup")
+	}
+	ownedDir := rs.owns
+	for i := range rs.files {
+		dstPath := runPath(dst, i)
+		if rs.owns {
+			if err := rs.fs.Rename(runPath(rs.dir, i), dstPath); err == nil {
+				continue
+			}
+			// Rename failed (typically EXDEV: dst on another filesystem);
+			// fall through to copying this run.
+		}
+		if err := rs.copyRun(i, dstPath); err != nil {
+			return fmt.Errorf("spill: adopting run %d: %w", i, wrapNoSpace(err))
+		}
+	}
+	// Durability barrier: runs written during a build or merge were never
+	// fsynced (their own directory is transient). The artifact the runs now
+	// belong to must survive a crash once its manifest commits, so flush
+	// file data first, then the directory entries. Renamed files sync
+	// through their still-open descriptors; copied files were already
+	// synced by copyRun, before the source could be deleted below.
+	for i, f := range rs.files {
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("spill: syncing adopted run %d: %w", i, err)
+		}
+	}
+	if err := rs.fs.SyncDir(dst); err != nil {
+		return fmt.Errorf("spill: syncing adopted run directory: %w", err)
+	}
+	if ownedDir {
+		rs.fs.RemoveAll(rs.dir)
+	}
+	rs.dir = dst
+	rs.owns = false
+	return nil
+}
+
+// copyRun copies run i's bytes to dstPath through the already-open
+// descriptor, fsyncs the copy, and swaps the descriptor to it. The copy is
+// durable before the function returns, so a caller that deletes the source
+// afterwards can never lose the run to a crash.
+func (rs *Runs) copyRun(i int, dstPath string) error {
+	f := rs.files[i]
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	out, err := rs.fs.Create(dstPath)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(out, io.NewSectionReader(f, 0, fi.Size())); err != nil {
+		out.Close()
+		rs.fs.Remove(dstPath)
+		return err
+	}
+	if err := out.Sync(); err != nil {
+		out.Close()
+		rs.fs.Remove(dstPath)
+		return err
+	}
+	if err := out.Close(); err != nil {
+		rs.fs.Remove(dstPath)
+		return err
+	}
+	nf, err := rs.fs.Open(dstPath)
+	if err != nil {
+		return err
+	}
+	f.Close()
+	rs.files[i] = nf
+	return nil
+}
+
+// Cleanup closes every run file and, when the Runs owns them (created by
+// NewRuns and not relocated by AdoptInto), deletes the files and their
+// directory. It is idempotent and safe after partial construction.
+func (rs *Runs) Cleanup() {
+	if rs.done {
+		return
+	}
+	rs.done = true
+	for i, f := range rs.files {
+		if f != nil {
+			f.Close()
+			rs.files[i] = nil
+		}
+	}
+	if rs.owns {
+		rs.fs.RemoveAll(rs.dir)
+	}
+}

@@ -1,20 +1,21 @@
 // Package spill implements the external-memory tier of the counting
 // engine: a partitioned on-disk group-by for datasets whose grouping state
-// would not fit the caller's memory budget.
+// would not fit the caller's memory budget, and the sorted runs a spilled
+// pattern-count index keeps on disk.
 //
 // The map kernels in internal/core hold one map entry per distinct group
 // for the whole scan — unbounded-domain attribute sets can make that state
 // arbitrarily large. The spill group-by bounds it: fixed-width key records
-// are hash-partitioned into K on-disk runs during the scan, and the runs
-// are then counted with ordinary in-memory maps. The hash partition sends
-// every occurrence of a key to the same run, so runs hold disjoint key
-// sets, per-run counts are exact final counts, and the total distinct
-// count is the plain sum over runs — which is what makes the cap-abort of
-// label sizing exact across runs: the running total is monotone, and the
-// scan stops the moment it proves the bound breached. Peak grouping memory
-// is one run's map per counting worker (the caller picks K so a run's
-// estimated footprint fits its per-worker budget share) instead of the
-// whole key space.
+// are hash-partitioned into K on-disk partition runs during the scan
+// (Writer), and the runs are then counted with ordinary in-memory maps.
+// The hash partition sends every occurrence of a key to the same run, so
+// runs hold disjoint key sets, per-run counts are exact final counts, and
+// the total distinct count is the plain sum over runs — which is what
+// makes the cap-abort of label sizing exact across runs: the running
+// total is monotone, and the scan stops the moment it proves the bound
+// breached. Peak grouping memory is one run's map per counting worker (the
+// caller picks K so a run's estimated footprint fits its per-worker budget
+// share) instead of the whole key space.
 //
 // Two record encodings share the machinery: opaque RecWidth-byte records
 // counted into map[string]int (CountRunsCtx), and fixed-width 8-byte
@@ -25,17 +26,24 @@
 // exact cross-worker cap-abort, and each worker reuses one pooled map and
 // read chunk across its runs.
 //
-// Run files are a corruption-detecting format: every flush writes one
-// CRC32C-checksummed frame, and every read path verifies the frame it
-// decodes before a single record reaches a count map — a torn sector or
-// bit flip surfaces as a typed CorruptError, never as a silently wrong
-// count. All file access goes through an injectable iofault.FS seam, so
-// durability tests can script the exact fault a disk would produce.
+// A partition run lives only until it is counted. A spilled index keeps
+// what counting yields instead: Runs, K sorted runs of (key, count)
+// entries under the same routing, with uint64 keys gap- and varint-coded
+// (runs.go). A merge-on-read load decodes one straight into its in-memory
+// form, an artifact adopts the files as they are, and a merge rewrites
+// them with one linear two-way merge per run.
+//
+// Both run formats detect corruption: every frame carries a CRC32C, and
+// every read path verifies a frame's checksum before a single record or
+// entry of it reaches a caller — a torn sector or bit flip surfaces as a
+// typed CorruptError, never as a silently wrong count. All file access goes
+// through an injectable iofault.FS seam, so durability tests can script
+// the exact fault a disk would produce.
 //
 // The package is deliberately below internal/core in the import order: it
-// deals only in opaque fixed-width byte records, so core can select it from
-// kernel dispatch without a cycle. Buffers are recycled through the BufPool
-// interface, which *core.VecPool satisfies.
+// deals only in opaque fixed-width byte records and uint64 keys, so core
+// can select it from kernel dispatch without a cycle. Buffers are recycled
+// through the BufPool interface, which *core.VecPool satisfies.
 package spill
 
 import (
@@ -109,11 +117,14 @@ var ErrCorrupt = errors.New("spill: corrupt run data")
 // ErrCorrupt.
 type CorruptError struct {
 	Run    int   // run index within the writer
-	Off    int64 // byte offset of the bad frame
+	Off    int64 // byte offset of the bad frame; negative when not a frame's
 	Detail string
 }
 
 func (e *CorruptError) Error() string {
+	if e.Off < 0 {
+		return fmt.Sprintf("spill: run %d corrupt: %s", e.Run, e.Detail)
+	}
 	return fmt.Sprintf("spill: run %d corrupt at offset %d: %s", e.Run, e.Off, e.Detail)
 }
 
@@ -163,12 +174,13 @@ const (
 // hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Frame layout of run files: every flush appends one frame,
+// Frame layout of partition run files: every flush appends one frame,
 //
 //	uint32 payload length | uint32 CRC32C(payload) | payload
 //
 // with the payload a whole number of RecWidth-byte records. Readers verify
-// the checksum of each frame before decoding any record from it.
+// the checksum of each frame before decoding any record from it. Sorted
+// runs frame differently (runs.go).
 const (
 	frameHdrLen = 8
 	// maxFrameBytes bounds a frame's declared payload so a corrupt length
@@ -180,8 +192,8 @@ const (
 // the record bytes followed by a murmur-style 64-bit finisher. The finisher
 // spreads FNV's weakly mixed low bits so the modulo-K partition stays
 // balanced even on dense packed keys; the fixed parameters make routing
-// deterministic across processes, which is what lets a run directory
-// adopted into a label artifact keep answering single-run lookups after a
+// deterministic across processes, which is what lets sorted runs adopted
+// into a label artifact keep answering single-run lookups after a
 // read-only reopen in another process. Partition assignment never affects
 // results, only how records distribute across run files.
 func routeHash(rec []byte) uint64 {
@@ -198,16 +210,25 @@ func routeHash(rec []byte) uint64 {
 	return h
 }
 
+// runOf routes a record or byte-string key to one of runs partitions.
+func runOf(rec []byte, runs int) int { return int(routeHash(rec) % uint64(runs)) }
+
+// runOfU64 routes a uint64 key as its 8-byte little-endian record.
+func runOfU64(key uint64, runs int) int {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], key)
+	return runOf(b[:], runs)
+}
+
 // Writer partitions fixed-width records into K on-disk runs. Create one
 // with NewWriter, obtain one ShardWriter per producing goroutine, and after
 // all shards are closed call CountRunsCtx (or CountRunsU64Ctx); always Cleanup
 // (it is idempotent and safe to defer before any error handling, including
-// panics).
+// panics). The writer owns its private directory: Cleanup deletes it.
 type Writer struct {
 	cfg   Config
 	fs    iofault.FS
 	dir   string
-	owns  bool // created the run files; Cleanup deletes them and the dir
 	files []iofault.File
 	mus   []sync.Mutex
 	wmu   sync.Mutex // guards stats accumulation from shards and count workers
@@ -242,7 +263,6 @@ func NewWriter(cfg Config) (*Writer, error) {
 		cfg:   cfg,
 		fs:    fsys,
 		dir:   dir,
-		owns:  true,
 		files: make([]iofault.File, cfg.Runs),
 		mus:   make([]sync.Mutex, cfg.Runs),
 	}
@@ -258,186 +278,9 @@ func NewWriter(cfg Config) (*Writer, error) {
 	return w, nil
 }
 
-// runPath names run i inside dir; NewWriter, Open and AdoptInto agree on
-// the layout.
+// runPath names run i inside dir; NewWriter, NewRuns, Open and AdoptInto
+// agree on the layout.
 func runPath(dir string, i int) string { return fmt.Sprintf("%s/run-%04d", dir, i) }
-
-// Open reopens an existing run directory read-only — the reverse of
-// AdoptInto, used to serve a label artifact's spilled PCs without
-// re-counting. The directory must hold run files named and framed as
-// NewWriter writes them; every file's frame chain is structurally
-// validated here (lengths and truncation), and checksums verify lazily on
-// each scan. A file that is not a valid frame chain fails with a
-// CorruptError. The returned writer does not own the files: Cleanup
-// closes the descriptors but leaves the directory intact, and shard
-// writes are not supported. fsys nil means the OS filesystem.
-func Open(dir string, recWidth, runs int, pool BufPool, fsys iofault.FS) (*Writer, error) {
-	if recWidth <= 0 {
-		return nil, fmt.Errorf("spill: record width must be positive, got %d", recWidth)
-	}
-	if runs < 1 {
-		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", runs)
-	}
-	f := iofault.Resolve(fsys)
-	w := &Writer{
-		cfg:   Config{RecWidth: recWidth, Runs: runs, BufBytes: defaultBufBytes(runs), Pool: pool, FS: fsys},
-		fs:    f,
-		dir:   dir,
-		files: make([]iofault.File, runs),
-		mus:   make([]sync.Mutex, runs),
-	}
-	w.stats.Runs = runs
-	for i := range w.files {
-		file, err := f.Open(runPath(dir, i))
-		if err != nil {
-			w.Cleanup()
-			return nil, err
-		}
-		w.files[i] = file
-		recs, err := w.validateRun(i)
-		if err != nil {
-			w.Cleanup()
-			return nil, err
-		}
-		fi, err := file.Stat()
-		if err != nil {
-			w.Cleanup()
-			return nil, err
-		}
-		w.stats.BytesWritten += fi.Size()
-		w.stats.RecordsSpilled += recs
-	}
-	return w, nil
-}
-
-// validateRun walks run i's frame chain (headers only — checksums verify
-// on scan) and returns its record count.
-func (w *Writer) validateRun(run int) (records int64, err error) {
-	f := w.files[run]
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	size := fi.Size()
-	var hdr [frameHdrLen]byte
-	var off int64
-	for off < size {
-		if size-off < frameHdrLen {
-			return 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d trailing bytes)", size-off)}
-		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return 0, err
-		}
-		plen := binary.LittleEndian.Uint32(hdr[:4])
-		if err := checkFrameLen(run, off, int(plen), w.cfg.RecWidth); err != nil {
-			return 0, err
-		}
-		if off+frameHdrLen+int64(plen) > size {
-			return 0, &CorruptError{Run: run, Off: off,
-				Detail: fmt.Sprintf("frame declares %d payload bytes, file ends %d short", plen, off+frameHdrLen+int64(plen)-size)}
-		}
-		records += int64(plen) / int64(w.cfg.RecWidth)
-		off += frameHdrLen + int64(plen)
-	}
-	return records, nil
-}
-
-// checkFrameLen validates one frame's declared payload length.
-func checkFrameLen(run int, off int64, plen, recWidth int) error {
-	if plen <= 0 || plen > maxFrameBytes || plen%recWidth != 0 {
-		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("bad frame length %d (record width %d)", plen, recWidth)}
-	}
-	return nil
-}
-
-// AdoptInto relocates the run files into dst (an existing directory) and
-// hands their ownership to it: the writer keeps serving scans and lookups
-// from the new location, and Cleanup thereafter closes descriptors without
-// deleting anything. Owned files move by rename — the open descriptors
-// stay valid because the inodes do not change — with a copy-and-reopen
-// fallback when rename cannot cross the filesystem boundary; a writer that
-// does not own its files (already adopted, or reopened with Open) copies
-// instead, so adopting the same runs into a second artifact never steals
-// them from the first. Adoption is durable on return: every adopted run is
-// fsynced (copies before the source is ever deleted), then dst's directory
-// entries are fsynced. Must not run concurrently with scans or shard
-// writes.
-func (w *Writer) AdoptInto(dst string) error {
-	if w.done {
-		return fmt.Errorf("spill: AdoptInto after Cleanup")
-	}
-	ownedDir := w.owns
-	for i := range w.files {
-		dstPath := runPath(dst, i)
-		if w.owns {
-			if err := w.fs.Rename(runPath(w.dir, i), dstPath); err == nil {
-				continue
-			}
-			// Rename failed (typically EXDEV: dst on another filesystem);
-			// fall through to copying this run.
-		}
-		if err := w.copyRun(i, dstPath); err != nil {
-			return fmt.Errorf("spill: adopting run %d: %w", i, wrapNoSpace(err))
-		}
-	}
-	// Durability barrier: run data written during the build was never
-	// fsynced (the build's own directory is transient). The artifact the
-	// runs now belong to must survive a crash once its manifest commits,
-	// so flush file data first, then the directory entries. Renamed files
-	// sync through their still-open descriptors; copied files were already
-	// synced by copyRun, before the source could be deleted below.
-	for i, f := range w.files {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("spill: syncing adopted run %d: %w", i, err)
-		}
-	}
-	if err := w.fs.SyncDir(dst); err != nil {
-		return fmt.Errorf("spill: syncing adopted run directory: %w", err)
-	}
-	if ownedDir {
-		w.fs.RemoveAll(w.dir)
-	}
-	w.dir = dst
-	w.owns = false
-	return nil
-}
-
-// copyRun copies run i's bytes to dstPath through the already-open
-// descriptor, fsyncs the copy, and swaps the writer's descriptor to it.
-// The copy is durable before the function returns, so a caller that
-// deletes the source afterwards can never lose the run to a crash.
-func (w *Writer) copyRun(i int, dstPath string) error {
-	f := w.files[i]
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	out, err := w.fs.Create(dstPath)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, io.NewSectionReader(f, 0, fi.Size())); err != nil {
-		out.Close()
-		w.fs.Remove(dstPath)
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		w.fs.Remove(dstPath)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		w.fs.Remove(dstPath)
-		return err
-	}
-	nf, err := w.fs.Open(dstPath)
-	if err != nil {
-		return err
-	}
-	f.Close()
-	w.files[i] = nf
-	return nil
-}
 
 // defaultBufBytes keeps a shard's total buffer memory (K buffers) around a
 // quarter MiB regardless of the run count, within [4 KiB, 64 KiB] per run.
@@ -455,29 +298,26 @@ func defaultBufBytes(runs int) int {
 // NumRuns returns the partition count K.
 func (w *Writer) NumRuns() int { return w.cfg.Runs }
 
-// Owned reports whether the writer owns its run files (created by NewWriter
-// and not relocated by AdoptInto). Only owned runs accept further shard
-// writes: Open reopens files read-only, and an adopted directory belongs to
-// a committed artifact whose manifest records the runs' exact contents —
-// appending in place would desync them. Incremental merge uses this to
-// decide between appending delta records to a live writer and rewriting the
-// runs into a fresh one.
-func (w *Writer) Owned() bool { return w.owns }
-
 // RunOf returns the partition a record routes to. Every occurrence of a
-// key lands in the same run; merge-on-read consumers use it to locate the
-// single run that can hold a looked-up key. The routing hash is fixed (see
-// routeHash), so a writer reopened from an adopted run directory routes
-// identically to the writer that spilled the records.
-func (w *Writer) RunOf(rec []byte) int {
-	return int(routeHash(rec) % uint64(w.cfg.Runs))
-}
+// key lands in the same run, and the sorted runs counted from the
+// partitions route identically (Runs.RunOf). The routing hash is fixed
+// (see routeHash), so it holds across processes too.
+func (w *Writer) RunOf(rec []byte) int { return runOf(rec, w.cfg.Runs) }
 
 // RunOfU64 is RunOf for the uint64 record format.
-func (w *Writer) RunOfU64(key uint64) int {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	return w.RunOf(b[:])
+func (w *Writer) RunOfU64(key uint64) int { return runOfU64(key, w.cfg.Runs) }
+
+// DropRun closes and deletes run's file once it has been counted, so a
+// build that writes each counted run sorted holds one copy of it on disk,
+// not two. Reading the run afterwards fails; Cleanup still removes the
+// rest. Call it only while no count or shard touches the run — an emit
+// callback of CountRunsCtx may drop the run it was handed.
+func (w *Writer) DropRun(run int) {
+	if f := w.files[run]; f != nil {
+		f.Close()
+		w.files[run] = nil
+		w.fs.Remove(runPath(w.dir, run))
+	}
 }
 
 // Shard returns a writer-local view for one producing goroutine: Add is not
@@ -575,6 +415,14 @@ func (s *ShardWriter) Close() error {
 	return s.err
 }
 
+// checkFrameLen validates one partition frame's declared payload length.
+func checkFrameLen(run int, off int64, plen, recWidth int) error {
+	if plen <= 0 || plen > maxFrameBytes || plen%recWidth != 0 {
+		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("bad frame length %d (record width %d)", plen, recWidth)}
+	}
+	return nil
+}
+
 // readChunkBytes is the floor of the pooled read buffer, rounded to whole
 // records. Scans read a frame at a time, so peak reader memory stays
 // fixed no matter how large a run file grew.
@@ -643,22 +491,6 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) (abort
 		}
 		off += frameHdrLen + int64(plen)
 	}
-}
-
-// ScanRun streams one run's raw records through a pooled chunk buffer.
-// Safe for concurrent use (distinct or identical runs); merge-on-read
-// consumers rebuild single-run maps through it.
-func (w *Writer) ScanRun(run int, fn func(rec []byte) bool) error {
-	if w.done {
-		return fmt.Errorf("spill: ScanRun after Cleanup")
-	}
-	if run < 0 || run >= len(w.files) {
-		return fmt.Errorf("spill: run %d out of range [0, %d)", run, len(w.files))
-	}
-	chunk := getBuf(w.cfg.Pool, w.chunkLen())
-	defer putBuf(w.cfg.Pool, chunk)
-	_, err := w.scanRun(run, chunk, fn)
-	return err
 }
 
 // CountRunsCtx counts each run with an in-memory map[string]int and
@@ -853,13 +685,10 @@ func (w *Writer) Stats() Stats {
 // Dir exposes the private run directory; tests assert its lifecycle.
 func (w *Writer) Dir() string { return w.dir }
 
-// Cleanup closes every run file, and — when the writer owns them (created
-// by NewWriter and not relocated by AdoptInto) — deletes the files and the
-// private directory. It is idempotent and safe after partial construction,
-// so callers defer it immediately after NewWriter — covering success,
-// cap-abort, error and panic exits alike. On writers reopened with Open or
-// relocated with AdoptInto it only closes descriptors: the adopted
-// directory belongs to the artifact.
+// Cleanup closes every run file and deletes the files and the private
+// directory. It is idempotent and safe after partial construction, so
+// callers defer it immediately after NewWriter — covering success,
+// cap-abort, error and panic exits alike.
 func (w *Writer) Cleanup() {
 	if w.done {
 		return
@@ -871,9 +700,7 @@ func (w *Writer) Cleanup() {
 			w.files[i] = nil
 		}
 	}
-	if w.owns {
-		w.fs.RemoveAll(w.dir)
-	}
+	w.fs.RemoveAll(w.dir)
 }
 
 func getBuf(p BufPool, n int) []byte {
