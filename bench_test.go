@@ -1372,3 +1372,73 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 		b.ReportMetric(float64(st.RowsScanned)/float64(b.N), "rows-read/op")
 	})
 }
+
+// BenchmarkIngest times the dataset layer's four passes over every cell:
+// reading a CSV, reading the appended 1% of a grown one, writing one, and
+// bucketizing numeric columns. The inputs are a 20,000-row BlueNile CSV
+// held in memory and a 30,000 × 24 table shaped like the Credit Card
+// emulator's raw columns (20 numeric, about 220,000 distinct values in
+// all, and 4 categorical). It uses only APIs older than the byte-level
+// scanner, so the same file runs on either side of it; bytes/op is gated.
+// A read holds GOMAXPROCS blocks at once, so GOMAXPROCS is pinned at 2:
+// bytes/op then does not depend on the runner's CPU count.
+func BenchmarkIngest(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bn := must(datagen.BlueNile(20000, 1))
+	var buf strings.Builder
+	if err := dataset.WriteCSV(&buf, bn); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.String()
+	skip := bn.NumRows() - bn.NumRows()/100
+	base := bn.Head(skip)
+
+	names := make([]string, 24)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	bld := dataset.NewBuilder("raw", names...)
+	v := uint64(88172645463325252)
+	row := make([]string, len(names))
+	for r := 0; r < 30000; r++ {
+		for i := range row {
+			v ^= v << 13
+			v ^= v >> 7
+			v ^= v << 17
+			if i < 4 {
+				row[i] = fmt.Sprintf("c%d", v%4)
+			} else {
+				row[i] = fmt.Sprint(v % 11000)
+			}
+		}
+		bld.AppendStrings(row...)
+	}
+	raw := must(bld.Build())
+
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = must(dataset.ReadCSV(strings.NewReader(text), dataset.CSVOptions{}))
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = must(dataset.ReadCSVAppend(strings.NewReader(text), base, dataset.CSVOptions{SkipRows: skip}))
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := dataset.WriteCSV(io.Discard, bn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bucketize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = must(dataset.BucketizeAllNumeric(raw, dataset.BucketizeOptions{Bins: 5, Strategy: dataset.EqualFrequency}))
+		}
+	})
+}

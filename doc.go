@@ -49,8 +49,11 @@
 // # Incremental maintenance
 //
 // A saved label artifact is updated in place when the dataset grows,
-// reading only the appended rows: ReadCSVAppend parses the suffix past the
-// artifact's row watermark, BuildDeltaLabel counts it, and
+// counting only the appended rows: ReadCSVAppend scans the rows up to the
+// artifact's row watermark only to validate them, without storing or
+// interning them, and reads the suffix past it onto the artifact's
+// dictionaries, which it reads in place rather than copying;
+// BuildDeltaLabel counts the suffix, and
 // MergeLabelArtifact folds it into the artifact under an incremented
 // epoch — bit-identical to a rebuild over the full file. SaveDeltaArtifact
 // and MergeDeltaArtifact split the two halves across machines; the delta

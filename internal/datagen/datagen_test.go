@@ -1,6 +1,9 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -175,6 +178,32 @@ func TestCreditCardShape(t *testing.T) {
 
 // TestCreditCardSerialCorrelation: adjacent monthly repayment statuses must
 // correlate far above independence.
+// TestCreditCardPinned pins the full-size Credit Card emulator: a digest of
+// every attribute's name, dictionary in identifier order and identifier
+// column, recorded before bucketization was rebuilt by value identifier.
+func TestCreditCardPinned(t *testing.T) {
+	want := map[uint64]string{
+		1: "930d82ff753370bca4c4fd5a1b3b47f61e4841156d34ce8e1a79c30e74a532d8",
+		2: "a1cdc64da3c80a0b5cfa7dfc2c17d25dedf730fbca3fdb81b20730bc2f52208c",
+		3: "81a835d190bd3f58e23ff3c21098db5c390fcce2280f3fdce795dc304ff84302",
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		d := must(CreditCard(CreditCardRows, seed))
+		h := sha256.New()
+		for a := 0; a < d.NumAttrs(); a++ {
+			attr := d.Attr(a)
+			fmt.Fprintf(h, "%s\x00%d\x00", attr.Name(), attr.DomainSize())
+			for _, v := range attr.Domain() {
+				fmt.Fprintf(h, "%s\x00", v)
+			}
+			binary.Write(h, binary.LittleEndian, d.Col(a))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[seed] {
+			t.Errorf("seed %d: digest %s, want %s", seed, got, want[seed])
+		}
+	}
+}
+
 func TestCreditCardSerialCorrelation(t *testing.T) {
 	d, err := CreditCard(4000, 6)
 	if err != nil {

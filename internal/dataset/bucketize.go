@@ -3,7 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -39,18 +39,30 @@ type BucketizeOptions struct {
 }
 
 // IsNumericAttr reports whether every non-null value of attribute a parses as
-// a float. Attributes with no non-null values are not numeric.
+// a finite float. Attributes with no non-null values are not numeric, and a
+// value that parses to NaN or an infinity is as non-numeric as any other
+// token.
 func IsNumericAttr(d *Dataset, a int) bool {
-	attr := d.Attr(a)
-	if attr.DomainSize() == 0 {
-		return false
+	_, ok := numericDomain(d.Attr(a))
+	return ok
+}
+
+// numericDomain parses every domain value of attr once: vals[id-1] is the
+// value of id. ok is false when the domain is empty or a value is not a
+// finite float.
+func numericDomain(attr *Attribute) (vals []float64, ok bool) {
+	if len(attr.dom) == 0 {
+		return nil, false
 	}
-	for _, v := range attr.Domain() {
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			return false
+	vals = make([]float64, len(attr.dom))
+	for i, s := range attr.dom {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
 		}
+		vals[i] = v
 	}
-	return true
+	return vals, true
 }
 
 // Bucketize returns a copy of the dataset in which the named attributes are
@@ -60,9 +72,9 @@ func IsNumericAttr(d *Dataset, a int) bool {
 // are left untouched. Non-numeric attributes among attrNames are an error.
 func Bucketize(d *Dataset, attrNames []string, opts BucketizeOptions) (*Dataset, error) {
 	if opts.Bins < 2 {
-		return nil, fmt.Errorf("dataset: bucketize needs at least 2 bins, got %d", opts.Bins)
+		return nil, errBins(opts)
 	}
-	target := make(map[int]bool, len(attrNames))
+	targets := make(map[int][]float64, len(attrNames))
 	for _, n := range attrNames {
 		i, ok := d.AttrIndex(n)
 		if !ok {
@@ -71,64 +83,86 @@ func Bucketize(d *Dataset, attrNames []string, opts BucketizeOptions) (*Dataset,
 		if d.Attr(i).DomainSize() <= opts.Bins {
 			continue // already categorical enough
 		}
-		if !IsNumericAttr(d, i) {
+		vals, ok := numericDomain(d.Attr(i))
+		if !ok {
 			return nil, fmt.Errorf("dataset: attribute %q is not numeric", n)
 		}
-		target[i] = true
+		targets[i] = vals
 	}
-	b := NewBuilder(d.Name(), d.AttrNames()...)
-	// Pre-compute per-attribute bucket label for every domain value.
-	relabel := make(map[int][]string, len(target)) // attr -> id-1 -> label
-	for a := range target {
-		labels, err := bucketLabels(d, a, opts)
-		if err != nil {
-			return nil, err
-		}
-		relabel[a] = labels
-	}
-	row := make([]string, d.NumAttrs())
-	for r := 0; r < d.NumRows(); r++ {
-		for a := 0; a < d.NumAttrs(); a++ {
-			id := d.ID(r, a)
-			if id == Null {
-				row[a] = ""
-				continue
-			}
-			if labels, ok := relabel[a]; ok {
-				row[a] = labels[id-1]
-			} else {
-				row[a] = d.Value(r, a)
-			}
-		}
-		b.AppendStrings(row...)
-	}
-	return b.Build()
+	return bucketize(d, targets, opts)
 }
 
 // BucketizeAllNumeric bucketizes every numeric attribute of the dataset.
 func BucketizeAllNumeric(d *Dataset, opts BucketizeOptions) (*Dataset, error) {
-	var names []string
-	for i := 0; i < d.NumAttrs(); i++ {
-		if d.Attr(i).DomainSize() > opts.Bins && IsNumericAttr(d, i) {
-			names = append(names, d.Attr(i).Name())
+	if opts.Bins < 2 {
+		return nil, errBins(opts)
+	}
+	targets := make(map[int][]float64)
+	for i, attr := range d.attrs {
+		if attr.DomainSize() > opts.Bins {
+			if vals, ok := numericDomain(attr); ok {
+				targets[i] = vals
+			}
 		}
 	}
-	return Bucketize(d, names, opts)
+	return bucketize(d, targets, opts)
 }
 
-// bucketLabels maps each current domain value of attribute a to its bucket
-// label under the given options.
-func bucketLabels(d *Dataset, a int, opts BucketizeOptions) ([]string, error) {
-	attr := d.Attr(a)
-	dom := attr.Domain()
-	vals := make([]float64, len(dom))
-	for i, s := range dom {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: attribute %q value %q is not numeric: %w", attr.Name(), s, err)
+func errBins(opts BucketizeOptions) error {
+	return fmt.Errorf("dataset: bucketize needs at least 2 bins, got %d", opts.Bins)
+}
+
+// bucketize returns d with each attribute in targets bucketized, given its
+// parsed domain. Every attribute is rebuilt by value identifier through one
+// translation table: a bucketized value maps to its bucket's label, any
+// other value to itself, and output identifiers are numbered in first-seen
+// row order. That is the dataset appending each row's strings would build,
+// so values no row holds are dropped and equal labels share an identifier.
+func bucketize(d *Dataset, targets map[int][]float64, opts BucketizeOptions) (*Dataset, error) {
+	out := &Dataset{name: d.name, rows: d.rows, attrs: make([]*Attribute, len(d.attrs)), cols: make([][]uint16, len(d.attrs))}
+	for a, attr := range d.attrs {
+		labels, group := attr.dom, []int(nil)
+		if vals, ok := targets[a]; ok {
+			var err error
+			if labels, group, err = bucketLabels(d, a, vals, opts); err != nil {
+				return nil, err
+			}
 		}
-		vals[i] = v
+		out.attrs[a], out.cols[a] = relabel(attr.name, d.cols[a], labels, group)
 	}
+	return out, nil
+}
+
+// relabel re-encodes col, in which value id stands for labels[group[id-1]]
+// (labels[id-1] when group is nil), numbering the labels in first-seen row
+// order.
+func relabel(name string, col []uint16, labels []string, group []int) (*Attribute, []uint16) {
+	attr := NewAttribute(name)
+	ids := make([]uint16, len(labels)) // label index -> output id; Null until seen
+	out := make([]uint16, len(col))
+	for r, id := range col {
+		if id == Null {
+			continue
+		}
+		g := int(id) - 1
+		if group != nil {
+			g = group[g]
+		}
+		if ids[g] == Null {
+			attr.dom = append(attr.dom, labels[g])
+			ids[g] = uint16(len(attr.dom))
+			attr.ids[labels[g]] = ids[g]
+		}
+		out[r] = ids[g]
+	}
+	return attr, out
+}
+
+// bucketLabels places attribute a's bucket bounds under opts and maps each
+// domain value to its bucket: value id stands for labels[group[id-1]].
+// Each bucket's label is formatted once, and buckets whose labels print
+// alike share one.
+func bucketLabels(d *Dataset, a int, vals []float64, opts BucketizeOptions) (labels []string, group []int, err error) {
 	var bounds []float64
 	switch opts.Strategy {
 	case EqualWidth:
@@ -136,13 +170,40 @@ func bucketLabels(d *Dataset, a int, opts BucketizeOptions) ([]string, error) {
 	case EqualFrequency:
 		bounds = equalFrequencyBounds(d, a, vals, opts.Bins)
 	default:
-		return nil, fmt.Errorf("dataset: unknown bin strategy %v", opts.Strategy)
+		return nil, nil, fmt.Errorf("dataset: unknown bin strategy %v", opts.Strategy)
 	}
-	labels := make([]string, len(vals))
-	for i, v := range vals {
-		labels[i] = bucketLabel(bounds, v)
+	if len(bounds) == 1 {
+		// Every value parses to the same number: one closed bucket.
+		bounds = append(bounds, bounds[0])
 	}
-	return labels, nil
+	last := len(bounds) - 2
+	index := make(map[string]int, last+1)
+	bucket := make([]int, last+1) // bucket -> label index
+	for i := range bucket {
+		close := ")"
+		if i == last {
+			close = "]"
+		}
+		l := "[" + trimFloat(bounds[i]) + "," + trimFloat(bounds[i+1]) + close
+		j, ok := index[l]
+		if !ok {
+			j = len(labels)
+			index[l] = j
+			labels = append(labels, l)
+		}
+		bucket[i] = j
+	}
+	group = make([]int, len(vals))
+	for id, v := range vals {
+		// The half-open bucket [bounds[i], bounds[i+1]) holding v; the
+		// last bucket is closed and takes everything past it.
+		i := 0
+		for i < last && v >= bounds[i+1] {
+			i++
+		}
+		group[id] = bucket[i]
+	}
+	return labels, group, nil
 }
 
 // equalWidthBounds returns k+1 boundaries splitting [min,max] evenly.
@@ -175,7 +236,17 @@ func equalFrequencyBounds(d *Dataset, a int, vals []float64, k int) []float64 {
 		pairs[i] = vc{vals[i], counts[i]}
 		total += counts[i]
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	// slices.SortFunc runs the same pdqsort as sort.Slice, comparison for
+	// comparison, so values that parse alike keep the order they always had.
+	slices.SortFunc(pairs, func(x, y vc) int {
+		switch {
+		case x.v < y.v:
+			return -1
+		case x.v > y.v:
+			return 1
+		}
+		return 0
+	})
 	bounds := []float64{pairs[0].v}
 	cum, next := 0, total/k
 	for _, p := range pairs {
@@ -199,26 +270,12 @@ func equalFrequencyBounds(d *Dataset, a int, vals []float64, k int) []float64 {
 	return out
 }
 
-// bucketLabel formats the half-open interval containing v. The last bucket
-// is closed on both ends.
-func bucketLabel(bounds []float64, v float64) string {
-	for i := 0; i < len(bounds)-1; i++ {
-		last := i == len(bounds)-2
-		if v < bounds[i+1] || (last && v <= bounds[i+1]) {
-			open, close := "[", ")"
-			if last {
-				close = "]"
-			}
-			return fmt.Sprintf("%s%s,%s%s", open, trimFloat(bounds[i]), trimFloat(bounds[i+1]), close)
-		}
-	}
-	return fmt.Sprintf("[%s,%s]", trimFloat(bounds[len(bounds)-2]), trimFloat(bounds[len(bounds)-1]))
-}
-
-// trimFloat renders a float compactly (integers without a decimal point).
+// trimFloat renders a bound compactly: an integer without a decimal point,
+// any other value in the shortest form that parses back to it, so bounds
+// that differ print differently.
 func trimFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', 6, 64)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -177,5 +178,114 @@ func TestBinStrategyString(t *testing.T) {
 	}
 	if BinStrategy(9).String() == "" {
 		t.Error("unknown strategy should still render")
+	}
+}
+
+// TestBucketizeDistinctLabels: bounds that agree to six significant digits
+// still print apart, so twelve values 1.0000000 … 1.0000011 in four
+// equal-frequency bins keep four buckets.
+func TestBucketizeDistinctLabels(t *testing.T) {
+	b := NewBuilder("close", "v")
+	for i := 0; i < 12; i++ {
+		b.AppendStrings(fmt.Sprintf("1.%07d", i))
+	}
+	out, err := Bucketize(build(t, b), []string{"v"}, BucketizeOptions{Bins: 4, Strategy: EqualFrequency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"[1,1.0000002)", "[1.0000002,1.0000005)", "[1.0000005,1.0000008)", "[1.0000008,1.0000011]"}
+	if got := out.Attr(0).Domain(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("labels %q, want %q", got, want)
+	}
+	if got := out.ValueCounts(0); fmt.Sprint(got) != "[2 3 3 4]" {
+		t.Errorf("bucket rows %v, want [2 3 3 4]", got)
+	}
+}
+
+// TestBucketizeNonFinite: a value parsing to NaN or an infinity makes its
+// attribute non-numeric, as any other token does.
+func TestBucketizeNonFinite(t *testing.T) {
+	for _, tok := range []string{"NaN", "Inf", "-Inf"} {
+		b := NewBuilder("nf", "v")
+		for i := 0; i < 20; i++ {
+			b.AppendStrings(strconv.Itoa(i))
+		}
+		b.AppendStrings(tok).AppendStrings(tok)
+		d := build(t, b)
+		if IsNumericAttr(d, 0) {
+			t.Errorf("%s: attribute is numeric", tok)
+		}
+		for _, s := range []BinStrategy{EqualWidth, EqualFrequency} {
+			opts := BucketizeOptions{Bins: 5, Strategy: s}
+			out, err := BucketizeAllNumeric(d, opts)
+			if err != nil || out.Attr(0).DomainSize() != 21 {
+				t.Errorf("%s %v: BucketizeAllNumeric = %v, %v; want the 21 values untouched", tok, s, out, err)
+			}
+			if _, err := Bucketize(d, []string{"v"}, opts); err == nil || err.Error() != `dataset: attribute "v" is not numeric` {
+				t.Errorf("%s %v: Bucketize error %v", tok, s, err)
+			}
+		}
+	}
+}
+
+// TestBucketizeEqualValues: distinct strings parsing to one number make
+// one closed bucket.
+func TestBucketizeEqualValues(t *testing.T) {
+	b := NewBuilder("eq", "v")
+	for _, v := range []string{"1", "1.0", "01", "1.00", "1"} {
+		b.AppendStrings(v)
+	}
+	out, err := Bucketize(build(t, b), []string{"v"}, BucketizeOptions{Bins: 2, Strategy: EqualFrequency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Attr(0).Domain(); len(got) != 1 || got[0] != "[1,1]" || out.NonNullCount(0) != 5 {
+		t.Errorf("labels %q over %d rows, want [[1,1]] over 5", got, out.NonNullCount(0))
+	}
+}
+
+// TestBucketizeMatchesReference holds Bucketize and BucketizeAllNumeric to
+// the row-by-row reference on random tables with NULLs, a categorical
+// attribute and slices whose dictionaries hold values no row has.
+func TestBucketizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for trial := 0; trial < 40; trial++ {
+		b := NewBuilder("r", "num", "cat", "int")
+		n := 50 + rng.IntN(400)
+		for i := 0; i < n; i++ {
+			num := ""
+			if rng.IntN(10) > 0 {
+				num = strconv.FormatFloat(rng.NormFloat64()*100, 'f', rng.IntN(4), 64)
+			}
+			b.AppendStrings(num, string(rune('a'+rng.IntN(5))), strconv.Itoa(rng.IntN(30)))
+		}
+		d := build(t, b)
+		if trial%2 == 1 {
+			var err error
+			if d, err = d.Slice(n/3, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range []BinStrategy{EqualWidth, EqualFrequency} {
+			opts := BucketizeOptions{Bins: 2 + trial%5, Strategy: s}
+			want, err := refBucketize(d, []string{"num", "int"}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BucketizeAllNumeric(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := DiffDatasets(got, want); diff != "" {
+				t.Fatalf("trial %d %v: BucketizeAllNumeric: %s", trial, s, diff)
+			}
+			want, _ = refBucketize(d, []string{"int"}, opts)
+			if got, err = Bucketize(d, []string{"int"}, opts); err != nil {
+				t.Fatal(err)
+			}
+			if diff := DiffDatasets(got, want); diff != "" {
+				t.Fatalf("trial %d %v: Bucketize: %s", trial, s, diff)
+			}
+		}
 	}
 }

@@ -11,6 +11,18 @@
 // never satisfy an equality pattern and are excluded from value counts,
 // which matches the semantics required by the paper's NP-hardness reduction
 // (Appendix A) where reduction tuples deliberately leave attributes unset.
+//
+// Ingest works on bytes and identifiers, not on a string per cell. ReadCSV
+// and ReadCSVAppend read encoding/csv's format with one streaming scanner:
+// a read holds a bounded number of fixed-size blocks (GOMAXPROCS of them),
+// cuts each buffer's whole rows into spans by quote parity, parses the spans
+// on up to GOMAXPROCS goroutines and merges them in input order, so the
+// result is the one a row-by-row reader gives. A field is looked up by its
+// bytes; only a value its column has never seen becomes a string. Rows
+// passed over by SkipRows are scanned and validated, never looked up or
+// interned. WriteCSV writes each dictionary value's encoding once, and
+// Bucketize maps value identifiers to bucket identifiers through one table
+// per attribute.
 package dataset
 
 import (
@@ -33,7 +45,11 @@ const MaxDomainSize = 1<<16 - 2
 type Attribute struct {
 	name string
 	dom  []string          // dom[i] is the string for identifier i+1
-	ids  map[string]uint16 // inverse mapping; never contains NULL
+	ids  map[string]uint16 // inverse of dom past base's values; never contains NULL
+	// base, when set, is the built attribute whose domain dom extends: its
+	// values keep their identifiers and are looked up in its map, read-only,
+	// so extending a dictionary copies none of it. A base has no base.
+	base *Attribute
 }
 
 // NewAttribute returns an attribute with the given name and an empty domain.
@@ -66,18 +82,34 @@ func (a *Attribute) Value(id uint16) string {
 // ID returns the identifier for a string value, or (Null, false) when the
 // value is not part of the active domain.
 func (a *Attribute) ID(value string) (uint16, bool) {
+	if a.base != nil {
+		if id, ok := a.base.ids[value]; ok {
+			return id, true
+		}
+	}
 	id, ok := a.ids[value]
+	return id, ok
+}
+
+// idOf is ID for a value held as bytes; it does not allocate.
+func (a *Attribute) idOf(value []byte) (uint16, bool) {
+	if a.base != nil {
+		if id, ok := a.base.ids[string(value)]; ok {
+			return id, true
+		}
+	}
+	id, ok := a.ids[string(value)]
 	return id, ok
 }
 
 // intern returns the identifier for value, extending the dictionary if the
 // value has not been seen before.
 func (a *Attribute) intern(value string) (uint16, error) {
-	if id, ok := a.ids[value]; ok {
+	if id, ok := a.ID(value); ok {
 		return id, nil
 	}
 	if len(a.dom) >= MaxDomainSize {
-		return Null, fmt.Errorf("dataset: attribute %q exceeds %d distinct values", a.name, MaxDomainSize)
+		return Null, a.errFull()
 	}
 	a.dom = append(a.dom, value)
 	id := uint16(len(a.dom))
@@ -85,13 +117,25 @@ func (a *Attribute) intern(value string) (uint16, error) {
 	return id, nil
 }
 
-// clone returns a deep copy of the attribute.
-func (a *Attribute) clone() *Attribute {
-	c := &Attribute{name: a.name, dom: append([]string(nil), a.dom...), ids: make(map[string]uint16, len(a.ids))}
-	for v, id := range a.ids {
-		c.ids[v] = id
+// errFull is the failure of a value that would take the attribute past
+// MaxDomainSize.
+func (a *Attribute) errFull() error {
+	return fmt.Errorf("dataset: attribute %q exceeds %d distinct values", a.name, MaxDomainSize)
+}
+
+// extension returns an empty extension of the attribute's dictionary: its
+// values keep their identifiers, and new values take the identifiers past
+// them. The attribute is read, never copied, unless it is an extension
+// itself; that one is flattened first, so a lookup reads at most two maps.
+func (a *Attribute) extension() *Attribute {
+	if a.base != nil {
+		flat := &Attribute{name: a.name, dom: a.dom, ids: make(map[string]uint16, len(a.dom))}
+		for i, v := range a.dom {
+			flat.ids[v] = uint16(i + 1)
+		}
+		a = flat
 	}
-	return c
+	return &Attribute{name: a.name, dom: a.dom[:len(a.dom):len(a.dom)], ids: make(map[string]uint16), base: a}
 }
 
 // Dataset is an immutable-after-build, column-oriented categorical relation.
@@ -360,16 +404,17 @@ func NewBuilder(name string, attrNames ...string) *Builder {
 	return b
 }
 
-// NewBuilderFrom returns a builder whose attributes start as deep copies of
-// d's dictionaries: values d already knows keep their identifiers, and new
+// NewBuilderFrom returns a builder whose attributes extend d's
+// dictionaries: values d already knows keep their identifiers, and new
 // values extend the domains past them. Incremental ingestion seeds delta
 // datasets this way so the delta's encoding extends the base's — the
-// dictionary-alignment invariant core.Label.Merge validates. d's row data
-// is not copied; the builder starts empty.
+// dictionary-alignment invariant core.Label.Merge validates. d's
+// dictionaries are read, not copied, and never change; d's row data is not
+// copied either; the builder starts empty.
 func NewBuilderFrom(d *Dataset, name string) *Builder {
 	b := &Builder{name: name}
 	for _, a := range d.attrs {
-		b.attrs = append(b.attrs, a.clone())
+		b.attrs = append(b.attrs, a.extension())
 		b.cols = append(b.cols, nil)
 	}
 	return b
@@ -489,36 +534,6 @@ func (b *Builder) Build() (*Dataset, error) {
 	d := &Dataset{name: b.name, attrs: b.attrs, cols: b.cols, rows: b.rows}
 	b.attrs, b.cols = nil, nil
 	return d, nil
-}
-
-// Concat returns a new dataset whose rows are d's rows followed by more's
-// rows. The two datasets must have identical attribute names in identical
-// order; domains are merged (identifiers are re-encoded as needed).
-func Concat(d, more *Dataset) (*Dataset, error) {
-	if d.NumAttrs() != more.NumAttrs() {
-		return nil, fmt.Errorf("dataset: concat attribute count mismatch %d vs %d", d.NumAttrs(), more.NumAttrs())
-	}
-	for i := range d.attrs {
-		if d.attrs[i].name != more.attrs[i].name {
-			return nil, fmt.Errorf("dataset: concat attribute %d name mismatch %q vs %q", i, d.attrs[i].name, more.attrs[i].name)
-		}
-	}
-	b := NewBuilder(d.name, d.AttrNames()...)
-	for r := 0; r < d.rows; r++ {
-		vals := make([]string, d.NumAttrs())
-		for a := range d.attrs {
-			vals[a] = d.Value(r, a)
-		}
-		b.AppendStrings(vals...)
-	}
-	for r := 0; r < more.rows; r++ {
-		vals := make([]string, more.NumAttrs())
-		for a := range more.attrs {
-			vals[a] = more.Value(r, a)
-		}
-		b.AppendStrings(vals...)
-	}
-	return b.Build()
 }
 
 // SortedDomain returns the attribute's domain values sorted lexically. It is

@@ -235,25 +235,6 @@ func TestHead(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := sample(t)
-	b := sample(t)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumRows() != 10 {
-		t.Errorf("rows = %d", c.NumRows())
-	}
-	if c.Value(7, 0) != a.Value(2, 0) {
-		t.Error("concatenated values differ")
-	}
-	other := build(t, NewBuilder("other", "x").AppendStrings("1"))
-	if _, err := Concat(a, other); err == nil {
-		t.Error("mismatched schemas accepted")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	// A one-column row whose value is NULL must not become a blank line,
 	// which CSV readers skip.

@@ -398,9 +398,9 @@ var (
 // ReadCSVAppend reads the appended tail of a grown CSV into a delta
 // dataset for incremental label maintenance: the header must name base's
 // attributes in order, opts.SkipRows rows (the base's row watermark) are
-// passed over without being stored or interned, and the kept rows build on
-// a copy of base's dictionaries — known values keep their identifiers, new
-// values extend the domains. base may be schema-only (an artifact's
+// validated and passed over without being stored or interned, and the kept
+// rows build on base's dictionaries, read in place and never changed —
+// known values keep their identifiers, new values extend the domains. base may be schema-only (an artifact's
 // reopened dataset). The result is what Label.Merge and MergeLabelArtifact
 // expect as a delta's dataset.
 func ReadCSVAppend(r io.Reader, base *Dataset, opts CSVOptions) (*Dataset, error) {
