@@ -507,12 +507,20 @@ func BenchmarkFrontierSizing(b *testing.B) {
 // about live heap, not allocation churn: grouping state at any instant is
 // one on-disk run's map (bounded by CountOptions.MemBudget) instead of the
 // whole distinct-key space. BenchmarkSpillGroupBy tracks the end-to-end
-// engine cost of both tiers (bytes/op gated by the benchguard manifest);
-// BenchmarkSpillLiveHeap measures the live-heap bound directly, forcing a
-// GC while each run's map is live and reporting the peak.
+// engine cost of both tiers and both record formats (bytes/op gated by the
+// benchguard manifest); BenchmarkSpillLiveHeap measures the live-heap
+// bound directly, forcing a GC while each run's map is live and reporting
+// the peak.
 
 var spillBenchOnce sync.Once
 var spillBenchData *dataset.Dataset
+
+// u64SpillData is the uint64-record spill workload: 8 domain-40
+// attributes give a 40^8 mixed-radix key — fits uint64, far beyond the
+// dense tier — so a budgeted full-set group-by spills fixed-width 8-byte
+// records instead of 16-byte byte-string records.
+var u64SpillOnce sync.Once
+var u64SpillData *dataset.Dataset
 
 // spillBenchSetup returns a byte-key dataset (domain product overflows
 // uint64, nearly all rows distinct — the unbounded-domain worst case) and
@@ -546,81 +554,24 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
 	})
-	b.Run("spill-size", func(b *testing.B) {
+	// The uint64 record format's partition and count phases: the
+	// 40^8-key set fits uint64 but no dense slab.
+	b.Run("spill-u64", func(b *testing.B) {
+		u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
+		du := u64SpillData
+		fullU := lattice.FullSet(du.NumAttrs())
 		var stats core.ScanStats
-		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
-		for i := 0; i < b.N; i++ {
-			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
-				b.Fatal("unbounded sizing reported out of bound")
-			}
-		}
-		if stats.Spilled != int64(b.N) {
-			b.Fatalf("spilled %d of %d sizings", stats.Spilled, b.N)
-		}
-	})
-}
-
-// BenchmarkSpillSizeWorkers sweeps the counting workers over a spilled
-// frontier sizing (core.LabelSizes routes the over-budget byte-key
-// set onto an external spill scan): the partition phase shards rows and
-// the count phase splits the key-disjoint runs K-way, so on a multi-core
-// runner the sizing wall clock scales with workers like the in-memory
-// kernels do. Recorded in BENCH_pr5.json (note the runner CPU count).
-func BenchmarkSpillSizeWorkers(b *testing.B) {
-	d, budget := spillBenchSetup(b)
-	sets := []lattice.AttrSet{lattice.FullSet(d.NumAttrs())}
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var stats core.ScanStats
-			opts := core.CountOptions{Workers: workers, MemBudget: budget, Stats: &stats}
-			for i := 0; i < b.N; i++ {
-				sizes, within := must2(core.LabelSizes(d, sets, -1, opts))
-				if !within[0] || sizes[0] == 0 {
-					b.Fatal("unbounded spilled sizing failed")
-				}
-			}
-			if stats.Spilled != int64(b.N) {
-				b.Fatalf("spilled %d of %d sizings", stats.Spilled, b.N)
-			}
-			b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
-		})
-	}
-}
-
-// u64SpillDataset is the uint64-record spill workload: 8 domain-40
-// attributes give a 40^8 mixed-radix key — fits uint64, far beyond the
-// dense tier — so a budgeted full-set group-by spills fixed-width 8-byte
-// records instead of 16-byte byte-string records.
-var u64SpillOnce sync.Once
-var u64SpillData *dataset.Dataset
-
-// BenchmarkSpillRecordFormat compares spilled sizing throughput of the two
-// record formats at equal row count: byte-string records (key overflows
-// uint64; 2 bytes per member) vs fixed-width uint64 records (8 bytes, no
-// per-key string materialization in the count maps). MB/s is record bytes
-// through the partition+count pipeline.
-func BenchmarkSpillRecordFormat(b *testing.B) {
-	d, budget := spillBenchSetup(b)
-	u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
-	du := u64SpillData
-	budgetU := spillBudgetU64(du, 6)
-	run := func(b *testing.B, d *dataset.Dataset, budget int64, recW int, wantU64 int64) {
-		full := lattice.FullSet(d.NumAttrs())
-		var stats core.ScanStats
-		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
-		b.SetBytes(int64(d.NumRows() * recW))
+		opts := core.CountOptions{Workers: 1, MemBudget: spillBudgetU64(du, 6), Stats: &stats}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
-				b.Fatal("unbounded sizing reported out of bound")
-			}
+			pc := must(core.BuildPC(du, fullU, opts))
+			pc.ReleaseSpill()
 		}
-		if stats.Spilled != int64(b.N) || stats.SpilledU64 != wantU64*int64(b.N) {
-			b.Fatalf("Spilled=%d SpilledU64=%d over %d ops", stats.Spilled, stats.SpilledU64, b.N)
+		if stats.SpilledU64 != int64(b.N) {
+			b.Fatalf("spilled %d of %d uint64 builds", stats.SpilledU64, b.N)
 		}
-	}
-	b.Run("bytes", func(b *testing.B) { run(b, d, budget, 2*d.NumAttrs(), 0) })
-	b.Run("u64", func(b *testing.B) { run(b, du, budgetU, 8, 1) })
+		b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
+	})
 }
 
 // spillBudgetU64 mirrors the engine's uint64-map footprint model
@@ -685,7 +636,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				w.Cleanup()
 				b.Fatal(err)
 			}
-			size, _, err := w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
+			size, err := w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -725,7 +676,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			merged := make(map[string]int)
-			_, _, err = w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
+			_, err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
 				for key, c := range m {
 					merged[key] = c
 				}
@@ -757,93 +708,6 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 			}
 			peak = max(peak, liveHeap())
 			pc.ReleaseSpill()
-		}
-		b.ReportMetric(float64(peak-baseline), "live-heap-B")
-		b.ReportMetric(float64(budget), "budget-B")
-	})
-}
-
-// BenchmarkSharedSpillPartition measures the shared-scan partition phase:
-// a frontier of n spilled uint64-key sets (11-attribute subsets of the
-// wide dataset, each over budget) sized through LabelSizes in one
-// shared dataset pass versus one pass per set (the pre-shared baseline,
-// via DisableSharedSpill). partition-passes/op counts dataset scans spent
-// partitioning and rows-read/op the partition-phase row reads they imply:
-// shared mode stays at one pass while the baseline grows linearly with n.
-func BenchmarkSharedSpillPartition(b *testing.B) {
-	d, budget := spillBenchSetup(b)
-	full := lattice.FullSet(d.NumAttrs())
-	for _, nsets := range []int{1, 4, 8} {
-		sets := make([]lattice.AttrSet, nsets)
-		for i := range sets {
-			// Dropping one attribute keeps the mixed-radix key within
-			// uint64 (41^11 < 2^63) with a distinct-key bound of the row
-			// count — far over the budget, so every set spills.
-			sets[i] = full.Remove(i)
-		}
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"shared", false}, {"perset", true}} {
-			b.Run(fmt.Sprintf("sets=%d/%s", nsets, mode.name), func(b *testing.B) {
-				var stats core.ScanStats
-				opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats, DisableSharedSpill: mode.disable}
-				for i := 0; i < b.N; i++ {
-					sizes, within := must2(core.LabelSizes(d, sets, -1, opts))
-					if !within[0] || sizes[0] == 0 {
-						b.Fatal("unbounded sizing failed")
-					}
-				}
-				if stats.Spilled != int64(nsets)*int64(b.N) || stats.SpillFallbacks != 0 {
-					b.Fatalf("spilled %d sets (%d fallbacks), want %d spilled",
-						stats.Spilled, stats.SpillFallbacks, int64(nsets)*int64(b.N))
-				}
-				passes := float64(stats.Spilled-stats.SpillPassesSaved) / float64(b.N)
-				b.ReportMetric(passes, "partition-passes/op")
-				b.ReportMetric(passes*float64(d.NumRows()), "rows-read/op")
-			})
-		}
-	}
-	// Live-heap check on the partition phase at its widest: the
-	// MultiWriter is driven directly so a GC can run while all 8 targets'
-	// flush buffers are live at once — the peak must track the shared
-	// budget slice (MemBudget/2 for one worker), not the target count.
-	b.Run("sets=8/liveheap", func(b *testing.B) {
-		const targets, runs = 8, 6
-		cfgs := make([]spill.Config, targets)
-		for i := range cfgs {
-			cfgs[i] = spill.Config{RecWidth: 8, Runs: runs}
-		}
-		rows := d.NumRows()
-		baseline := liveHeap()
-		var peak uint64
-		for i := 0; i < b.N; i++ {
-			mw := spill.NewMultiWriter(cfgs, budget/2)
-			ms := mw.Shard()
-			v := uint64(88172645463325252)
-			for r := 0; r < rows; r++ {
-				v ^= v << 13
-				v ^= v >> 7
-				v ^= v << 17
-				for t := 0; t < targets; t++ {
-					ms.AddU64(t, v+uint64(t))
-				}
-			}
-			peak = max(peak, liveHeap()) // every target's buffers live
-			ms.Close()
-			for t := 0; t < targets; t++ {
-				if err := mw.Err(t); err != nil {
-					mw.Cleanup()
-					b.Fatal(err)
-				}
-				size, _, err := mw.Writer(t).CountRunsU64Ctx(nil, -1, 1, nil)
-				if err != nil || size == 0 {
-					mw.Cleanup()
-					b.Fatalf("target %d: size=%d err=%v", t, size, err)
-				}
-				mw.CleanupTarget(t)
-			}
-			mw.Cleanup()
 		}
 		b.ReportMetric(float64(peak-baseline), "live-heap-B")
 		b.ReportMetric(float64(budget), "budget-B")

@@ -215,10 +215,6 @@ func runLabel(args []string) error {
 			res.Stats.SpillRuns, res.Stats.SpillParallelRuns,
 			float64(res.Stats.SpillBytes)/(1<<20))
 	}
-	if res.Stats.SharedSpillPasses > 0 {
-		fmt.Printf("spill sharing:    %d shared partition passes saved %d dataset scans\n",
-			res.Stats.SharedSpillPasses, res.Stats.SpillPassesSaved)
-	}
 	if res.Stats.SpillFallbacks > 0 {
 		fmt.Printf("spill fallbacks:  %d sets hit disk trouble and were counted in memory (budget not honored)\n",
 			res.Stats.SpillFallbacks)

@@ -135,9 +135,9 @@ func (pc *PC) SpillReadStats() (stats SpillReadStats, ok bool) {
 // files on demand, and a read that fails — an I/O error or a checksum
 // mismatch, after one bounded retry — returns the error instead of a wrong
 // count. ctx bounds that work: an already-fired context is refused at
-// entry, and a cache miss loads its run file with ctx polled every
-// spillReadCheckRecs records; a fired context returns the typed context
-// error. A nil ctx never cancels.
+// entry, and a cache miss loads its run file with ctx checked once per
+// frame of at most 4,096 entries; a fired context returns the typed
+// context error. A nil ctx never cancels.
 func (pc *PC) LookupValsCtx(ctx context.Context, vals []uint16) (int, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -252,10 +252,11 @@ func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattic
 // the size a label built on s would have (paper line 6 of Algorithm 1:
 // labelSize(c, D)). When cap >= 0 and the distinct count exceeds cap,
 // counting aborts and it returns (cap+1, false): the caller only needs to
-// know the bound was breached. Label sizes are monotone in S (refining a
-// grouping can only split groups), which is what makes this early abort —
-// and Algorithm 1's subtree pruning — sound. No caller uses it: it is the
-// oracle the differential tests compare LabelSizes against.
+// know the bound was breached. On NULL-free data label sizes are monotone
+// in S (refining a grouping can only split groups), which is what makes
+// Algorithm 1's subtree pruning sound; with NULLs they are not (see
+// LabelSize). No caller uses it: it is the oracle the differential tests
+// compare LabelSizes against.
 func labelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within bool) {
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)

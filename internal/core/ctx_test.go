@@ -336,12 +336,18 @@ func TestSortedRunWriteFaultFallsBack(t *testing.T) {
 	s := spillSet(t, d)
 	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	opts := CountOptions{Workers: 1, MemBudget: spillBudgetFor(d, s, 3)}
-	// Sizing the set runs the same partition pass and writes nothing else,
-	// so its op counts mark where the sorted-run writes start.
+	// The build's partition phase on its own — the writer and pass the
+	// build sets up — marks where the sorted-run writes start.
 	rec := iofault.NewFaultFS(nil)
-	ropts := opts
-	ropts.FS, ropts.SpillDir = rec, t.TempDir()
-	if _, _, err := LabelSize(d, s, -1, ropts); err != nil {
+	k := NewKeyer(d, s)
+	runs, format, ok := opts.spillFor(k, d.NumRows(), 1)
+	if !ok {
+		t.Fatal("set does not spill under the budget")
+	}
+	w := must(spill.NewWriter(spill.Config{RecWidth: format.recWidth(k), Runs: runs, Dir: t.TempDir(), FS: rec}))
+	err := spillPartition(w, k, datasetCols(d), d.NumRows(), 1, format, nil, opts.stop())
+	w.Cleanup()
+	if err != nil {
 		t.Fatal(err)
 	}
 	part := rec.Counts()

@@ -26,9 +26,10 @@ import (
 //   - key overflows uint64, fits CountOptions.MemBudget           →  byte-string map
 //   - key fits or overflows uint64, modeled map footprint over
 //     CountOptions.MemBudget                                      →  spill
-//     (external group-by: hash-partitioned on-disk runs, counted one at a
-//     time with the map kernel — see spillcount.go; no budget means the
-//     tier is off)
+//     (a build's external group-by: hash-partitioned on-disk runs, counted
+//     one at a time with the map kernel — see spillcount.go; no budget
+//     means the tier is off; LabelSizes models a capped set at cap+1 keys
+//     and sizes a set still over budget through that build)
 //
 // A sorted build counts into hash maps and freezes them into SortedCounts
 // when the scan ends. The row-factor guard keeps the dense kernel off
@@ -344,13 +345,6 @@ type ScanStats struct {
 	// set re-counted in memory. A climbing counter here means the spill
 	// volume is full — the engine keeps answering exactly, but over budget.
 	SpillNoSpaceFallbacks int64
-	// SharedSpillPasses counts shared partition passes: a frontier with
-	// several spilled sets partitions all of them in ONE dataset scan
-	// (spill.MultiWriter) instead of one scan per set.
-	SharedSpillPasses int64
-	// SpillPassesSaved totals the dataset partition scans the shared
-	// passes avoided: sets-in-pass minus one, summed over passes.
-	SpillPassesSaved int64
 	// SpillReadErrors counts failed run-read attempts on merge-on-read
 	// indexes (each failed scan, including failed retries).
 	SpillReadErrors int64

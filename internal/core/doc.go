@@ -69,37 +69,30 @@
 //     one member column at a time).
 //   - bytes: key spaces overflowing uint64 fall back to byte-string keys
 //     with the original per-row loop.
-//   - uint64 spill: sets with uint64 keys beyond the dense tier whose
-//     modeled map footprint (56 bytes an entry) exceeds
-//     CountOptions.MemBudget run the external group-by with fixed-width
+//   - uint64 spill: a build of a set with uint64 keys beyond the dense
+//     tier whose modeled map footprint (56 bytes an entry) exceeds
+//     CountOptions.MemBudget runs the external group-by with fixed-width
 //     8-byte records — the common over-budget case once domains multiply;
 //     runs count into map[uint64]int, no per-key string materialization.
 //     The dense kernel is exempt: its flat state is bounded by the dense
 //     slot limit.
-//   - byte spill: byte-key sets over the budget — the unbounded-domain,
+//   - byte spill: byte-key builds over the budget — the unbounded-domain,
 //     out-of-core case — spill 2-bytes-per-member records.
-//   - shared spill partition: a frontier with several spilled sets
-//     partitions all of them in ONE blocked dataset pass
-//     (labelSizesSpilledShared over spill.MultiWriter): every set's keys
-//     are computed per cache-resident row block and routed into that
-//     set's own run files, byte-identical to the per-set pass, with the
-//     flush buffers drawing on a shared budget slice. Counting is then
-//     per set, exactly as below; CountOptions.DisableSharedSpill restores
-//     the per-set passes as an ablation baseline.
 //
 // Both spill formats share the machinery (spillcount.go over
 // internal/spill): keys hash-partition into K on-disk runs sized so one
-// run's map fits each counting worker's share of the budget, the
-// key-disjoint runs are counted K-way in parallel with a shared atomic
-// distinct total (exact cap-abort across workers), and counts merge with
-// the exact cap-abort of label sizing (per-run counts are final and the
-// distinct total is a monotone sum). LabelSizes keeps spilled sets out of
-// its groups and sizes them afterwards, in frontier order: one spill scan
-// for a lone spilled set, the shared partition pass when there are several
-// (ScanStats.SharedSpillPasses/SpillPassesSaved meter the saved scans).
-// Disk trouble during any spill scan degrades per set, never per pass:
-// the affected set re-counts in memory with the caller's full options
-// (budget cleared), siblings keep their on-disk results.
+// run's map fits each counting worker's share of the budget, and the
+// key-disjoint runs are counted K-way in parallel, so per-run counts are
+// final. Disk trouble during a spilled build re-counts the set in memory
+// with the caller's full options (budget cleared), metered in
+// ScanStats.SpillFallbacks. Sizing has no spill path of its own.
+// LabelSizes prices a set by the keys its accumulator can reach —
+// min(radix, rows, cap+1) entries under the same per-entry models — so a
+// capped set stays in its group whenever cap+1 keys fit the budget. A set
+// still over budget (an uncapped size, or a cap too large for the budget)
+// is sized afterwards, in frontier order, through the budgeted BuildPC:
+// its Size is read and its runs released.
+//
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — each counted run is written once as a
 // sorted run of (key, count) entries (uint64 keys gap- and varint-coded,
@@ -112,8 +105,7 @@
 // bytes an entry rather than the 56-byte map model that decided to spill.
 // Label.Merge over a spilled PC writes fresh runs, each one linear
 // two-way merge of a base run with its share of the delta; a delta that
-// grew a member domain re-partitions instead (merge.go). Sizing-only
-// scans keep partition runs alone: nothing reopens them.
+// grew a member domain re-partitions instead (merge.go).
 //
 // The merge-on-read read path is built for concurrent readers (the label
 // serving daemon of internal/serve): there is no per-lookup mutex. Pinned

@@ -175,10 +175,12 @@ type MaxErrOptions struct {
 	// Sorted enables the paper's early-termination optimization (§IV-C):
 	// the pattern set must be sorted by non-increasing count; the scan
 	// stops once the next pattern's count falls below the running maximum
-	// error. The paper applies this unconditionally; it is exact whenever
-	// the worst error is not an over-estimation of a low-count pattern
-	// (over-estimates are bounded by c_D(p|S), which shrinks with count in
-	// practice — validated in tests on all evaluation workloads).
+	// error. The paper applies this unconditionally, but it is not exact:
+	// an under-estimate can end the scan while a later, lower-count pattern
+	// is over-estimated by more (TestSortedEvalIsNotExact pins a 9-row
+	// example reporting 10/9 where the exhaustive scan finds 11/9). The
+	// result never exceeds the exhaustive maximum. The search's agreement
+	// test checks one BlueNile dataset at bounds 10 and 40.
 	Sorted bool
 	// StopAbove, when positive, aborts the scan as soon as the running
 	// maximum exceeds it and returns that running maximum. The search uses

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 	"pcbl/internal/testutil"
 )
@@ -143,6 +144,41 @@ func TestMaxAbsErrorModesAgree(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestSortedEvalIsNotExact pins a dataset on which the sorted early
+// termination misses the worst error. On S = {a0, a1} the label
+// under-estimates the count-2 tuple (v1, v1, v0) by 10/9, and every later
+// tuple has count 1 < 10/9, so the scan stops there; but it over-estimates
+// the count-1 tuple (v1, v1, v1) by 11/9. The sorted scan only ever stops
+// early, so it never reports more than the exhaustive one.
+func TestSortedEvalIsNotExact(t *testing.T) {
+	bld := dataset.NewBuilder("fasteval", "a0", "a1", "a2")
+	for _, r := range [][3]string{
+		{"v0", "v0", "v1"}, {"v0", "v0", "v2"}, {"v0", "v2", "v1"},
+		{"v0", "v0", "v1"}, {"v1", "v1", "v0"}, {"v1", "v1", "v0"},
+		{"v0", "v0", "v1"}, {"v1", "v1", "v1"}, {"v1", "v1", "v2"},
+	} {
+		bld.AppendStrings(r[0], r[1], r[2])
+	}
+	d := must(bld.Build())
+	ps := DistinctTuples(d)
+	ps.SortByCountDesc()
+	lattice.AllSubsets(d.NumAttrs(), func(s lattice.AttrSet) bool {
+		l := must(BuildLabel(d, s, CountOptions{Workers: 1}))
+		exact, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1})
+		sorted, _ := MaxAbsError(l, ps, MaxErrOptions{Sorted: true})
+		if sorted > exact {
+			t.Errorf("label %v: sorted %v exceeds exact %v", s, sorted, exact)
+		}
+		return true
+	})
+	l := must(BuildLabel(d, lattice.NewAttrSet(0).Add(1), CountOptions{Workers: 1}))
+	exact, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1})
+	sorted, _ := MaxAbsError(l, ps, MaxErrOptions{Sorted: true})
+	if math.Abs(exact-11.0/9) > 1e-12 || math.Abs(sorted-10.0/9) > 1e-12 {
+		t.Fatalf("S={a0,a1}: exact %v, sorted %v; want 11/9 and 10/9", exact, sorted)
+	}
 }
 
 // TestMaxAbsErrorStopAbove: the cutoff returns early with a value above the

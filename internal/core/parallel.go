@@ -57,25 +57,28 @@ type CountOptions struct {
 	Pool *VecPool
 
 	// MemBudget, when positive, bounds the estimated in-memory grouping
-	// state of a single group-by in bytes. Map-kernel sets — uint64 keys
-	// beyond the dense tier as well as byte-string keys overflowing uint64
-	// — whose estimated map footprint exceeds the budget are routed to the
+	// state of a single group-by in bytes. A BuildPC of a set beyond the
+	// dense tier — uint64 keys as well as byte-string keys overflowing
+	// uint64 — whose modeled map footprint exceeds the budget runs on the
 	// external-memory spill tier (spillcount.go): keys hash-partition into
 	// on-disk runs (fixed-width uint64 records or byte records, matching
 	// the key encoding) sized so one run's map fits each counting worker's
 	// share of the budget, and the key-disjoint runs are counted K-way in
-	// parallel. Budgeted builds are bounded end to end: a result map that
-	// models over the budget is not materialized — the PC keeps its runs
-	// and serves lookups merge-on-read. Results are bit-identical to the
-	// in-memory kernels. Zero means unlimited (never spill). The dense
-	// kernel is not governed by this knob: its state is bounded by the
-	// dense slot limit the selection rules already cap.
+	// parallel. Budgeted builds are bounded end to end: a result that
+	// models over the budget is not materialized — the PC keeps sorted runs
+	// and serves lookups merge-on-read. LabelSizes prices a capped set by
+	// the cap+1 keys its accumulator can reach, so a capped set spills only
+	// when even those are over budget; it is then sized through the
+	// budgeted BuildPC. Results are bit-identical to the in-memory kernels.
+	// Zero means unlimited (never spill). The dense kernel is not governed
+	// by this knob: its state is bounded by the dense slot limit the
+	// selection rules already cap.
 	MemBudget int64
 
 	// SpillDir overrides where spill run files are written; empty means
 	// the system temp directory. Run files live in a private subdirectory
-	// that is removed when the scan finishes — on success, cap-abort and
-	// panic alike.
+	// that is removed when the scan finishes — on success, error and panic
+	// alike.
 	SpillDir string
 
 	// FS routes the spill tier's file access through an injectable
@@ -83,13 +86,6 @@ type CountOptions struct {
 	// tests script failures here to exercise the disk-trouble fallbacks
 	// and the merge-on-read error paths.
 	FS iofault.FS
-
-	// DisableSharedSpill forces the per-set spill partition path even when
-	// a frontier has several spilled sets — each set then re-scans the
-	// dataset itself, the pre-shared-pass behaviour. Results are identical
-	// either way; differential tests and the BenchmarkSharedSpillPartition
-	// baseline use it as the ablation knob.
-	DisableSharedSpill bool
 
 	// Ctx, when non-nil, arms cooperative cancellation: scans check it at
 	// block granularity (sizing and build kernels, every keyBlockRows
@@ -123,10 +119,13 @@ func (o CountOptions) scanWorkers(rows int) int {
 // would have (paper line 6 of Algorithm 1: labelSize(c, D)). When cap >= 0
 // and the distinct count exceeds cap, counting aborts and LabelSize
 // returns (cap+1, false): the caller only needs to know the bound was
-// breached. Label sizes are monotone in S (refining a grouping can only
-// split groups), which is what makes this early abort — and Algorithm 1's
-// subtree pruning — sound. It is LabelSizes of the one set: the same
-// result, kernel counters and spill behaviour for every worker count.
+// breached. On NULL-free data label sizes are monotone in S (refining a
+// grouping can only split groups), which is what makes Algorithm 1's
+// subtree pruning sound; a row NULL in an added attribute leaves the
+// grouping, so with NULLs a superset can have fewer patterns
+// (TestLabelSizeNotMonotoneWithNulls). It is LabelSizes of the one set:
+// the same result, kernel counters and spill behaviour for every worker
+// count.
 //
 // The only error is opts.Ctx firing: the scan aborts at the next block
 // (or spill-run) boundary and surfaces the typed context error. Disk
@@ -162,104 +161,45 @@ func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions
 // accumulators at a time; spare workers shard each group's rows, and the
 // shards merge with the same exact cap-abort.
 //
-// Under a CountOptions.MemBudget, uint64- and byte-key sets whose
-// estimated map footprint exceeds the budget join no group — their
-// seen-sets are exactly the unbounded state the budget forbids. They are
-// sized afterwards on the spill tier, in frontier order: one external
-// group-by each (uint64 or byte record format, matching the key encoding,
-// with K-way parallel run counting), or one shared partition pass when
-// there are several.
+// Under a CountOptions.MemBudget a set beyond the dense tier is judged by
+// the state its accumulator can reach: min(radix, rows, cap+1) keys (no
+// cap+1 term when cap < 0), priced with the spill tier's per-entry map
+// models. The verdict does not depend on the worker count, so every worker
+// count picks the same tier. A set that fits stays in its group; with a
+// cap, that is every bound a label is meant to have. A set still over
+// budget — an uncapped size, or a cap too large for the budget — joins no
+// group: it is sized afterwards, in frontier order, by a budgeted BuildPC
+// whose Size is read and whose spilled runs are released at once, so the
+// build's spill path, disk-trouble fallback included, is the only one.
 //
 // The only error is opts.Ctx firing: every worker checks it once per row
-// block (and the spill tier once per run), and the whole frontier
-// evaluation aborts with the typed context error — sizes and within are
-// nil then, never partially filled.
+// block (and a budgeted build once per block or run), and the whole
+// frontier evaluation aborts with the typed context error — sizes and
+// within are nil then, never partially filled.
 func LabelSizes(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
-	if opts.MemBudget > 0 {
-		if si, ok := planSpilledSets(d, sets, opts); ok {
-			return labelSizesSplit(d, sets, cap, opts, si)
-		}
-	}
-	return labelSizesInMemory(d, sets, cap, opts)
-}
-
-// spilledSet is one frontier set routed to the external-memory tier.
-type spilledSet struct {
-	idx    int
-	runs   int
-	format spillFormat
-	k      *Keyer // built during planning, reused by the spill scan
-}
-
-// planSpilledSets applies the spill predicate to a frontier; ok is false
-// when no set spills (the common case — the caller sizes the whole
-// frontier in memory with zero overhead beyond the predicate).
-func planSpilledSets(d *dataset.Dataset, sets []lattice.AttrSet, opts CountOptions) (spilled []spilledSet, ok bool) {
-	rows := d.NumRows()
-	workers := opts.scanWorkers(rows)
-	for i, s := range sets {
-		k := NewKeyer(d, s)
-		if runs, format, spillOK := opts.spillFor(k, rows, workers); spillOK {
-			spilled = append(spilled, spilledSet{idx: i, runs: runs, format: format, k: k})
-		}
-	}
-	return spilled, len(spilled) > 0
-}
-
-// labelSizesSplit sizes a frontier whose spill plan is non-empty: the
-// in-memory sets go through the grouped kernel, then each spilled set runs
-// its own partitioned on-disk group-by.
-func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, spilled []spilledSet) (sizes []int, within []bool, err error) {
 	sizes = make([]int, len(sets))
 	within = make([]bool, len(sets))
-	isSpilled := make([]bool, len(sets))
-	for _, sp := range spilled {
-		isSpilled[sp.idx] = true
+	groups, over := planSizeGroups(d, sets, cap, opts, sizes, within)
+	rows := d.NumRows()
+	cols := datasetCols(d)
+	stop := opts.stop()
+	eff := workpool.Resolve(opts.Workers, math.MaxInt)
+	outer := min(len(groups), eff)
+	perGroup := opts
+	perGroup.Workers = eff / max(outer, 1)
+	workers := perGroup.scanWorkers(rows)
+	if err := workpool.DoCtx(opts.Ctx, len(groups), outer, func(gi int) {
+		groups[gi].size(cols, rows, workers, cap, opts.Pool, stop, sizes, within)
+	}); err != nil {
+		return nil, nil, err
 	}
-	var memSets []lattice.AttrSet
-	var memIdx []int
-	for i, s := range sets {
-		if !isSpilled[i] {
-			memSets = append(memSets, s)
-			memIdx = append(memIdx, i)
-		}
-	}
-	if len(memSets) > 0 {
-		subSizes, subWithin, err := labelSizesInMemory(d, memSets, cap, opts)
+	for _, i := range over {
+		pc, err := BuildPC(d, sets[i], opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		for j, i := range memIdx {
-			sizes[i], within[i] = subSizes[j], subWithin[j]
-		}
-	}
-	if len(spilled) > 1 && !opts.DisableSharedSpill {
-		// One shared partition pass over the dataset routes every spilled
-		// set's records at once; the runs are then counted per set exactly
-		// as below (labelSizeSpillShared).
-		if err := labelSizesSpilledShared(d, sets, cap, opts, spilled, sizes, within); err != nil {
-			return nil, nil, err
-		}
-		return sizes, within, nil
-	}
-	rows := d.NumRows()
-	cols := datasetCols(d)
-	workers := opts.scanWorkers(rows)
-	for _, sp := range spilled {
-		sz, w, serr := labelSizeSpill(sp.k, cols, rows, workers, sp.runs, sp.format, opts, cap)
-		if serr != nil {
-			if isCtxErr(serr) {
-				return nil, nil, serr
-			}
-			// Disk trouble: in-memory fallback for this one set, identical
-			// result at unbounded memory.
-			opts.Stats.addSpillFallbackErr(serr)
-			sz, w, serr = labelSizeFallback(d, sets[sp.idx], cap, opts)
-			if serr != nil {
-				return nil, nil, serr
-			}
-		}
-		sizes[sp.idx], within[sp.idx] = sz, w
+		sizes[i], within[i] = capSize(pc.Size(), cap)
+		pc.ReleaseSpill()
 	}
 	return sizes, within, nil
 }
@@ -302,36 +242,14 @@ func capSize(n, cap int) (int, bool) {
 	return n, true
 }
 
-// labelSizesInMemory is LabelSizes for sets that do not spill: plan the
-// groups, then size them concurrently, splitting the workers between
-// groups and row shards.
-func labelSizesInMemory(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
-	sizes = make([]int, len(sets))
-	within = make([]bool, len(sets))
-	groups := planSizeGroups(d, sets, cap, opts, sizes, within)
-	rows := d.NumRows()
-	cols := datasetCols(d)
-	stop := opts.stop()
-	eff := workpool.Resolve(opts.Workers, math.MaxInt)
-	outer := min(len(groups), eff)
-	perGroup := opts
-	perGroup.Workers = eff / max(outer, 1)
-	workers := perGroup.scanWorkers(rows)
-	if err := workpool.DoCtx(opts.Ctx, len(groups), outer, func(gi int) {
-		groups[gi].size(cols, rows, workers, cap, opts.Pool, stop, sizes, within)
-	}); err != nil {
-		return nil, nil, err
-	}
-	return sizes, within, nil
-}
-
 // planSizeGroups groups a frontier's sets by gen parent, in ascending
 // parent order and frontier order within a parent, and picks each set's
 // accumulator. The kernel counters are bumped here, single-threaded, so
 // they are identical for every worker count. ∅ has no gen parent and no
 // key members — every row carries its one empty key — so it is sized here
-// without a scan.
-func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, sizes []int, within []bool) []sizeGroup {
+// without a scan. over lists, in frontier order, the sets whose sizing
+// state can model over opts.MemBudget; they join no group.
+func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, sizes []int, within []bool) (groups []sizeGroup, over []int) {
 	rows := d.NumRows()
 	limit := opts.denseLimit()
 	var discard ScanStats
@@ -346,12 +264,17 @@ func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts Co
 			sizes[i], within[i] = capSize(min(rows, 1), cap)
 			continue
 		}
+		if opts.MemBudget > 0 {
+			if fp, _, ok := opts.mapFootprint(NewKeyer(d, s), rows, cap); ok && fp > opts.MemBudget {
+				over = append(over, i)
+				continue
+			}
+		}
 		order = append(order, i)
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(genParent(a), genParent(b)) })
 
 	children := make([]sizeChild, len(order))
-	var groups []sizeGroup
 	for lo := 0; lo < len(order); {
 		p := genParent(order[lo])
 		hi := lo + 1
@@ -380,7 +303,7 @@ func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts Co
 		groups = append(groups, g)
 		lo = hi
 	}
-	return groups
+	return groups, over
 }
 
 // size counts one group over all rows with up to workers row shards and

@@ -199,8 +199,8 @@ type sizingFrontier struct {
 }
 
 // sizingBudget is the harness's MemBudget: under the uint64 and byte map
-// footprints of a 2000-row set beyond the dense tier, so those spill in a
-// few runs each.
+// footprints of a 2000-row set beyond the dense tier, so uncapped those
+// spill in a few runs each.
 const sizingBudget = 100 << 10
 
 // allNullDataset has an attribute whose every value is NULL: its domain is
@@ -250,8 +250,9 @@ func runSizingHarness(t *testing.T, frontiers func(n int, rng *rand.Rand) []sizi
 // armed and never fired). Every set must get exactly the sequential
 // labelSize oracle's (size, within), and the Dense/Map/Bytes kernel
 // counters must be the same for every worker count and ctx. A budgeted
-// frontier must leave no spill files behind and, on tables of 2000 rows
-// or more, spill some set.
+// frontier must leave no spill files behind; uncapped on tables of 2000
+// rows or more it must spill some set, and capped at 0 or 1 none, since
+// no set can then reach more than two keys.
 func checkSizing(t *testing.T, d *dataset.Dataset, f sizingFrontier) {
 	t.Helper()
 	armed, cancel := context.WithCancel(context.Background())
@@ -308,10 +309,14 @@ func checkSizing(t *testing.T, d *dataset.Dataset, f sizingFrontier) {
 						t.Fatalf("%s cap=%d dense=%d workers=%d ctx=%v: Dense/Map/Bytes %v, workers=1 nil ctx %v",
 							f.name, cap, denseLimit, workers, ctx != nil, kernels[len(kernels)-1], kernels[0])
 					}
-					if f.budget && d.NumRows() >= 2000 && stats.Spilled == 0 {
-						t.Fatalf("%s cap=%d dense=%d workers=%d: no set spilled", f.name, cap, denseLimit, workers)
-					}
 					if f.budget {
+						if cap < 0 && d.NumRows() >= 2000 && stats.Spilled == 0 {
+							t.Fatalf("%s cap=%d dense=%d workers=%d: no set spilled", f.name, cap, denseLimit, workers)
+						}
+						if cap >= 0 && cap <= 1 && stats.Spilled != 0 {
+							t.Fatalf("%s cap=%d dense=%d workers=%d: %d sets spilled under a two-key cap",
+								f.name, cap, denseLimit, workers, stats.Spilled)
+						}
 						assertNoSpillFiles(t, dir)
 					}
 				}
@@ -375,7 +380,8 @@ func levelFrontiers(n int, _ *rand.Rand) []sizingFrontier {
 }
 
 // budgetFrontiers returns, under sizingBudget, one frontier mixing sets
-// that stay in memory (dense slabs and hash sets) with sets that spill.
+// that stay in memory (dense slabs and hash sets) with sets that spill
+// when uncapped.
 func budgetFrontiers(n int, _ *rand.Rand) []sizingFrontier {
 	full := lattice.FullSet(n)
 	return []sizingFrontier{
@@ -399,8 +405,38 @@ func TestDifferentialLabelSizesFused(t *testing.T) { runSizingHarness(t, mixedFr
 func TestDifferentialSearchStyleFrontier(t *testing.T) { runSizingHarness(t, levelFrontiers) }
 
 // TestDifferentialFusedDenseVsMap sizes, under a memory budget, a frontier
-// whose sets land on dense slabs, hash sets and the spill tier.
+// whose sets land on dense slabs, hash sets and, uncapped, the budgeted
+// build's spill tier.
 func TestDifferentialFusedDenseVsMap(t *testing.T) { runSizingHarness(t, budgetFrontiers) }
+
+// TestLabelSizeNotMonotoneWithNulls pins why the search's pruning needs
+// NULL-free data: a row NULL in an attribute of S belongs to no pattern
+// over S, so adding an attribute can drop rows and shrink the label.
+// Here |P_{a,b}| = 6 but |P_{a,b,c}| = 1.
+func TestLabelSizeNotMonotoneWithNulls(t *testing.T) {
+	bld := dataset.NewBuilder("nulls", "a", "b", "c")
+	for i := 0; i < 4; i++ {
+		bld.AppendStrings("x0", "y0", "z0")
+	}
+	for i := 1; i <= 5; i++ {
+		bld.AppendStrings(fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i), "")
+		bld.AppendStrings(fmt.Sprintf("x%d", i+10), "", fmt.Sprintf("z%d", i))
+		bld.AppendStrings("", fmt.Sprintf("y%d", i+10), fmt.Sprintf("z%d", i+10))
+	}
+	d := must(bld.Build())
+	ab, abc := lattice.NewAttrSet(0).Add(1), lattice.FullSet(3)
+	for _, tc := range []struct {
+		s    lattice.AttrSet
+		want int
+	}{{ab, 6}, {abc, 1}} {
+		if got, _ := labelSize(d, tc.s, -1); got != tc.want {
+			t.Fatalf("labelSize(%v) = %d, want %d", tc.s, got, tc.want)
+		}
+		if got, _ := must2(LabelSize(d, tc.s, -1, CountOptions{Workers: 1})); got != tc.want {
+			t.Fatalf("LabelSize(%v) = %d, want %d", tc.s, got, tc.want)
+		}
+	}
+}
 
 // TestLabelSizesFusedEmptyFrontier covers the zero-sets edge: an empty
 // frontier sizes to empty results.

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"pcbl/internal/dataset"
-	"pcbl/internal/lattice"
 	"pcbl/internal/spill"
 	"pcbl/internal/workpool"
 )
@@ -18,17 +16,16 @@ import (
 // dense kernel carry grouping state proportional to their distinct-key
 // count — one map entry per group, with nothing but the row count (or a
 // huge key space) bounding it. When CountOptions.MemBudget is set and the
-// estimated footprint of that map exceeds it, kernel dispatch routes the
-// set here: the scan hash-partitions its keys into K on-disk runs, runs
-// are counted with the ordinary map kernels — K-way parallel across
-// workers, since runs hold disjoint keys — and counts merge across runs
-// with the exact cap-abort of label sizing (per-run counts are final and
-// the distinct total is a monotone sum). Two record formats cover the two
-// over-budget kernels: fixed-width 8-byte uint64 records for sets whose
-// mixed-radix key fits uint64 (the common case once domains multiply), and
-// 2-bytes-per-member byte-string records for keys that overflow it.
-// Results are bit-identical to the in-memory kernels for every worker count
-// and both formats (spillcount_test.go).
+// estimated footprint of a BuildPC's map exceeds it, kernel dispatch routes
+// the build here: the scan hash-partitions its keys into K on-disk runs,
+// and the runs are counted with the ordinary map kernels — K-way parallel
+// across workers, since runs hold disjoint keys and so per-run counts are
+// final. Two record formats cover the two over-budget kernels: fixed-width
+// 8-byte uint64 records for sets whose mixed-radix key fits uint64 (the
+// common case once domains multiply), and 2-bytes-per-member byte-string
+// records for keys that overflow it. Results are bit-identical to the
+// in-memory kernels for every worker count and both formats
+// (spillcount_test.go).
 //
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
@@ -36,8 +33,9 @@ import (
 // of (key, count) entries (spill.Runs) and its partition file deleted; the
 // PC keeps the sorted runs and serves Size/LookupValsCtx/EachCtx from them
 // (merge-on-read, spilledpc.go) — the scan's careful budget is no longer
-// blown by the result map. Sizing-only scans never reopen their runs, so
-// they keep partition runs alone.
+// blown by the result map. Sizing has no spill path of its own: LabelSizes
+// keeps a capped set in memory unless even its cap+1 keys model over the
+// budget, and sizes a set that is still over budget through this build.
 
 // spillFormat names the fixed-width record encoding a spilled set uses.
 type spillFormat uint8
@@ -73,12 +71,6 @@ const spillRecWidthU64 = 8
 // memory gracefully rather than failing.
 const maxSpillRuns = 512
 
-// spillFootprint estimates the in-memory map footprint of a group-by with
-// the given distinct-key bound, record width and per-entry model.
-func spillFootprint(distinct, recWidth, entryBytes int) int64 {
-	return int64(distinct) * int64(recWidth+entryBytes)
-}
-
 // recWidth returns the on-disk record width of a format for a keyer.
 func (f spillFormat) recWidth(k *Keyer) int {
 	if f == spillFmtU64 {
@@ -104,6 +96,31 @@ func (f spillFormat) entryBytes(k *Keyer) int64 {
 	return int64(2*len(k.members) + spillEntryBytes)
 }
 
+// mapFootprint models the map state of a group-by over rows rows beyond
+// the dense tier, and the record format it would spill with: one entry per
+// distinct key, at most min(radix, rows) of them — and at most cap+1 when
+// cap >= 0, since a capped accumulator stops there — priced with the
+// format's per-entry model. ok is false for a dense-keyable set: its flat
+// state is bounded by the dense slot limit, not the row count, so it never
+// spills.
+func (o CountOptions) mapFootprint(k *Keyer, rows, cap int) (fp int64, format spillFormat, ok bool) {
+	if _, dense := denseRadix(k, rows, o.denseLimit()); dense {
+		return 0, spillFmtBytes, false
+	}
+	distinct := rows
+	if cap >= 0 && cap < distinct {
+		distinct = cap + 1
+	}
+	format = spillFmtBytes
+	if r, fits := k.Radix(); fits {
+		format = spillFmtU64
+		if r < uint64(distinct) {
+			distinct = int(r) // the key space itself bounds the map
+		}
+	}
+	return int64(distinct) * format.entryBytes(k), format, true
+}
+
 // spillFor decides whether a group-by must spill under the options' memory
 // budget, which record format it spills with, and the run count K that
 // keeps one run's estimated map within each count worker's share of the
@@ -111,28 +128,13 @@ func (f spillFormat) entryBytes(k *Keyer) int64 {
 // scales with the worker count and the total stays near the budget. The
 // decision is deterministic from (rows, keyer, budget, workers), so every
 // entry point picks the same tier for the same inputs — the same property
-// the dense/map/bytes selection has. Dense-keyable sets never spill: their
-// flat count state is bounded by the dense slot limit, not the row count.
+// the dense/map/bytes selection has.
 func (o CountOptions) spillFor(k *Keyer, rows, countWorkers int) (runs int, format spillFormat, ok bool) {
 	if o.MemBudget <= 0 || rows == 0 {
 		return 0, spillFmtBytes, false
 	}
-	var fp int64
-	if k.Fits() {
-		if _, dense := denseRadix(k, rows, o.denseLimit()); dense {
-			return 0, spillFmtBytes, false
-		}
-		format = spillFmtU64
-		distinct := rows
-		if r, _ := k.Radix(); r < uint64(rows) {
-			distinct = int(r) // the key space itself bounds the map
-		}
-		fp = spillFootprint(distinct, spillRecWidthU64, spillEntryBytesU64)
-	} else {
-		format = spillFmtBytes
-		fp = spillFootprint(rows, 2*len(k.members), spillEntryBytes)
-	}
-	if fp <= o.MemBudget {
+	fp, format, ok := o.mapFootprint(k, rows, -1)
+	if !ok || fp <= o.MemBudget {
 		return 0, spillFmtBytes, false
 	}
 	if countWorkers < 1 {
@@ -201,35 +203,14 @@ func (st *ScanStats) addSpillFallbackErr(err error) {
 	}
 }
 
-// addSharedSpillPass records one shared partition pass over n spilled
-// sets: one dataset scan where the per-set path would have taken n.
-func (st *ScanStats) addSharedSpillPass(n int) {
-	if st == nil {
-		return
-	}
-	atomic.AddInt64(&st.SharedSpillPasses, 1)
-	atomic.AddInt64(&st.SpillPassesSaved, int64(n-1))
-}
-
-// labelSizeFallback re-counts one spilled set in memory after disk
-// trouble, keeping the caller's full engine options — workers, pool,
-// dense limit, stats metering and cancellation context — and clearing only
-// the memory budget: the budget cannot be honored without the disk, the
-// parallelism and accounting still can. The returned error can only be a
-// context error (the fallback scan itself honors CountOptions.Ctx).
-func labelSizeFallback(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
-	opts.MemBudget = 0
-	return LabelSize(d, s, cap, opts)
-}
-
-// spillPartition is the shared partition phase: rows shard across workers,
-// each worker streaming its chunk's keys into a private ShardWriter —
-// columnar uint64 key blocks for the u64 format, per-row byte keys for the
-// byte format. Partition files are append-shared, which is safe because
-// flushes are whole records and group-by is order-blind. stop is polled
-// once per key block; a fired context makes workers stop routing rows and
-// close their shards — the caller then discards the (partial) runs via its
-// deferred Cleanup and reports stop.err().
+// spillPartition is a spilled build's partition phase: rows shard across
+// workers, each worker streaming its chunk's keys into a private
+// ShardWriter — columnar uint64 key blocks for the u64 format, per-row
+// byte keys for the byte format. Partition files are append-shared, which
+// is safe because flushes are whole records and group-by is order-blind.
+// stop is polled once per key block; a fired context makes workers stop
+// routing rows and close their shards — the caller then discards the
+// (partial) runs via its deferred Cleanup and reports stop.err().
 func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers int, format spillFormat, pool *VecPool, stop ctxStop) error {
 	errs := make([]error, workers)
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
@@ -398,7 +379,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, format spillFormat, workers int, bu
 // runs with their sizes otherwise.
 func sealRuns[K comparable](
 	ctx context.Context, w *spill.Writer,
-	count func(ctx context.Context, cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
+	count func(ctx context.Context, workers int, emit func(run int, counts map[K]int) bool) (int, error),
 	write func(rw *spill.RunWriter, keys []K, counts []int32),
 	workers int, budget, entry int64, newRuns func() (*spill.Runs, error),
 ) (keys []K, counts []int32, rs *spill.Runs, runSizes []int, err error) {
@@ -424,7 +405,7 @@ func sealRuns[K comparable](
 		}
 	}
 	// emit calls are serialized, so the closure state needs no lock.
-	_, _, err = count(ctx, -1, workers, func(run int, m map[K]int) bool {
+	_, err = count(ctx, workers, func(run int, m map[K]int) bool {
 		ks := make([]K, 0, len(m))
 		cs := make([]int32, 0, len(m))
 		for key, c := range m {
@@ -516,189 +497,4 @@ func (bw *byteRunWriter) write(rw *spill.RunWriter, keys []string, counts []int3
 		bw.key = append(bw.key[:0], keys[i]...)
 		rw.AddBytes(bw.key, int(counts[i]))
 	}
-}
-
-// labelSizeSpill is the external-memory LabelSize kernel: exactly the
-// sequential cap-abort contract, with peak memory bounded by one run's map
-// per counting worker instead of the distinct-key count. A non-nil error
-// is either disk trouble — the caller falls back to an in-memory scan —
-// or a context error, which the caller propagates instead.
-func labelSizeSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions, cap int) (size int, within bool, err error) {
-	w, err := spill.NewWriter(spill.Config{
-		RecWidth: format.recWidth(k),
-		Runs:     runs,
-		Dir:      opts.SpillDir,
-		Pool:     opts.Pool,
-		FS:       opts.FS,
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	// Deferred before anything else so the run files are removed on
-	// success, cap-abort, error, cancellation and panic alike.
-	defer w.Cleanup()
-	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, opts.stop()); err != nil {
-		return 0, false, err
-	}
-	if format == spillFmtU64 {
-		size, within, err = w.CountRunsU64Ctx(opts.Ctx, cap, workers, nil)
-	} else {
-		size, within, err = w.CountRunsCtx(opts.Ctx, cap, workers, nil)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	opts.Stats.addSpill(w.Stats(), 0, format, workpool.Resolve(workers, runs))
-	return size, within, nil
-}
-
-// sharedSpillBufShare is the flush-buffer budget one partition shard of a
-// shared pass may hold across every spilled set: half the memory budget
-// split over the scan workers. The other half stays free for the counting
-// phase that follows (one run map per count worker, the same bound the
-// per-set path keeps), so N sets' live flush buffers plus one counting map
-// still fit the budget.
-func sharedSpillBufShare(budget int64, workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	return budget / 2 / int64(workers)
-}
-
-// labelSizesSpilledShared sizes all spilled sets of a frontier off ONE
-// dataset pass: a MultiWriter multiplexes every set's partitioned records
-// into that set's own run files (byte-identical to the per-set path's
-// runs), then each set's key-disjoint runs are counted K-way in frontier
-// order exactly as labelSizeSpill counts them — same cap-abort, same
-// stats, same results. Disk trouble stays per set: a failed target (run
-// creation, partition write or run count) degrades only that set to the
-// in-memory fallback while its siblings' on-disk results stand. A fired
-// CountOptions.Ctx aborts the whole pass with the typed context error
-// instead — cancellation is never degraded around.
-func labelSizesSpilledShared(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, spilled []spilledSet, sizes []int, within []bool) error {
-	rows := d.NumRows()
-	cols := datasetCols(d)
-	workers := opts.scanWorkers(rows)
-	cfgs := make([]spill.Config, len(spilled))
-	for i, sp := range spilled {
-		cfgs[i] = spill.Config{
-			RecWidth: sp.format.recWidth(sp.k),
-			Runs:     sp.runs,
-			Dir:      opts.SpillDir,
-			Pool:     opts.Pool,
-			FS:       opts.FS,
-		}
-	}
-	mw := spill.NewMultiWriter(cfgs, sharedSpillBufShare(opts.MemBudget, workers))
-	// Deferred before the pass so every target's run files are removed on
-	// success, cap-abort, error, cancellation and panic alike; counted
-	// targets are additionally cleaned eagerly below to cap the peak disk
-	// footprint.
-	defer mw.Cleanup()
-	opts.Stats.addSharedSpillPass(len(spilled))
-	stop := opts.stop()
-	sharedSpillPartition(mw, spilled, cols, rows, workers, opts.Pool, stop)
-	if err := stop.err(); err != nil {
-		return err
-	}
-	for i, sp := range spilled {
-		sz, w, serr := countSharedTarget(mw, i, sp, cap, workers, opts)
-		if serr != nil {
-			if isCtxErr(serr) {
-				return serr
-			}
-			opts.Stats.addSpillFallbackErr(serr)
-			sz, w, serr = labelSizeFallback(d, sets[sp.idx], cap, opts)
-			if serr != nil {
-				return serr
-			}
-		}
-		sizes[sp.idx], within[sp.idx] = sz, w
-		mw.CleanupTarget(i)
-	}
-	return nil
-}
-
-// sharedSpillPartition is the shared partition phase: one blocked,
-// worker-sharded pass computes every spilled set's keys per cache-resident
-// row block — columnar KeyBlock for uint64 sets, per-row byte keys for the
-// rest — and routes them through a per-worker MultiShard. A set that
-// failed stops costing key computation on every shard; group-by is
-// order-blind, so interleaving sets per block changes nothing downstream.
-// stop is polled once per row block, like the sizing kernel's workers.
-func sharedSpillPartition(mw *spill.MultiWriter, spilled []spilledSet, cols [][]uint16, rows, workers int, pool *VecPool, stop ctxStop) {
-	needU64 := false
-	for _, sp := range spilled {
-		if sp.format == spillFmtU64 {
-			needU64 = true
-			break
-		}
-	}
-	workpool.RunChunks(rows, workers, func(_, lo, hi int) {
-		ms := mw.Shard()
-		defer ms.Close()
-		var keys []uint64
-		if needU64 {
-			keys = pool.Uint64(keyBlockRows, false)
-			defer pool.PutUint64(keys)
-		}
-		var buf []byte
-		for blo := lo; blo < hi; blo += keyBlockRows {
-			if stop.hit() {
-				return
-			}
-			bhi := min(blo+keyBlockRows, hi)
-			for si := range spilled {
-				sp := &spilled[si]
-				if ms.Failed(si) {
-					continue
-				}
-				if sp.format == spillFmtU64 {
-					sp.k.KeyBlock(cols, blo, bhi, keys)
-					for _, key := range keys[:bhi-blo] {
-						if key != InvalidKey {
-							ms.AddU64(si, key)
-						}
-					}
-				} else {
-					for r := blo; r < bhi; r++ {
-						b, keyOK := sp.k.AppendBytesRow(buf[:0], cols, r)
-						buf = b
-						if keyOK {
-							ms.Add(si, b)
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// errSpillTarget marks a shared-pass target whose writer never came up and
-// recorded no more specific error; the caller treats it as disk trouble.
-var errSpillTarget = errors.New("core: shared spill target unavailable")
-
-// countSharedTarget counts one shared-pass target's runs with the sizing
-// cap — identical to labelSizeSpill's counting half. A non-nil error is
-// the disk trouble recorded against the target (the caller falls back to
-// the in-memory scan for that one set) or a context error from the count
-// phase, which the caller propagates instead.
-func countSharedTarget(mw *spill.MultiWriter, i int, sp spilledSet, cap, workers int, opts CountOptions) (size int, within bool, err error) {
-	w := mw.Writer(i)
-	if err := mw.Err(i); err != nil {
-		return 0, false, err
-	}
-	if w == nil {
-		return 0, false, errSpillTarget
-	}
-	if sp.format == spillFmtU64 {
-		size, within, err = w.CountRunsU64Ctx(opts.Ctx, cap, workers, nil)
-	} else {
-		size, within, err = w.CountRunsCtx(opts.Ctx, cap, workers, nil)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	opts.Stats.addSpill(w.Stats(), 0, sp.format, workpool.Resolve(workers, sp.runs))
-	return size, within, nil
 }

@@ -35,17 +35,14 @@ var spillConfigs = []diffConfig{
 // counting only increases the run count).
 func spillBudgetFor(d *dataset.Dataset, s lattice.AttrSet, minRuns int) int64 {
 	k := NewKeyer(d, s)
-	var fp int64
-	if k.Fits() {
-		distinct := d.NumRows()
-		if r, _ := k.Radix(); r < uint64(distinct) {
+	distinct, format := d.NumRows(), spillFmtBytes
+	if r, fits := k.Radix(); fits {
+		format = spillFmtU64
+		if r < uint64(distinct) {
 			distinct = int(r)
 		}
-		fp = spillFootprint(distinct, spillRecWidthU64, spillEntryBytesU64)
-	} else {
-		fp = spillFootprint(d.NumRows(), 2*s.Size(), spillEntryBytes)
 	}
-	return fp/int64(minRuns) - 1
+	return int64(distinct)*format.entryBytes(k)/int64(minRuns) - 1
 }
 
 // spillSet returns the full attribute set, skipping configs whose full-set
@@ -180,7 +177,9 @@ func TestDifferentialSpillLabelSize(t *testing.T) {
 
 // TestDifferentialSpillFused mixes spilled and in-memory sets in one fused
 // frontier: spilled sets must not perturb the fused scan's results, and
-// every set must match its sequential LabelSize.
+// every set must match its sequential LabelSize. Uncapped, some set
+// spills; at caps 5 and 500 every set's cap+1 keys fit the budget, so the
+// whole frontier stays in memory.
 func TestDifferentialSpillFused(t *testing.T) {
 	cfg := diffConfig{rows: 3000, attrs: 5, domain: 65000, nullRate: 0.1}
 	d := diffDataset(t, cfg, 0x53)
@@ -208,8 +207,9 @@ func TestDifferentialSpillFused(t *testing.T) {
 						cap, workers, sets[i], sizes[i], within[i], wantSizes[i], wantWithin[i])
 				}
 			}
-			if stats.Spilled == 0 {
-				t.Fatalf("cap=%d workers=%d: no set spilled under budget %d", cap, workers, budget)
+			if spilled := stats.Spilled > 0; spilled != (cap < 0) {
+				t.Fatalf("cap=%d workers=%d: Spilled=%d under budget %d, want spills only uncapped",
+					cap, workers, stats.Spilled, budget)
 			}
 			assertNoSpillFiles(t, dir)
 		}
@@ -286,7 +286,7 @@ func TestSpillDispatchDeterministic(t *testing.T) {
 	d := diffDataset(t, cfg, 0x55)
 	s := lattice.FullSet(cfg.attrs)
 	k := NewKeyer(d, s)
-	fp := spillFootprint(d.NumRows(), 2*s.Size(), spillEntryBytes)
+	fp := int64(d.NumRows()) * int64(2*s.Size()+spillEntryBytes)
 
 	if _, _, ok := (CountOptions{MemBudget: fp}).spillFor(k, d.NumRows(), 1); ok {
 		t.Fatal("footprint == budget spilled")
@@ -323,7 +323,7 @@ func TestSpillDispatchDeterministic(t *testing.T) {
 	if !kU.Fits() {
 		t.Fatal("u64 config overflows uint64")
 	}
-	fpU := spillFootprint(dU.NumRows(), spillRecWidthU64, spillEntryBytesU64)
+	fpU := int64(dU.NumRows()) * (spillRecWidthU64 + spillEntryBytesU64)
 	if _, _, ok := (CountOptions{MemBudget: fpU}).spillFor(kU, dU.NumRows(), 1); ok {
 		t.Fatal("u64 footprint == budget spilled")
 	}
@@ -345,15 +345,15 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	dir := t.TempDir()
 
 	k := NewKeyer(d, s)
-	runs, format, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
+	runs, _, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
 	if !ok || runs < 6 {
 		t.Fatalf("expected >= 6 runs, got (%d, %v)", runs, ok)
 	}
 	var stats ScanStats
 	opts := CountOptions{Workers: 1, MemBudget: budget, SpillDir: dir, Stats: &stats}
-	size, within, err := labelSizeSpill(k, datasetCols(d), d.NumRows(), 1, runs, format, opts, -1)
-	if err != nil || !within {
-		t.Fatalf("spill sizing failed: err=%v within=%v", err, within)
+	size, within, err := LabelSize(d, s, -1, opts)
+	if err != nil || !within || stats.Spilled != 1 {
+		t.Fatalf("spill sizing failed: err=%v within=%v Spilled=%d", err, within, stats.Spilled)
 	}
 	if exact, _ := labelSize(d, s, -1); size != exact {
 		t.Fatalf("size %d != exact %d", size, exact)

@@ -3,7 +3,10 @@
 // (Algorithm 1) that traverses the label lattice through the gen operator,
 // keeps only maximal in-bound candidates (justified by Proposition 3.2), and
 // prunes every subtree rooted at a set whose label already exceeds the size
-// bound (sound because label size is monotone in the attribute set).
+// bound. The pruning is sound on NULL-free data, where label size is
+// monotone in the attribute set. With NULLs it is not: a row NULL in an
+// added attribute leaves the grouping, so an in-bound superset of an
+// out-of-bound set can exist, and both algorithms may miss it.
 package search
 
 import (
@@ -47,14 +50,16 @@ type Options struct {
 	Workers int
 
 	// MemBudget bounds the in-memory grouping state of a single group-by
-	// in bytes (core.CountOptions.MemBudget): map- and byte-key candidates
-	// whose estimated map footprint exceeds it are sized on external spill
-	// scans — hash-partitioned on-disk runs (uint64 or byte record format,
-	// matching the key encoding) counted K-way in parallel — instead of in
-	// their sibling group, and budgeted label builds whose result map
-	// models over the budget keep their runs and serve lookups
-	// merge-on-read. Zero means unlimited. Results are identical either
-	// way; Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
+	// in bytes (core.CountOptions.MemBudget). Enumeration sizes every
+	// candidate with cap Bound, so a candidate's sizing state is at most
+	// Bound + 1 keys: it stays in its sibling group unless even those
+	// model over the budget, and is then sized through a spilled build —
+	// hash-partitioned on-disk runs (uint64 or byte record format, matching
+	// the key encoding) counted K-way in parallel. Budgeted label builds
+	// whose map models over the budget spill the same way and, when the
+	// result does too, keep their runs and serve lookups merge-on-read.
+	// Zero means unlimited. Results are identical either way;
+	// Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
 	// report the tier's use.
 	MemBudget int64
 
@@ -125,9 +130,8 @@ type Stats struct {
 	PoolHits, PoolMisses int64
 	// ScanStats meters the sizing of every examined set: which kernel each
 	// went to — Dense, Map, Bytes, Spilled (SpilledU64 of them with uint64
-	// records) — and the spill tier's runs, bytes, fallbacks and shared
-	// partition passes. All zero spill counters mean a fully in-memory
-	// run.
+	// records) — and the spill tier's runs, bytes and fallbacks. All zero
+	// spill counters mean a fully in-memory run.
 	core.ScanStats
 	// SearchTime covers candidate enumeration (label-size computation).
 	SearchTime time.Duration
@@ -159,9 +163,9 @@ const schedulerPoolBudget int64 = 256 << 20
 
 // levelSizer sizes the enumeration phase one lattice level at a time:
 // each level is one core.LabelSizes call, which groups the level's sets by
-// gen parent and routes over-budget sets to the spill tier. One slab pool
-// serves every level, so steady-state sizing allocates a near-constant
-// working set.
+// gen parent and sizes any set still over budget at the cap through a
+// spilled build. One slab pool serves every level, so steady-state sizing
+// allocates a near-constant working set.
 type levelSizer struct {
 	d     *dataset.Dataset
 	opts  Options
@@ -202,9 +206,10 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 // Naive finds the optimal label by level-wise enumeration (paper §III):
 // subsets of size 2, 3, … are generated with their label sizes; every
 // in-bound subset's label error is evaluated; enumeration stops at the first
-// level where no subset fits the bound (label sizes are monotone, so deeper
-// levels cannot fit either). Each level is sized in one core.LabelSizes
-// call rather than one dataset scan per subset.
+// level where no subset fits the bound (on NULL-free data label sizes are
+// monotone, so deeper levels cannot fit either; with NULLs they can, and
+// are not examined). Each level is sized in one core.LabelSizes call
+// rather than one dataset scan per subset.
 func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, error) {
 	if err := checkOptions(d, opts); err != nil {
 		return nil, err
@@ -451,20 +456,7 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 			bestIdx = i
 		}
 	}
-	if bestIdx < 0 { // all cut off: re-evaluate the first exactly
-		results[0].label.ReleaseSpill() // replaced below
-		l, err := core.BuildLabel(d, cands[0], co)
-		if err != nil {
-			for i := 1; i < len(results); i++ {
-				results[i].label.ReleaseSpill()
-			}
-			return nil, err
-		}
-		maxErr, scanned := core.MaxAbsError(l, ps, core.MaxErrOptions{Sorted: opts.FastEval, Workers: 1})
-		results[0] = scored{0, cands[0], l, maxErr, scanned, true}
-		stats.PatternsScanned += int64(scanned)
-		bestIdx = 0
-	}
+	// bestIdx >= 0: the first candidate to call cutoff saw no offer, so it scored exactly.
 	// Only the winning label survives; under a memory budget the losers may
 	// hold merge-on-read spill runs on disk — drop those eagerly instead of
 	// waiting for the GC.

@@ -1,9 +1,10 @@
 package search
 
 // Integration of the external-memory spill tier with the enumeration
-// phase: under Options.MemBudget, candidates beyond the dense tier are
-// sized through on-disk spill runs with results identical to the
-// unbudgeted run, and run files are cleaned up.
+// phase: under Options.MemBudget, candidates beyond the dense tier whose
+// capped sizing state is over budget are sized through spilled builds,
+// with results identical to the unbudgeted run, and run files are cleaned
+// up; candidates whose cap+1 keys fit the budget never spill.
 
 import (
 	"fmt"
@@ -11,7 +12,9 @@ import (
 	"os"
 	"testing"
 
+	"pcbl/internal/core"
 	"pcbl/internal/dataset"
+	"pcbl/internal/lattice"
 )
 
 // spillSearchDataset builds a 4-attribute dataset whose full-set key
@@ -63,8 +66,9 @@ func TestSearchSpillIdentity(t *testing.T) {
 		t.Fatalf("unbudgeted run: Spilled=%d Bytes=%d RefinedSets=%d of %d sets",
 			baseStats.Spilled, baseStats.Bytes, baseStats.RefinedSets, baseStats.SizeComputed)
 	}
-	// Budget small enough that every set's map estimate exceeds it: every
-	// candidate must be sized through spill runs.
+	// Budget small enough that every set's map estimate exceeds it even at
+	// the cap (bound + 1 keys, more than the rows): every candidate must be
+	// sized through a spilled build.
 	budget := int64(50 << 10)
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
@@ -103,16 +107,6 @@ func TestSearchSpillIdentity(t *testing.T) {
 		// by TestSearchSpillParallelRuns on a larger dataset).
 		if stats.SpillParallelRuns != 0 {
 			t.Fatalf("workers=%d: SpillParallelRuns = %d on a sub-floor dataset, want 0", workers, stats.SpillParallelRuns)
-		}
-		// Levels with several spilled candidates partition them all in
-		// one shared dataset pass; the saved scans are metered.
-		if stats.SharedSpillPasses == 0 || stats.SpillPassesSaved == 0 {
-			t.Fatalf("workers=%d: SharedSpillPasses=%d SpillPassesSaved=%d, want shared partitioning",
-				workers, stats.SharedSpillPasses, stats.SpillPassesSaved)
-		}
-		if stats.SharedSpillPasses+stats.SpillPassesSaved > stats.Spilled {
-			t.Fatalf("workers=%d: pass accounting inconsistent: %d passes + %d saved > %d spilled sets",
-				workers, stats.SharedSpillPasses, stats.SpillPassesSaved, stats.Spilled)
 		}
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -169,5 +163,98 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("%d spill entries left behind", len(ents))
+	}
+}
+
+// correlatedDataset builds rows over 8 attributes of domain 30, each a
+// fixed function of one hidden 40-value variable per row: no attribute set
+// has more than 40 patterns, while sets of four or more attributes have
+// key spaces beyond the dense tier.
+func correlatedDataset(t *testing.T, rows int) *dataset.Dataset {
+	t.Helper()
+	const attrs, domain, hidden = 8, 30, 40
+	rng := rand.New(rand.NewPCG(0xC022, 0x40))
+	names := make([]string, attrs)
+	f := make([][]uint16, attrs) // f[a][h]: attribute a's value id for hidden value h
+	for a := range f {
+		names[a] = fmt.Sprintf("a%d", a)
+		f[a] = make([]uint16, hidden)
+		for h := range f[a] {
+			f[a][h] = uint16(1 + rng.IntN(domain))
+		}
+	}
+	bld := dataset.NewBuilder("correlated", names...)
+	for a := 0; a < attrs; a++ {
+		for v := 0; v < domain; v++ {
+			if _, err := bld.InternValue(a, fmt.Sprintf("v%d", v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ids := make([]uint16, attrs)
+	for r := 0; r < rows; r++ {
+		h := rng.IntN(hidden)
+		for a := range ids {
+			ids[a] = f[a][h]
+		}
+		bld.AppendIDs(ids...)
+	}
+	d, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestCappedSizingNeverSpills: a search sizes every candidate with cap
+// B_s, so its accumulators never hold more than B_s + 1 keys. On
+// correlated data whose map-tier sets model far over the budget by their
+// row count, a budget that fits B_s + 1 keys must spill nothing, and the
+// enumeration must match the unbudgeted one at every worker count.
+func TestCappedSizingNeverSpills(t *testing.T) {
+	d := correlatedDataset(t, 20000)
+	const bound = 100
+	budget := int64(256 << 10)
+	// The budget binds an uncapped build: the full set's 20,000-row map
+	// model is 1.1 MB.
+	var build core.ScanStats
+	pc, err := core.BuildPC(d, lattice.FullSet(d.NumAttrs()), core.CountOptions{
+		Workers: 1, MemBudget: budget, SpillDir: t.TempDir(), Stats: &build,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.ReleaseSpill()
+	if build.Spilled != 1 {
+		t.Fatalf("uncapped budgeted build: Spilled=%d, want 1", build.Spilled)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseStats.Map == 0 {
+			t.Fatalf("workers=%d: no map-tier set sized; the data does not exercise the budget", workers)
+		}
+		dir := t.TempDir()
+		got, stats, err := Enumerate(d, Options{Bound: bound, Workers: workers, MemBudget: budget, SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Spilled != 0 || stats.SpillBytes != 0 {
+			t.Fatalf("workers=%d: Spilled=%d SpillBytes=%d, want no spill", workers, stats.Spilled, stats.SpillBytes)
+		}
+		if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
+			t.Fatalf("workers=%d: SizeComputed/InBound %d/%d, unbudgeted %d/%d",
+				workers, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
+		}
+		if len(got) != len(base) {
+			t.Fatalf("workers=%d: %d candidates, unbudgeted %d", workers, len(got), len(base))
+		}
+		for i := range got {
+			if got[i] != base[i] {
+				t.Fatalf("workers=%d: candidate %d = %v, unbudgeted %v", workers, i, got[i], base[i])
+			}
+		}
 	}
 }

@@ -95,7 +95,7 @@ func TestScanDetectsFrameCorruption(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = w.CountRunsCtx(nil, -1, 2, nil)
+	_, err = w.CountRunsCtx(nil, 2, nil)
 	if err == nil {
 		t.Fatal("CountRuns accepted a corrupted frame")
 	}
@@ -108,7 +108,7 @@ func TestScanDetectsFrameCorruption(t *testing.T) {
 // from ShardWriter.Close, not as a panic or silent data loss.
 func TestShardWritePropagatesFault(t *testing.T) {
 	ffs := iofault.NewFaultFS(nil)
-	w, err := NewWriter(Config{RecWidth: 6, Runs: 3, BufBytes: 64, FS: ffs})
+	w, err := NewWriter(Config{RecWidth: 6, Runs: 3, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,114 +121,5 @@ func TestShardWritePropagatesFault(t *testing.T) {
 	}
 	if err := s.Close(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("shard close after write fault: %v, want ErrInjected", err)
-	}
-}
-
-// TestMultiWriterWriteFaultIsolatesTarget injects a single write fault
-// during a shared partition pass: exactly one target must record the
-// error (and stop receiving records), while every sibling's runs still
-// count exactly against its reference.
-func TestMultiWriterWriteFaultIsolatesTarget(t *testing.T) {
-	const n, distinct, width = 4000, 150, 6
-	ffs := iofault.NewFaultFS(nil)
-	cfgs := make([]Config, 3)
-	streams := make([][][]byte, 3)
-	refs := make([]map[string]int, 3)
-	for i := range cfgs {
-		// Tiny buffers force flushes mid-pass, so the fault lands while
-		// siblings still have records in flight.
-		cfgs[i] = Config{RecWidth: width, Runs: 3, BufBytes: 64, FS: ffs}
-		streams[i], refs[i] = genRecords(n, distinct, width, 0xF417+uint64(i))
-	}
-	mw := NewMultiWriter(cfgs, 0)
-	defer mw.Cleanup()
-	ffs.FailAt(iofault.OpWrite, ffs.Counts()[iofault.OpWrite]+5, nil)
-	ms := mw.Shard()
-	for r := 0; r < n; r++ {
-		for i := range cfgs {
-			ms.Add(i, streams[i][r])
-		}
-	}
-	ms.Close()
-
-	failed := -1
-	for i := range cfgs {
-		if err := mw.Err(i); err != nil {
-			if !errors.Is(err, iofault.ErrInjected) {
-				t.Fatalf("target %d: error %v, want ErrInjected", i, err)
-			}
-			if failed != -1 {
-				t.Fatalf("targets %d and %d both failed on one injected fault", failed, i)
-			}
-			failed = i
-		}
-	}
-	if failed == -1 {
-		t.Fatal("no target recorded the injected write fault")
-	}
-	for i := range cfgs {
-		if i == failed {
-			continue
-		}
-		counts := make(map[string]int)
-		size, _, err := mw.Writer(i).CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
-			for k, c := range m {
-				counts[k] = c
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatalf("sibling %d count after target %d failed: %v", i, failed, err)
-		}
-		if size != len(refs[i]) {
-			t.Fatalf("sibling %d: size %d, want %d", i, size, len(refs[i]))
-		}
-		for k, c := range refs[i] {
-			if counts[k] != c {
-				t.Fatalf("sibling %d: key %q = %d, want %d", i, k, counts[k], c)
-			}
-		}
-	}
-}
-
-// TestMultiWriterCreateFaultIsolatesTarget fails one target's run-file
-// creation: NewMultiWriter must still return a usable writer where only
-// that target is nil/failed and the siblings partition and count exactly.
-func TestMultiWriterCreateFaultIsolatesTarget(t *testing.T) {
-	const n, distinct, width = 2000, 80, 6
-	ffs := iofault.NewFaultFS(nil)
-	cfgs := make([]Config, 3)
-	streams := make([][][]byte, 3)
-	refs := make([]map[string]int, 3)
-	for i := range cfgs {
-		cfgs[i] = Config{RecWidth: width, Runs: 3, FS: ffs}
-		streams[i], refs[i] = genRecords(n, distinct, width, 0xC4EA7+uint64(i))
-	}
-	// Runs are created target by target: occurrence 4 is the middle
-	// target's first run file.
-	ffs.FailAt(iofault.OpCreate, ffs.Counts()[iofault.OpCreate]+4, nil)
-	mw := NewMultiWriter(cfgs, 0)
-	defer mw.Cleanup()
-	if mw.Writer(1) != nil || !errors.Is(mw.Err(1), iofault.ErrInjected) {
-		t.Fatalf("target 1: writer %v err %v, want nil writer with ErrInjected", mw.Writer(1), mw.Err(1))
-	}
-	ms := mw.Shard()
-	if !ms.Failed(1) {
-		t.Fatal("shard does not report the dead target as failed")
-	}
-	for r := 0; r < n; r++ {
-		for i := range cfgs {
-			ms.Add(i, streams[i][r]) // adds to the dead target are no-ops
-		}
-	}
-	ms.Close()
-	for _, i := range []int{0, 2} {
-		if err := mw.Err(i); err != nil {
-			t.Fatalf("sibling %d errored: %v", i, err)
-		}
-		size, _, err := mw.Writer(i).CountRunsCtx(nil, -1, 1, nil)
-		if err != nil || size != len(refs[i]) {
-			t.Fatalf("sibling %d: size=%d err=%v, want %d", i, size, err, len(refs[i]))
-		}
 	}
 }

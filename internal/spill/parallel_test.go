@@ -2,8 +2,8 @@ package spill
 
 // Tests for the uint64 record format and the parallel K-way run-counting
 // phase: format round trips, partition-routing consistency, and the
-// temp-file lifecycle under success, cap-abort and injected panics with
-// multiple counting workers.
+// temp-file lifecycle under success, an early stop and injected panics
+// with multiple counting workers.
 
 import (
 	"bytes"
@@ -61,7 +61,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 				}
 				got := make(map[uint64]int)
-				size, within, err := w.CountRunsU64Ctx(nil, -1, workers, func(run int, m map[uint64]int) bool {
+				size, err := w.CountRunsU64Ctx(nil, workers, func(run int, m map[uint64]int) bool {
 					for k, c := range m {
 						if _, dup := got[k]; dup {
 							t.Fatalf("key emitted by two runs: partition not disjoint")
@@ -73,8 +73,8 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 					return true
 				})
-				if err != nil || !within || size != len(ref) {
-					t.Fatalf("CountRunsU64: size=%d within=%v err=%v, want %d distinct", size, within, err, len(ref))
+				if err != nil || size != len(ref) {
+					t.Fatalf("CountRunsU64: size=%d err=%v, want %d distinct", size, err, len(ref))
 				}
 				for k, c := range ref {
 					if got[k] != c {
@@ -82,41 +82,6 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestU64CapAbort pins the parallel cap contract on the uint64 format at
-// every boundary, for 1 and many counting workers.
-func TestU64CapAbort(t *testing.T) {
-	keys, ref := genU64(6000, 211, 17)
-	distinct := len(ref)
-	for _, workers := range []int{1, 8} {
-		for _, cap := range []int{0, distinct - 1, distinct, distinct + 1} {
-			w, err := NewWriter(Config{RecWidth: 8, Runs: 6, Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw := w.Shard()
-			for _, k := range keys {
-				sw.AddU64(k)
-			}
-			if err := sw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			size, within, err := w.CountRunsU64Ctx(nil, cap, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if distinct > cap {
-				if within || size != cap+1 {
-					t.Fatalf("workers=%d cap=%d: got (%d, %v), want (%d, false)", workers, cap, size, within, cap+1)
-				}
-			} else if !within || size != distinct {
-				t.Fatalf("workers=%d cap=%d: got (%d, %v), want (%d, true)", workers, cap, size, within, distinct)
-			}
-			w.Cleanup()
-			assertEmptyDir(t, w, "after u64 cap-abort cleanup")
 		}
 	}
 }
@@ -211,9 +176,9 @@ func TestScanRunRoundTrip(t *testing.T) {
 
 // TestParallelCountLifecycle pins the temp-file lifecycle of parallel run
 // counting: the private directory is removed after a successful count,
-// after a cap-abort, and when a panic injected into emit unwinds through
-// the caller's deferred Cleanup — with multiple counting workers in every
-// case.
+// after an emit that stops the count early, and when a panic injected
+// into emit unwinds through the caller's deferred Cleanup — with multiple
+// counting workers in every case.
 func TestParallelCountLifecycle(t *testing.T) {
 	const workers = 4
 	build := func(t *testing.T) *Writer {
@@ -229,21 +194,24 @@ func TestParallelCountLifecycle(t *testing.T) {
 
 	t.Run("success", func(t *testing.T) {
 		w := build(t)
-		if _, _, err := w.CountRunsCtx(nil, -1, workers, nil); err != nil {
+		if _, err := w.CountRunsCtx(nil, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		w.Cleanup()
 		assertEmptyDir(t, w, "after parallel success")
 	})
 
-	t.Run("cap-abort", func(t *testing.T) {
+	t.Run("emit-stop", func(t *testing.T) {
 		w := build(t)
-		size, within, err := w.CountRunsCtx(nil, 3, workers, nil)
-		if err != nil || within || size != 4 {
-			t.Fatalf("cap-abort: got (%d, %v, %v), want (4, false, nil)", size, within, err)
+		emitted := 0
+		if _, err := w.CountRunsCtx(nil, workers, func(int, map[string]int) bool {
+			emitted++
+			return false
+		}); err != nil || emitted == 0 || emitted >= w.NumRuns() {
+			t.Fatalf("emit-stop: err=%v after %d of %d runs, want nil after fewer than all", err, emitted, w.NumRuns())
 		}
 		w.Cleanup()
-		assertEmptyDir(t, w, "after parallel cap-abort")
+		assertEmptyDir(t, w, "after parallel emit stop")
 	})
 
 	t.Run("panic", func(t *testing.T) {
@@ -256,14 +224,14 @@ func TestParallelCountLifecycle(t *testing.T) {
 			}()
 			w = build(t)
 			defer w.Cleanup()
-			w.CountRunsCtx(nil, -1, workers, func(run int, m map[string]int) bool {
+			w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
 				panic("injected mid-merge failure")
 			})
 		}()
 		assertEmptyDir(t, w, "after panic unwound through the deferred cleanup")
 		// The writer must stay usable for error reporting after a recovered
 		// panic (no lock left held).
-		if _, _, err := w.CountRunsCtx(nil, -1, workers, nil); err == nil {
+		if _, err := w.CountRunsCtx(nil, workers, nil); err == nil {
 			t.Fatal("CountRuns after Cleanup should error")
 		}
 	})

@@ -5,15 +5,13 @@
 //
 // The map kernels in internal/core hold one map entry per distinct group
 // for the whole scan — unbounded-domain attribute sets can make that state
-// arbitrarily large. The spill group-by bounds it: fixed-width key records
-// are hash-partitioned into K on-disk partition runs during the scan
-// (Writer), and the runs are then counted with ordinary in-memory maps.
-// The hash partition sends every occurrence of a key to the same run, so
-// runs hold disjoint key sets, per-run counts are exact final counts, and
-// the total distinct count is the plain sum over runs — which is what
-// makes the cap-abort of label sizing exact across runs: the running
-// total is monotone, and the scan stops the moment it proves the bound
-// breached. Peak grouping memory is one run's map per counting worker (the
+// arbitrarily large. The spill group-by bounds it for a budgeted build:
+// fixed-width key records are hash-partitioned into K on-disk partition
+// runs during the scan (Writer), and the runs are then counted with
+// ordinary in-memory maps. The hash partition sends every occurrence of a
+// key to the same run, so runs hold disjoint key sets, per-run counts are
+// exact final counts, and the total distinct count is the plain sum over
+// runs. Peak grouping memory is one run's map per counting worker (the
 // caller picks K so a run's estimated footprint fits its per-worker budget
 // share) instead of the whole key space.
 //
@@ -21,10 +19,9 @@
 // counted into map[string]int (CountRunsCtx), and fixed-width 8-byte
 // little-endian uint64 records counted into map[uint64]int (AddU64 /
 // CountRunsU64Ctx) for key spaces that fit uint64 but whose map state is
-// over budget. Run counting is parallel: runs are key-disjoint, so CountRunsCtx
-// splits them K-way across workers with a shared atomic distinct total for
-// exact cross-worker cap-abort, and each worker reuses one pooled map and
-// read chunk across its runs.
+// over budget. Run counting is parallel: runs are key-disjoint, so
+// CountRunsCtx splits them K-way across workers, and each worker reuses
+// one pooled map and read chunk across its runs.
 //
 // A partition run lives only until it is counted. A spilled index keeps
 // what counting yields instead: Runs, K sorted runs of (key, count)
@@ -83,10 +80,6 @@ type Config struct {
 	// (and on Cleanup removes) a private subdirectory under it. Empty
 	// means the system temp directory.
 	Dir string
-	// BufBytes is the per-partition write-buffer size; records are staged
-	// there and flushed in large sequential writes. 0 means a default
-	// sized so a shard's K buffers stay a small multiple of the run count.
-	BufBytes int
 	// Pool recycles buffers across spills; nil means plain allocation.
 	Pool BufPool
 	// FS is the filesystem seam all run-file access goes through; nil
@@ -226,14 +219,15 @@ func runOfU64(key uint64, runs int) int {
 // (it is idempotent and safe to defer before any error handling, including
 // panics). The writer owns its private directory: Cleanup deletes it.
 type Writer struct {
-	cfg   Config
-	fs    iofault.FS
-	dir   string
-	files []iofault.File
-	mus   []sync.Mutex
-	wmu   sync.Mutex // guards stats accumulation from shards and count workers
-	stats Stats
-	done  bool
+	cfg      Config
+	bufBytes int // per-partition write buffer, whole records
+	fs       iofault.FS
+	dir      string
+	files    []iofault.File
+	mus      []sync.Mutex
+	wmu      sync.Mutex // guards stats accumulation from shards and count workers
+	stats    Stats
+	done     bool
 }
 
 // NewWriter creates the run files in a fresh private directory.
@@ -244,27 +238,18 @@ func NewWriter(cfg Config) (*Writer, error) {
 	if cfg.Runs < 1 {
 		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", cfg.Runs)
 	}
-	if cfg.BufBytes <= 0 {
-		cfg.BufBytes = defaultBufBytes(cfg.Runs)
-	}
-	// Round the buffer down to whole records so flushed frames never split
-	// a record (concurrent shards interleave only whole frames).
-	if cfg.BufBytes < cfg.RecWidth {
-		cfg.BufBytes = cfg.RecWidth
-	}
-	cfg.BufBytes -= cfg.BufBytes % cfg.RecWidth
-
 	fsys := iofault.Resolve(cfg.FS)
 	dir, err := fsys.MkdirTemp(cfg.Dir, "pcbl-spill-*")
 	if err != nil {
 		return nil, wrapNoSpace(err)
 	}
 	w := &Writer{
-		cfg:   cfg,
-		fs:    fsys,
-		dir:   dir,
-		files: make([]iofault.File, cfg.Runs),
-		mus:   make([]sync.Mutex, cfg.Runs),
+		cfg:      cfg,
+		bufBytes: bufBytes(cfg.Runs, cfg.RecWidth),
+		fs:       fsys,
+		dir:      dir,
+		files:    make([]iofault.File, cfg.Runs),
+		mus:      make([]sync.Mutex, cfg.Runs),
 	}
 	w.stats.Runs = cfg.Runs
 	for i := range w.files {
@@ -282,17 +267,14 @@ func NewWriter(cfg Config) (*Writer, error) {
 // agree on the layout.
 func runPath(dir string, i int) string { return fmt.Sprintf("%s/run-%04d", dir, i) }
 
-// defaultBufBytes keeps a shard's total buffer memory (K buffers) around a
-// quarter MiB regardless of the run count, within [4 KiB, 64 KiB] per run.
-func defaultBufBytes(runs int) int {
-	b := (256 << 10) / runs
-	if b < 4<<10 {
-		return 4 << 10
-	}
-	if b > 64<<10 {
-		return 64 << 10
-	}
-	return b
+// bufBytes sizes the per-partition write buffer, where records are staged
+// and flushed in large sequential writes: a shard's K buffers stay around
+// a quarter MiB regardless of the run count, within [4 KiB, 64 KiB] per
+// run, rounded down to whole records so flushed frames never split a
+// record (concurrent shards interleave only whole frames).
+func bufBytes(runs, recWidth int) int {
+	b := min(max((256<<10)/runs, 4<<10), 64<<10)
+	return max(b-b%recWidth, recWidth)
 }
 
 // NumRuns returns the partition count K.
@@ -329,7 +311,7 @@ func (w *Writer) Shard() *ShardWriter {
 	for i := range s.bufs {
 		// Reserve the frame header at the front of each buffer so a flush
 		// is a single whole-frame write.
-		s.bufs[i] = getBuf(w.cfg.Pool, w.cfg.BufBytes+frameHdrLen)[:frameHdrLen]
+		s.bufs[i] = getBuf(w.cfg.Pool, w.bufBytes+frameHdrLen)[:frameHdrLen]
 	}
 	return s
 }
@@ -429,17 +411,9 @@ func checkFrameLen(run int, off int64, plen, recWidth int) error {
 const readChunkBytes = 256 << 10
 
 // chunkLen sizes the pooled read buffer: whole records near
-// readChunkBytes, and at least one write buffer plus its frame header
-// (scans grow past it only for frames written with a larger BufBytes).
+// readChunkBytes, and at least one write buffer plus its frame header.
 func (w *Writer) chunkLen() int {
-	n := readChunkBytes - readChunkBytes%w.cfg.RecWidth
-	if n < w.cfg.RecWidth {
-		n = w.cfg.RecWidth
-	}
-	if n < w.cfg.BufBytes+frameHdrLen {
-		n = w.cfg.BufBytes + frameHdrLen
-	}
-	return n
+	return max(readChunkBytes-readChunkBytes%w.cfg.RecWidth, w.bufBytes+frameHdrLen)
 }
 
 // scanRun streams run r's records through chunk, frame by frame, invoking
@@ -449,44 +423,45 @@ func (w *Writer) chunkLen() int {
 // a CorruptError, never as wrong records. Reads go through ReadAt at
 // explicit offsets, so any number of scans — of the same or different
 // runs — may proceed concurrently without sharing file positions.
-func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) (aborted bool, err error) {
+func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error {
 	f := w.files[run]
 	var hdr [frameHdrLen]byte
 	var off int64
 	for {
 		n, rerr := f.ReadAt(hdr[:], off)
 		if n == 0 && rerr == io.EOF {
-			return false, nil
+			return nil
 		}
 		if n < frameHdrLen {
 			if rerr == nil || rerr == io.EOF {
-				return false, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d bytes)", n)}
+				return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d bytes)", n)}
 			}
-			return false, rerr
+			return rerr
 		}
 		plen := int(binary.LittleEndian.Uint32(hdr[:4]))
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if err := checkFrameLen(run, off, plen, w.cfg.RecWidth); err != nil {
-			return false, err
+			return err
 		}
 		if plen > len(chunk) {
-			// Frame written with a larger flush buffer than ours; grow once.
+			// Longer than any frame a shard flushes: read it whole so its
+			// checksum decides, growing the buffer once.
 			chunk = make([]byte, plen)
 		}
 		payload := chunk[:plen]
 		pn, perr := f.ReadAt(payload, off+frameHdrLen)
 		if pn < plen {
 			if perr == nil || perr == io.EOF {
-				return false, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}
+				return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}
 			}
-			return false, perr
+			return perr
 		}
 		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return false, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame checksum mismatch (got %08x, want %08x)", got, want)}
+			return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame checksum mismatch (got %08x, want %08x)", got, want)}
 		}
 		for o := 0; o < plen; o += w.cfg.RecWidth {
 			if !fn(payload[o : o+w.cfg.RecWidth]) {
-				return true, nil
+				return nil
 			}
 		}
 		off += frameHdrLen + int64(plen)
@@ -494,17 +469,13 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) (abort
 }
 
 // CountRunsCtx counts each run with an in-memory map[string]int and
-// reports the total distinct-record count with exactly the sequential
-// cap-abort contract of label sizing: when cap >= 0 and the total distinct
-// count exceeds cap, counting stops and the result is (cap+1, false).
+// reports the total distinct-record count.
 //
 // Runs hold disjoint keys, so they are counted independently: with
 // workers > 1 the runs are split K-way across worker goroutines, each
 // reusing one map and one pooled read chunk across its runs, and the
-// distinct total is a shared atomic counter — a new key anywhere bumps it,
-// so every worker observes the exact monotone global count and the
-// cap-abort fires at precisely the insert that proves the bound breached,
-// regardless of scheduling. Results are identical for every worker count.
+// distinct total is the plain sum of the per-run counts. Results are
+// identical for every worker count.
 //
 // emit, when non-nil, is invoked once per fully counted run while its map
 // is still live — the caller merges (runs are key-disjoint, so plain
@@ -516,20 +487,19 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) (abort
 // the caller's deferred Cleanup still runs.
 //
 // When ctx fires, workers stop at the next run boundary (and, within a
-// run, at the next ctxCheckRecs-record stride), the shared stop flag fans
-// the abort out to every worker — the same machinery as the cap-abort —
-// and the context's error is returned. A nil ctx never cancels, and it (or
-// context.Background()) costs a single nil compare per check.
-func (w *Writer) CountRunsCtx(ctx context.Context, cap, workers int, emit func(run int, counts map[string]int) bool) (size int, within bool, err error) {
-	return countRuns(ctx, w, cap, workers, addRecBytes, emit)
+// run, at the next ctxCheckRecs-record stride), a shared stop flag fans
+// the abort out to every worker, and the context's error is returned. A
+// nil ctx never cancels, and it (or context.Background()) costs a single
+// nil compare per check.
+func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts map[string]int) bool) (size int, err error) {
+	return countRuns(ctx, w, workers, addRecBytes, emit)
 }
 
 // CountRunsU64Ctx is CountRunsCtx for the uint64 record format: 8-byte
 // little-endian records counted into map[uint64]int — no per-key string
-// materialization, the same cap-abort, parallelism and cancellation
-// contract.
-func (w *Writer) CountRunsU64Ctx(ctx context.Context, cap, workers int, emit func(run int, counts map[uint64]int) bool) (size int, within bool, err error) {
-	return countRuns(ctx, w, cap, workers, addRecU64, emit)
+// materialization, the same parallelism and cancellation contract.
+func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) (size int, err error) {
+	return countRuns(ctx, w, workers, addRecU64, emit)
 }
 
 // ctxCheckRecs is the in-run cancellation stride: counting workers poll the
@@ -538,26 +508,18 @@ func (w *Writer) CountRunsU64Ctx(ctx context.Context, cap, workers int, emit fun
 // cost stays one local increment and mask.
 const ctxCheckRecs = 8192
 
-// addRecBytes and addRecU64 fold one record into a run map, reporting
-// whether it was a new distinct key. The string form relies on the
-// compiler's map[string(b)] key optimization for the duplicate case.
-func addRecBytes(m map[string]int, rec []byte) bool {
-	before := len(m)
-	m[string(rec)]++
-	return len(m) != before
-}
+// addRecBytes and addRecU64 fold one record into a run map. The string
+// form relies on the compiler's map[string(b)] key optimization for the
+// duplicate case.
+func addRecBytes(m map[string]int, rec []byte) { m[string(rec)]++ }
 
-func addRecU64(m map[uint64]int, rec []byte) bool {
-	before := len(m)
-	m[binary.LittleEndian.Uint64(rec)]++
-	return len(m) != before
-}
+func addRecU64(m map[uint64]int, rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
 
 // countRuns is the shared, format-generic run-counting engine behind
 // CountRunsCtx and CountRunsU64Ctx.
-func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, add func(map[K]int, []byte) bool, emit func(run int, counts map[K]int) bool) (size int, within bool, err error) {
+func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add func(map[K]int, []byte), emit func(run int, counts map[K]int) bool) (size int, err error) {
 	if w.done {
-		return 0, false, fmt.Errorf("spill: CountRuns after Cleanup")
+		return 0, fmt.Errorf("spill: CountRuns after Cleanup")
 	}
 	var done <-chan struct{}
 	if ctx != nil {
@@ -565,9 +527,8 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 	}
 	workers = workpool.Resolve(workers, len(w.files))
 	var (
-		total    atomic.Int64 // distinct keys counted so far, across workers
-		exceeded atomic.Bool  // cap proven breached
-		stopped  atomic.Bool  // emit asked to stop, or the context fired
+		total   atomic.Int64 // distinct keys counted so far, across workers
+		stopped atomic.Bool  // emit asked to stop, or the context fired
 	)
 	errs := make([]error, workers)
 	panics := make([]any, workers)
@@ -583,7 +544,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 		var m map[K]int
 		var recs int
 		for run := lo; run < hi; run++ {
-			if exceeded.Load() || stopped.Load() {
+			if stopped.Load() {
 				return
 			}
 			if done != nil {
@@ -601,7 +562,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 				clear(m)
 			}
 			canceled := false
-			aborted, err := w.scanRun(run, chunk, func(rec []byte) bool {
+			err := w.scanRun(run, chunk, func(rec []byte) bool {
 				if done != nil {
 					if recs++; recs%ctxCheckRecs == 0 {
 						select {
@@ -612,12 +573,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 						}
 					}
 				}
-				if add(m, rec) && capN >= 0 && total.Add(1) > int64(capN) {
-					// This insert proved the global distinct count out of
-					// bound (runs are disjoint, so the total is monotone).
-					exceeded.Store(true)
-					return false
-				}
+				add(m, rec)
 				return true
 			})
 			if err != nil {
@@ -629,12 +585,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 				stopped.Store(true)
 				return
 			}
-			if aborted {
-				return
-			}
-			if capN < 0 {
-				total.Add(int64(len(m)))
-			}
+			total.Add(int64(len(m)))
 			// wmu serializes emit and the MaxRunEntries update (shard
 			// writers are closed by count time, so the lock is otherwise
 			// uncontended). The deferred unlock keeps the writer usable
@@ -665,13 +616,10 @@ func countRuns[K comparable](ctx context.Context, w *Writer, capN, workers int, 
 	}
 	for _, e := range errs {
 		if e != nil {
-			return 0, false, e
+			return 0, e
 		}
 	}
-	if exceeded.Load() {
-		return capN + 1, false, nil
-	}
-	return int(total.Load()), true, nil
+	return int(total.Load()), nil
 }
 
 // Stats returns the writer's accumulated counters. Call after the shards
@@ -687,8 +635,8 @@ func (w *Writer) Dir() string { return w.dir }
 
 // Cleanup closes every run file and deletes the files and the private
 // directory. It is idempotent and safe after partial construction, so
-// callers defer it immediately after NewWriter — covering success,
-// cap-abort, error and panic exits alike.
+// callers defer it immediately after NewWriter — covering success, early
+// stop, error and panic exits alike.
 func (w *Writer) Cleanup() {
 	if w.done {
 		return

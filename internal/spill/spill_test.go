@@ -78,7 +78,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 				writeAll(t, w, recs, shards)
 				got := make(map[string]int)
 				seenRuns := 0
-				size, within, err := w.CountRunsCtx(nil, -1, workers, func(run int, m map[string]int) bool {
+				size, err := w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
 					seenRuns++
 					for k, c := range m {
 						if _, dup := got[k]; dup {
@@ -88,8 +88,8 @@ func TestGroupByMatchesReference(t *testing.T) {
 					}
 					return true
 				})
-				if err != nil || !within {
-					t.Fatalf("CountRuns: size=%d within=%v err=%v", size, within, err)
+				if err != nil {
+					t.Fatalf("CountRuns: size=%d err=%v", size, err)
 				}
 				if size != len(ref) {
 					t.Fatalf("distinct = %d, want %d", size, len(ref))
@@ -117,36 +117,6 @@ func TestGroupByMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCapAbort pins the LabelSize cap contract: (cap+1, false) exactly when
-// the true distinct count exceeds cap, at every boundary.
-func TestCapAbort(t *testing.T) {
-	const width = 4
-	recs, ref := genRecords(5000, 137, width, 11)
-	distinct := len(ref)
-	for _, workers := range []int{1, 2, 8} {
-		for _, cap := range []int{0, 1, distinct - 1, distinct, distinct + 1, 10 * distinct} {
-			w, err := NewWriter(Config{RecWidth: width, Runs: 5, Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeAll(t, w, recs, 2)
-			size, within, err := w.CountRunsCtx(nil, cap, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if distinct > cap {
-				if within || size != cap+1 {
-					t.Fatalf("workers=%d cap=%d distinct=%d: got (%d, %v), want (%d, false)", workers, cap, distinct, size, within, cap+1)
-				}
-			} else if !within || size != distinct {
-				t.Fatalf("workers=%d cap=%d distinct=%d: got (%d, %v), want (%d, true)", workers, cap, distinct, size, within, distinct)
-			}
-			w.Cleanup()
-			assertEmptyDir(t, w, "after cap-abort cleanup")
-		}
-	}
-}
-
 // assertEmptyDir checks the writer's private run directory is gone.
 func assertEmptyDir(t *testing.T, w *Writer, when string) {
 	t.Helper()
@@ -163,7 +133,7 @@ func TestCleanupOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeAll(t, w, recs, 1)
-	if _, _, err := w.CountRunsCtx(nil, -1, 1, nil); err != nil {
+	if _, err := w.CountRunsCtx(nil, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Cleanup()
@@ -245,7 +215,7 @@ func TestBuffersCycleThroughPool(t *testing.T) {
 	}
 	defer w.Cleanup()
 	writeAll(t, w, recs, 2)
-	size, _, err := w.CountRunsCtx(nil, -1, 1, nil)
+	size, err := w.CountRunsCtx(nil, 1, nil)
 	if err != nil || size != len(ref) {
 		t.Fatalf("size=%d err=%v, want %d", size, err, len(ref))
 	}
