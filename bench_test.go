@@ -507,10 +507,10 @@ func BenchmarkFrontierSizing(b *testing.B) {
 // about live heap, not allocation churn: grouping state at any instant is
 // one on-disk run's map (bounded by CountOptions.MemBudget) instead of the
 // whole distinct-key space. BenchmarkSpillGroupBy tracks the end-to-end
-// engine cost of both tiers and both record formats (bytes/op gated by the
-// benchguard manifest); BenchmarkSpillLiveHeap measures the live-heap
-// bound directly, forcing a GC while each run's map is live and reporting
-// the peak.
+// engine cost of both tiers, both record formats and spilled sizing
+// (bytes/op gated by the benchguard manifest); BenchmarkSpillLiveHeap
+// measures the live-heap bound directly, forcing a GC while each run's map
+// is live and reporting the peak.
 
 var spillBenchOnce sync.Once
 var spillBenchData *dataset.Dataset
@@ -554,6 +554,18 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
 	})
+	b.Run("spill-size", func(b *testing.B) {
+		var stats core.ScanStats
+		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
+		for i := 0; i < b.N; i++ {
+			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
+				b.Fatal("unbounded sizing reported out of bound")
+			}
+		}
+		if stats.Spilled != int64(b.N) {
+			b.Fatalf("spilled %d of %d sizings", stats.Spilled, b.N)
+		}
+	})
 	// The uint64 record format's partition and count phases: the
 	// 40^8-key set fits uint64 but no dense slab.
 	b.Run("spill-u64", func(b *testing.B) {
@@ -572,6 +584,62 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
 	})
+}
+
+// BenchmarkSpillSizeWorkers sweeps the counting workers over a spilled
+// frontier sizing (core.LabelSizes routes the over-budget byte-key
+// set onto an external spill scan): the partition phase shards rows and
+// the count phase splits the key-disjoint runs K-way, so on a multi-core
+// runner the sizing wall clock scales with workers like the in-memory
+// kernels do. Recorded in BENCH_pr5.json (note the runner CPU count).
+func BenchmarkSpillSizeWorkers(b *testing.B) {
+	d, budget := spillBenchSetup(b)
+	sets := []lattice.AttrSet{lattice.FullSet(d.NumAttrs())}
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var stats core.ScanStats
+			opts := core.CountOptions{Workers: workers, MemBudget: budget, Stats: &stats}
+			for i := 0; i < b.N; i++ {
+				sizes, within := must2(core.LabelSizes(d, sets, -1, opts))
+				if !within[0] || sizes[0] == 0 {
+					b.Fatal("unbounded spilled sizing failed")
+				}
+			}
+			if stats.Spilled != int64(b.N) {
+				b.Fatalf("spilled %d of %d sizings", stats.Spilled, b.N)
+			}
+			b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
+		})
+	}
+}
+
+// BenchmarkSpillRecordFormat compares spilled sizing throughput of the two
+// record formats at equal row count: byte-string records (key overflows
+// uint64; 2 bytes per member) vs fixed-width uint64 records (8 bytes, no
+// per-key string materialization in the count maps). MB/s is record bytes
+// through the partition+count pipeline.
+func BenchmarkSpillRecordFormat(b *testing.B) {
+	d, budget := spillBenchSetup(b)
+	u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
+	du := u64SpillData
+	budgetU := spillBudgetU64(du, 6)
+	run := func(b *testing.B, d *dataset.Dataset, budget int64, recW int, wantU64 int64) {
+		full := lattice.FullSet(d.NumAttrs())
+		var stats core.ScanStats
+		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
+		b.SetBytes(int64(d.NumRows() * recW))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
+				b.Fatal("unbounded sizing reported out of bound")
+			}
+		}
+		if stats.Spilled != int64(b.N) || stats.SpilledU64 != wantU64*int64(b.N) {
+			b.Fatalf("Spilled=%d SpilledU64=%d over %d ops", stats.Spilled, stats.SpilledU64, b.N)
+		}
+	}
+	b.Run("bytes", func(b *testing.B) { run(b, d, budget, 2*d.NumAttrs(), 0) })
+	b.Run("u64", func(b *testing.B) { run(b, du, budgetU, 8, 1) })
 }
 
 // spillBudgetU64 mirrors the engine's uint64-map footprint model
@@ -636,7 +704,9 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				w.Cleanup()
 				b.Fatal(err)
 			}
-			size, err := w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
+			size := 0
+			err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
+				size += len(m)
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -676,7 +746,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			merged := make(map[string]int)
-			_, err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
+			err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
 				for key, c := range m {
 					merged[key] = c
 				}

@@ -26,10 +26,9 @@ import (
 //   - key overflows uint64, fits CountOptions.MemBudget           →  byte-string map
 //   - key fits or overflows uint64, modeled map footprint over
 //     CountOptions.MemBudget                                      →  spill
-//     (a build's external group-by: hash-partitioned on-disk runs, counted
-//     one at a time with the map kernel — see spillcount.go; no budget
-//     means the tier is off; LabelSizes models a capped set at cap+1 keys
-//     and sizes a set still over budget through that build)
+//     (external group-by: hash-partitioned on-disk runs, counted one at a
+//     time with the map kernel — see spillcount.go; no budget means the
+//     tier is off; LabelSizes models a capped set at cap+1 keys)
 //
 // A sorted build counts into hash maps and freezes them into SortedCounts
 // when the scan ends. The row-factor guard keeps the dense kernel off

@@ -69,29 +69,31 @@
 //     one member column at a time).
 //   - bytes: key spaces overflowing uint64 fall back to byte-string keys
 //     with the original per-row loop.
-//   - uint64 spill: a build of a set with uint64 keys beyond the dense
-//     tier whose modeled map footprint (56 bytes an entry) exceeds
-//     CountOptions.MemBudget runs the external group-by with fixed-width
+//   - uint64 spill: sets with uint64 keys beyond the dense tier whose
+//     modeled map footprint (56 bytes an entry) exceeds
+//     CountOptions.MemBudget run the external group-by with fixed-width
 //     8-byte records — the common over-budget case once domains multiply;
 //     runs count into map[uint64]int, no per-key string materialization.
 //     The dense kernel is exempt: its flat state is bounded by the dense
 //     slot limit.
-//   - byte spill: byte-key builds over the budget — the unbounded-domain,
+//   - byte spill: byte-key sets over the budget — the unbounded-domain,
 //     out-of-core case — spill 2-bytes-per-member records.
 //
 // Both spill formats share the machinery (spillcount.go over
 // internal/spill): keys hash-partition into K on-disk runs sized so one
 // run's map fits each counting worker's share of the budget, and the
 // key-disjoint runs are counted K-way in parallel, so per-run counts are
-// final. Disk trouble during a spilled build re-counts the set in memory
+// final. Disk trouble during a spilled scan re-counts the set in memory
 // with the caller's full options (budget cleared), metered in
-// ScanStats.SpillFallbacks. Sizing has no spill path of its own.
-// LabelSizes prices a set by the keys its accumulator can reach —
-// min(radix, rows, cap+1) entries under the same per-entry models — so a
-// capped set stays in its group whenever cap+1 keys fit the budget. A set
-// still over budget (an uncapped size, or a cap too large for the budget)
-// is sized afterwards, in frontier order, through the budgeted BuildPC:
-// its Size is read and its runs released.
+// ScanStats.SpillFallbacks. LabelSizes prices a set by the keys its
+// accumulator can reach — min(radix, rows, cap+1) entries under the same
+// per-entry models — so a capped set stays in its group whenever cap+1
+// keys fit the budget. A set still over budget (an uncapped size, or a
+// cap too large for the budget) is sized afterwards, in frontier order, by
+// a build's partition phase and a count of its runs that keeps only the
+// distinct total: no sorted run is written, the count stops once the total
+// passes cap, and disk trouble re-sizes the set with the capped in-memory
+// kernel.
 //
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — each counted run is written once as a
@@ -105,7 +107,8 @@
 // bytes an entry rather than the 56-byte map model that decided to spill.
 // Label.Merge over a spilled PC writes fresh runs, each one linear
 // two-way merge of a base run with its share of the delta; a delta that
-// grew a member domain re-partitions instead (merge.go).
+// grew a member domain re-partitions instead (merge.go). Sizing-only
+// scans keep partition runs alone: nothing reopens them.
 //
 // The merge-on-read read path is built for concurrent readers (the label
 // serving daemon of internal/serve): there is no per-lookup mutex. Pinned

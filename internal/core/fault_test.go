@@ -130,7 +130,7 @@ func TestSpilledMarginalizeSurfacesReadFault(t *testing.T) {
 
 // TestSharedSpillFaultDegradesOnlyFaultedSet sweeps injected faults over
 // every filesystem op class sizing a frontier of over-budget sets performs
-// — run-dir creation, run-file creation, partition and sorted-run writes,
+// — run-dir creation, run-file creation, partition writes,
 // count-phase reads — and asserts the isolation contract: a fault on one
 // set's run files degrades only that set to the in-memory fallback
 // (metered in SpillFallbacks), sibling sets keep their on-disk spilled

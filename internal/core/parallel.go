@@ -68,8 +68,10 @@ type CountOptions struct {
 	// models over the budget is not materialized — the PC keeps sorted runs
 	// and serves lookups merge-on-read. LabelSizes prices a capped set by
 	// the cap+1 keys its accumulator can reach, so a capped set spills only
-	// when even those are over budget; it is then sized through the
-	// budgeted BuildPC. Results are bit-identical to the in-memory kernels.
+	// when even those are over budget; it is then partitioned as a build
+	// would be and its runs counted for their distinct total alone, with
+	// the cap-abort and no sorted run written. Results are bit-identical
+	// to the in-memory kernels.
 	// Zero means unlimited (never spill). The dense kernel is not governed
 	// by this knob: its state is bounded by the dense slot limit the
 	// selection rules already cap.
@@ -168,12 +170,14 @@ func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions
 // count picks the same tier. A set that fits stays in its group; with a
 // cap, that is every bound a label is meant to have. A set still over
 // budget — an uncapped size, or a cap too large for the budget — joins no
-// group: it is sized afterwards, in frontier order, by a budgeted BuildPC
-// whose Size is read and whose spilled runs are released at once, so the
-// build's spill path, disk-trouble fallback included, is the only one.
+// group: it is sized afterwards, in frontier order, by a spilled build's
+// partition phase and a count of its runs that keeps only the distinct
+// total, with the same cap-abort and no sorted run written
+// (labelSizeSpilled); disk trouble degrades that set to the capped
+// in-memory kernel.
 //
 // The only error is opts.Ctx firing: every worker checks it once per row
-// block (and a budgeted build once per block or run), and the whole
+// block (and a spilled set once per block or run), and the whole
 // frontier evaluation aborts with the typed context error — sizes and
 // within are nil then, never partially filled.
 func LabelSizes(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
@@ -194,12 +198,9 @@ func LabelSizes(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountO
 		return nil, nil, err
 	}
 	for _, i := range over {
-		pc, err := BuildPC(d, sets[i], opts)
-		if err != nil {
+		if sizes[i], within[i], err = labelSizeSpilled(d, sets[i], cap, opts); err != nil {
 			return nil, nil, err
 		}
-		sizes[i], within[i] = capSize(pc.Size(), cap)
-		pc.ReleaseSpill()
 	}
 	return sizes, within, nil
 }

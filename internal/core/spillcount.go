@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"pcbl/internal/dataset"
+	"pcbl/internal/lattice"
 	"pcbl/internal/spill"
 	"pcbl/internal/workpool"
 )
@@ -16,16 +18,17 @@ import (
 // dense kernel carry grouping state proportional to their distinct-key
 // count — one map entry per group, with nothing but the row count (or a
 // huge key space) bounding it. When CountOptions.MemBudget is set and the
-// estimated footprint of a BuildPC's map exceeds it, kernel dispatch routes
-// the build here: the scan hash-partitions its keys into K on-disk runs,
-// and the runs are counted with the ordinary map kernels — K-way parallel
-// across workers, since runs hold disjoint keys and so per-run counts are
-// final. Two record formats cover the two over-budget kernels: fixed-width
-// 8-byte uint64 records for sets whose mixed-radix key fits uint64 (the
-// common case once domains multiply), and 2-bytes-per-member byte-string
-// records for keys that overflow it. Results are bit-identical to the
-// in-memory kernels for every worker count and both formats
-// (spillcount_test.go).
+// estimated footprint of that map exceeds it, kernel dispatch routes the
+// set here: the scan hash-partitions its keys into K on-disk runs, runs
+// are counted with the ordinary map kernels — K-way parallel across
+// workers, since runs hold disjoint keys — and counts merge across runs
+// with the exact cap-abort of label sizing (per-run counts are final and
+// the distinct total is a monotone sum). Two record formats cover the two
+// over-budget kernels: fixed-width 8-byte uint64 records for sets whose
+// mixed-radix key fits uint64 (the common case once domains multiply), and
+// 2-bytes-per-member byte-string records for keys that overflow it.
+// Results are bit-identical to the in-memory kernels for every worker count
+// and both formats (spillcount_test.go).
 //
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
@@ -33,9 +36,10 @@ import (
 // of (key, count) entries (spill.Runs) and its partition file deleted; the
 // PC keeps the sorted runs and serves Size/LookupValsCtx/EachCtx from them
 // (merge-on-read, spilledpc.go) — the scan's careful budget is no longer
-// blown by the result map. Sizing has no spill path of its own: LabelSizes
-// keeps a capped set in memory unless even its cap+1 keys model over the
-// budget, and sizes a set that is still over budget through this build.
+// blown by the result map. Sizing shares the partition phase (spillScan):
+// LabelSizes keeps a capped set in memory unless even its cap+1 keys model
+// over the budget, and sizes a set still over budget by counting its
+// partition runs for their distinct total alone (labelSizeSpilled).
 
 // spillFormat names the fixed-width record encoding a spilled set uses.
 type spillFormat uint8
@@ -203,7 +207,7 @@ func (st *ScanStats) addSpillFallbackErr(err error) {
 	}
 }
 
-// spillPartition is a spilled build's partition phase: rows shard across
+// spillPartition is a spilled scan's partition phase: rows shard across
 // workers, each worker streaming its chunk's keys into a private
 // ShardWriter — columnar uint64 key blocks for the u64 format, per-row
 // byte keys for the byte format. Partition files are append-shared, which
@@ -287,7 +291,32 @@ func buildPCSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spi
 	return pc, nil
 }
 
-func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (*PC, error) {
+// buildPCSpillScan is a spilled build's scan: partition, then
+// countAndSeal; a spilled result keeps only the sorted runs it wrote.
+func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (pc *PC, err error) {
+	err = spillScan(k, cols, rows, workers, runs, format, opts, func(w *spill.Writer) error {
+		var cerr error
+		if pc, cerr = countAndSeal(w, k, format, workers, opts.MemBudget, opts); cerr != nil {
+			return cerr
+		}
+		var sorted int64
+		if pc.sp != nil {
+			sorted = pc.sp.runs.Bytes()
+		}
+		opts.Stats.addSpill(w.Stats(), sorted, format, workpool.Resolve(workers, runs))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pc, nil
+}
+
+// spillScan is the partition phase every spilled scan shares: it
+// partitions k's keys into runs on-disk runs and hands the writer to
+// finish, which counts them. The partition runs are removed on every exit
+// — success, error, cancellation and panic alike.
+func spillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions, finish func(w *spill.Writer) error) error {
 	w, err := spill.NewWriter(spill.Config{
 		RecWidth: format.recWidth(k),
 		Runs:     runs,
@@ -296,25 +325,50 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 		FS:       opts.FS,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The partition runs are removed on every exit — success, error,
-	// cancellation and panic alike; a spilled result keeps only the sorted
-	// runs countAndSeal wrote.
 	defer w.Cleanup()
 	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, opts.stop()); err != nil {
-		return nil, err
+		return err
 	}
-	pc, err := countAndSeal(w, k, format, workers, opts.MemBudget, opts)
-	if err != nil {
-		return nil, err
+	return finish(w)
+}
+
+// labelSizeSpilled sizes one set whose capped sizing state models over
+// opts.MemBudget: a spilled build's partition phase, then a count of the
+// partition runs that keeps only the distinct total — no sorted run is
+// written — and stops once the total passes cap. Runs hold disjoint keys,
+// so the running total is exact and the cap-abort is the sequential
+// loop's. Disk trouble falls back to the capped in-memory kernel, metered
+// as a spill fallback; a fired opts.Ctx returns the typed context error.
+func labelSizeSpilled(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
+	rows := d.NumRows()
+	k := NewKeyer(d, s)
+	workers := opts.scanWorkers(rows)
+	// Over budget at the cap is over budget uncapped, so spillFor spills.
+	runs, format, _ := opts.spillFor(k, rows, workers)
+	err = spillScan(k, datasetCols(d), rows, workers, runs, format, opts, func(w *spill.Writer) error {
+		n := 0 // emit calls are serialized
+		add := func(distinct int) bool { n += distinct; return cap < 0 || n <= cap }
+		var cerr error
+		if format == spillFmtU64 {
+			cerr = w.CountRunsU64Ctx(opts.Ctx, workers, func(_ int, m map[uint64]int) bool { return add(len(m)) })
+		} else {
+			cerr = w.CountRunsCtx(opts.Ctx, workers, func(_ int, m map[string]int) bool { return add(len(m)) })
+		}
+		if cerr != nil {
+			return cerr
+		}
+		opts.Stats.addSpill(w.Stats(), 0, format, workpool.Resolve(workers, runs))
+		size, within = capSize(n, cap)
+		return nil
+	})
+	if err == nil || isCtxErr(err) {
+		return size, within, err
 	}
-	var sorted int64
-	if pc.sp != nil {
-		sorted = pc.sp.runs.Bytes()
-	}
-	opts.Stats.addSpill(w.Stats(), sorted, format, workpool.Resolve(workers, runs))
-	return pc, nil
+	opts.Stats.addSpillFallbackErr(err)
+	opts.MemBudget = 0
+	return LabelSize(d, s, cap, opts)
 }
 
 // countAndSeal is the count-and-write step of a spilled build, and of a
@@ -379,7 +433,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, format spillFormat, workers int, bu
 // runs with their sizes otherwise.
 func sealRuns[K comparable](
 	ctx context.Context, w *spill.Writer,
-	count func(ctx context.Context, workers int, emit func(run int, counts map[K]int) bool) (int, error),
+	count func(ctx context.Context, workers int, emit func(run int, counts map[K]int) bool) error,
 	write func(rw *spill.RunWriter, keys []K, counts []int32),
 	workers int, budget, entry int64, newRuns func() (*spill.Runs, error),
 ) (keys []K, counts []int32, rs *spill.Runs, runSizes []int, err error) {
@@ -405,7 +459,7 @@ func sealRuns[K comparable](
 		}
 	}
 	// emit calls are serialized, so the closure state needs no lock.
-	_, err = count(ctx, workers, func(run int, m map[K]int) bool {
+	err = count(ctx, workers, func(run int, m map[K]int) bool {
 		ks := make([]K, 0, len(m))
 		cs := make([]int32, 0, len(m))
 		for key, c := range m {

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"pcbl/internal/dataset"
+	"pcbl/internal/iofault"
 	"pcbl/internal/lattice"
 )
 
@@ -170,6 +171,47 @@ func TestDifferentialSpillLabelSize(t *testing.T) {
 					}
 					assertNoSpillFiles(t, dir)
 				}
+			}
+		})
+	}
+}
+
+// TestSpilledSizingCountsOnly pins the sizing ending of a spilled scan in
+// both record formats: a set whose sizing state models over the budget is
+// partitioned and its runs counted, but no sorted run is written — the
+// only files created are the partition runs — and a cap stops the count
+// once the running total passes it, so fewer runs are read than uncapped.
+func TestSpilledSizingCountsOnly(t *testing.T) {
+	for ci, cfg := range []diffConfig{spillConfigs[0], spillConfigs[3]} {
+		t.Run(cfg.name(), func(t *testing.T) {
+			d := diffDataset(t, cfg, uint64(ci)+0x5C)
+			s := spillSet(t, d)
+			exact, _ := labelSize(d, s, -1)
+			budget := spillBudgetFor(d, s, 8)
+			size := func(cap int) (int, bool, ScanStats, map[iofault.Op]int64) {
+				ffs := iofault.NewFaultFS(nil)
+				var stats ScanStats
+				opts := CountOptions{Workers: 1, MemBudget: budget, SpillDir: t.TempDir(), FS: ffs, Stats: &stats}
+				n, within := must2(LabelSize(d, s, cap, opts))
+				return n, within, stats, ffs.Counts()
+			}
+			n, within, stats, ops := size(-1)
+			if n != exact || !within || stats.Spilled != 1 || stats.SpilledU64 != int64(wantFormat(d, s)) {
+				t.Fatalf("uncapped: (%d, %v) Spilled=%d SpilledU64=%d, want (%d, true) spilled once",
+					n, within, stats.Spilled, stats.SpilledU64, exact)
+			}
+			if ops[iofault.OpCreate] != stats.SpillRuns {
+				t.Fatalf("created %d files for %d partition runs: sizing wrote sorted runs",
+					ops[iofault.OpCreate], stats.SpillRuns)
+			}
+			cap := exact / 2
+			n, within, stats, capOps := size(cap)
+			if n != cap+1 || within || stats.Spilled != 1 {
+				t.Fatalf("cap %d: (%d, %v) Spilled=%d, want (%d, false) spilled once", cap, n, within, stats.Spilled, cap+1)
+			}
+			if capOps[iofault.OpRead] >= ops[iofault.OpRead] {
+				t.Fatalf("cap %d read %d times, uncapped %d: the count did not stop at the cap",
+					cap, capOps[iofault.OpRead], ops[iofault.OpRead])
 			}
 		})
 	}

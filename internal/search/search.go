@@ -53,9 +53,10 @@ type Options struct {
 	// in bytes (core.CountOptions.MemBudget). Enumeration sizes every
 	// candidate with cap Bound, so a candidate's sizing state is at most
 	// Bound + 1 keys: it stays in its sibling group unless even those
-	// model over the budget, and is then sized through a spilled build —
+	// model over the budget, and is then sized on the spill tier —
 	// hash-partitioned on-disk runs (uint64 or byte record format, matching
-	// the key encoding) counted K-way in parallel. Budgeted label builds
+	// the key encoding) counted K-way in parallel for their distinct total,
+	// stopping once it passes Bound. Budgeted label builds
 	// whose map models over the budget spill the same way and, when the
 	// result does too, keep their runs and serve lookups merge-on-read.
 	// Zero means unlimited. Results are identical either way;
@@ -163,8 +164,8 @@ const schedulerPoolBudget int64 = 256 << 20
 
 // levelSizer sizes the enumeration phase one lattice level at a time:
 // each level is one core.LabelSizes call, which groups the level's sets by
-// gen parent and sizes any set still over budget at the cap through a
-// spilled build. One slab pool serves every level, so steady-state sizing
+// gen parent and sizes any set still over budget at the cap on the spill
+// tier. One slab pool serves every level, so steady-state sizing
 // allocates a near-constant working set.
 type levelSizer struct {
 	d     *dataset.Dataset

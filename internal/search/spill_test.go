@@ -68,7 +68,7 @@ func TestSearchSpillIdentity(t *testing.T) {
 	}
 	// Budget small enough that every set's map estimate exceeds it even at
 	// the cap (bound + 1 keys, more than the rows): every candidate must be
-	// sized through a spilled build.
+	// sized on the spill tier.
 	budget := int64(50 << 10)
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()

@@ -49,7 +49,7 @@ func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 		t.Fatal(err)
 	}
 	var werr error
-	if _, err := w.CountRunsCtx(nil, 1, func(run int, counts map[string]int) bool {
+	if err := w.CountRunsCtx(nil, 1, func(run int, counts map[string]int) bool {
 		keys := make([]string, 0, len(counts))
 		for k := range counts {
 			keys = append(keys, k)

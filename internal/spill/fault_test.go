@@ -95,7 +95,7 @@ func TestScanDetectsFrameCorruption(t *testing.T) {
 	if err := os.WriteFile(victim, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = w.CountRunsCtx(nil, 2, nil)
+	err = w.CountRunsCtx(nil, 2, nil)
 	if err == nil {
 		t.Fatal("CountRuns accepted a corrupted frame")
 	}
@@ -104,8 +104,10 @@ func TestScanDetectsFrameCorruption(t *testing.T) {
 	}
 }
 
-// TestShardWritePropagatesFault: a write fault during sharding surfaces
-// from ShardWriter.Close, not as a panic or silent data loss.
+// TestShardWritePropagatesFault: a write fault during sharding — a flush
+// inside ShardWriter.Add, once a partition buffer fills — stops the shard
+// taking records and surfaces from ShardWriter.Close, not as a panic or
+// silent data loss.
 func TestShardWritePropagatesFault(t *testing.T) {
 	ffs := iofault.NewFaultFS(nil)
 	w, err := NewWriter(Config{RecWidth: 6, Runs: 3, FS: ffs})
@@ -114,12 +116,24 @@ func TestShardWritePropagatesFault(t *testing.T) {
 	}
 	defer w.Cleanup()
 	ffs.FailFrom(iofault.OpWrite, 2, nil)
-	recs, _ := genRecords(2000, 100, 6, 0xBEE)
+	// About 80 KB per run: past one bufBytes(3, 6) buffer, so Add flushes.
+	recs, _ := genRecords(40000, 100, 6, 0xBEE)
 	s := w.Shard()
 	for _, r := range recs {
 		s.Add(r)
 	}
+	// The faulted second write happened inside Add, and no Add after it
+	// wrote again.
+	if n := ffs.Counts()[iofault.OpWrite]; n != 2 {
+		t.Fatalf("%d writes before Close, want 2", n)
+	}
 	if err := s.Close(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("shard close after write fault: %v, want ErrInjected", err)
+	}
+	if n := ffs.Counts()[iofault.OpWrite]; n != 2 {
+		t.Fatalf("%d writes after Close of a failed shard, want 2", n)
+	}
+	if got := w.Stats().RecordsSpilled; got >= int64(len(recs)) {
+		t.Fatalf("shard took all %d records after its write fault", got)
 	}
 }

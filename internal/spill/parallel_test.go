@@ -61,7 +61,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 				}
 				got := make(map[uint64]int)
-				size, err := w.CountRunsU64Ctx(nil, workers, func(run int, m map[uint64]int) bool {
+				err = w.CountRunsU64Ctx(nil, workers, func(run int, m map[uint64]int) bool {
 					for k, c := range m {
 						if _, dup := got[k]; dup {
 							t.Fatalf("key emitted by two runs: partition not disjoint")
@@ -73,8 +73,8 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 					}
 					return true
 				})
-				if err != nil || size != len(ref) {
-					t.Fatalf("CountRunsU64: size=%d err=%v, want %d distinct", size, err, len(ref))
+				if err != nil || len(got) != len(ref) {
+					t.Fatalf("CountRunsU64: %d distinct, err=%v, want %d", len(got), err, len(ref))
 				}
 				for k, c := range ref {
 					if got[k] != c {
@@ -194,7 +194,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 
 	t.Run("success", func(t *testing.T) {
 		w := build(t)
-		if _, err := w.CountRunsCtx(nil, workers, nil); err != nil {
+		if err := w.CountRunsCtx(nil, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		w.Cleanup()
@@ -204,7 +204,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 	t.Run("emit-stop", func(t *testing.T) {
 		w := build(t)
 		emitted := 0
-		if _, err := w.CountRunsCtx(nil, workers, func(int, map[string]int) bool {
+		if err := w.CountRunsCtx(nil, workers, func(int, map[string]int) bool {
 			emitted++
 			return false
 		}); err != nil || emitted == 0 || emitted >= w.NumRuns() {
@@ -231,7 +231,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 		assertEmptyDir(t, w, "after panic unwound through the deferred cleanup")
 		// The writer must stay usable for error reporting after a recovered
 		// panic (no lock left held).
-		if _, err := w.CountRunsCtx(nil, workers, nil); err == nil {
+		if err := w.CountRunsCtx(nil, workers, nil); err == nil {
 			t.Fatal("CountRuns after Cleanup should error")
 		}
 	})

@@ -5,13 +5,15 @@
 //
 // The map kernels in internal/core hold one map entry per distinct group
 // for the whole scan — unbounded-domain attribute sets can make that state
-// arbitrarily large. The spill group-by bounds it for a budgeted build:
-// fixed-width key records are hash-partitioned into K on-disk partition
-// runs during the scan (Writer), and the runs are then counted with
-// ordinary in-memory maps. The hash partition sends every occurrence of a
-// key to the same run, so runs hold disjoint key sets, per-run counts are
-// exact final counts, and the total distinct count is the plain sum over
-// runs. Peak grouping memory is one run's map per counting worker (the
+// arbitrarily large. The spill group-by bounds it: fixed-width key records
+// are hash-partitioned into K on-disk partition runs during the scan
+// (Writer), and the runs are then counted with ordinary in-memory maps.
+// The hash partition sends every occurrence of a key to the same run, so
+// runs hold disjoint key sets, per-run counts are exact final counts, and
+// the total distinct count is the plain sum over runs — which is what
+// lets label sizing stop a count exactly: the running total is monotone,
+// and its emit callback ends the count the moment the total passes the
+// cap. Peak grouping memory is one run's map per counting worker (the
 // caller picks K so a run's estimated footprint fits its per-worker budget
 // share) instead of the whole key space.
 //
@@ -468,21 +470,20 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error 
 	}
 }
 
-// CountRunsCtx counts each run with an in-memory map[string]int and
-// reports the total distinct-record count.
+// CountRunsCtx counts each run with an in-memory map[string]int.
 //
 // Runs hold disjoint keys, so they are counted independently: with
 // workers > 1 the runs are split K-way across worker goroutines, each
-// reusing one map and one pooled read chunk across its runs, and the
-// distinct total is the plain sum of the per-run counts. Results are
-// identical for every worker count.
+// reusing one map and one pooled read chunk across its runs. Per-run
+// counts are final and identical for every worker count.
 //
 // emit, when non-nil, is invoked once per fully counted run while its map
 // is still live — the caller merges (runs are key-disjoint, so plain
-// inserts suffice) or just observes; returning false stops early with the
-// counts so far. emit calls are serialized under an internal lock, but run
-// completion order is unspecified with workers > 1, and the map is reused
-// for the worker's next run: emit must not retain it. A panic in emit (or
+// inserts suffice) or just observes, e.g. sums len(counts) for the
+// distinct total; returning false stops the count early, without error.
+// emit calls are serialized under an internal lock, but run completion
+// order is unspecified with workers > 1, and the map is reused for the
+// worker's next run: emit must not retain it. A panic in emit (or
 // anywhere in a counting worker) is re-raised on the calling goroutine, so
 // the caller's deferred Cleanup still runs.
 //
@@ -491,14 +492,14 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error 
 // the abort out to every worker, and the context's error is returned. A
 // nil ctx never cancels, and it (or context.Background()) costs a single
 // nil compare per check.
-func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts map[string]int) bool) (size int, err error) {
+func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts map[string]int) bool) error {
 	return countRuns(ctx, w, workers, addRecBytes, emit)
 }
 
 // CountRunsU64Ctx is CountRunsCtx for the uint64 record format: 8-byte
 // little-endian records counted into map[uint64]int — no per-key string
 // materialization, the same parallelism and cancellation contract.
-func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) (size int, err error) {
+func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) error {
 	return countRuns(ctx, w, workers, addRecU64, emit)
 }
 
@@ -517,19 +518,16 @@ func addRecU64(m map[uint64]int, rec []byte) { m[binary.LittleEndian.Uint64(rec)
 
 // countRuns is the shared, format-generic run-counting engine behind
 // CountRunsCtx and CountRunsU64Ctx.
-func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add func(map[K]int, []byte), emit func(run int, counts map[K]int) bool) (size int, err error) {
+func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add func(map[K]int, []byte), emit func(run int, counts map[K]int) bool) error {
 	if w.done {
-		return 0, fmt.Errorf("spill: CountRuns after Cleanup")
+		return fmt.Errorf("spill: CountRuns after Cleanup")
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	workers = workpool.Resolve(workers, len(w.files))
-	var (
-		total   atomic.Int64 // distinct keys counted so far, across workers
-		stopped atomic.Bool  // emit asked to stop, or the context fired
-	)
+	var stopped atomic.Bool // emit asked to stop, or the context fired
 	errs := make([]error, workers)
 	panics := make([]any, workers)
 	workpool.RunChunks(len(w.files), workers, func(wk, lo, hi int) {
@@ -585,7 +583,6 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 				stopped.Store(true)
 				return
 			}
-			total.Add(int64(len(m)))
 			// wmu serializes emit and the MaxRunEntries update (shard
 			// writers are closed by count time, so the lock is otherwise
 			// uncontended). The deferred unlock keeps the writer usable
@@ -616,10 +613,10 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 	}
 	for _, e := range errs {
 		if e != nil {
-			return 0, e
+			return e
 		}
 	}
-	return int(total.Load()), nil
+	return nil
 }
 
 // Stats returns the writer's accumulated counters. Call after the shards

@@ -78,7 +78,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 				writeAll(t, w, recs, shards)
 				got := make(map[string]int)
 				seenRuns := 0
-				size, err := w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
+				err = w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
 					seenRuns++
 					for k, c := range m {
 						if _, dup := got[k]; dup {
@@ -89,10 +89,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 					return true
 				})
 				if err != nil {
-					t.Fatalf("CountRuns: size=%d err=%v", size, err)
-				}
-				if size != len(ref) {
-					t.Fatalf("distinct = %d, want %d", size, len(ref))
+					t.Fatalf("CountRuns: %v", err)
 				}
 				if len(got) != len(ref) {
 					t.Fatalf("emitted %d keys, want %d", len(got), len(ref))
@@ -133,7 +130,7 @@ func TestCleanupOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeAll(t, w, recs, 1)
-	if _, err := w.CountRunsCtx(nil, 1, nil); err != nil {
+	if err := w.CountRunsCtx(nil, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Cleanup()
@@ -215,7 +212,11 @@ func TestBuffersCycleThroughPool(t *testing.T) {
 	}
 	defer w.Cleanup()
 	writeAll(t, w, recs, 2)
-	size, err := w.CountRunsCtx(nil, 1, nil)
+	size := 0
+	err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
+		size += len(m)
+		return true
+	})
 	if err != nil || size != len(ref) {
 		t.Fatalf("size=%d err=%v, want %d", size, err, len(ref))
 	}
