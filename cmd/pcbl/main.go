@@ -191,9 +191,11 @@ func runLabel(args []string) error {
 	if err != nil {
 		return err
 	}
+	ps := pcbl.DistinctTuples(d)
 	res, err := pcbl.GenerateLabel(d, pcbl.GenerateOptions{
 		Bound:     *bound,
 		Algorithm: pcbl.Algorithm(*algo),
+		Patterns:  ps,
 		FastEval:  true,
 		Engine:    pcbl.EngineOptions{MemBudget: int64(*memBudgetMB) << 20, SpillDir: *spillDir},
 	})
@@ -203,16 +205,17 @@ func runLabel(args []string) error {
 	// Under a memory budget the label may hold merge-on-read spill runs;
 	// remove them once every output that reads the label has been written.
 	defer res.Label.ReleaseSpill()
+	// The search scores candidates with the sorted early stop, which can
+	// under-report a label's error; the printed error is the exhaustive one.
+	eval := pcbl.Evaluate(res.Label, ps)
 	fmt.Printf("label attributes: %s\n", res.Attrs.Format(d.AttrNames()))
 	fmt.Printf("label size:       %d (bound %d)\n", res.Size, *bound)
-	fmt.Printf("max abs error:    %.1f over %d distinct patterns\n", res.MaxErr, res.Stats.PatternsScanned)
+	fmt.Printf("max abs error:    %.1f over %d distinct patterns\n", eval.MaxAbs, eval.N)
 	fmt.Printf("search:           %d sets examined, %d in bound, %v total\n",
 		res.Stats.SizeComputed, res.Stats.InBound, res.Stats.Total().Round(1000))
 	if res.Stats.Spilled > 0 {
-		fmt.Printf("spill:            %d sets (%d byte-key, %d uint64-key) via %d on-disk runs (%d counted in parallel), %.1f MiB written\n",
-			res.Stats.Spilled,
-			res.Stats.Spilled-res.Stats.SpilledU64, res.Stats.SpilledU64,
-			res.Stats.SpillRuns, res.Stats.SpillParallelRuns,
+		fmt.Printf("spill:            %d sets via %d on-disk runs (%d counted in parallel), %.1f MiB written\n",
+			res.Stats.Spilled, res.Stats.SpillRuns, res.Stats.SpillParallelRuns,
 			float64(res.Stats.SpillBytes)/(1<<20))
 	}
 	if res.Stats.SpillFallbacks > 0 {
@@ -220,7 +223,6 @@ func runLabel(args []string) error {
 			res.Stats.SpillFallbacks)
 	}
 	if *render {
-		eval := pcbl.Evaluate(res.Label, nil)
 		text, err := pcbl.RenderLabel(res.Label, &eval)
 		if err != nil {
 			return err
@@ -229,7 +231,6 @@ func runLabel(args []string) error {
 		fmt.Println(text)
 	}
 	if *htmlOut != "" {
-		eval := pcbl.Evaluate(res.Label, nil)
 		f, err := os.Create(*htmlOut)
 		if err != nil {
 			return err
@@ -349,7 +350,7 @@ func runLoad(args []string) error {
 		kinds[string(pm.Kind)]++
 	}
 	var parts []string
-	for _, k := range []string{"dense", "u64", "bytes", "spilled-u64", "spilled-bytes"} {
+	for _, k := range []string{"dense", "u64", "spilled-u64"} {
 		if kinds[k] > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", kinds[k], k))
 		}

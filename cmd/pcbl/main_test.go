@@ -152,3 +152,44 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 		t.Fatal("serve did not shut down on SIGINT")
 	}
 }
+
+// TestLabelPrintsExactError: `pcbl label` reports the chosen label's
+// exhaustive error over P_A — |P_A| patterns, no more than the rows — and
+// not the search's running counters or its early-stopped estimate.
+func TestLabelPrintsExactError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cc.csv")
+	if _, err := captureStdout(t, func() error {
+		return runGen([]string{"-name", "creditcard", "-rows", "3000", "-seed", "1", "-out", path})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return runLabel([]string{"-in", path, "-bound", "100"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxErr string
+	var patterns int
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "max abs error:") {
+			if _, err := fmt.Sscanf(line, "max abs error: %s over %d distinct patterns", &maxErr, &patterns); err != nil {
+				t.Fatalf("unparsable line %q: %v", line, err)
+			}
+		}
+	}
+	d, err := readDataset(path, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pcbl.DistinctTuples(d)
+	res, err := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 100, Patterns: ps, FastEval: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := pcbl.Evaluate(res.Label, ps)
+	if patterns != ps.Len() || patterns > d.NumRows() {
+		t.Fatalf("printed %d distinct patterns; |P_A| = %d over %d rows", patterns, ps.Len(), d.NumRows())
+	}
+	if want := fmt.Sprintf("%.1f", eval.MaxAbs); maxErr != want {
+		t.Fatalf("printed max abs error %s, Evaluate says %s", maxErr, want)
+	}
+}

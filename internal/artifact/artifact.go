@@ -12,11 +12,11 @@
 //     the VC section (per-value counts), the label's attribute set, and a
 //     descriptor per PC payload carrying that payload's CRC32C and length.
 //   - pc-NNN.bin — an in-memory representation serialized directly:
-//     the dense path as a raw little-endian int32 slab, the sorted uint64
-//     path and the byte-string map path as sorted fixed-width (key, int64
-//     count) entries. The section checksum in the manifest covers the
-//     whole file, and u64 entries load straight into the sorted layout,
-//     so their keys must ascend strictly.
+//     the dense path as a raw little-endian int32 slab, the sorted path as
+//     fixed-width (key of W uint64 words, int64 count) entries. The
+//     section checksum in the manifest covers the whole file, and the
+//     entries load straight into the sorted layout, so their keys must
+//     ascend strictly.
 //   - pc-NNN-runs/ — a merge-on-read (spilled) representation: the
 //     build's own sorted runs of (key, count) entries, adopted into the
 //     artifact by rename instead of being re-counted, exactly as
@@ -44,7 +44,6 @@ package artifact
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -76,13 +75,12 @@ const manifestName = "manifest.json"
 // under before the commit rename.
 const manifestTmpName = "manifest.json.tmp"
 
-// PC payload kinds.
+// PC payload kinds. A key of the u64 kinds is W ≥ 1 uint64 words
+// (PCMeta.Words).
 const (
-	kindDense        = "dense"
-	kindU64          = "u64"
-	kindBytes        = "bytes"
-	kindSpilledU64   = "spilled-u64"
-	kindSpilledBytes = "spilled-bytes"
+	kindDense      = "dense"
+	kindU64        = "u64"
+	kindSpilledU64 = "spilled-u64"
 )
 
 // Typed error classes. Every error Open returns wraps exactly one of
@@ -205,21 +203,22 @@ type AttrMeta struct {
 type PCMeta struct {
 	Attrs []string `json:"attrs"`
 	Kind  string   `json:"kind"`
+	// Words is the u64 kinds' key width W in uint64 words; omitted when 1.
+	Words int `json:"words,omitempty"`
 
 	// File is the payload for the in-memory kinds.
 	File string `json:"file,omitempty"`
 	// Distinct is the dense kind's nonzero-slot count.
 	Distinct int `json:"distinct,omitempty"`
-	// Entries is the map kinds' entry count.
+	// Entries is the u64 kind's entry count.
 	Entries int `json:"entries,omitempty"`
 	// SizeBytes is the payload file's byte length.
 	SizeBytes int64 `json:"size_bytes,omitempty"`
 	// Checksum is the CRC32C of the payload file's bytes.
 	Checksum uint32 `json:"crc32c,omitempty"`
 
-	// Spilled kinds: the adopted run directory and the read-path metadata.
-	// RecWidth is the key width: 8 for uint64 keys (stored as varint
-	// gaps), 2 per member for byte-string keys.
+	// Spilled kind: the adopted run directory and the read-path metadata.
+	// RecWidth is the byte width of a key word, 8.
 	Dir      string `json:"dir,omitempty"`
 	RecWidth int    `json:"rec_width,omitempty"`
 	Size     int    `json:"size,omitempty"`
@@ -408,12 +407,6 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-func (cw *crcWriter) WriteString(s string) (int, error) {
-	cw.crc = crc32.Update(cw.crc, castagnoli, []byte(s))
-	cw.n += int64(len(s))
-	return cw.w.WriteString(s)
-}
-
 // savePC serializes one PC payload — fsynced before return — and appends
 // its descriptor to m. suffix lands in the payload name before the
 // extension ("pc-000<suffix>.bin"); merges use an epoch tag so a new
@@ -433,13 +426,9 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 		if err := sr.Runs.AdoptInto(runDir); err != nil {
 			return fmt.Errorf("artifact: %w", err)
 		}
-		if sr.U64 {
-			meta.Kind = kindSpilledU64
-			meta.RecWidth = 8
-		} else {
-			meta.Kind = kindSpilledBytes
-			meta.RecWidth = 2 * pc.Attrs().Size()
-		}
+		meta.Kind = kindSpilledU64
+		meta.Words = wordsMeta(sr.Runs.Words())
+		meta.RecWidth = 8
 		meta.Size = sr.Size
 		meta.RunSizes = sr.RunSizes
 		meta.Budget = sr.Budget
@@ -459,32 +448,17 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 				binary.LittleEndian.PutUint32(buf, uint32(c))
 				w.Write(buf)
 			}
-		case r.U != nil:
-			meta.Kind = kindU64
-			meta.Entries = len(r.U.Keys)
-			buf := make([]byte, 16)
-			for i, k := range r.U.Keys {
-				binary.LittleEndian.PutUint64(buf, k)
-				binary.LittleEndian.PutUint64(buf[8:], uint64(int64(r.U.Counts[i])))
-				w.Write(buf)
-			}
 		default:
-			meta.Kind = kindBytes
-			meta.Entries = len(r.S)
-			meta.RecWidth = 2 * pc.Attrs().Size()
-			keys := make([]string, 0, len(r.S))
-			for k := range r.S {
-				if len(k) != meta.RecWidth {
-					f.Close()
-					return fmt.Errorf("artifact: byte key width %d, want %d", len(k), meta.RecWidth)
-				}
-				keys = append(keys, k)
-			}
-			slices.SortFunc(keys, cmp.Compare)
+			meta.Kind = kindU64
+			meta.Words = wordsMeta(r.U.W)
+			meta.Entries = len(r.U.Counts)
 			buf := make([]byte, 8)
-			for _, k := range keys {
-				w.WriteString(k)
-				binary.LittleEndian.PutUint64(buf, uint64(int64(r.S[k])))
+			for i, c := range r.U.Counts {
+				for _, word := range r.U.Keys[i*r.U.W : (i+1)*r.U.W] {
+					binary.LittleEndian.PutUint64(buf, word)
+					w.Write(buf)
+				}
+				binary.LittleEndian.PutUint64(buf, uint64(int64(c)))
 				w.Write(buf)
 			}
 		}
@@ -659,8 +633,11 @@ func validateManifest(m *Manifest) error {
 	}
 	seen := make(map[string]int) // payload file/dir name -> first payload index
 	for i, pm := range m.PCs {
+		if pm.Words < 0 || pm.Words > maxWords || pm.Words != 0 && pm.Kind == kindDense {
+			return manifestErr("payload %d kind %q with %d-word keys", i, pm.Kind, pm.Words)
+		}
 		switch pm.Kind {
-		case kindDense, kindU64, kindBytes:
+		case kindDense, kindU64:
 			if err := validateRef(seen, pm.File, i, "file"); err != nil {
 				return err
 			}
@@ -680,28 +657,20 @@ func validateManifest(m *Manifest) error {
 					return manifestErr("payload %d declares %d nonzero slots in a %d-slot slab", i, pm.Distinct, pm.SizeBytes/4)
 				}
 			case kindU64:
-				width = 16
-			case kindBytes:
-				if pm.RecWidth <= 0 || pm.RecWidth%2 != 0 {
-					return manifestErr("payload %d byte-map record width %d", i, pm.RecWidth)
-				}
-				width = int64(pm.RecWidth) + 8
+				width = int64(8*wordsOf(pm) + 8)
 			}
 			if width > 0 && pm.SizeBytes != int64(pm.Entries)*width {
 				return manifestErr("payload %d declares %d entries of %d bytes but a %d-byte section", i, pm.Entries, width, pm.SizeBytes)
 			}
-		case kindSpilledU64, kindSpilledBytes:
+		case kindSpilledU64:
 			if err := validateRef(seen, pm.Dir, i, "run directory"); err != nil {
 				return err
 			}
 			if pm.File != "" {
 				return manifestErr("payload %d kind %q with a file", i, pm.Kind)
 			}
-			if pm.Kind == kindSpilledU64 && pm.RecWidth != 8 {
+			if pm.RecWidth != 8 {
 				return manifestErr("payload %d uint64 spill key width %d, want 8", i, pm.RecWidth)
-			}
-			if pm.Kind == kindSpilledBytes && (pm.RecWidth <= 0 || pm.RecWidth%2 != 0) {
-				return manifestErr("payload %d byte spill key width %d", i, pm.RecWidth)
 			}
 			if len(pm.RunSizes) == 0 {
 				return manifestErr("payload %d spilled with no runs", i)
@@ -759,12 +728,8 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 	}
 	r := core.PCRepr{Attrs: s}
 	switch pm.Kind {
-	case kindSpilledU64, kindSpilledBytes:
-		keyWidth := pm.RecWidth
-		if pm.Kind == kindSpilledU64 {
-			keyWidth = spill.U64Keys
-		}
-		runs, err := spill.Open(filepath.Join(dir, pm.Dir), keyWidth, len(pm.RunSizes), fsi)
+	case kindSpilledU64:
+		runs, err := spill.Open(filepath.Join(dir, pm.Dir), wordsOf(pm), len(pm.RunSizes), fsi)
 		if err != nil {
 			if errors.Is(err, spill.ErrCorrupt) {
 				return nil, &CorruptError{Path: pm.Dir, Detail: err.Error()}
@@ -786,7 +751,6 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 		}
 		r.Spill = &core.SpillRepr{
 			Runs:     runs,
-			U64:      pm.Kind == kindSpilledU64,
 			Size:     pm.Size,
 			RunSizes: pm.RunSizes,
 			Budget:   pm.Budget,
@@ -816,41 +780,25 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 		// Entries are written in ascending key order, so they load
 		// straight into the sorted layout; PCFromRepr rejects any order a
 		// binary search could not serve.
-		data, err := readEntries(dir, pm, 16, fsi)
+		w := wordsOf(pm)
+		data, err := readEntries(dir, pm, 8*w+8, fsi)
 		if err != nil {
 			return nil, err
 		}
-		u := &core.SortedCounts{Keys: make([]uint64, pm.Entries), Counts: make([]int32, pm.Entries)}
+		u := &core.SortedCounts{W: w, Keys: make([]uint64, w*pm.Entries), Counts: make([]int32, pm.Entries)}
 		left := rows
-		for i := range u.Keys {
-			rec := data[16*i:]
-			c, err := entryCount(pm, i, rec[8:], &left)
+		for i := range u.Counts {
+			rec := data[(8*w+8)*i:]
+			for j := range w {
+				u.Keys[w*i+j] = binary.LittleEndian.Uint64(rec[8*j:])
+			}
+			c, err := entryCount(pm, i, rec[8*w:], &left)
 			if err != nil {
 				return nil, err
 			}
-			u.Keys[i], u.Counts[i] = binary.LittleEndian.Uint64(rec), int32(c)
+			u.Counts[i] = int32(c)
 		}
 		r.U = u
-	case kindBytes:
-		width := pm.RecWidth + 8
-		data, err := readEntries(dir, pm, width, fsi)
-		if err != nil {
-			return nil, err
-		}
-		m := make(map[string]int, pm.Entries)
-		left := rows
-		for i := 0; i < pm.Entries; i++ {
-			rec := data[width*i : width*(i+1)]
-			c, err := entryCount(pm, i, rec[pm.RecWidth:], &left)
-			if err != nil {
-				return nil, err
-			}
-			m[string(rec[:pm.RecWidth])] = c
-		}
-		if len(m) != pm.Entries {
-			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("holds %d distinct keys, manifest says %d entries", len(m), pm.Entries)}
-		}
-		r.S = m
 	default:
 		return nil, manifestErr("unknown PC kind %q", pm.Kind)
 	}
@@ -864,6 +812,22 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 		return nil, &CorruptError{Path: path, Detail: err.Error()}
 	}
 	return pc, nil
+}
+
+// maxWords bounds a manifest's key width: lattice.MaxAttrs members, at
+// least three to a word.
+const maxWords = (lattice.MaxAttrs + 2) / 3
+
+// wordsOf is a u64 payload's key width: its Words, 1 when omitted.
+func wordsOf(pm PCMeta) int { return max(pm.Words, 1) }
+
+// wordsMeta is the Words a manifest records for a key width: omitted
+// (0) for one word.
+func wordsMeta(w int) int {
+	if w == 1 {
+		return 0
+	}
+	return w
 }
 
 // entryCount decodes entry i's int64 count field, which must be positive

@@ -2,12 +2,13 @@ package artifact
 
 // Round-trip identity tests: a label saved and reopened must answer every
 // query bit-identically to the in-process label — sizes, full PC dumps,
-// exact restricted counts, and float64 estimates — across all four PC
-// storage representations, with spilled payloads adopted (not re-counted)
-// and reopened read-only.
+// exact restricted counts, and float64 estimates — across every PC payload
+// kind and key width, with spilled payloads adopted (not re-counted) and
+// reopened read-only.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -109,7 +110,9 @@ func reopenedPattern(t *testing.T, d, rd *dataset.Dataset, p core.Pattern) core.
 	return rp
 }
 
-func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint64) {
+// assertRoundTrip saves l, reopens it, checks every answer against l's and
+// returns the reopened manifest.
+func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint64) *Manifest {
 	t.Helper()
 	probes := probePatterns(t, d, 128, seed)
 	// Run every probe once pre-save: the label lazily materializes each
@@ -167,6 +170,16 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 			t.Fatalf("probe %d: Estimate = %v, want %v (bit-identical)", i, ge, we)
 		}
 	}
+	return m
+}
+
+// assertPCKind checks the kind and key width the manifest gives the PC
+// section.
+func assertPCKind(t *testing.T, m *Manifest, kind string, words int) {
+	t.Helper()
+	if pm := m.PCs[0]; pm.Kind != kind || wordsOf(pm) != words {
+		t.Fatalf("PC section saved as %q of %d-word keys, want %q of %d", pm.Kind, wordsOf(pm), kind, words)
+	}
 }
 
 func TestRoundTripDense(t *testing.T) {
@@ -177,15 +190,17 @@ func TestRoundTripDense(t *testing.T) {
 
 func TestRoundTripU64Map(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0.05, 0x72)
-	// A negative dense limit forces the map kernel even for small spaces.
-	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1}))
-	assertRoundTrip(t, d, l, 0x72)
+	// 50^4 keys over 2,000 rows is past the dense tier: sorted keys.
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x72), kindU64, 1)
 }
 
+// TestRoundTripBytesMap round-trips a sorted PC section whose keys are two
+// words (65000^4 passes 2^63).
 func TestRoundTripBytesMap(t *testing.T) {
 	d := genDataset(t, 1500, 4, 65000, 0.05, 0x73)
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
-	assertRoundTrip(t, d, l, 0x73)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x73), kindU64, 2)
 }
 
 func TestRoundTripSpilledU64(t *testing.T) {
@@ -196,9 +211,11 @@ func TestRoundTripSpilledU64(t *testing.T) {
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
-	assertRoundTrip(t, d, l, 0x74)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x74), kindSpilledU64, 1)
 }
 
+// TestRoundTripSpilledBytes round-trips a spilled PC section whose keys
+// are two words.
 func TestRoundTripSpilledBytes(t *testing.T) {
 	d := genDataset(t, 3000, 4, 65000, 0.1, 0x75)
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{
@@ -207,7 +224,7 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
-	assertRoundTrip(t, d, l, 0x75)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x75), kindSpilledU64, 2)
 }
 
 // TestColdMarginalsNullFree pins the PC-summed marginal path: on a
@@ -217,7 +234,7 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 // and there are none.
 func TestColdMarginalsNullFree(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0, 0x79)
-	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1}))
+	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
 	dir := filepath.Join(t.TempDir(), "cold")
 	// Save before any marginal materializes: the artifact holds only the
 	// PC section.
@@ -231,6 +248,7 @@ func TestColdMarginalsNullFree(t *testing.T) {
 	if len(m.PCs) != 1 {
 		t.Fatalf("artifact carries %d payloads, want just the PC section", len(m.PCs))
 	}
+	assertPCKind(t, m, kindU64, 1)
 	rd := rl.Dataset()
 	for i, p := range probePatterns(t, d, 128, 0x7A) {
 		rp := reopenedPattern(t, d, rd, p)
@@ -317,4 +335,59 @@ func TestOpenMissingManifest(t *testing.T) {
 	if _, _, err := Open(t.TempDir()); err == nil {
 		t.Fatal("Open accepted a directory without a manifest")
 	}
+}
+
+// TestWideKeysRoundTrip saves and reopens labels over 30 attributes of 5
+// values (5^30 > 2^63: two-word keys) and 60 (three words), with 5%
+// NULLs, built in memory and spilled at 1, 2 and 8 workers: the reopened
+// PC section holds exactly the naive group-by of the rows.
+func TestWideKeysRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ attrs, words int }{{30, 2}, {60, 3}} {
+		d := genDataset(t, 2000, tc.attrs, 5, 0.05, uint64(0x7B+tc.attrs))
+		full := lattice.FullSet(tc.attrs)
+		want := naiveDump(d, full)
+		for _, workers := range []int{1, 2, 8} {
+			for _, budget := range []int64{0, 2 << 10} {
+				l := must(core.BuildLabel(d, full, core.CountOptions{Workers: workers, MemBudget: budget, SpillDir: t.TempDir()}))
+				dir := filepath.Join(t.TempDir(), "wide")
+				if err := Save(l, dir); err != nil {
+					t.Fatal(err)
+				}
+				l.ReleaseSpill()
+				rl, m, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kind := kindU64
+				if budget > 0 {
+					kind = kindSpilledU64
+				}
+				assertPCKind(t, m, kind, tc.words)
+				if got := pcDump(rl.PC()); !maps.Equal(got, want) || rl.Size() != len(want) {
+					t.Fatalf("%d attributes, workers=%d budget=%d: reopened PC holds %d patterns (size %d), the rows %d",
+						tc.attrs, workers, budget, len(got), rl.Size(), len(want))
+				}
+				rl.ReleaseSpill()
+			}
+		}
+	}
+}
+
+// naiveDump is pcDump's form of the group-by of d's rows over s, counted
+// row by row.
+func naiveDump(d *dataset.Dataset, s lattice.AttrSet) map[string]int {
+	out := make(map[string]int)
+rows:
+	for r := 0; r < d.NumRows(); r++ {
+		var key strings.Builder
+		for _, a := range s.Members() {
+			v := d.Col(a)[r]
+			if v == dataset.Null {
+				continue rows
+			}
+			fmt.Fprintf(&key, "%d=%d;", a, v)
+		}
+		out[key.String()]++
+	}
+	return out
 }

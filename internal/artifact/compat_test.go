@@ -50,11 +50,11 @@ func downConvert(t *testing.T, dir string, version int) {
 			delete(pm, "crc32c")
 		}
 		if runDir, ok := pm["dir"].(string); ok && runDir != "" {
-			keyWidth := 0
-			if pm["kind"] == kindSpilledBytes {
-				keyWidth = int(pm["rec_width"].(float64))
+			words := 1
+			if w, ok := pm["words"].(float64); ok {
+				words = int(w)
 			}
-			recordRuns(t, filepath.Join(dir, runDir), keyWidth, version == 2)
+			recordRuns(t, filepath.Join(dir, runDir), words, version == 2)
 		}
 	}
 	var out []byte
@@ -81,7 +81,7 @@ func downConvert(t *testing.T, dir string, version int) {
 // recordRuns rewrites every sorted run in runDir as the record layout of
 // formats 1 and 2: each entry's key record repeated once per counted row,
 // in [len][crc32c] frames when framed.
-func recordRuns(t *testing.T, runDir string, keyWidth int, framed bool) {
+func recordRuns(t *testing.T, runDir string, words int, framed bool) {
 	t.Helper()
 	ents, err := os.ReadDir(runDir)
 	if err != nil {
@@ -93,15 +93,15 @@ func recordRuns(t *testing.T, runDir string, keyWidth int, framed bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, _, err := decodeRunRef(data, keyWidth)
+		entries, _, err := decodeRunRef(data, words)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		var recs []byte
 		for _, en := range entries {
-			rec := en.kb
-			if keyWidth == 0 {
-				rec = binary.LittleEndian.AppendUint64(nil, en.key)
+			var rec []byte
+			for _, word := range en.key {
+				rec = binary.LittleEndian.AppendUint64(rec, word)
 			}
 			for c := uint64(0); c < en.count; c++ {
 				recs = append(recs, rec...)
@@ -202,5 +202,66 @@ func TestOpenIgnoresFramedField(t *testing.T) {
 	defer rl.ReleaseSpill()
 	if got := o.check(t, "framed-field", rl); got != len(o.probes) {
 		t.Fatalf("answered %d/%d probes", got, len(o.probes))
+	}
+}
+
+// TestRemovedKindsFailManifest: the bytes and spilled-bytes payload kinds
+// of earlier writers — keys past one word are u64 payloads of more words
+// now — fail Open with ErrManifest, as does a words field on a dense
+// payload.
+func TestRemovedKindsFailManifest(t *testing.T) {
+	o := newSweepOracle(t)
+	for _, tc := range []struct {
+		set     lattice.AttrSet // a single attribute saves as a dense payload
+		spilled bool
+		field   string
+		value   any
+	}{
+		{lattice.FullSet(4), false, "kind", "bytes"},
+		{lattice.FullSet(4), true, "kind", "spilled-bytes"},
+		{lattice.NewAttrSet(0), false, "words", 2},
+	} {
+		dir := filepath.Join(t.TempDir(), "a")
+		l := must(core.BuildLabel(o.d, tc.set, core.CountOptions{}))
+		if tc.spilled {
+			l = o.buildSpilled(t, t.TempDir(), nil)
+		}
+		if err := Save(l, dir); err != nil {
+			t.Fatal(err)
+		}
+		l.ReleaseSpill()
+		path := filepath.Join(dir, manifestName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(env.Manifest, &m); err != nil {
+			t.Fatal(err)
+		}
+		pm := m["pcs"].([]any)[0].(map[string]any)
+		if tc.field == "words" && pm["kind"] != kindDense {
+			t.Fatalf("single-attribute label saved as %v, want dense", pm["kind"])
+		}
+		pm[tc.field] = tc.value
+		if env.Manifest, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if env.CRC32C, err = manifestCRC(env.Manifest); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = json.Marshal(&env); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir); !errors.Is(err, ErrManifest) {
+			t.Fatalf("%s %v: Open = %v, want ErrManifest", tc.field, tc.value, err)
+		}
 	}
 }

@@ -2,8 +2,9 @@ package artifact
 
 // FuzzOpenPayload hardens the payload decoders behind Open, the bytes
 // FuzzDecodeManifest never reaches: a saved artifact's u64 or dense
-// payload, or one run file of a saved spilled artifact, is replaced by
-// mutated bytes, and the manifest's length, entry counts and CRCs (the
+// payload, or one run file of a saved spilled artifact — with one-word
+// keys, and with two-word keys for the u64 and spilled arms — is replaced
+// by mutated bytes, and the manifest's length, entry counts and CRCs (the
 // run frames' own checksums included) are fixed up so the mutation gets
 // past the checksum to the decoder. Open must then fail with a typed
 // error — for a spilled run, Open or the run's first read — or serve a PC
@@ -41,30 +42,93 @@ type payloadTemplate struct {
 	dims     []int    // domain size per attribute
 }
 
-// payloadDomains are the template's attribute domains. The full set has
-// 8,000 key slots, too sparse for a dense slab over its 200 rows, so the
-// PC section saves as a u64 payload; the marginal over the first
+// payloadDomains are the one-word template's attribute domains. The full
+// set has 8,000 key slots, too sparse for a dense slab over its 200 rows,
+// so the PC section saves as a u64 payload; the marginal over the first
 // attribute is a 20-slot dense payload.
 var payloadDomains = []int{20, 20, 20}
 
-func newPayloadTemplate(f *testing.F) *payloadTemplate {
-	names := []string{"a0", "a1", "a2"}
-	bld := dataset.NewBuilder("payloadfuzz", names...)
-	for a, dim := range payloadDomains {
+// wideDomains are the two-word templates' attribute domains: 16^15 fills
+// the first word, and the sixteenth attribute opens the second. Small
+// domains keep the manifest, which every iteration rewrites and reopens,
+// small.
+var wideDomains = []int{16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16}
+
+// spellRow is a template dataset's value of attribute a in row r: the
+// first few attributes from a fixed table, the rest from a formula.
+func spellRow(table []int, r, a int) int {
+	if a < len(table) {
+		return table[a]
+	}
+	return r*(a+3)/(a%4+1) + r/(a+1)
+}
+
+// checkedSubsets are the marginals a fuzz arm checks: every proper subset
+// of a set of up to four attributes, and of a wider one its singletons and
+// the sets one attribute short of it.
+func checkedSubsets(s lattice.AttrSet) []lattice.AttrSet {
+	if s.Size() <= 4 {
+		return properSubsets(s)
+	}
+	var out []lattice.AttrSet
+	for _, a := range s.Members() {
+		out = append(out, lattice.NewAttrSet(a), s.Remove(a))
+	}
+	return out
+}
+
+// fuzzDataset builds a dataset over the given domains, every value
+// interned, whose rows spell pattern values through spell.
+func fuzzDataset(f *testing.F, name string, dims []int, rows int, spell func(r, a int) int) *dataset.Dataset {
+	names := make([]string, len(dims))
+	for a := range names {
+		names[a] = fmt.Sprintf("a%d", a)
+	}
+	bld := dataset.NewBuilder(name, names...)
+	for a, dim := range dims {
 		for v := 0; v < dim; v++ {
 			if _, err := bld.InternValue(a, fmt.Sprintf("v%d", v)); err != nil {
 				f.Fatal(err)
 			}
 		}
 	}
-	for r := 0; r < 200; r++ {
-		bld.AppendStrings(fmt.Sprintf("v%d", r%20), fmt.Sprintf("v%d", (r*7)%20), fmt.Sprintf("v%d", (r*13/3)%20))
+	row := make([]string, len(dims))
+	for r := 0; r < rows; r++ {
+		for a, dim := range dims {
+			row[a] = fmt.Sprintf("v%d", spell(r, a)%dim)
+		}
+		bld.AppendStrings(row...)
 	}
 	d, err := bld.Build()
 	if err != nil {
 		f.Fatal(err)
 	}
-	l := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{}))
+	return d
+}
+
+// keySpace is the reference key packing: the radix of each word when the
+// members' domains are packed in order, a member opening the next word
+// once the current one would pass MaxInt64.
+func keySpace(dims []int, members []int) []uint64 {
+	radix := []uint64{1}
+	for _, a := range members {
+		dim := uint64(dims[a])
+		if w := len(radix) - 1; radix[w] > math.MaxInt64/dim {
+			radix = append(radix, dim)
+		} else {
+			radix[w] *= dim
+		}
+	}
+	return radix
+}
+
+// newPayloadTemplate saves a label over dims whose PC section is a u64
+// payload and whose marginal over the first attribute is dense.
+func newPayloadTemplate(f *testing.F, dims []int) *payloadTemplate {
+	d := fuzzDataset(f, "payloadfuzz", dims, 200, func(r, a int) int {
+		return spellRow([]int{r, r * 7, r * 13 / 3}, r, a)
+	})
+	l := must(core.BuildLabel(d, lattice.FullSet(len(dims)), core.CountOptions{}))
 	if _, _, err := l.CountCtx(nil, core.PatternFromRow(d, 0, lattice.NewAttrSet(0))); err != nil {
 		f.Fatal(err)
 	}
@@ -79,7 +143,7 @@ func newPayloadTemplate(f *testing.F) *payloadTemplate {
 	if len(m.PCs) != 2 || m.PCs[0].Kind != kindU64 || m.PCs[1].Kind != kindDense {
 		f.Fatalf("template payloads are %+v, want a u64 PC section and a dense marginal", m.PCs)
 	}
-	tp := &payloadTemplate{m: m, dims: payloadDomains}
+	tp := &payloadTemplate{m: m, dims: dims}
 	for _, pm := range m.PCs {
 		data, err := os.ReadFile(filepath.Join(dir, pm.File))
 		if err != nil {
@@ -99,8 +163,8 @@ func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte)
 	pm := &m.PCs[idx]
 	pm.SizeBytes = int64(len(data))
 	pm.Checksum = crc32.Checksum(data, castagnoli)
-	if pm.Kind == kindU64 && len(data)%16 == 0 {
-		pm.Entries = len(data) / 16
+	if width := 8*wordsOf(*pm) + 8; pm.Kind == kindU64 && len(data)%width == 0 {
+		pm.Entries = len(data) / width
 	}
 	for i, p := range m.PCs {
 		payload := tp.payloads[i]
@@ -122,43 +186,85 @@ func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte)
 }
 
 // entries decodes a payload the way its format defines it, independently
-// of the decoder under test: key → count for a u64 payload (entries in
-// file order, a repeated key kept twice), slot → nonzero count for a
-// dense one.
-func payloadEntries(kind string, data []byte) (keys []uint64, counts []int64) {
-	if kind == kindU64 {
-		for off := 0; off+16 <= len(data); off += 16 {
-			keys = append(keys, binary.LittleEndian.Uint64(data[off:]))
-			counts = append(counts, int64(binary.LittleEndian.Uint64(data[off+8:])))
+// of the decoder under test: key → count for a u64 payload of W-word keys
+// (entries in file order, a repeated key kept twice), slot → nonzero
+// count for a dense one.
+func payloadEntries(pm PCMeta, data []byte) (keys [][]uint64, counts []int64) {
+	if pm.Kind == kindU64 {
+		w := wordsOf(pm)
+		for off := 0; off+8*w+8 <= len(data); off += 8*w + 8 {
+			key := make([]uint64, w)
+			for j := range key {
+				key[j] = binary.LittleEndian.Uint64(data[off+8*j:])
+			}
+			keys = append(keys, key)
+			counts = append(counts, int64(binary.LittleEndian.Uint64(data[off+8*w:])))
 		}
 		return keys, counts
 	}
 	for off := 0; off+4 <= len(data); off += 4 {
 		if c := int32(binary.LittleEndian.Uint32(data[off:])); c != 0 {
-			keys = append(keys, uint64(off/4))
+			keys = append(keys, []uint64{uint64(off / 4)})
 			counts = append(counts, int64(c))
 		}
 	}
 	return keys, counts
 }
 
-// decodeKey spells a mixed-radix key over members as a dense value slice;
-// ok is false for a key outside the members' key space.
-func (tp *payloadTemplate) decodeKey(key uint64, members []int) (vals []uint16, ok bool) {
+// decodeKey spells a key over members, packed as keySpace packs them, as
+// a dense value slice; ok is false for a key outside the members' key
+// space.
+func (tp *payloadTemplate) decodeKey(key []uint64, members []int) (vals []uint16, ok bool) {
+	radix := keySpace(tp.dims, members)
+	if len(key) != len(radix) {
+		return nil, false
+	}
 	vals = make([]uint16, len(tp.dims))
+	rem := slices.Clone(key)
+	w, space := 0, uint64(1)
 	for _, a := range members {
 		dim := uint64(tp.dims[a])
-		vals[a] = uint16(key%dim) + 1
-		key /= dim
+		if space > math.MaxInt64/dim {
+			w, space = w+1, 1
+		}
+		space *= dim
+		vals[a] = uint16(rem[w]%dim) + 1
+		rem[w] /= dim
 	}
-	return vals, key == 0
+	return vals, !slices.ContainsFunc(rem, func(r uint64) bool { return r != 0 })
 }
 
-// spillTemplate is a saved spilled artifact held in memory: a 4-attribute
-// label whose PC section is a spilled-u64 payload, its manifest and run
-// files, and the run the fuzz arm replaces.
+// u64Seeds returns mutations of a u64 payload of w-word keys that break
+// one rule each — two entries swapped, a repeated key, a zero count and
+// one past int32, a last key whose last word reaches its radix, an entry
+// cut off, counts summing past the label's rows — after the saved payload
+// itself.
+func u64Seeds(saved []byte, w int, lastRadix uint64) [][]byte {
+	width := 8*w + 8
+	set := func(edit func(p []byte)) []byte {
+		p := slices.Clone(saved)
+		edit(p)
+		return p
+	}
+	return [][]byte{
+		saved,
+		set(func(p []byte) { copy(p[0:width], saved[width:2*width]); copy(p[width:2*width], saved[0:width]) }),
+		set(func(p []byte) { copy(p[width:width+8*w], saved[0:8*w]) }),
+		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], 0) }),
+		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], math.MaxInt32+1) }),
+		set(func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-16:], lastRadix) }),
+		saved[:len(saved)-width],
+		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], binary.LittleEndian.Uint64(p[8*w:])+1) }),
+	}
+}
+
+// spillTemplate is a saved spilled artifact held in memory: a label whose
+// PC section is a spilled-u64 payload, its manifest and run files, and
+// the run the fuzz arm replaces.
 type spillTemplate struct {
 	m         *Manifest
+	dims      []int
+	radix     []uint64 // the PC section's key space, a radix a word
 	runs      [][]byte
 	victim    int
 	others    []runEntry // the entries of every other run
@@ -166,29 +272,19 @@ type spillTemplate struct {
 	route     *spill.Runs // the saved runs, for their routing
 }
 
-// spillDomains are the spill template's attribute domains: 20,736 key
-// slots over 600 rows is too sparse for a dense slab, and an 8 KiB budget
-// spills the full set into five runs that stay on disk.
+// spillDomains are the one-word spill template's attribute domains:
+// 20,736 key slots over 600 rows is too sparse for a dense slab, and an
+// 8 KiB budget spills the full set into five runs that stay on disk.
 var spillDomains = []int{12, 12, 12, 12}
 
-func newSpillTemplate(f *testing.F) *spillTemplate {
-	names := []string{"a0", "a1", "a2", "a3"}
-	bld := dataset.NewBuilder("spillfuzz", names...)
-	for a, dim := range spillDomains {
-		for v := 0; v < dim; v++ {
-			if _, err := bld.InternValue(a, fmt.Sprintf("v%d", v)); err != nil {
-				f.Fatal(err)
-			}
-		}
-	}
-	for r := 0; r < 600; r++ {
-		bld.AppendStrings(fmt.Sprintf("v%d", r%12), fmt.Sprintf("v%d", (r*7/5)%12), fmt.Sprintf("v%d", (r*13/3)%12), fmt.Sprintf("v%d", (r*r)%11))
-	}
-	d, err := bld.Build()
-	if err != nil {
-		f.Fatal(err)
-	}
-	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{Workers: 1, MemBudget: 8 << 10, SpillDir: f.TempDir()}))
+// newSpillTemplate saves a label over dims whose PC section spills under
+// an 8 KiB budget.
+func newSpillTemplate(f *testing.F, dims []int) *spillTemplate {
+	d := fuzzDataset(f, "spillfuzz", dims, 600, func(r, a int) int {
+		return spellRow([]int{r, r * 7 / 5, r * 13 / 3, r * r % 11}, r, a)
+	})
+	full := lattice.FullSet(len(dims))
+	l := must(core.BuildLabel(d, full, core.CountOptions{Workers: 1, MemBudget: 8 << 10, SpillDir: f.TempDir()}))
 	dir := filepath.Join(f.TempDir(), "a")
 	if err := Save(l, dir); err != nil {
 		f.Fatal(err)
@@ -201,9 +297,12 @@ func newSpillTemplate(f *testing.F) *spillTemplate {
 	if len(m.PCs) != 1 || m.PCs[0].Kind != kindSpilledU64 || len(m.PCs[0].RunSizes) < 2 {
 		f.Fatalf("spill template payloads are %+v, want one spilled-u64 PC section over several runs", m.PCs)
 	}
-	st := &spillTemplate{m: m, victim: -1}
+	st := &spillTemplate{m: m, dims: dims, radix: keySpace(dims, full.Members()), victim: -1}
+	if wordsOf(m.PCs[0]) != len(st.radix) {
+		f.Fatalf("spill template keys %d words, want %d", wordsOf(m.PCs[0]), len(st.radix))
+	}
 	runDir := filepath.Join(dir, m.PCs[0].Dir)
-	if st.route, err = spill.Open(runDir, spill.U64Keys, len(m.PCs[0].RunSizes), nil); err != nil {
+	if st.route, err = spill.Open(runDir, len(st.radix), len(m.PCs[0].RunSizes), nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(st.route.Cleanup)
@@ -217,7 +316,7 @@ func newSpillTemplate(f *testing.F) *spillTemplate {
 			st.victim = run
 			continue
 		}
-		entries, rows, err := decodeRunRef(data, 0)
+		entries, rows, err := decodeRunRef(data, len(st.radix))
 		if err != nil {
 			f.Fatalf("saved run %d: %v", run, err)
 		}
@@ -273,44 +372,47 @@ func (st *spillTemplate) write(t *testing.T, dir string, data []byte) []byte {
 // the key space; and the saved run itself.
 func (st *spillTemplate) seeds(f *testing.F) [][]byte {
 	saved := st.runs[st.victim]
-	entries, _, err := decodeRunRef(saved, 0)
+	entries, _, err := decodeRunRef(saved, len(st.radix))
 	if err != nil {
 		f.Fatal(err)
 	}
 	mutate := func(edit func(e []runEntry)) []byte {
-		e := slices.Clone(entries)
+		e := make([]runEntry, len(entries))
+		for i, en := range entries {
+			e[i] = runEntry{key: slices.Clone(en.key), count: en.count}
+		}
 		edit(e)
-		return encodeRunRef(e, 0)
+		return encodeRunRef(e)
 	}
 	truncated := slices.Clone(saved)
 	truncated[len(truncated)-1] = 0x80
 	overstated := slices.Clone(saved)
 	binary.LittleEndian.PutUint32(overstated[4:], binary.LittleEndian.Uint32(overstated[4:])+1)
 	misrouted := mutate(func(e []runEntry) {
-		// The first key, moved up to one that routes to another run.
-		for k := e[0].key + 1; k < e[1].key; k++ {
-			if st.route.RunOfU64(k) != st.victim {
-				e[0].key = k
-				return
+		// A key, its last word moved up to where it routes to another run
+		// while it still sorts before the next key.
+		for i := 0; i+1 < len(e); i++ {
+			k := slices.Clone(e[i].key)
+			for k[len(k)-1]++; slices.Compare(k, e[i+1].key) < 0; k[len(k)-1]++ {
+				if st.route.RunOf(k) != st.victim {
+					e[i].key = k
+					return
+				}
 			}
 		}
-		f.Fatal("no key between the victim's first two routes elsewhere")
+		f.Fatal("no key between two of the victim's routes elsewhere")
 	})
 	past := mutate(func(e []runEntry) {
 		// The last key, moved past the key space into its own run.
-		k := uint64(1)
-		for _, dim := range spillDomains {
-			k *= uint64(dim)
-		}
-		for st.route.RunOfU64(k) != st.victim {
-			k++
+		k := make([]uint64, len(st.radix))
+		for k[0] = st.radix[0]; st.route.RunOf(k) != st.victim; k[len(k)-1]++ {
 		}
 		e[len(e)-1].key = k
 	})
 	return [][]byte{
 		saved,
 		mutate(func(e []runEntry) { e[0], e[1] = e[1], e[0] }),
-		mutate(func(e []runEntry) { e[1].key = e[0].key }),
+		mutate(func(e []runEntry) { e[1].key = slices.Clone(e[0].key) }),
 		mutate(func(e []runEntry) { e[0].count = 0 }),
 		truncated,
 		overstated,
@@ -325,19 +427,17 @@ func (st *spillTemplate) seeds(f *testing.F) [][]byte {
 func (st *spillTemplate) check(t *testing.T, data []byte) {
 	dir := t.TempDir()
 	data = st.write(t, dir, data)
-	entries, rows, bad := decodeRunRef(data, 0)
-	radix := uint64(1)
-	for _, dim := range spillDomains {
-		radix *= uint64(dim)
-	}
+	entries, rows, bad := decodeRunRef(data, len(st.radix))
+	tp := &payloadTemplate{dims: st.dims}
+	members := lattice.FullSet(len(st.dims)).Members()
 	for _, e := range entries {
 		if bad != nil {
 			break
 		}
-		if e.key >= radix {
-			bad = fmt.Errorf("key %d outside the key space", e.key)
-		} else if r := st.route.RunOfU64(e.key); r != st.victim {
-			bad = fmt.Errorf("key %d routes to run %d", e.key, r)
+		if _, ok := tp.decodeKey(e.key, members); !ok {
+			bad = fmt.Errorf("key %v outside the key space", e.key)
+		} else if r := st.route.RunOf(e.key); r != st.victim {
+			bad = fmt.Errorf("key %v routes to run %d", e.key, r)
 		}
 	}
 	if bad == nil && st.otherRows+rows > int64(st.m.TotalRows) {
@@ -355,7 +455,7 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 	}
 	defer l.ReleaseSpill()
 	pc := l.PC()
-	n := len(spillDomains)
+	n := len(st.dims)
 	got := make(map[string]int)
 	err = pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 		got[fmt.Sprint(vals)] = c
@@ -374,8 +474,6 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 		t.Fatalf("a run the format accepts fails to load: %v", err)
 	}
 	all := append(slices.Clone(st.others), entries...)
-	members := []int{0, 1, 2, 3}
-	tp := &payloadTemplate{dims: spillDomains}
 	rd := l.Dataset()
 	for _, e := range all {
 		vals, _ := tp.decodeKey(e.key, members)
@@ -397,7 +495,7 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 	if len(got) != len(all) || pc.Size() != len(all) {
 		t.Fatalf("EachCtx yields %d entries and Size is %d, the runs hold %d", len(got), pc.Size(), len(all))
 	}
-	for _, sub := range properSubsets(pc.Attrs()) {
+	for _, sub := range checkedSubsets(pc.Attrs()) {
 		subMembers := sub.Members()
 		spell := func(vals []uint16) string {
 			out := make([]uint16, len(subMembers))
@@ -427,31 +525,123 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 	}
 }
 
+// check is the arm of the fuzz target for payload idx of the template:
+// data replaces it, and the label must fail typed or answer exactly as
+// the reference decoding of the payload says.
+func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
+	dir := t.TempDir()
+	tp.write(t, dir, idx, data)
+	l, _, err := Open(dir)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
+			t.Fatalf("untyped Open error: %v", err)
+		}
+		if bytes.Equal(data, tp.payloads[idx]) {
+			t.Fatalf("the saved payload fails to open: %v", err)
+		}
+		return
+	}
+	defer l.ReleaseSpill()
+	pc := l.PC()
+	if idx == 1 {
+		sub := lattice.NewAttrSet(0)
+		var ok bool
+		if pc, ok, err = l.MarginalPCCtx(nil, sub); err != nil || !ok {
+			t.Fatalf("persisted marginal: ok=%v err=%v", ok, err)
+		}
+	}
+	members := pc.Attrs().Members()
+	keys, counts := payloadEntries(tp.m.PCs[idx], data)
+	want := make(map[string]int, len(keys))
+	var sum int64
+	for _, c := range counts {
+		sum += c
+	}
+	if sum > int64(tp.m.TotalRows) {
+		t.Fatalf("Open accepted counts summing to %d over %d rows", sum, tp.m.TotalRows)
+	}
+	for i, key := range keys {
+		if i > 0 && slices.Compare(key, keys[i-1]) <= 0 {
+			t.Fatalf("Open accepted key %v after %v", key, keys[i-1])
+		}
+		if counts[i] <= 0 || counts[i] > math.MaxInt32 {
+			t.Fatalf("Open accepted count %d for key %v", counts[i], key)
+		}
+		vals, ok := tp.decodeKey(key, members)
+		if !ok {
+			t.Fatalf("Open accepted key %v outside the key space", key)
+		}
+		k := fmt.Sprint(vals)
+		if _, dup := want[k]; dup {
+			t.Fatalf("Open accepted repeated key %v", key)
+		}
+		want[k] = int(counts[i])
+		if got, err := pc.LookupValsCtx(nil, vals); err != nil || got != int(counts[i]) {
+			t.Fatalf("lookup of key %v = (%d, %v), payload says %d", key, got, err, counts[i])
+		}
+	}
+	if pc.Size() != len(want) {
+		t.Fatalf("Size = %d, payload holds %d entries", pc.Size(), len(want))
+	}
+	seen := 0
+	noErr(pc.EachCtx(nil, len(tp.dims), func(vals []uint16, c int) bool {
+		if w, ok := want[fmt.Sprint(vals)]; !ok || w != c {
+			t.Fatalf("EachCtx yields %v = %d, payload says %d (present %v)", vals, c, w, ok)
+		}
+		seen++
+		return true
+	}))
+	if seen != len(want) {
+		t.Fatalf("EachCtx yields %d entries, payload holds %d", seen, len(want))
+	}
+	if idx != 0 {
+		return
+	}
+	// The marginals the template persists are checked above; every other
+	// one is summed from the PC section when queried.
+	names := l.Dataset().AttrNames()
+	for _, sub := range checkedSubsets(pc.Attrs()) {
+		if slices.ContainsFunc(tp.m.PCs[1:], func(pm PCMeta) bool { return slices.Equal(pm.Attrs, attrNames(l.Dataset(), sub)) }) {
+			continue
+		}
+		subMembers := sub.Members()
+		spell := func(vals []uint16) string {
+			out := make([]uint16, len(subMembers))
+			for j, a := range subMembers {
+				out[j] = vals[a]
+			}
+			return fmt.Sprint(out)
+		}
+		wantSub := make(map[string]int)
+		for i, key := range keys {
+			vals, _ := tp.decodeKey(key, members)
+			wantSub[spell(vals)] += int(counts[i])
+		}
+		mpc, ok, err := l.MarginalPCCtx(nil, sub)
+		if err != nil || !ok {
+			t.Fatalf("marginal %v: ok=%v err=%v", sub, ok, err)
+		}
+		if mpc.Size() != len(wantSub) {
+			t.Fatalf("marginal %v: Size = %d, the payload sums to %d patterns", sub.Format(names), mpc.Size(), len(wantSub))
+		}
+		noErr(mpc.EachCtx(nil, len(tp.dims), func(vals []uint16, c int) bool {
+			if w := wantSub[spell(vals)]; w != c {
+				t.Fatalf("marginal %v yields %v = %d, the payload sums to %d", sub, vals, c, w)
+			}
+			return true
+		}))
+	}
+}
+
 func FuzzOpenPayload(f *testing.F) {
-	tp := newPayloadTemplate(f)
-	u64, dense := tp.payloads[0], tp.payloads[1]
-	f.Add(uint8(0), u64)
+	// One-word keys: the u64 PC section (arm 0), its dense marginal (arm
+	// 1) and a spilled run (arm 2).
+	tp := newPayloadTemplate(f, payloadDomains)
+	for _, seed := range u64Seeds(tp.payloads[0], 1, 20*20*20) {
+		f.Add(uint8(0), seed)
+	}
+	dense := tp.payloads[1]
 	f.Add(uint8(1), dense)
-	// Two entries swapped: no longer ascending.
-	swapped := slices.Clone(u64)
-	copy(swapped[0:16], u64[16:32])
-	copy(swapped[16:32], u64[0:16])
-	f.Add(uint8(0), swapped)
-	// A repeated key.
-	dup := slices.Clone(u64)
-	copy(dup[16:24], u64[0:8])
-	f.Add(uint8(0), dup)
-	// A zero count, and one past int32.
-	zero := slices.Clone(u64)
-	binary.LittleEndian.PutUint64(zero[8:], 0)
-	f.Add(uint8(0), zero)
-	wide := slices.Clone(u64)
-	binary.LittleEndian.PutUint64(wide[8:], math.MaxInt32+1)
-	f.Add(uint8(0), wide)
-	// A last key at the end of the key space.
-	past := slices.Clone(u64)
-	binary.LittleEndian.PutUint64(past[len(past)-16:], 20*20*20)
-	f.Add(uint8(0), past)
 	// A negative dense slot, every slot zeroed (the manifest still
 	// declares its nonzero slots), and a dense slab one slot short.
 	neg := slices.Clone(dense)
@@ -459,7 +649,6 @@ func FuzzOpenPayload(f *testing.F) {
 	f.Add(uint8(1), neg)
 	f.Add(uint8(1), make([]byte, len(dense)))
 	f.Add(uint8(1), dense[:len(dense)-4])
-	f.Add(uint8(0), u64[:len(u64)-16])
 	// Two int32-sized counts under keys that share their value of a1,
 	// each valid alone: any marginal holding a1 would sum past int32.
 	shared := make([]byte, 32)
@@ -468,136 +657,40 @@ func FuzzOpenPayload(f *testing.F) {
 	binary.LittleEndian.PutUint64(shared[16:], 20*20)
 	binary.LittleEndian.PutUint64(shared[24:], math.MaxInt32)
 	f.Add(uint8(0), shared)
-	// Counts summing to one more than the label's rows, in a u64 payload
-	// and in a dense slab.
-	over := slices.Clone(u64)
-	binary.LittleEndian.PutUint64(over[8:], binary.LittleEndian.Uint64(over[8:])+1)
-	f.Add(uint8(0), over)
+	// A dense slab whose counts sum to one more than the label's rows.
 	overDense := slices.Clone(dense)
 	binary.LittleEndian.PutUint32(overDense, binary.LittleEndian.Uint32(overDense)+1)
 	f.Add(uint8(1), overDense)
 	// The spilled arm: the victim run as saved, then one seed per rule a
 	// run's first read enforces.
-	st := newSpillTemplate(f)
+	st := newSpillTemplate(f, spillDomains)
 	for _, run := range st.seeds(f) {
 		f.Add(uint8(2), run)
 	}
-
-	// The marginals the template persists; every other one is summed
-	// from the PC section when queried.
-	var persisted []lattice.AttrSet
-	for _, pm := range tp.m.PCs[1:] {
-		sub, err := lattice.FromNames([]string{"a0", "a1", "a2"}, pm.Attrs...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		persisted = append(persisted, sub)
+	// Two-word keys: the u64 PC section (arm 3) and a spilled run (arm 4),
+	// through the same mutations.
+	wtp := newPayloadTemplate(f, wideDomains)
+	if w := wordsOf(wtp.m.PCs[0]); w != 2 {
+		f.Fatalf("wide template keys %d words, want 2", w)
+	}
+	for _, seed := range u64Seeds(wtp.payloads[0], 2, 16) {
+		f.Add(uint8(3), seed)
+	}
+	wst := newSpillTemplate(f, wideDomains)
+	for _, run := range wst.seeds(f) {
+		f.Add(uint8(4), run)
 	}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		idx := int(which % 3)
-		if idx == 2 {
+		switch arm := which % 5; arm {
+		case 0, 1:
+			tp.check(t, int(arm), data)
+		case 2:
 			st.check(t, data)
-			return
-		}
-		dir := t.TempDir()
-		tp.write(t, dir, idx, data)
-		l, _, err := Open(dir)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
-				t.Fatalf("untyped Open error: %v", err)
-			}
-			if bytes.Equal(data, tp.payloads[idx]) {
-				t.Fatalf("the saved payload fails to open: %v", err)
-			}
-			return
-		}
-		defer l.ReleaseSpill()
-		pc := l.PC()
-		if idx == 1 {
-			sub := lattice.NewAttrSet(0)
-			var ok bool
-			if pc, ok, err = l.MarginalPCCtx(nil, sub); err != nil || !ok {
-				t.Fatalf("persisted marginal: ok=%v err=%v", ok, err)
-			}
-		}
-		members := pc.Attrs().Members()
-		keys, counts := payloadEntries(tp.m.PCs[idx].Kind, data)
-		want := make(map[string]int, len(keys))
-		var sum int64
-		for _, c := range counts {
-			sum += c
-		}
-		if sum > int64(tp.m.TotalRows) {
-			t.Fatalf("Open accepted counts summing to %d over %d rows", sum, tp.m.TotalRows)
-		}
-		for i, key := range keys {
-			if i > 0 && key <= keys[i-1] {
-				t.Fatalf("Open accepted key %d after %d", key, keys[i-1])
-			}
-			if counts[i] <= 0 || counts[i] > math.MaxInt32 {
-				t.Fatalf("Open accepted count %d for key %d", counts[i], key)
-			}
-			vals, ok := tp.decodeKey(key, members)
-			if !ok {
-				t.Fatalf("Open accepted key %d outside the key space", key)
-			}
-			k := fmt.Sprint(vals)
-			if _, dup := want[k]; dup {
-				t.Fatalf("Open accepted repeated key %d", key)
-			}
-			want[k] = int(counts[i])
-			if got, err := pc.LookupValsCtx(nil, vals); err != nil || got != int(counts[i]) {
-				t.Fatalf("lookup of key %d = (%d, %v), payload says %d", key, got, err, counts[i])
-			}
-		}
-		if pc.Size() != len(want) {
-			t.Fatalf("Size = %d, payload holds %d entries", pc.Size(), len(want))
-		}
-		seen := 0
-		noErr(pc.EachCtx(nil, len(tp.dims), func(vals []uint16, c int) bool {
-			if w, ok := want[fmt.Sprint(vals)]; !ok || w != c {
-				t.Fatalf("EachCtx yields %v = %d, payload says %d (present %v)", vals, c, w, ok)
-			}
-			seen++
-			return true
-		}))
-		if seen != len(want) {
-			t.Fatalf("EachCtx yields %d entries, payload holds %d", seen, len(want))
-		}
-		if idx != 0 {
-			return
-		}
-		for _, sub := range properSubsets(pc.Attrs()) {
-			if slices.Contains(persisted, sub) {
-				continue
-			}
-			subMembers := sub.Members()
-			spell := func(vals []uint16) string {
-				out := make([]uint16, len(subMembers))
-				for j, a := range subMembers {
-					out[j] = vals[a]
-				}
-				return fmt.Sprint(out)
-			}
-			wantSub := make(map[string]int)
-			for i, key := range keys {
-				vals, _ := tp.decodeKey(key, members)
-				wantSub[spell(vals)] += int(counts[i])
-			}
-			mpc, ok, err := l.MarginalPCCtx(nil, sub)
-			if err != nil || !ok {
-				t.Fatalf("marginal %v: ok=%v err=%v", sub, ok, err)
-			}
-			if mpc.Size() != len(wantSub) {
-				t.Fatalf("marginal %v: Size = %d, the payload sums to %d patterns", sub, mpc.Size(), len(wantSub))
-			}
-			noErr(mpc.EachCtx(nil, len(tp.dims), func(vals []uint16, c int) bool {
-				if w := wantSub[spell(vals)]; w != c {
-					t.Fatalf("marginal %v yields %v = %d, the payload sums to %d", sub, vals, c, w)
-				}
-				return true
-			}))
+		case 3:
+			wtp.check(t, 0, data)
+		default:
+			wst.check(t, data)
 		}
 	})
 }

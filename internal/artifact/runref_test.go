@@ -6,11 +6,11 @@ package artifact
 // under test against the format's definition.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Sorted-run framing constants, as the format document defines them.
@@ -19,24 +19,18 @@ const (
 	runFrameEntries = 4096
 )
 
-// runEntry is one decoded sorted-run entry. key holds a uint64 key; kb a
-// byte-string key (nil for uint64-key runs).
+// runEntry is one decoded sorted-run entry: a key of W uint64 words and
+// its count.
 type runEntry struct {
-	key   uint64
-	kb    []byte
+	key   []uint64
 	count uint64
 }
 
-// decodeRunRef decodes one sorted run file of the given key width (0 for
-// uint64 keys). It returns every entry in file order, the rows its frames
-// declare, and the first rule of the format the file breaks, if any.
-func decodeRunRef(data []byte, keyWidth int) (entries []runEntry, rows int64, err error) {
-	minEntry, maxEntry := 2, binary.MaxVarintLen64+5
-	if keyWidth > 0 {
-		minEntry, maxEntry = keyWidth+1, keyWidth+5
-	}
-	var prev uint64
-	var last []byte
+// decodeRunRef decodes one sorted run file of words-word keys. It returns
+// every entry in file order, the rows its frames declare, and the first
+// rule of the format the file breaks, if any.
+func decodeRunRef(data []byte, words int) (entries []runEntry, rows int64, err error) {
+	minEntry, maxEntry := words+1, words*binary.MaxVarintLen64+5
 	for off := 0; off < len(data); {
 		if len(data)-off < runHdrLen {
 			return entries, rows, fmt.Errorf("truncated header at %d", off)
@@ -57,33 +51,25 @@ func decodeRunRef(data []byte, keyWidth int) (entries []runEntry, rows int64, er
 		}
 		left := frameRows
 		for i := 0; i < n; i++ {
-			e := runEntry{}
-			if keyWidth == 0 {
-				gap, m := binary.Uvarint(p)
+			e := runEntry{key: make([]uint64, words)}
+			for j := range e.key {
+				word, m := binary.Uvarint(p)
 				if m <= 0 {
-					return entries, rows, fmt.Errorf("bad gap varint at frame %d entry %d", off, i)
+					return entries, rows, fmt.Errorf("bad key varint at frame %d entry %d", off, i)
 				}
 				p = p[m:]
-				e.key = gap
-				if i > 0 {
-					if gap == 0 || gap > math.MaxUint64-prev {
-						return entries, rows, fmt.Errorf("keys do not ascend at frame %d entry %d", off, i)
-					}
-					e.key = prev + gap
-				}
-				if len(entries) > 0 && e.key <= prev {
-					return entries, rows, fmt.Errorf("keys do not ascend across frames at %d", off)
-				}
-				prev = e.key
-			} else {
-				if len(p) < keyWidth {
-					return entries, rows, fmt.Errorf("truncated key at frame %d entry %d", off, i)
-				}
-				e.kb, p = p[:keyWidth], p[keyWidth:]
-				if len(entries) > 0 && bytes.Compare(e.kb, last) <= 0 {
+				e.key[j] = word
+			}
+			if i > 0 {
+				// The first word is a gap from the previous entry's.
+				prev := entries[len(entries)-1].key[0]
+				if e.key[0] > math.MaxUint64-prev {
 					return entries, rows, fmt.Errorf("keys do not ascend at frame %d entry %d", off, i)
 				}
-				last = e.kb
+				e.key[0] += prev
+			}
+			if len(entries) > 0 && slices.Compare(e.key, entries[len(entries)-1].key) <= 0 {
+				return entries, rows, fmt.Errorf("keys do not ascend at frame %d entry %d", off, i)
 			}
 			c, m := binary.Uvarint(p)
 			if m <= 0 {
@@ -107,22 +93,21 @@ func decodeRunRef(data []byte, keyWidth int) (entries []runEntry, rows int64, er
 }
 
 // encodeRunRef encodes entries in the given order, valid or not, as a
-// sorted run of the given key width; fixRunCRCs recomputes checksums.
-func encodeRunRef(entries []runEntry, keyWidth int) []byte {
+// sorted run; fixRunCRCs recomputes checksums.
+func encodeRunRef(entries []runEntry) []byte {
 	var out []byte
 	for lo := 0; lo < len(entries); lo += runFrameEntries {
 		frame := entries[lo:min(lo+runFrameEntries, len(entries))]
 		var p []byte
 		var rows uint64
 		for i, e := range frame {
-			if keyWidth == 0 {
-				gap := e.key
-				if i > 0 {
-					gap = e.key - frame[i-1].key
-				}
-				p = binary.AppendUvarint(p, gap)
-			} else {
-				p = append(p, e.kb...)
+			gap := e.key[0]
+			if i > 0 {
+				gap -= frame[i-1].key[0]
+			}
+			p = binary.AppendUvarint(p, gap)
+			for _, word := range e.key[1:] {
+				p = binary.AppendUvarint(p, word)
 			}
 			p = binary.AppendUvarint(p, e.count)
 			rows += e.count

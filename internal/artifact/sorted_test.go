@@ -332,7 +332,7 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				entries, _, err := decodeRunRef(data, 0)
+				entries, _, err := decodeRunRef(data, 1)
 				if err != nil {
 					t.Fatalf("merged run %d: %v", run, err)
 				}
@@ -340,8 +340,8 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 					t.Fatalf("merged run %d holds %d entries, manifest says %d", run, len(entries), mpm.RunSizes[run])
 				}
 				for _, e := range entries {
-					if r := runs.RunOfU64(e.key); r != run {
-						t.Fatalf("merged run %d holds key %d, which routes to run %d", run, e.key, r)
+					if r := runs.RunOf(e.key); r != run {
+						t.Fatalf("merged run %d holds key %v, which routes to run %d", run, e.key, r)
 					}
 				}
 			}

@@ -14,22 +14,21 @@ import (
 // set S with positive count, together with their counts (the PC section of a
 // label, Definition 2.9). It is the group-by of the dataset on S.
 //
-// Four storage representations share the PC interface; the kernel
+// Three storage representations share the PC interface; the kernel
 // selection rules in dense.go pick one deterministically from the key
 // space, the row count and the memory budget: a flat dense count array for
-// small-domain sets, sorted uint64 keys with parallel counts (SortedCounts)
-// for larger mixed-radix key spaces, a byte-string map when the key
-// overflows uint64, and a merge-on-read spilled index (spilledpc.go) when
-// a budgeted build's merged map models over CountOptions.MemBudget — the
-// counts then stay in the build's on-disk runs and stream on demand, each
-// uint64 run cached in the same sorted layout once read.
+// small-domain sets, sorted keys of W words with parallel counts
+// (SortedCounts) for larger key spaces, and a merge-on-read spilled index
+// (spilledpc.go) when a budgeted build's merged map models over
+// CountOptions.MemBudget — the counts then stay in the build's on-disk
+// runs and stream on demand, each run cached in the same sorted layout
+// once read.
 type PC struct {
 	keyer    *Keyer
-	dz       []int32        // dense path (flat counts indexed by key)
-	distinct int            // nonzero slots in dz
-	u        *SortedCounts  // sorted path (mixed-radix keys)
-	s        map[string]int // fallback (byte-string keys)
-	sp       *spilledPC     // merge-on-read path (budgeted out-of-core builds)
+	dz       []int32       // dense path (flat counts indexed by key)
+	distinct int           // nonzero slots in dz
+	u        *SortedCounts // sorted path (W-word keys)
+	sp       *spilledPC    // merge-on-read path (budgeted out-of-core builds)
 }
 
 // BuildPC groups dataset d by attribute set s and returns the pattern-count
@@ -61,12 +60,10 @@ func BuildPC(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, err
 	var pc *PC
 	if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok {
 		pc = buildPCDense(k, cols, rows, radix, workers, opts.Pool, stop)
-	} else if runs, format, spillOK := opts.spillFor(k, rows, workers); spillOK {
-		return buildPCSpill(k, cols, rows, workers, runs, format, opts)
-	} else if k.Fits() {
-		pc = buildPCMap(k, cols, rows, workers, stop)
+	} else if runs, spillOK := opts.spillFor(k, rows, workers); spillOK {
+		return buildPCSpill(k, cols, rows, workers, runs, opts)
 	} else {
-		pc = buildPCBytes(k, cols, rows, workers, stop)
+		pc = buildPCSorted(k, cols, rows, workers, stop)
 	}
 	// A cancelled kernel stopped mid-scan: its counts are partial, so the
 	// PC is discarded and only the typed error escapes.
@@ -95,10 +92,7 @@ func (pc *PC) Size() int {
 	if pc.dz != nil {
 		return pc.distinct
 	}
-	if pc.u != nil {
-		return len(pc.u.Keys)
-	}
-	return len(pc.s)
+	return len(pc.u.Counts)
 }
 
 // Spilled reports whether the index is merge-on-read: its counts live in
@@ -160,25 +154,18 @@ func (pc *PC) lookupVals(vals []uint16) int {
 		}
 		return int(pc.dz[key])
 	}
-	if pc.u != nil {
-		key, ok := pc.keyer.KeyVals(vals)
-		if !ok {
-			return 0
-		}
-		return pc.u.lookup(key)
-	}
-	var buf [128]byte
-	b, ok := pc.keyer.AppendBytesVals(buf[:0], vals)
+	var buf [8]uint64
+	key, ok := pc.keyer.appendKey(buf[:0], vals)
 	if !ok {
 		return 0
 	}
-	return pc.s[string(b)]
+	return pc.u.lookupKey(key)
 }
 
 // EachCtx invokes fn for every stored pattern, passing a dense identifier
 // slice (valid only for the duration of the call) and the pattern's count.
-// Iteration stops early when fn returns false. Order is unspecified (the
-// dense and sorted layouts walk in key order, byte maps in map order).
+// Iteration stops early when fn returns false. An in-memory index walks in
+// key order; a merge-on-read one walks each run in key order, run by run.
 //
 // On a merge-on-read index a failed run read aborts the iteration and
 // returns the error; fn has then seen a prefix of the entries — discard
@@ -210,18 +197,9 @@ func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count i
 		}
 		return nil
 	}
-	if pc.u != nil {
-		for i, key := range pc.u.Keys {
-			pc.keyer.Decode(key, vals)
-			if !fn(vals, int(pc.u.Counts[i])) {
-				return nil
-			}
-		}
-		return nil
-	}
-	for key, c := range pc.s {
-		pc.keyer.DecodeBytes(key, vals)
-		if !fn(vals, c) {
+	for i, c := range pc.u.Counts {
+		pc.keyer.decodeKey(pc.u.entry(i), vals)
+		if !fn(vals, int(c)) {
 			return nil
 		}
 	}
@@ -260,7 +238,7 @@ func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattic
 func labelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within bool) {
 	k := NewKeyer(d, s)
 	cols := datasetCols(d)
-	if k.Fits() {
+	if k.Words() == 1 {
 		seen := make(map[uint64]struct{})
 		for r := 0; r < d.NumRows(); r++ {
 			key, ok := k.KeyRow(cols, r)
@@ -279,7 +257,7 @@ func labelSize(d *dataset.Dataset, s lattice.AttrSet, cap int) (size int, within
 	seen := make(map[string]struct{})
 	var buf []byte
 	for r := 0; r < d.NumRows(); r++ {
-		b, ok := k.AppendBytesRow(buf[:0], cols, r)
+		b, ok := k.appendRecordRow(buf[:0], cols, r)
 		buf = b
 		if !ok {
 			continue

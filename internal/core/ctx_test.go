@@ -340,12 +340,12 @@ func TestSortedRunWriteFaultFallsBack(t *testing.T) {
 	// build sets up — marks where the sorted-run writes start.
 	rec := iofault.NewFaultFS(nil)
 	k := NewKeyer(d, s)
-	runs, format, ok := opts.spillFor(k, d.NumRows(), 1)
+	runs, ok := opts.spillFor(k, d.NumRows(), 1)
 	if !ok {
 		t.Fatal("set does not spill under the budget")
 	}
-	w := must(spill.NewWriter(spill.Config{RecWidth: format.recWidth(k), Runs: runs, Dir: t.TempDir(), FS: rec}))
-	err := spillPartition(w, k, datasetCols(d), d.NumRows(), 1, format, nil, opts.stop())
+	w := must(spill.NewWriter(spill.Config{RecWidth: 8 * k.Words(), Runs: runs, Dir: t.TempDir(), FS: rec}))
+	err := spillPartition(w, k, datasetCols(d), d.NumRows(), 1, nil, opts.stop())
 	w.Cleanup()
 	if err != nil {
 		t.Fatal(err)

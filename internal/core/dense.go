@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"pcbl/internal/workpool"
 )
@@ -21,24 +22,25 @@ import (
 // inputs; rows is the row count the counts cover — a reopened label's
 // marginals use the label's |D|, not its schema-only dataset's zero):
 //
-//   - radix ≤ denseLimit AND radix ≤ denseRowFactor × rows (+64)  →  dense
-//   - key fits in uint64 otherwise                                →  sorted
-//   - key overflows uint64, fits CountOptions.MemBudget           →  byte-string map
-//   - key fits or overflows uint64, modeled map footprint over
-//     CountOptions.MemBudget                                      →  spill
+//   - one-word key, radix ≤ denseLimit AND
+//     radix ≤ denseRowFactor × rows (+64)                         →  dense
+//   - any other key (W ≥ 1 words), modeled map footprint within
+//     CountOptions.MemBudget                                      →  sorted
+//   - the same, modeled map footprint over CountOptions.MemBudget →  spill
 //     (external group-by: hash-partitioned on-disk runs, counted one at a
 //     time with the map kernel — see spillcount.go; no budget means the
 //     tier is off; LabelSizes models a capped set at cap+1 keys)
 //
-// A sorted build counts into hash maps and freezes them into SortedCounts
-// when the scan ends. The row-factor guard keeps the dense kernel off
-// sparse key spaces where zeroing and walking the flat array would
-// dominate the scan itself.
+// A one-word sorted build counts into hash maps and freezes them into
+// SortedCounts when the scan ends; a wider one lists its rows' keys and
+// sorts and compresses them into the same layout. The row-factor guard
+// keeps the dense kernel off sparse key spaces where zeroing and walking
+// the flat array would dominate the scan itself.
 
-// DefaultDenseLimit is the largest mixed-radix key space the dense kernel
+// defaultDenseLimit is the largest mixed-radix key space the dense kernel
 // will allocate a flat count array for: 1<<22 slots = 16 MiB of int32 per
-// worker. CountOptions.DenseLimit overrides it.
-const DefaultDenseLimit = 1 << 22
+// worker. The test hook CountOptions.denseLimitOverride overrides it.
+const defaultDenseLimit = 1 << 22
 
 // denseRowFactor bounds how sparse a dense array may be relative to the
 // scan: the key space may exceed the row count by at most this factor
@@ -46,15 +48,15 @@ const DefaultDenseLimit = 1 << 22
 const denseRowFactor = 16
 
 // denseLimit resolves the effective dense threshold: 0 means
-// DefaultDenseLimit, negative disables the dense kernel entirely.
+// defaultDenseLimit, negative disables the dense kernel entirely.
 func (o CountOptions) denseLimit() int {
-	if o.DenseLimit == 0 {
-		return DefaultDenseLimit
+	if o.denseLimitOverride == 0 {
+		return defaultDenseLimit
 	}
-	if o.DenseLimit < 0 {
+	if o.denseLimitOverride < 0 {
 		return 0
 	}
-	return o.DenseLimit
+	return o.denseLimitOverride
 }
 
 // denseSpaceOK is THE dense-eligibility predicate: a flat count space of
@@ -206,10 +208,14 @@ func buildPCDense(k *Keyer, cols [][]uint16, rows, radix, workers int, pool *Vec
 	return pc
 }
 
-// buildPCMap is the BuildPC kernel for non-dense uint64 keys, fed by the
-// same columnar key vectors as the dense kernel: each worker counts into a
-// hash map, and the merged map freezes into the sorted layout.
-func buildPCMap(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
+// buildPCSorted is the BuildPC kernel beyond the dense tier. For one-word
+// keys each worker counts its row chunk into a hash map, fed by the same
+// columnar key vectors as the dense kernel, and the merged map freezes
+// into the sorted layout.
+func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
+	if k.Words() > 1 {
+		return buildPCWide(k, cols, rows, workers, stop)
+	}
 	pc := &PC{keyer: k}
 	if workers <= 1 {
 		m := make(map[uint64]int)
@@ -249,78 +255,52 @@ func buildPCMap(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC 
 	return pc
 }
 
-// buildPCBytes is the byte-string-key BuildPC kernel for attribute sets
-// whose mixed-radix key overflows uint64.
-func buildPCBytes(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
-	pc := &PC{keyer: k}
-	if workers <= 1 {
-		m := make(map[string]int)
-		var buf []byte
-		for lo := 0; lo < rows; lo += keyBlockRows {
-			if stop.hit() {
-				break
-			}
-			hi := min(lo+keyBlockRows, rows)
-			for r := lo; r < hi; r++ {
-				b, ok := k.AppendBytesRow(buf[:0], cols, r)
-				buf = b
-				if ok {
-					m[string(b)]++
-				}
-			}
-		}
-		pc.s = m
-		return pc
-	}
-	shards := make([]map[string]int, workers)
-	workpool.RunChunks(rows, workers, func(w, lo, hi int) {
-		m := make(map[string]int)
-		var buf []byte
+// buildPCWide is buildPCSorted for keys of more than one word: each worker
+// lists its rows' keys, and the lists sort and compress into the layout.
+func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
+	w := k.Words()
+	shards := make([][]uint64, max(workers, 1))
+	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
+		keys := make([]uint64, 0, w*(hi-lo))
 		for blo := lo; blo < hi; blo += keyBlockRows {
 			if stop.hit() {
 				break
 			}
-			bhi := min(blo+keyBlockRows, hi)
-			for r := blo; r < bhi; r++ {
-				b, ok := k.AppendBytesRow(buf[:0], cols, r)
-				buf = b
-				if ok {
-					m[string(b)]++
-				}
+			for r := blo; r < min(blo+keyBlockRows, hi); r++ {
+				keys, _ = k.appendKeyRow(keys, cols, r)
 			}
 		}
-		shards[w] = m
+		shards[wk] = keys
 	})
-	pc.s = shards[0]
-	for _, m := range shards[1:] {
-		for key, c := range m {
-			pc.s[key] += c
-		}
+	keys := shards[0]
+	if len(shards) > 1 {
+		keys = slices.Concat(shards...)
 	}
-	return pc
+	counts := make([]int32, len(keys)/w)
+	for i := range counts {
+		counts[i] = 1
+	}
+	return &PC{keyer: k, u: sortedFrom(keys, counts, w)}
 }
 
 // ScanStats accumulates which kernel the engine picked per attribute set.
 // Attach one via CountOptions.Stats to observe path selection. The
-// Dense/Map/Bytes planning counters are updated during single-threaded
+// Dense/Map/Wide planning counters are updated during single-threaded
 // scan planning, never from workers; the Spill* counters are updated
 // atomically (spillcount.go), so one ScanStats may be shared by scans
 // running on concurrent goroutines.
 type ScanStats struct {
-	// Dense counts sets served by the flat-array kernel.
+	// Dense counts sets sized on the flat-array kernel.
 	Dense int
-	// Map counts sets served by the uint64 hash-map kernel.
+	// Map counts sets sized in a hash set of one-word keys.
 	Map int
-	// Bytes counts sets on the byte-string fallback (key overflows uint64).
-	Bytes int
-	// Spilled counts sets served by the external-memory group-by: map- or
-	// byte-key sets whose estimated grouping footprint exceeded
+	// Wide counts sets sized in a hash set of keys wider than one word
+	// (the mixed-radix key space passes 63 bits).
+	Wide int
+	// Spilled counts sets served by the external-memory group-by: sets
+	// beyond the dense tier whose estimated grouping footprint exceeded
 	// CountOptions.MemBudget.
 	Spilled int64
-	// SpilledU64 counts the subset of Spilled that used the fixed-width
-	// uint64 record format (mixed-radix key fits uint64); the remainder
-	// spilled byte-string records.
-	SpilledU64 int64
 	// SpillRuns totals the on-disk partitions written across spilled sets.
 	SpillRuns int64
 	// SpillParallelRuns totals the runs counted by multi-worker (parallel)

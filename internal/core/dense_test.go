@@ -1,11 +1,11 @@
 package core
 
 // Differential coverage for the dense counting kernel, checked against a
-// deliberately naive reference group-by (a per-row KeyRow/AppendBytesRow
-// loop into a map, sharing none of the kernel code) across the randomized
-// dataset shapes of the engine harness. The dense, map and byte paths must
-// all reproduce the reference exactly, and the dense-vs-map routing must
-// follow the documented selection rules.
+// deliberately naive reference group-by (a per-row loop over the member
+// values into a map, sharing none of the kernel code) across the
+// randomized dataset shapes of the engine harness. The dense, one-word and
+// wide sorted paths must all reproduce the reference exactly, and the
+// dense-vs-sorted routing must follow the documented selection rules.
 
 import (
 	"fmt"
@@ -19,21 +19,16 @@ import (
 // refCounts is the reference group-by: pattern→count over s via the
 // straight per-row loop.
 func refCounts(d *dataset.Dataset, s lattice.AttrSet) map[string]int {
-	k := NewKeyer(d, s)
-	cols := datasetCols(d)
 	out := make(map[string]int)
-	vals := make([]uint16, d.NumAttrs())
-	var buf []byte
+rows:
 	for r := 0; r < d.NumRows(); r++ {
-		b, ok := k.AppendBytesRow(buf[:0], cols, r)
-		buf = b
-		if !ok {
-			continue
-		}
-		k.DecodeBytes(string(b), vals)
 		var key string
 		for _, a := range s.Members() {
-			key += fmt.Sprintf("%d=%d;", a, vals[a])
+			v := d.Col(a)[r]
+			if v == dataset.Null {
+				continue rows
+			}
+			key += fmt.Sprintf("%d=%d;", a, v)
 		}
 		out[key]++
 	}
@@ -57,9 +52,9 @@ func dumpEqual(t *testing.T, ref map[string]int, pc *PC, what string) {
 	}
 }
 
-// TestDifferentialDenseBuildPC checks every representation — dense, map
-// (forced via DenseLimit -1) and byte-string — against the reference
-// group-by, for sequential and sharded builds.
+// TestDifferentialDenseBuildPC checks every representation — dense, sorted
+// (forced via denseLimitOverride -1) and wide sorted — against the
+// reference group-by, for sequential and sharded builds.
 func TestDifferentialDenseBuildPC(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -72,10 +67,10 @@ func TestDifferentialDenseBuildPC(t *testing.T) {
 					opts := testCountOptions(workers)
 					dumpEqual(t, ref, must(BuildPC(d, s, opts)),
 						fmt.Sprintf("set %v workers=%d dense", s, workers))
-					opts.DenseLimit = -1
+					opts.denseLimitOverride = -1
 					pc := must(BuildPC(d, s, opts))
 					if pcRepr(pc) == "dense" {
-						t.Fatalf("set %v: DenseLimit=-1 still produced a dense PC", s)
+						t.Fatalf("set %v: denseLimitOverride=-1 still produced a dense PC", s)
 					}
 					dumpEqual(t, ref, pc, fmt.Sprintf("set %v workers=%d map-forced", s, workers))
 				}
@@ -85,7 +80,7 @@ func TestDifferentialDenseBuildPC(t *testing.T) {
 }
 
 // TestDensePathSelection pins the routing rule: small key spaces land on
-// the dense representation, byte-key sets never do, and the decision is
+// the dense representation, wide-key sets never do, and the decision is
 // identical for sequential and sharded builds.
 func TestDensePathSelection(t *testing.T) {
 	cfg := diffConfig{rows: 3000, attrs: 6, domain: 8, nullRate: 0.05}
@@ -105,9 +100,9 @@ func TestDensePathSelection(t *testing.T) {
 			t.Errorf("workers=%d: repr %s vs sequential %s", workers, pcRepr(par), pcRepr(seq))
 		}
 	}
-	wide := diffDataset(t, diffConfigs[6], 7) // 65000^4 overflows uint64
-	if got := pcRepr(must(BuildPC(wide, lattice.FullSet(4), CountOptions{Workers: 1}))); got != "bytes" {
-		t.Errorf("wide set repr = %s, want bytes", got)
+	wide := diffDataset(t, diffConfigs[6], 7) // 65000^4 passes one word
+	if got := pcRepr(must(BuildPC(wide, lattice.FullSet(4), CountOptions{Workers: 1}))); got != "wide" {
+		t.Errorf("wide set repr = %s, want wide", got)
 	}
 }
 
@@ -116,14 +111,14 @@ func TestDensePathSelection(t *testing.T) {
 func TestKeyBlockMatchesKeyRow(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		if cfg.domain >= 60000 {
-			continue // byte-key config: KeyBlock requires Fits
+			continue // two-word config: KeyBlock takes one-word keys
 		}
 		d := diffDataset(t, cfg, uint64(ci)+3)
 		cols := datasetCols(d)
 		rng := rand.New(rand.NewPCG(uint64(ci), 0xB10C))
 		for _, s := range diffAttrSets(cfg.attrs, rng) {
 			k := NewKeyer(d, s)
-			if !k.Fits() {
+			if k.Words() != 1 {
 				continue
 			}
 			rows := d.NumRows()
@@ -161,11 +156,11 @@ func TestFusedScanStats(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.Stats = &st
 	must2(LabelSizes(d, sets, -1, opts))
-	if st.Dense != len(sets) || st.Map != 0 || st.Bytes != 0 {
+	if st.Dense != len(sets) || st.Map != 0 || st.Wide != 0 {
 		t.Errorf("dense stats = %+v, want Dense=%d", st, len(sets))
 	}
 	st = ScanStats{}
-	opts.DenseLimit = -1
+	opts.denseLimitOverride = -1
 	must2(LabelSizes(d, sets, -1, opts))
 	if st.Map != len(sets) || st.Dense != 0 {
 		t.Errorf("map-forced stats = %+v, want Map=%d", st, len(sets))

@@ -7,8 +7,9 @@
 // (Definition 2.13 and §II-B "Error metric").
 //
 // The package also provides the counting machinery the label model and the
-// search algorithms (package search) are built on: mixed-radix and byte-level
-// group-by keys, pattern-count indexes (PC), label-size computation with
+// search algorithms (package search) are built on: mixed-radix group-by
+// keys of one or more uint64 words, pattern-count indexes (PC), label-size
+// computation with
 // early abort, distinct-tuple enumeration (the evaluation pattern set P_A of
 // §IV-A), and parallel label evaluation with the paper's sorted
 // early-termination optimization (§IV-C).
@@ -35,52 +36,52 @@
 // frontier's sets by gen parent — S minus its largest attribute a — across
 // the whole frontier. A child's group-by refines its parent's, and since a
 // is the last member of S's mixed-radix key, S's key is the parent's key
-// plus (v_a − 1)·radix(parent) whenever it fits uint64. So each group
-// computes its parent's keys once per row block through Keyer.KeyBlock,
-// never materializing them, and every child extends the block by one
-// column and counts the result with the sequential loop's exact per-set
-// cap-abort: into a pooled dense slab when its key space passes the dense
-// predicate below, into a uint64 hash set otherwise. A set whose key
-// overflows uint64 keeps the per-row byte-key loop, and ∅ (one empty key
-// per row) is sized without a scan. Groups are the unit of parallelism:
+// plus (v_a − 1)·radix(parent) whenever both keys are one word. So each
+// group computes its parent's keys once per row block through
+// Keyer.KeyBlock, never materializing them, and every child extends the
+// block by one column and counts the result with the sequential loop's
+// exact per-set cap-abort: into a pooled dense slab when its key space
+// passes the dense predicate below, into a uint64 hash set otherwise. A
+// set whose key is wider than one word counts row by row into a hash set
+// of its record-form keys, and ∅ (one empty key per row) is sized without
+// a scan. Groups are the unit of parallelism:
 // each worker holds one group's accumulators at a time, and workers left
 // over when groups are few shard each group's rows, merging with the same
 // exact cap-abort.
 //
-// Group-by counting picks one of three kernels per attribute set,
-// deterministically from the key space and the row count (dense.go); a
-// sized set's accumulator follows the same rule. A PC keeps one of four
-// representations: a dense slab, the sorted layout, a byte-string map, or
-// a merge-on-read spilled index.
+// A group-by key is W ≥ 1 uint64 words (Keyer): the members pack, in
+// order, into mixed-radix words, a member opening the next word when the
+// current one would pass 2^63. W is 1 exactly when the whole key space
+// fits 63 bits, and a wider key compares word by word. Group-by counting
+// picks one of three kernels per attribute set, deterministically from the
+// key space and the row count (dense.go); a sized set's accumulator
+// follows the same rule. A PC keeps one of three representations: a dense
+// slab, the sorted layout, or a merge-on-read spilled index.
 //
-//   - dense: when the mixed-radix product is at most DefaultDenseLimit
-//     (2^22 slots) and not vastly sparser than the scan (at most 16× the
-//     row count), counts go into a flat []int32 indexed by key — shard
+//   - dense: when the key is one word whose mixed-radix product is at
+//     most 2^22 slots and not vastly sparser than the scan (at most 16×
+//     the row count), counts go into a flat []int32 indexed by key — shard
 //     merge is vector addition, cap-abort is a nonzero-slot counter, and
-//     per-worker memory is the key space itself. CountOptions.DenseLimit
-//     overrides the threshold (negative disables the kernel).
-//   - sorted: larger key spaces that still fit in uint64 count into hash
-//     maps while the scan runs, and the result freezes into SortedCounts:
-//     ascending keys with a parallel int32 count slice, 12 bytes an entry,
-//     looked up by binary search and walked in key order. Marginals and
-//     in-memory merges build the same layout by radix sort-and-compress
-//     of their re-keyed entries, with no map at all. Both uint64 kernels
-//     are fed by columnar key vectors (Keyer.KeyBlock decodes a row block
-//     one member column at a time).
-//   - bytes: key spaces overflowing uint64 fall back to byte-string keys
-//     with the original per-row loop.
-//   - uint64 spill: sets with uint64 keys beyond the dense tier whose
-//     modeled map footprint (56 bytes an entry) exceeds
-//     CountOptions.MemBudget run the external group-by with fixed-width
-//     8-byte records — the common over-budget case once domains multiply;
-//     runs count into map[uint64]int, no per-key string materialization.
-//     The dense kernel is exempt: its flat state is bounded by the dense
-//     slot limit.
-//   - byte spill: byte-key sets over the budget — the unbounded-domain,
-//     out-of-core case — spill 2-bytes-per-member records.
+//     per-worker memory is the key space itself. Tests override the
+//     threshold through an unexported field of CountOptions (negative
+//     disables the kernel).
+//   - sorted: every other key space ends in SortedCounts: ascending W-word
+//     keys with a parallel int32 count slice, 8W + 4 bytes an entry,
+//     looked up by binary search and walked in key order. A one-word
+//     build counts into hash maps fed by columnar key vectors
+//     (Keyer.KeyBlock decodes a row block one member column at a time)
+//     and freezes them when the scan ends; a wider build, marginals and
+//     in-memory merges build the layout by radix sort-and-compress of
+//     their keys, one word at a time, with no map at all.
+//   - spill: sets beyond the dense tier whose modeled map footprint (56
+//     bytes a one-word entry, 8W + 64 a wider one) exceeds
+//     CountOptions.MemBudget run the external group-by with 8W-byte
+//     records: one-word runs count into map[uint64]int, wider ones into a
+//     map keyed by the record bytes. The dense kernel is exempt: its flat
+//     state is bounded by the dense slot limit.
 //
-// Both spill formats share the machinery (spillcount.go over
-// internal/spill): keys hash-partition into K on-disk runs sized so one
+// The spill tier (spillcount.go over internal/spill): keys
+// hash-partition into K on-disk runs sized so one
 // run's map fits each counting worker's share of the budget, and the
 // key-disjoint runs are counted K-way in parallel, so per-run counts are
 // final. Disk trouble during a spilled scan re-counts the set in memory
@@ -97,24 +98,26 @@
 //
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — each counted run is written once as a
-// sorted run of (key, count) entries (uint64 keys gap- and varint-coded,
-// spill.Runs) and its partition file deleted, and the PC serves
+// sorted run of (key, count) entries (the first key word gap-coded, every
+// number varint-coded, spill.Runs) and its partition file deleted, and
+// the PC serves
 // Size/LookupValsCtx/EachCtx merge-on-read from the sorted runs
 // (spilledpc.go) through a pinned hot-run cache; ReleaseSpill (or, as a
 // safety net, the GC) removes the runs. No budget means the tier is off.
-// A run load decodes its entries straight into the cache's form, with no
-// counting map: the sorted layout for a uint64 run, charged its real 12
-// bytes an entry rather than the 56-byte map model that decided to spill.
+// A run load decodes its entries straight into the sorted layout, with no
+// counting map, charged its real 8W + 4 bytes an entry rather than the map
+// model that decided to spill.
 // Label.Merge over a spilled PC writes fresh runs, each one linear
 // two-way merge of a base run with its share of the delta; a delta that
-// grew a member domain re-partitions instead (merge.go). Sizing-only
+// grew a member domain — shifting a multiplier or moving a member to
+// another word — re-partitions instead (merge.go). Sizing-only
 // scans keep partition runs alone: nothing reopens them.
 //
 // The merge-on-read read path is built for concurrent readers (the label
 // serving daemon of internal/serve): there is no per-lookup mutex. Pinned
 // hot runs live in an immutable snapshot swapped in by copy-on-write
 // through an atomic pointer, so steady-state lookups are lock-free binary
-// searches (map probes for byte-string runs); a per-run load lock
+// searches; a per-run load lock
 // serializes only the first fault of each run (concurrent readers of
 // *different* cold runs load in parallel); a small
 // admission lock guards the hot-cache cost accounting and the single

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestKeyerRoundTrip(t *testing.T) {
 			s = lattice.FullSet(n)
 		}
 		k := NewKeyer(d, s)
-		if !k.Fits() {
+		if k.Words() != 1 {
 			return true
 		}
 		rng := rand.New(rand.NewPCG(seed, 1))
@@ -48,15 +49,21 @@ func TestKeyerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKeyerBytesRoundTrip (property): byte-string keys decode to the values
-// that produced them.
+// TestKeyerBytesRoundTrip (property): over 30 attributes of 5 values, whose
+// full key space 5^30 passes 2^63, keys of every width — one word for small
+// sets, two for wide ones — decode to the values that produced them, lie
+// in the key space, and survive their record form (the words'
+// little-endian bytes).
 func TestKeyerBytesRoundTrip(t *testing.T) {
-	d := testutil.Fig2()
+	d := diffDataset(t, diffConfig{rows: 1, attrs: 30, domain: 5}, 2)
 	n := d.NumAttrs()
-	prop := func(mask uint8, seed uint64) bool {
+	if w := NewKeyer(d, lattice.FullSet(n)).Words(); w != 2 {
+		t.Fatalf("full set keys %d words, want 2", w)
+	}
+	prop := func(mask uint32, seed uint64) bool {
 		s := lattice.AttrSet(mask) & lattice.FullSet(n)
 		if s.IsEmpty() {
-			return true
+			s = lattice.FullSet(n)
 		}
 		k := NewKeyer(d, s)
 		rng := rand.New(rand.NewPCG(seed, 2))
@@ -64,12 +71,15 @@ func TestKeyerBytesRoundTrip(t *testing.T) {
 		for _, i := range s.Members() {
 			vals[i] = uint16(1 + rng.IntN(d.Attr(i).DomainSize()))
 		}
-		b, ok := k.AppendBytesVals(nil, vals)
-		if !ok {
+		key, ok := k.appendKey(nil, vals)
+		if !ok || len(key) != k.Words() || !k.validKey(key) {
+			return false
+		}
+		if back := appendWords(nil, string(appendRecord(nil, key))); !slices.Equal(back, key) {
 			return false
 		}
 		decoded := make([]uint16, n)
-		k.DecodeBytes(string(b), decoded)
+		k.decodeKey(key, decoded)
 		for _, i := range s.Members() {
 			if decoded[i] != vals[i] {
 				return false
@@ -100,14 +110,26 @@ func TestKeyerNullRejection(t *testing.T) {
 	if _, ok := k.KeyRow(cols, 1); !ok {
 		t.Error("no key for a fully non-NULL row")
 	}
-	if _, ok := k.AppendBytesRow(nil, cols, 0); ok {
-		t.Error("byte key produced for a NULL row")
+	if rec, ok := k.appendRecordRow([]byte{9}, cols, 0); ok || len(rec) != 1 {
+		t.Error("record produced for a NULL row")
+	}
+	// A NULL leaves the destination as it was, for every key width.
+	wide := diffDataset(t, diffConfig{rows: 1, attrs: 30, domain: 5}, 1)
+	for _, kk := range []*Keyer{k, NewKeyer(wide, lattice.FullSet(30))} {
+		vals := make([]uint16, 30)
+		for i := range vals {
+			vals[i] = 1
+		}
+		vals[1] = dataset.Null
+		if key, ok := kk.appendKey([]uint64{7}, vals); ok || len(key) != 1 {
+			t.Errorf("%d-word key of a NULL value: %v, %v", kk.Words(), key, ok)
+		}
 	}
 }
 
 // TestKeyerOverflowFallsBack: a synthetic schema whose domain product
-// overflows 63 bits must select the byte-string path, and PC building must
-// still work through it.
+// overflows 63 bits must select a two-word key, and PC building must still
+// work through it.
 func TestKeyerOverflowFallsBack(t *testing.T) {
 	names := make([]string, 16)
 	for i := range names {
@@ -128,8 +150,8 @@ func TestKeyerOverflowFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := lattice.FullSet(16)
-	if NewKeyer(d, full).Fits() {
-		t.Fatal("keyer unexpectedly fits in uint64")
+	if w := NewKeyer(d, full).Words(); w != 2 {
+		t.Fatalf("keyer takes %d words, want 2", w)
 	}
 	pc := must(BuildPC(d, full, CountOptions{Workers: 1}))
 	total := 0
@@ -197,7 +219,7 @@ func TestMarginalizeMatchesRebuild(t *testing.T) {
 
 // TestDifferentialMarginalize: on NULL-free data, marginalizing any parent
 // index to a subset must equal the raw group-by of the subset — for dense,
-// map and byte-key parents, and for dense and map outputs.
+// one-word and two-word sorted parents, and for dense and sorted outputs.
 func TestDifferentialMarginalize(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		if cfg.nullRate > 0 {
@@ -225,11 +247,11 @@ func TestDifferentialMarginalize(t *testing.T) {
 			}
 		})
 	}
-	// Byte-key parent marginalized to a uint64/dense subset.
+	// Two-word parent marginalized to a one-word/dense subset.
 	wide := diffDataset(t, diffConfig{rows: 800, attrs: 4, domain: 65000, nullRate: 0}, 9)
 	parent := must(BuildPC(wide, lattice.FullSet(4), CountOptions{Workers: 1}))
-	if pcRepr(parent) != "bytes" {
-		t.Fatalf("wide parent repr = %s, want bytes", pcRepr(parent))
+	if pcRepr(parent) != "wide" {
+		t.Fatalf("wide parent repr = %s, want wide", pcRepr(parent))
 	}
 	for _, sub := range []lattice.AttrSet{lattice.NewAttrSet(0), lattice.NewAttrSet(1, 3)} {
 		pcEqual(t, must(BuildPC(wide, sub, CountOptions{Workers: 1})), must(parent.MarginalizeCtx(nil, wide, sub)))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
@@ -17,12 +16,11 @@ import (
 // Incremental label maintenance: a delta label counted over only appended
 // rows folds into an existing label without rescanning history. Every
 // representation merges exactly — dense slabs by vector addition, sorted
-// PCs by re-keying both sides as a rebuild over the union rows would,
-// byte maps by key union, and spilled PCs run by run, each one linear
-// two-way merge of a sorted base run with its share of the delta: the
-// deterministic partition routing (spill.Runs.RunOf) sends every
-// occurrence of a key to the same run, so base and delta occurrences of
-// one pattern always count together.
+// PCs by re-keying both sides as a rebuild over the union rows would, and
+// spilled PCs run by run, each one linear two-way merge of a sorted base
+// run with its share of the delta: the deterministic partition routing
+// (spill.Runs.RunOf) sends every occurrence of a key to the same run, so
+// base and delta occurrences of one pattern always count together.
 // Sizes are monotone under merge (a pattern's count can only grow, a new
 // pattern only adds), which is what makes the bound re-check at merge time
 // exact: Merge completes fully and compares the final size against the
@@ -37,21 +35,14 @@ import (
 func (l *Label) SetCountOptions(opts CountOptions) { l.copts = opts }
 
 // sameKeyLayout reports whether two keyers produce identical encodings:
-// same member attributes and same per-member domain sizes. When the delta's
+// same member attributes, multipliers and word radices, which holds
+// exactly when every member's domain size is the same. When the delta's
 // dataset introduced new values for a member attribute, the mixed-radix
-// multipliers shift and u64/dense keys from the two epochs are incomparable
-// — the merge must then re-key through decoded value ids. Byte-string keys
-// encode raw ids and never change meaning as domains grow.
+// multipliers shift, or a member moves to another word, and keys from the
+// two epochs are incomparable — the merge must then re-key through
+// decoded value ids.
 func sameKeyLayout(a, b *Keyer) bool {
-	if len(a.dims) != len(b.dims) {
-		return false
-	}
-	for i := range a.dims {
-		if a.dims[i] != b.dims[i] || a.members[i] != b.members[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.members, b.members) && slices.Equal(a.mult, b.mult) && slices.Equal(a.radix, b.radix)
 }
 
 // Merge folds a delta label — built over ONLY the appended rows, on the
@@ -199,10 +190,9 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 
 // mergePC merges a delta index into a base index over the same attribute
 // set, returning the index a build over the union rows would answer: the
-// per-key sum of the two. A dense or byte-map base is reused (and
-// mutated) when its key encoding is still valid over the union
-// dictionaries d; otherwise both indexes stream into a fresh
-// representation keyed over d.
+// per-key sum of the two. A dense base is reused (and mutated) when its
+// key encoding is still valid over the union dictionaries d; otherwise
+// both indexes stream into a fresh representation keyed over d.
 // The delta streams via EachCtx regardless of its own representation —
 // including merge-on-read spilled deltas.
 func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (*PC, error) {
@@ -211,8 +201,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 	if base.sp != nil {
 		return mergeSpilled(base, delta, k, n, rows, opts)
 	}
-	switch {
-	case base.dz != nil && sameKeyLayout(base.keyer, k):
+	if base.dz != nil && sameKeyLayout(base.keyer, k) {
 		out := &PC{keyer: k, dz: base.dz, distinct: base.distinct}
 		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
@@ -220,22 +209,6 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 					out.distinct++
 				}
 				out.dz[key] += int32(c)
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case base.s != nil:
-		// Byte-string keys encode raw value ids: domain growth never
-		// invalidates them, so the base map always absorbs the delta.
-		out := &PC{keyer: k, s: base.s}
-		var buf []byte
-		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
-			b, ok := k.AppendBytesVals(buf[:0], vals)
-			buf = b
-			if ok {
-				out.s[string(b)] += c
 			}
 			return true
 		}); err != nil {
@@ -252,9 +225,9 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 }
 
 // mergeRekey streams any number of indexes into a fresh index keyed by k,
-// choosing dense / sorted / byte-map as a build over rows would; it is
-// the body of a re-keying merge and of MarginalizeCtx. A fired ctx returns
-// the typed context error and no index.
+// choosing dense or sorted as a build over rows would; it is the body of a
+// re-keying merge and of MarginalizeCtx. A fired ctx returns the typed
+// context error and no index.
 func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
 	out := &PC{keyer: k}
 	if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok {
@@ -276,45 +249,28 @@ func mergeRekey(ctx context.Context, k *Keyer, n, rows int, opts CountOptions, p
 		out.dz, out.distinct = counts, distinct
 		return out, nil
 	}
-	if k.Fits() {
-		u, err := rekeySorted(ctx, k, n, parts...)
-		if err != nil {
-			return nil, err
-		}
-		out.u = u
-		return out, nil
+	u, err := rekeySorted(ctx, k, n, parts...)
+	if err != nil {
+		return nil, err
 	}
-	out.s = make(map[string]int)
-	var buf []byte
-	for _, pc := range parts {
-		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-			b, ok := k.AppendBytesVals(buf[:0], vals)
-			buf = b
-			if ok {
-				out.s[string(b)] += c
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-	}
+	out.u = u
 	return out, nil
 }
 
-// rekeySorted streams the indexes' entries, re-keyed by k, into the
-// sorted layout: one radix sort-and-compress, no hash map. A fired ctx
-// returns the typed context error.
+// rekeySorted streams the indexes' entries, re-keyed by k to its W words,
+// into the sorted layout: one radix sort-and-compress, no hash map. A
+// fired ctx returns the typed context error.
 func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCounts, error) {
 	total := 0
 	for _, pc := range parts {
 		total += pc.Size()
 	}
-	keys := make([]uint64, 0, total)
+	keys := make([]uint64, 0, k.Words()*total)
 	counts := make([]int32, 0, total)
 	for _, pc := range parts {
 		if err := pc.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-			if key, ok := k.KeyVals(vals); ok {
-				keys = append(keys, key)
+			var ok bool
+			if keys, ok = k.appendKey(keys, vals); ok {
 				counts = append(counts, count32(c))
 			}
 			return true
@@ -322,7 +278,7 @@ func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCou
 			return nil, err
 		}
 	}
-	return sortedFrom(keys, counts), nil
+	return sortedFrom(keys, counts, k.Words()), nil
 }
 
 // mergeSpilled merges a delta into a merge-on-read base. The base's runs
@@ -333,8 +289,8 @@ func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCou
 // Fresh files leave the base's untouched — an artifact-owned base's
 // committed manifest keeps describing its run files exactly — and are
 // written under opts.SpillDir. When the delta grew a member domain the
-// uint64 keys shift (or overflow into byte-string keys), so every key
-// changes run: base and delta re-partition through the build's
+// keys shift (a multiplier changes, or a member moves to another word), so
+// every key changes run: base and delta re-partition through the build's
 // count-and-write step instead (mergeSpilledRekey).
 //
 // Either way the merged size is re-checked against the base's budget
@@ -346,14 +302,10 @@ func rekeySorted(ctx context.Context, k *Keyer, n int, parts ...*PC) (*SortedCou
 func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*PC, error) {
 	sp := base.sp
 	budget := mergeBudget(sp, opts)
-	if sp.u64 && !(k.Fits() && sameKeyLayout(base.keyer, k)) {
+	if !sameKeyLayout(base.keyer, k) {
 		return mergeSpilledRekey(sp, base.keyer, delta, k, n, rows, budget, opts)
 	}
-	format := spillFmtBytes
-	if sp.u64 {
-		format = spillFmtU64
-	}
-	rs, err := spill.NewRuns(opts.SpillDir, sp.runs.KeyWidth(), sp.runs.NumRuns(), opts.FS)
+	rs, err := spill.NewRuns(opts.SpillDir, k.Words(), sp.runs.NumRuns(), opts.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -363,12 +315,7 @@ func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*P
 			rs.Cleanup()
 		}
 	}()
-	if format == spillFmtU64 {
-		err = mergeRunsU64(opts.Ctx, sp, rs, delta, k, n, opts.scanWorkers(rows))
-	} else {
-		err = mergeRunsBytes(opts.Ctx, sp, rs, delta, k, n, opts.scanWorkers(rows))
-	}
-	if err != nil {
+	if err := mergeRuns(opts.Ctx, sp, rs, delta, k, n, opts.scanWorkers(rows)); err != nil {
 		return nil, err
 	}
 	runSizes := make([]int, rs.NumRuns())
@@ -378,8 +325,8 @@ func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*P
 		size += runSizes[run]
 	}
 	out := &PC{keyer: k}
-	if int64(size)*format.entryBytes(k) <= budget {
-		if err := out.loadRuns(opts.Ctx, rs, size); err != nil {
+	if int64(size)*k.entryBytes() <= budget {
+		if out.u, err = loadRuns(opts.Ctx, rs, size); err != nil {
 			return nil, err
 		}
 		sp.release()
@@ -387,105 +334,52 @@ func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*P
 	}
 	sp.release()
 	keep = true
-	out.sp = newSpilledPC(rs, k, format, size, runSizes, budget, opts.Stats)
+	out.sp = newSpilledPC(rs, k, size, runSizes, budget, opts.Stats)
 	return out, nil
 }
 
-// mergeRunsU64 writes every run of out as the linear two-way merge of the
+// mergeRuns writes every run of out as the linear two-way merge of the
 // base's run with the delta's entries routed to it. Base keys are read
 // under the base's layout, which the caller checked is k's. Runs are
 // independent, so workers merge them in parallel.
-func mergeRunsU64(ctx context.Context, sp *spilledPC, out *spill.Runs, delta *PC, k *Keyer, n, workers int) error {
+func mergeRuns(ctx context.Context, sp *spilledPC, out *spill.Runs, delta *PC, k *Keyer, n, workers int) error {
 	runs := sp.runs.NumRuns()
 	dkeys := make([][]uint64, runs)
 	dcounts := make([][]int32, runs)
+	var key []uint64
 	if err := delta.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-		if key, ok := k.KeyVals(vals); ok {
-			r := sp.runs.RunOfU64(key)
-			dkeys[r] = append(dkeys[r], key)
+		var ok bool
+		if key, ok = k.appendKey(key[:0], vals); ok {
+			r := sp.runs.RunOf(key)
+			dkeys[r] = append(dkeys[r], key...)
 			dcounts[r] = append(dcounts[r], count32(c))
 		}
 		return true
 	}); err != nil {
 		return err
 	}
-	radix, _ := k.Radix()
 	return eachRun(runs, workers, func(run int) error {
-		d := sortedFrom(dkeys[run], dcounts[run])
+		d := sortedFrom(dkeys[run], dcounts[run], k.Words())
 		rw := out.RunWriter(run)
 		i := 0
 		var bad error
-		err := sp.runs.EachU64(ctx, run, func(key uint64, c int) bool {
-			if key >= radix {
-				bad = runCorrupt(run, "key %d outside the key space [0, %d)", key, radix)
+		err := sp.runs.Each(ctx, run, func(key []uint64, c int) bool {
+			if !k.validKey(key) {
+				bad = runCorrupt(run, "key %v outside the key space %v", key, k.radix)
 				return false
 			}
-			for ; i < len(d.Keys) && d.Keys[i] < key; i++ {
-				rw.AddU64(d.Keys[i], int(d.Counts[i]))
+			for ; i < len(d.Counts) && slices.Compare(d.entry(i), key) < 0; i++ {
+				rw.Add(d.entry(i), int(d.Counts[i]))
 			}
-			if i < len(d.Keys) && d.Keys[i] == key {
+			if i < len(d.Counts) && slices.Equal(d.entry(i), key) {
 				c += int(d.Counts[i])
 				i++
 			}
-			rw.AddU64(key, c)
+			rw.Add(key, c)
 			return true
 		})
-		for ; i < len(d.Keys); i++ {
-			rw.AddU64(d.Keys[i], int(d.Counts[i]))
-		}
-		return cmp.Or(err, bad, rw.Close())
-	})
-}
-
-// mergeRunsBytes is mergeRunsU64 for byte-string keys, which encode raw
-// value ids and so never change meaning as domains grow.
-func mergeRunsBytes(ctx context.Context, sp *spilledPC, out *spill.Runs, delta *PC, k *Keyer, n, workers int) error {
-	type entry struct {
-		key   string
-		count int
-	}
-	runs := sp.runs.NumRuns()
-	dents := make([][]entry, runs)
-	var buf []byte
-	if err := delta.EachCtx(ctx, n, func(vals []uint16, c int) bool {
-		b, ok := k.AppendBytesVals(buf[:0], vals)
-		buf = b
-		if ok {
-			r := sp.runs.RunOf(b)
-			dents[r] = append(dents[r], entry{string(b), c})
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	return eachRun(runs, workers, func(run int) error {
-		d := dents[run]
-		slices.SortFunc(d, func(x, y entry) int { return strings.Compare(x.key, y.key) })
-		rw := out.RunWriter(run)
-		i := 0
-		var bad error
-		var dk []byte
-		addDelta := func() {
-			dk = append(dk[:0], d[i].key...)
-			rw.AddBytes(dk, d[i].count)
-		}
-		err := sp.runs.EachBytes(ctx, run, func(key []byte, c int) bool {
-			if !k.validBytes(key) {
-				bad = runCorrupt(run, "key %x holds a value outside its attribute's domain", key)
-				return false
-			}
-			for ; i < len(d) && d[i].key < string(key); i++ {
-				addDelta()
-			}
-			if i < len(d) && d[i].key == string(key) {
-				c += d[i].count
-				i++
-			}
-			rw.AddBytes(key, c)
-			return true
-		})
-		for ; i < len(d); i++ {
-			addDelta()
+		for ; i < len(d.Counts); i++ {
+			rw.Add(d.entry(i), int(d.Counts[i]))
 		}
 		return cmp.Or(err, bad, rw.Close())
 	})
@@ -505,19 +399,14 @@ func eachRun(runs, workers int, fn func(run int) error) error {
 	return cmp.Or(errs...)
 }
 
-// mergeSpilledRekey merges a delta that grew a member domain into a uint64
-// base: the base's entries decode under its own layout and re-key under
-// k's — still uint64, or byte-string when the union key space overflows —
-// and, with the delta's, re-partition as one record per counted row into
-// a fresh partition writer, whose runs countAndSeal counts and seals as a
-// build does.
+// mergeSpilledRekey merges a delta that grew a member domain into a
+// spilled base: the base's entries decode under its own layout and re-key
+// under k's — possibly of more words — and, with the delta's,
+// re-partition as one record per counted row into a fresh partition
+// writer, whose runs countAndSeal counts and seals as a build does.
 func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, rows int, budget int64, opts CountOptions) (*PC, error) {
-	format := spillFmtU64
-	if !k.Fits() {
-		format = spillFmtBytes
-	}
 	w, err := spill.NewWriter(spill.Config{
-		RecWidth: format.recWidth(k),
+		RecWidth: 8 * k.Words(),
 		Runs:     sp.runs.NumRuns(),
 		Dir:      opts.SpillDir,
 		Pool:     opts.Pool,
@@ -528,33 +417,27 @@ func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, 
 	}
 	defer w.Cleanup()
 	sw := w.Shard()
-	var buf []byte
+	var nk []uint64
+	var rec []byte
 	add := func(vals []uint16, c int) {
-		if format == spillFmtU64 {
-			if key, ok := k.KeyVals(vals); ok {
-				for ; c > 0; c-- {
-					sw.AddU64(key)
-				}
+		var ok bool
+		if nk, ok = k.appendKey(nk[:0], vals); ok {
+			rec = appendRecord(rec[:0], nk)
+			for ; c > 0; c-- {
+				sw.Add(rec)
 			}
-			return
-		}
-		b, ok := k.AppendBytesVals(buf[:0], vals)
-		buf = b
-		for ; ok && c > 0; c-- {
-			sw.Add(b)
 		}
 	}
 	vals := make([]uint16, n)
-	baseRadix, _ := baseKeyer.Radix()
 	var werr error
 	for run := 0; run < sp.runs.NumRuns() && werr == nil; run++ {
 		var bad error
-		err := sp.runs.EachU64(opts.Ctx, run, func(key uint64, c int) bool {
-			if key >= baseRadix {
-				bad = runCorrupt(run, "key %d outside the key space [0, %d)", key, baseRadix)
+		err := sp.runs.Each(opts.Ctx, run, func(key []uint64, c int) bool {
+			if !baseKeyer.validKey(key) {
+				bad = runCorrupt(run, "key %v outside the key space %v", key, baseKeyer.radix)
 				return false
 			}
-			baseKeyer.Decode(key, vals)
+			baseKeyer.decodeKey(key, vals)
 			add(vals, c)
 			return true
 		})
@@ -572,7 +455,7 @@ func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, 
 	if werr != nil {
 		return nil, werr
 	}
-	out, err := countAndSeal(w, k, format, opts.scanWorkers(rows), budget, opts)
+	out, err := countAndSeal(w, k, opts.scanWorkers(rows), budget, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -592,33 +475,20 @@ func mergeBudget(sp *spilledPC, opts CountOptions) int64 {
 	return sp.budget
 }
 
-// loadRuns materializes every entry of rs, size in all, into pc: the
-// sorted layout for uint64 keys, a map for byte-string keys.
-func (pc *PC) loadRuns(ctx context.Context, rs *spill.Runs, size int) error {
-	if rs.KeyWidth() == spill.U64Keys {
-		keys := make([]uint64, 0, size)
-		counts := make([]int32, 0, size)
-		for run := range rs.NumRuns() {
-			if err := rs.EachU64(ctx, run, func(key uint64, c int) bool {
-				keys = append(keys, key)
-				counts = append(counts, int32(c))
-				return true
-			}); err != nil {
-				return err
-			}
-		}
-		pc.u = sortedFrom(keys, counts)
-		return nil
-	}
-	m := make(map[string]int, size)
+// loadRuns materializes every entry of rs, size in all, into the sorted
+// layout of its W-word keys.
+func loadRuns(ctx context.Context, rs *spill.Runs, size int) (*SortedCounts, error) {
+	w := rs.Words()
+	keys := make([]uint64, 0, w*size)
+	counts := make([]int32, 0, size)
 	for run := range rs.NumRuns() {
-		if err := rs.EachBytes(ctx, run, func(key []byte, c int) bool {
-			m[string(key)] = c
+		if err := rs.Each(ctx, run, func(key []uint64, c int) bool {
+			keys = append(keys, key...)
+			counts = append(counts, int32(c))
 			return true
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	pc.s = m
-	return nil
+	return sortedFrom(keys, counts, w), nil
 }

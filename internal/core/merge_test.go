@@ -4,8 +4,8 @@ package core
 // a delta label (counted over only the appended rows) merged with
 // Label.Merge must be bit-identical — PC contents, size, VC section, row
 // count — to a full rebuild over base+delta rows, for every worker count,
-// every storage representation (dense, sorted, byte map, spilled u64,
-// spilled bytes), spilled runs in both epochs, and across the key-layout
+// every storage representation (dense, sorted and spilled, with one- and
+// two-word keys), spilled runs in both epochs, and across the key-layout
 // shift a delta that grows an attribute domain induces.
 
 import (
@@ -183,7 +183,7 @@ func TestLabelMergeBound(t *testing.T) {
 
 // TestLabelMergeSpilled drives the merge-on-read paths: a budgeted base
 // whose PC stays on disk absorbs deltas by one linear merge per sorted
-// run (the key layout is stable), across both key formats and both
+// run (the key layout is stable), across both key widths and both
 // outcomes of the footprint re-check (stay spilled vs materialize), with
 // the delta itself spilled in the second epoch too.
 func TestLabelMergeSpilled(t *testing.T) {
@@ -191,11 +191,10 @@ func TestLabelMergeSpilled(t *testing.T) {
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+0x93)
 			s := spillSet(t, d)
-			format := wantFormat(d, s)
 			cut := cfg.rows - cfg.rows/8
 			base, delta := splitDataset(t, d, cut)
 			want := must(BuildLabel(d, s, CountOptions{}))
-			entry := format.entryBytes(NewKeyer(d, s))
+			entry := NewKeyer(d, s).entryBytes()
 
 			for _, spillDelta := range []bool{false, true} {
 				// Both outcomes of the merge-time footprint re-check: under
@@ -328,10 +327,10 @@ func growthDataset(t *testing.T, rows, attrs, baseDom, deltaDom, deltaRows int, 
 }
 
 // TestLabelMergeDomainGrowth exercises the key-layout shift: the delta
-// interned new attribute values, so base u64/dense keys are incomparable
-// with union keys and the merge must re-key through decoded value ids —
-// including a spilled-u64 base whose union key space overflows uint64 and
-// lands on byte records.
+// interned new attribute values, so base sorted/dense keys are
+// incomparable with union keys and the merge must re-key through decoded
+// value ids — including a spilled one-word base whose union key space
+// passes one word and lands on two-word records.
 func TestLabelMergeDomainGrowth(t *testing.T) {
 	t.Run("dense-and-maps", func(t *testing.T) {
 		base, delta, full := growthDataset(t, 800, 4, 5, 9, 120, 0x71)
@@ -350,13 +349,14 @@ func TestLabelMergeDomainGrowth(t *testing.T) {
 		}
 	})
 	t.Run("spilled-u64-overflow", func(t *testing.T) {
-		// Base keys fit uint64 (21^6); the delta grows every domain to 2000,
-		// overflowing the union key space (2001^6 > 2^64) — the spilled base
-		// must rewrite its u64 runs as byte records.
+		// Base keys fit one word (20^6); the delta grows every domain to
+		// 2000, passing one word in the union key space (2000^6 > 2^63) —
+		// the spilled base must rewrite its one-word runs as two-word
+		// records.
 		base, delta, full := growthDataset(t, 1500, 6, 20, 2000, 300, 0x73)
 		s := lattice.FullSet(6)
-		if !NewKeyer(base, s).Fits() || NewKeyer(full, s).Fits() {
-			t.Fatalf("test shape broken: base fits=%v full fits=%v", NewKeyer(base, s).Fits(), NewKeyer(full, s).Fits())
+		if NewKeyer(base, s).Words() != 1 || NewKeyer(full, s).Words() != 2 {
+			t.Fatalf("test shape broken: base keys %d words, full %d", NewKeyer(base, s).Words(), NewKeyer(full, s).Words())
 		}
 		want := must(BuildLabel(full, s, CountOptions{}))
 		opts := testCountOptions(2)
@@ -432,39 +432,39 @@ func TestLabelMergeValidation(t *testing.T) {
 	}
 }
 
-// withKeyPastSpace copies a spilled uint64 PC's runs into fresh ones, adds
-// to run 0 a key past the key space that routes to it — every frame
-// checksum and header right — and returns a PC over the copy.
+// withKeyPastSpace copies a spilled PC's runs into fresh ones, adds to
+// run 0 a key past the key space that routes to it — its first word past
+// the first word's radix, every frame checksum and header right — and
+// returns a PC over the copy.
 func withKeyPastSpace(t *testing.T, d *dataset.Dataset, pc *PC) *PC {
 	t.Helper()
 	sp := pc.sp
-	rs, err := spill.NewRuns(t.TempDir(), spill.U64Keys, sp.runs.NumRuns(), nil)
+	rs, err := spill.NewRuns(t.TempDir(), sp.keyer.Words(), sp.runs.NumRuns(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	past, _ := sp.keyer.Radix()
-	for rs.RunOfU64(past) != 0 {
-		past++
+	past := make([]uint64, sp.keyer.Words())
+	for past[0] = sp.keyer.radix[0]; rs.RunOf(past) != 0; past[0]++ {
 	}
 	sizes := slices.Clone(sp.runSizes)
 	sizes[0]++
 	for run := range sizes {
 		rw := rs.RunWriter(run)
-		noErr(sp.runs.EachU64(nil, run, func(key uint64, c int) bool {
-			rw.AddU64(key, c)
+		noErr(sp.runs.Each(nil, run, func(key []uint64, c int) bool {
+			rw.Add(key, c)
 			return true
 		}))
 		if run == 0 {
-			rw.AddU64(past, 1)
+			rw.Add(past, 1)
 		}
 		noErr(rw.Close())
 	}
 	return must(PCFromRepr(d, PCRepr{Attrs: pc.Attrs(), Spill: &SpillRepr{
-		Runs: rs, U64: true, Size: sp.size + 1, RunSizes: sizes, Budget: sp.budget,
+		Runs: rs, Size: sp.size + 1, RunSizes: sizes, Budget: sp.budget,
 	}}))
 }
 
-// TestSpilledKeyPastSpaceFailsTyped: a uint64 run whose frames verify but
+// TestSpilledKeyPastSpaceFailsTyped: a run whose frames verify but
 // which holds a key past its attribute set's key space — a key that would
 // decode to values outside the domains — fails its load, a linear merge
 // and a re-keying merge with spill.ErrCorrupt, never feeding the key on.
@@ -481,8 +481,8 @@ func TestSpilledKeyPastSpaceFailsTyped(t *testing.T) {
 		opts.MemBudget = spillBudgetFor(tc.base, s, 3)
 		opts.SpillDir = t.TempDir()
 		bl := must(BuildLabel(tc.base, s, opts))
-		if !bl.PC().Spilled() || !bl.PC().sp.u64 {
-			t.Fatalf("%s: base did not spill uint64 runs", tc.name)
+		if !bl.PC().Spilled() {
+			t.Fatalf("%s: base did not spill", tc.name)
 		}
 		bad := withKeyPastSpace(t, tc.base, bl.PC())
 		if err := bad.EachCtx(nil, 4, func([]uint16, int) bool { return true }); !errors.Is(err, spill.ErrCorrupt) {

@@ -34,14 +34,6 @@ type CountOptions struct {
 	// always counted sequentially.
 	Workers int
 
-	// DenseLimit overrides the dense kernel's key-space threshold for
-	// scan group-bys (see dense.go): 0 means DefaultDenseLimit, a
-	// negative value disables the dense kernel entirely — every scanned
-	// set counts through hash maps, the pre-dense engine behaviour,
-	// useful as a differential-testing oracle and an ablation baseline.
-	// LabelSizes applies it to each set's accumulator the same way.
-	DenseLimit int
-
 	// Stats, when non-nil, accumulates which kernel each scanned set was
 	// routed to. Counters are bumped during single-threaded planning, so a
 	// shared ScanStats needs no synchronization across scans issued from
@@ -58,12 +50,11 @@ type CountOptions struct {
 
 	// MemBudget, when positive, bounds the estimated in-memory grouping
 	// state of a single group-by in bytes. A BuildPC of a set beyond the
-	// dense tier — uint64 keys as well as byte-string keys overflowing
-	// uint64 — whose modeled map footprint exceeds the budget runs on the
-	// external-memory spill tier (spillcount.go): keys hash-partition into
-	// on-disk runs (fixed-width uint64 records or byte records, matching
-	// the key encoding) sized so one run's map fits each counting worker's
-	// share of the budget, and the key-disjoint runs are counted K-way in
+	// dense tier, whatever its key width, whose modeled map footprint
+	// exceeds the budget runs on the external-memory spill tier
+	// (spillcount.go): keys hash-partition into on-disk runs of 8W-byte
+	// records sized so one run's map fits each counting worker's share of
+	// the budget, and the key-disjoint runs are counted K-way in
 	// parallel. Budgeted builds are bounded end to end: a result that
 	// models over the budget is not materialized — the PC keeps sorted runs
 	// and serves lookups merge-on-read. LabelSizes prices a capped set by
@@ -106,6 +97,13 @@ type CountOptions struct {
 	// tests set it (to force the sharded paths on small datasets); zero
 	// means defaultMinRowsPerWorker.
 	minRowsPerWorker int
+
+	// denseLimitOverride overrides the dense kernel's key-space threshold
+	// (see dense.go): 0 means defaultDenseLimit, a negative value disables
+	// the dense kernel, so every set counts through hash maps — the
+	// differential tests' oracle. Only tests set it. LabelSizes applies it
+	// to each set's accumulator the same way.
+	denseLimitOverride int
 }
 
 // scanWorkers resolves the effective worker count for an n-row scan.
@@ -149,14 +147,14 @@ func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions
 // It is the engine's one sizing kernel. Sets are grouped by gen parent — S
 // minus its largest attribute a — across the whole frontier. Because a is
 // the last member of S's mixed-radix key, that key is the parent's key
-// plus (v_a − 1)·radix(parent) whenever it fits uint64, so each group
-// computes its parent's keys once per row block (Keyer.KeyBlock) and every
-// child extends them by one column. A child counts into a pooled dense
-// slab when its key space passes denseSpaceOK (dense.go) and into a uint64
-// hash set otherwise; a set whose key overflows uint64 keeps the per-row
-// byte-key loop. Every child has the sequential loop's exact cap-abort: it
-// stops counting the moment it is proven out of bound, so a hash set never
-// holds more than cap+1 keys.
+// plus (v_a − 1)·radix(parent) whenever both keys are one word, so each
+// group computes its parent's keys once per row block (Keyer.KeyBlock) and
+// every child extends them by one column. A child counts into a pooled
+// dense slab when its key space passes denseSpaceOK (dense.go) and into a
+// uint64 hash set otherwise; a set whose key is wider than one word counts
+// row by row into a hash set of record-form keys. Every child has the
+// sequential loop's exact cap-abort: it stops counting the moment it is
+// proven out of bound, so a hash set never holds more than cap+1 keys.
 //
 // Groups are the unit of parallelism: while there are at least as many
 // groups as workers, each worker sizes whole groups and holds one group's
@@ -165,8 +163,8 @@ func LabelSize(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions
 //
 // Under a CountOptions.MemBudget a set beyond the dense tier is judged by
 // the state its accumulator can reach: min(radix, rows, cap+1) keys (no
-// cap+1 term when cap < 0), priced with the spill tier's per-entry map
-// models. The verdict does not depend on the worker count, so every worker
+// radix term for a key wider than one word, no cap+1 term when cap < 0),
+// priced with the spill tier's per-entry map models. The verdict does not depend on the worker count, so every worker
 // count picks the same tier. A set that fits stays in its group; with a
 // cap, that is every bound a label is meant to have. A set still over
 // budget — an uncapped size, or a cap too large for the budget — joins no
@@ -211,28 +209,28 @@ type sizeGroup struct {
 	children []sizeChild
 }
 
-// sizeChild is one set of a sizing group. A uint64-key child's key is the
+// sizeChild is one set of a sizing group. A one-word child's key is the
 // parent's key plus (id-1)·mult, id being its row's value of the added
-// attribute; a byte-key child carries its own keyer instead.
+// attribute; a wider child carries its own keyer instead.
 type sizeChild struct {
 	idx   int      // frontier index
 	col   []uint16 // the added attribute's column
 	mult  uint64   // the parent's key space
 	slots int      // dense slab length; 0 counts into a hash set
-	bytes *Keyer   // non-nil when the set's key overflows uint64
+	wide  *Keyer   // non-nil when the set's key is wider than one word
 }
 
 // sizeAcc is one worker's accumulator for one child; exactly one of slab,
-// seen and seenS is set.
+// seen and seenRec is set.
 type sizeAcc struct {
 	slab     []int32 // counts by key
 	distinct int     // nonzero slab slots
 	seen     map[uint64]struct{}
-	seenS    map[string]struct{}
+	seenRec  map[string]struct{} // record-form keys of a wide child
 }
 
 // size is the accumulator's distinct-key count.
-func (a *sizeAcc) size() int { return a.distinct + len(a.seen) + len(a.seenS) }
+func (a *sizeAcc) size() int { return a.distinct + len(a.seen) + len(a.seenRec) }
 
 // capSize applies the cap-abort contract to a distinct count: past cap it
 // reads (cap+1, false).
@@ -266,7 +264,7 @@ func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts Co
 			continue
 		}
 		if opts.MemBudget > 0 {
-			if fp, _, ok := opts.mapFootprint(NewKeyer(d, s), rows, cap); ok && fp > opts.MemBudget {
+			if fp, ok := opts.mapFootprint(NewKeyer(d, s), rows, cap); ok && fp > opts.MemBudget {
 				over = append(over, i)
 				continue
 			}
@@ -291,8 +289,8 @@ func planSizeGroups(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts Co
 			radix, fits := mulRadix(pr, domainRadix(d, a))
 			switch {
 			case !parentFits || !fits:
-				c.bytes = NewKeyer(d, sets[i])
-				stats.Bytes++
+				c.wide = NewKeyer(d, sets[i])
+				stats.Wide++
 			case denseSpaceOK(radix, rows, limit):
 				c.col, c.mult, c.slots = d.Col(a), pr, int(radix)
 				stats.Dense++
@@ -348,8 +346,8 @@ func newSizeAccs(children []sizeChild, pool *VecPool) []sizeAcc {
 	accs := make([]sizeAcc, len(children))
 	for j, c := range children {
 		switch {
-		case c.bytes != nil:
-			accs[j].seenS = make(map[string]struct{})
+		case c.wide != nil:
+			accs[j].seenRec = make(map[string]struct{})
 		case c.slots > 0:
 			accs[j].slab = pool.Int32(c.slots, true)
 		default:
@@ -371,7 +369,7 @@ func releaseSizeAccs(accs []sizeAcc, pool *VecPool) {
 // scanGroup counts rows [lo, hi) into one worker's accumulators for a
 // group. A row block's parent keys are computed once, when the first
 // active uint64-key child needs them, and each such child extends them by
-// its own column; byte-key children run the per-row loop. A child that
+// its own column; wide children run the per-row loop. A child that
 // passes the cap is swap-removed from the active list so later blocks skip
 // it. In sharded mode (non-nil exceeded) it also publishes its flag, and a
 // child another worker already proved out of bound is dropped. stop is
@@ -382,7 +380,7 @@ func scanGroup(g *sizeGroup, accs []sizeAcc, cols [][]uint16, lo, hi, cap int, e
 	for i := range active {
 		active[i] = i
 	}
-	var pg []uint64 // drawn on first use: a byte-key group never needs it
+	var pg []uint64 // drawn on first use: a group of wide children never needs it
 	defer func() { pool.PutUint64(pg) }()
 	var buf []byte
 	for blo := lo; blo < hi && len(active) > 0; blo += keyBlockRows {
@@ -398,8 +396,8 @@ func scanGroup(g *sizeGroup, accs []sizeAcc, cols [][]uint16, lo, hi, cap int, e
 			switch {
 			case exceeded != nil && cap >= 0 && exceeded[j].Load():
 				done = true
-			case c.bytes != nil:
-				done = acc.addRows(c.bytes, cols, blo, bhi, cap, &buf)
+			case c.wide != nil:
+				done = acc.addRows(c.wide, cols, blo, bhi, cap, &buf)
 			default:
 				if !keyed {
 					if pg == nil {
@@ -461,13 +459,13 @@ func (a *sizeAcc) addBlock(c *sizeChild, pg []uint64, blo, cap int) (done bool) 
 	return false
 }
 
-// addRows counts rows [lo, hi) of a byte-key child one row at a time; buf
-// is the worker's key scratch. It reports whether the distinct count
-// passed the cap.
+// addRows counts rows [lo, hi) of a wide child one row at a time, by
+// their record-form keys; buf is the worker's key scratch. It reports
+// whether the distinct count passed the cap.
 func (a *sizeAcc) addRows(k *Keyer, cols [][]uint16, lo, hi, cap int, buf *[]byte) (done bool) {
-	seen := a.seenS
+	seen := a.seenRec
 	for r := lo; r < hi; r++ {
-		b, ok := k.AppendBytesRow((*buf)[:0], cols, r)
+		b, ok := k.appendRecordRow((*buf)[:0], cols, r)
 		*buf = b
 		if !ok {
 			continue
@@ -518,13 +516,13 @@ func mergeSizeShards(shards [][]sizeAcc, j, cap int) int {
 		return len(first.seen)
 	default:
 		for _, accs := range shards[1:] {
-			for key := range accs[j].seenS {
-				first.seenS[key] = struct{}{}
-				if cap >= 0 && len(first.seenS) > cap {
-					return len(first.seenS)
+			for key := range accs[j].seenRec {
+				first.seenRec[key] = struct{}{}
+				if cap >= 0 && len(first.seenRec) > cap {
+					return len(first.seenRec)
 				}
 			}
 		}
-		return len(first.seenS)
+		return len(first.seenRec)
 	}
 }

@@ -32,8 +32,8 @@ func (c diffConfig) name() string {
 
 // diffConfigs spans the shapes the engine must handle: empty and tiny
 // datasets, mid-size ones, NULL-free and NULL-heavy data, narrow domains
-// (many duplicate patterns) and the 65000-value domains that overflow the
-// mixed-radix uint64 key and force the byte-string fallback.
+// (many duplicate patterns) and the 65000-value domains whose mixed-radix
+// key passes one uint64 word.
 var diffConfigs = []diffConfig{
 	{rows: 0, attrs: 3, domain: 4, nullRate: 0},
 	{rows: 1, attrs: 3, domain: 4, nullRate: 0},
@@ -41,7 +41,7 @@ var diffConfigs = []diffConfig{
 	{rows: 500, attrs: 5, domain: 6, nullRate: 0.1},
 	{rows: 500, attrs: 5, domain: 6, nullRate: 0.5},
 	{rows: 3000, attrs: 6, domain: 8, nullRate: 0.05},
-	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // 65000^4 > 2^63: byte-string keys
+	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // 65000^4 > 2^63: two-word keys
 	{rows: 1000, attrs: 8, domain: 2, nullRate: 0.02},
 }
 
@@ -118,10 +118,10 @@ func pcRepr(pc *PC) string {
 		return "spilled"
 	case pc.dz != nil:
 		return "dense"
-	case pc.u != nil:
-		return "sorted"
+	case pc.u.W > 1:
+		return "wide"
 	default:
-		return "bytes"
+		return "sorted"
 	}
 }
 
@@ -179,8 +179,8 @@ func TestDifferentialBuildPCParallel(t *testing.T) {
 }
 
 // sizingConfigs are the dataset shapes of the sizing harness: diffConfigs,
-// plus a 65000-value table whose 4-sets overflow the uint64 key from a
-// fitting parent and whose 5-set overflows from an overflowing parent,
+// plus a 65000-value table whose 4-sets pass one key word from a one-word
+// parent and whose 5-set passes it from a two-word parent,
 // and a table long enough that a scan spans several row blocks, both at
 // NULL rate 0.3.
 var sizingConfigs = append(diffConfigs[:len(diffConfigs):len(diffConfigs)],
@@ -248,7 +248,7 @@ func runSizingHarness(t *testing.T, frontiers func(n int, rng *rand.Rand) []sizi
 // checkSizing sizes one frontier at every cap around its largest size,
 // dense limit (default, small, disabled), worker count and ctx (nil, or
 // armed and never fired). Every set must get exactly the sequential
-// labelSize oracle's (size, within), and the Dense/Map/Bytes kernel
+// labelSize oracle's (size, within), and the Dense/Map/Wide kernel
 // counters must be the same for every worker count and ctx. A budgeted
 // frontier must leave no spill files behind; uncapped on tables of 2000
 // rows or more it must spill some set, and capped at 0 or 1 none, since
@@ -279,7 +279,7 @@ func checkSizing(t *testing.T, d *dataset.Dataset, f sizingFrontier) {
 				for _, ctx := range []context.Context{nil, armed} {
 					var stats ScanStats
 					opts := testCountOptions(workers)
-					opts.DenseLimit, opts.Ctx, opts.Stats = denseLimit, ctx, &stats
+					opts.denseLimitOverride, opts.Ctx, opts.Stats = denseLimit, ctx, &stats
 					if workers == 2 {
 						opts.Pool = pool // pooled and unpooled slabs
 					}
@@ -304,9 +304,9 @@ func checkSizing(t *testing.T, d *dataset.Dataset, f sizingFrontier) {
 								f.name, s, cap, denseLimit, workers, ctx != nil, sizes[i], within[i], wantSizes[i], wantWithin[i])
 						}
 					}
-					kernels = append(kernels, [3]int{stats.Dense, stats.Map, stats.Bytes})
+					kernels = append(kernels, [3]int{stats.Dense, stats.Map, stats.Wide})
 					if kernels[len(kernels)-1] != kernels[0] {
-						t.Fatalf("%s cap=%d dense=%d workers=%d ctx=%v: Dense/Map/Bytes %v, workers=1 nil ctx %v",
+						t.Fatalf("%s cap=%d dense=%d workers=%d ctx=%v: Dense/Map/Wide %v, workers=1 nil ctx %v",
 							f.name, cap, denseLimit, workers, ctx != nil, kernels[len(kernels)-1], kernels[0])
 					}
 					if f.budget {
@@ -350,7 +350,7 @@ func singleFrontiers(n int, rng *rand.Rand) []sizingFrontier {
 
 // mixedFrontiers returns arbitrary frontiers: the probe sets (∅, every
 // singleton, the full set and random subsets) in one call, and the full
-// set with its parents (byte keys on wide data).
+// set with its parents (two-word keys on wide data).
 func mixedFrontiers(n int, rng *rand.Rand) []sizingFrontier {
 	full := lattice.FullSet(n)
 	return []sizingFrontier{
@@ -397,8 +397,8 @@ func TestDifferentialRefineSizes(t *testing.T) { runSizingHarness(t, siblingFron
 // LabelSizes of one set.
 func TestDifferentialLabelSizeParallel(t *testing.T) { runSizingHarness(t, singleFrontiers) }
 
-// TestDifferentialLabelSizesFused sizes arbitrary frontiers mixing uint64-
-// and byte-key sets, in-bound and out-of-bound, in one call.
+// TestDifferentialLabelSizesFused sizes arbitrary frontiers mixing one- and
+// two-word-key sets, in-bound and out-of-bound, in one call.
 func TestDifferentialLabelSizesFused(t *testing.T) { runSizingHarness(t, mixedFrontiers) }
 
 // TestDifferentialSearchStyleFrontier sizes TopDown and Naive levels.

@@ -33,7 +33,7 @@ func DistinctTuples(d *dataset.Dataset) *PatternSet {
 	k := NewKeyer(d, all)
 	cols := datasetCols(d)
 	ps := &PatternSet{stride: n}
-	if k.Fits() {
+	if k.Words() == 1 {
 		idx := make(map[uint64]int)
 		for r := 0; r < d.NumRows(); r++ {
 			key, ok := k.KeyRow(cols, r)
@@ -58,7 +58,7 @@ func DistinctTuples(d *dataset.Dataset) *PatternSet {
 	idx := make(map[string]int)
 	var buf []byte
 	for r := 0; r < d.NumRows(); r++ {
-		b, ok := k.AppendBytesRow(buf[:0], cols, r)
+		b, ok := k.appendRecordRow(buf[:0], cols, r)
 		buf = b
 		if !ok {
 			continue

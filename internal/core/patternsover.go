@@ -34,39 +34,3 @@ func PatternsOver(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Pa
 	}
 	return ps, nil
 }
-
-// CrossProductPatterns builds every value combination over s from the
-// active domains — including combinations with count zero. Audits use it to
-// ask "which intersections are missing entirely?", which P_S by definition
-// cannot reveal (it only contains positive-count patterns).
-func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) (*PatternSet, error) {
-	n := d.NumAttrs()
-	members := s.Members()
-	ps := &PatternSet{stride: n}
-	// True counts for the non-zero combinations: a sequential, unbudgeted
-	// build is an in-memory index, whose lookups cannot fail.
-	pc, err := BuildPC(d, s, CountOptions{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]uint16, n)
-	var rec func(int)
-	rec = func(j int) {
-		if j == len(members) {
-			base := len(ps.flat)
-			ps.flat = append(ps.flat, make([]uint16, n)...)
-			copy(ps.flat[base:], vals)
-			ps.counts = append(ps.counts, pc.lookupVals(vals))
-			ps.attrs = append(ps.attrs, s)
-			return
-		}
-		a := members[j]
-		for id := uint16(1); int(id) <= d.Attr(a).DomainSize(); id++ {
-			vals[a] = id
-			rec(j + 1)
-		}
-		vals[a] = dataset.Null
-	}
-	rec(0)
-	return ps, nil
-}

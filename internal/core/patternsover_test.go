@@ -32,29 +32,6 @@ func TestPatternsOver(t *testing.T) {
 	}
 }
 
-func TestCrossProductPatterns(t *testing.T) {
-	d := testutil.Fig2()
-	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	ps := must(CrossProductPatterns(d, s))
-	// 2 age groups × 3 marital statuses = 6 combinations.
-	if ps.Len() != 6 {
-		t.Fatalf("patterns = %d, want 6", ps.Len())
-	}
-	zeros := 0
-	for i := 0; i < ps.Len(); i++ {
-		if got := CountPattern(d, ps.Pattern(i)); got != ps.Count(i) {
-			t.Errorf("pattern %d: stored %d, scan %d", i, ps.Count(i), got)
-		}
-		if ps.Count(i) == 0 {
-			zeros++
-		}
-	}
-	// The three combinations that never occur (Example 2.10 complement).
-	if zeros != 3 {
-		t.Errorf("zero-count combinations = %d, want 3", zeros)
-	}
-}
-
 // TestLabelOptimizedForRestrictedWorkload: optimizing against P_S (the
 // "sensitive attributes" use case of Definition 2.15) yields zero error on
 // that workload once S fits the bound.

@@ -10,10 +10,10 @@ import (
 
 // PCRepr is the representation-level view of a pattern-count index — the
 // serialization hook behind label artifacts (internal/artifact). Exactly
-// one of Dense, U, S and Spill is populated, mirroring the four storage
-// representations of PC. The exposed slices, maps and runs are the PC's
-// own state, not copies: callers must treat them as read-only and must
-// have exclusive access while adopting a spilled index's run files.
+// one of Dense, U and Spill is populated, mirroring the three storage
+// representations of PC. The exposed slices and runs are the PC's own
+// state, not copies: callers must treat them as read-only and must have
+// exclusive access while adopting a spilled index's run files.
 type PCRepr struct {
 	Attrs lattice.AttrSet
 
@@ -21,21 +21,17 @@ type PCRepr struct {
 	Dense    []int32
 	Distinct int
 
-	// Sorted path: ascending mixed-radix keys with their counts.
+	// Sorted path: ascending W-word keys with their counts.
 	U *SortedCounts
-
-	// Byte-string path.
-	S map[string]int
 
 	// Merge-on-read path.
 	Spill *SpillRepr
 }
 
-// SpillRepr describes a merge-on-read index: its sorted on-disk runs plus
-// the metadata needed to reconstruct the read path.
+// SpillRepr describes a merge-on-read index: its sorted on-disk runs of
+// W-word keys plus the metadata needed to reconstruct the read path.
 type SpillRepr struct {
 	Runs     *spill.Runs
-	U64      bool  // uint64 keys (vs byte-string)
 	Size     int   // total distinct patterns, exact
 	RunSizes []int // per-run distinct-key counts
 	Budget   int64 // pinned hot-run cache budget
@@ -48,17 +44,14 @@ func (pc *PC) Repr() PCRepr {
 	case pc.sp != nil:
 		r.Spill = &SpillRepr{
 			Runs:     pc.sp.runs,
-			U64:      pc.sp.u64,
 			Size:     pc.sp.size,
 			RunSizes: pc.sp.runSizes,
 			Budget:   pc.sp.budget,
 		}
 	case pc.dz != nil:
 		r.Dense, r.Distinct = pc.dz, pc.distinct
-	case pc.u != nil:
-		r.U = pc.u
 	default:
-		r.S = pc.s
+		r.U = pc.u
 	}
 	return r
 }
@@ -74,8 +67,9 @@ func (pc *PC) Repr() PCRepr {
 // In-memory representations are checked against the invariants their
 // lookups rely on, and one that breaks them is an error, never a PC that
 // answers wrongly: a dense slab must match the key space, hold no negative
-// count and have Distinct nonzero slots; a sorted layout must have
-// strictly ascending keys inside the key space and positive counts.
+// count and have Distinct nonzero slots; a sorted layout must have the
+// attribute set's key width, strictly ascending keys inside the key space
+// and positive counts.
 func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 	k := NewKeyer(d, r.Attrs)
 	pc := &PC{keyer: k}
@@ -88,17 +82,10 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 		if sr.Runs.NumRuns() != len(sr.RunSizes) {
 			return nil, fmt.Errorf("core: spilled PC has %d runs but %d run sizes", sr.Runs.NumRuns(), len(sr.RunSizes))
 		}
-		format := spillFmtBytes
-		if sr.U64 {
-			if !k.Fits() {
-				return nil, fmt.Errorf("core: uint64 spill format for attribute set %v whose key space overflows uint64", r.Attrs)
-			}
-			format = spillFmtU64
+		if sr.Runs.Words() != k.Words() {
+			return nil, fmt.Errorf("core: spilled PC runs hold %d-word keys, attribute set %v keys %d words", sr.Runs.Words(), r.Attrs, k.Words())
 		}
-		if w := format.keyWidth(k); sr.Runs.KeyWidth() != w {
-			return nil, fmt.Errorf("core: spilled PC runs hold %d-byte keys, attribute set %v keys %d", sr.Runs.KeyWidth(), r.Attrs, w)
-		}
-		pc.sp = newSpilledPC(sr.Runs, k, format, sr.Size, sr.RunSizes, sr.Budget, nil)
+		pc.sp = newSpilledPC(sr.Runs, k, sr.Size, sr.RunSizes, sr.Budget, nil)
 	case r.Dense != nil:
 		radix, ok := k.Radix()
 		if !ok || radix != uint64(len(r.Dense)) {
@@ -118,16 +105,10 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 		}
 		pc.dz, pc.distinct = r.Dense, r.Distinct
 	case r.U != nil:
-		radix, ok := k.Radix()
-		if !ok {
-			return nil, fmt.Errorf("core: sorted uint64 PC for attribute set %v whose key space overflows uint64", r.Attrs)
-		}
-		if err := r.U.validate(radix); err != nil {
+		if err := r.U.validate(k.radix); err != nil {
 			return nil, err
 		}
 		pc.u = r.U
-	case r.S != nil:
-		pc.s = r.S
 	default:
 		return nil, fmt.Errorf("core: PC representation with no populated storage")
 	}

@@ -107,7 +107,7 @@ func TestPortableDeterministicEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := lattice.FromNames(d.AttrNames(), "cut", "polish", "clarity")
-	l := must(BuildLabel(d, s, CountOptions{Workers: 1, DenseLimit: -1}))
+	l := must(BuildLabel(d, s, CountOptions{Workers: 1, denseLimitOverride: -1}))
 	if l.PC().Repr().U == nil {
 		t.Fatal("label is not map-backed")
 	}

@@ -2,7 +2,7 @@ package core
 
 // Differential coverage for frontiers with several over-budget sets: each
 // must size bit-identically to the sequential LabelSize oracle — for every
-// worker count, across the cap grid, for byte and uint64 record formats
+// worker count, across the cap grid, for two-word and one-word records
 // and for frontiers mixing both with in-memory sets. Uncapped, every
 // over-budget set is sized through its own budgeted build; capped at 0 or
 // 1, no set can reach more than two keys, so none spills.
@@ -34,9 +34,13 @@ func sharedSpillCaps(d *dataset.Dataset, sets []lattice.AttrSet) []int {
 // runSharedSpillDifferential sizes the frontier across the worker and cap
 // grids, comparing every result to the sequential oracle and asserting
 // the spill accounting. wantSpilled is the number of frontier sets an
-// uncapped sizing must route to disk.
-func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet, budget int64, wantSpilled int, wantBothFormats bool) {
+// uncapped sizing must route to disk; wantBothWidths asks that they
+// include one-word and wider keys.
+func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet, budget int64, wantSpilled int, wantBothWidths bool) {
 	t.Helper()
+	if wantBothWidths && !spillsBothWidths(d, sets, budget) {
+		t.Fatal("test shape broken: the over-budget sets do not span both key widths")
+	}
 	caps := sharedSpillCaps(d, sets)
 	type oracleRes struct {
 		size   int
@@ -81,19 +85,28 @@ func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice
 				t.Fatalf("workers=%d cap=%d: Spilled=%d Fallbacks=%d, want %d spilled uncapped",
 					workers, cap, stats.Spilled, stats.SpillFallbacks, wantSpilled)
 			}
-			if cap < 0 && wantBothFormats && (stats.SpilledU64 == 0 || stats.SpilledU64 == stats.Spilled) {
-				t.Fatalf("workers=%d cap=%d: SpilledU64=%d of %d, want both formats",
-					workers, cap, stats.SpilledU64, stats.Spilled)
-			}
 			assertNoSpillFiles(t, dir)
 		}
 	}
 }
 
+// spillsBothWidths reports whether the sets whose uncapped sizing state
+// models over budget include one-word and wider keys.
+func spillsBothWidths(d *dataset.Dataset, sets []lattice.AttrSet, budget int64) bool {
+	var one, wide bool
+	for _, s := range sets {
+		k := NewKeyer(d, s)
+		if fp, ok := (CountOptions{}).mapFootprint(k, d.NumRows(), -1); ok && fp > budget {
+			one, wide = one || k.Words() == 1, wide || k.Words() > 1
+		}
+	}
+	return one && wide
+}
+
 // TestDifferentialSharedSpillMixedFrontier exercises a frontier mixing
-// byte-record spilled sets (5-subsets and the full set of 6 attributes at
-// domain 65000: keys overflow uint64), uint64-record spilled sets (pairs
-// and a singleton: uint64-keyable, beyond the dense tier, over budget) and
+// two-word-record spilled sets (5-subsets and the full set of 6 attributes
+// at domain 65000: keys pass one word), one-word-record spilled sets (pairs
+// and a singleton: one-word keys, beyond the dense tier, over budget) and
 // one in-memory set (the empty set is dense-keyable and joins the fused
 // scan) — two record widths and the grouped kernel in one frontier.
 func TestDifferentialSharedSpillMixedFrontier(t *testing.T) {
@@ -115,10 +128,10 @@ func TestDifferentialSharedSpillMixedFrontier(t *testing.T) {
 	runSharedSpillDifferential(t, d, sets, budget, len(sets)-1, true)
 }
 
-// TestDifferentialSharedSpillU64Frontier pins the pure-uint64 shape: every
-// spilled set uses the fixed-width 8-byte record format (3-subsets and the
-// full set of 4 attributes at domain 300 all fit uint64 but exceed the
-// dense tier and the budget).
+// TestDifferentialSharedSpillU64Frontier pins the pure one-word shape:
+// every spilled set uses 8-byte records (3-subsets and the full set of 4
+// attributes at domain 300 all key one word but exceed the dense tier and
+// the budget).
 func TestDifferentialSharedSpillU64Frontier(t *testing.T) {
 	cfg := diffConfig{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}
 	d := diffDataset(t, cfg, 0x89)
@@ -128,13 +141,10 @@ func TestDifferentialSharedSpillU64Frontier(t *testing.T) {
 		sets = append(sets, full.Remove(i))
 	}
 	budget := spillBudgetFor(d, full.Remove(0), 3)
-	var stats ScanStats
-	opts := testCountOptions(1)
-	opts.MemBudget = budget
-	opts.SpillDir = t.TempDir()
-	opts.Stats = &stats
-	if _, _ = must2(LabelSizes(d, sets, -1, opts)); stats.SpilledU64 != stats.Spilled {
-		t.Fatalf("frontier not pure uint64: %d of %d spilled sets", stats.SpilledU64, stats.Spilled)
+	for _, s := range sets {
+		if w := NewKeyer(d, s).Words(); w != 1 {
+			t.Fatalf("frontier not pure one-word: set %v keys %d words", s, w)
+		}
 	}
 	runSharedSpillDifferential(t, d, sets, budget, len(sets), false)
 }

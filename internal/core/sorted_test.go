@@ -33,7 +33,7 @@ func checkSorted(t *testing.T, s *SortedCounts, want map[uint64]int) {
 	if cap(s.Keys) != len(s.Keys) || cap(s.Counts) != len(s.Counts) {
 		t.Fatalf("layout slices are not exact-size: cap %d/%d, len %d", cap(s.Keys), cap(s.Counts), len(s.Keys))
 	}
-	if err := s.validate(^uint64(0)); err != nil {
+	if err := s.validate([]uint64{^uint64(0)}); err != nil {
 		t.Fatal(err)
 	}
 	for key, c := range want {
@@ -52,8 +52,50 @@ func TestSortedFromMatchesMap(t *testing.T) {
 			for i, key := range keys {
 				want[key] += int(counts[i])
 			}
-			checkSorted(t, sortedFrom(keys, counts), want)
+			checkSorted(t, sortedFrom(keys, counts, 1), want)
 			checkSorted(t, sortedFromMap(want), want)
+		}
+	}
+}
+
+// TestSortedFromWide: keys of two and three words sort lexicographically
+// word by word, equal keys sum, and every key looks up its total.
+func TestSortedFromWide(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x51, 0x27))
+	for _, w := range []int{2, 3} {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			var keys []uint64
+			var counts []int32
+			want := make(map[[3]uint64]int)
+			for i := 0; i < n; i++ {
+				var key [3]uint64
+				if i > 0 && rng.IntN(3) == 0 {
+					copy(key[:w], keys[w*rng.IntN(i):])
+				} else {
+					for j := range w {
+						key[j] = rng.Uint64N(1 << (5 * (j + 1)))
+					}
+				}
+				c := int32(1 + rng.IntN(5))
+				keys, counts = append(keys, key[:w]...), append(counts, c)
+				want[key] += int(c)
+			}
+			s := sortedFrom(keys, counts, w)
+			if s.W != w || len(s.Counts) != len(want) || len(s.Keys) != w*len(want) {
+				t.Fatalf("w=%d n=%d: layout of %d-word keys holds %d key words and %d counts, want %d entries", w, n, s.W, len(s.Keys), len(s.Counts), len(want))
+			}
+			radix := slices.Repeat([]uint64{^uint64(0)}, w)
+			if err := s.validate(radix); err != nil {
+				t.Fatalf("w=%d n=%d: %v", w, n, err)
+			}
+			for key, c := range want {
+				if got := s.lookupKey(key[:w]); got != c {
+					t.Fatalf("w=%d n=%d: lookupKey(%v) = %d, want %d", w, n, key[:w], got, c)
+				}
+			}
+			if got := s.lookupKey([]uint64{1 << 62, 0, 0}[:w]); got != 0 {
+				t.Fatalf("w=%d: absent key counts %d", w, got)
+			}
 		}
 	}
 }
@@ -61,26 +103,39 @@ func TestSortedFromMatchesMap(t *testing.T) {
 // TestSortedValidate: every broken invariant a binary search or Decode
 // would trip on is an error.
 func TestSortedValidate(t *testing.T) {
-	ok := &SortedCounts{Keys: []uint64{1, 5, 9}, Counts: []int32{2, 1, 7}}
-	if err := ok.validate(10); err != nil {
+	ok := &SortedCounts{W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{2, 1, 7}}
+	if err := ok.validate([]uint64{10}); err != nil {
 		t.Fatalf("valid layout rejected: %v", err)
 	}
+	okWide := &SortedCounts{W: 2, Keys: []uint64{1, 4, 1, 6, 2, 0}, Counts: []int32{2, 1, 7}}
+	if err := okWide.validate([]uint64{3, 7}); err != nil {
+		t.Fatalf("valid two-word layout rejected: %v", err)
+	}
 	for name, s := range map[string]*SortedCounts{
-		"descending":     {Keys: []uint64{5, 1, 9}, Counts: []int32{1, 1, 1}},
-		"repeated":       {Keys: []uint64{1, 5, 5}, Counts: []int32{1, 1, 1}},
-		"outside radix":  {Keys: []uint64{1, 5, 10}, Counts: []int32{1, 1, 1}},
-		"zero count":     {Keys: []uint64{1, 5, 9}, Counts: []int32{1, 0, 1}},
-		"negative count": {Keys: []uint64{1, 5, 9}, Counts: []int32{1, -3, 1}},
-		"short counts":   {Keys: []uint64{1, 5, 9}, Counts: []int32{1, 1}},
+		"descending":         {W: 1, Keys: []uint64{5, 1, 9}, Counts: []int32{1, 1, 1}},
+		"repeated":           {W: 1, Keys: []uint64{1, 5, 5}, Counts: []int32{1, 1, 1}},
+		"outside radix":      {W: 1, Keys: []uint64{1, 5, 10}, Counts: []int32{1, 1, 1}},
+		"zero count":         {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, 0, 1}},
+		"negative count":     {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, -3, 1}},
+		"short counts":       {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, 1}},
+		"wrong width":        {W: 2, Keys: []uint64{1, 5}, Counts: []int32{1}},
+		"wide descending":    {W: 2, Keys: []uint64{1, 4, 1, 3}, Counts: []int32{1, 1}},
+		"wide outside radix": {W: 2, Keys: []uint64{1, 4, 1, 12}, Counts: []int32{1, 1}},
+		"wide short keys":    {W: 2, Keys: []uint64{1, 4, 1}, Counts: []int32{1, 1}},
 	} {
-		if err := s.validate(10); err == nil {
+		radix := []uint64{10}
+		if name != "wrong width" && s.W == 2 {
+			radix = []uint64{3, 7}
+		}
+		if err := s.validate(radix); err == nil {
 			t.Errorf("%s: validate accepted %v", name, s)
 		}
 	}
 }
 
 // TestSortedPCIteratesInKeyOrder: a sorted PC's EachCtx walks ascending
-// keys, so its order no longer depends on map iteration.
+// keys, so its order no longer depends on map iteration — for two-word
+// keys too, in lexicographic order.
 func TestSortedPCIteratesInKeyOrder(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 40, nullRate: 0.05}, 0x52)
 	pc := must(BuildPC(d, lattice.FullSet(d.NumAttrs()), CountOptions{Workers: 2, minRowsPerWorker: 1}))
@@ -99,5 +154,26 @@ func TestSortedPCIteratesInKeyOrder(t *testing.T) {
 	want := pcDump(must(BuildPC(d, lattice.FullSet(d.NumAttrs()), CountOptions{Workers: 1})))
 	if got := pcDump(pc); !maps.Equal(got, want) {
 		t.Fatal("parallel sorted build differs from the sequential one")
+	}
+}
+
+func TestWideSortedPCIteratesInKeyOrder(t *testing.T) {
+	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.05}, 0x53)
+	full := lattice.FullSet(d.NumAttrs())
+	pc := must(BuildPC(d, full, CountOptions{Workers: 2, minRowsPerWorker: 1}))
+	if pcRepr(pc) != "wide" {
+		t.Fatalf("PC is %s, want wide", pcRepr(pc))
+	}
+	var keys [][]uint64
+	noErr(pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, _ int) bool {
+		key, _ := pc.keyer.appendKey(nil, vals)
+		keys = append(keys, key)
+		return true
+	}))
+	if !slices.IsSortedFunc(keys, slices.Compare) || len(keys) != pc.Size() {
+		t.Fatalf("EachCtx yields %d keys, sorted %v; size %d", len(keys), slices.IsSortedFunc(keys, slices.Compare), pc.Size())
+	}
+	if got, want := pcDump(pc), pcDump(must(BuildPC(d, full, CountOptions{Workers: 1}))); !maps.Equal(got, want) {
+		t.Fatal("parallel wide build differs from the sequential one")
 	}
 }

@@ -3,8 +3,8 @@ package core
 // Differential tests for the external-memory spill tier: under a MemBudget
 // that forces multiple on-disk runs, the spill group-by must be
 // bit-identical to BuildPC and LabelSize — same pattern→count maps, same
-// cap-abort outcomes — for every worker count and both record formats
-// (byte-string and fixed-width uint64), and must leave no run files behind
+// cap-abort outcomes — for every worker count and key width (one-word and
+// two-word records), and must leave no run files behind
 // on any exit path. Budgeted builds whose result models over the budget
 // come back merge-on-read (spilledpc.go): those are additionally pinned
 // against the in-memory oracle through the whole consumer surface
@@ -22,13 +22,13 @@ import (
 )
 
 // spillConfigs are the shapes the spill tier serves, across NULL rates and
-// duplication levels: byte-key sets (mixed-radix key overflowing uint64)
-// and uint64-map sets beyond the dense tier.
+// duplication levels: two-word-key sets (mixed-radix key past one word)
+// and one-word-key sets beyond the dense tier.
 var spillConfigs = []diffConfig{
 	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0},
 	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1},
 	{rows: 2000, attrs: 5, domain: 40000, nullRate: 0.3},
-	{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}, // 300^4 fits uint64, beyond dense: u64 format
+	{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}, // 300^4 fits one word, beyond dense
 }
 
 // spillBudgetFor returns a MemBudget that forces the full set of cfg into
@@ -36,14 +36,11 @@ var spillConfigs = []diffConfig{
 // counting only increases the run count).
 func spillBudgetFor(d *dataset.Dataset, s lattice.AttrSet, minRuns int) int64 {
 	k := NewKeyer(d, s)
-	distinct, format := d.NumRows(), spillFmtBytes
-	if r, fits := k.Radix(); fits {
-		format = spillFmtU64
-		if r < uint64(distinct) {
-			distinct = int(r)
-		}
+	distinct := d.NumRows()
+	if r, oneWord := k.Radix(); oneWord && r < uint64(distinct) {
+		distinct = int(r)
 	}
-	return int64(distinct)*format.entryBytes(k)/int64(minRuns) - 1
+	return int64(distinct)*k.entryBytes()/int64(minRuns) - 1
 }
 
 // spillSet returns the full attribute set, skipping configs whose full-set
@@ -52,7 +49,7 @@ func spillSet(t *testing.T, d *dataset.Dataset) lattice.AttrSet {
 	t.Helper()
 	s := lattice.FullSet(d.NumAttrs())
 	k := NewKeyer(d, s)
-	if _, dense := denseRadix(k, d.NumRows(), DefaultDenseLimit); dense {
+	if _, dense := denseRadix(k, d.NumRows(), defaultDenseLimit); dense {
 		t.Skipf("set %v is dense-keyable; not a spill shape", s)
 	}
 	return s
@@ -91,20 +88,12 @@ func pcEqualContents(t *testing.T, want, got *PC) {
 	}
 }
 
-// wantFormat returns the record format dispatch must pick for the set.
-func wantFormat(d *dataset.Dataset, s lattice.AttrSet) spillFormat {
-	if NewKeyer(d, s).Fits() {
-		return spillFmtU64
-	}
-	return spillFmtBytes
-}
-
 func TestDifferentialSpillBuildPC(t *testing.T) {
 	for ci, cfg := range spillConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+0x51)
 			s := spillSet(t, d)
-			format := wantFormat(d, s)
+			k := NewKeyer(d, s)
 			want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 			budget := spillBudgetFor(d, s, 4)
 			for _, workers := range diffWorkerCounts {
@@ -119,25 +108,18 @@ func TestDifferentialSpillBuildPC(t *testing.T) {
 				if stats.Spilled != 1 {
 					t.Fatalf("workers=%d: Spilled = %d, want 1", workers, stats.Spilled)
 				}
-				var wantU64 int64
-				if format == spillFmtU64 {
-					wantU64 = 1
-				}
-				if stats.SpilledU64 != wantU64 {
-					t.Fatalf("workers=%d: SpilledU64 = %d, want %d", workers, stats.SpilledU64, wantU64)
-				}
 				if stats.SpillRuns < 4 {
 					t.Fatalf("workers=%d: SpillRuns = %d, want >= 4", workers, stats.SpillRuns)
 				}
 				// SpillBytes includes per-flush frame headers on top of the
 				// record payload.
-				if wantPayload := int64(d.NumRows() * 2 * s.Size()); cfg.nullRate == 0 && format == spillFmtBytes && stats.SpillBytes < wantPayload {
+				if wantPayload := int64(d.NumRows() * 8 * k.Words()); cfg.nullRate == 0 && stats.SpillBytes < wantPayload {
 					t.Fatalf("workers=%d: SpillBytes = %d, want >= %d", workers, stats.SpillBytes, wantPayload)
 				}
 				// Whether the result materialized or stayed merge-on-read
 				// is decided by the exact counted size against the budget —
 				// identical for every worker count.
-				wantSpilled := int64(want.Size())*int64(format.entryBytes(NewKeyer(d, s))) > budget
+				wantSpilled := int64(want.Size())*k.entryBytes() > budget
 				if got.Spilled() != wantSpilled {
 					t.Fatalf("workers=%d: Spilled() = %v, want %v (size %d, budget %d)",
 						workers, got.Spilled(), wantSpilled, want.Size(), budget)
@@ -176,8 +158,8 @@ func TestDifferentialSpillLabelSize(t *testing.T) {
 	}
 }
 
-// TestSpilledSizingCountsOnly pins the sizing ending of a spilled scan in
-// both record formats: a set whose sizing state models over the budget is
+// TestSpilledSizingCountsOnly pins the sizing ending of a spilled scan at
+// both key widths: a set whose sizing state models over the budget is
 // partitioned and its runs counted, but no sorted run is written — the
 // only files created are the partition runs — and a cap stops the count
 // once the running total passes it, so fewer runs are read than uncapped.
@@ -196,9 +178,9 @@ func TestSpilledSizingCountsOnly(t *testing.T) {
 				return n, within, stats, ffs.Counts()
 			}
 			n, within, stats, ops := size(-1)
-			if n != exact || !within || stats.Spilled != 1 || stats.SpilledU64 != int64(wantFormat(d, s)) {
-				t.Fatalf("uncapped: (%d, %v) Spilled=%d SpilledU64=%d, want (%d, true) spilled once",
-					n, within, stats.Spilled, stats.SpilledU64, exact)
+			if n != exact || !within || stats.Spilled != 1 {
+				t.Fatalf("uncapped: (%d, %v) Spilled=%d, want (%d, true) spilled once",
+					n, within, stats.Spilled, exact)
 			}
 			if ops[iofault.OpCreate] != stats.SpillRuns {
 				t.Fatalf("created %d files for %d partition runs: sizing wrote sorted runs",
@@ -258,18 +240,18 @@ func TestDifferentialSpillFused(t *testing.T) {
 	}
 }
 
-// TestSpillU64Format pins the new u64 dispatch rule: a uint64-keyable set
-// beyond the dense tier spills with the fixed-width uint64 record format
-// and stays bit-identical to the oracle.
+// TestSpillU64Format pins the one-word dispatch rule: a one-word-keyable
+// set beyond the dense tier spills 8-byte records and stays bit-identical
+// to the oracle.
 func TestSpillU64Format(t *testing.T) {
-	cfg := spillConfigs[3] // 300^4 fits uint64, beyond the dense slot limit
+	cfg := spillConfigs[3] // 300^4 fits one word, beyond the dense slot limit
 	d := diffDataset(t, cfg, 0x54)
 	s := lattice.FullSet(cfg.attrs)
 	k := NewKeyer(d, s)
-	if !k.Fits() {
-		t.Fatalf("config %v unexpectedly overflows uint64", cfg)
+	if k.Words() != 1 {
+		t.Fatalf("config %v unexpectedly keys %d words", cfg, k.Words())
 	}
-	if _, dense := denseRadix(k, d.NumRows(), DefaultDenseLimit); dense {
+	if _, dense := denseRadix(k, d.NumRows(), defaultDenseLimit); dense {
 		t.Fatalf("config %v unexpectedly dense-keyable", cfg)
 	}
 	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
@@ -280,8 +262,8 @@ func TestSpillU64Format(t *testing.T) {
 	opts.Stats = &stats
 	got := must(BuildPC(d, s, opts))
 	pcEqualContents(t, want, got)
-	if stats.Spilled != 1 || stats.SpilledU64 != 1 {
-		t.Fatalf("Spilled=%d SpilledU64=%d, want 1/1", stats.Spilled, stats.SpilledU64)
+	if stats.Spilled != 1 {
+		t.Fatalf("Spilled=%d, want 1", stats.Spilled)
 	}
 	// 8-byte records, one per non-NULL row, in 8-byte-header frames,
 	// plus the sorted runs a spilled result keeps.
@@ -289,7 +271,7 @@ func TestSpillU64Format(t *testing.T) {
 	if r := got.Repr(); r.Spill != nil {
 		sorted = r.Spill.Runs.Bytes()
 	}
-	if (stats.SpillBytes-sorted)%spillRecWidthU64 != 0 {
+	if (stats.SpillBytes-sorted)%8 != 0 {
 		t.Fatalf("SpillBytes = %d less %d sorted-run bytes is not a multiple of the u64 record width", stats.SpillBytes, sorted)
 	}
 	got.ReleaseSpill()
@@ -304,7 +286,7 @@ func TestSpillNeverDense(t *testing.T) {
 	d := diffDataset(t, cfg, 0x58)
 	s := lattice.FullSet(cfg.attrs)
 	k := NewKeyer(d, s)
-	if _, dense := denseRadix(k, d.NumRows(), DefaultDenseLimit); !dense {
+	if _, dense := denseRadix(k, d.NumRows(), defaultDenseLimit); !dense {
 		t.Fatalf("config %v unexpectedly beyond the dense tier", cfg)
 	}
 	var stats ScanStats
@@ -319,8 +301,8 @@ func TestSpillNeverDense(t *testing.T) {
 	}
 }
 
-// TestSpillDispatchDeterministic pins the predicate's edges for both
-// formats: footprint at or under the budget stays in memory; one byte over
+// TestSpillDispatchDeterministic pins the predicate's edges for both key
+// widths: footprint at or under the budget stays in memory; one byte over
 // spills; zero rows and unset budgets never spill; the run count scales
 // with the counting workers' budget shares.
 func TestSpillDispatchDeterministic(t *testing.T) {
@@ -328,50 +310,53 @@ func TestSpillDispatchDeterministic(t *testing.T) {
 	d := diffDataset(t, cfg, 0x55)
 	s := lattice.FullSet(cfg.attrs)
 	k := NewKeyer(d, s)
-	fp := int64(d.NumRows()) * int64(2*s.Size()+spillEntryBytes)
+	if k.Words() != 2 {
+		t.Fatalf("set keys %d words, want 2", k.Words())
+	}
+	fp := int64(d.NumRows()) * (8*2 + spillEntryBytes)
 
-	if _, _, ok := (CountOptions{MemBudget: fp}).spillFor(k, d.NumRows(), 1); ok {
+	if _, ok := (CountOptions{MemBudget: fp}).spillFor(k, d.NumRows(), 1); ok {
 		t.Fatal("footprint == budget spilled")
 	}
-	runs, format, ok := (CountOptions{MemBudget: fp - 1}).spillFor(k, d.NumRows(), 1)
-	if !ok || runs < 2 || format != spillFmtBytes {
-		t.Fatalf("footprint > budget: got (runs=%d, format=%d, ok=%v)", runs, format, ok)
+	runs, ok := (CountOptions{MemBudget: fp - 1}).spillFor(k, d.NumRows(), 1)
+	if !ok || runs < 2 {
+		t.Fatalf("footprint > budget: got (runs=%d, ok=%v)", runs, ok)
 	}
-	if _, _, ok := (CountOptions{}).spillFor(k, d.NumRows(), 1); ok {
+	if _, ok := (CountOptions{}).spillFor(k, d.NumRows(), 1); ok {
 		t.Fatal("unset budget spilled")
 	}
-	if _, _, ok := (CountOptions{MemBudget: 1}).spillFor(k, 0, 1); ok {
+	if _, ok := (CountOptions{MemBudget: 1}).spillFor(k, 0, 1); ok {
 		t.Fatal("zero-row scan spilled")
 	}
-	runs, _, ok = (CountOptions{MemBudget: 1}).spillFor(k, d.NumRows(), 1)
+	runs, ok = (CountOptions{MemBudget: 1}).spillFor(k, d.NumRows(), 1)
 	if !ok || runs != maxSpillRuns {
 		t.Fatalf("tiny budget: got (runs=%d, ok=%v), want fan-out capped at %d", runs, ok, maxSpillRuns)
 	}
 
 	// Per-worker budget shares: parallel run counting keeps one run map
 	// live per worker, so K must scale with the worker count.
-	runs1, _, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 1)
-	runs8, _, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 8)
+	runs1, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 1)
+	runs8, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 8)
 	if runs8 < 8*runs1/2 {
 		t.Fatalf("runs did not scale with workers: %d at 1 worker, %d at 8", runs1, runs8)
 	}
 
-	// uint64 format edges: a uint64-keyable set beyond the dense tier
-	// dispatches on the u64 footprint model.
+	// One-word edges: a one-word-keyable set beyond the dense tier
+	// dispatches on the one-word footprint model.
 	cfgU := diffConfig{rows: 1000, attrs: 4, domain: 300, nullRate: 0}
 	dU := diffDataset(t, cfgU, 0x59)
 	sU := lattice.FullSet(cfgU.attrs)
 	kU := NewKeyer(dU, sU)
-	if !kU.Fits() {
-		t.Fatal("u64 config overflows uint64")
+	if kU.Words() != 1 {
+		t.Fatal("one-word config keys more than one word")
 	}
-	fpU := int64(dU.NumRows()) * (spillRecWidthU64 + spillEntryBytesU64)
-	if _, _, ok := (CountOptions{MemBudget: fpU}).spillFor(kU, dU.NumRows(), 1); ok {
+	fpU := int64(dU.NumRows()) * (8 + spillEntryBytesU64)
+	if _, ok := (CountOptions{MemBudget: fpU}).spillFor(kU, dU.NumRows(), 1); ok {
 		t.Fatal("u64 footprint == budget spilled")
 	}
-	runs, format, ok = (CountOptions{MemBudget: fpU - 1}).spillFor(kU, dU.NumRows(), 1)
-	if !ok || runs < 2 || format != spillFmtU64 {
-		t.Fatalf("u64 footprint > budget: got (runs=%d, format=%d, ok=%v)", runs, format, ok)
+	runs, ok = (CountOptions{MemBudget: fpU - 1}).spillFor(kU, dU.NumRows(), 1)
+	if !ok || runs < 2 {
+		t.Fatalf("u64 footprint > budget: got (runs=%d, ok=%v)", runs, ok)
 	}
 }
 
@@ -387,7 +372,7 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	dir := t.TempDir()
 
 	k := NewKeyer(d, s)
-	runs, _, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
+	runs, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
 	if !ok || runs < 6 {
 		t.Fatalf("expected >= 6 runs, got (%d, %v)", runs, ok)
 	}
@@ -400,7 +385,7 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	if exact, _ := labelSize(d, s, -1); size != exact {
 		t.Fatalf("size %d != exact %d", size, exact)
 	}
-	modeled := stats.SpillMaxRunEntries * int64(2*s.Size()+spillEntryBytes)
+	modeled := stats.SpillMaxRunEntries * k.entryBytes()
 	if modeled > 2*budget {
 		t.Fatalf("largest run models %d B, budget %d B: runs are not bounding memory", modeled, budget)
 	}
@@ -408,17 +393,17 @@ func TestSpillRunBudgetModel(t *testing.T) {
 }
 
 // TestSpillMaterializeDecision pins the merge-on-read decision: a heavily
-// duplicated byte-key dataset spills its scan (the rows-bound estimate is
-// over budget) but its exact result fits, so the build comes back as an
-// ordinary in-memory map with the run files already removed — while a
-// near-distinct dataset under the same rule stays on disk.
+// duplicated two-word-key dataset spills its scan (the rows-bound estimate
+// is over budget) but its exact result fits, so the build comes back as an
+// ordinary in-memory sorted PC with the run files already removed — while
+// a near-distinct dataset under the same rule stays on disk.
 func TestSpillMaterializeDecision(t *testing.T) {
 	// ~60 distinct patterns across 4000 rows: result tiny, scan estimate big.
 	cfg := diffConfig{rows: 4000, attrs: 4, domain: 65000, nullRate: 0}
 	d := dupDataset(t, cfg, 60, 0x5A)
 	s := lattice.FullSet(cfg.attrs)
-	if NewKeyer(d, s).Fits() {
-		t.Fatal("expected byte keys")
+	if NewKeyer(d, s).Words() == 1 {
+		t.Fatal("expected two-word keys")
 	}
 	want := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	dir := t.TempDir()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -20,20 +21,19 @@ import (
 // every occurrence took) and consults that run's counts.
 //
 // A run is read into memory whole, once per cache miss, by decoding its
-// entries straight into their in-memory form: a uint64 run into the
-// sorted layout (SortedCounts, looked up by binary search), a byte-string
-// run into a map[string]int. No counting map is built: the entries on
-// disk are already distinct and in key order, and their number (the run
-// size) sizes the load's allocations exactly. Reads are budget-bounded: a
+// entries straight into the sorted layout (SortedCounts, looked up by
+// binary search). No counting map is built: the entries on disk are
+// already distinct and in key order, and their number (the run size)
+// sizes the load's allocations exactly. Reads are budget-bounded: a
 // pinned hot-run cache admits loaded runs while their cost fits the
 // budget, and one floating slot holds the most recently loaded run beyond
 // it, so peak read memory is roughly the budget plus one run, plus the
-// run being loaded. The cache charges what a run really holds — 12 bytes
-// an entry for a sorted run, the map model for a byte run — not the
-// 56-byte uint64 map model (spillEntryBytesU64 plus the key) that decided,
-// at build time, to spill and how many runs to write.
-// So a uint64 index pins every run when its entries would fill up to 4.7
-// budgets at the map model, and its lookups then read no run file at all.
+// run being loaded. The cache charges what a run really holds — 8W + 4
+// bytes an entry, 12 for one-word keys — not the map model (56 bytes a
+// one-word entry) that decided, at build time, to spill and how many runs
+// to write. So a one-word index pins every run when its entries would
+// fill up to 4.7 budgets at the map model, and its lookups then read no
+// run file at all.
 //
 // Locking model (a label is built once and consulted by many concurrent
 // readers, so the read path must not serialize):
@@ -72,8 +72,7 @@ import (
 type spilledPC struct {
 	runs     *spill.Runs
 	keyer    *Keyer
-	u64      bool // uint64 keys (vs byte-string)
-	size     int  // total distinct patterns, exact
+	size     int // total distinct patterns, exact
 	runSizes []int
 	budget   int64 // pinned hot-run cache budget
 
@@ -86,8 +85,7 @@ type spilledPC struct {
 	// errors and retries are mirrored into its atomic Spill* counters.
 	scanStats *ScanStats
 
-	ru *runStore[*SortedCounts]
-	rs *runStore[map[string]int]
+	store *runStore
 }
 
 // spillReadStats counts read-path events on a spilled PC; the atomic
@@ -114,34 +112,28 @@ type SpillReadStats struct {
 	Retries      int64
 }
 
-// runStore caches one spilled PC's loaded runs, R being a run's in-memory
-// form: *SortedCounts for uint64 keys, map[string]int for byte-string
-// keys. Runs are immutable once published; see the locking model on
-// spilledPC.
-type runStore[R any] struct {
-	sp   *spilledPC
-	read func(ctx context.Context, run int) (R, error) // one read attempt
-	cost func(R) int64                                 // bytes a loaded run holds
+// runStore caches one spilled PC's loaded runs in the sorted layout. Runs
+// are immutable once published; see the locking model on spilledPC.
+type runStore struct {
+	sp *spilledPC
 
-	hot atomic.Pointer[map[int]R] // immutable snapshot, copy-on-write
+	hot atomic.Pointer[map[int]*SortedCounts] // immutable snapshot, copy-on-write
 
 	loadMu []sync.Mutex // per run: serializes loading that run
 
 	admit   sync.Mutex // guards hotCost, curRun, cur; never held across I/O
 	hotCost int64      // bytes pinned in the hot cache
 	curRun  int        // floating slot: most recent non-pinned run (-1 = none)
-	cur     R
+	cur     *SortedCounts
 }
 
-func newRunStore[R any](sp *spilledPC, read func(context.Context, int) (R, error), cost func(R) int64) *runStore[R] {
-	rs := &runStore[R]{
+func newRunStore(sp *spilledPC) *runStore {
+	rs := &runStore{
 		sp:     sp,
-		read:   read,
-		cost:   cost,
 		loadMu: make([]sync.Mutex, len(sp.runSizes)),
 		curRun: -1,
 	}
-	empty := make(map[int]R)
+	empty := make(map[int]*SortedCounts)
 	rs.hot.Store(&empty)
 	return rs
 }
@@ -152,7 +144,7 @@ func newRunStore[R any](sp *spilledPC, read func(context.Context, int) (R, error
 // failed (and once-retried) run read returns an error; nothing is cached,
 // so a later call retries the load from scratch. ctx (nil for unarmed
 // callers) bounds the load's run read; cache hits never consult it.
-func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
+func (rs *runStore) get(ctx context.Context, run int) (*SortedCounts, error) {
 	if m, ok := (*rs.hot.Load())[run]; ok {
 		rs.sp.stats.hotHits.Add(1)
 		return m, nil
@@ -173,18 +165,17 @@ func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 		return m, nil
 	}
 	rs.admit.Unlock()
-	var zero R
 	// A miss means disk IO: an already-fired context stops here, before
 	// the load, not one polling stride into it — so small runs (under the
 	// polling stride) still honor cancellation.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return zero, err
+			return nil, err
 		}
 	}
 	m, err := rs.load(ctx, run)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	rs.place(run, m)
 	return m, nil
@@ -201,75 +192,53 @@ func (rs *runStore[R]) get(ctx context.Context, run int) (R, error) {
 // data fails again deterministically). Both the failures and the retry are
 // metered. A cancelled read is neither retried nor metered as a read
 // error: the disk did nothing wrong, the caller just left.
-func (rs *runStore[R]) load(ctx context.Context, run int) (R, error) {
+func (rs *runStore) load(ctx context.Context, run int) (*SortedCounts, error) {
 	sp := rs.sp
 	sp.liveMu.RLock()
 	defer sp.liveMu.RUnlock()
 	sp.checkLive()
-	var zero R
-	m, err := rs.read(ctx, run)
+	m, err := sp.decodeSorted(ctx, run)
 	if err != nil {
 		if isCtxErr(err) {
-			return zero, err
+			return nil, err
 		}
 		sp.noteReadError()
 		sp.noteRetry()
-		m, err = rs.read(ctx, run)
+		m, err = sp.decodeSorted(ctx, run)
 		if err != nil {
 			if isCtxErr(err) {
-				return zero, err
+				return nil, err
 			}
 			sp.noteReadError()
-			return zero, fmt.Errorf("core: spilled PC run read failed: %w", err)
+			return nil, fmt.Errorf("core: spilled PC run read failed: %w", err)
 		}
 	}
 	sp.stats.runLoads.Add(1)
 	return m, nil
 }
 
-// decodeSorted loads a uint64 run into the sorted layout: its entries decode
-// straight into key and count slices of the run's exact size. The keys
-// must also lie inside the key space, which the last (largest) bounds.
+// decodeSorted makes one attempt to load a run into the sorted layout:
+// its entries decode straight into key and count slices of the run's
+// exact size. Every key must also lie inside the key space.
 func (sp *spilledPC) decodeSorted(ctx context.Context, run int) (*SortedCounts, error) {
-	n := sp.runSizes[run]
-	sc := &SortedCounts{Keys: make([]uint64, 0, n), Counts: make([]int32, 0, n)}
-	if err := sp.runs.EachU64(ctx, run, func(key uint64, c int) bool {
-		sc.Keys = append(sc.Keys, key)
-		sc.Counts = append(sc.Counts, int32(c))
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if len(sc.Keys) != n {
-		return nil, runCorrupt(run, "holds %d entries, run size %d", len(sc.Keys), n)
-	}
-	if radix, _ := sp.keyer.Radix(); n > 0 && sc.Keys[n-1] >= radix {
-		return nil, runCorrupt(run, "key %d outside the key space [0, %d)", sc.Keys[n-1], radix)
-	}
-	return sc, nil
-}
-
-// decodeMap loads a byte-string run into a count map.
-func (sp *spilledPC) decodeMap(ctx context.Context, run int) (map[string]int, error) {
-	m := make(map[string]int, sp.runSizes[run])
-	var bad []byte
-	if err := sp.runs.EachBytes(ctx, run, func(key []byte, c int) bool {
-		if !sp.keyer.validBytes(key) {
-			bad = append(bad, key...)
+	n, w := sp.runSizes[run], sp.keyer.Words()
+	sc := &SortedCounts{W: w, Keys: make([]uint64, 0, w*n), Counts: make([]int32, 0, n)}
+	var bad error
+	if err := sp.runs.Each(ctx, run, func(key []uint64, c int) bool {
+		if !sp.keyer.validKey(key) {
+			bad = runCorrupt(run, "key %v outside the key space %v", key, sp.keyer.radix)
 			return false
 		}
-		m[string(key)] = c
+		sc.Keys = append(sc.Keys, key...)
+		sc.Counts = append(sc.Counts, int32(c))
 		return true
-	}); err != nil {
-		return nil, err
+	}); err != nil || bad != nil {
+		return nil, cmp.Or(err, bad)
 	}
-	if bad != nil {
-		return nil, runCorrupt(run, "key %x holds a value outside its attribute's domain", bad)
+	if len(sc.Counts) != n {
+		return nil, runCorrupt(run, "holds %d entries, run size %d", len(sc.Counts), n)
 	}
-	if len(m) != sp.runSizes[run] {
-		return nil, runCorrupt(run, "holds %d entries, run size %d", len(m), sp.runSizes[run])
-	}
-	return m, nil
+	return sc, nil
 }
 
 // runCorrupt reports a run whose verified entries still cannot be this
@@ -281,13 +250,13 @@ func runCorrupt(run int, format string, args ...any) error {
 // place admits a freshly loaded run: pinned into the hot snapshot when its
 // cost fits the budget, otherwise into the floating slot. Callers hold
 // loadMu[run], so no other goroutine is placing the same run.
-func (rs *runStore[R]) place(run int, m R) {
-	cost := rs.cost(m)
+func (rs *runStore) place(run int, m *SortedCounts) {
+	cost := int64(8*m.W+4) * int64(len(m.Counts))
 	rs.admit.Lock()
 	defer rs.admit.Unlock()
 	if rs.hotCost+cost <= rs.sp.budget {
 		old := *rs.hot.Load()
-		next := make(map[int]R, len(old)+1)
+		next := make(map[int]*SortedCounts, len(old)+1)
 		for r, rm := range old {
 			next[r] = rm
 		}
@@ -300,31 +269,24 @@ func (rs *runStore[R]) place(run int, m R) {
 }
 
 // drop empties the store during release.
-func (rs *runStore[R]) drop() {
-	empty := make(map[int]R)
+func (rs *runStore) drop() {
+	empty := make(map[int]*SortedCounts)
 	rs.hot.Store(&empty)
-	var zero R
 	rs.admit.Lock()
-	rs.curRun, rs.cur, rs.hotCost = -1, zero, 0
+	rs.curRun, rs.cur, rs.hotCost = -1, nil, 0
 	rs.admit.Unlock()
 }
 
-func newSpilledPC(rs *spill.Runs, k *Keyer, format spillFormat, size int, runSizes []int, budget int64, scanStats *ScanStats) *spilledPC {
+func newSpilledPC(rs *spill.Runs, k *Keyer, size int, runSizes []int, budget int64, scanStats *ScanStats) *spilledPC {
 	sp := &spilledPC{
 		runs:      rs,
 		keyer:     k,
-		u64:       format == spillFmtU64,
 		size:      size,
 		runSizes:  runSizes,
 		budget:    budget,
 		scanStats: scanStats,
 	}
-	if sp.u64 {
-		sp.ru = newRunStore(sp, sp.decodeSorted, func(s *SortedCounts) int64 { return 12 * int64(len(s.Keys)) })
-	} else {
-		entry := format.entryBytes(k)
-		sp.rs = newRunStore(sp, sp.decodeMap, func(m map[string]int) int64 { return int64(len(m)) * entry })
-	}
+	sp.store = newRunStore(sp)
 	// Safety net: when the PC is dropped without ReleaseSpill, the GC
 	// still removes the run files. The argument is the runs (not sp), so
 	// the cleanup does not keep sp reachable.
@@ -343,12 +305,7 @@ func (sp *spilledPC) release() {
 	}
 	sp.cleanup.Stop()
 	sp.runs.Cleanup()
-	if sp.ru != nil {
-		sp.ru.drop()
-	}
-	if sp.rs != nil {
-		sp.rs.drop()
-	}
+	sp.store.drop()
 }
 
 func (sp *spilledPC) checkLive() {
@@ -391,27 +348,16 @@ func (sp *spilledPC) readStats() SpillReadStats {
 // (nil when unarmed) cancels a miss's run-file load; a fired context
 // surfaces as the typed context error.
 func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error) {
-	if sp.u64 {
-		key, ok := sp.keyer.KeyVals(vals)
-		if !ok {
-			return 0, nil
-		}
-		run, err := sp.ru.get(ctx, sp.runs.RunOfU64(key))
-		if err != nil {
-			return 0, err
-		}
-		return run.lookup(key), nil
-	}
-	var buf [128]byte
-	b, ok := sp.keyer.AppendBytesVals(buf[:0], vals)
+	var buf [8]uint64
+	key, ok := sp.keyer.appendKey(buf[:0], vals)
 	if !ok {
 		return 0, nil
 	}
-	m, err := sp.rs.get(ctx, sp.runs.RunOf(b))
+	run, err := sp.store.get(ctx, sp.runs.RunOf(key))
 	if err != nil {
 		return 0, err
 	}
-	return m[string(b)], nil
+	return run.lookupKey(key), nil
 }
 
 // eachE implements PC.EachCtx for the spilled representation: runs stream
@@ -426,29 +372,6 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 func (sp *spilledPC) eachE(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
 	sp.checkLive()
 	vals := make([]uint16, n)
-	if sp.u64 {
-		for run := range sp.runSizes {
-			if sp.runSizes[run] == 0 {
-				continue
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			sc, err := sp.ru.get(ctx, run)
-			if err != nil {
-				return err
-			}
-			for i, key := range sc.Keys {
-				sp.keyer.Decode(key, vals)
-				if !fn(vals, int(sc.Counts[i])) {
-					return nil
-				}
-			}
-		}
-		return nil
-	}
 	for run := range sp.runSizes {
 		if sp.runSizes[run] == 0 {
 			continue
@@ -458,13 +381,13 @@ func (sp *spilledPC) eachE(ctx context.Context, n int, fn func(vals []uint16, co
 				return err
 			}
 		}
-		m, err := sp.rs.get(ctx, run)
+		sc, err := sp.store.get(ctx, run)
 		if err != nil {
 			return err
 		}
-		for key, c := range m {
-			sp.keyer.DecodeBytes(key, vals)
-			if !fn(vals, c) {
+		for i, c := range sc.Counts {
+			sp.keyer.decodeKey(sc.entry(i), vals)
+			if !fn(vals, int(c)) {
 				return nil
 			}
 		}

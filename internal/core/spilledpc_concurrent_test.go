@@ -20,17 +20,18 @@ import (
 	"pcbl/internal/lattice"
 )
 
-// spillConcurrencyConfigs covers both spill record formats.
+// spillConcurrencyConfigs covers both key widths.
 var spillConcurrencyConfigs = []diffConfig{
-	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // byte-string records
-	{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05},  // uint64 records
+	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // two-word records
+	{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05},  // one-word records
 }
 
-// evictRuns is the minRuns the read-path tests pass to spillBudgetFor so a
-// uint64 index cannot pin every run and the floating slot keeps churning.
-// The run cache charges a sorted run 12 bytes an entry, against the
-// 56-byte map model spillBudgetFor divides: at 4 runs the budget is 14
-// bytes a row and every run pins; at 8 it is 7, so some runs float.
+// evictRuns is the minRuns the read-path tests pass to spillBudgetFor so
+// an index cannot pin every run and the floating slot keeps churning. The
+// run cache charges a sorted run 8W + 4 bytes an entry, against the map
+// model spillBudgetFor divides (56 bytes a one-word entry, 80 a two-word
+// one): at 4 runs the budget is 14 or 20 bytes a row and every run pins;
+// at 8 it is 7 or 10, so some runs float.
 const evictRuns = 8
 
 // buildSpilledWithOracle builds the same group-by twice: unbudgeted (the
@@ -157,7 +158,7 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 	oracle := must(BuildPC(d, s, CountOptions{Workers: 1}))
 	// Budget one byte under the exact result cost: the build must stay
 	// merge-on-read, but on the read side all runs except a sliver pin.
-	entry := wantFormat(d, s).entryBytes(NewKeyer(d, s))
+	entry := NewKeyer(d, s).entryBytes()
 	opts := testCountOptions(2)
 	opts.MemBudget = int64(oracle.Size())*entry - 1
 	opts.SpillDir = t.TempDir()

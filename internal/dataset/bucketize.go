@@ -38,18 +38,11 @@ type BucketizeOptions struct {
 	Strategy BinStrategy
 }
 
-// IsNumericAttr reports whether every non-null value of attribute a parses as
-// a finite float. Attributes with no non-null values are not numeric, and a
-// value that parses to NaN or an infinity is as non-numeric as any other
-// token.
-func IsNumericAttr(d *Dataset, a int) bool {
-	_, ok := numericDomain(d.Attr(a))
-	return ok
-}
-
 // numericDomain parses every domain value of attr once: vals[id-1] is the
 // value of id. ok is false when the domain is empty or a value is not a
-// finite float.
+// finite float: an attribute with no non-null values is not numeric, and a
+// value that parses to NaN or an infinity is as non-numeric as any other
+// token.
 func numericDomain(attr *Attribute) (vals []float64, ok bool) {
 	if len(attr.dom) == 0 {
 		return nil, false

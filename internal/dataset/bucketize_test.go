@@ -24,10 +24,10 @@ func numericDataset(t *testing.T, n int, seed uint64) *Dataset {
 
 func TestIsNumericAttr(t *testing.T) {
 	d := numericDataset(t, 20, 1)
-	if !IsNumericAttr(d, 0) {
+	if _, ok := numericDomain(d.Attr(0)); !ok {
 		t.Error("numeric attribute not detected")
 	}
-	if IsNumericAttr(d, 1) {
+	if _, ok := numericDomain(d.Attr(1)); ok {
 		t.Error("string attribute detected as numeric")
 	}
 }
@@ -212,7 +212,7 @@ func TestBucketizeNonFinite(t *testing.T) {
 		}
 		b.AppendStrings(tok).AppendStrings(tok)
 		d := build(t, b)
-		if IsNumericAttr(d, 0) {
+		if _, ok := numericDomain(d.Attr(0)); ok {
 			t.Errorf("%s: attribute is numeric", tok)
 		}
 		for _, s := range []BinStrategy{EqualWidth, EqualFrequency} {

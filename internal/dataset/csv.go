@@ -713,16 +713,3 @@ func appendCSVField(dst []byte, field string, one bool) []byte {
 	dst = append(dst, field...)
 	return append(dst, '"')
 }
-
-// WriteCSVFile writes the dataset to a file on disk via WriteCSV.
-func WriteCSVFile(path string, d *Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteCSV(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

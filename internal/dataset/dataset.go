@@ -28,7 +28,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -534,12 +533,4 @@ func (b *Builder) Build() (*Dataset, error) {
 	d := &Dataset{name: b.name, attrs: b.attrs, cols: b.cols, rows: b.rows}
 	b.attrs, b.cols = nil, nil
 	return d, nil
-}
-
-// SortedDomain returns the attribute's domain values sorted lexically. It is
-// a convenience for deterministic rendering.
-func SortedDomain(a *Attribute) []string {
-	dom := a.Domain()
-	sort.Strings(dom)
-	return dom
 }

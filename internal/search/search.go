@@ -54,14 +54,14 @@ type Options struct {
 	// candidate with cap Bound, so a candidate's sizing state is at most
 	// Bound + 1 keys: it stays in its sibling group unless even those
 	// model over the budget, and is then sized on the spill tier —
-	// hash-partitioned on-disk runs (uint64 or byte record format, matching
-	// the key encoding) counted K-way in parallel for their distinct total,
+	// hash-partitioned on-disk runs of 8W-byte records, W being the key's
+	// width in words, counted K-way in parallel for their distinct total,
 	// stopping once it passes Bound. Budgeted label builds
 	// whose map models over the budget spill the same way and, when the
 	// result does too, keep their runs and serve lookups merge-on-read.
 	// Zero means unlimited. Results are identical either way;
-	// Stats.Spilled/SpilledU64/SpillRuns/SpillParallelRuns/SpillBytes
-	// report the tier's use.
+	// Stats.Spilled/SpillRuns/SpillParallelRuns/SpillBytes report the
+	// tier's use.
 	MemBudget int64
 
 	// SpillDir overrides where spill run files are written (system temp
@@ -122,17 +122,17 @@ type Stats struct {
 	// below Evaluated × |P|.
 	PatternsScanned int64
 	// RefinedSets counts examined sets sized from their gen parent's
-	// shared key block: every set counted in memory on uint64 keys
-	// (ScanStats.Dense + Map). Byte-key sets and spilled sets are not.
+	// shared key block: every set counted in memory on one-word keys
+	// (ScanStats.Dense + Map). Sets of wider keys and spilled sets are not.
 	RefinedSets int
 	// PoolHits and PoolMisses report the slab pool's cumulative counters:
 	// how often a count slab or key-block scratch was recycled from the
 	// arena versus freshly allocated.
 	PoolHits, PoolMisses int64
 	// ScanStats meters the sizing of every examined set: which kernel each
-	// went to — Dense, Map, Bytes, Spilled (SpilledU64 of them with uint64
-	// records) — and the spill tier's runs, bytes and fallbacks. All zero
-	// spill counters mean a fully in-memory run.
+	// went to — Dense, Map, Wide (keys of more than one word), Spilled — and
+	// the spill tier's runs, bytes and fallbacks. All zero spill counters
+	// mean a fully in-memory run.
 	core.ScanStats
 	// SearchTime covers candidate enumeration (label-size computation).
 	SearchTime time.Duration
@@ -508,7 +508,3 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 	}
 	return out, nil
 }
-
-// SortSets sorts attribute sets deterministically (by size then value); it
-// re-exports the lattice helper for callers assembling Fig 10 style reports.
-func SortSets(sets []lattice.AttrSet) { lattice.SortAttrSets(sets) }

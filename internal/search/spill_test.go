@@ -18,9 +18,9 @@ import (
 )
 
 // spillSearchDataset builds a 4-attribute dataset whose full-set key
-// overflows uint64 (65000^4 > 2^63), so the level-4 candidate takes the
-// byte-string fallback, while pairs and triples stay uint64-keyable (and,
-// being beyond the dense tier, spill with uint64 records under a budget).
+// passes one word (65000^4 > 2^63), so the level-4 candidate keys two
+// words, while pairs and triples key one (and, being beyond the dense
+// tier, spill 8-byte records under a budget).
 func spillSearchDataset(t *testing.T, rows int) *dataset.Dataset {
 	t.Helper()
 	const attrs, domain = 4, 65000
@@ -41,7 +41,7 @@ func spillSearchDataset(t *testing.T, rows int) *dataset.Dataset {
 	for r := 0; r < rows; r++ {
 		for a := range ids {
 			// Low-cardinality draws keep label sizes well under the bound
-			// so the search reaches the byte-key full set.
+			// so the search reaches the full set, whose key is two words.
 			ids[a] = uint16(1 + rng.IntN(domain/100))
 		}
 		bld.AppendIDs(ids...)
@@ -57,14 +57,19 @@ func TestSearchSpillIdentity(t *testing.T) {
 	d := spillSearchDataset(t, 3000)
 	const bound = 4000
 	// Unbudgeted baseline: every candidate in memory, the full set on
-	// byte keys and every other set from its parent's key block.
+	// two-word keys and every other set from its parent's key block.
 	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseStats.Spilled != 0 || baseStats.Bytes != 1 || baseStats.RefinedSets != baseStats.SizeComputed-1 {
-		t.Fatalf("unbudgeted run: Spilled=%d Bytes=%d RefinedSets=%d of %d sets",
-			baseStats.Spilled, baseStats.Bytes, baseStats.RefinedSets, baseStats.SizeComputed)
+	if baseStats.Spilled != 0 || baseStats.Wide != 1 || baseStats.RefinedSets != baseStats.SizeComputed-1 {
+		t.Fatalf("unbudgeted run: Spilled=%d Wide=%d RefinedSets=%d of %d sets",
+			baseStats.Spilled, baseStats.Wide, baseStats.RefinedSets, baseStats.SizeComputed)
+	}
+	// Both key widths spill below: the one-word pairs and triples, and the
+	// two-word full set.
+	if w := core.NewKeyer(d, lattice.FullSet(d.NumAttrs())).Words(); w != 2 {
+		t.Fatalf("full set keys %d words, want 2", w)
 	}
 	// Budget small enough that every set's map estimate exceeds it even at
 	// the cap (bound + 1 keys, more than the rows): every candidate must be
@@ -93,13 +98,6 @@ func TestSearchSpillIdentity(t *testing.T) {
 		}
 		if stats.SpillBytes == 0 {
 			t.Fatalf("workers=%d: spill reported zero bytes written", workers)
-		}
-		// Per-format split: under this budget the uint64-keyable pairs and
-		// triples spill with uint64 records while the full set spills byte
-		// records — both formats must be represented and counted apart.
-		if stats.SpilledU64 == 0 || stats.SpilledU64 >= stats.Spilled {
-			t.Fatalf("workers=%d: SpilledU64=%d of Spilled=%d, want both formats present",
-				workers, stats.SpilledU64, stats.Spilled)
 		}
 		// At 3000 rows the engine's per-worker row floor resolves every
 		// scan to one effective worker, so run counting stays sequential

@@ -12,8 +12,9 @@ import (
 	"pcbl/internal/iofault"
 )
 
-// spillRecords partitions n records into five runs and seals them into
-// sorted runs, returning those plus the reference counts.
+// spillRecords partitions n records of width bytes — keys of width/8
+// words, little-endian — into five runs and seals them into sorted runs,
+// returning those plus the reference counts.
 func spillRecords(t *testing.T, n, distinct, width int) (*Runs, map[string]int) {
 	t.Helper()
 	return spillRecordsFS(t, nil, n, distinct, width)
@@ -40,24 +41,42 @@ func partitionRecords(t *testing.T, fsys iofault.FS, n, distinct, width int) (*W
 	return w, ref
 }
 
+// recordKey is the key of a record: its little-endian words.
+func recordKey(rec string) []uint64 {
+	key := make([]uint64, len(rec)/8)
+	for i := range key {
+		key[i] = binary.LittleEndian.Uint64([]byte(rec[8*i:]))
+	}
+	return key
+}
+
+// keyRecord is the record of a key.
+func keyRecord(key []uint64) string {
+	var rec []byte
+	for _, word := range key {
+		rec = binary.LittleEndian.AppendUint64(rec, word)
+	}
+	return string(rec)
+}
+
 // sealRecords counts w's partition runs and writes each as a sorted run,
 // as a spilled build does.
 func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 	t.Helper()
-	rs, err := NewRuns("", w.cfg.RecWidth, w.NumRuns(), fsys)
+	rs, err := NewRuns("", w.cfg.RecWidth/8, w.NumRuns(), fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var werr error
 	if err := w.CountRunsCtx(nil, 1, func(run int, counts map[string]int) bool {
-		keys := make([]string, 0, len(counts))
+		keys := make([][]uint64, 0, len(counts))
 		for k := range counts {
-			keys = append(keys, k)
+			keys = append(keys, recordKey(k))
 		}
-		slices.Sort(keys)
+		slices.SortFunc(keys, slices.Compare)
 		rw := rs.RunWriter(run)
 		for _, k := range keys {
-			rw.AddBytes([]byte(k), counts[k])
+			rw.Add(k, counts[keyRecord(k)])
 		}
 		werr = rw.Close()
 		return werr == nil
@@ -67,17 +86,17 @@ func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 	return rs
 }
 
-// countAll reads every run of rs into one map, checking that each key
-// routes to the run holding it.
+// countAll reads every run of rs into one map of records, checking that
+// each key routes to the run holding it.
 func countAll(t *testing.T, rs *Runs) map[string]int {
 	t.Helper()
 	got := make(map[string]int)
 	for run := 0; run < rs.NumRuns(); run++ {
-		if err := rs.EachBytes(nil, run, func(key []byte, c int) bool {
+		if err := rs.Each(nil, run, func(key []uint64, c int) bool {
 			if rs.RunOf(key) != run {
 				t.Fatalf("key %x in run %d routes to run %d", key, run, rs.RunOf(key))
 			}
-			got[string(key)] += c
+			got[keyRecord(key)] += c
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -99,7 +118,7 @@ func assertCounts(t *testing.T, got, want map[string]int) {
 }
 
 func TestAdoptIntoRelocatesAndSurvivesCleanup(t *testing.T) {
-	w, ref := spillRecords(t, 4000, 300, 6)
+	w, ref := spillRecords(t, 4000, 300, 16)
 	defer w.Cleanup()
 	oldDir := w.Dir()
 
@@ -127,31 +146,31 @@ func TestAdoptIntoRelocatesAndSurvivesCleanup(t *testing.T) {
 }
 
 func TestOpenServesAdoptedRuns(t *testing.T) {
-	w, ref := spillRecords(t, 4000, 300, 6)
+	w, ref := spillRecords(t, 4000, 300, 16)
 	defer w.Cleanup()
 
 	dst := t.TempDir()
 	if err := w.AdoptInto(dst); err != nil {
 		t.Fatal(err)
 	}
-	runs, width := w.NumRuns(), 6
+	runs, words := w.NumRuns(), 2
 
 	// Record where each key routes before closing the original writer;
 	// routing must be identical after reopen (deterministic hash).
 	routes := make(map[string]int, len(ref))
 	for k := range ref {
-		routes[k] = w.RunOf([]byte(k))
+		routes[k] = w.RunOf(recordKey(k))
 	}
 	w.Cleanup()
 
-	r, err := Open(dst, width, runs, nil)
+	r, err := Open(dst, words, runs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Cleanup()
 	assertCounts(t, countAll(t, r), ref)
 	for k, run := range routes {
-		if got := r.RunOf([]byte(k)); got != run {
+		if got := r.RunOf(recordKey(k)); got != run {
 			t.Fatalf("key %x routes to run %d after reopen, spilled into run %d", k, got, run)
 		}
 	}
@@ -166,7 +185,7 @@ func TestOpenServesAdoptedRuns(t *testing.T) {
 }
 
 func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
-	w, ref := spillRecords(t, 2000, 150, 6)
+	w, ref := spillRecords(t, 2000, 150, 16)
 	defer w.Cleanup()
 
 	first, second := t.TempDir(), t.TempDir()
@@ -179,7 +198,7 @@ func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
 	// Both artifact directories must hold complete, independently readable
 	// run sets.
 	for _, dir := range []string{first, second} {
-		r, err := Open(dir, 6, w.NumRuns(), nil)
+		r, err := Open(dir, 2, w.NumRuns(), nil)
 		if err != nil {
 			t.Fatalf("open %s: %v", dir, err)
 		}
@@ -189,7 +208,7 @@ func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
 }
 
 func TestOpenRejectsTruncatedRun(t *testing.T) {
-	w, _ := spillRecords(t, 1000, 80, 6)
+	w, _ := spillRecords(t, 1000, 80, 16)
 	defer w.Cleanup()
 	dst := t.TempDir()
 	if err := w.AdoptInto(dst); err != nil {
@@ -204,7 +223,7 @@ func TestOpenRejectsTruncatedRun(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dst, 6, w.NumRuns(), nil); err == nil {
+	if _, err := Open(dst, 2, w.NumRuns(), nil); err == nil {
 		t.Fatal("Open accepted a truncated run file")
 	}
 }
@@ -214,7 +233,7 @@ func TestOpenMissingRun(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "run-0000"), make([]byte, 12), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 6, 2, nil); err == nil {
+	if _, err := Open(dir, 2, 2, nil); err == nil {
 		t.Fatal("Open accepted a directory missing run files")
 	}
 }
@@ -225,14 +244,14 @@ func TestOpenMissingRun(t *testing.T) {
 // rows than entries — so the entries a run declares, which size its load,
 // are bounded by its bytes on disk.
 func TestOpenChecksSortedHeaders(t *testing.T) {
-	rs, err := NewRuns(t.TempDir(), U64Keys, 1, nil)
+	rs, err := NewRuns(t.TempDir(), 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Cleanup()
 	rw := rs.RunWriter(0)
 	for k := uint64(0); k < 100; k++ {
-		rw.AddU64(k*1000, 1)
+		rw.Add([]uint64{k * 1000}, 1)
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
@@ -241,7 +260,7 @@ func TestOpenChecksSortedHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := Open(rs.Dir(), U64Keys, 1, nil); err != nil || r.Entries(0) != 100 || r.Rows() != 100 {
+	if r, err := Open(rs.Dir(), 1, 1, nil); err != nil || r.Entries(0) != 100 || r.Rows() != 100 {
 		t.Fatalf("Open of the saved run: %v", err)
 	} else {
 		r.Cleanup()
@@ -264,7 +283,7 @@ func TestOpenChecksSortedHeaders(t *testing.T) {
 		if err := os.WriteFile(runPath(dir, 0), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, U64Keys, 1, nil); !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(dir, 1, 1, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Open = %v, want ErrCorrupt", tc.name, err)
 		}
 	}

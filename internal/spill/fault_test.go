@@ -20,7 +20,7 @@ import (
 // must count identically.
 func TestAdoptIntoCopyFallbackIsDurable(t *testing.T) {
 	ffs := iofault.NewFaultFS(nil)
-	w, ref := spillRecordsFS(t, ffs, 4000, 300, 6)
+	w, ref := spillRecordsFS(t, ffs, 4000, 300, 16)
 	defer w.Cleanup()
 	oldDir := w.Dir()
 
@@ -57,7 +57,7 @@ func TestAdoptIntoCopyFallbackIsDurable(t *testing.T) {
 func TestAdoptIntoCopyFaultKeepsSource(t *testing.T) {
 	for _, op := range []iofault.Op{iofault.OpCreate, iofault.OpWrite, iofault.OpSync} {
 		ffs := iofault.NewFaultFS(nil)
-		w, ref := spillRecordsFS(t, ffs, 4000, 300, 6)
+		w, ref := spillRecordsFS(t, ffs, 4000, 300, 16)
 		ffs.FailFrom(iofault.OpRename, 1, errors.New("simulated EXDEV"))
 		ffs.FailAt(op, ffs.Counts()[op]+2, nil) // second occurrence inside the copy
 		if err := w.AdoptInto(t.TempDir()); err == nil {

@@ -6,9 +6,9 @@ package spill
 // with multiple counting workers.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -66,8 +66,8 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 						if _, dup := got[k]; dup {
 							t.Fatalf("key emitted by two runs: partition not disjoint")
 						}
-						if w.RunOfU64(k) != run {
-							t.Fatalf("RunOfU64 = %d for a key counted in run %d", w.RunOfU64(k), run)
+						if r := runOfKey([]uint64{k}, w.NumRuns()); r != run {
+							t.Fatalf("key routes to run %d, counted in run %d", r, run)
 						}
 						got[k] = c
 					}
@@ -89,17 +89,17 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 // TestScanRunRoundTrip pins the merge-on-read reading surface: a sealed
 // run streams exactly its entries, in strictly ascending key order, every
 // key routes back to its run, and the runs together reproduce the
-// reference counts — for byte-string keys and for gap-coded uint64 keys
+// reference counts — for two-word keys and for gap-coded one-word keys
 // spanning many frames.
 func TestScanRunRoundTrip(t *testing.T) {
-	const width = 5
+	const width = 16
 	rs, ref := spillRecords(t, 8000, 300, width)
 	defer rs.Cleanup()
 	for run := 0; run < rs.NumRuns(); run++ {
-		var last []byte
+		var last []uint64
 		n := 0
-		if err := rs.EachBytes(nil, run, func(key []byte, c int) bool {
-			if last != nil && bytes.Compare(key, last) <= 0 {
+		if err := rs.Each(nil, run, func(key []uint64, c int) bool {
+			if last != nil && slices.Compare(key, last) <= 0 {
 				t.Fatalf("run %d: key %x after %x", run, key, last)
 			}
 			last = append(last[:0], key...)
@@ -122,8 +122,8 @@ func TestScanRunRoundTrip(t *testing.T) {
 		}
 	}
 
-	// uint64 keys: 3 runs of up to 3 frames each, with gaps from 1 to 2^40.
-	u, err := NewRuns(t.TempDir(), U64Keys, 3, nil)
+	// One-word keys: 3 runs of up to 3 frames each, with gaps from 1 to 2^40.
+	u, err := NewRuns(t.TempDir(), 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,20 +133,21 @@ func TestScanRunRoundTrip(t *testing.T) {
 	key := uint64(0)
 	for i := 0; i < 3*frameEntries; i++ {
 		key += 1 + rng.Uint64N(1<<uint(rng.IntN(41)))
-		want[u.RunOfU64(key)] = append(want[u.RunOfU64(key)], key)
+		run := u.RunOf([]uint64{key})
+		want[run] = append(want[run], key)
 	}
 	var rows int64
 	for run, keys := range want {
 		rw := u.RunWriter(run)
 		for i, k := range keys {
-			rw.AddU64(k, 1+i%7)
+			rw.Add([]uint64{k}, 1+i%7)
 			rows += int64(1 + i%7)
 		}
 		if err := rw.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r, err := Open(u.Dir(), U64Keys, 3, nil)
+	r, err := Open(u.Dir(), 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +160,9 @@ func TestScanRunRoundTrip(t *testing.T) {
 			t.Fatalf("run %d headers declare %d entries, wrote %d", run, r.Entries(run), len(keys))
 		}
 		i := 0
-		if err := r.EachU64(nil, run, func(k uint64, c int) bool {
-			if k != keys[i] || c != 1+i%7 {
-				t.Fatalf("run %d entry %d = (%d, %d), wrote (%d, %d)", run, i, k, c, keys[i], 1+i%7)
+		if err := r.Each(nil, run, func(k []uint64, c int) bool {
+			if k[0] != keys[i] || c != 1+i%7 {
+				t.Fatalf("run %d entry %d = (%d, %d), wrote (%d, %d)", run, i, k[0], c, keys[i], 1+i%7)
 			}
 			i++
 			return true

@@ -16,13 +16,14 @@ package spill
 //	uint32 payload_len | uint32 entries | uint32 rows | uint32 crc32c | payload
 //
 // rows is the sum of the frame's counts and crc32c is the CRC32C of the
-// first twelve header bytes followed by the payload. An entry is
+// first twelve header bytes followed by the payload. A key is W ≥ 1
+// uint64 words, ordered lexicographically, and an entry is
 //
-//	uint64 keys:     uvarint key gap | uvarint count
-//	byte-string keys: key (KeyWidth bytes) | uvarint count
+//	uvarint first-word gap | W-1 uvarint words | uvarint count
 //
-// where a uint64 key is stored as its gap from the previous key of the
-// same frame, and the first key of a frame as its gap from 0. This is
+// where the first word is stored as its gap from the previous entry's
+// first word in the same frame (the first entry of a frame: its gap from
+// 0) and the remaining words as they are. For one-word keys this is
 // delta plus variable-byte coding of sorted integers (Lemire & Boytsov,
 // "Decoding billions of integers per second through vectorization", SPE
 // 2015): the keys of a high-cardinality run cost three to four bytes
@@ -36,21 +37,17 @@ package spill
 // that match the header and keys that route to their run.
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"pcbl/internal/iofault"
 )
-
-// U64Keys is the key width that selects uint64 keys, stored as uvarint
-// gaps; any positive key width selects fixed-width byte-string keys.
-const U64Keys = 0
 
 const (
 	// sortedHdrLen is the byte length of a sorted-run frame header.
@@ -58,10 +55,10 @@ const (
 	// frameEntries bounds the entries of one sorted-run frame, so a reader
 	// holds one frame of at most a few tens of KiB at a time.
 	frameEntries = 4096
-	// maxCountBytes and maxGapBytes are the longest uvarints a count (at
-	// most math.MaxUint32) and a uint64 key gap take.
+	// maxCountBytes and maxWordBytes are the longest uvarints a count (at
+	// most math.MaxUint32) and a key word take.
 	maxCountBytes = 5
-	maxGapBytes   = binary.MaxVarintLen64
+	maxWordBytes  = binary.MaxVarintLen64
 )
 
 // Runs is a directory of K sorted runs. NewRuns creates an empty one that
@@ -69,42 +66,42 @@ const (
 // are safe for concurrent use with each other; Cleanup and AdoptInto
 // must not run concurrently with reads or writes.
 type Runs struct {
-	fs       iofault.FS
-	dir      string
-	owns     bool // created the files; Cleanup deletes them and the dir
-	keyWidth int
-	files    []iofault.File
-	entries  []int   // per run: entries, from the frame headers
-	rows     []int64 // per run: rows, from the frame headers
-	bytes    []int64 // per run: file bytes
-	done     bool
+	fs      iofault.FS
+	dir     string
+	owns    bool // created the files; Cleanup deletes them and the dir
+	words   int  // key width W in uint64 words
+	files   []iofault.File
+	entries []int   // per run: entries, from the frame headers
+	rows    []int64 // per run: rows, from the frame headers
+	bytes   []int64 // per run: file bytes
+	done    bool
 }
 
-func newRuns(fsys iofault.FS, dir string, keyWidth, runs int) (*Runs, error) {
-	if keyWidth < 0 {
-		return nil, fmt.Errorf("spill: key width must not be negative, got %d", keyWidth)
+func newRuns(fsys iofault.FS, dir string, words, runs int) (*Runs, error) {
+	if words < 1 {
+		return nil, fmt.Errorf("spill: key width must be >= 1 word, got %d", words)
 	}
 	if runs < 1 {
 		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", runs)
 	}
 	return &Runs{
-		fs:       fsys,
-		dir:      dir,
-		keyWidth: keyWidth,
-		files:    make([]iofault.File, runs),
-		entries:  make([]int, runs),
-		rows:     make([]int64, runs),
-		bytes:    make([]int64, runs),
+		fs:      fsys,
+		dir:     dir,
+		words:   words,
+		files:   make([]iofault.File, runs),
+		entries: make([]int, runs),
+		rows:    make([]int64, runs),
+		bytes:   make([]int64, runs),
 	}, nil
 }
 
-// NewRuns creates K empty sorted runs in a fresh private directory under
-// dir (empty means the system temp directory); the Runs owns them until
-// AdoptInto. Fill each run once with RunWriter. fsys nil means the OS
-// filesystem.
-func NewRuns(dir string, keyWidth, runs int, fsys iofault.FS) (*Runs, error) {
+// NewRuns creates K empty sorted runs of words-word keys in a fresh
+// private directory under dir (empty means the system temp directory);
+// the Runs owns them until AdoptInto. Fill each run once with RunWriter.
+// fsys nil means the OS filesystem.
+func NewRuns(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
 	fsys = iofault.Resolve(fsys)
-	rs, err := newRuns(fsys, "", keyWidth, runs)
+	rs, err := newRuns(fsys, "", words, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +128,8 @@ func NewRuns(dir string, keyWidth, runs int, fsys iofault.FS) (*Runs, error) {
 // any payload read. Payloads verify on first read. The Runs does not own
 // the files: Cleanup closes them and leaves the directory intact. fsys
 // nil means the OS filesystem.
-func Open(dir string, keyWidth, runs int, fsys iofault.FS) (*Runs, error) {
-	rs, err := newRuns(iofault.Resolve(fsys), dir, keyWidth, runs)
+func Open(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
+	rs, err := newRuns(iofault.Resolve(fsys), dir, words, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -189,16 +186,11 @@ func (rs *Runs) parseHeader(hdr []byte) (plen, entries int, rows uint32) {
 	return int(binary.LittleEndian.Uint32(hdr[0:4])), int(binary.LittleEndian.Uint32(hdr[4:8])), binary.LittleEndian.Uint32(hdr[8:12])
 }
 
-// minEntryBytes and maxEntryBytes bound one entry's encoded length: a
-// uint64 entry is at least a gap byte and a count byte.
-func (rs *Runs) minEntryBytes() int { return max(rs.keyWidth, 1) + 1 }
+// minEntryBytes and maxEntryBytes bound one entry's encoded length: at
+// least a byte per word and a count byte.
+func (rs *Runs) minEntryBytes() int { return rs.words + 1 }
 
-func (rs *Runs) maxEntryBytes() int {
-	if rs.keyWidth == U64Keys {
-		return maxGapBytes + maxCountBytes
-	}
-	return rs.keyWidth + maxCountBytes
-}
+func (rs *Runs) maxEntryBytes() int { return rs.words*maxWordBytes + maxCountBytes }
 
 // checkHeader validates one frame header: between 1 and frameEntries
 // entries, a payload long enough to hold them and no longer than their
@@ -218,8 +210,8 @@ func (rs *Runs) checkHeader(run int, off int64, plen, entries int, rows uint32) 
 // NumRuns returns the run count K.
 func (rs *Runs) NumRuns() int { return len(rs.files) }
 
-// KeyWidth returns the byte-string key width, or U64Keys.
-func (rs *Runs) KeyWidth() int { return rs.keyWidth }
+// Words returns the key width W in uint64 words.
+func (rs *Runs) Words() int { return rs.words }
 
 // Dir returns the directory holding the run files.
 func (rs *Runs) Dir() string { return rs.dir }
@@ -246,13 +238,10 @@ func (rs *Runs) Bytes() int64 {
 	return n
 }
 
-// RunOf returns the run a byte-string key routes to; the routing is the
-// partition Writer's, so a key counted from run r's records is found in
-// run r.
-func (rs *Runs) RunOf(key []byte) int { return runOf(key, len(rs.files)) }
-
-// RunOfU64 is RunOf for a uint64 key.
-func (rs *Runs) RunOfU64(key uint64) int { return runOfU64(key, len(rs.files)) }
+// RunOf returns the run a key routes to: the run its record — the words
+// little-endian — is partitioned to, so a key counted from run r's
+// records is found in run r.
+func (rs *Runs) RunOf(key []uint64) int { return runOfKey(key, len(rs.files)) }
 
 // RunWriter encodes one sorted run: entries are added in strictly
 // ascending key order with positive counts, framed as they accumulate,
@@ -262,12 +251,11 @@ func (rs *Runs) RunOfU64(key uint64) int { return runOfU64(key, len(rs.files)) }
 type RunWriter struct {
 	rs      *Runs
 	run     int
-	buf     []byte // sealed frames not yet written, then the open frame
-	frame   int    // offset of the open frame's header in buf
-	n       int    // entries in the open frame
-	rows    uint64 // rows in the open frame
-	prev    uint64 // previous uint64 key
-	last    []byte // previous byte-string key
+	buf     []byte   // sealed frames not yet written, then the open frame
+	frame   int      // offset of the open frame's header in buf
+	n       int      // entries in the open frame
+	rows    uint64   // rows in the open frame
+	last    []uint64 // previous key
 	entries int
 	total   int64
 	err     error
@@ -277,10 +265,10 @@ type RunWriter struct {
 // before it writes them in one call.
 const writeBatchBytes = 64 << 10
 
-// runBufs recycles RunWriter buffers: a batch plus one uint64-key frame
+// runBufs recycles RunWriter buffers: a batch plus one one-word-key frame
 // at its longest, so a merge writing one run after another reuses them.
 var runBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, writeBatchBytes+sortedHdrLen+frameEntries*(maxGapBytes+maxCountBytes))
+	b := make([]byte, 0, writeBatchBytes+sortedHdrLen+frameEntries*(maxWordBytes+maxCountBytes))
 	return &b
 }}
 
@@ -290,44 +278,31 @@ func (rs *Runs) RunWriter(run int) *RunWriter {
 	return &RunWriter{rs: rs, run: run, buf: append((*buf)[:0], make([]byte, sortedHdrLen)...)}
 }
 
-// AddU64 appends a uint64-key entry.
-func (w *RunWriter) AddU64(key uint64, count int) {
+// Add appends an entry: a key of the run's W words, which must ascend
+// from the previous entry's, and its positive count.
+func (w *RunWriter) Add(key []uint64, count int) {
 	if w.err != nil {
 		return
 	}
-	if w.entries > 0 && key <= w.prev {
-		w.err = fmt.Errorf("spill: run %d entry %d: key %d does not ascend from %d", w.run, w.entries, key, w.prev)
+	if len(key) != w.rs.words {
+		w.err = fmt.Errorf("spill: run %d key of %d words, want %d", w.run, len(key), w.rs.words)
+		return
+	}
+	if w.entries > 0 && slices.Compare(key, w.last) <= 0 {
+		w.err = fmt.Errorf("spill: run %d entry %d: key %v does not ascend from %v", w.run, w.entries, key, w.last)
 		return
 	}
 	if !w.fits(count) {
 		return
 	}
-	gap := key
+	gap := key[0]
 	if w.n > 0 {
-		gap = key - w.prev
+		gap -= w.last[0]
 	}
 	w.buf = binary.AppendUvarint(w.buf, gap)
-	w.prev = key
-	w.add(count)
-}
-
-// AddBytes appends a byte-string-key entry of the run's key width.
-func (w *RunWriter) AddBytes(key []byte, count int) {
-	if w.err != nil {
-		return
+	for _, word := range key[1:] {
+		w.buf = binary.AppendUvarint(w.buf, word)
 	}
-	if len(key) != w.rs.keyWidth {
-		w.err = fmt.Errorf("spill: run %d key length %d, want %d", w.run, len(key), w.rs.keyWidth)
-		return
-	}
-	if w.entries > 0 && bytes.Compare(key, w.last) <= 0 {
-		w.err = fmt.Errorf("spill: run %d entry %d: key %x does not ascend from %x", w.run, w.entries, key, w.last)
-		return
-	}
-	if !w.fits(count) {
-		return
-	}
-	w.buf = append(w.buf, key...)
 	w.last = append(w.last[:0], key...)
 	w.add(count)
 }
@@ -405,30 +380,14 @@ func (w *RunWriter) Close() error {
 	return w.err
 }
 
-// EachU64 streams run's uint64-key entries in ascending key order. Every
-// frame is verified (checksum, then strict key order across frames,
-// positive counts, whole varints, totals matching its header, routing)
-// as it is decoded, and a failure is a CorruptError; fn may then have
-// seen a prefix of the entries, which the caller must discard. fn
-// returning false stops the scan. ctx (nil never cancels) is checked once
-// per frame.
-func (rs *Runs) EachU64(ctx context.Context, run int, fn func(key uint64, count int) bool) error {
-	if rs.keyWidth != U64Keys {
-		return fmt.Errorf("spill: EachU64 over %d-byte keys", rs.keyWidth)
-	}
-	return rs.each(ctx, run, func(key uint64, _ []byte, count int) bool { return fn(key, count) })
-}
-
-// EachBytes is EachU64 for byte-string keys; the key slice is valid only
-// during the call.
-func (rs *Runs) EachBytes(ctx context.Context, run int, fn func(key []byte, count int) bool) error {
-	if rs.keyWidth == U64Keys {
-		return fmt.Errorf("spill: EachBytes over uint64 keys")
-	}
-	return rs.each(ctx, run, func(_ uint64, key []byte, count int) bool { return fn(key, count) })
-}
-
-func (rs *Runs) each(ctx context.Context, run int, fn func(key uint64, kb []byte, count int) bool) error {
+// Each streams run's entries in ascending key order; the key slice is
+// valid only during the call. Every frame is verified (checksum, then
+// strict key order across frames, positive counts, whole varints, totals
+// matching its header, routing) as it is decoded, and a failure is a
+// CorruptError; fn may then have seen a prefix of the entries, which the
+// caller must discard. fn returning false stops the scan. ctx (nil never
+// cancels) is checked once per frame.
+func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count int) bool) error {
 	if rs.done {
 		return fmt.Errorf("spill: read after Cleanup")
 	}
@@ -438,8 +397,8 @@ func (rs *Runs) each(ctx context.Context, run int, fn func(key uint64, kb []byte
 	var (
 		payload []byte
 		off     int64
-		prev    uint64 // previous uint64 key
-		last    []byte // previous byte-string key
+		key     = make([]uint64, rs.words)
+		prev    = make([]uint64, rs.words)
 		started bool
 	)
 	for {
@@ -460,40 +419,27 @@ func (rs *Runs) each(ctx context.Context, run int, fn func(key uint64, kb []byte
 		p := payload
 		left := uint64(rows)
 		for i := 0; i < entries; i++ {
-			var key uint64
-			var kb []byte
-			if rs.keyWidth == U64Keys {
-				gap, m := binary.Uvarint(p)
+			for j := range key {
+				word, m := binary.Uvarint(p)
 				if m <= 0 {
-					return bad("entry %d: truncated or overlong key gap", i)
+					return bad("entry %d: truncated or overlong key word %d", i, j)
 				}
 				p = p[m:]
-				key = gap
-				if i > 0 {
-					if gap == 0 || gap > math.MaxUint64-prev {
-						return bad("entry %d: keys do not ascend", i)
-					}
-					key = prev + gap
-				} else if started && key <= prev {
-					return bad("entry %d: keys do not ascend across frames", i)
-				}
-				if r := runOfU64(key, len(rs.files)); r != run {
-					return bad("entry %d: key %d routes to run %d", i, key, r)
-				}
-				prev = key
-			} else {
-				if len(p) < rs.keyWidth {
-					return bad("entry %d: truncated key", i)
-				}
-				kb, p = p[:rs.keyWidth], p[rs.keyWidth:]
-				if started && bytes.Compare(kb, last) <= 0 {
+				key[j] = word
+			}
+			if i > 0 {
+				if key[0] > math.MaxUint64-prev[0] {
 					return bad("entry %d: keys do not ascend", i)
 				}
-				if r := runOf(kb, len(rs.files)); r != run {
-					return bad("entry %d: key routes to run %d", i, r)
-				}
-				last = append(last[:0], kb...)
+				key[0] += prev[0]
 			}
+			if started && slices.Compare(key, prev) <= 0 {
+				return bad("entry %d: key %v does not ascend from %v", i, key, prev)
+			}
+			if r := runOfKey(key, len(rs.files)); r != run {
+				return bad("entry %d: key %v routes to run %d", i, key, r)
+			}
+			copy(prev, key)
 			started = true
 			c, m := binary.Uvarint(p)
 			if m <= 0 {
@@ -504,7 +450,7 @@ func (rs *Runs) each(ctx context.Context, run int, fn func(key uint64, kb []byte
 				return bad("entry %d: count %d with %d of the frame's %d rows left", i, c, left, rows)
 			}
 			left -= c
-			if !fn(key, kb, int(c)) {
+			if !fn(key, int(c)) {
 				return nil
 			}
 		}

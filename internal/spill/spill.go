@@ -17,22 +17,21 @@
 // caller picks K so a run's estimated footprint fits its per-worker budget
 // share) instead of the whole key space.
 //
-// Two record encodings share the machinery: opaque RecWidth-byte records
-// counted into map[string]int (CountRunsCtx), and fixed-width 8-byte
-// little-endian uint64 records counted into map[uint64]int (AddU64 /
-// CountRunsU64Ctx) for key spaces that fit uint64 but whose map state is
-// over budget. Run counting is parallel: runs are key-disjoint, so
+// A record is a key of W uint64 words, little-endian (8W bytes). One-word
+// records count into map[uint64]int (AddU64 / CountRunsU64Ctx); wider
+// ones count into map[string]int keyed by the record bytes (Add /
+// CountRunsCtx). Run counting is parallel: runs are key-disjoint, so
 // CountRunsCtx splits them K-way across workers, and each worker reuses
 // one pooled map and read chunk across its runs.
 //
 // A partition run lives only until it is counted. A spilled index keeps
 // what counting yields instead: Runs, K sorted runs of (key, count)
-// entries under the same routing, with uint64 keys gap- and varint-coded
-// (runs.go). A merge-on-read load decodes one straight into its in-memory
-// form, an artifact adopts the files as they are, and a merge rewrites
-// them with one linear two-way merge per run.
+// entries under the same routing, the first key word gap-coded and every
+// number varint-coded (runs.go). A merge-on-read load decodes one
+// straight into its in-memory form, an artifact adopts the files as they
+// are, and a merge rewrites them with one linear two-way merge per run.
 //
-// Both run formats detect corruption: every frame carries a CRC32C, and
+// Both kinds of run detect corruption: every frame carries a CRC32C, and
 // every read path verifies a frame's checksum before a single record or
 // entry of it reaches a caller — a torn sector or bit flip surfaces as a
 // typed CorruptError, never as a silently wrong count. All file access goes
@@ -40,8 +39,8 @@
 // the exact fault a disk would produce.
 //
 // The package is deliberately below internal/core in the import order: it
-// deals only in opaque fixed-width byte records and uint64 keys, so core
-// can select it from kernel dispatch without a cycle. Buffers are recycled
+// deals only in fixed-width records and uint64-word keys, so core can
+// select it from kernel dispatch without a cycle. Buffers are recycled
 // through the BufPool interface, which *core.VecPool satisfies.
 package spill
 
@@ -70,8 +69,9 @@ type BufPool interface {
 
 // Config describes one spill group-by.
 type Config struct {
-	// RecWidth is the fixed record width in bytes. Required, > 0. Callers
-	// using the uint64 record format (AddU64/CountRunsU64Ctx) must set it to 8.
+	// RecWidth is the fixed record width in bytes: 8 per key word.
+	// Required, > 0. Callers using one-word records (AddU64 /
+	// CountRunsU64Ctx) set it to 8.
 	RecWidth int
 	// Runs is the number of hash partitions K. Required, >= 1. Callers
 	// size it so one run's estimated in-memory map fits each counting
@@ -197,6 +197,11 @@ func routeHash(rec []byte) uint64 {
 		h ^= uint64(b)
 		h *= fnv64Prime
 	}
+	return finishHash(h)
+}
+
+// finishHash is routeHash's murmur-style 64-bit finisher.
+func finishHash(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -205,14 +210,21 @@ func routeHash(rec []byte) uint64 {
 	return h
 }
 
-// runOf routes a record or byte-string key to one of runs partitions.
+// runOf routes a record to one of runs partitions.
 func runOf(rec []byte, runs int) int { return int(routeHash(rec) % uint64(runs)) }
 
-// runOfU64 routes a uint64 key as its 8-byte little-endian record.
-func runOfU64(key uint64, runs int) int {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	return runOf(b[:], runs)
+// runOfKey routes a key of uint64 words as its record, the words
+// little-endian, without materializing it.
+func runOfKey(key []uint64, runs int) int {
+	h := uint64(fnv64Offset)
+	for _, word := range key {
+		for range 8 {
+			h ^= word & 0xff
+			h *= fnv64Prime
+			word >>= 8
+		}
+	}
+	return int(finishHash(h) % uint64(runs))
 }
 
 // Writer partitions fixed-width records into K on-disk runs. Create one
@@ -288,9 +300,6 @@ func (w *Writer) NumRuns() int { return w.cfg.Runs }
 // (see routeHash), so it holds across processes too.
 func (w *Writer) RunOf(rec []byte) int { return runOf(rec, w.cfg.Runs) }
 
-// RunOfU64 is RunOf for the uint64 record format.
-func (w *Writer) RunOfU64(key uint64) int { return runOfU64(key, w.cfg.Runs) }
-
 // DropRun closes and deletes run's file once it has been counted, so a
 // build that writes each counted run sorted holds one copy of it on disk,
 // not two. Reading the run afterwards fails; Cleanup still removes the
@@ -348,9 +357,8 @@ func (s *ShardWriter) Add(rec []byte) {
 	s.recs++
 }
 
-// AddU64 appends one uint64 record in the fixed 8-byte little-endian
-// encoding. The writer must have been configured with RecWidth 8; the
-// partition assignment matches RunOfU64.
+// AddU64 appends one one-word record, the key's 8-byte little-endian
+// encoding. The writer must have been configured with RecWidth 8.
 func (s *ShardWriter) AddU64(key uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], key)
@@ -496,7 +504,7 @@ func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run in
 	return countRuns(ctx, w, workers, addRecBytes, emit)
 }
 
-// CountRunsU64Ctx is CountRunsCtx for the uint64 record format: 8-byte
+// CountRunsU64Ctx is CountRunsCtx for one-word records: 8-byte
 // little-endian records counted into map[uint64]int — no per-key string
 // materialization, the same parallelism and cancellation contract.
 func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) error {

@@ -25,7 +25,6 @@ package vcreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"pcbl/internal/core"
 	"pcbl/internal/dataset"
@@ -292,15 +291,4 @@ func (in *Instance) ZeroErrorWithinBound() (lattice.AttrSet, bool, error) {
 		return true
 	})
 	return witness, found, err
-}
-
-// SortedCover returns cover vertices in ascending order (determinism for
-// test output).
-func SortedCover(cover map[int]bool) []int {
-	out := make([]int, 0, len(cover))
-	for v := range cover {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
