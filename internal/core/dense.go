@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"pcbl/internal/workpool"
 )
@@ -31,9 +30,9 @@ import (
 //     time with the map kernel — see spillcount.go; no budget means the
 //     tier is off; LabelSizes models a capped set at cap+1 keys)
 //
-// A one-word sorted build counts into hash maps and freezes them into
-// SortedCounts when the scan ends; a wider one lists its rows' keys and
-// sorts and compresses them into the same layout. The row-factor guard
+// A sorted build counts into hash maps and freezes them into SortedCounts
+// when the scan ends: one-word keys into map[uint64]int, wider ones into a
+// map keyed by their record form. The row-factor guard
 // keeps the dense kernel off sparse key spaces where zeroing and walking
 // the flat array would dominate the scan itself.
 
@@ -256,31 +255,36 @@ func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *
 }
 
 // buildPCWide is buildPCSorted for keys of more than one word: each worker
-// lists its rows' keys, and the lists sort and compress into the layout.
+// counts its rows into a hash map keyed by record form, so its memory
+// grows with the distinct keys, and the merged map freezes into the
+// layout.
 func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
-	w := k.Words()
-	shards := make([][]uint64, max(workers, 1))
+	shards := make([]map[string]int, max(workers, 1))
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
-		keys := make([]uint64, 0, w*(hi-lo))
+		m := make(map[string]int)
+		var buf []byte
 		for blo := lo; blo < hi; blo += keyBlockRows {
 			if stop.hit() {
 				break
 			}
 			for r := blo; r < min(blo+keyBlockRows, hi); r++ {
-				keys, _ = k.appendKeyRow(keys, cols, r)
+				b, ok := k.appendRecordRow(buf[:0], cols, r)
+				buf = b
+				if ok {
+					m[string(b)]++
+				}
 			}
 		}
-		shards[wk] = keys
+		shards[wk] = m
 	})
-	keys := shards[0]
-	if len(shards) > 1 {
-		keys = slices.Concat(shards...)
+	merged := shards[0]
+	for _, m := range shards[1:] {
+		for rec, c := range m {
+			merged[rec] += c
+		}
 	}
-	counts := make([]int32, len(keys)/w)
-	for i := range counts {
-		counts[i] = 1
-	}
-	return &PC{keyer: k, u: sortedFrom(keys, counts, w)}
+	keys, counts := recordEntries(merged, k.Words())
+	return &PC{keyer: k, u: sortedFrom(keys, counts, k.Words())}
 }
 
 // ScanStats accumulates which kernel the engine picked per attribute set.

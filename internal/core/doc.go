@@ -69,10 +69,11 @@
 //     keys with a parallel int32 count slice, 8W + 4 bytes an entry,
 //     looked up by binary search and walked in key order. A one-word
 //     build counts into hash maps fed by columnar key vectors
-//     (Keyer.KeyBlock decodes a row block one member column at a time)
-//     and freezes them when the scan ends; a wider build, marginals and
-//     in-memory merges build the layout by radix sort-and-compress of
-//     their keys, one word at a time, with no map at all.
+//     (Keyer.KeyBlock decodes a row block one member column at a time),
+//     a wider one into hash maps keyed by the record form, and both
+//     freeze them when the scan ends; marginals and in-memory merges
+//     build the layout by radix sort-and-compress of their keys, one word
+//     at a time, with no map at all.
 //   - spill: sets beyond the dense tier whose modeled map footprint (56
 //     bytes a one-word entry, 8W + 64 a wider one) exceeds
 //     CountOptions.MemBudget run the external group-by with 8W-byte

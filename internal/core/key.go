@@ -24,7 +24,6 @@ type Keyer struct {
 	word    []int    // each member's word, aligned with members; nil for one word
 	mult    []uint64 // mixed-radix multipliers within a word, aligned with members
 	radix   []uint64 // per-word key space: word w lies in [0, radix[w])
-	radix1  [1]uint64
 }
 
 // NewKeyer builds a Keyer for attribute set s over dataset d.
@@ -34,9 +33,8 @@ func NewKeyer(d *dataset.Dataset, s lattice.AttrSet) *Keyer {
 		attrs:   s,
 		members: members,
 		mult:    make([]uint64, len(members)),
+		radix:   []uint64{1},
 	}
-	// A one-word key, the common case, allocates neither radix nor word.
-	k.radix = append(k.radix1[:0], 1)
 	for j, i := range members {
 		dim := domainRadix(d, i)
 		w := len(k.radix) - 1

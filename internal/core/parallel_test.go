@@ -24,16 +24,22 @@ type diffConfig struct {
 	attrs    int
 	domain   int     // per-attribute domain size
 	nullRate float64 // probability of NULL per cell
+	cycle    int     // when > 0, the rows repeat with this period
 }
 
 func (c diffConfig) name() string {
-	return fmt.Sprintf("rows=%d_attrs=%d_dom=%d_null=%.2f", c.rows, c.attrs, c.domain, c.nullRate)
+	name := fmt.Sprintf("rows=%d_attrs=%d_dom=%d_null=%.2f", c.rows, c.attrs, c.domain, c.nullRate)
+	if c.cycle > 0 {
+		name += fmt.Sprintf("_cycle=%d", c.cycle)
+	}
+	return name
 }
 
 // diffConfigs spans the shapes the engine must handle: empty and tiny
 // datasets, mid-size ones, NULL-free and NULL-heavy data, narrow domains
 // (many duplicate patterns) and the 65000-value domains whose mixed-radix
-// key passes one uint64 word.
+// key passes one uint64 word, once with every row distinct and once with
+// 150 tuples repeated across the worker shards.
 var diffConfigs = []diffConfig{
 	{rows: 0, attrs: 3, domain: 4, nullRate: 0},
 	{rows: 1, attrs: 3, domain: 4, nullRate: 0},
@@ -43,6 +49,7 @@ var diffConfigs = []diffConfig{
 	{rows: 3000, attrs: 6, domain: 8, nullRate: 0.05},
 	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // 65000^4 > 2^63: two-word keys
 	{rows: 1000, attrs: 8, domain: 2, nullRate: 0.02},
+	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1, cycle: 150},
 }
 
 var diffWorkerCounts = []int{1, 2, 8}
@@ -69,6 +76,9 @@ func diffDataset(t *testing.T, cfg diffConfig, seed uint64) *dataset.Dataset {
 	rng := rand.New(rand.NewPCG(seed, 0xD1FF))
 	ids := make([]uint16, cfg.attrs)
 	for r := 0; r < cfg.rows; r++ {
+		if cfg.cycle > 0 && r%cfg.cycle == 0 {
+			rng = rand.New(rand.NewPCG(seed, 0xD1FF))
+		}
 		for a := range ids {
 			if cfg.nullRate > 0 && rng.Float64() < cfg.nullRate {
 				ids[a] = dataset.Null

@@ -137,43 +137,31 @@ func TestSortedValidate(t *testing.T) {
 // keys, so its order no longer depends on map iteration — for two-word
 // keys too, in lexicographic order.
 func TestSortedPCIteratesInKeyOrder(t *testing.T) {
-	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 40, nullRate: 0.05}, 0x52)
-	pc := must(BuildPC(d, lattice.FullSet(d.NumAttrs()), CountOptions{Workers: 2, minRowsPerWorker: 1}))
-	if pc.u == nil {
-		t.Fatalf("PC is %s, want sorted", pcRepr(pc))
-	}
-	var keys []uint64
-	noErr(pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, _ int) bool {
-		key, _ := pc.keyer.KeyVals(vals)
-		keys = append(keys, key)
-		return true
-	}))
-	if !slices.IsSorted(keys) || len(keys) != pc.Size() {
-		t.Fatalf("EachCtx yields %d keys, sorted %v; size %d", len(keys), slices.IsSorted(keys), pc.Size())
-	}
-	want := pcDump(must(BuildPC(d, lattice.FullSet(d.NumAttrs()), CountOptions{Workers: 1})))
-	if got := pcDump(pc); !maps.Equal(got, want) {
-		t.Fatal("parallel sorted build differs from the sequential one")
-	}
-}
-
-func TestWideSortedPCIteratesInKeyOrder(t *testing.T) {
-	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.05}, 0x53)
-	full := lattice.FullSet(d.NumAttrs())
-	pc := must(BuildPC(d, full, CountOptions{Workers: 2, minRowsPerWorker: 1}))
-	if pcRepr(pc) != "wide" {
-		t.Fatalf("PC is %s, want wide", pcRepr(pc))
-	}
-	var keys [][]uint64
-	noErr(pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, _ int) bool {
-		key, _ := pc.keyer.appendKey(nil, vals)
-		keys = append(keys, key)
-		return true
-	}))
-	if !slices.IsSortedFunc(keys, slices.Compare) || len(keys) != pc.Size() {
-		t.Fatalf("EachCtx yields %d keys, sorted %v; size %d", len(keys), slices.IsSortedFunc(keys, slices.Compare), pc.Size())
-	}
-	if got, want := pcDump(pc), pcDump(must(BuildPC(d, full, CountOptions{Workers: 1}))); !maps.Equal(got, want) {
-		t.Fatal("parallel wide build differs from the sequential one")
+	for _, tc := range []struct {
+		domain int
+		seed   uint64
+		repr   string
+	}{
+		{40, 0x52, "sorted"},
+		{65000, 0x53, "wide"},
+	} {
+		d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: tc.domain, nullRate: 0.05}, tc.seed)
+		full := lattice.FullSet(d.NumAttrs())
+		pc := must(BuildPC(d, full, CountOptions{Workers: 2, minRowsPerWorker: 1}))
+		if got := pcRepr(pc); got != tc.repr {
+			t.Fatalf("domain %d: PC is %s, want %s", tc.domain, got, tc.repr)
+		}
+		var keys [][]uint64
+		noErr(pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, _ int) bool {
+			key, _ := pc.keyer.appendKey(nil, vals)
+			keys = append(keys, key)
+			return true
+		}))
+		if sorted := slices.IsSortedFunc(keys, slices.Compare); !sorted || len(keys) != pc.Size() {
+			t.Fatalf("domain %d: EachCtx yields %d keys, sorted %v; size %d", tc.domain, len(keys), sorted, pc.Size())
+		}
+		if got, want := pcDump(pc), pcDump(must(BuildPC(d, full, CountOptions{Workers: 1}))); !maps.Equal(got, want) {
+			t.Fatalf("domain %d: parallel %s build differs from the sequential one", tc.domain, tc.repr)
+		}
 	}
 }
