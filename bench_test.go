@@ -41,7 +41,7 @@ import (
 var benchOnce sync.Once
 var benchData struct {
 	bluenile, compas, creditcard *dataset.Dataset
-	wide                         *dataset.Dataset // forces byte-string keys
+	wide                         *dataset.Dataset // forces two-word keys
 	psBlueNile                   *core.PatternSet
 	psCompas                     *core.PatternSet
 	psCreditCard                 *core.PatternSet
@@ -68,7 +68,7 @@ func benchSetup(b *testing.B) {
 }
 
 // wideDataset builds a schema whose domain product overflows 63 bits, so
-// full-width group-by must take the byte-string key path.
+// a full-width group-by keys more than one word.
 func wideDataset(rows, attrs, domain int) *dataset.Dataset {
 	names := make([]string, attrs)
 	for i := range names {
@@ -487,7 +487,7 @@ func BenchmarkFrontierSizing(b *testing.B) {
 		frontierData = smallDomainDataset(120000, 12, 3)
 	})
 	d := frontierData
-	opts := search.Options{Bound: 200, Workers: 1}
+	opts := search.Options{Bound: 200, CountOptions: core.CountOptions{Workers: 1}}
 	b.Run("scheduler", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cands, stats, err := search.Enumerate(d, opts)
@@ -517,20 +517,24 @@ var spillBenchData *dataset.Dataset
 
 // u64SpillData is the uint64-record spill workload: 8 domain-40
 // attributes give a 40^8 mixed-radix key — fits uint64, far beyond the
-// dense tier — so a budgeted full-set group-by spills fixed-width 8-byte
-// records instead of 16-byte byte-string records.
+// dense tier — so a budgeted full-set group-by spills one-word 8-byte
+// records instead of two-word 16-byte records.
 var u64SpillOnce sync.Once
 var u64SpillData *dataset.Dataset
 
-// spillBenchSetup returns a byte-key dataset (domain product overflows
-// uint64, nearly all rows distinct — the unbounded-domain worst case) and
-// a memory budget forcing its full-set group-by into >= 6 on-disk runs.
+// spillBenchSetup returns a two-word-key dataset (the domain product
+// overflows 63 bits, nearly all rows distinct — the unbounded-domain worst
+// case) and a memory budget forcing its full-set group-by into >= 6
+// on-disk runs.
 func spillBenchSetup(b *testing.B) (d *dataset.Dataset, budget int64) {
 	b.Helper()
 	spillBenchOnce.Do(func() { spillBenchData = wideDataset(60000, 12, 40) })
 	d = spillBenchData
-	// The engine's deterministic footprint estimate for the byte-map
-	// kernel is rows × (2·attrs + 64) bytes (distinct <= rows).
+	// The budget is a sixth of rows × (2·attrs + 64) bytes, the footprint
+	// model of the byte-string keys these gates were recorded on, kept so
+	// the gated workload stays the same. The engine prices the two-word
+	// keys at rows × (8W + 64) = rows × 80 bytes, which the budget splits
+	// into six runs.
 	footprint := int64(d.NumRows()) * int64(2*d.NumAttrs()+64)
 	return d, footprint / 6
 }
@@ -614,20 +618,20 @@ func BenchmarkSpillSizeWorkers(b *testing.B) {
 }
 
 // BenchmarkSpillRecordFormat compares spilled sizing throughput of the two
-// record formats at equal row count: byte-string records (key overflows
-// uint64; 2 bytes per member) vs fixed-width uint64 records (8 bytes, no
-// per-key string materialization in the count maps). MB/s is record bytes
+// record widths at equal row count: two-word records (the key overflows 63
+// bits; 16 bytes, counted in a spill.Tally) vs one-word records (8 bytes,
+// counted in a map[uint64]int). MB/s is record bytes, 8 per key word,
 // through the partition+count pipeline.
 func BenchmarkSpillRecordFormat(b *testing.B) {
 	d, budget := spillBenchSetup(b)
 	u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
 	du := u64SpillData
 	budgetU := spillBudgetU64(du, 6)
-	run := func(b *testing.B, d *dataset.Dataset, budget int64, recW int, wantU64 int64) {
+	run := func(b *testing.B, d *dataset.Dataset, budget int64) {
 		full := lattice.FullSet(d.NumAttrs())
 		var stats core.ScanStats
 		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
-		b.SetBytes(int64(d.NumRows() * recW))
+		b.SetBytes(int64(d.NumRows() * 8 * core.NewKeyer(d, full).Words()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, within := must2(core.LabelSize(d, full, -1, opts)); !within {
@@ -638,8 +642,8 @@ func BenchmarkSpillRecordFormat(b *testing.B) {
 			b.Fatalf("Spilled=%d over %d ops", stats.Spilled, b.N)
 		}
 	}
-	b.Run("bytes", func(b *testing.B) { run(b, d, budget, 2*d.NumAttrs(), 0) })
-	b.Run("u64", func(b *testing.B) { run(b, du, budgetU, 8, 1) })
+	b.Run("bytes", func(b *testing.B) { run(b, d, budget) })
+	b.Run("u64", func(b *testing.B) { run(b, du, budgetU) })
 }
 
 // spillBudgetU64 mirrors the engine's uint64-map footprint model
@@ -716,8 +720,8 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			size := 0
-			err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
-				size += len(m)
+			err = w.CountRunsCtx(nil, 1, func(_ int, m *spill.Tally) bool {
+				size += m.Len()
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -757,8 +761,8 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			merged := make(map[string]int)
-			err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
-				for key, c := range m {
+			err = w.CountRunsCtx(nil, 1, func(_ int, m *spill.Tally) bool {
+				for key, c := range m.All() {
 					merged[key] = c
 				}
 				return true
@@ -1098,7 +1102,7 @@ func BenchmarkAblation_EvalMode_SortedEarlyStop(b *testing.B) {
 	}
 }
 
-// Mixed-radix uint64 keys vs byte-string fallback keys for group-by.
+// One-word keys vs keys of more than one word for group-by.
 func BenchmarkAblation_Key_Uint64(b *testing.B) {
 	benchSetup(b)
 	d := benchData.compas // full-width keys fit in uint64
@@ -1111,7 +1115,7 @@ func BenchmarkAblation_Key_Uint64(b *testing.B) {
 
 func BenchmarkAblation_Key_Bytes(b *testing.B) {
 	benchSetup(b)
-	d := benchData.wide // 32^16 overflows: byte-string path
+	d := benchData.wide // 32^16 overflows 63 bits: two-word keys
 	full := lattice.FullSet(d.NumAttrs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -350,7 +350,7 @@ func runLoad(args []string) error {
 		kinds[string(pm.Kind)]++
 	}
 	var parts []string
-	for _, k := range []string{"dense", "u64", "spilled-u64"} {
+	for _, k := range []string{"sorted", "spilled"} {
 		if kinds[k] > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", kinds[k], k))
 		}

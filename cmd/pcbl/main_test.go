@@ -90,8 +90,23 @@ func TestSaveLoadServeRoundTrip(t *testing.T) {
 	if err := runSave([]string{"-in", path, "-bins", "0", "-attrs", "color,shape", "-artifact", dir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runLoad([]string{"-artifact", dir}); err != nil {
+	out, err := os.CreateTemp(t.TempDir(), "load")
+	if err != nil {
 		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = runLoad([]string{"-artifact", dir})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "payloads:         1 (1 sorted); format version 4"; !strings.Contains(string(printed), want) {
+		t.Fatalf("load printed:\n%s\nwant a line %q", printed, want)
 	}
 
 	// Ground truth straight from the CSV.

@@ -5,25 +5,26 @@
 //
 // An artifact directory holds one manifest.json plus one payload per
 // pattern-count index (the label's PC section first, then every
-// materialized marginal index):
+// materialized marginal index). Every payload stores its (key, count)
+// entries in the one run codec of internal/spill: sorted keys of W uint64
+// words, the first word gap-coded and every number varint-coded, in
+// CRC32C frames whose headers carry each frame's entry and row totals. A
+// payload is one run in a file or K runs in a directory:
 //
 //   - manifest.json — a self-checksummed envelope around the manifest:
 //     format version, dataset schema (attribute names and active domains),
 //     the VC section (per-value counts), the label's attribute set, and a
-//     descriptor per PC payload carrying that payload's CRC32C and length.
-//   - pc-NNN.bin — an in-memory representation serialized directly:
-//     the dense path as a raw little-endian int32 slab, the sorted path as
-//     fixed-width (key of W uint64 words, int64 count) entries. The
-//     section checksum in the manifest covers the whole file, and the
-//     entries load straight into the sorted layout, so their keys must
-//     ascend strictly.
-//   - pc-NNN-runs/ — a merge-on-read (spilled) representation: the
-//     build's own sorted runs of (key, count) entries, adopted into the
-//     artifact by rename instead of being re-counted, exactly as
-//     internal/spill wrote them — gap- and varint-coded in CRC32C frames
-//     whose headers carry each frame's entry and row totals. The
-//     partition-routing hash is fixed, so a reopened artifact routes
-//     point lookups to the same single run the build spilled them into.
+//     descriptor per PC payload.
+//   - pc-NNN.bin — a sorted payload: an in-memory index, dense or sorted,
+//     saved as one run of its entries in key order. Its descriptor carries
+//     the file's length and CRC32C. Open decodes it whole and gives the
+//     index the representation a build over the label's rows would pick,
+//     so the artifact records no engine representation.
+//   - pc-NNN-runs/ — a spilled payload: a merge-on-read index's K runs,
+//     adopted into the artifact by rename instead of being re-counted,
+//     exactly as internal/spill wrote them. The partition-routing hash is
+//     fixed, so a reopened artifact routes point lookups to the same
+//     single run the build spilled them into.
 //
 // Saves are crash-safe: payload bytes are fsynced, then the directory,
 // then the manifest lands by atomic rename (tmp + fsync + rename + dir
@@ -31,24 +32,24 @@
 // instant leaves a directory without a manifest, which Open rejects with
 // ErrIncomplete, and a crash after it leaves a complete, durable artifact.
 // Open validates the manifest eagerly (structure and self-checksum, with
-// typed errors) and payload data as it is read: file payloads verify their
-// section checksum when loaded; spilled runs are checked against the
-// manifest from their frame headers at Open, and verify each frame's
-// checksum and entries when a run is first read. Only the current format
-// is read: an artifact of an older format fails Open with ErrManifest.
+// typed errors) and payload data as it is read: a sorted payload verifies
+// its file checksum and then every frame and entry at Open; spilled runs
+// are checked against the manifest from their frame headers at Open, and
+// verify each frame's checksum and entries when a run is first read. Only
+// the current format is read: an artifact of an older format fails Open
+// with ErrManifest.
 //
 // Numbers in binary payloads are little-endian. See docs/artifact-format.md
 // for the byte-level layout.
 package artifact
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"path/filepath"
@@ -63,9 +64,8 @@ import (
 )
 
 // FormatVersion is the artifact layout version this package writes and
-// the only one it reads. Version 3 stores spilled runs as sorted
-// (key, count) entries.
-const FormatVersion = 3
+// the only one it reads. Version 4 stores every payload in the run codec.
+const FormatVersion = 4
 
 // manifestName is the artifact's index file; its atomic rename into place
 // is the save's commit point.
@@ -75,12 +75,11 @@ const manifestName = "manifest.json"
 // under before the commit rename.
 const manifestTmpName = "manifest.json.tmp"
 
-// PC payload kinds. A key of the u64 kinds is W ≥ 1 uint64 words
-// (PCMeta.Words).
+// PC payload kinds: one run in a file, or K runs in a directory. A key is
+// W ≥ 1 uint64 words (PCMeta.Words).
 const (
-	kindDense      = "dense"
-	kindU64        = "u64"
-	kindSpilledU64 = "spilled-u64"
+	kindSorted  = "sorted"
+	kindSpilled = "spilled"
 )
 
 // Typed error classes. Every error Open returns wraps exactly one of
@@ -203,24 +202,18 @@ type AttrMeta struct {
 type PCMeta struct {
 	Attrs []string `json:"attrs"`
 	Kind  string   `json:"kind"`
-	// Words is the u64 kinds' key width W in uint64 words; omitted when 1.
+	// Words is the key width W in uint64 words; omitted when 1.
 	Words int `json:"words,omitempty"`
 
-	// File is the payload for the in-memory kinds.
-	File string `json:"file,omitempty"`
-	// Distinct is the dense kind's nonzero-slot count.
-	Distinct int `json:"distinct,omitempty"`
-	// Entries is the u64 kind's entry count.
-	Entries int `json:"entries,omitempty"`
-	// SizeBytes is the payload file's byte length.
-	SizeBytes int64 `json:"size_bytes,omitempty"`
-	// Checksum is the CRC32C of the payload file's bytes.
-	Checksum uint32 `json:"crc32c,omitempty"`
+	// Sorted kind: the run file, its entry count, byte length and the
+	// CRC32C of its bytes.
+	File      string `json:"file,omitempty"`
+	Entries   int    `json:"entries,omitempty"`
+	SizeBytes int64  `json:"size_bytes,omitempty"`
+	Checksum  uint32 `json:"crc32c,omitempty"`
 
 	// Spilled kind: the adopted run directory and the read-path metadata.
-	// RecWidth is the byte width of a key word, 8.
 	Dir      string `json:"dir,omitempty"`
-	RecWidth int    `json:"rec_width,omitempty"`
 	Size     int    `json:"size,omitempty"`
 	RunSizes []int  `json:"run_sizes,omitempty"`
 	Budget   int64  `json:"budget,omitempty"`
@@ -393,10 +386,10 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 	return append(data, '\n'), err
 }
 
-// crcWriter tees payload bytes into a buffered file writer while
-// accumulating their CRC32C and length for the manifest descriptor.
+// crcWriter tees payload bytes into a file while accumulating their
+// CRC32C and length for the manifest descriptor.
 type crcWriter struct {
-	w   *bufio.Writer
+	w   io.Writer
 	crc uint32
 	n   int64
 }
@@ -415,9 +408,7 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 	idx := len(m.PCs)
 	meta := PCMeta{Attrs: attrNames(d, pc.Attrs())}
 	r := pc.Repr()
-	switch {
-	case r.Spill != nil:
-		sr := r.Spill
+	if sr := r.Spill; sr != nil {
 		meta.Dir = fmt.Sprintf("pc-%03d%s-runs", idx, suffix)
 		runDir := filepath.Join(dir, meta.Dir)
 		if err := fsi.Mkdir(runDir, 0o755); err != nil {
@@ -426,56 +417,41 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 		if err := sr.Runs.AdoptInto(runDir); err != nil {
 			return fmt.Errorf("artifact: %w", err)
 		}
-		meta.Kind = kindSpilledU64
+		meta.Kind = kindSpilled
 		meta.Words = wordsMeta(sr.Runs.Words())
-		meta.RecWidth = 8
 		meta.Size = sr.Size
 		meta.RunSizes = sr.RunSizes
 		meta.Budget = sr.Budget
-	default:
-		meta.File = fmt.Sprintf("pc-%03d%s.bin", idx, suffix)
-		f, err := fsi.Create(filepath.Join(dir, meta.File))
-		if err != nil {
-			return fmt.Errorf("artifact: %w", err)
-		}
-		w := &crcWriter{w: bufio.NewWriter(f)}
-		switch {
-		case r.Dense != nil:
-			meta.Kind = kindDense
-			meta.Distinct = r.Distinct
-			buf := make([]byte, 4)
-			for _, c := range r.Dense {
-				binary.LittleEndian.PutUint32(buf, uint32(c))
-				w.Write(buf)
-			}
-		default:
-			meta.Kind = kindU64
-			meta.Words = wordsMeta(r.U.W)
-			meta.Entries = len(r.U.Counts)
-			buf := make([]byte, 8)
-			for i, c := range r.U.Counts {
-				for _, word := range r.U.Keys[i*r.U.W : (i+1)*r.U.W] {
-					binary.LittleEndian.PutUint64(buf, word)
-					w.Write(buf)
-				}
-				binary.LittleEndian.PutUint64(buf, uint64(int64(c)))
-				w.Write(buf)
-			}
-		}
-		if err := w.w.Flush(); err != nil {
-			f.Close()
-			return fmt.Errorf("artifact: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("artifact: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("artifact: %w", err)
-		}
-		meta.SizeBytes = w.n
-		meta.Checksum = w.crc
+		m.PCs = append(m.PCs, meta)
+		return nil
 	}
+	u := r.U
+	meta.Kind = kindSorted
+	meta.Words = wordsMeta(u.W)
+	meta.Entries = len(u.Counts)
+	meta.File = fmt.Sprintf("pc-%03d%s.bin", idx, suffix)
+	f, err := fsi.Create(filepath.Join(dir, meta.File))
+	if err != nil {
+		return fmt.Errorf("artifact: %w", err)
+	}
+	w := &crcWriter{w: f}
+	rw := spill.NewRunWriter(w, u.W)
+	for i, c := range u.Counts {
+		rw.Add(u.Keys[i*u.W:(i+1)*u.W], int(c))
+	}
+	if err := rw.Close(); err != nil {
+		f.Close()
+		return fmt.Errorf("artifact: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("artifact: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("artifact: %w", err)
+	}
+	meta.SizeBytes = w.n
+	meta.Checksum = w.crc
 	m.PCs = append(m.PCs, meta)
 	return nil
 }
@@ -490,8 +466,9 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 // bytes are verified as they are read. Errors are typed: ErrIncomplete for
 // a missing manifest, ErrManifest for invalid metadata or another format
 // version, ErrCorrupt (a CorruptError) for data that fails verification.
-// A spilled payload's frame headers must agree with the manifest at Open;
-// its entries verify when a run is first read, where a failure is a
+// A sorted payload is read and verified whole at Open. A spilled
+// payload's frame headers must agree with the manifest at Open; its
+// entries verify when a run is first read, where a failure is a
 // spill.ErrCorrupt from the query that read it.
 func Open(dir string) (*core.Label, *Manifest, error) { return OpenFS(dir, nil) }
 
@@ -547,9 +524,8 @@ func OpenFS(dir string, fsys iofault.FS) (*core.Label, *Manifest, error) {
 	for i, pm := range m.PCs {
 		pc, err := openPC(d, pm, m.TotalRows, dir, fsi)
 		if err != nil {
-			// Release spilled payloads already reopened; their writers
-			// don't own the artifact's files, so this only closes
-			// descriptors.
+			// Retire spilled payloads already reopened; they don't own
+			// the artifact's files, so nothing is deleted.
 			for _, p := range pcs[:i] {
 				p.ReleaseSpill()
 			}
@@ -633,44 +609,26 @@ func validateManifest(m *Manifest) error {
 	}
 	seen := make(map[string]int) // payload file/dir name -> first payload index
 	for i, pm := range m.PCs {
-		if pm.Words < 0 || pm.Words > maxWords || pm.Words != 0 && pm.Kind == kindDense {
+		if pm.Words < 0 || pm.Words > maxWords {
 			return manifestErr("payload %d kind %q with %d-word keys", i, pm.Kind, pm.Words)
 		}
 		switch pm.Kind {
-		case kindDense, kindU64:
+		case kindSorted:
 			if err := validateRef(seen, pm.File, i, "file"); err != nil {
 				return err
 			}
 			if pm.Dir != "" {
 				return manifestErr("payload %d kind %q with a run directory", i, pm.Kind)
 			}
-			if pm.Entries < 0 || pm.Distinct < 0 || pm.SizeBytes < 0 {
+			if pm.Entries < 0 || pm.SizeBytes < 0 {
 				return manifestErr("payload %d has negative section metadata", i)
 			}
-			var width int64
-			switch pm.Kind {
-			case kindDense:
-				if pm.SizeBytes%4 != 0 {
-					return manifestErr("payload %d dense slab length %d is not a whole number of int32 slots", i, pm.SizeBytes)
-				}
-				if int64(pm.Distinct) > pm.SizeBytes/4 {
-					return manifestErr("payload %d declares %d nonzero slots in a %d-slot slab", i, pm.Distinct, pm.SizeBytes/4)
-				}
-			case kindU64:
-				width = int64(8*wordsOf(pm) + 8)
-			}
-			if width > 0 && pm.SizeBytes != int64(pm.Entries)*width {
-				return manifestErr("payload %d declares %d entries of %d bytes but a %d-byte section", i, pm.Entries, width, pm.SizeBytes)
-			}
-		case kindSpilledU64:
+		case kindSpilled:
 			if err := validateRef(seen, pm.Dir, i, "run directory"); err != nil {
 				return err
 			}
 			if pm.File != "" {
 				return manifestErr("payload %d kind %q with a file", i, pm.Kind)
-			}
-			if pm.RecWidth != 8 {
-				return manifestErr("payload %d uint64 spill key width %d, want 8", i, pm.RecWidth)
 			}
 			if len(pm.RunSizes) == 0 {
 				return manifestErr("payload %d spilled with no runs", i)
@@ -714,11 +672,9 @@ func validateRef(seen map[string]int, name string, idx int, what string) error {
 	return nil
 }
 
-// openPC loads one PC payload, verifying file payloads against their
-// section checksum before decoding. Each of the label's rows counts
-// toward at most one pattern of a PC, so a payload whose counts (for a
-// spilled payload, whose frame row totals) add up to more than rows is
-// corrupt.
+// openPC loads one PC payload. Each of the label's rows counts toward at
+// most one pattern of a PC, so a payload whose counts (for a spilled
+// payload, whose frame row totals) add up to more than rows is corrupt.
 // That bound also keeps every count a marginal or a merge sums from this
 // payload inside the int32 the in-memory layouts store.
 func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS) (*core.PC, error) {
@@ -727,8 +683,10 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	r := core.PCRepr{Attrs: s}
+	path := pm.File
 	switch pm.Kind {
-	case kindSpilledU64:
+	case kindSpilled:
+		path = pm.Dir
 		runs, err := spill.Open(filepath.Join(dir, pm.Dir), wordsOf(pm), len(pm.RunSizes), fsi)
 		if err != nil {
 			if errors.Is(err, spill.ErrCorrupt) {
@@ -741,12 +699,10 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 		// the run's bytes — and the rows the runs count are the label's.
 		for run, n := range pm.RunSizes {
 			if got := runs.Entries(run); got != n {
-				runs.Cleanup()
 				return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("run %d holds %d entries, manifest says %d", run, got, n)}
 			}
 		}
 		if got := runs.Rows(); got > int64(rows) {
-			runs.Cleanup()
 			return nil, &CorruptError{Path: pm.Dir, Detail: fmt.Sprintf("runs count %d rows of a %d-row label", got, rows)}
 		}
 		r.Spill = &core.SpillRepr{
@@ -755,70 +711,65 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 			RunSizes: pm.RunSizes,
 			Budget:   pm.Budget,
 		}
-	case kindDense:
+	case kindSorted:
 		data, err := readPayload(dir, pm, fsi)
 		if err != nil {
 			return nil, err
 		}
-		if len(data)%4 != 0 {
-			return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("%d bytes, not a whole int32 slab", len(data))}
-		}
-		slab := make([]int32, len(data)/4)
-		left := rows
-		for i := range slab {
-			c := int32(binary.LittleEndian.Uint32(data[4*i:]))
-			if c > 0 {
-				if int(c) > left {
-					return nil, rowsErr(pm, i, int64(c), left)
-				}
-				left -= int(c)
-			}
-			slab[i] = c
-		}
-		r.Dense, r.Distinct = slab, pm.Distinct
-	case kindU64:
-		// Entries are written in ascending key order, so they load
-		// straight into the sorted layout; PCFromRepr rejects any order a
-		// binary search could not serve.
-		w := wordsOf(pm)
-		data, err := readEntries(dir, pm, 8*w+8, fsi)
-		if err != nil {
+		if r.U, err = decodeSorted(pm, data, rows); err != nil {
 			return nil, err
 		}
-		u := &core.SortedCounts{W: w, Keys: make([]uint64, w*pm.Entries), Counts: make([]int32, pm.Entries)}
-		left := rows
-		for i := range u.Counts {
-			rec := data[(8*w+8)*i:]
-			for j := range w {
-				u.Keys[w*i+j] = binary.LittleEndian.Uint64(rec[8*j:])
-			}
-			c, err := entryCount(pm, i, rec[8*w:], &left)
-			if err != nil {
-				return nil, err
-			}
-			u.Counts[i] = int32(c)
-		}
-		r.U = u
 	default:
 		return nil, manifestErr("unknown PC kind %q", pm.Kind)
 	}
-	pc, err := core.PCFromRepr(d, r)
+	pc, err := core.PCFromRepr(d, r, rows)
 	if err != nil {
-		path := pm.File
 		if r.Spill != nil {
 			r.Spill.Runs.Cleanup()
-			path = pm.Dir
 		}
 		return nil, &CorruptError{Path: path, Detail: err.Error()}
 	}
 	return pc, nil
 }
 
+// decodeSorted decodes a sorted payload's one run into the sorted layout.
+// The run codec verifies every frame and entry; the payload must also
+// hold the manifest's entry count, and its counts must add up to at most
+// the label's rows.
+func decodeSorted(pm PCMeta, data []byte, rows int) (*core.SortedCounts, error) {
+	w := wordsOf(pm)
+	n := min(pm.Entries, len(data)) // an entry takes at least a byte
+	u := &core.SortedCounts{W: w, Keys: make([]uint64, 0, w*n), Counts: make([]int32, 0, n)}
+	left := rows
+	var over error
+	err := spill.ReadRun(nil, bytes.NewReader(data), w, func(key []uint64, c int) bool {
+		if c > left {
+			over = &CorruptError{Path: pm.File, Detail: fmt.Sprintf("entry %d has count %d, more than the %d rows left uncounted", len(u.Counts), c, left)}
+			return false
+		}
+		left -= c
+		u.Keys = append(u.Keys, key...)
+		u.Counts = append(u.Counts, int32(c))
+		return true
+	})
+	switch {
+	case errors.Is(err, spill.ErrCorrupt):
+		return nil, &CorruptError{Path: pm.File, Detail: err.Error()}
+	case err != nil:
+		return nil, fmt.Errorf("artifact: %w", err)
+	case over != nil:
+		return nil, over
+	case len(u.Counts) != pm.Entries:
+		return nil, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("%d entries, manifest says %d", len(u.Counts), pm.Entries)}
+	}
+	return u, nil
+}
+
 // maxWords bounds a manifest's key width: lattice.MaxAttrs members, at
 // least three to a word.
 const maxWords = (lattice.MaxAttrs + 2) / 3
 
-// wordsOf is a u64 payload's key width: its Words, 1 when omitted.
+// wordsOf is a payload's key width: its Words, 1 when omitted.
 func wordsOf(pm PCMeta) int { return max(pm.Words, 1) }
 
 // wordsMeta is the Words a manifest records for a key width: omitted
@@ -828,27 +779,6 @@ func wordsMeta(w int) int {
 		return 0
 	}
 	return w
-}
-
-// entryCount decodes entry i's int64 count field, which must be positive
-// and no more than left, the label's rows the payload's earlier entries
-// have not counted; it takes the count off left.
-func entryCount(pm PCMeta, i int, field []byte, left *int) (int, error) {
-	c := int64(binary.LittleEndian.Uint64(field))
-	if c <= 0 {
-		return 0, &CorruptError{Path: pm.File, Detail: fmt.Sprintf("entry %d has count %d, not positive", i, c)}
-	}
-	if c > int64(*left) {
-		return 0, rowsErr(pm, i, c, *left)
-	}
-	*left -= int(c)
-	return int(c), nil
-}
-
-// rowsErr reports entry i's count c past the left rows the payload's
-// earlier entries have not counted.
-func rowsErr(pm PCMeta, i int, c int64, left int) error {
-	return &CorruptError{Path: pm.File, Detail: fmt.Sprintf("entry %d has count %d, more than the %d rows left uncounted", i, c, left)}
 }
 
 // readPayload reads one payload file whole and verifies its length and
@@ -865,20 +795,6 @@ func readPayload(dir string, pm PCMeta, fsi iofault.FS) ([]byte, error) {
 	if got := crc32.Checksum(data, castagnoli); got != pm.Checksum {
 		return nil, &CorruptError{Path: pm.File,
 			Detail: fmt.Sprintf("section checksum mismatch (got %08x, want %08x)", got, pm.Checksum)}
-	}
-	return data, nil
-}
-
-// readEntries reads a payload file of fixed-width entries, verifying its
-// checksum and that it holds exactly the manifest's entry count.
-func readEntries(dir string, pm PCMeta, width int, fsi iofault.FS) ([]byte, error) {
-	data, err := readPayload(dir, pm, fsi)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != pm.Entries*width {
-		return nil, &CorruptError{Path: pm.File,
-			Detail: fmt.Sprintf("%d bytes, not %d entries of %d bytes", len(data), pm.Entries, width)}
 	}
 	return data, nil
 }

@@ -185,14 +185,14 @@ func assertPCKind(t *testing.T, m *Manifest, kind string, words int) {
 func TestRoundTripDense(t *testing.T) {
 	d := genDataset(t, 2000, 4, 6, 0, 0x71)
 	l := must(core.BuildLabel(d, lattice.FullSet(3), core.CountOptions{}))
-	assertRoundTrip(t, d, l, 0x71)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x71), kindSorted, 1)
 }
 
 func TestRoundTripU64Map(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0.05, 0x72)
 	// 50^4 keys over 2,000 rows is past the dense tier: sorted keys.
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
-	assertPCKind(t, assertRoundTrip(t, d, l, 0x72), kindU64, 1)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x72), kindSorted, 1)
 }
 
 // TestRoundTripBytesMap round-trips a sorted PC section whose keys are two
@@ -200,7 +200,7 @@ func TestRoundTripU64Map(t *testing.T) {
 func TestRoundTripBytesMap(t *testing.T) {
 	d := genDataset(t, 1500, 4, 65000, 0.05, 0x73)
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
-	assertPCKind(t, assertRoundTrip(t, d, l, 0x73), kindU64, 2)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x73), kindSorted, 2)
 }
 
 func TestRoundTripSpilledU64(t *testing.T) {
@@ -211,7 +211,7 @@ func TestRoundTripSpilledU64(t *testing.T) {
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
-	assertPCKind(t, assertRoundTrip(t, d, l, 0x74), kindSpilledU64, 1)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x74), kindSpilled, 1)
 }
 
 // TestRoundTripSpilledBytes round-trips a spilled PC section whose keys
@@ -224,7 +224,66 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill; test shape needs adjusting")
 	}
-	assertPCKind(t, assertRoundTrip(t, d, l, 0x75), kindSpilledU64, 2)
+	assertPCKind(t, assertRoundTrip(t, d, l, 0x75), kindSpilled, 2)
+}
+
+// TestOpenHoldsNoRunDescriptors: a reopened artifact keeps its runs'
+// paths, not open files, so after Open and a scan that loads every run of
+// every spilled payload the process holds the descriptors it held before
+// Open, however many runs the artifact has.
+func TestOpenHoldsNoRunDescriptors(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	fds()
+	d := genDataset(t, 4000, 4, 300, 0, 0x7D)
+	full := lattice.FullSet(4)
+	l := must(core.BuildLabel(d, full, core.CountOptions{MemBudget: 16 << 10, SpillDir: t.TempDir()}))
+	subs := []lattice.AttrSet{full}
+	for _, a := range full.Members() {
+		subs = append(subs, full.Remove(a))
+		if _, _, err := l.MarginalPCCtx(nil, full.Remove(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "fds")
+	if err := Save(l, dir); err != nil {
+		t.Fatal(err)
+	}
+	l.ReleaseSpill()
+
+	before := fds()
+	rl, m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.ReleaseSpill()
+	runs := 0
+	for _, pm := range m.PCs {
+		if pm.Kind == kindSpilled {
+			runs += len(pm.RunSizes)
+		}
+	}
+	if len(m.PCs) != len(subs) || runs < 2*len(subs) {
+		t.Fatalf("artifact holds %d payloads over %d runs, want %d spilled payloads of several runs", len(m.PCs), runs, len(subs))
+	}
+	for _, sub := range subs {
+		pc, ok, err := rl.MarginalPCCtx(nil, sub)
+		if sub == full {
+			pc, ok = rl.PC(), true
+		}
+		if err != nil || !ok || !pc.Spilled() {
+			t.Fatalf("payload over %v: ok=%v err=%v, want a spilled PC", sub, ok, err)
+		}
+		noErr(pc.EachCtx(nil, d.NumAttrs(), func([]uint16, int) bool { return true }))
+	}
+	if after := fds(); after != before {
+		t.Fatalf("%d descriptors open after Open and a scan of %d runs, %d before Open", after, runs, before)
+	}
 }
 
 // TestColdMarginalsNullFree pins the PC-summed marginal path: on a
@@ -248,7 +307,7 @@ func TestColdMarginalsNullFree(t *testing.T) {
 	if len(m.PCs) != 1 {
 		t.Fatalf("artifact carries %d payloads, want just the PC section", len(m.PCs))
 	}
-	assertPCKind(t, m, kindU64, 1)
+	assertPCKind(t, m, kindSorted, 1)
 	rd := rl.Dataset()
 	for i, p := range probePatterns(t, d, 128, 0x7A) {
 		rp := reopenedPattern(t, d, rd, p)
@@ -358,9 +417,9 @@ func TestWideKeysRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				kind := kindU64
+				kind := kindSorted
 				if budget > 0 {
-					kind = kindSpilledU64
+					kind = kindSpilled
 				}
 				assertPCKind(t, m, kind, tc.words)
 				if got := pcDump(rl.PC()); !maps.Equal(got, want) || rl.Size() != len(want) {

@@ -2,10 +2,13 @@ package artifact
 
 // Older formats fail typed: this build reads only the current artifact
 // format. No writer of an older format survives in the tree, so the test
-// down-converts a freshly saved artifact: version 2 kept the checksummed
-// manifest envelope but stored a spilled run as one 8-byte key record per
-// counted row in [len][crc] frames; version 1 had neither the envelope
-// and checksums nor the frames.
+// down-converts a freshly saved artifact: version 3 stored a file payload
+// as fixed-width (key words, int64 count) entries (kind u64; dense slabs
+// were kind dense) and spilled runs as today (kind spilled-u64, with a
+// rec_width field); version 2 kept the checksummed manifest envelope but
+// stored a spilled run as one 8-byte key record per counted row in
+// [len][crc] frames; version 1 had neither the envelope and checksums nor
+// the frames.
 
 import (
 	"encoding/binary"
@@ -23,7 +26,7 @@ import (
 )
 
 // downConvert rewrites the artifact at dir in place into format version
-// 1 or 2.
+// 1, 2 or 3.
 func downConvert(t *testing.T, dir string, version int) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -45,16 +48,23 @@ func downConvert(t *testing.T, dir string, version int) {
 	}
 	for _, p := range pcs {
 		pm := p.(map[string]any)
+		words := 1
+		if w, ok := pm["words"].(float64); ok {
+			words = int(w)
+		}
+		if file, ok := pm["file"].(string); ok && file != "" {
+			pm["kind"] = "u64"
+			pm["size_bytes"], pm["crc32c"] = fixedEntries(t, filepath.Join(dir, file), words)
+		}
+		if runDir, ok := pm["dir"].(string); ok && runDir != "" {
+			pm["kind"], pm["rec_width"] = "spilled-u64", 8
+			if version < 3 {
+				recordRuns(t, filepath.Join(dir, runDir), words, version == 2)
+			}
+		}
 		if version == 1 {
 			delete(pm, "size_bytes")
 			delete(pm, "crc32c")
-		}
-		if runDir, ok := pm["dir"].(string); ok && runDir != "" {
-			words := 1
-			if w, ok := pm["words"].(float64); ok {
-				words = int(w)
-			}
-			recordRuns(t, filepath.Join(dir, runDir), words, version == 2)
 		}
 	}
 	var out []byte
@@ -76,6 +86,32 @@ func downConvert(t *testing.T, dir string, version int) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fixedEntries rewrites the sorted payload at path as the u64 payload of
+// formats 1 to 3 — per entry the key's words-word record and an int64
+// count — and returns its length and CRC32C.
+func fixedEntries(t *testing.T, path string, words int) (int64, uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := decodeRunRef(data, words)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var out []byte
+	for _, en := range entries {
+		for _, word := range en.key {
+			out = binary.LittleEndian.AppendUint64(out, word)
+		}
+		out = binary.LittleEndian.AppendUint64(out, en.count)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(out)), crc32.Checksum(out, castagnoli)
 }
 
 // recordRuns rewrites every sorted run in runDir as the record layout of
@@ -119,12 +155,12 @@ func recordRuns(t *testing.T, runDir string, words int, framed bool) {
 	}
 }
 
-// TestOlderFormatsFailTyped: an artifact of format 1 or 2, dense or
-// spilled, fails Open with ErrManifest naming its version, before any run
-// is read. Neither ever answers a count.
+// TestOlderFormatsFailTyped: an artifact of format 1, 2 or 3, in memory
+// or spilled, fails Open with ErrManifest naming its version, before any
+// payload is read. None ever answers a count.
 func TestOlderFormatsFailTyped(t *testing.T) {
 	o := newSweepOracle(t)
-	for _, version := range []int{1, 2} {
+	for _, version := range []int{1, 2, 3} {
 		for _, spilled := range []bool{false, true} {
 			dir := filepath.Join(t.TempDir(), "a")
 			var l *core.Label
@@ -205,21 +241,23 @@ func TestOpenIgnoresFramedField(t *testing.T) {
 	}
 }
 
-// TestRemovedKindsFailManifest: the bytes and spilled-bytes payload kinds
-// of earlier writers — keys past one word are u64 payloads of more words
-// now — fail Open with ErrManifest, as does a words field on a dense
-// payload.
+// TestRemovedKindsFailManifest: the payload kinds of earlier writers —
+// bytes and spilled-bytes, whose keys are now uint64 words, and dense,
+// u64 and spilled-u64, whose payloads are now one run codec — fail Open
+// with ErrManifest, in a current manifest whose payloads are otherwise
+// intact.
 func TestRemovedKindsFailManifest(t *testing.T) {
 	o := newSweepOracle(t)
 	for _, tc := range []struct {
-		set     lattice.AttrSet // a single attribute saves as a dense payload
+		set     lattice.AttrSet // a single attribute is dense in memory
 		spilled bool
-		field   string
-		value   any
+		kind    string
 	}{
-		{lattice.FullSet(4), false, "kind", "bytes"},
-		{lattice.FullSet(4), true, "kind", "spilled-bytes"},
-		{lattice.NewAttrSet(0), false, "words", 2},
+		{lattice.FullSet(4), false, "bytes"},
+		{lattice.FullSet(4), true, "spilled-bytes"},
+		{lattice.NewAttrSet(0), false, "dense"},
+		{lattice.FullSet(4), false, "u64"},
+		{lattice.FullSet(4), true, "spilled-u64"},
 	} {
 		dir := filepath.Join(t.TempDir(), "a")
 		l := must(core.BuildLabel(o.d, tc.set, core.CountOptions{}))
@@ -244,10 +282,10 @@ func TestRemovedKindsFailManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 		pm := m["pcs"].([]any)[0].(map[string]any)
-		if tc.field == "words" && pm["kind"] != kindDense {
-			t.Fatalf("single-attribute label saved as %v, want dense", pm["kind"])
+		pm["kind"] = tc.kind
+		if tc.spilled {
+			pm["rec_width"] = 8
 		}
-		pm[tc.field] = tc.value
 		if env.Manifest, err = json.Marshal(m); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +299,7 @@ func TestRemovedKindsFailManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, err := Open(dir); !errors.Is(err, ErrManifest) {
-			t.Fatalf("%s %v: Open = %v, want ErrManifest", tc.field, tc.value, err)
+			t.Fatalf("kind %q: Open = %v, want ErrManifest", tc.kind, err)
 		}
 	}
 }

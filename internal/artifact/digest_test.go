@@ -1,9 +1,10 @@
 package artifact
 
 // One-word keys keep their bytes: the payload files and the manifest's
-// payload descriptors of saved dense, u64 and spilled-u64 labels are
-// pinned by SHA-256 on fixed seeds, so a change to how wider keys are
-// stored cannot move a single byte of the one-word formats.
+// payload descriptors of labels whose PC section is dense, sorted or
+// spilled in memory are pinned by SHA-256 on fixed seeds, so a change to
+// how wider keys are stored cannot move a single byte of the one-word
+// payloads. The spilled case's run files are the bytes format 3 wrote.
 
 import (
 	"crypto/sha256"
@@ -50,29 +51,32 @@ func dirDigest(t *testing.T, dir string, m *Manifest) string {
 
 func TestOneWordPayloadsPinned(t *testing.T) {
 	cases := []struct {
-		kind          string
-		rows, domain  int
-		nullRate      float64
-		budget        int64
-		pcs, payloads string
+		name, repr, kind string // the PC section's case, representation and payload kind
+		rows, domain     int
+		nullRate         float64
+		budget           int64
+		pcs, payloads    string
 	}{
-		{"dense", 2000, 6, 0, 0,
-			"78924363c448e72d8ef7cd41bab7f215bde4ea3a6d6718ee5807e53b1bd75b37",
-			"1ffca82a9a8e7952cf44e8d16fadb9c672c63516c51df267467a58ea5e768124"},
-		{"u64", 2000, 50, 0.05, 0,
-			"5c5d1c960aa4aabace0c114f20fcd395fdea52133cf3fea868f0178a3dcb90ea",
-			"ab14bb5f68f973b31ba39804cbd4c3ee65d5326fbe88a4fe2aef5a57daaf1424"},
-		{"spilled-u64", 4000, 300, 0, 16 << 10,
-			"f17c99f08703edb44c55fc268df1ba42fa158ea17a7a085a91b4c9c7e12e322b",
+		{"dense", "dense", kindSorted, 2000, 6, 0, 0,
+			"d2bfe57f139ff3b8a4f5cb263849ffa00ede41312c7f91ba8b2dd8cbaba3a114",
+			"22ea93648f443a700bc6499bea079e58d2f4a748be7dc74df90d18304712fb36"},
+		{"u64", "sorted", kindSorted, 2000, 50, 0.05, 0,
+			"74785f627634ec2119e6c72d50f2046231be76ebed8b88b9e8abdca7e02829f3",
+			"a1aa1f29ddda87a2ac12e85d3f1968edc5fa2ed057646cff3ee5a7fd998a754a"},
+		{"spilled-u64", "spilled", kindSpilled, 4000, 300, 0, 16 << 10,
+			"41db2d4e0170009a53b222696eef0a7ea9a884e27c05e6f80ce5f0f111ea36d9",
 			"15a9e887af49e7a75af82eb1f7f0f6d29f42b2b4eb961d3cc4d56762696125b7"},
 	}
 	for i, c := range cases {
-		t.Run(c.kind, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			d := genDataset(t, c.rows, 4, c.domain, c.nullRate, 0xD16+uint64(i))
 			l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{
 				Workers: 1, MemBudget: c.budget, SpillDir: t.TempDir(),
 			}))
-			dir := filepath.Join(t.TempDir(), c.kind)
+			if got := reprKind(l.PC()); got != c.repr {
+				t.Fatalf("PC section is %s in memory, want %s", got, c.repr)
+			}
+			dir := filepath.Join(t.TempDir(), c.name)
 			if err := Save(l, dir); err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +88,9 @@ func TestOneWordPayloadsPinned(t *testing.T) {
 			defer rl.ReleaseSpill()
 			if len(m.PCs) != 1 || m.PCs[0].Kind != c.kind {
 				t.Fatalf("saved %d payloads, the first of kind %q; want one %q", len(m.PCs), m.PCs[0].Kind, c.kind)
+			}
+			if got := reprKind(rl.PC()); got != c.repr {
+				t.Fatalf("reopened PC section is %s, want %s", got, c.repr)
 			}
 			pcs, err := json.Marshal(m.PCs)
 			if err != nil {

@@ -46,6 +46,19 @@ var seedManifests = []string{
 	`{"format_version":1,"pcs":[{"kind":"dense","file":"../../etc/passwd"}]}`,
 	`{"format_version":2,"crc32c":12345,"manifest":{}}`,
 	`{"format_version":99}`, `{}`, `null`, `[]`, `"x"`, `{"manifest":`,
+	// Format-4 sorted and spilled payloads (checksum 0, as above).
+	`{"format_version":4,"crc32c":0,"manifest":{"format_version":4,
+	  "dataset":"d","total_rows":2,
+	  "attributes":[{"name":"a0","domain":["x"],"counts":[2]}],
+	  "label_attrs":["a0"],
+	  "pcs":[{"attrs":["a0"],"kind":"sorted","file":"pc-000.bin","entries":1,
+	          "size_bytes":18,"crc32c":1}]}}`,
+	`{"format_version":4,"crc32c":0,"manifest":{"format_version":4,
+	  "dataset":"d","total_rows":4,
+	  "attributes":[{"name":"a0","domain":["x","y"],"counts":[2,2]}],
+	  "label_attrs":["a0"],
+	  "pcs":[{"attrs":["a0"],"kind":"spilled","dir":"pc-000-runs","words":2,
+	          "size":2,"run_sizes":[1,1],"budget":1024}]}}`,
 }
 
 func FuzzDecodeManifest(f *testing.F) {

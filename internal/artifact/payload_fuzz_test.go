@@ -1,23 +1,23 @@
 package artifact
 
-// FuzzOpenPayload hardens the payload decoders behind Open, the bytes
-// FuzzDecodeManifest never reaches: a saved artifact's u64 or dense
-// payload, or one run file of a saved spilled artifact — with one-word
-// keys, and with two-word keys for the u64 and spilled arms — is replaced
-// by mutated bytes, and the manifest's length, entry counts and CRCs (the
-// run frames' own checksums included) are fixed up so the mutation gets
-// past the checksum to the decoder. Open must then fail with a typed
-// error — for a spilled run, Open or the run's first read — or serve a PC
-// that answers every lookup exactly as the payload's entries say, each a
-// positive count, and marginals that sum those entries exactly. A sorted
-// layout is looked up by binary search, which is only correct on strictly
-// ascending keys, so a reordered payload must fail; a spilled key is
-// looked up in the one run its hash routes to, so a key in another run
-// must fail; and counts are stored as int32, so a payload whose counts sum
-// past the label's rows must fail before a marginal sums them.
+// FuzzOpenPayload hardens the payload decoder behind Open, the bytes
+// FuzzDecodeManifest never reaches: a saved artifact's sorted payload —
+// the PC section, saved from a sorted PC, or a marginal saved from a
+// dense one — or one run file of a saved spilled artifact, with one-word
+// keys and with two-word keys, is replaced by mutated bytes, and the
+// manifest's length, entry count and CRC (the run frames' own checksums
+// included) are fixed up so the mutation gets past the checksums to the
+// decoder. Open must then fail with a typed error — for a spilled run,
+// Open or the run's first read — or serve a PC that answers every lookup
+// exactly as the payload's entries say, each a positive count, and
+// marginals that sum those entries exactly. A sorted layout is looked up
+// by binary search, which is only correct on strictly ascending keys, so a
+// reordered payload must fail; a spilled key is looked up in the one run
+// its hash routes to, so a key in another run must fail; and counts are
+// stored as int32, so a payload whose counts sum past the label's rows
+// must fail before a marginal sums them.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,8 +44,8 @@ type payloadTemplate struct {
 
 // payloadDomains are the one-word template's attribute domains. The full
 // set has 8,000 key slots, too sparse for a dense slab over its 200 rows,
-// so the PC section saves as a u64 payload; the marginal over the first
-// attribute is a 20-slot dense payload.
+// so the PC section is a sorted PC; the marginal over the first attribute
+// is a 20-slot dense one. Both save as sorted payloads.
 var payloadDomains = []int{20, 20, 20}
 
 // wideDomains are the two-word templates' attribute domains: 16^15 fills
@@ -122,15 +122,19 @@ func keySpace(dims []int, members []int) []uint64 {
 	return radix
 }
 
-// newPayloadTemplate saves a label over dims whose PC section is a u64
-// payload and whose marginal over the first attribute is dense.
+// newPayloadTemplate saves a label over dims whose PC section is a
+// sorted PC and whose marginal over the first attribute is dense.
 func newPayloadTemplate(f *testing.F, dims []int) *payloadTemplate {
 	d := fuzzDataset(f, "payloadfuzz", dims, 200, func(r, a int) int {
 		return spellRow([]int{r, r * 7, r * 13 / 3}, r, a)
 	})
 	l := must(core.BuildLabel(d, lattice.FullSet(len(dims)), core.CountOptions{}))
-	if _, _, err := l.CountCtx(nil, core.PatternFromRow(d, 0, lattice.NewAttrSet(0))); err != nil {
+	marginal, _, err := l.MarginalPCCtx(nil, lattice.NewAttrSet(0))
+	if err != nil {
 		f.Fatal(err)
+	}
+	if reprKind(l.PC()) != "sorted" || reprKind(marginal) != "dense" {
+		f.Fatalf("template PCs are %s and %s, want a sorted PC section and a dense marginal", reprKind(l.PC()), reprKind(marginal))
 	}
 	dir := filepath.Join(f.TempDir(), "a")
 	if err := Save(l, dir); err != nil {
@@ -140,8 +144,8 @@ func newPayloadTemplate(f *testing.F, dims []int) *payloadTemplate {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if len(m.PCs) != 2 || m.PCs[0].Kind != kindU64 || m.PCs[1].Kind != kindDense {
-		f.Fatalf("template payloads are %+v, want a u64 PC section and a dense marginal", m.PCs)
+	if len(m.PCs) != 2 || m.PCs[0].Kind != kindSorted || m.PCs[1].Kind != kindSorted {
+		f.Fatalf("template payloads are %+v, want two sorted payloads", m.PCs)
 	}
 	tp := &payloadTemplate{m: m, dims: dims}
 	for _, pm := range m.PCs {
@@ -155,17 +159,18 @@ func newPayloadTemplate(f *testing.F, dims []int) *payloadTemplate {
 }
 
 // write lays the template out in dir with payload idx replaced by data,
-// its manifest descriptor fixed up to match.
-func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte) {
+// whose frame checksums it fixes up, and its manifest descriptor set to
+// match: length, CRC32C and the entries the frame headers declare. It
+// returns the fixed-up payload.
+func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte) []byte {
 	t.Helper()
+	data = fixRunCRCs(slices.Clone(data))
 	m := *tp.m
 	m.PCs = slices.Clone(tp.m.PCs)
 	pm := &m.PCs[idx]
 	pm.SizeBytes = int64(len(data))
 	pm.Checksum = crc32.Checksum(data, castagnoli)
-	if width := 8*wordsOf(*pm) + 8; pm.Kind == kindU64 && len(data)%width == 0 {
-		pm.Entries = len(data) / width
-	}
+	pm.Entries = runHeaderEntries(data)
 	for i, p := range m.PCs {
 		payload := tp.payloads[i]
 		if i == idx {
@@ -183,32 +188,15 @@ func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte)
 	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return data
 }
 
-// entries decodes a payload the way its format defines it, independently
-// of the decoder under test: key → count for a u64 payload of W-word keys
-// (entries in file order, a repeated key kept twice), slot → nonzero
-// count for a dense one.
-func payloadEntries(pm PCMeta, data []byte) (keys [][]uint64, counts []int64) {
-	if pm.Kind == kindU64 {
-		w := wordsOf(pm)
-		for off := 0; off+8*w+8 <= len(data); off += 8*w + 8 {
-			key := make([]uint64, w)
-			for j := range key {
-				key[j] = binary.LittleEndian.Uint64(data[off+8*j:])
-			}
-			keys = append(keys, key)
-			counts = append(counts, int64(binary.LittleEndian.Uint64(data[off+8*w:])))
-		}
-		return keys, counts
+// members is the attribute members of payload idx's PC.
+func (tp *payloadTemplate) members(idx int) []int {
+	if idx == 0 {
+		return lattice.FullSet(len(tp.dims)).Members()
 	}
-	for off := 0; off+4 <= len(data); off += 4 {
-		if c := int32(binary.LittleEndian.Uint32(data[off:])); c != 0 {
-			keys = append(keys, []uint64{uint64(off / 4)})
-			counts = append(counts, int64(c))
-		}
-	}
-	return keys, counts
+	return []int{0}
 }
 
 // decodeKey spells a key over members, packed as keySpace packs them, as
@@ -234,32 +222,53 @@ func (tp *payloadTemplate) decodeKey(key []uint64, members []int) (vals []uint16
 	return vals, !slices.ContainsFunc(rem, func(r uint64) bool { return r != 0 })
 }
 
-// u64Seeds returns mutations of a u64 payload of w-word keys that break
-// one rule each — two entries swapped, a repeated key, a zero count and
-// one past int32, a last key whose last word reaches its radix, an entry
-// cut off, counts summing past the label's rows — after the saved payload
-// itself.
-func u64Seeds(saved []byte, w int, lastRadix uint64) [][]byte {
-	width := 8*w + 8
-	set := func(edit func(p []byte)) []byte {
-		p := slices.Clone(saved)
-		edit(p)
-		return p
+// seeds returns mutations of payload idx that break one rule each — two
+// entries swapped, a repeated key, a zero count, a last key whose last
+// word reaches its radix, a truncated varint, a header overstating its
+// entries, counts summing past the label's rows — after the saved payload
+// itself; for the one-word PC section also two int32-sized counts under
+// keys that share their value of a1, each valid alone, that any marginal
+// holding a1 would sum past int32.
+func (tp *payloadTemplate) seeds(f *testing.F, idx int) [][]byte {
+	saved := tp.payloads[idx]
+	radix := keySpace(tp.dims, tp.members(idx))
+	entries, _, err := decodeRunRef(saved, len(radix))
+	if err != nil || len(entries) < 2 {
+		f.Fatalf("saved payload %d: %d entries, %v", idx, len(entries), err)
 	}
-	return [][]byte{
+	mutate := func(edit func(e []runEntry)) []byte {
+		e := make([]runEntry, len(entries))
+		for i, en := range entries {
+			e[i] = runEntry{key: slices.Clone(en.key), count: en.count}
+		}
+		edit(e)
+		return encodeRunRef(e)
+	}
+	truncated := slices.Clone(saved)
+	truncated[len(truncated)-1] = 0x80
+	overstated := slices.Clone(saved)
+	binary.LittleEndian.PutUint32(overstated[4:], binary.LittleEndian.Uint32(overstated[4:])+1)
+	out := [][]byte{
 		saved,
-		set(func(p []byte) { copy(p[0:width], saved[width:2*width]); copy(p[width:2*width], saved[0:width]) }),
-		set(func(p []byte) { copy(p[width:width+8*w], saved[0:8*w]) }),
-		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], 0) }),
-		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], math.MaxInt32+1) }),
-		set(func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-16:], lastRadix) }),
-		saved[:len(saved)-width],
-		set(func(p []byte) { binary.LittleEndian.PutUint64(p[8*w:], binary.LittleEndian.Uint64(p[8*w:])+1) }),
+		mutate(func(e []runEntry) { e[0], e[1] = e[1], e[0] }),
+		mutate(func(e []runEntry) { e[1].key = slices.Clone(e[0].key) }),
+		mutate(func(e []runEntry) { e[0].count = 0 }),
+		mutate(func(e []runEntry) { e[len(e)-1].key[len(radix)-1] = radix[len(radix)-1] }),
+		truncated,
+		overstated,
+		mutate(func(e []runEntry) { e[0].count += uint64(tp.m.TotalRows) }),
 	}
+	if idx == 0 && len(radix) == 1 {
+		out = append(out, encodeRunRef([]runEntry{
+			{key: []uint64{0}, count: math.MaxInt32},
+			{key: []uint64{20 * 20}, count: math.MaxInt32},
+		}))
+	}
+	return out
 }
 
 // spillTemplate is a saved spilled artifact held in memory: a label whose
-// PC section is a spilled-u64 payload, its manifest and run files, and
+// PC section is a spilled payload, its manifest and run files, and
 // the run the fuzz arm replaces.
 type spillTemplate struct {
 	m         *Manifest
@@ -294,8 +303,8 @@ func newSpillTemplate(f *testing.F, dims []int) *spillTemplate {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if len(m.PCs) != 1 || m.PCs[0].Kind != kindSpilledU64 || len(m.PCs[0].RunSizes) < 2 {
-		f.Fatalf("spill template payloads are %+v, want one spilled-u64 PC section over several runs", m.PCs)
+	if len(m.PCs) != 1 || m.PCs[0].Kind != kindSpilled || len(m.PCs[0].RunSizes) < 2 {
+		f.Fatalf("spill template payloads are %+v, want one spilled PC section over several runs", m.PCs)
 	}
 	st := &spillTemplate{m: m, dims: dims, radix: keySpace(dims, full.Members()), victim: -1}
 	if wordsOf(m.PCs[0]) != len(st.radix) {
@@ -526,22 +535,41 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 }
 
 // check is the arm of the fuzz target for payload idx of the template:
-// data replaces it, and the label must fail typed or answer exactly as
-// the reference decoding of the payload says.
+// data replaces it, and Open must fail typed exactly when the reference
+// decoding of the payload finds a broken rule — or a key outside the key
+// space, or counts past the label's rows — and otherwise serve a label
+// that answers exactly as the payload says.
 func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
 	dir := t.TempDir()
-	tp.write(t, dir, idx, data)
+	data = tp.write(t, dir, idx, data)
+	members := tp.members(idx)
+	radix := keySpace(tp.dims, members)
+	entries, rows, bad := decodeRunRef(data, len(radix))
+	for _, e := range entries {
+		if bad != nil {
+			break
+		}
+		if _, ok := tp.decodeKey(e.key, members); !ok {
+			bad = fmt.Errorf("key %v outside the key space", e.key)
+		}
+	}
+	if bad == nil && rows > int64(tp.m.TotalRows) {
+		bad = fmt.Errorf("counts sum to %d over %d rows", rows, tp.m.TotalRows)
+	}
 	l, _, err := Open(dir)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
 			t.Fatalf("untyped Open error: %v", err)
 		}
-		if bytes.Equal(data, tp.payloads[idx]) {
-			t.Fatalf("the saved payload fails to open: %v", err)
+		if bad == nil {
+			t.Fatalf("Open rejected a payload the format accepts: %v", err)
 		}
 		return
 	}
 	defer l.ReleaseSpill()
+	if bad != nil {
+		t.Fatalf("Open accepted a payload breaking the format: %v", bad)
+	}
 	pc := l.PC()
 	if idx == 1 {
 		sub := lattice.NewAttrSet(0)
@@ -550,34 +578,12 @@ func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
 			t.Fatalf("persisted marginal: ok=%v err=%v", ok, err)
 		}
 	}
-	members := pc.Attrs().Members()
-	keys, counts := payloadEntries(tp.m.PCs[idx], data)
-	want := make(map[string]int, len(keys))
-	var sum int64
-	for _, c := range counts {
-		sum += c
-	}
-	if sum > int64(tp.m.TotalRows) {
-		t.Fatalf("Open accepted counts summing to %d over %d rows", sum, tp.m.TotalRows)
-	}
-	for i, key := range keys {
-		if i > 0 && slices.Compare(key, keys[i-1]) <= 0 {
-			t.Fatalf("Open accepted key %v after %v", key, keys[i-1])
-		}
-		if counts[i] <= 0 || counts[i] > math.MaxInt32 {
-			t.Fatalf("Open accepted count %d for key %v", counts[i], key)
-		}
-		vals, ok := tp.decodeKey(key, members)
-		if !ok {
-			t.Fatalf("Open accepted key %v outside the key space", key)
-		}
-		k := fmt.Sprint(vals)
-		if _, dup := want[k]; dup {
-			t.Fatalf("Open accepted repeated key %v", key)
-		}
-		want[k] = int(counts[i])
-		if got, err := pc.LookupValsCtx(nil, vals); err != nil || got != int(counts[i]) {
-			t.Fatalf("lookup of key %v = (%d, %v), payload says %d", key, got, err, counts[i])
+	want := make(map[string]int, len(entries))
+	for _, e := range entries {
+		vals, _ := tp.decodeKey(e.key, members)
+		want[fmt.Sprint(vals)] = int(e.count)
+		if got, err := pc.LookupValsCtx(nil, vals); err != nil || got != int(e.count) {
+			t.Fatalf("lookup of key %v = (%d, %v), payload says %d", e.key, got, err, e.count)
 		}
 	}
 	if pc.Size() != len(want) {
@@ -613,9 +619,9 @@ func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
 			return fmt.Sprint(out)
 		}
 		wantSub := make(map[string]int)
-		for i, key := range keys {
-			vals, _ := tp.decodeKey(key, members)
-			wantSub[spell(vals)] += int(counts[i])
+		for _, e := range entries {
+			vals, _ := tp.decodeKey(e.key, members)
+			wantSub[spell(vals)] += int(e.count)
 		}
 		mpc, ok, err := l.MarginalPCCtx(nil, sub)
 		if err != nil || !ok {
@@ -634,46 +640,25 @@ func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
 }
 
 func FuzzOpenPayload(f *testing.F) {
-	// One-word keys: the u64 PC section (arm 0), its dense marginal (arm
-	// 1) and a spilled run (arm 2).
+	// One-word keys: the sorted PC section (arm 0), its marginal saved
+	// from a dense PC (arm 1) and a spilled run (arm 2).
 	tp := newPayloadTemplate(f, payloadDomains)
-	for _, seed := range u64Seeds(tp.payloads[0], 1, 20*20*20) {
-		f.Add(uint8(0), seed)
+	for _, idx := range []int{0, 1} {
+		for _, seed := range tp.seeds(f, idx) {
+			f.Add(uint8(idx), seed)
+		}
 	}
-	dense := tp.payloads[1]
-	f.Add(uint8(1), dense)
-	// A negative dense slot, every slot zeroed (the manifest still
-	// declares its nonzero slots), and a dense slab one slot short.
-	neg := slices.Clone(dense)
-	binary.LittleEndian.PutUint32(neg, math.MaxUint32)
-	f.Add(uint8(1), neg)
-	f.Add(uint8(1), make([]byte, len(dense)))
-	f.Add(uint8(1), dense[:len(dense)-4])
-	// Two int32-sized counts under keys that share their value of a1,
-	// each valid alone: any marginal holding a1 would sum past int32.
-	shared := make([]byte, 32)
-	binary.LittleEndian.PutUint64(shared[0:], 0)
-	binary.LittleEndian.PutUint64(shared[8:], math.MaxInt32)
-	binary.LittleEndian.PutUint64(shared[16:], 20*20)
-	binary.LittleEndian.PutUint64(shared[24:], math.MaxInt32)
-	f.Add(uint8(0), shared)
-	// A dense slab whose counts sum to one more than the label's rows.
-	overDense := slices.Clone(dense)
-	binary.LittleEndian.PutUint32(overDense, binary.LittleEndian.Uint32(overDense)+1)
-	f.Add(uint8(1), overDense)
-	// The spilled arm: the victim run as saved, then one seed per rule a
-	// run's first read enforces.
 	st := newSpillTemplate(f, spillDomains)
 	for _, run := range st.seeds(f) {
 		f.Add(uint8(2), run)
 	}
-	// Two-word keys: the u64 PC section (arm 3) and a spilled run (arm 4),
-	// through the same mutations.
+	// Two-word keys: the sorted PC section (arm 3) and a spilled run (arm
+	// 4), through the same mutations.
 	wtp := newPayloadTemplate(f, wideDomains)
 	if w := wordsOf(wtp.m.PCs[0]); w != 2 {
 		f.Fatalf("wide template keys %d words, want 2", w)
 	}
-	for _, seed := range u64Seeds(wtp.payloads[0], 2, 16) {
+	for _, seed := range wtp.seeds(f, 0) {
 		f.Add(uint8(3), seed)
 	}
 	wst := newSpillTemplate(f, wideDomains)

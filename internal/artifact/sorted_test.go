@@ -56,12 +56,10 @@ func reprKind(pc *core.PC) string {
 	switch r := pc.Repr(); {
 	case r.Spill != nil:
 		return "spilled"
-	case r.Dense != nil:
+	case r.Dense:
 		return "dense"
-	case r.U != nil:
-		return "sorted"
 	default:
-		return "bytes"
+		return "sorted"
 	}
 }
 
@@ -199,8 +197,8 @@ func TestOpenRejectsSpilledSizeBeyondRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm := saved.PCs[0]; pm.Kind != kindSpilledU64 || len(pm.RunSizes) < 3 {
-		t.Fatalf("PC section is %s over %d runs, want %s over at least 3", pm.Kind, len(pm.RunSizes), kindSpilledU64)
+	if pm := saved.PCs[0]; pm.Kind != kindSpilled || len(pm.RunSizes) < 3 {
+		t.Fatalf("PC section is %s over %d runs, want %s over at least 3", pm.Kind, len(pm.RunSizes), kindSpilled)
 	}
 	for _, tc := range []struct {
 		name string
@@ -267,8 +265,8 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := m.PCs[0]
-	if pm.Kind != kindSpilledU64 {
-		t.Fatalf("PC section is %s, want %s", pm.Kind, kindSpilledU64)
+	if pm.Kind != kindSpilled {
+		t.Fatalf("PC section is %s, want %s", pm.Kind, kindSpilled)
 	}
 	var runBytes int64
 	for run := range pm.RunSizes {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"pcbl/internal/spill"
 	"pcbl/internal/workpool"
 )
 
@@ -32,7 +33,7 @@ import (
 //
 // A sorted build counts into hash maps and freezes them into SortedCounts
 // when the scan ends: one-word keys into map[uint64]int, wider ones into a
-// map keyed by their record form. The row-factor guard
+// spill.Tally keyed by their record form. The row-factor guard
 // keeps the dense kernel off sparse key spaces where zeroing and walking
 // the flat array would dominate the scan itself.
 
@@ -255,13 +256,13 @@ func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *
 }
 
 // buildPCWide is buildPCSorted for keys of more than one word: each worker
-// counts its rows into a hash map keyed by record form, so its memory
-// grows with the distinct keys, and the merged map freezes into the
-// layout.
+// counts its rows' keys in record form into a spill.Tally, which
+// allocates once per distinct key, so its memory grows with the distinct
+// keys, and the merged tally freezes into the layout.
 func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
-	shards := make([]map[string]int, max(workers, 1))
+	shards := make([]*spill.Tally, max(workers, 1))
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
-		m := make(map[string]int)
+		t := spill.NewTally()
 		var buf []byte
 		for blo := lo; blo < hi; blo += keyBlockRows {
 			if stop.hit() {
@@ -271,17 +272,15 @@ func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC
 				b, ok := k.appendRecordRow(buf[:0], cols, r)
 				buf = b
 				if ok {
-					m[string(b)]++
+					t.Add(b, 1)
 				}
 			}
 		}
-		shards[wk] = m
+		shards[wk] = t
 	})
 	merged := shards[0]
-	for _, m := range shards[1:] {
-		for rec, c := range m {
-			merged[rec] += c
-		}
+	for _, t := range shards[1:] {
+		merged.Merge(t)
 	}
 	keys, counts := recordEntries(merged, k.Words())
 	return &PC{keyer: k, u: sortedFrom(keys, counts, k.Words())}

@@ -461,7 +461,7 @@ func withKeyPastSpace(t *testing.T, d *dataset.Dataset, pc *PC) *PC {
 	}
 	return must(PCFromRepr(d, PCRepr{Attrs: pc.Attrs(), Spill: &SpillRepr{
 		Runs: rs, Size: sp.size + 1, RunSizes: sizes, Budget: sp.budget,
-	}}))
+	}}, d.NumRows()))
 }
 
 // TestSpilledKeyPastSpaceFailsTyped: a run whose frames verify but

@@ -10,21 +10,21 @@ import (
 
 // PCRepr is the representation-level view of a pattern-count index — the
 // serialization hook behind label artifacts (internal/artifact). Exactly
-// one of Dense, U and Spill is populated, mirroring the three storage
-// representations of PC. The exposed slices and runs are the PC's own
-// state, not copies: callers must treat them as read-only and must have
-// exclusive access while adopting a spilled index's run files.
+// one of U and Spill is populated: an in-memory index exposes its entries
+// in key order as the sorted layout (a dense slab's nonzero slots are
+// listed on the call), a merge-on-read one its runs. The exposed layout
+// and runs may be the PC's own state: callers must treat them as read-only
+// and must have exclusive access while adopting a spilled index's run
+// files.
 type PCRepr struct {
 	Attrs lattice.AttrSet
 
-	// Dense path: flat counts indexed by mixed-radix key.
-	Dense    []int32
-	Distinct int
+	// In-memory index: ascending W-word keys with their counts. Dense
+	// reports that they list a dense slab's nonzero slots.
+	U     *SortedCounts
+	Dense bool
 
-	// Sorted path: ascending W-word keys with their counts.
-	U *SortedCounts
-
-	// Merge-on-read path.
+	// Merge-on-read index.
 	Spill *SpillRepr
 }
 
@@ -49,7 +49,14 @@ func (pc *PC) Repr() PCRepr {
 			Budget:   pc.sp.budget,
 		}
 	case pc.dz != nil:
-		r.Dense, r.Distinct = pc.dz, pc.distinct
+		u := &SortedCounts{W: 1, Keys: make([]uint64, 0, pc.distinct), Counts: make([]int32, 0, pc.distinct)}
+		for key, c := range pc.dz {
+			if c != 0 {
+				u.Keys = append(u.Keys, uint64(key))
+				u.Counts = append(u.Counts, c)
+			}
+		}
+		r.U, r.Dense = u, true
 	default:
 		r.U = pc.u
 	}
@@ -64,13 +71,14 @@ func (pc *PC) Repr() PCRepr {
 // releases them via ReleaseSpill or a GC cleanup. Its run entries are
 // verified as each run is first read.
 //
-// In-memory representations are checked against the invariants their
-// lookups rely on, and one that breaks them is an error, never a PC that
-// answers wrongly: a dense slab must match the key space, hold no negative
-// count and have Distinct nonzero slots; a sorted layout must have the
-// attribute set's key width, strictly ascending keys inside the key space
-// and positive counts.
-func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
+// An in-memory representation must come verified from its decoder — keys
+// strictly ascending, counts positive and summing to at most rows — and
+// each key is checked here against the attribute set's key space, so a
+// layout that breaks a lookup's invariants is an error, never a PC that
+// answers wrongly. The PC gets the representation a build over rows rows
+// would pick: a dense slab when the key space is dense-eligible, the
+// sorted layout otherwise.
+func PCFromRepr(d *dataset.Dataset, r PCRepr, rows int) (*PC, error) {
 	k := NewKeyer(d, r.Attrs)
 	pc := &PC{keyer: k}
 	switch {
@@ -86,29 +94,26 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr) (*PC, error) {
 			return nil, fmt.Errorf("core: spilled PC runs hold %d-word keys, attribute set %v keys %d words", sr.Runs.Words(), r.Attrs, k.Words())
 		}
 		pc.sp = newSpilledPC(sr.Runs, k, sr.Size, sr.RunSizes, sr.Budget, nil)
-	case r.Dense != nil:
-		radix, ok := k.Radix()
-		if !ok || radix != uint64(len(r.Dense)) {
-			return nil, fmt.Errorf("core: dense PC slab has %d slots, attribute set %v keys %d", len(r.Dense), r.Attrs, radix)
-		}
-		distinct := 0
-		for key, c := range r.Dense {
-			if c < 0 {
-				return nil, fmt.Errorf("core: dense PC slot %d holds negative count %d", key, c)
-			}
-			if c > 0 {
-				distinct++
-			}
-		}
-		if distinct != r.Distinct {
-			return nil, fmt.Errorf("core: dense PC has %d nonzero slots, representation says %d", distinct, r.Distinct)
-		}
-		pc.dz, pc.distinct = r.Dense, r.Distinct
 	case r.U != nil:
-		if err := r.U.validate(k.radix); err != nil {
-			return nil, err
+		u := r.U
+		if u.W != k.Words() || len(u.Keys) != u.W*len(u.Counts) {
+			return nil, fmt.Errorf("core: sorted PC has %d key words for %d counts of %d-word keys, attribute set %v keys %d words",
+				len(u.Keys), len(u.Counts), u.W, r.Attrs, k.Words())
 		}
-		pc.u = r.U
+		for i := range u.Counts {
+			if !k.validKey(u.entry(i)) {
+				return nil, fmt.Errorf("core: sorted PC key %v at entry %d outside the key space %v", u.entry(i), i, k.radix)
+			}
+		}
+		radix, dense := denseRadix(k, rows, defaultDenseLimit)
+		if !dense {
+			pc.u = u
+			break
+		}
+		pc.dz, pc.distinct = make([]int32, radix), len(u.Counts)
+		for i, key := range u.Keys {
+			pc.dz[key] = u.Counts[i]
+		}
 	default:
 		return nil, fmt.Errorf("core: PC representation with no populated storage")
 	}

@@ -25,7 +25,7 @@ func portable(t *testing.T, l *Label) *Label {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := PCFromRepr(schema, l.PC().Repr())
+	pc, err := PCFromRepr(schema, l.PC().Repr(), l.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"pcbl/internal/spill"
 )
 
 // SortedCounts is the frozen layout of non-dense pattern counts: keys of W
@@ -47,32 +49,6 @@ func (s *SortedCounts) lookupKey(key []uint64) int {
 	return 0
 }
 
-// validate checks the invariants a lookup relies on, for a layout read
-// from outside the engine: the key width of the key space radix (one
-// radix a word, as Keyer keeps them), W words for every count, keys
-// strictly ascending and inside the key space, every count positive.
-func (s *SortedCounts) validate(radix []uint64) error {
-	if s.W != len(radix) {
-		return fmt.Errorf("core: sorted PC has %d-word keys, its key space %d", s.W, len(radix))
-	}
-	if len(s.Keys) != s.W*len(s.Counts) {
-		return fmt.Errorf("core: sorted PC has %d key words for %d counts of %d-word keys", len(s.Keys), len(s.Counts), s.W)
-	}
-	for i, c := range s.Counts {
-		key := s.entry(i)
-		if i > 0 && slices.Compare(key, s.entry(i-1)) <= 0 {
-			return fmt.Errorf("core: sorted PC key %v at entry %d does not ascend from %v", key, i, s.entry(i-1))
-		}
-		if !inKeySpace(key, radix) {
-			return fmt.Errorf("core: sorted PC key %v at entry %d outside the key space %v", key, i, radix)
-		}
-		if c <= 0 {
-			return fmt.Errorf("core: sorted PC count %d at entry %d is not positive", c, i)
-		}
-	}
-	return nil
-}
-
 // count32 narrows a pattern count to the int32 the dense and sorted
 // layouts store.
 func count32(c int) int32 {
@@ -99,12 +75,12 @@ func sortedFromMap(m map[uint64]int) *SortedCounts {
 	return sortedFrom(keys, counts, 1)
 }
 
-// recordEntries lists the entries of a hash-map accumulator keyed by
-// record form (appendRecord), unsorted, as W-word keys.
-func recordEntries(m map[string]int, w int) ([]uint64, []int32) {
-	keys := make([]uint64, 0, w*len(m))
-	counts := make([]int32, 0, len(m))
-	for rec, c := range m {
+// recordEntries lists the entries of a tally of keys in record form
+// (appendRecord), unsorted, as W-word keys.
+func recordEntries(t *spill.Tally, w int) ([]uint64, []int32) {
+	keys := make([]uint64, 0, w*t.Len())
+	counts := make([]int32, 0, t.Len())
+	for rec, c := range t.All() {
 		keys = appendWords(keys, rec)
 		counts = append(counts, count32(c))
 	}

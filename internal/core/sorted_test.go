@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 )
 
@@ -33,9 +34,7 @@ func checkSorted(t *testing.T, s *SortedCounts, want map[uint64]int) {
 	if cap(s.Keys) != len(s.Keys) || cap(s.Counts) != len(s.Counts) {
 		t.Fatalf("layout slices are not exact-size: cap %d/%d, len %d", cap(s.Keys), cap(s.Counts), len(s.Keys))
 	}
-	if err := s.validate([]uint64{^uint64(0)}); err != nil {
-		t.Fatal(err)
-	}
+	assertLayout(t, s)
 	for key, c := range want {
 		if got := s.lookup(key); got != c {
 			t.Fatalf("lookup(%d) = %d, want %d", key, got, c)
@@ -84,10 +83,7 @@ func TestSortedFromWide(t *testing.T) {
 			if s.W != w || len(s.Counts) != len(want) || len(s.Keys) != w*len(want) {
 				t.Fatalf("w=%d n=%d: layout of %d-word keys holds %d key words and %d counts, want %d entries", w, n, s.W, len(s.Keys), len(s.Counts), len(want))
 			}
-			radix := slices.Repeat([]uint64{^uint64(0)}, w)
-			if err := s.validate(radix); err != nil {
-				t.Fatalf("w=%d n=%d: %v", w, n, err)
-			}
+			assertLayout(t, s)
 			for key, c := range want {
 				if got := s.lookupKey(key[:w]); got != c {
 					t.Fatalf("w=%d n=%d: lookupKey(%v) = %d, want %d", w, n, key[:w], got, c)
@@ -100,35 +96,65 @@ func TestSortedFromWide(t *testing.T) {
 	}
 }
 
-// TestSortedValidate: every broken invariant a binary search or Decode
-// would trip on is an error.
-func TestSortedValidate(t *testing.T) {
+// assertLayout asserts the invariants a lookup relies on: W words for
+// every count, keys strictly ascending, every count positive.
+func assertLayout(t *testing.T, s *SortedCounts) {
+	t.Helper()
+	if len(s.Keys) != s.W*len(s.Counts) {
+		t.Fatalf("layout has %d key words for %d counts of %d-word keys", len(s.Keys), len(s.Counts), s.W)
+	}
+	for i, c := range s.Counts {
+		if i > 0 && slices.Compare(s.entry(i), s.entry(i-1)) <= 0 {
+			t.Fatalf("key %v at entry %d does not ascend from %v", s.entry(i), i, s.entry(i-1))
+		}
+		if c <= 0 {
+			t.Fatalf("count %d at entry %d is not positive", c, i)
+		}
+	}
+}
+
+// TestPCFromReprChecksSortedLayout: the intake of a decoded layout takes
+// it whole when its keys have the attribute set's width and lie in its
+// key space, giving it the representation a build over the given rows
+// picks, and rejects a layout of another width, with keys missing, or
+// with a key past the key space.
+func TestPCFromReprChecksSortedLayout(t *testing.T) {
+	d := diffDataset(t, diffConfig{rows: 40, attrs: 4, domain: 5}, 0x54)
+	s := lattice.FullSet(4) // a one-word key space of 625 slots
 	ok := &SortedCounts{W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{2, 1, 7}}
-	if err := ok.validate([]uint64{10}); err != nil {
-		t.Fatalf("valid layout rejected: %v", err)
+	for _, tc := range []struct {
+		rows int
+		repr string
+	}{{40, "dense"}, {1, "sorted"}} {
+		pc := must(PCFromRepr(d, PCRepr{Attrs: s, U: ok}, tc.rows))
+		if got := pcRepr(pc); got != tc.repr || pc.Size() != 3 {
+			t.Fatalf("rows %d: PC is %s of size %d, want %s of size 3", tc.rows, got, pc.Size(), tc.repr)
+		}
+	}
+	wide := diffDataset(t, diffConfig{rows: 40, attrs: 30, domain: 5}, 0x55)
+	ws := lattice.FullSet(30)
+	k := NewKeyer(wide, ws)
+	if k.Words() != 2 {
+		t.Fatalf("30 attributes of 5 values key %d words, want 2", k.Words())
 	}
 	okWide := &SortedCounts{W: 2, Keys: []uint64{1, 4, 1, 6, 2, 0}, Counts: []int32{2, 1, 7}}
-	if err := okWide.validate([]uint64{3, 7}); err != nil {
-		t.Fatalf("valid two-word layout rejected: %v", err)
+	if pc := must(PCFromRepr(wide, PCRepr{Attrs: ws, U: okWide}, 40)); pcRepr(pc) != "wide" || pc.Size() != 3 {
+		t.Fatalf("two-word layout is a %s PC of size %d, want wide of size 3", pcRepr(pc), pc.Size())
 	}
-	for name, s := range map[string]*SortedCounts{
-		"descending":         {W: 1, Keys: []uint64{5, 1, 9}, Counts: []int32{1, 1, 1}},
-		"repeated":           {W: 1, Keys: []uint64{1, 5, 5}, Counts: []int32{1, 1, 1}},
-		"outside radix":      {W: 1, Keys: []uint64{1, 5, 10}, Counts: []int32{1, 1, 1}},
-		"zero count":         {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, 0, 1}},
-		"negative count":     {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, -3, 1}},
-		"short counts":       {W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, 1}},
-		"wrong width":        {W: 2, Keys: []uint64{1, 5}, Counts: []int32{1}},
-		"wide descending":    {W: 2, Keys: []uint64{1, 4, 1, 3}, Counts: []int32{1, 1}},
-		"wide outside radix": {W: 2, Keys: []uint64{1, 4, 1, 12}, Counts: []int32{1, 1}},
-		"wide short keys":    {W: 2, Keys: []uint64{1, 4, 1}, Counts: []int32{1, 1}},
+	for name, tc := range map[string]struct {
+		d *dataset.Dataset
+		s lattice.AttrSet
+		u *SortedCounts
+	}{
+		"outside radix":      {d, s, &SortedCounts{W: 1, Keys: []uint64{1, 5, 625}, Counts: []int32{1, 1, 1}}},
+		"short counts":       {d, s, &SortedCounts{W: 1, Keys: []uint64{1, 5, 9}, Counts: []int32{1, 1}}},
+		"wrong width":        {d, s, &SortedCounts{W: 2, Keys: []uint64{1, 5}, Counts: []int32{1}}},
+		"wide outside radix": {wide, ws, &SortedCounts{W: 2, Keys: []uint64{1, 4, 1, k.radix[1]}, Counts: []int32{1, 1}}},
+		"wide short keys":    {wide, ws, &SortedCounts{W: 2, Keys: []uint64{1, 4, 1}, Counts: []int32{1, 1}}},
+		"wide as one word":   {wide, ws, &SortedCounts{W: 1, Keys: []uint64{1, 4}, Counts: []int32{1, 1}}},
 	} {
-		radix := []uint64{10}
-		if name != "wrong width" && s.W == 2 {
-			radix = []uint64{3, 7}
-		}
-		if err := s.validate(radix); err == nil {
-			t.Errorf("%s: validate accepted %v", name, s)
+		if pc, err := PCFromRepr(tc.d, PCRepr{Attrs: tc.s, U: tc.u}, 40); err == nil {
+			t.Errorf("%s: intake accepted %v as a %s PC", name, tc.u, pcRepr(pc))
 		}
 	}
 }

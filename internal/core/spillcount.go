@@ -23,7 +23,7 @@ import (
 // the distinct total is a monotone sum). A record is the key in record
 // form, its W words little-endian: 8-byte records for one-word keys (the
 // common case once domains multiply), counted into map[uint64]int, and
-// 8W-byte records for wider keys, counted into map[string]int. Results
+// 8W-byte records for wider keys, counted into a spill.Tally. Results
 // are bit-identical to the in-memory kernels for every worker count and
 // key width (spillcount_test.go).
 //
@@ -45,9 +45,9 @@ import (
 // 8W + 4 bytes an entry instead (spilledpc.go).
 const spillEntryBytesU64 = 48
 
-// spillEntryBytes is the per-distinct-key estimate of the record-keyed
-// map kernel of wider keys, beside the 8W key bytes: string header, map
-// bucket share and bookkeeping.
+// spillEntryBytes is the per-distinct-key estimate of the record tally
+// (spill.Tally) of wider keys, beside the 8W key bytes: string header and
+// index slot, map bucket share and bookkeeping, and the count slot.
 const spillEntryBytes = 64
 
 // maxSpillRuns caps the partition fan-out (file handles and write
@@ -305,7 +305,7 @@ func labelSizeSpilled(d *dataset.Dataset, s lattice.AttrSet, cap int, opts Count
 		if k.Words() == 1 {
 			cerr = w.CountRunsU64Ctx(opts.Ctx, workers, func(_ int, m map[uint64]int) bool { return add(len(m)) })
 		} else {
-			cerr = w.CountRunsCtx(opts.Ctx, workers, func(_ int, m map[string]int) bool { return add(len(m)) })
+			cerr = w.CountRunsCtx(opts.Ctx, workers, func(_ int, t *spill.Tally) bool { return add(t.Len()) })
 		}
 		if cerr != nil {
 			return cerr
@@ -350,7 +350,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	if words == 1 {
 		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsU64Ctx, mapEntries, 1, workers, budget, k.entryBytes(), newRuns)
 	} else {
-		entries := func(m map[string]int) ([]uint64, []int32) { return recordEntries(m, words) }
+		entries := func(t *spill.Tally) ([]uint64, []int32) { return recordEntries(t, words) }
 		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsCtx, entries, words, workers, budget, k.entryBytes(), newRuns)
 	}
 	if err != nil {
@@ -369,15 +369,15 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	return pc, nil
 }
 
-// sealRuns is countAndSeal over one run-map key type: count counts w's
-// runs into maps of K, and entries lists one run map's entries as
+// sealRuns is countAndSeal over one run accumulator type: count counts
+// w's runs into accumulators C, and entries lists one run's entries as
 // words-word keys. Each sealed run is sorted and encoded. It returns the
 // counted entries, unsorted, when they fit the budget, and the sorted
 // runs with their sizes otherwise.
-func sealRuns[K comparable](
+func sealRuns[C any](
 	ctx context.Context, w *spill.Writer,
-	count func(ctx context.Context, workers int, emit func(run int, counts map[K]int) bool) error,
-	entries func(m map[K]int) ([]uint64, []int32),
+	count func(ctx context.Context, workers int, emit func(run int, counts C) bool) error,
+	entries func(counts C) ([]uint64, []int32),
 	words, workers int, budget, entry int64, newRuns func() (*spill.Runs, error),
 ) (keys []uint64, counts []int32, rs *spill.Runs, runSizes []int, err error) {
 	runSizes = make([]int, w.NumRuns())
@@ -402,7 +402,7 @@ func sealRuns[K comparable](
 		}
 	}
 	// emit calls are serialized, so the closure state needs no lock.
-	err = count(ctx, workers, func(run int, m map[K]int) bool {
+	err = count(ctx, workers, func(run int, m C) bool {
 		ks, cs := entries(m)
 		w.DropRun(run)
 		runSizes[run] = len(cs)

@@ -60,9 +60,9 @@ func RunAccuracy(nd NamedDataset, cfg Config) (*AccuracyResult, error) {
 
 	for _, bound := range nd.Bounds {
 		sr, err := search.TopDown(d, ps, search.Options{
-			Bound:    bound,
-			FastEval: cfg.FastEval,
-			Workers:  cfg.Workers,
+			Bound:        bound,
+			FastEval:     cfg.FastEval,
+			CountOptions: core.CountOptions{Workers: cfg.Workers},
 		})
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ package search
 import (
 	"testing"
 
+	"pcbl/internal/core"
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 )
@@ -42,7 +43,7 @@ func allocDataset(t *testing.T) *dataset.Dataset {
 func TestAllocsSizeLevelSteadyState(t *testing.T) {
 	d := allocDataset(t)
 	var stats Stats
-	z := newLevelSizer(d, Options{Bound: 50, Workers: 1}, &stats)
+	z := newLevelSizer(d, Options{Bound: 50, CountOptions: core.CountOptions{Workers: 1}}, &stats)
 	var level []lattice.AttrSet
 	lattice.Combinations(d.NumAttrs(), 2, func(s lattice.AttrSet) bool {
 		level = append(level, s)

@@ -38,24 +38,24 @@ func TestSearchCancelledReturnsTypedError(t *testing.T) {
 	ps := core.DistinctTuples(d)
 	ctx := cancelledCtx()
 
-	if _, _, err := Enumerate(d, Options{Bound: 5, Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Enumerate(d, Options{Bound: 5, CountOptions: core.CountOptions{Workers: 2, Ctx: ctx}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Enumerate: err = %v, want context.Canceled", err)
 	}
-	if _, err := TopDown(d, ps, Options{Bound: 5, Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := TopDown(d, ps, Options{Bound: 5, CountOptions: core.CountOptions{Workers: 2, Ctx: ctx}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopDown: err = %v, want context.Canceled", err)
 	}
-	if _, err := Naive(d, ps, Options{Bound: 5, Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := Naive(d, ps, Options{Bound: 5, CountOptions: core.CountOptions{Workers: 2, Ctx: ctx}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Naive: err = %v, want context.Canceled", err)
 	}
 	sets := []lattice.AttrSet{lattice.NewAttrSet(0, 1), lattice.NewAttrSet(2)}
-	if res, err := EvaluateSets(d, ps, sets, Options{Workers: 2, Ctx: ctx}); !errors.Is(err, context.Canceled) || res != nil {
+	if res, err := EvaluateSets(d, ps, sets, Options{CountOptions: core.CountOptions{Workers: 2, Ctx: ctx}}); !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("EvaluateSets: (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 
 func TestSearchExpiredDeadlineReturnsDeadlineExceeded(t *testing.T) {
 	d := testutil.Fig2()
-	if _, _, err := Enumerate(d, Options{Bound: 5, Workers: 1, Ctx: expiredDeadline(t)}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := Enumerate(d, Options{Bound: 5, CountOptions: core.CountOptions{Workers: 1, Ctx: expiredDeadline(t)}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -73,8 +73,8 @@ func TestSearchCancelledSpillLeavesNoFiles(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
 	defer cancel()
 	_, _, err := Enumerate(d, Options{
-		Bound: 4000, Workers: 2,
-		MemBudget: 50 << 10, SpillDir: dir, Ctx: ctx,
+		Bound:        4000,
+		CountOptions: core.CountOptions{Workers: 2, MemBudget: 50 << 10, SpillDir: dir, Ctx: ctx},
 	})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
@@ -101,8 +101,8 @@ func TestSearchEvaluationCancelledReleasesLabels(t *testing.T) {
 	// under an expired deadline and assert the global invariant the
 	// acceptance criteria care about: typed error, no spill files.
 	_, err := TopDown(d, ps, Options{
-		Bound: 4000, Workers: 2, MemBudget: 50 << 10, SpillDir: dir,
-		Ctx: expiredDeadline(t),
+		Bound:        4000,
+		CountOptions: core.CountOptions{Workers: 2, MemBudget: 50 << 10, SpillDir: dir, Ctx: expiredDeadline(t)},
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

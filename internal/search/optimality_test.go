@@ -44,7 +44,7 @@ func TestNaiveIsOptimal(t *testing.T) {
 			maxErr, _ := core.MaxAbsError(l, ps, core.MaxErrOptions{Workers: 1})
 			return maxErr, true
 		})
-		res, err := Naive(d, ps, Options{Bound: bound, Workers: 1})
+		res, err := Naive(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestTopDownNearOptimal(t *testing.T) {
 	}
 	ps := core.DistinctTuples(d)
 	for _, bound := range []int{20, 60} {
-		naive, err := Naive(d, ps, Options{Bound: bound, Workers: 1})
+		naive, err := Naive(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := TopDown(d, ps, Options{Bound: bound, Workers: 1})
+		top, err := TopDown(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestSortedEvalAgreesInSearch(t *testing.T) {
 	}
 	ps := core.DistinctTuples(d)
 	for _, bound := range []int{10, 40} {
-		slow, err := TopDown(d, ps, Options{Bound: bound, Workers: 1})
+		slow, err := TopDown(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, Workers: 1})
+		fast, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +119,12 @@ func TestSortedEvalAgreesInSearch(t *testing.T) {
 func TestDeterministicResults(t *testing.T) {
 	d := testutil.Fig2()
 	ps := core.DistinctTuples(d)
-	first, err := TopDown(d, ps, Options{Bound: 6, Workers: 4})
+	first, err := TopDown(d, ps, Options{Bound: 6, CountOptions: core.CountOptions{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := TopDown(d, ps, Options{Bound: 6, Workers: 4})
+		again, err := TopDown(d, ps, Options{Bound: 6, CountOptions: core.CountOptions{Workers: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,21 +61,21 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	d := raceDataset(t)
 	ps := core.DistinctTuples(d)
 	for _, bound := range []int{20, 100} {
-		seqTop, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, Workers: 1})
+		seqTop, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqNaive, err := Naive(d, ps, Options{Bound: bound, FastEval: true, Workers: 1})
+		seqNaive, err := Naive(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			parTop, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, Workers: workers})
+			parTop, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, "topdown", seqTop, parTop)
-			parNaive, err := Naive(d, ps, Options{Bound: bound, FastEval: true, Workers: workers})
+			parNaive, err := Naive(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +90,11 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 func TestParallelSearchBranchAndBound(t *testing.T) {
 	d := raceDataset(t)
 	ps := core.DistinctTuples(d)
-	seq, err := TopDown(d, ps, Options{Bound: 100, FastEval: true, BranchAndBound: true, Workers: 1})
+	seq, err := TopDown(d, ps, Options{Bound: 100, FastEval: true, BranchAndBound: true, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := TopDown(d, ps, Options{Bound: 100, FastEval: true, BranchAndBound: true, Workers: 8})
+	par, err := TopDown(d, ps, Options{Bound: 100, FastEval: true, BranchAndBound: true, CountOptions: core.CountOptions{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 		var stats Stats
 		var next []lattice.AttrSet
 		i := 0
-		z := newLevelSizer(d, Options{Bound: bound, Workers: 4}, &stats)
+		z := newLevelSizer(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 4}}, &stats)
 		err := z.sizeLevel(children, func(s lattice.AttrSet, within bool) {
 			if s != children[i] {
 				t.Fatalf("visit order diverged at %d: got %v, want %v", i, s, children[i])

@@ -145,7 +145,7 @@ func TestSchedulerMatchesScanEnumeration(t *testing.T) {
 	for _, c := range cases {
 		want, sized, inBound := refTopDown(c.d, c.bound)
 		for _, workers := range []int{1, 2, 8} {
-			cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, Workers: workers})
+			cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, CountOptions: core.CountOptions{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestSchedulerFullSearchAgreement(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2} {
-				got, err := a.run(Options{Bound: bound, FastEval: true, Workers: workers})
+				got, err := a.run(Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: workers}})
 				if err != nil {
 					t.Fatal(err)
 				}

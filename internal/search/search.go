@@ -17,12 +17,43 @@ import (
 
 	"pcbl/internal/core"
 	"pcbl/internal/dataset"
-	"pcbl/internal/iofault"
 	"pcbl/internal/lattice"
 	"pcbl/internal/workpool"
 )
 
-// Options configures a label search.
+// Options configures a label search. The embedded core.CountOptions
+// configure the counting engine every sizing scan and label build runs on,
+// with a search's meaning for three of them:
+//
+//   - Workers bounds parallelism in both phases: the enumeration phase
+//     sizes each level's sibling groups and their row shards on this many
+//     workers (see core.LabelSizes), and the final evaluation phase scores
+//     this many candidates concurrently. runtime.NumCPU() when 0, 1 for a
+//     single-threaded run. Enumeration sizes each sibling group off one
+//     pass over its gen parent's keys (a beyond-paper optimization,
+//     result-identical to per-set scanning), so Workers=1 timings are not
+//     comparable to the paper's one-scan-per-set cost model.
+//   - MemBudget: enumeration sizes every candidate with cap Bound, so a
+//     candidate's sizing state is at most Bound + 1 keys; it stays in its
+//     sibling group unless even those model over the budget, and is then
+//     sized on the spill tier, counted for its distinct total and stopped
+//     once that passes Bound. Budgeted label builds spill as BuildPC does.
+//     Results are identical either way; Stats.Spilled, SpillRuns,
+//     SpillParallelRuns and SpillBytes report the tier's use.
+//   - Ctx cancels the search cooperatively. Both phases poll it:
+//     enumeration at row-block granularity inside each level's sizing,
+//     evaluation between candidate labels and at block granularity inside
+//     each label build. A fired context abandons the search, releases
+//     every spill-backed label already built (no temp files survive), and
+//     returns the typed context error. Nil means the search never cancels.
+//
+// The search sets the engine's Stats and Pool itself: values a caller sets
+// in them are ignored, and the search's counters are in Result.Stats.
+//
+// When no attribute set of size ≥ 2 yields an in-bound label, both
+// algorithms fall back to in-bound singletons, and failing that to the
+// empty set (pure independence estimation) — the paper leaves this
+// degenerate case unspecified.
 type Options struct {
 	// Bound is B_s, the maximum admissible label size |P_S|. Required.
 	Bound int
@@ -33,68 +64,8 @@ type Options struct {
 	// running max error exceeds the best error found so far. This is an
 	// optimization beyond the paper; it never changes the result.
 	BranchAndBound bool
-	// Workers bounds parallelism in both phases: the enumeration phase
-	// sizes each level's sibling groups and their row shards on this many
-	// workers (see core.LabelSizes), and the final evaluation phase scores
-	// this many candidates concurrently. runtime.NumCPU() when 0, 1 for a
-	// single-threaded run. Note that enumeration sizes each sibling group
-	// off one pass over its gen parent's keys (a beyond-paper
-	// optimization, result-identical to per-set scanning), so Workers=1
-	// timings are not comparable to the paper's one-scan-per-set cost
-	// model.
-	//
-	// When no attribute set of size ≥ 2 yields an in-bound label, both
-	// algorithms fall back to in-bound singletons, and failing that to
-	// the empty set (pure independence estimation) — the paper leaves
-	// this degenerate case unspecified.
-	Workers int
 
-	// MemBudget bounds the in-memory grouping state of a single group-by
-	// in bytes (core.CountOptions.MemBudget). Enumeration sizes every
-	// candidate with cap Bound, so a candidate's sizing state is at most
-	// Bound + 1 keys: it stays in its sibling group unless even those
-	// model over the budget, and is then sized on the spill tier —
-	// hash-partitioned on-disk runs of 8W-byte records, W being the key's
-	// width in words, counted K-way in parallel for their distinct total,
-	// stopping once it passes Bound. Budgeted label builds
-	// whose map models over the budget spill the same way and, when the
-	// result does too, keep their runs and serve lookups merge-on-read.
-	// Zero means unlimited. Results are identical either way;
-	// Stats.Spilled/SpillRuns/SpillParallelRuns/SpillBytes report the
-	// tier's use.
-	MemBudget int64
-
-	// SpillDir overrides where spill run files are written (system temp
-	// directory when empty). Files live in private subdirectories removed
-	// when each scan finishes.
-	SpillDir string
-
-	// FS is the filesystem seam spill scans write runs through
-	// (core.CountOptions.FS); nil means the real OS filesystem. Fault
-	// injection scripts failures here.
-	FS iofault.FS
-
-	// Ctx cancels the search cooperatively — cancel it or give it a
-	// deadline to bound a runaway search. Both phases poll it: enumeration
-	// at row-block granularity inside each level's sizing, evaluation
-	// between candidate labels and at block granularity inside each label
-	// build. A fired context abandons the search, releases every
-	// spill-backed label already built (no temp files survive), and
-	// returns the typed context error (context.Canceled or
-	// context.DeadlineExceeded). Nil means the search never cancels.
-	Ctx context.Context
-}
-
-// countOptions lowers the search options onto the counting engine for
-// sizing and label builds.
-func (o Options) countOptions() core.CountOptions {
-	return core.CountOptions{
-		Workers:   o.Workers,
-		MemBudget: o.MemBudget,
-		SpillDir:  o.SpillDir,
-		FS:        o.FS,
-		Ctx:       o.Ctx,
-	}
+	core.CountOptions
 }
 
 // ctxErr reports a fired search context; nil ctx never fires.
@@ -186,7 +157,7 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	if len(sets) == 0 {
 		return nil
 	}
-	co := z.opts.countOptions()
+	co := z.opts.CountOptions
 	co.Stats, co.Pool = &z.stats.ScanStats, z.pool
 	_, within, err := core.LabelSizes(z.d, sets, z.opts.Bound, co)
 	if err != nil {
@@ -399,7 +370,8 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 	// Each candidate's label build runs single-threaded when candidates
 	// themselves are scored concurrently; a lone candidate gets the whole
 	// engine instead.
-	co := opts.countOptions()
+	co := opts.CountOptions
+	co.Stats, co.Pool = nil, nil
 	if len(cands) > 1 {
 		co.Workers = 1
 	}
@@ -488,7 +460,8 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 		ps.SortByCountDesc()
 	}
 	out := make([]Result, len(sets))
-	co := opts.countOptions()
+	co := opts.CountOptions
+	co.Stats, co.Pool = nil, nil
 	for i, s := range sets {
 		l, err := core.BuildLabel(d, s, co)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 func TestExample37(t *testing.T) {
 	d := testutil.Fig2()
 	ps := core.DistinctTuples(d)
-	res, err := TopDown(d, ps, Options{Bound: 5, FastEval: false, Workers: 1})
+	res, err := TopDown(d, ps, Options{Bound: 5, FastEval: false, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestNaiveMatchesTopDownError(t *testing.T) {
 	for name, d := range datasets {
 		ps := core.DistinctTuples(d)
 		for _, bound := range []int{5, 10, 20, 50} {
-			naive, err := Naive(d, ps, Options{Bound: bound, Workers: 1})
+			naive, err := Naive(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 			if err != nil {
 				t.Fatalf("%s naive: %v", name, err)
 			}
-			top, err := TopDown(d, ps, Options{Bound: bound, Workers: 1})
+			top, err := TopDown(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 			if err != nil {
 				t.Fatalf("%s topdown: %v", name, err)
 			}
@@ -143,7 +143,7 @@ func TestCandidatesAreAntichain(t *testing.T) {
 			}
 		}
 		// And the search agrees with this enumeration's best result.
-		res, err := TopDown(d, ps, Options{Bound: bound, Workers: 1})
+		res, err := TopDown(d, ps, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +164,11 @@ func TestBranchAndBoundSameResult(t *testing.T) {
 	}
 	ps := core.DistinctTuples(d)
 	for _, bound := range []int{10, 50} {
-		plain, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, Workers: 1})
+		plain, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, BranchAndBound: true, Workers: 1})
+		bb, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, BranchAndBound: true, CountOptions: core.CountOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +185,11 @@ func TestParallelEvalSameResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := core.DistinctTuples(d)
-	seq, err := TopDown(d, ps, Options{Bound: 30, Workers: 1})
+	seq, err := TopDown(d, ps, Options{Bound: 30, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := TopDown(d, ps, Options{Bound: 30, Workers: 8})
+	par, err := TopDown(d, ps, Options{Bound: 30, CountOptions: core.CountOptions{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestParallelEvalSameResult(t *testing.T) {
 func TestTinyBoundFallsBackToSingletons(t *testing.T) {
 	d := testutil.Fig2()
 	ps := core.DistinctTuples(d)
-	res, err := TopDown(d, ps, Options{Bound: 2, Workers: 1})
+	res, err := TopDown(d, ps, Options{Bound: 2, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSingletonFallbackUsesSearchOptions(t *testing.T) {
 	} {
 		var seq *Result
 		for _, workers := range []int{1, 4} {
-			res, err := run(d, ps, Options{Bound: 40, Workers: workers})
+			res, err := run(d, ps, Options{Bound: 40, CountOptions: core.CountOptions{Workers: workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestEvaluateSets(t *testing.T) {
 	ps := core.DistinctTuples(d)
 	s1, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
 	s2, _ := lattice.FromNames(d.AttrNames(), "gender", "age group")
-	res, err := EvaluateSets(d, ps, []lattice.AttrSet{s1, s2}, Options{Workers: 1})
+	res, err := EvaluateSets(d, ps, []lattice.AttrSet{s1, s2}, Options{CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestEvaluateSets(t *testing.T) {
 func TestStatsTimings(t *testing.T) {
 	d := testutil.Fig2()
 	ps := core.DistinctTuples(d)
-	res, err := TopDown(d, ps, Options{Bound: 10, Workers: 1})
+	res, err := TopDown(d, ps, Options{Bound: 10, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

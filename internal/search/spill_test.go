@@ -58,7 +58,7 @@ func TestSearchSpillIdentity(t *testing.T) {
 	const bound = 4000
 	// Unbudgeted baseline: every candidate in memory, the full set on
 	// two-word keys and every other set from its parent's key block.
-	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
+	base, baseStats, err := Enumerate(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestSearchSpillIdentity(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
 		got, stats, err := Enumerate(d, Options{
-			Bound: bound, Workers: workers,
-			MemBudget: budget, SpillDir: dir,
+			Bound:        bound,
+			CountOptions: core.CountOptions{Workers: workers, MemBudget: budget, SpillDir: dir},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +125,8 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	const bound = 25000
 	budget := int64(200 << 10)
 	base, baseStats, err := Enumerate(d, Options{
-		Bound: bound, Workers: 1,
-		MemBudget: budget, SpillDir: t.TempDir(),
+		Bound:        bound,
+		CountOptions: core.CountOptions{Workers: 1, MemBudget: budget, SpillDir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestSearchSpillParallelRuns(t *testing.T) {
 	}
 	dir := t.TempDir()
 	got, stats, err := Enumerate(d, Options{
-		Bound: bound, Workers: 8,
-		MemBudget: budget, SpillDir: dir,
+		Bound:        bound,
+		CountOptions: core.CountOptions{Workers: 8, MemBudget: budget, SpillDir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCappedSizingNeverSpills(t *testing.T) {
 		t.Fatalf("uncapped budgeted build: Spilled=%d, want 1", build.Spilled)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: workers})
+		base, baseStats, err := Enumerate(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestCappedSizingNeverSpills(t *testing.T) {
 			t.Fatalf("workers=%d: no map-tier set sized; the data does not exercise the budget", workers)
 		}
 		dir := t.TempDir()
-		got, stats, err := Enumerate(d, Options{Bound: bound, Workers: workers, MemBudget: budget, SpillDir: dir})
+		got, stats, err := Enumerate(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: workers, MemBudget: budget, SpillDir: dir}})
 		if err != nil {
 			t.Fatal(err)
 		}

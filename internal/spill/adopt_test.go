@@ -68,15 +68,17 @@ func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 		t.Fatal(err)
 	}
 	var werr error
-	if err := w.CountRunsCtx(nil, 1, func(run int, counts map[string]int) bool {
-		keys := make([][]uint64, 0, len(counts))
-		for k := range counts {
+	if err := w.CountRunsCtx(nil, 1, func(run int, counts *Tally) bool {
+		keys := make([][]uint64, 0, counts.Len())
+		byRec := make(map[string]int, counts.Len())
+		for k, c := range counts.All() {
 			keys = append(keys, recordKey(k))
+			byRec[k] = c
 		}
 		slices.SortFunc(keys, slices.Compare)
 		rw := rs.RunWriter(run)
 		for _, k := range keys {
-			rw.Add(k, counts[keyRecord(k)])
+			rw.Add(k, byRec[keyRecord(k)])
 		}
 		werr = rw.Close()
 		return werr == nil
@@ -132,10 +134,10 @@ func TestAdoptIntoRelocatesAndSurvivesCleanup(t *testing.T) {
 	if _, err := os.Stat(oldDir); !os.IsNotExist(err) {
 		t.Fatalf("old spill dir %q not removed after adoption", oldDir)
 	}
-	// The open descriptors must keep serving the relocated runs.
+	// The Runs must keep serving the relocated runs from their new paths.
 	assertCounts(t, countAll(t, w), ref)
 
-	// Cleanup of a non-owning writer closes descriptors but must leave the
+	// Cleanup of a Runs that no longer owns its files must leave the
 	// adopted files on disk.
 	w.Cleanup()
 	for i := 0; i < w.NumRuns(); i++ {

@@ -205,7 +205,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 	t.Run("emit-stop", func(t *testing.T) {
 		w := build(t)
 		emitted := 0
-		if err := w.CountRunsCtx(nil, workers, func(int, map[string]int) bool {
+		if err := w.CountRunsCtx(nil, workers, func(int, *Tally) bool {
 			emitted++
 			return false
 		}); err != nil || emitted == 0 || emitted >= w.NumRuns() {
@@ -225,7 +225,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 			}()
 			w = build(t)
 			defer w.Cleanup()
-			w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
+			w.CountRunsCtx(nil, workers, func(run int, m *Tally) bool {
 				panic("injected mid-merge failure")
 			})
 		}()

@@ -1,14 +1,16 @@
 package spill
 
-// Sorted runs: the persistent layout of a spilled pattern-count index.
+// Sorted runs: the persistent layout of pattern counts.
 //
 // A partition run (Writer) holds one raw record per counted row, in
 // arrival order; it exists only until it is counted. A sorted run holds
 // what counting a partition run yields — its distinct keys, strictly
 // ascending, each with its count — and is what a merge-on-read index
 // serves, what an artifact persists and what a merge rewrites. The K
-// sorted runs keep the partition routing of the records they were counted
-// from, so every key still lives in the single run RunOf names.
+// sorted runs of a spilled index (Runs) keep the partition routing of the
+// records they were counted from, so every key still lives in the single
+// run RunOf names. An artifact stores an in-memory index as one sorted run
+// in one file, with no routing.
 //
 // A sorted run file is a sequence of self-checksummed frames of at most
 // frameEntries entries:
@@ -29,12 +31,14 @@ package spill
 // 2015): the keys of a high-cardinality run cost three to four bytes
 // each instead of the raw record's eight per row.
 //
-// Open walks the frame headers only, so it learns every run's entries and
-// rows without decoding a payload and rejects a header that promises more
-// entries than its payload bytes can hold. Payloads verify on first read:
-// each frame's checksum before any of its entries is decoded, then strict
-// key order (across frames too), positive counts, whole varints, totals
-// that match the header and keys that route to their run.
+// RunWriter encodes one run into any writer and ReadRun decodes one from
+// any reader. Open walks the frame headers only, so it learns every run's
+// entries and rows without decoding a payload and rejects a header that
+// promises more entries than its payload bytes can hold. Payloads verify
+// as they are read: each frame's checksum before any of its entries is
+// decoded, then strict key order (across frames too), positive counts,
+// whole varints, totals that match the header and, in a Runs, keys that
+// route to their run.
 
 import (
 	"context"
@@ -62,15 +66,17 @@ const (
 )
 
 // Runs is a directory of K sorted runs. NewRuns creates an empty one that
-// RunWriter fills run by run; Open reopens one an artifact adopted. Reads
-// are safe for concurrent use with each other; Cleanup and AdoptInto
-// must not run concurrently with reads or writes.
+// RunWriter fills run by run; Open reopens one an artifact adopted. A Runs
+// holds the runs' paths, not open files: every read, header walk and run
+// write opens its file and closes it when done. Reads are safe for
+// concurrent use with each other; Cleanup and AdoptInto must not run
+// concurrently with reads or writes.
 type Runs struct {
 	fs      iofault.FS
 	dir     string
 	owns    bool // created the files; Cleanup deletes them and the dir
 	words   int  // key width W in uint64 words
-	files   []iofault.File
+	paths   []string
 	entries []int   // per run: entries, from the frame headers
 	rows    []int64 // per run: rows, from the frame headers
 	bytes   []int64 // per run: file bytes
@@ -84,15 +90,19 @@ func newRuns(fsys iofault.FS, dir string, words, runs int) (*Runs, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", runs)
 	}
-	return &Runs{
+	rs := &Runs{
 		fs:      fsys,
 		dir:     dir,
 		words:   words,
-		files:   make([]iofault.File, runs),
+		paths:   make([]string, runs),
 		entries: make([]int, runs),
 		rows:    make([]int64, runs),
 		bytes:   make([]int64, runs),
-	}, nil
+	}
+	for i := range rs.paths {
+		rs.paths[i] = runPath(dir, i)
+	}
+	return rs, nil
 }
 
 // NewRuns creates K empty sorted runs of words-word keys in a fresh
@@ -101,21 +111,25 @@ func newRuns(fsys iofault.FS, dir string, words, runs int) (*Runs, error) {
 // fsys nil means the OS filesystem.
 func NewRuns(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
 	fsys = iofault.Resolve(fsys)
-	rs, err := newRuns(fsys, "", words, runs)
+	tmp, err := fsys.MkdirTemp(dir, "pcbl-runs-*")
 	if err != nil {
-		return nil, err
-	}
-	if rs.dir, err = fsys.MkdirTemp(dir, "pcbl-runs-*"); err != nil {
 		return nil, wrapNoSpace(err)
 	}
+	rs, err := newRuns(fsys, tmp, words, runs)
+	if err != nil {
+		fsys.RemoveAll(tmp)
+		return nil, err
+	}
 	rs.owns = true
-	for i := range rs.files {
-		f, err := fsys.Create(runPath(rs.dir, i))
+	for _, p := range rs.paths {
+		f, err := fsys.Create(p)
+		if err == nil {
+			err = f.Close()
+		}
 		if err != nil {
 			rs.Cleanup()
 			return nil, wrapNoSpace(err)
 		}
-		rs.files[i] = f
 	}
 	return rs, nil
 }
@@ -126,22 +140,15 @@ func NewRuns(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
 // fewer rows than its payload can hold fails with a CorruptError, and the
 // totals the headers declare are available from Entries and Rows without
 // any payload read. Payloads verify on first read. The Runs does not own
-// the files: Cleanup closes them and leaves the directory intact. fsys
-// nil means the OS filesystem.
+// the files: Cleanup leaves them and the directory intact. fsys nil means
+// the OS filesystem.
 func Open(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
 	rs, err := newRuns(iofault.Resolve(fsys), dir, words, runs)
 	if err != nil {
 		return nil, err
 	}
-	for i := range rs.files {
-		f, err := rs.fs.Open(runPath(dir, i))
-		if err != nil {
-			rs.Cleanup()
-			return nil, err
-		}
-		rs.files[i] = f
+	for i := range rs.paths {
 		if err := rs.walkHeaders(i); err != nil {
-			rs.Cleanup()
 			return nil, err
 		}
 	}
@@ -151,7 +158,11 @@ func Open(dir string, words, runs int, fsys iofault.FS) (*Runs, error) {
 // walkHeaders validates run's frame chain from its headers alone and
 // records the run's entries, rows and bytes.
 func (rs *Runs) walkHeaders(run int) error {
-	f := rs.files[run]
+	f, err := rs.fs.Open(rs.paths[run])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
 		return err
@@ -166,8 +177,8 @@ func (rs *Runs) walkHeaders(run int) error {
 		if _, err := f.ReadAt(hdr[:], off); err != nil {
 			return err
 		}
-		plen, n, rows := rs.parseHeader(hdr[:])
-		if err := rs.checkHeader(run, off, plen, n, rows); err != nil {
+		plen, n, rows := parseHeader(hdr[:])
+		if err := checkHeader(rs.words, run, off, plen, n, rows); err != nil {
 			return err
 		}
 		if off+sortedHdrLen+int64(plen) > size {
@@ -182,24 +193,19 @@ func (rs *Runs) walkHeaders(run int) error {
 	return nil
 }
 
-func (rs *Runs) parseHeader(hdr []byte) (plen, entries int, rows uint32) {
+func parseHeader(hdr []byte) (plen, entries int, rows uint32) {
 	return int(binary.LittleEndian.Uint32(hdr[0:4])), int(binary.LittleEndian.Uint32(hdr[4:8])), binary.LittleEndian.Uint32(hdr[8:12])
 }
 
-// minEntryBytes and maxEntryBytes bound one entry's encoded length: at
-// least a byte per word and a count byte.
-func (rs *Runs) minEntryBytes() int { return rs.words + 1 }
-
-func (rs *Runs) maxEntryBytes() int { return rs.words*maxWordBytes + maxCountBytes }
-
-// checkHeader validates one frame header: between 1 and frameEntries
-// entries, a payload long enough to hold them and no longer than their
-// longest encoding, and at least one row per entry.
-func (rs *Runs) checkHeader(run int, off int64, plen, entries int, rows uint32) error {
+// checkHeader validates one frame header of a run of words-word keys:
+// between 1 and frameEntries entries, a payload long enough to hold them
+// (at least a byte per word and a count byte each) and no longer than
+// their longest encoding, and at least one row per entry.
+func checkHeader(words, run int, off int64, plen, entries int, rows uint32) error {
 	switch {
 	case entries < 1 || entries > frameEntries:
 		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries, want 1 to %d", entries, frameEntries)}
-	case plen < entries*rs.minEntryBytes() || plen > entries*rs.maxEntryBytes():
+	case plen < entries*(words+1) || plen > entries*(words*maxWordBytes+maxCountBytes):
 		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries in %d payload bytes", entries, plen)}
 	case int64(rows) < int64(entries):
 		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame declares %d entries over %d rows", entries, rows)}
@@ -208,7 +214,7 @@ func (rs *Runs) checkHeader(run int, off int64, plen, entries int, rows uint32) 
 }
 
 // NumRuns returns the run count K.
-func (rs *Runs) NumRuns() int { return len(rs.files) }
+func (rs *Runs) NumRuns() int { return len(rs.paths) }
 
 // Words returns the key width W in uint64 words.
 func (rs *Runs) Words() int { return rs.words }
@@ -241,7 +247,7 @@ func (rs *Runs) Bytes() int64 {
 // RunOf returns the run a key routes to: the run its record — the words
 // little-endian — is partitioned to, so a key counted from run r's
 // records is found in run r.
-func (rs *Runs) RunOf(key []uint64) int { return runOfKey(key, len(rs.files)) }
+func (rs *Runs) RunOf(key []uint64) int { return runOfKey(key, len(rs.paths)) }
 
 // RunWriter encodes one sorted run: entries are added in strictly
 // ascending key order with positive counts, framed as they accumulate,
@@ -249,8 +255,8 @@ func (rs *Runs) RunOf(key []uint64) int { return runOfKey(key, len(rs.files)) }
 // errors too. A RunWriter is not safe for concurrent use; distinct runs
 // may be written concurrently.
 type RunWriter struct {
-	rs      *Runs
-	run     int
+	w       io.Writer
+	words   int
 	buf     []byte   // sealed frames not yet written, then the open frame
 	frame   int      // offset of the open frame's header in buf
 	n       int      // entries in the open frame
@@ -258,7 +264,13 @@ type RunWriter struct {
 	last    []uint64 // previous key
 	entries int
 	total   int64
+	written int64
 	err     error
+
+	// Set when the writer fills run of rs, whose file f it closes.
+	rs  *Runs
+	run int
+	f   iofault.File
 }
 
 // writeBatchBytes is how many bytes of sealed frames a RunWriter gathers
@@ -272,10 +284,21 @@ var runBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// RunWriter starts writing run, which must still be empty.
-func (rs *Runs) RunWriter(run int) *RunWriter {
+// NewRunWriter starts one sorted run of words-word keys, words >= 1,
+// written to w, which sees a write per batch of frames and one more at
+// Close.
+func NewRunWriter(w io.Writer, words int) *RunWriter {
 	buf := runBufs.Get().(*[]byte)
-	return &RunWriter{rs: rs, run: run, buf: append((*buf)[:0], make([]byte, sortedHdrLen)...)}
+	return &RunWriter{w: w, words: words, buf: append((*buf)[:0], make([]byte, sortedHdrLen)...)}
+}
+
+// RunWriter starts writing run, which must still be empty: it creates the
+// run's file, and Close closes it and records the run's totals.
+func (rs *Runs) RunWriter(run int) *RunWriter {
+	f, err := rs.fs.Create(rs.paths[run])
+	rw := NewRunWriter(f, rs.words)
+	rw.rs, rw.run, rw.f, rw.err = rs, run, f, wrapNoSpace(err)
+	return rw
 }
 
 // Add appends an entry: a key of the run's W words, which must ascend
@@ -284,8 +307,8 @@ func (w *RunWriter) Add(key []uint64, count int) {
 	if w.err != nil {
 		return
 	}
-	if len(key) != w.rs.words {
-		w.err = fmt.Errorf("spill: run %d key of %d words, want %d", w.run, len(key), w.rs.words)
+	if len(key) != w.words {
+		w.err = fmt.Errorf("spill: run %d key of %d words, want %d", w.run, len(key), w.words)
 		return
 	}
 	if w.entries > 0 && slices.Compare(key, w.last) <= 0 {
@@ -352,16 +375,17 @@ func (w *RunWriter) seal() {
 
 // write writes the sealed frames gathered in buf.
 func (w *RunWriter) write() {
-	if _, err := w.rs.files[w.run].Write(w.buf); err != nil {
+	if _, err := w.w.Write(w.buf); err != nil {
 		w.err = wrapNoSpace(err)
 		return
 	}
-	w.rs.bytes[w.run] += int64(len(w.buf))
+	w.written += int64(len(w.buf))
 	w.buf = w.buf[:0]
 }
 
-// Close seals and writes the last frames and records the run's totals. It
-// returns the first error the writer hit.
+// Close seals and writes the last frames, closes the run's file when the
+// writer has one, and records the run's totals in its Runs. It returns the
+// first error the writer hit.
 func (w *RunWriter) Close() error {
 	w.seal()
 	if w.err == nil {
@@ -370,9 +394,15 @@ func (w *RunWriter) Close() error {
 			w.write()
 		}
 	}
-	if w.err == nil {
+	if w.f != nil {
+		if err := w.f.Close(); err != nil && w.err == nil {
+			w.err = err
+		}
+	}
+	if w.rs != nil && w.err == nil {
 		w.rs.entries[w.run] = w.entries
 		w.rs.rows[w.run] = w.total
+		w.rs.bytes[w.run] = w.written
 	}
 	buf := w.buf[:0]
 	runBufs.Put(&buf)
@@ -380,25 +410,43 @@ func (w *RunWriter) Close() error {
 	return w.err
 }
 
-// Each streams run's entries in ascending key order; the key slice is
+// ReadRun streams the entries of the one sorted run of words-word keys,
+// words >= 1, that r holds, in ascending key order; the key slice is
 // valid only during the call. Every frame is verified (checksum, then
-// strict key order across frames, positive counts, whole varints, totals
-// matching its header, routing) as it is decoded, and a failure is a
+// strict key order across frames, positive counts, whole varints and
+// totals matching its header) as it is decoded, and a failure is a
 // CorruptError; fn may then have seen a prefix of the entries, which the
 // caller must discard. fn returning false stops the scan. ctx (nil never
 // cancels) is checked once per frame.
+func ReadRun(ctx context.Context, r io.ReaderAt, words int, fn func(key []uint64, count int) bool) error {
+	return readRun(ctx, r, words, 0, 0, fn)
+}
+
+// Each is ReadRun over run of rs, which also verifies that every key
+// routes to run.
 func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count int) bool) error {
 	if rs.done {
 		return fmt.Errorf("spill: read after Cleanup")
 	}
-	if run < 0 || run >= len(rs.files) {
-		return fmt.Errorf("spill: run %d out of range [0, %d)", run, len(rs.files))
+	if run < 0 || run >= len(rs.paths) {
+		return fmt.Errorf("spill: run %d out of range [0, %d)", run, len(rs.paths))
 	}
+	f, err := rs.fs.Open(rs.paths[run])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return readRun(ctx, f, rs.words, run, len(rs.paths), fn)
+}
+
+// readRun is ReadRun for run of runs, whose keys it checks route to run;
+// runs 0 checks no routing.
+func readRun(ctx context.Context, r io.ReaderAt, words, run, runs int, fn func(key []uint64, count int) bool) error {
 	var (
 		payload []byte
 		off     int64
-		key     = make([]uint64, rs.words)
-		prev    = make([]uint64, rs.words)
+		key     = make([]uint64, words)
+		prev    = make([]uint64, words)
 		started bool
 	)
 	for {
@@ -410,7 +458,7 @@ func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count i
 		var entries int
 		var rows uint32
 		var err error
-		if payload, entries, rows, err = rs.readFrame(run, off, payload); err != nil || payload == nil {
+		if payload, entries, rows, err = readFrame(r, words, run, off, payload); err != nil || payload == nil {
 			return err
 		}
 		bad := func(what string, args ...any) error {
@@ -436,8 +484,10 @@ func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count i
 			if started && slices.Compare(key, prev) <= 0 {
 				return bad("entry %d: key %v does not ascend from %v", i, key, prev)
 			}
-			if r := runOfKey(key, len(rs.files)); r != run {
-				return bad("entry %d: key %v routes to run %d", i, key, r)
+			if runs > 0 {
+				if r := runOfKey(key, runs); r != run {
+					return bad("entry %d: key %v routes to run %d", i, key, r)
+				}
 			}
 			copy(prev, key)
 			started = true
@@ -461,13 +511,12 @@ func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count i
 	}
 }
 
-// readFrame reads and checksums the frame of run at off into buf (grown
-// as needed), returning its payload and header totals; a nil payload
-// means the run ends at off.
-func (rs *Runs) readFrame(run int, off int64, buf []byte) (payload []byte, entries int, rows uint32, err error) {
-	f := rs.files[run]
+// readFrame reads and checksums the frame at off of a run of words-word
+// keys into buf (grown as needed), returning its payload and header
+// totals; a nil payload means the run ends at off.
+func readFrame(r io.ReaderAt, words, run int, off int64, buf []byte) (payload []byte, entries int, rows uint32, err error) {
 	var hdr [sortedHdrLen]byte
-	n, rerr := f.ReadAt(hdr[:], off)
+	n, rerr := r.ReadAt(hdr[:], off)
 	if n == 0 && rerr == io.EOF {
 		return nil, 0, 0, nil
 	}
@@ -477,15 +526,15 @@ func (rs *Runs) readFrame(run int, off int64, buf []byte) (payload []byte, entri
 		}
 		return nil, 0, 0, rerr
 	}
-	plen, entries, rows := rs.parseHeader(hdr[:])
-	if err := rs.checkHeader(run, off, plen, entries, rows); err != nil {
+	plen, entries, rows := parseHeader(hdr[:])
+	if err := checkHeader(words, run, off, plen, entries, rows); err != nil {
 		return nil, 0, 0, err
 	}
 	if plen > cap(buf) {
 		buf = make([]byte, plen)
 	}
 	payload = buf[:plen]
-	if pn, perr := f.ReadAt(payload, off+sortedHdrLen); pn < plen {
+	if pn, perr := r.ReadAt(payload, off+sortedHdrLen); pn < plen {
 		if perr == nil || perr == io.EOF {
 			return nil, 0, 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}
 		}
@@ -500,48 +549,45 @@ func (rs *Runs) readFrame(run int, off int64, buf []byte) (payload []byte, entri
 
 // AdoptInto relocates the run files into dst (an existing directory) and
 // hands their ownership to it: the Runs keeps serving reads from the new
-// location, and Cleanup thereafter closes descriptors without deleting
-// anything. Owned files move by rename — the open descriptors stay valid
-// because the inodes do not change — with a copy-and-reopen fallback when
-// rename cannot cross the filesystem boundary; runs that are not owned
-// (already adopted, or reopened with Open) are copied instead, so adopting
-// the same runs into a second artifact never steals them from the first.
-// Adoption is durable on return: every adopted run is fsynced (copies
-// before the source is ever deleted), then dst's directory entries are
-// fsynced. Must not run concurrently with reads or writes.
+// location, and Cleanup thereafter deletes nothing. Owned files move by
+// rename, with a copy fallback when rename cannot cross the filesystem
+// boundary; runs that are not owned (already adopted, or reopened with
+// Open) are copied instead, so adopting the same runs into a second
+// artifact never steals them from the first. Each run reads from its new
+// path as soon as it has moved, so a failed adoption leaves every run
+// readable. Adoption is durable on return: every adopted run is fsynced
+// through a fresh handle (copies also before the source is ever deleted),
+// then dst's directory entries are fsynced. Must not run concurrently
+// with reads or writes.
 func (rs *Runs) AdoptInto(dst string) error {
 	if rs.done {
 		return fmt.Errorf("spill: AdoptInto after Cleanup")
 	}
-	ownedDir := rs.owns
-	for i := range rs.files {
+	for i, src := range rs.paths {
 		dstPath := runPath(dst, i)
-		if rs.owns {
-			if err := rs.fs.Rename(runPath(rs.dir, i), dstPath); err == nil {
-				continue
+		moved := rs.owns && rs.fs.Rename(src, dstPath) == nil
+		// A failed rename (typically EXDEV: dst on another filesystem)
+		// falls through to copying this run.
+		if !moved {
+			if err := rs.copyRun(src, dstPath); err != nil {
+				return fmt.Errorf("spill: adopting run %d: %w", i, wrapNoSpace(err))
 			}
-			// Rename failed (typically EXDEV: dst on another filesystem);
-			// fall through to copying this run.
 		}
-		if err := rs.copyRun(i, dstPath); err != nil {
-			return fmt.Errorf("spill: adopting run %d: %w", i, wrapNoSpace(err))
-		}
+		rs.paths[i] = dstPath
 	}
 	// Durability barrier: runs written during a build or merge were never
 	// fsynced (their own directory is transient). The artifact the runs now
 	// belong to must survive a crash once its manifest commits, so flush
-	// file data first, then the directory entries. Renamed files sync
-	// through their still-open descriptors; copied files were already
-	// synced by copyRun, before the source could be deleted below.
-	for i, f := range rs.files {
-		if err := f.Sync(); err != nil {
+	// file data first, then the directory entries.
+	for i, p := range rs.paths {
+		if err := syncFile(rs.fs, p); err != nil {
 			return fmt.Errorf("spill: syncing adopted run %d: %w", i, err)
 		}
 	}
 	if err := rs.fs.SyncDir(dst); err != nil {
 		return fmt.Errorf("spill: syncing adopted run directory: %w", err)
 	}
-	if ownedDir {
+	if rs.owns {
 		rs.fs.RemoveAll(rs.dir)
 	}
 	rs.dir = dst
@@ -549,13 +595,29 @@ func (rs *Runs) AdoptInto(dst string) error {
 	return nil
 }
 
-// copyRun copies run i's bytes to dstPath through the already-open
-// descriptor, fsyncs the copy, and swaps the descriptor to it. The copy is
-// durable before the function returns, so a caller that deletes the source
-// afterwards can never lose the run to a crash.
-func (rs *Runs) copyRun(i int, dstPath string) error {
-	f := rs.files[i]
-	fi, err := f.Stat()
+// syncFile fsyncs the file at path through a handle of its own.
+func syncFile(fsys iofault.FS, path string) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// copyRun copies the run at src to dstPath and fsyncs the copy. The copy
+// is durable before the function returns, so a caller that deletes the
+// source afterwards can never lose the run to a crash.
+func (rs *Runs) copyRun(src, dstPath string) error {
+	in, err := rs.fs.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	fi, err := in.Stat()
 	if err != nil {
 		return err
 	}
@@ -563,7 +625,7 @@ func (rs *Runs) copyRun(i int, dstPath string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, io.NewSectionReader(f, 0, fi.Size())); err != nil {
+	if _, err := io.Copy(out, io.NewSectionReader(in, 0, fi.Size())); err != nil {
 		out.Close()
 		rs.fs.Remove(dstPath)
 		return err
@@ -577,29 +639,17 @@ func (rs *Runs) copyRun(i int, dstPath string) error {
 		rs.fs.Remove(dstPath)
 		return err
 	}
-	nf, err := rs.fs.Open(dstPath)
-	if err != nil {
-		return err
-	}
-	f.Close()
-	rs.files[i] = nf
 	return nil
 }
 
-// Cleanup closes every run file and, when the Runs owns them (created by
-// NewRuns and not relocated by AdoptInto), deletes the files and their
-// directory. It is idempotent and safe after partial construction.
+// Cleanup retires the Runs and, when it owns the runs (created by NewRuns
+// and not relocated by AdoptInto), deletes the files and their directory.
+// It is idempotent and safe after partial construction.
 func (rs *Runs) Cleanup() {
 	if rs.done {
 		return
 	}
 	rs.done = true
-	for i, f := range rs.files {
-		if f != nil {
-			f.Close()
-			rs.files[i] = nil
-		}
-	}
 	if rs.owns {
 		rs.fs.RemoveAll(rs.dir)
 	}

@@ -19,10 +19,10 @@
 //
 // A record is a key of W uint64 words, little-endian (8W bytes). One-word
 // records count into map[uint64]int (AddU64 / CountRunsU64Ctx); wider
-// ones count into map[string]int keyed by the record bytes (Add /
-// CountRunsCtx). Run counting is parallel: runs are key-disjoint, so
+// ones count into a Tally, which allocates once per distinct record (Add
+// / CountRunsCtx). Run counting is parallel: runs are key-disjoint, so
 // CountRunsCtx splits them K-way across workers, and each worker reuses
-// one pooled map and read chunk across its runs.
+// one accumulator and pooled read chunk across its runs.
 //
 // A partition run lives only until it is counted. A spilled index keeps
 // what counting yields instead: Runs, K sorted runs of (key, count)
@@ -30,6 +30,8 @@
 // number varint-coded (runs.go). A merge-on-read load decodes one
 // straight into its in-memory form, an artifact adopts the files as they
 // are, and a merge rewrites them with one linear two-way merge per run.
+// The same run codec stores an artifact's in-memory indexes, one run a
+// file.
 //
 // Both kinds of run detect corruption: every frame carries a CRC32C, and
 // every read path verifies a frame's checksum before a single record or
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -478,20 +481,21 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error 
 	}
 }
 
-// CountRunsCtx counts each run with an in-memory map[string]int.
+// CountRunsCtx counts each run of records wider than one word into a
+// Tally.
 //
 // Runs hold disjoint keys, so they are counted independently: with
 // workers > 1 the runs are split K-way across worker goroutines, each
-// reusing one map and one pooled read chunk across its runs. Per-run
-// counts are final and identical for every worker count.
+// reusing one accumulator and one pooled read chunk across its runs.
+// Per-run counts are final and identical for every worker count.
 //
-// emit, when non-nil, is invoked once per fully counted run while its map
-// is still live — the caller merges (runs are key-disjoint, so plain
-// inserts suffice) or just observes, e.g. sums len(counts) for the
+// emit, when non-nil, is invoked once per fully counted run while its
+// accumulator is still live — the caller merges (runs are key-disjoint,
+// so plain inserts suffice) or just observes, e.g. sums Len for the
 // distinct total; returning false stops the count early, without error.
 // emit calls are serialized under an internal lock, but run completion
-// order is unspecified with workers > 1, and the map is reused for the
-// worker's next run: emit must not retain it. A panic in emit (or
+// order is unspecified with workers > 1, and the accumulator is reused
+// for the worker's next run: emit must not retain it. A panic in emit (or
 // anywhere in a counting worker) is re-raised on the calling goroutine, so
 // the caller's deferred Cleanup still runs.
 //
@@ -500,15 +504,16 @@ func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error 
 // the abort out to every worker, and the context's error is returned. A
 // nil ctx never cancels, and it (or context.Background()) costs a single
 // nil compare per check.
-func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts map[string]int) bool) error {
-	return countRuns(ctx, w, workers, addRecBytes, emit)
+func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts *Tally) bool) error {
+	return countRuns(ctx, w, workers, NewTally, emit)
 }
 
 // CountRunsU64Ctx is CountRunsCtx for one-word records: 8-byte
 // little-endian records counted into map[uint64]int — no per-key string
 // materialization, the same parallelism and cancellation contract.
 func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) error {
-	return countRuns(ctx, w, workers, addRecU64, emit)
+	fresh := func() u64Counts { return make(u64Counts) }
+	return countRuns(ctx, w, workers, fresh, func(run int, m u64Counts) bool { return emit == nil || emit(run, m) })
 }
 
 // ctxCheckRecs is the in-run cancellation stride: counting workers poll the
@@ -517,16 +522,81 @@ func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run
 // cost stays one local increment and mask.
 const ctxCheckRecs = 8192
 
-// addRecBytes and addRecU64 fold one record into a run map. The string
-// form relies on the compiler's map[string(b)] key optimization for the
-// duplicate case.
-func addRecBytes(m map[string]int, rec []byte) { m[string(rec)]++ }
+// runCounts is a run-counting accumulator, cleared and reused for a
+// worker's next run.
+type runCounts interface {
+	add(rec []byte)
+	Len() int
+	reset()
+}
 
-func addRecU64(m map[uint64]int, rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
+// u64Counts counts one-word records.
+type u64Counts map[uint64]int
 
-// countRuns is the shared, format-generic run-counting engine behind
-// CountRunsCtx and CountRunsU64Ctx.
-func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add func(map[K]int, []byte), emit func(run int, counts map[K]int) bool) error {
+func (m u64Counts) add(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
+func (m u64Counts) Len() int       { return len(m) }
+func (m u64Counts) reset()         { clear(m) }
+
+// Tally counts records with one allocation per distinct record: an index
+// from a record to its slot of a counts slice. A record already counted
+// costs a lookup by m[string(rec)], which does not allocate, and an
+// increment; m[string(rec)]++ on a map[string]int allocates the string on
+// every call. A count must stay within int32: the engine counts at most
+// math.MaxInt32 rows.
+type Tally struct {
+	index  map[string]int32
+	counts []int32
+}
+
+// NewTally returns an empty Tally.
+func NewTally() *Tally { return &Tally{index: make(map[string]int32)} }
+
+// Add counts rec n more times.
+func (t *Tally) Add(rec []byte, n int) {
+	if i, ok := t.index[string(rec)]; ok {
+		t.counts[i] += int32(n)
+		return
+	}
+	t.index[string(rec)] = int32(len(t.counts))
+	t.counts = append(t.counts, int32(n))
+}
+
+// Merge adds every count of o to t.
+func (t *Tally) Merge(o *Tally) {
+	for rec, i := range o.index {
+		if j, ok := t.index[rec]; ok {
+			t.counts[j] += o.counts[i]
+			continue
+		}
+		t.index[rec] = int32(len(t.counts))
+		t.counts = append(t.counts, o.counts[i])
+	}
+}
+
+// Len returns the distinct records counted.
+func (t *Tally) Len() int { return len(t.counts) }
+
+// All yields every distinct record with its count, in no fixed order.
+func (t *Tally) All() iter.Seq2[string, int] {
+	return func(yield func(string, int) bool) {
+		for rec, i := range t.index {
+			if !yield(rec, int(t.counts[i])) {
+				return
+			}
+		}
+	}
+}
+
+func (t *Tally) add(rec []byte) { t.Add(rec, 1) }
+
+func (t *Tally) reset() {
+	clear(t.index)
+	t.counts = t.counts[:0]
+}
+
+// countRuns is the shared run-counting engine behind CountRunsCtx and
+// CountRunsU64Ctx: fresh makes a worker's accumulator.
+func countRuns[C runCounts](ctx context.Context, w *Writer, workers int, fresh func() C, emit func(run int, counts C) bool) error {
 	if w.done {
 		return fmt.Errorf("spill: CountRuns after Cleanup")
 	}
@@ -547,7 +617,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 		}()
 		chunk := getBuf(w.cfg.Pool, w.chunkLen())
 		defer putBuf(w.cfg.Pool, chunk)
-		var m map[K]int
+		m := fresh()
 		var recs int
 		for run := lo; run < hi; run++ {
 			if stopped.Load() {
@@ -562,11 +632,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 				default:
 				}
 			}
-			if m == nil {
-				m = make(map[K]int)
-			} else {
-				clear(m)
-			}
+			m.reset()
 			canceled := false
 			err := w.scanRun(run, chunk, func(rec []byte) bool {
 				if done != nil {
@@ -579,7 +645,7 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 						}
 					}
 				}
-				add(m, rec)
+				m.add(rec)
 				return true
 			})
 			if err != nil {
@@ -598,8 +664,8 @@ func countRuns[K comparable](ctx context.Context, w *Writer, workers int, add fu
 			cont := func() bool {
 				w.wmu.Lock()
 				defer w.wmu.Unlock()
-				if len(m) > w.stats.MaxRunEntries {
-					w.stats.MaxRunEntries = len(m)
+				if m.Len() > w.stats.MaxRunEntries {
+					w.stats.MaxRunEntries = m.Len()
 				}
 				if emit != nil {
 					return emit(run, m)

@@ -78,9 +78,9 @@ func TestGroupByMatchesReference(t *testing.T) {
 				writeAll(t, w, recs, shards)
 				got := make(map[string]int)
 				seenRuns := 0
-				err = w.CountRunsCtx(nil, workers, func(run int, m map[string]int) bool {
+				err = w.CountRunsCtx(nil, workers, func(run int, m *Tally) bool {
 					seenRuns++
-					for k, c := range m {
+					for k, c := range m.All() {
 						if _, dup := got[k]; dup {
 							t.Fatalf("key emitted by two runs: partition not disjoint")
 						}
@@ -213,8 +213,8 @@ func TestBuffersCycleThroughPool(t *testing.T) {
 	defer w.Cleanup()
 	writeAll(t, w, recs, 2)
 	size := 0
-	err = w.CountRunsCtx(nil, 1, func(_ int, m map[string]int) bool {
-		size += len(m)
+	err = w.CountRunsCtx(nil, 1, func(_ int, m *Tally) bool {
+		size += m.Len()
 		return true
 	})
 	if err != nil || size != len(ref) {

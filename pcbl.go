@@ -294,17 +294,13 @@ func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*Search
 	if ps == nil {
 		ps = core.DistinctTuples(d)
 	}
-	eng := opts.Engine
 	so := search.Options{
 		Bound:          opts.Bound,
 		FastEval:       opts.FastEval,
 		BranchAndBound: opts.BranchAndBound,
-		Workers:        eng.Workers,
-		MemBudget:      eng.MemBudget,
-		SpillDir:       eng.SpillDir,
-		FS:             eng.FS,
-		Ctx:            ctx,
+		CountOptions:   opts.Engine.countOptions(),
 	}
+	so.Ctx = ctx
 	switch opts.Algorithm {
 	case "", TopDown:
 		return search.TopDown(d, ps, so)
