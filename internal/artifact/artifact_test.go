@@ -229,8 +229,9 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 
 // TestOpenHoldsNoRunDescriptors: a reopened artifact keeps its runs'
 // paths, not open files, so after Open and a scan that loads every run of
-// every spilled payload the process holds the descriptors it held before
-// Open, however many runs the artifact has.
+// every spilled payload the process holds no more descriptors than before
+// Open, however many runs the artifact has. (A collector finalizing a file
+// another test leaked may close one in between, so fewer is no failure.)
 func TestOpenHoldsNoRunDescriptors(t *testing.T) {
 	fds := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -281,7 +282,7 @@ func TestOpenHoldsNoRunDescriptors(t *testing.T) {
 		}
 		noErr(pc.EachCtx(nil, d.NumAttrs(), func([]uint16, int) bool { return true }))
 	}
-	if after := fds(); after != before {
+	if after := fds(); after > before {
 		t.Fatalf("%d descriptors open after Open and a scan of %d runs, %d before Open", after, runs, before)
 	}
 }
