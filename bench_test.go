@@ -70,14 +70,23 @@ func benchSetup(b *testing.B) {
 // wideDataset builds a schema whose domain product overflows 63 bits, so
 // a full-width group-by keys more than one word.
 func wideDataset(rows, attrs, domain int) *dataset.Dataset {
+	return cycledWideDataset(rows, attrs, domain, rows)
+}
+
+// cycledWideDataset is wideDataset over rows that repeat its first period
+// rows, so a full-width group-by counts at most period distinct keys.
+func cycledWideDataset(rows, attrs, domain, period int) *dataset.Dataset {
 	names := make([]string, attrs)
 	for i := range names {
 		names[i] = string(rune('a' + i))
 	}
 	bld := dataset.NewBuilder("wide", names...)
-	v := uint64(88172645463325252)
+	var v uint64
 	row := make([]string, attrs)
 	for r := 0; r < rows; r++ {
+		if r%period == 0 {
+			v = 88172645463325252
+		}
 		for i := range row {
 			v ^= v << 13
 			v ^= v >> 7
@@ -587,6 +596,32 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 			b.Fatalf("spilled %d of %d uint64 builds", stats.Spilled, b.N)
 		}
 		b.ReportMetric(float64(stats.SpillRuns)/float64(b.N), "runs/op")
+	})
+}
+
+// BenchmarkWideRepeatedKeys is the spill gates' two-word group-by over
+// rows that repeat 300 tuples, in memory and under the gates' budget,
+// which partitions the rows into runs and counts each run's records: here
+// nearly every record is a key already counted, where the gates' rows are
+// nearly all distinct and every record is a new key.
+func BenchmarkWideRepeatedKeys(b *testing.B) {
+	d := cycledWideDataset(60000, 12, 40, 300)
+	_, budget := spillBenchSetup(b)
+	full := lattice.FullSet(d.NumAttrs())
+	b.Run("inmemory", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
+		}
+	})
+	b.Run("spill", func(b *testing.B) {
+		var stats core.ScanStats
+		for i := 0; i < b.N; i++ {
+			pc := must(core.BuildPC(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}))
+			pc.ReleaseSpill()
+		}
+		if stats.Spilled != int64(b.N) {
+			b.Fatalf("spilled %d of %d builds", stats.Spilled, b.N)
+		}
 	})
 }
 

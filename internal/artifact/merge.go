@@ -13,6 +13,16 @@
 // old-generation payloads nothing references (post-commit, before the
 // cleanup sweep) — both invisible to Open, which reads only what the
 // manifest names.
+//
+// A spilled payload is read by path (spill.Runs holds no open files), so
+// a label opened at a generation keeps reading that generation's run
+// directories after a merge supersedes it: a daemon not yet reloaded, a
+// request still in flight across a reload, a label whose runs Save
+// adopted. A merge therefore deletes the superseded generation's payload
+// files once it commits, but leaves its run directories to the next
+// merge's pre-merge sweep: every label stays able to load its runs
+// through the update that supersedes it, and the directory holds at most
+// the current and the previous generation's runs.
 package artifact
 
 import (
@@ -36,9 +46,11 @@ import (
 //
 // The commit is crash-safe with the same contract as Save: at every
 // instant the directory holds one complete, consistent artifact — the old
-// one until the manifest rename, the merged one after. Stale payloads of
-// the superseded generation are deleted only after the commit, best
-// effort; a crash may leave them behind as unreferenced garbage.
+// one until the manifest rename, the merged one after. The superseded
+// generation's payload files are deleted only after the commit, best
+// effort; a crash may leave them behind as unreferenced garbage. Its run
+// directories stay until the next merge, so a label opened before this
+// one still loads every run.
 func MergeInto(baseDir string, delta *core.Label, base *Manifest) (*Manifest, error) {
 	return MergeIntoFS(baseDir, delta, base, nil)
 }
@@ -70,8 +82,10 @@ func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault
 	// Pre-merge sweep: a merge that crashed before its commit point (or
 	// after it, before its own sweep) leaves payloads no manifest
 	// references — including names this merge is about to write, which
-	// would otherwise collide. Anything the committed manifest doesn't
-	// name is garbage by construction; clear it, best effort.
+	// would otherwise collide — and the last merge left the run
+	// directories of the generation it superseded. Anything the committed
+	// manifest doesn't name is garbage by construction; clear it, best
+	// effort.
 	if err := sweepUnreferenced(baseDir, m, fsi); err != nil {
 		return nil, err
 	}
@@ -107,7 +121,8 @@ func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault
 		return nil, err
 	}
 
-	// Post-commit sweep: the superseded generation's payloads. Failures
+	// Post-commit sweep: the superseded generation's payload files; its
+	// run directories wait for the next merge's pre-merge sweep. Failures
 	// leave unreferenced garbage, not an inconsistent artifact, so they
 	// don't fail the merge — except a scripted kill, which must stop the
 	// world here like everywhere else. The manifest is already committed,
@@ -143,19 +158,17 @@ func MergeDeltaIntoFS(baseDir, deltaDir string, fsys iofault.FS) (*Manifest, err
 	return MergeIntoFS(baseDir, dl, &Manifest{Epoch: dm.DeltaOf.BaseEpoch, TotalRows: dm.DeltaOf.BaseRows}, fsys)
 }
 
-// removeStale deletes the payload files and run directories a superseded
-// manifest references. Ordinary failures are swallowed — the leftovers are
-// unreferenced garbage a later sweep clears — but a scripted kill
-// propagates: nothing runs after a crash.
+// removeStale deletes the payload files a superseded manifest references.
+// Open reads a file payload whole, so no label reads one afterwards; the
+// manifest's run directories, which labels opened at its generation read
+// by path, are left for the next merge's sweepUnreferenced. Ordinary
+// failures are swallowed — the leftovers are unreferenced garbage a later
+// sweep clears — but a scripted kill propagates: nothing runs after a
+// crash.
 func removeStale(dir string, m *Manifest, fsi iofault.FS) error {
 	for _, pm := range m.PCs {
 		if pm.File != "" {
 			if err := fsi.Remove(filepath.Join(dir, pm.File)); errors.Is(err, iofault.ErrKilled) {
-				return err
-			}
-		}
-		if pm.Dir != "" {
-			if err := fsi.RemoveAll(filepath.Join(dir, pm.Dir)); errors.Is(err, iofault.ErrKilled) {
 				return err
 			}
 		}
@@ -164,7 +177,8 @@ func removeStale(dir string, m *Manifest, fsi iofault.FS) error {
 }
 
 // sweepUnreferenced deletes every directory entry the committed manifest
-// doesn't name — crash residue from interrupted merges. The manifest
+// doesn't name — crash residue from interrupted merges, and the run
+// directories of the generation the last merge superseded. The manifest
 // itself (and its staging name, which commitManifest recreates) aside, a
 // consistent artifact contains only referenced payloads, so anything else
 // is safe to drop. Failures to delete are swallowed except a scripted

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,26 +150,9 @@ func TestMergeIntoDifferential(t *testing.T) {
 	f.fullO.check(t, "merged", f.probes, rl)
 	rl.ReleaseSpill()
 
-	// The superseded generation's payloads must be gone: every file in the
-	// directory is referenced by the committed manifest.
-	refs := map[string]bool{manifestName: true}
-	for _, pm := range rm.PCs {
-		if pm.File != "" {
-			refs[pm.File] = true
-		}
-		if pm.Dir != "" {
-			refs[pm.Dir] = true
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !refs[e.Name()] {
-			t.Errorf("unreferenced entry %q survived the merge", e.Name())
-		}
-	}
+	// The superseded generation's payload files must be gone, and only
+	// its run directories stay, for labels opened before the merge.
+	assertGenerations(t, dir, rm, m)
 
 	// A delta bound to the superseded generation must now be refused.
 	dl2 := f.deltaLabel(t)
@@ -183,6 +167,111 @@ func TestMergeIntoDifferential(t *testing.T) {
 	if nm2.Epoch != 3 {
 		t.Fatalf("second merge epoch = %d, want 3", nm2.Epoch)
 	}
+	// The second merge removed the first generation's run directories.
+	assertGenerations(t, dir, nm2, rm)
+}
+
+// assertGenerations fails unless dir holds exactly the manifest, cur's
+// payloads and the run directories of prev, the generation cur superseded.
+func assertGenerations(t *testing.T, dir string, cur, prev *Manifest) {
+	t.Helper()
+	want := map[string]bool{manifestName: true}
+	for _, pm := range cur.PCs {
+		want[pm.File+pm.Dir] = true
+	}
+	for _, pm := range prev.PCs {
+		if pm.Dir != "" {
+			want[pm.Dir] = true
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !want[e.Name()] {
+			t.Errorf("epoch %d artifact holds %q, neither its payload nor a run directory of epoch %d", cur.Epoch, e.Name(), prev.Epoch)
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("epoch %d artifact lacks %q", cur.Epoch, name)
+	}
+}
+
+// TestOldGenerationReadsAfterMerge: a spilled PC reads its runs by path,
+// so a merge keeps the run directories of the generation it supersedes.
+// After the merge, a label opened before it and the label whose runs Save
+// adopted both load every run of every spilled payload and answer with
+// the pre-merge counts. The next merge removes those directories.
+func TestOldGenerationReadsAfterMerge(t *testing.T) {
+	f := newMergeFixture(t)
+	full := lattice.FullSet(4)
+	subs := []lattice.AttrSet{full.Remove(0), full.Remove(3)}
+	l := must(core.BuildLabel(f.base, full, core.CountOptions{MemBudget: 16 << 10, SpillDir: t.TempDir()}))
+	defer l.ReleaseSpill()
+	ref := must(core.BuildLabel(f.base, full, core.CountOptions{}))
+	for _, sub := range subs {
+		for _, lab := range []*core.Label{l, ref} {
+			if _, _, err := lab.MarginalPCCtx(nil, sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "a")
+	if err := Save(l, dir); err != nil {
+		t.Fatal(err)
+	}
+	ol, m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.ReleaseSpill()
+	for i, pm := range m.PCs {
+		if pm.Kind != kindSpilled {
+			t.Fatalf("payload %d is %s; the test needs every payload spilled", i, pm.Kind)
+		}
+	}
+
+	half := f.base.NumRows() + f.delta.NumRows()/2
+	deltas := []*dataset.Dataset{must(f.d.Slice(f.base.NumRows(), half)), must(f.d.Slice(half, f.d.NumRows()))}
+	merge := func(delta *dataset.Dataset, base *Manifest) *Manifest {
+		t.Helper()
+		nm, err := MergeInto(dir, must(core.BuildLabel(delta, full, core.CountOptions{})), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nm
+	}
+	nm := merge(deltas[0], m)
+	assertGenerations(t, dir, nm, m)
+
+	sorted := func(pc *core.PC) []string {
+		e := eachEntries(pc, 4)
+		slices.Sort(e)
+		return e
+	}
+	for name, lab := range map[string]*core.Label{"reopened": ol, "saved": l} {
+		pcs, want := []*core.PC{lab.PC()}, []*core.PC{ref.PC()}
+		for _, sub := range subs {
+			got, ok, err := lab.MarginalPCCtx(nil, sub)
+			if err != nil || !ok {
+				t.Fatalf("%s label, marginal %v: ok=%v err=%v", name, sub, ok, err)
+			}
+			w, _, _ := ref.MarginalPCCtx(nil, sub)
+			pcs, want = append(pcs, got), append(want, w)
+		}
+		for i, pc := range pcs {
+			if !pc.Spilled() {
+				t.Fatalf("%s label, PC %d is not spilled", name, i)
+			}
+			if g, w := sorted(pc), sorted(want[i]); !slices.Equal(g, w) {
+				t.Fatalf("%s label, PC %d after the merge: %d entries, the base rows count %d or others", name, i, len(g), len(w))
+			}
+		}
+	}
+
+	assertGenerations(t, dir, merge(deltas[1], nm), nm)
 }
 
 func TestSaveDeltaAndMergeDeltaInto(t *testing.T) {
@@ -374,7 +463,8 @@ func (r *dirRecorder) MkdirTemp(dir, pattern string) (string, error) {
 // TestMergeStagesRunsInsideArtifact: the runs a spilled merge writes are
 // staged inside the artifact, so adopting them is a rename on the
 // artifact's own filesystem — never a copy out of the temp directory —
-// and the staging directory is gone once the merge commits.
+// and the staging directory is gone once the merge commits, leaving the
+// merged payloads and the superseded run directories.
 func TestMergeStagesRunsInsideArtifact(t *testing.T) {
 	f := newMergeFixture(t)
 	dir := filepath.Join(t.TempDir(), "a")
@@ -395,11 +485,5 @@ func TestMergeStagesRunsInsideArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(nm.PCs) + 1; len(ents) != want {
-		t.Errorf("the merged artifact holds %d entries, want its %d payloads and manifest", len(ents), want-1)
-	}
+	assertGenerations(t, dir, nm, m)
 }

@@ -1,9 +1,11 @@
 package artifact
 
 // Sorted payloads: an in-memory PC, dense or sorted, saves as one run of
-// its entries and reopens with the representation a build over the
-// label's rows picks; a payload that breaks the run codec, the entry
-// total, the row total or the key space fails Open with ErrCorrupt.
+// its entries and reopens with the same entries in the same order (the
+// representation a reopened PC gets is checked on the label Open
+// assembles by internal/core's TestPortableTiersMatchBuild, over the same
+// shapes); a payload that breaks the run codec, the entry total, the row
+// total or the key space fails Open with ErrCorrupt.
 
 import (
 	"encoding/binary"
@@ -30,16 +32,12 @@ func eachEntries(pc *core.PC, n int) []string {
 	return out
 }
 
-// assertSameEntries checks that got holds want's entries in want's order
-// and has the representation tier, a PC's name in reprKind's terms.
-func assertSameEntries(t *testing.T, what string, got, want *core.PC, n int, tier string) {
+// assertSameEntries checks that got holds want's entries in want's order.
+func assertSameEntries(t *testing.T, what string, got, want *core.PC, n int) {
 	t.Helper()
 	if g, w := eachEntries(got, n), eachEntries(want, n); !slices.Equal(g, w) || got.Size() != want.Size() {
 		t.Fatalf("%s: reopened PC yields %d entries (size %d), the saved one %d (size %d), or another order",
 			what, len(g), got.Size(), len(w), want.Size())
-	}
-	if kind := reprKind(got); kind != tier {
-		t.Fatalf("%s: reopened PC is %s, a build over the label's rows makes it %s", what, kind, tier)
 	}
 }
 
@@ -64,20 +62,18 @@ func saveOpen(t *testing.T, l *core.Label, words int) (string, *core.Label, *Man
 	return dir, rl, m
 }
 
-// TestSortedPayloadRoundTrips saves dense and sorted PCs of one, two and
-// three words, over rows with 5% NULLs, with materialized marginals of
-// every tier, fresh and merged: the reopened PCs yield the saved entries
-// in the saved order, with the representation BuildPC picks over the
-// label's rows.
+// TestSortedPayloadRoundTrips saves PC sections that are dense (4×6),
+// sorted (4×50) and sorted of two and three words, over rows with 5%
+// NULLs, with materialized marginals of every tier, fresh and merged: the
+// reopened PCs yield the saved entries in the saved order.
 func TestSortedPayloadRoundTrips(t *testing.T) {
 	for _, tc := range []struct {
 		attrs, domain, words int
-		tier                 string
 	}{
-		{4, 6, 1, "dense"},
-		{4, 50, 1, "sorted"},
-		{30, 5, 2, "sorted"},
-		{60, 5, 3, "sorted"},
+		{4, 6, 1},
+		{4, 50, 1},
+		{30, 5, 2},
+		{60, 5, 3},
 	} {
 		name := fmt.Sprintf("%dx%d", tc.attrs, tc.domain)
 		d := genDataset(t, 2000, tc.attrs, tc.domain, 0.05, uint64(0x7E+tc.attrs+tc.domain))
@@ -87,14 +83,8 @@ func TestSortedPayloadRoundTrips(t *testing.T) {
 			subs = append(subs, lattice.FullSet(10))
 		}
 		n := d.NumAttrs()
-		tier := func(d *dataset.Dataset, s lattice.AttrSet) string {
-			return reprKind(must(core.BuildPC(d, s, core.CountOptions{})))
-		}
 
 		l := must(core.BuildLabel(d, full, core.CountOptions{}))
-		if got := reprKind(l.PC()); got != tc.tier {
-			t.Fatalf("%s: PC section is %s in memory, want %s", name, got, tc.tier)
-		}
 		for _, sub := range subs {
 			if _, _, err := l.MarginalPCCtx(nil, sub); err != nil {
 				t.Fatal(err)
@@ -104,14 +94,14 @@ func TestSortedPayloadRoundTrips(t *testing.T) {
 		if len(m.PCs) != 1+len(subs) {
 			t.Fatalf("%s: %d payloads, want the PC section and %d marginals", name, len(m.PCs), len(subs))
 		}
-		assertSameEntries(t, name+" PC section", rl.PC(), l.PC(), n, tier(d, full))
+		assertSameEntries(t, name+" PC section", rl.PC(), l.PC(), n)
 		for _, sub := range subs {
 			want, _, _ := l.MarginalPCCtx(nil, sub)
 			got, ok, err := rl.MarginalPCCtx(nil, sub)
 			if err != nil || !ok {
 				t.Fatalf("%s: marginal %v: ok=%v err=%v", name, sub, ok, err)
 			}
-			assertSameEntries(t, fmt.Sprintf("%s marginal %v", name, sub), got, want, n, tier(d, sub))
+			assertSameEntries(t, fmt.Sprintf("%s marginal %v", name, sub), got, want, n)
 		}
 
 		// A merged label: the base's rows saved with its marginals, the
@@ -132,14 +122,14 @@ func TestSortedPayloadRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertPCKind(t, mm, kindSorted, tc.words)
-		assertSameEntries(t, name+" merged PC section", ml.PC(), l.PC(), n, tier(d, full))
+		assertSameEntries(t, name+" merged PC section", ml.PC(), l.PC(), n)
 		for _, sub := range subs {
 			want, _, _ := l.MarginalPCCtx(nil, sub)
 			got, ok, err := ml.MarginalPCCtx(nil, sub)
 			if err != nil || !ok {
 				t.Fatalf("%s: merged marginal %v: ok=%v err=%v", name, sub, ok, err)
 			}
-			assertSameEntries(t, fmt.Sprintf("%s merged marginal %v", name, sub), got, want, n, tier(d, sub))
+			assertSameEntries(t, fmt.Sprintf("%s merged marginal %v", name, sub), got, want, n)
 		}
 	}
 }
@@ -167,7 +157,7 @@ func TestEmptyPCRoundTrips(t *testing.T) {
 	if pm := m.PCs[0]; pm.Entries != 0 || pm.SizeBytes != 0 {
 		t.Fatalf("empty PC saved as %d entries in %d bytes", pm.Entries, pm.SizeBytes)
 	}
-	assertSameEntries(t, "empty PC", rl.PC(), l.PC(), 2, reprKind(l.PC()))
+	assertSameEntries(t, "empty PC", rl.PC(), l.PC(), 2)
 	if rl.Size() != 0 || rl.Rows() != 50 {
 		t.Fatalf("reopened empty label: size %d over %d rows", rl.Size(), rl.Rows())
 	}

@@ -3,10 +3,10 @@ package artifact
 // Tests of a reopened label over a high-cardinality key space, the shape
 // of the benchmark's hicard-spill workload: 4 attributes of domain 200,
 // whose full set spills under a 4 MiB budget and is served merge-on-read.
-// Its marginals must get the representation a build over the label's rows
-// would pick, and its uint64 runs, cached in the sorted layout, must all
-// pin within the budget, so that serving stops reading run files. The
-// declared key counts that size that cache must be backed by records.
+// Its marginals must hold what a build over the label's rows counts, and
+// its uint64 runs, cached in the sorted layout, must all pin within the
+// budget, so that serving stops reading run files. The declared key
+// counts that size that cache must be backed by records.
 
 import (
 	"errors"
@@ -51,18 +51,6 @@ func reopenHicard(t *testing.T, rows int, seed uint64) (d *dataset.Dataset, l *c
 	return d, l, m
 }
 
-// reprKind names the storage representation a PC landed on.
-func reprKind(pc *core.PC) string {
-	switch r := pc.Repr(); {
-	case r.Spill != nil:
-		return "spilled"
-	case r.Dense:
-		return "dense"
-	default:
-		return "sorted"
-	}
-}
-
 // properSubsets lists every nonempty proper subset of s.
 func properSubsets(s lattice.AttrSet) []lattice.AttrSet {
 	var out []lattice.AttrSet
@@ -75,11 +63,12 @@ func properSubsets(s lattice.AttrSet) []lattice.AttrSet {
 }
 
 // TestReopenedMarginalsMatchBuild: a reopened label's dataset is
-// schema-only, so its marginals must be sized by the label's row count.
-// Sized by the dataset's zero rows, every marginal over more than 64 key
-// slots became a hash map; here the one- and two-attribute marginals are
-// dense and the three-attribute ones sorted, exactly as BuildPC over the
-// same rows makes them.
+// schema-only, so its marginals must be derived over the label's row
+// count; each holds the patterns and counts BuildPC over the same rows
+// finds. That they also get BuildPC's representation (here the one- and
+// two-attribute marginals dense, the three-attribute ones sorted) is
+// checked on the label Open assembles by internal/core's
+// TestPortableTiersMatchBuild.
 func TestReopenedMarginalsMatchBuild(t *testing.T) {
 	d, l, _ := reopenHicard(t, 100000, 0x181)
 	for _, sub := range properSubsets(l.Attrs()) {
@@ -88,12 +77,6 @@ func TestReopenedMarginalsMatchBuild(t *testing.T) {
 			t.Fatalf("marginal %v: ok=%v err=%v", sub, ok, err)
 		}
 		want := must(core.BuildPC(d, sub, core.CountOptions{}))
-		if gk, wk := reprKind(got), reprKind(want); gk != wk {
-			t.Errorf("marginal %v is %s, BuildPC makes it %s", sub, gk, wk)
-		}
-		if sub.Size() < 3 && reprKind(got) != "dense" {
-			t.Errorf("marginal %v over %d attributes is %s, want dense", sub, sub.Size(), reprKind(got))
-		}
 		gd, wd := pcDump(got), pcDump(want)
 		if len(gd) != len(wd) {
 			t.Fatalf("marginal %v holds %d patterns, BuildPC %d", sub, len(gd), len(wd))

@@ -258,7 +258,8 @@ func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *
 // buildPCWide is buildPCSorted for keys of more than one word: each worker
 // counts its rows' keys in record form into a spill.Tally, which
 // allocates once per distinct key, so its memory grows with the distinct
-// keys, and the merged tally freezes into the layout.
+// keys, and the tallies' entries freeze into the layout together, which
+// sums a key several workers counted.
 func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
 	shards := make([]*spill.Tally, max(workers, 1))
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
@@ -272,17 +273,13 @@ func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC
 				b, ok := k.appendRecordRow(buf[:0], cols, r)
 				buf = b
 				if ok {
-					t.Add(b, 1)
+					t.Add(b)
 				}
 			}
 		}
 		shards[wk] = t
 	})
-	merged := shards[0]
-	for _, t := range shards[1:] {
-		merged.Merge(t)
-	}
-	keys, counts := recordEntries(merged, k.Words())
+	keys, counts := recordEntries(k.Words(), shards...)
 	return &PC{keyer: k, u: sortedFrom(keys, counts, k.Words())}
 }
 

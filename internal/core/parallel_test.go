@@ -38,8 +38,8 @@ func (c diffConfig) name() string {
 // diffConfigs spans the shapes the engine must handle: empty and tiny
 // datasets, mid-size ones, NULL-free and NULL-heavy data, narrow domains
 // (many duplicate patterns) and the 65000-value domains whose mixed-radix
-// key passes one uint64 word, once with every row distinct and once with
-// 150 tuples repeated across the worker shards.
+// key passes one uint64 word, once with every row distinct, once with
+// 150 tuples repeated across the worker shards and once with no rows.
 var diffConfigs = []diffConfig{
 	{rows: 0, attrs: 3, domain: 4, nullRate: 0},
 	{rows: 1, attrs: 3, domain: 4, nullRate: 0},
@@ -50,6 +50,7 @@ var diffConfigs = []diffConfig{
 	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}, // 65000^4 > 2^63: two-word keys
 	{rows: 1000, attrs: 8, domain: 2, nullRate: 0.02},
 	{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1, cycle: 150},
+	{rows: 0, attrs: 4, domain: 65000, nullRate: 0},
 }
 
 var diffWorkerCounts = []int{1, 2, 8}

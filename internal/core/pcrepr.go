@@ -19,10 +19,8 @@ import (
 type PCRepr struct {
 	Attrs lattice.AttrSet
 
-	// In-memory index: ascending W-word keys with their counts. Dense
-	// reports that they list a dense slab's nonzero slots.
-	U     *SortedCounts
-	Dense bool
+	// In-memory index: ascending W-word keys with their counts.
+	U *SortedCounts
 
 	// Merge-on-read index.
 	Spill *SpillRepr
@@ -56,7 +54,7 @@ func (pc *PC) Repr() PCRepr {
 				u.Counts = append(u.Counts, c)
 			}
 		}
-		r.U, r.Dense = u, true
+		r.U = u
 	default:
 		r.U = pc.u
 	}

@@ -6,6 +6,7 @@ package core
 // way (see portable) and check that it answers like the live label.
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +37,63 @@ func portable(t *testing.T, l *Label) *Label {
 		}
 	}
 	return NewLabelFromParts(schema, l.Rows(), l.Attrs(), pc, vc)
+}
+
+// TestPortableTiersMatchBuild: a portable label's PC section, and every
+// marginal it derives, gets the representation BuildPC picks over the
+// label's rows, not over the schema-only dataset's zero rows — whatever
+// representation the PC section was handed over in. The shapes are those
+// internal/artifact saves and reopens: one-word dense and sorted, two- and
+// three-word sorted, with 5% NULLs, and a spilled one-word PC section.
+func TestPortableTiersMatchBuild(t *testing.T) {
+	tiers := make(map[string]bool) // the marginals' representations
+	for _, tc := range []struct {
+		cfg    diffConfig
+		budget int64
+		tier   string // the PC section's representation in memory
+	}{
+		{diffConfig{rows: 2000, attrs: 4, domain: 6, nullRate: 0.05}, 0, "dense"},
+		{diffConfig{rows: 2000, attrs: 4, domain: 50, nullRate: 0.05}, 0, "sorted"},
+		{diffConfig{rows: 2000, attrs: 30, domain: 5, nullRate: 0.05}, 0, "wide"},
+		{diffConfig{rows: 2000, attrs: 60, domain: 5, nullRate: 0.05}, 0, "wide"},
+		{diffConfig{rows: 20000, attrs: 4, domain: 200}, 256 << 10, "spilled"},
+	} {
+		t.Run(tc.cfg.name(), func(t *testing.T) {
+			d := diffDataset(t, tc.cfg, 0x7E+uint64(tc.cfg.attrs*tc.cfg.domain))
+			full := lattice.FullSet(tc.cfg.attrs)
+			l := must(BuildLabel(d, full, CountOptions{MemBudget: tc.budget, SpillDir: t.TempDir()}))
+			defer l.ReleaseSpill()
+			if got := pcRepr(l.PC()); got != tc.tier {
+				t.Fatalf("PC section is %s in memory, want %s", got, tc.tier)
+			}
+			pl := portable(t, l)
+			want := func(s lattice.AttrSet) string { return pcRepr(must(BuildPC(d, s, CountOptions{}))) }
+			// A spilled PC section stays merge-on-read; an in-memory one
+			// takes the tier of an unbudgeted build.
+			wantSection := "spilled"
+			if tc.budget == 0 {
+				wantSection = want(full)
+			}
+			if got := pcRepr(pl.PC()); got != wantSection {
+				t.Fatalf("portable PC section is %s, want %s", got, wantSection)
+			}
+			subs := []lattice.AttrSet{lattice.NewAttrSet(0), lattice.NewAttrSet(0, 1), full.Remove(0)}
+			if tc.cfg.attrs > 10 {
+				subs = append(subs, lattice.FullSet(10))
+			}
+			for _, sub := range subs {
+				got, _ := must2(pl.MarginalPCCtx(nil, sub))
+				if g, w := pcRepr(got), want(sub); g != w {
+					t.Errorf("marginal %v is %s, BuildPC over the label's rows makes it %s", sub, g, w)
+				}
+				tiers[pcRepr(got)] = true
+			}
+			runtime.KeepAlive(l) // the portable spilled PC reads l's runs
+		})
+	}
+	if !tiers["dense"] || !tiers["sorted"] || !tiers["wide"] {
+		t.Errorf("the marginals land on %v; the shapes should reach the dense, sorted and wide tiers", tiers)
+	}
 }
 
 func TestPortableRoundTrip(t *testing.T) {

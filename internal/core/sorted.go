@@ -75,14 +75,22 @@ func sortedFromMap(m map[uint64]int) *SortedCounts {
 	return sortedFrom(keys, counts, 1)
 }
 
-// recordEntries lists the entries of a tally of keys in record form
-// (appendRecord), unsorted, as W-word keys.
-func recordEntries(t *spill.Tally, w int) ([]uint64, []int32) {
-	keys := make([]uint64, 0, w*t.Len())
-	counts := make([]int32, 0, t.Len())
-	for rec, c := range t.All() {
-		keys = appendWords(keys, rec)
-		counts = append(counts, count32(c))
+// recordEntries lists the entries of tallies of keys in record form
+// (appendRecord), unsorted, as W-word keys: a key once per tally that
+// counted it. A nil tally, a worker that counted no rows, lists nothing.
+func recordEntries(w int, ts ...*spill.Tally) ([]uint64, []int32) {
+	ts = slices.DeleteFunc(ts, func(t *spill.Tally) bool { return t == nil })
+	n := 0
+	for _, t := range ts {
+		n += t.Len()
+	}
+	keys := make([]uint64, 0, w*n)
+	counts := make([]int32, 0, n)
+	for _, t := range ts {
+		for rec, c := range t.All() {
+			keys = appendWords(keys, rec)
+			counts = append(counts, count32(c))
+		}
 	}
 	return keys, counts
 }

@@ -350,7 +350,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	if words == 1 {
 		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsU64Ctx, mapEntries, 1, workers, budget, k.entryBytes(), newRuns)
 	} else {
-		entries := func(t *spill.Tally) ([]uint64, []int32) { return recordEntries(t, words) }
+		entries := func(t *spill.Tally) ([]uint64, []int32) { return recordEntries(words, t) }
 		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsCtx, entries, words, workers, budget, k.entryBytes(), newRuns)
 	}
 	if err != nil {

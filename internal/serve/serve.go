@@ -138,12 +138,13 @@ func NewHandler(l *core.Label) *Handler {
 // that `pcbl update` advances in place: epoch is the artifact epoch the
 // label was opened at, and reload — invoked by POST /v1/reload or the
 // daemon's SIGHUP handler, serialized — reopens the artifact and returns
-// the new label and epoch. The swap is atomic: requests in flight finish
-// on the generation they started with, new requests see the new one, and
-// a failed reload keeps the current generation serving. A spilled payload
-// reads its run files by path, and an update removes the superseded
-// generation's runs once it commits, so an old generation that has not
-// yet cached a run fails to read it: reload promptly after an update.
+// the new label and epoch. The swap is atomic and lossless: requests in
+// flight finish on the generation they started with, new requests see the
+// new one, and a failed reload keeps the current generation serving. A
+// spilled payload reads its run files by path; an update keeps the run
+// directories of the generation it supersedes until the next update, so
+// the old generation answers every query until then (reload once per
+// update).
 func NewReloadableHandler(l *core.Label, epoch int64, reload func() (*core.Label, int64, error)) *Handler {
 	return newHandler(l, epoch, reload)
 }

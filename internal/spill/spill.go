@@ -525,7 +525,7 @@ const ctxCheckRecs = 8192
 // runCounts is a run-counting accumulator, cleared and reused for a
 // worker's next run.
 type runCounts interface {
-	add(rec []byte)
+	Add(rec []byte)
 	Len() int
 	reset()
 }
@@ -533,7 +533,7 @@ type runCounts interface {
 // u64Counts counts one-word records.
 type u64Counts map[uint64]int
 
-func (m u64Counts) add(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
+func (m u64Counts) Add(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
 func (m u64Counts) Len() int       { return len(m) }
 func (m u64Counts) reset()         { clear(m) }
 
@@ -551,26 +551,14 @@ type Tally struct {
 // NewTally returns an empty Tally.
 func NewTally() *Tally { return &Tally{index: make(map[string]int32)} }
 
-// Add counts rec n more times.
-func (t *Tally) Add(rec []byte, n int) {
+// Add counts rec once.
+func (t *Tally) Add(rec []byte) {
 	if i, ok := t.index[string(rec)]; ok {
-		t.counts[i] += int32(n)
+		t.counts[i]++
 		return
 	}
 	t.index[string(rec)] = int32(len(t.counts))
-	t.counts = append(t.counts, int32(n))
-}
-
-// Merge adds every count of o to t.
-func (t *Tally) Merge(o *Tally) {
-	for rec, i := range o.index {
-		if j, ok := t.index[rec]; ok {
-			t.counts[j] += o.counts[i]
-			continue
-		}
-		t.index[rec] = int32(len(t.counts))
-		t.counts = append(t.counts, o.counts[i])
-	}
+	t.counts = append(t.counts, 1)
 }
 
 // Len returns the distinct records counted.
@@ -586,8 +574,6 @@ func (t *Tally) All() iter.Seq2[string, int] {
 		}
 	}
 }
-
-func (t *Tally) add(rec []byte) { t.Add(rec, 1) }
 
 func (t *Tally) reset() {
 	clear(t.index)
@@ -645,7 +631,7 @@ func countRuns[C runCounts](ctx context.Context, w *Writer, workers int, fresh f
 						}
 					}
 				}
-				m.add(rec)
+				m.Add(rec)
 				return true
 			})
 			if err != nil {
