@@ -180,10 +180,11 @@ func removeStale(dir string, m *Manifest, fsi iofault.FS) error {
 // doesn't name — crash residue from interrupted merges, and the run
 // directories of the generation the last merge superseded. The manifest
 // itself (and its staging name, which commitManifest recreates) aside, a
-// consistent artifact contains only referenced payloads, so anything else
-// is safe to drop. Failures to delete are swallowed except a scripted
-// kill; a leftover that still collides with this merge's payload names
-// surfaces as a write error moments later.
+// consistent artifact contains only referenced payloads and those run
+// directories, which only labels opened before the last merge still
+// read, so anything else is safe to drop. Failures to delete are
+// swallowed except a scripted kill; a leftover that still collides with
+// this merge's payload names surfaces as a write error moments later.
 func sweepUnreferenced(dir string, m *Manifest, fsi iofault.FS) error {
 	refs := map[string]bool{manifestName: true}
 	for _, pm := range m.PCs {

@@ -262,8 +262,11 @@ func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *
 // sums a key several workers counted.
 func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
 	shards := make([]*spill.Tally, max(workers, 1))
+	for i := range shards {
+		shards[i] = spill.NewTally()
+	}
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
-		t := spill.NewTally()
+		t := shards[wk]
 		var buf []byte
 		for blo := lo; blo < hi; blo += keyBlockRows {
 			if stop.hit() {
@@ -277,7 +280,6 @@ func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC
 				}
 			}
 		}
-		shards[wk] = t
 	})
 	keys, counts := recordEntries(k.Words(), shards...)
 	return &PC{keyer: k, u: sortedFrom(keys, counts, k.Words())}

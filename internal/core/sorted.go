@@ -77,9 +77,8 @@ func sortedFromMap(m map[uint64]int) *SortedCounts {
 
 // recordEntries lists the entries of tallies of keys in record form
 // (appendRecord), unsorted, as W-word keys: a key once per tally that
-// counted it. A nil tally, a worker that counted no rows, lists nothing.
+// counted it.
 func recordEntries(w int, ts ...*spill.Tally) ([]uint64, []int32) {
-	ts = slices.DeleteFunc(ts, func(t *spill.Tally) bool { return t == nil })
 	n := 0
 	for _, t := range ts {
 		n += t.Len()
