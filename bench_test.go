@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,6 +77,19 @@ func wideDataset(rows, attrs, domain int) *dataset.Dataset {
 // cycledWideDataset is wideDataset over rows that repeat its first period
 // rows, so a full-width group-by counts at most period distinct keys.
 func cycledWideDataset(rows, attrs, domain, period int) *dataset.Dataset {
+	return genWideDataset(rows, attrs, domain, period, false)
+}
+
+// hotWideDataset is wideDataset with nine rows in ten set to its first
+// row: one tuple holds 90% of the rows, and the rest are distinct.
+func hotWideDataset(rows, attrs, domain int) *dataset.Dataset {
+	return genWideDataset(rows, attrs, domain, rows, true)
+}
+
+// genWideDataset draws rows of attrs attributes of domain values, the
+// draw restarting every period rows; with hot, every row whose index is
+// not a multiple of ten repeats the first row.
+func genWideDataset(rows, attrs, domain, period int, hot bool) *dataset.Dataset {
 	names := make([]string, attrs)
 	for i := range names {
 		names[i] = string(rune('a' + i))
@@ -83,6 +97,7 @@ func cycledWideDataset(rows, attrs, domain, period int) *dataset.Dataset {
 	bld := dataset.NewBuilder("wide", names...)
 	var v uint64
 	row := make([]string, attrs)
+	var first []string
 	for r := 0; r < rows; r++ {
 		if r%period == 0 {
 			v = 88172645463325252
@@ -93,7 +108,14 @@ func cycledWideDataset(rows, attrs, domain, period int) *dataset.Dataset {
 			v ^= v << 17
 			row[i] = string(rune('A' + int(v%uint64(domain))))
 		}
-		bld.AppendStrings(row...)
+		if r == 0 {
+			first = slices.Clone(row)
+		}
+		if hot && r%10 != 0 {
+			bld.AppendStrings(first...)
+		} else {
+			bld.AppendStrings(row...)
+		}
 	}
 	d, err := bld.Build()
 	if err != nil {
@@ -601,11 +623,15 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 
 // BenchmarkWideRepeatedKeys is the spill gates' two-word group-by over
 // rows that repeat 300 tuples, in memory and under the gates' budget,
-// which partitions the rows into runs and counts each run's records: here
-// nearly every record is a key already counted, where the gates' rows are
-// nearly all distinct and every record is a new key.
+// which partitions the rows into runs and counts each run by sorting it:
+// here nearly every row is a key already counted, where the gates' rows
+// are nearly all distinct and every row is a new key. The hot arm builds,
+// under the same budget, rows where one tuple holds 90% of the rows and
+// the rest are distinct: a shard flushes the hot key once per flush,
+// summed, so its run holds a few dozen entries of it, not 54,000.
 func BenchmarkWideRepeatedKeys(b *testing.B) {
 	d := cycledWideDataset(60000, 12, 40, 300)
+	hot := hotWideDataset(60000, 12, 40)
 	_, budget := spillBenchSetup(b)
 	full := lattice.FullSet(d.NumAttrs())
 	b.Run("inmemory", func(b *testing.B) {
@@ -613,7 +639,7 @@ func BenchmarkWideRepeatedKeys(b *testing.B) {
 			_ = must(core.BuildPC(d, full, core.CountOptions{Workers: 1}))
 		}
 	})
-	b.Run("spill", func(b *testing.B) {
+	spilled := func(b *testing.B, d *dataset.Dataset) {
 		var stats core.ScanStats
 		for i := 0; i < b.N; i++ {
 			pc := must(core.BuildPC(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}))
@@ -622,7 +648,9 @@ func BenchmarkWideRepeatedKeys(b *testing.B) {
 		if stats.Spilled != int64(b.N) {
 			b.Fatalf("spilled %d of %d builds", stats.Spilled, b.N)
 		}
-	})
+	}
+	b.Run("spill", func(b *testing.B) { spilled(b, d) })
+	b.Run("hot", func(b *testing.B) { spilled(b, hot) })
 }
 
 // BenchmarkSpillSizeWorkers sweeps the counting workers over a spilled
@@ -653,10 +681,9 @@ func BenchmarkSpillSizeWorkers(b *testing.B) {
 }
 
 // BenchmarkSpillRecordFormat compares spilled sizing throughput of the two
-// record widths at equal row count: two-word records (the key overflows 63
-// bits; 16 bytes, counted in a spill.Tally) vs one-word records (8 bytes,
-// counted in a map[uint64]int). MB/s is record bytes, 8 per key word,
-// through the partition+count pipeline.
+// key widths at equal row count: two-word keys (the key space overflows 63
+// bits) vs one-word keys, each run counted by sorting it. MB/s is key
+// bytes, 8 per key word, through the partition+count pipeline.
 func BenchmarkSpillRecordFormat(b *testing.B) {
 	d, budget := spillBenchSetup(b)
 	u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
@@ -700,11 +727,32 @@ func appendIDRecord(dst []byte, cols [][]uint16, r int) ([]byte, bool) {
 	return dst, true
 }
 
+// appendIDKey appends the words of row r's appendIDRecord record, read
+// little-endian, four value ids a word; ok is false for a row holding
+// NULL. The spill tier routes a key by its words little-endian, so the
+// key routes as the record's bytes would.
+func appendIDKey(dst []uint64, cols [][]uint16, r int) ([]uint64, bool) {
+	var word uint64
+	for i, col := range cols {
+		if col[r] == dataset.Null {
+			return dst, false
+		}
+		word |= uint64(col[r]) << (16 * (i % 4))
+		if i%4 == 3 || i == len(cols)-1 {
+			dst = append(dst, word)
+			word = 0
+		}
+	}
+	return dst, true
+}
+
 // BenchmarkSpillLiveHeap drives the spill writer directly so it can force
-// a GC at the peak moment — each run's map fully counted and still live —
+// a GC at the peak moment — each run's entries counted and still live —
 // and report real live-heap bytes. The in-memory variant holds the whole
 // distinct-key map at its peak (rows×keys-bound); the spill variant's peak
-// must track the budget instead.
+// must track the budget instead. The spill variants add three-word keys
+// packed from the 24 bytes of value ids of the in-memory variant's
+// records (appendIDKey).
 func BenchmarkSpillLiveHeap(b *testing.B) {
 	d, budget := spillBenchSetup(b)
 	cols := make([][]uint16, d.NumAttrs())
@@ -712,7 +760,31 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 		cols[i] = d.Col(i)
 	}
 	rows := d.NumRows()
-	recW := 2 * d.NumAttrs()
+	const words = 3
+	if (d.NumAttrs()+3)/4 != words {
+		b.Fatalf("%d attributes pack into %d words, want %d", d.NumAttrs(), (d.NumAttrs()+3)/4, words)
+	}
+	// partition writes every row's key into runs on-disk runs.
+	partition := func(runs int) *spill.Writer {
+		w, err := spill.NewWriter(spill.Config{Words: words, Runs: runs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sw := w.Shard()
+		var key []uint64
+		for r := 0; r < rows; r++ {
+			k, ok := appendIDKey(key[:0], cols, r)
+			key = k
+			if ok {
+				sw.Add(k, 1)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			w.Cleanup()
+			b.Fatal(err)
+		}
+		return w
+	}
 	baseline := liveHeap()
 	b.Run("inmemory", func(b *testing.B) {
 		var peak uint64
@@ -734,29 +806,12 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 		b.ReportMetric(float64(peak-baseline), "live-heap-B")
 	})
 	b.Run("spill", func(b *testing.B) {
-		runs := 6
 		var peak uint64
 		for i := 0; i < b.N; i++ {
-			w, err := spill.NewWriter(spill.Config{RecWidth: recW, Runs: runs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sw := w.Shard()
-			var buf []byte
-			for r := 0; r < rows; r++ {
-				rec, ok := appendIDRecord(buf[:0], cols, r)
-				buf = rec
-				if ok {
-					sw.Add(rec)
-				}
-			}
-			if err := sw.Close(); err != nil {
-				w.Cleanup()
-				b.Fatal(err)
-			}
+			w := partition(6)
 			size := 0
-			err = w.CountRunsCtx(nil, 1, func(_ int, m *spill.Tally) bool {
-				size += m.Len()
+			err := w.CountRunsCtx(nil, 1, func(_ int, _ []uint64, counts []int32) bool {
+				size += len(counts)
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -768,37 +823,20 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 		b.ReportMetric(float64(peak-baseline), "live-heap-B")
 		b.ReportMetric(float64(budget), "budget-B")
 	})
-	// The build variants measure the PR 5 claim: a *materialized* spilled
-	// build (the PR 4 behaviour — every run map merged into one result
-	// map) holds the whole distinct-key space live at its peak, blowing
-	// the budget the scan respected; the merge-on-read build keeps the
-	// result on disk and its peak — the partial merge dropped at the
-	// budget crossing plus one run map — stays within ~2x the budget.
+	// The build variants measure why a spilled result stays on disk: a
+	// *materialized* spilled build (every run's entries merged into one
+	// result map) holds the whole distinct-key space live at its peak,
+	// blowing the budget the scan respected; the merge-on-read build keeps
+	// the result on disk and its peak — the partial merge dropped at the
+	// budget crossing plus one run's entries — stays within ~2x the budget.
 	b.Run("build-materialized", func(b *testing.B) {
-		runs := 6
 		var peak uint64
 		for i := 0; i < b.N; i++ {
-			w, err := spill.NewWriter(spill.Config{RecWidth: recW, Runs: runs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sw := w.Shard()
-			var buf []byte
-			for r := 0; r < rows; r++ {
-				rec, ok := appendIDRecord(buf[:0], cols, r)
-				buf = rec
-				if ok {
-					sw.Add(rec)
-				}
-			}
-			if err := sw.Close(); err != nil {
-				w.Cleanup()
-				b.Fatal(err)
-			}
-			merged := make(map[string]int)
-			err = w.CountRunsCtx(nil, 1, func(_ int, m *spill.Tally) bool {
-				for key, c := range m.All() {
-					merged[key] = c
+			w := partition(6)
+			merged := make(map[[words]uint64]int)
+			err := w.CountRunsCtx(nil, 1, func(_ int, keys []uint64, counts []int32) bool {
+				for j, c := range counts {
+					merged[[words]uint64(keys[j*words:])] = int(c)
 				}
 				return true
 			})

@@ -236,7 +236,7 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 func TestENOSPCWriterSurfacesTypedError(t *testing.T) {
 	ffs := iofault.NewFaultFS(nil)
 	ffs.NoSpaceFrom(iofault.OpCreate, 1)
-	_, err := spill.NewWriter(spill.Config{RecWidth: 8, Runs: 4, Dir: t.TempDir(), FS: ffs})
+	_, err := spill.NewWriter(spill.Config{Words: 1, Runs: 4, Dir: t.TempDir(), FS: ffs})
 	if !errors.Is(err, spill.ErrNoSpace) {
 		t.Fatalf("err = %v, want spill.ErrNoSpace", err)
 	}
@@ -344,7 +344,7 @@ func TestSortedRunWriteFaultFallsBack(t *testing.T) {
 	if !ok {
 		t.Fatal("set does not spill under the budget")
 	}
-	w := must(spill.NewWriter(spill.Config{RecWidth: 8 * k.Words(), Runs: runs, Dir: t.TempDir(), FS: rec}))
+	w := must(spill.NewWriter(spill.Config{Words: k.Words(), Runs: runs, Dir: t.TempDir(), FS: rec}))
 	err := spillPartition(w, k, datasetCols(d), d.NumRows(), 1, nil, opts.stop())
 	w.Cleanup()
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"pcbl/internal/spill"
 	"pcbl/internal/workpool"
 )
 
@@ -27,13 +26,14 @@ import (
 //   - any other key (W ≥ 1 words), modeled map footprint within
 //     CountOptions.MemBudget                                      →  sorted
 //   - the same, modeled map footprint over CountOptions.MemBudget →  spill
-//     (external group-by: hash-partitioned on-disk runs, counted one at a
-//     time with the map kernel — see spillcount.go; no budget means the
-//     tier is off; LabelSizes models a capped set at cap+1 keys)
+//     (external group-by: hash-partitioned on-disk runs of pre-summed
+//     sorted frames, each run counted by sorting it — see spillcount.go;
+//     no budget means the tier is off; LabelSizes models a capped set at
+//     cap+1 keys)
 //
 // A sorted build counts into hash maps and freezes them into SortedCounts
 // when the scan ends: one-word keys into map[uint64]int, wider ones into a
-// spill.Tally keyed by their record form. The row-factor guard
+// tally keyed by their record form. The row-factor guard
 // keeps the dense kernel off sparse key spaces where zeroing and walking
 // the flat array would dominate the scan itself.
 
@@ -256,14 +256,14 @@ func buildPCSorted(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *
 }
 
 // buildPCWide is buildPCSorted for keys of more than one word: each worker
-// counts its rows' keys in record form into a spill.Tally, which
-// allocates once per distinct key, so its memory grows with the distinct
-// keys, and the tallies' entries freeze into the layout together, which
-// sums a key several workers counted.
+// counts its rows' keys in record form into a tally, which allocates once
+// per distinct key, so its memory grows with the distinct keys, and the
+// tallies' entries freeze into the layout together, which sums a key
+// several workers counted.
 func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC {
-	shards := make([]*spill.Tally, max(workers, 1))
+	shards := make([]*tally, max(workers, 1))
 	for i := range shards {
-		shards[i] = spill.NewTally()
+		shards[i] = &tally{index: make(map[string]int32)}
 	}
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
 		t := shards[wk]
@@ -276,13 +276,34 @@ func buildPCWide(k *Keyer, cols [][]uint16, rows, workers int, stop ctxStop) *PC
 				b, ok := k.appendRecordRow(buf[:0], cols, r)
 				buf = b
 				if ok {
-					t.Add(b)
+					t.add(b)
 				}
 			}
 		}
 	})
 	keys, counts := recordEntries(k.Words(), shards...)
 	return &PC{keyer: k, u: sortedFrom(keys, counts, k.Words())}
+}
+
+// tally counts records with one allocation per distinct record: an index
+// from a record to its slot of a counts slice. A record already counted
+// costs a lookup by m[string(rec)], which does not allocate, and an
+// increment; m[string(rec)]++ on a map[string]int allocates the string on
+// every call. A count stays within int32: the engine counts at most
+// math.MaxInt32 rows.
+type tally struct {
+	index  map[string]int32
+	counts []int32
+}
+
+// add counts rec once.
+func (t *tally) add(rec []byte) {
+	if i, ok := t.index[string(rec)]; ok {
+		t.counts[i]++
+		return
+	}
+	t.index[string(rec)] = int32(len(t.counts))
+	t.counts = append(t.counts, 1)
 }
 
 // ScanStats accumulates which kernel the engine picked per attribute set.
@@ -312,10 +333,16 @@ type ScanStats struct {
 	// runs, plus the sorted runs a spilled build keeps.
 	SpillBytes int64
 	// SpillMaxRunEntries is the largest per-run distinct-key count any
-	// spilled set's merge observed — the quantity the run sizing bounds to
-	// keep one run's map within each count worker's share of
+	// spilled set's count observed — the quantity the run sizing bounds to
+	// keep one run's count state within each count worker's share of
 	// CountOptions.MemBudget.
 	SpillMaxRunEntries int64
+	// SpillMaxCountBytes is the largest count state any spilled set's
+	// count held in one worker: the bytes of its entry buffer and sort
+	// scratch, which stay within the worker's share of
+	// CountOptions.MemBudget unless one run's distinct keys alone need
+	// more.
+	SpillMaxCountBytes int64
 	// SpillFallbacks counts spill-tier scans that hit disk trouble and
 	// fell back to the unbounded in-memory kernel: results stay correct,
 	// but the memory budget was not honored for those sets.

@@ -72,30 +72,34 @@
 //     (Keyer.KeyBlock decodes a row block one member column at a time),
 //     a wider one into hash maps keyed by the record form, and both
 //     freeze them when the scan ends; marginals and in-memory merges
-//     build the layout by radix sort-and-compress of their keys, one word
-//     at a time, with no map at all.
+//     build the layout by radix sort-and-compress of their keys
+//     (spill.Sorter), with no map at all.
 //   - spill: sets beyond the dense tier whose modeled map footprint (56
 //     bytes a one-word entry, 8W + 64 a wider one) exceeds
-//     CountOptions.MemBudget run the external group-by with 8W-byte
-//     records: one-word runs count into map[uint64]int, wider ones into a
-//     map keyed by the record bytes. The dense kernel is exempt: its flat
-//     state is bounded by the dense slot limit.
+//     CountOptions.MemBudget run the external group-by, whose runs are
+//     counted by sorting them, whatever the key width. The dense kernel
+//     is exempt: its flat state is bounded by the dense slot limit.
 //
 // The spill tier (spillcount.go over internal/spill): keys
-// hash-partition into K on-disk runs sized so one
-// run's map fits each counting worker's share of the budget, and the
-// key-disjoint runs are counted K-way in parallel, so per-run counts are
-// final. Disk trouble during a spilled scan re-counts the set in memory
-// with the caller's full options (budget cleared), metered in
-// ScanStats.SpillFallbacks. LabelSizes prices a set by the keys its
-// accumulator can reach — min(radix, rows, cap+1) entries under the same
-// per-entry models — so a capped set stays in its group whenever cap+1
-// keys fit the budget. A set still over budget (an uncapped size, or a
-// cap too large for the budget) is sized afterwards, in frontier order, by
-// a build's partition phase and a count of its runs that keeps only the
-// distinct total: no sorted run is written, the count stops once the total
-// passes cap, and disk trouble re-sizes the set with the capped in-memory
-// kernel.
+// hash-partition into K on-disk runs sized so one run's count state fits
+// each counting worker's share of the budget. Every run, partition or
+// sorted, is in the one run codec of spill.Runs: each worker buffers its
+// keys per run and flushes a full buffer sorted, with the counts of equal
+// keys summed, so a run holds a key at most once per flush of each shard
+// however often it repeats. The key-disjoint runs are counted K-way in
+// parallel, each read back, sorted and summed, so per-run counts are
+// final; a worker sums in place whenever its buffer reaches its share, so
+// a run of repeated keys is counted within it. Disk trouble during a
+// spilled scan re-counts the set in memory with the caller's full options
+// (budget cleared), metered in ScanStats.SpillFallbacks. LabelSizes
+// prices a set by the keys its accumulator can reach — min(radix, rows,
+// cap+1) entries under the same per-entry models — so a capped set stays
+// in its group whenever cap+1 keys fit the budget. A set still over
+// budget (an uncapped size, or a cap too large for the budget) is sized
+// afterwards, in frontier order, by a build's partition phase and a count
+// of its runs that keeps only the distinct total: no sorted run is
+// written, the count stops once the total passes cap, and disk trouble
+// re-sizes the set with the capped in-memory kernel.
 //
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — each counted run is written once as a
@@ -105,13 +109,14 @@
 // Size/LookupValsCtx/EachCtx merge-on-read from the sorted runs
 // (spilledpc.go) through a pinned hot-run cache; ReleaseSpill (or, as a
 // safety net, the GC) removes the runs. No budget means the tier is off.
-// A run load decodes its entries straight into the sorted layout, with no
-// counting map, charged its real 8W + 4 bytes an entry rather than the map
-// model that decided to spill.
+// A run load decodes its entries straight into the sorted layout,
+// charged its real 8W + 4 bytes an entry rather than the map model that
+// decided to spill.
 // Label.Merge over a spilled PC writes fresh runs, each one linear
 // two-way merge of a base run with its share of the delta; a delta that
 // grew a member domain — shifting a multiplier or moving a member to
-// another word — re-partitions instead (merge.go). Sizing-only
+// another word — re-partitions instead, each re-keyed entry once with its
+// count (merge.go). Sizing-only
 // scans keep partition runs alone: nothing reopens them.
 //
 // The merge-on-read read path is built for concurrent readers (the label

@@ -2,10 +2,9 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"pcbl/internal/lattice"
+	"pcbl/internal/workpool"
 )
 
 // Estimator is anything that can estimate pattern counts from a dense value
@@ -83,18 +82,10 @@ type EvalOptions struct {
 // Evaluate scores label l against every pattern in ps exactly, in parallel,
 // and returns the full error aggregate.
 func Evaluate(l Estimator, ps *PatternSet, opts EvalOptions) EvalResult {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	n := ps.Len()
 	if n == 0 {
 		return EvalResult{}
 	}
-	if workers > n {
-		workers = n
-	}
-
 	type partial struct {
 		n             int
 		sumAbs, sumSq float64
@@ -102,40 +93,28 @@ func Evaluate(l Estimator, ps *PatternSet, opts EvalOptions) EvalResult {
 		maxAbs, maxQ  float64
 		worst         int
 	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p := partial{worst: lo}
-			for i := lo; i < hi; i++ {
-				est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
-				c := ps.Count(i)
-				abs := AbsError(c, est)
-				q := QError(c, est)
-				p.n++
-				p.sumAbs += abs
-				p.sumSq += abs * abs
-				p.sumQ += q
-				if abs > p.maxAbs {
-					p.maxAbs = abs
-					p.worst = i
-				}
-				if q > p.maxQ {
-					p.maxQ = q
-				}
+	parts := make([]partial, workpool.Resolve(opts.Workers, n))
+	workpool.RunChunks(n, len(parts), func(w, lo, hi int) {
+		p := partial{worst: lo}
+		for i := lo; i < hi; i++ {
+			est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
+			c := ps.Count(i)
+			abs := AbsError(c, est)
+			q := QError(c, est)
+			p.n++
+			p.sumAbs += abs
+			p.sumSq += abs * abs
+			p.sumQ += q
+			if abs > p.maxAbs {
+				p.maxAbs = abs
+				p.worst = i
 			}
-			parts[w] = p
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			if q > p.maxQ {
+				p.maxQ = q
+			}
+		}
+		parts[w] = p
+	})
 
 	var res EvalResult
 	var sumAbs, sumSq, sumQ float64
@@ -188,7 +167,8 @@ type MaxErrOptions struct {
 	// exceeds the best label found so far can be discarded without a full
 	// scan. This is an optimization beyond the paper (ablated in benches).
 	StopAbove float64
-	// Workers is the parallelism for the unsorted exact path.
+	// Workers is the parallelism for the unsorted exact path;
+	// runtime.NumCPU() when zero.
 	Workers int
 }
 
@@ -213,55 +193,28 @@ func MaxAbsError(l Estimator, ps *PatternSet, opts MaxErrOptions) (maxErr float6
 		return maxErr, n
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	// Each chunk stops at its first error past StopAbove; scanned sums
+	// the patterns the chunks examined.
+	maxes := make([]float64, workpool.Resolve(opts.Workers, n))
+	examined := make([]int, len(maxes))
+	workpool.RunChunks(n, len(maxes), func(w, lo, hi int) {
+		var m float64
+		i := lo
+		for ; i < hi; i++ {
 			est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
-			if abs := AbsError(ps.Count(i), est); abs > maxErr {
-				maxErr = abs
-				if opts.StopAbove > 0 && maxErr > opts.StopAbove {
-					return maxErr, i + 1
+			if abs := AbsError(ps.Count(i), est); abs > m {
+				m = abs
+				if opts.StopAbove > 0 && m > opts.StopAbove {
+					i++
+					break
 				}
 			}
 		}
-		return maxErr, n
+		maxes[w], examined[w] = m, i-lo
+	})
+	for w, m := range maxes {
+		maxErr = max(maxErr, m)
+		scanned += examined[w]
 	}
-	maxes := make([]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var m float64
-			for i := lo; i < hi; i++ {
-				est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
-				if abs := AbsError(ps.Count(i), est); abs > m {
-					m = abs
-					if opts.StopAbove > 0 && m > opts.StopAbove {
-						break
-					}
-				}
-			}
-			maxes[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, m := range maxes {
-		if m > maxErr {
-			maxErr = m
-		}
-	}
-	return maxErr, n
+	return maxErr, scanned
 }

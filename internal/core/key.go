@@ -14,8 +14,8 @@ import (
 // within MaxInt64 and opens the next word otherwise. So W is 1 exactly
 // when the product of the member domain sizes fits in 63 bits — the fast
 // path, whose key is one uint64 — and a wider key is its W words,
-// compared lexicographically. A key's record form, in spill records and
-// as a map key, is its words little-endian (8W bytes). Rows holding NULL
+// compared lexicographically. A key's record form, the map key of a wide
+// in-memory build, is its words little-endian (8W bytes). Rows holding NULL
 // in any member attribute have no key: they satisfy no pattern over the
 // set.
 type Keyer struct {

@@ -402,15 +402,17 @@ func eachRun(runs, workers int, fn func(run int) error) error {
 // mergeSpilledRekey merges a delta that grew a member domain into a
 // spilled base: the base's entries decode under its own layout and re-key
 // under k's — possibly of more words — and, with the delta's,
-// re-partition as one record per counted row into a fresh partition
+// re-partition, each entry once with its count, into a fresh partition
 // writer, whose runs countAndSeal counts and seals as a build does.
 func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, rows int, budget int64, opts CountOptions) (*PC, error) {
+	workers := opts.scanWorkers(rows)
 	w, err := spill.NewWriter(spill.Config{
-		RecWidth: 8 * k.Words(),
-		Runs:     sp.runs.NumRuns(),
-		Dir:      opts.SpillDir,
-		Pool:     opts.Pool,
-		FS:       opts.FS,
+		Words: k.Words(),
+		Runs:  sp.runs.NumRuns(),
+		Share: countShare(budget, workers),
+		Dir:   opts.SpillDir,
+		Pool:  opts.Pool,
+		FS:    opts.FS,
 	})
 	if err != nil {
 		return nil, err
@@ -418,14 +420,10 @@ func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, 
 	defer w.Cleanup()
 	sw := w.Shard()
 	var nk []uint64
-	var rec []byte
 	add := func(vals []uint16, c int) {
 		var ok bool
 		if nk, ok = k.appendKey(nk[:0], vals); ok {
-			rec = appendRecord(rec[:0], nk)
-			for ; c > 0; c-- {
-				sw.Add(rec)
-			}
+			sw.Add(nk, c)
 		}
 	}
 	vals := make([]uint16, n)
@@ -455,7 +453,7 @@ func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, 
 	if werr != nil {
 		return nil, werr
 	}
-	out, err := countAndSeal(w, k, opts.scanWorkers(rows), budget, opts)
+	out, err := countAndSeal(w, k, workers, budget, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -52,12 +52,14 @@ type CountOptions struct {
 	// state of a single group-by in bytes. A BuildPC of a set beyond the
 	// dense tier, whatever its key width, whose modeled map footprint
 	// exceeds the budget runs on the external-memory spill tier
-	// (spillcount.go): keys hash-partition into on-disk runs of 8W-byte
-	// records sized so one run's map fits each counting worker's share of
-	// the budget, and the key-disjoint runs are counted K-way in
-	// parallel. Budgeted builds are bounded end to end: a result that
-	// models over the budget is not materialized — the PC keeps sorted runs
-	// and serves lookups merge-on-read. LabelSizes prices a capped set by
+	// (spillcount.go): keys hash-partition into on-disk runs of the run
+	// codec, each flush of a worker's buffer sorted with equal keys
+	// summed, and the runs are sized so one run's count state fits each
+	// counting worker's share of the budget; the key-disjoint runs are
+	// counted K-way in parallel, each by sorting it within that share.
+	// Budgeted builds are bounded end to end: a result that models over
+	// the budget is not materialized — the PC keeps sorted runs and
+	// serves lookups merge-on-read. LabelSizes prices a capped set by
 	// the cap+1 keys its accumulator can reach, so a capped set spills only
 	// when even those are over budget; it is then partitioned as a build
 	// would be and its runs counted for their distinct total alone, with

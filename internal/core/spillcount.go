@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"pcbl/internal/dataset"
@@ -16,16 +17,25 @@ import (
 // count — one map entry per group, with nothing but the row count (or a
 // huge key space) bounding it. When CountOptions.MemBudget is set and the
 // estimated footprint of that map exceeds it, kernel dispatch routes the
-// set here: the scan hash-partitions its keys into K on-disk runs, runs
-// are counted with the ordinary map kernels — K-way parallel across
+// set here: the scan hash-partitions its keys of W words into K on-disk
+// runs, each shard flushing its buffered keys sorted with the counts of
+// equal keys summed, so a run holds a key at most once per flush of each
+// shard; runs are counted by sorting them — K-way parallel across
 // workers, since runs hold disjoint keys — and counts merge across runs
 // with the exact cap-abort of label sizing (per-run counts are final and
-// the distinct total is a monotone sum). A record is the key in record
-// form, its W words little-endian: 8-byte records for one-word keys (the
-// common case once domains multiply), counted into map[uint64]int, and
-// 8W-byte records for wider keys, counted into a spill.Tally. Results
-// are bit-identical to the in-memory kernels for every worker count and
-// key width (spillcount_test.go).
+// the distinct total is a monotone sum). A run's count state is its
+// entries at 8W + 4 bytes each plus as much sort scratch, 24 bytes for a
+// one-word key and 16W + 8 for a wider one, held within the worker's
+// budget share (countShare): the count sums its buffer in place each time
+// it fills, and grows it only to twice a run's distinct keys or to the
+// run's entries. A one-word run within its model (56 bytes a distinct
+// key) therefore stays within the share however often its keys repeat.
+// Wider keys are priced per row, so a run holds about rows/K entries and
+// its state stays within (16W + 8)/(8W + 64) of the share: within it
+// through W = 7, and 1.5x at W = 22, the widest key (64 attributes of
+// 65,534 values, three to a word). One path serves every key width, and
+// results are bit-identical to the in-memory kernels for every worker
+// count and key width (spillcount_test.go).
 //
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
@@ -46,7 +56,7 @@ import (
 const spillEntryBytesU64 = 48
 
 // spillEntryBytes is the per-distinct-key estimate of the record tally
-// (spill.Tally) of wider keys, beside the 8W key bytes: string header and
+// of wider keys (dense.go), beside the 8W key bytes: string header and
 // index slot, map bucket share and bookkeeping, and the count slot.
 const spillEntryBytes = 64
 
@@ -85,10 +95,10 @@ func (o CountOptions) mapFootprint(k *Keyer, rows, cap int) (fp int64, ok bool) 
 }
 
 // spillFor decides whether a group-by must spill under the options' memory
-// budget, and the run count K that keeps one run's estimated map within
-// each count worker's share of the budget — parallel run counting holds
-// one live run map per worker, so K scales with the worker count and the
-// total stays near the budget. The decision is deterministic from (rows,
+// budget, and the run count K that keeps one run's estimated count state
+// within each count worker's share of the budget — parallel run counting
+// holds one run's entries per worker, so K scales with the worker count
+// and the total stays near the budget. The decision is deterministic from (rows,
 // keyer, budget, workers), so every entry point picks the same tier for
 // the same inputs — the same property the dense/sorted selection has.
 func (o CountOptions) spillFor(k *Keyer, rows, countWorkers int) (runs int, ok bool) {
@@ -99,18 +109,19 @@ func (o CountOptions) spillFor(k *Keyer, rows, countWorkers int) (runs int, ok b
 	if !ok || fp <= o.MemBudget {
 		return 0, false
 	}
-	if countWorkers < 1 {
-		countWorkers = 1
-	}
-	share := o.MemBudget / int64(countWorkers)
-	if share < 1 {
-		share = 1
-	}
+	share := countShare(o.MemBudget, countWorkers)
 	runs = int((fp + share - 1) / share)
 	if runs > maxSpillRuns {
 		runs = maxSpillRuns
 	}
 	return runs, true
+}
+
+// countShare is each count worker's share of budget: the memory one
+// run's count state may take, which spillFor sizes K against and the
+// count holds its buffers within (spill.Config.Share).
+func countShare(budget int64, countWorkers int) int64 {
+	return max(budget/int64(max(countWorkers, 1)), 1)
 }
 
 // addSpill accumulates one spilled scan's counters: the partition
@@ -127,10 +138,15 @@ func (st *ScanStats) addSpill(s spill.Stats, sortedBytes int64, countWorkers int
 		atomic.AddInt64(&st.SpillParallelRuns, int64(s.Runs))
 	}
 	atomic.AddInt64(&st.SpillBytes, s.BytesWritten+sortedBytes)
+	atomicMax(&st.SpillMaxRunEntries, int64(s.MaxRunEntries))
+	atomicMax(&st.SpillMaxCountBytes, s.MaxCountBytes)
+}
+
+// atomicMax raises *p to v unless it already holds at least v.
+func atomicMax(p *int64, v int64) {
 	for {
-		cur := atomic.LoadInt64(&st.SpillMaxRunEntries)
-		if int64(s.MaxRunEntries) <= cur ||
-			atomic.CompareAndSwapInt64(&st.SpillMaxRunEntries, cur, int64(s.MaxRunEntries)) {
+		cur := atomic.LoadInt64(p)
+		if v <= cur || atomic.CompareAndSwapInt64(p, cur, v) {
 			return
 		}
 	}
@@ -164,12 +180,12 @@ func (st *ScanStats) addSpillFallbackErr(err error) {
 
 // spillPartition is a spilled scan's partition phase: rows shard across
 // workers, each worker streaming its chunk's keys into a private
-// ShardWriter — columnar key blocks for one-word keys, per-row records
-// for wider ones. Partition files are append-shared, which
-// is safe because flushes are whole records and group-by is order-blind.
-// stop is polled once per key block; a fired context makes workers stop
-// routing rows and close their shards — the caller then discards the
-// (partial) runs via its deferred Cleanup and reports stop.err().
+// ShardWriter — from columnar key blocks for one-word keys, row by row
+// for wider ones. Partition files are append-shared, which is safe
+// because flushes are whole frames and group-by is order-blind. stop is
+// polled once per key block; a fired context makes workers stop routing
+// rows and close their shards — the caller then discards the (partial)
+// runs via its deferred Cleanup and reports stop.err().
 func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers int, pool *VecPool, stop ctxStop) error {
 	errs := make([]error, workers)
 	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
@@ -182,25 +198,23 @@ func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers in
 				}
 				bhi := min(blo+keyBlockRows, hi)
 				k.KeyBlock(cols, blo, bhi, keys)
-				for _, key := range keys[:bhi-blo] {
+				for i, key := range keys[:bhi-blo] {
 					if key != InvalidKey {
-						sw.AddU64(key)
+						sw.Add(keys[i:i+1], 1)
 					}
 				}
 			}
 			pool.PutUint64(keys)
 		} else {
-			var buf []byte
+			var key []uint64
 			for blo := lo; blo < hi; blo += keyBlockRows {
 				if stop.hit() {
 					break
 				}
-				bhi := min(blo+keyBlockRows, hi)
-				for r := blo; r < bhi; r++ {
-					b, keyOK := k.appendRecordRow(buf[:0], cols, r)
-					buf = b
-					if keyOK {
-						sw.Add(b)
+				for r := blo; r < min(blo+keyBlockRows, hi); r++ {
+					var ok bool
+					if key, ok = k.appendKeyRow(key[:0], cols, r); ok {
+						sw.Add(key, 1)
 					}
 				}
 			}
@@ -269,11 +283,12 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, opts C
 // — success, error, cancellation and panic alike.
 func spillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, opts CountOptions, finish func(w *spill.Writer) error) error {
 	w, err := spill.NewWriter(spill.Config{
-		RecWidth: 8 * k.Words(),
-		Runs:     runs,
-		Dir:      opts.SpillDir,
-		Pool:     opts.Pool,
-		FS:       opts.FS,
+		Words: k.Words(),
+		Runs:  runs,
+		Share: countShare(opts.MemBudget, workers),
+		Dir:   opts.SpillDir,
+		Pool:  opts.Pool,
+		FS:    opts.FS,
 	})
 	if err != nil {
 		return err
@@ -300,15 +315,11 @@ func labelSizeSpilled(d *dataset.Dataset, s lattice.AttrSet, cap int, opts Count
 	runs, _ := opts.spillFor(k, rows, workers)
 	err = spillScan(k, datasetCols(d), rows, workers, runs, opts, func(w *spill.Writer) error {
 		n := 0 // emit calls are serialized
-		add := func(distinct int) bool { n += distinct; return cap < 0 || n <= cap }
-		var cerr error
-		if k.Words() == 1 {
-			cerr = w.CountRunsU64Ctx(opts.Ctx, workers, func(_ int, m map[uint64]int) bool { return add(len(m)) })
-		} else {
-			cerr = w.CountRunsCtx(opts.Ctx, workers, func(_ int, t *spill.Tally) bool { return add(t.Len()) })
-		}
-		if cerr != nil {
-			return cerr
+		if err := w.CountRunsCtx(opts.Ctx, workers, func(_ int, _ []uint64, counts []int32) bool {
+			n += len(counts)
+			return cap < 0 || n <= cap
+		}); err != nil {
+			return err
 		}
 		opts.Stats.addSpill(w.Stats(), 0, workpool.Resolve(workers, runs))
 		size, within = capSize(n, cap)
@@ -340,19 +351,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	newRuns := func() (*spill.Runs, error) {
 		return spill.NewRuns(opts.SpillDir, words, w.NumRuns(), opts.FS)
 	}
-	var (
-		keys     []uint64
-		counts   []int32
-		rs       *spill.Runs
-		runSizes []int
-		err      error
-	)
-	if words == 1 {
-		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsU64Ctx, mapEntries, 1, workers, budget, k.entryBytes(), newRuns)
-	} else {
-		entries := func(t *spill.Tally) ([]uint64, []int32) { return recordEntries(words, t) }
-		keys, counts, rs, runSizes, err = sealRuns(opts.Ctx, w, w.CountRunsCtx, entries, words, workers, budget, k.entryBytes(), newRuns)
-	}
+	keys, counts, rs, runSizes, err := sealRuns(opts.Ctx, w, words, workers, budget, k.entryBytes(), newRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -369,17 +368,12 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	return pc, nil
 }
 
-// sealRuns is countAndSeal over one run accumulator type: count counts
-// w's runs into accumulators C, and entries lists one run's entries as
-// words-word keys. Each sealed run is sorted and encoded. It returns the
-// counted entries, unsorted, when they fit the budget, and the sorted
-// runs with their sizes otherwise.
-func sealRuns[C any](
-	ctx context.Context, w *spill.Writer,
-	count func(ctx context.Context, workers int, emit func(run int, counts C) bool) error,
-	entries func(counts C) ([]uint64, []int32),
-	words, workers int, budget, entry int64, newRuns func() (*spill.Runs, error),
-) (keys []uint64, counts []int32, rs *spill.Runs, runSizes []int, err error) {
+// sealRuns counts w's runs of words-word keys and writes each counted run,
+// already sorted, as a sorted run. It returns the counted entries, run by
+// run, when they fit the budget, and the sorted runs with their sizes
+// otherwise.
+func sealRuns(ctx context.Context, w *spill.Writer, words, workers int, budget, entry int64,
+	newRuns func() (*spill.Runs, error)) (keys []uint64, counts []int32, rs *spill.Runs, runSizes []int, err error) {
 	runSizes = make([]int, w.NumRuns())
 	type heldRun struct {
 		keys   []uint64
@@ -396,14 +390,15 @@ func sealRuns[C any](
 			return
 		}
 		rw := rs.RunWriter(run)
-		writeRun(rw, keys, counts, words)
+		for i, c := range counts {
+			rw.Add(keys[i*words:(i+1)*words], int(c))
+		}
 		if err := rw.Close(); err != nil && werr == nil {
 			werr = err
 		}
 	}
 	// emit calls are serialized, so the closure state needs no lock.
-	err = count(ctx, workers, func(run int, m C) bool {
-		ks, cs := entries(m)
+	err = w.CountRunsCtx(ctx, workers, func(run int, ks []uint64, cs []int32) bool {
 		w.DropRun(run)
 		runSizes[run] = len(cs)
 		distinct += len(cs)
@@ -421,7 +416,7 @@ func sealRuns[C any](
 		if rs != nil {
 			seal(run, ks, cs)
 		} else {
-			held[run] = heldRun{ks, cs}
+			held[run] = heldRun{slices.Clone(ks), slices.Clone(cs)}
 		}
 		return werr == nil
 	})
@@ -444,19 +439,4 @@ func sealRuns[C any](
 		counts = append(counts, h.counts...)
 	}
 	return keys, counts, nil, runSizes, nil
-}
-
-// writeRun sorts one counted run's entries — distinct keys of w words —
-// and encodes them in key order.
-func writeRun(rw *spill.RunWriter, keys []uint64, counts []int32, w int) {
-	if w == 1 {
-		keys, counts, _, _ = radixSort(keys, counts, nil, nil)
-		for i, c := range counts {
-			rw.Add(keys[i:i+1], int(c))
-		}
-		return
-	}
-	for _, p := range keyOrder(keys, len(counts), w) {
-		rw.Add(keys[int(p)*w:][:w], int(counts[p]))
-	}
 }

@@ -111,10 +111,10 @@ func TestDifferentialSpillBuildPC(t *testing.T) {
 				if stats.SpillRuns < 4 {
 					t.Fatalf("workers=%d: SpillRuns = %d, want >= 4", workers, stats.SpillRuns)
 				}
-				// SpillBytes includes per-flush frame headers on top of the
-				// record payload.
-				if wantPayload := int64(d.NumRows() * 8 * k.Words()); cfg.nullRate == 0 && stats.SpillBytes < wantPayload {
-					t.Fatalf("workers=%d: SpillBytes = %d, want >= %d", workers, stats.SpillBytes, wantPayload)
+				// Every distinct key reaches a partition run at least once,
+				// at least a byte per key word and one for its count.
+				if least := int64(want.Size() * (k.Words() + 1)); stats.SpillBytes < least {
+					t.Fatalf("workers=%d: SpillBytes = %d, want >= %d", workers, stats.SpillBytes, least)
 				}
 				// Whether the result materialized or stayed merge-on-read
 				// is decided by the exact counted size against the budget —
@@ -241,8 +241,11 @@ func TestDifferentialSpillFused(t *testing.T) {
 }
 
 // TestSpillU64Format pins the one-word dispatch rule: a one-word-keyable
-// set beyond the dense tier spills 8-byte records and stays bit-identical
-// to the oracle.
+// set beyond the dense tier spills one-word keys and stays bit-identical
+// to the oracle. Its partition runs are codec frames of one-word keys,
+// pre-summed per flush: the spilled bytes beyond the sorted runs the
+// result keeps hold each distinct key at least once, at two bytes or more
+// an entry, and take fewer than eight bytes a row.
 func TestSpillU64Format(t *testing.T) {
 	cfg := spillConfigs[3] // 300^4 fits one word, beyond the dense slot limit
 	d := diffDataset(t, cfg, 0x54)
@@ -265,14 +268,13 @@ func TestSpillU64Format(t *testing.T) {
 	if stats.Spilled != 1 {
 		t.Fatalf("Spilled=%d, want 1", stats.Spilled)
 	}
-	// 8-byte records, one per non-NULL row, in 8-byte-header frames,
-	// plus the sorted runs a spilled result keeps.
 	var sorted int64
 	if r := got.Repr(); r.Spill != nil {
 		sorted = r.Spill.Runs.Bytes()
 	}
-	if (stats.SpillBytes-sorted)%8 != 0 {
-		t.Fatalf("SpillBytes = %d less %d sorted-run bytes is not a multiple of the u64 record width", stats.SpillBytes, sorted)
+	if part := stats.SpillBytes - sorted; part < int64(2*want.Size()) || part >= int64(8*d.NumRows()) {
+		t.Fatalf("partition runs took %d bytes for %d distinct keys over %d rows, want [%d, %d)",
+			part, want.Size(), d.NumRows(), 2*want.Size(), 8*d.NumRows())
 	}
 	got.ReleaseSpill()
 	assertNoSpillFiles(t, opts.SpillDir)
@@ -333,8 +335,8 @@ func TestSpillDispatchDeterministic(t *testing.T) {
 		t.Fatalf("tiny budget: got (runs=%d, ok=%v), want fan-out capped at %d", runs, ok, maxSpillRuns)
 	}
 
-	// Per-worker budget shares: parallel run counting keeps one run map
-	// live per worker, so K must scale with the worker count.
+	// Per-worker budget shares: parallel run counting keeps one run's
+	// entries live per worker, so K must scale with the worker count.
 	runs1, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 1)
 	runs8, _ := (CountOptions{MemBudget: fp / 4}).spillFor(k, d.NumRows(), 8)
 	if runs8 < 8*runs1/2 {

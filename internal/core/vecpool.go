@@ -8,7 +8,8 @@ import (
 
 // VecPool is a capacity-bucketed free-list arena for the flat slabs the
 // counting engine churns through: dense count slabs ([]int32), key-block
-// scratch ([]uint64) and spill buffers ([]byte). Frontier sizing and
+// scratch ([]uint64) and the spill tier's entry buffers (both; it
+// satisfies spill.BufPool). Frontier sizing and
 // sharded PC builds draw their transient slabs from one pool, so
 // steady-state enumeration recycles a small working set instead of
 // allocating one count slab per candidate.
@@ -22,7 +23,6 @@ type VecPool struct {
 	retained int64
 	i32      slabBuckets[int32]
 	u64      slabBuckets[uint64]
-	b8       slabBuckets[byte]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -45,7 +45,7 @@ func NewVecPool(limit int64) *VecPool {
 // slabBuckets holds free slabs indexed by ⌊log2(cap)⌋, so any slab in
 // bucket b has capacity in [2^b, 2^(b+1)) and every slab in bucket
 // ⌈log2(n)⌉ can serve a request for n elements.
-type slabBuckets[T int32 | uint64 | byte] struct {
+type slabBuckets[T int32 | uint64] struct {
 	free [bucketCount][][]T
 }
 
@@ -100,7 +100,7 @@ func (b *slabBuckets[T]) put(s []T) {
 
 // get/put wrap one typed bucket set with the shared lock, hit/miss
 // accounting and the retained-bytes cap.
-func poolGet[T int32 | uint64 | byte](p *VecPool, b *slabBuckets[T], n int, zero bool, elemSize int64) []T {
+func poolGet[T int32 | uint64](p *VecPool, b *slabBuckets[T], n int, zero bool, elemSize int64) []T {
 	if p == nil {
 		return make([]T, n)
 	}
@@ -127,7 +127,7 @@ func poolGet[T int32 | uint64 | byte](p *VecPool, b *slabBuckets[T], n int, zero
 	return s
 }
 
-func poolPut[T int32 | uint64 | byte](p *VecPool, b *slabBuckets[T], s []T, elemSize int64) {
+func poolPut[T int32 | uint64](p *VecPool, b *slabBuckets[T], s []T, elemSize int64) {
 	if p == nil || cap(s) == 0 {
 		return
 	}
@@ -176,26 +176,6 @@ func (p *VecPool) PutUint64(s []uint64) {
 		return
 	}
 	poolPut(p, &p.u64, s, 8)
-}
-
-// GetBytes returns a length-n byte buffer with arbitrary contents (spill
-// write buffers and read chunks overwrite what they use). Together with
-// PutBytes it makes *VecPool satisfy spill.BufPool, so the external
-// group-by's temp-file buffers recycle through the same arena as the
-// in-memory engine's slabs.
-func (p *VecPool) GetBytes(n int) []byte {
-	if p == nil {
-		return make([]byte, n)
-	}
-	return poolGet(p, &p.b8, n, false, 1)
-}
-
-// PutBytes returns a byte buffer to the pool.
-func (p *VecPool) PutBytes(b []byte) {
-	if p == nil {
-		return
-	}
-	poolPut(p, &p.b8, b, 1)
 }
 
 // Stats returns the cumulative number of requests served from the free

@@ -1,9 +1,9 @@
 package datagen
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
 
 	"pcbl/internal/dataset"
 )
@@ -53,7 +53,7 @@ func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 		limit := math.Exp(rng.NormFloat64()*0.7+11.5) / 10000
 		limit = math.Max(1, math.Min(50, math.Round(limit)))
 		limitBal := limit * 10000
-		row[0] = fmt.Sprintf("%.0f", limitBal)
+		row[0] = strconv.FormatFloat(limitBal, 'f', 0, 64)
 
 		sex := "female"
 		if rng.Float64() < 0.40 {
@@ -91,7 +91,7 @@ func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 		if age > 79 {
 			age = 79
 		}
-		row[4] = fmt.Sprint(age)
+		row[4] = strconv.Itoa(age)
 
 		// Repayment statuses: a Markov chain over {-2,-1,0,1,…,8}.
 		// PAY_6 is the oldest month; the CSV orders newest first.
@@ -101,7 +101,7 @@ func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 			pays[m] = nextPayStatus(rng, pays[m+1])
 		}
 		for m := 0; m < 6; m++ {
-			row[5+m] = fmt.Sprint(pays[m])
+			row[5+m] = strconv.Itoa(pays[m])
 		}
 
 		// Bill amounts: random walk anchored to the credit limit.
@@ -119,7 +119,7 @@ func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 			}
 		}
 		for m := 0; m < 6; m++ {
-			row[11+m] = fmt.Sprintf("%.0f", math.Max(0, bills[m]))
+			row[11+m] = strconv.FormatFloat(math.Max(0, bills[m]), 'f', 0, 64)
 		}
 
 		// Payment amounts: fraction of the bill, higher when the status
@@ -133,7 +133,7 @@ func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 			} else if pays[m] > 0 {
 				frac = 0.01 * rng.Float64()
 			}
-			row[17+m] = fmt.Sprintf("%.0f", bills[m]*frac)
+			row[17+m] = strconv.FormatFloat(bills[m]*frac, 'f', 0, 64)
 		}
 
 		// Default next month: driven by the recent repayment statuses.

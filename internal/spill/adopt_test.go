@@ -12,32 +12,31 @@ import (
 	"pcbl/internal/iofault"
 )
 
-// spillRecords partitions n records of width bytes — keys of width/8
-// words, little-endian — into five runs and seals them into sorted runs,
-// returning those plus the reference counts.
-func spillRecords(t *testing.T, n, distinct, width int) (*Runs, map[string]int) {
+// spillRecords partitions n keys of words uint64 words into five runs and
+// seals them into sorted runs, returning those plus the reference counts.
+func spillRecords(t *testing.T, n, distinct, words int) (*Runs, map[string]int) {
 	t.Helper()
-	return spillRecordsFS(t, nil, n, distinct, width)
+	return spillRecordsFS(t, nil, n, distinct, words)
 }
 
 // spillRecordsFS is spillRecords with the I/O routed through fsys.
-func spillRecordsFS(t *testing.T, fsys iofault.FS, n, distinct, width int) (*Runs, map[string]int) {
+func spillRecordsFS(t *testing.T, fsys iofault.FS, n, distinct, words int) (*Runs, map[string]int) {
 	t.Helper()
-	w, ref := partitionRecords(t, fsys, n, distinct, width)
+	w, ref := partitionRecords(t, fsys, n, distinct, words)
 	defer w.Cleanup()
 	return sealRecords(t, w, fsys), ref
 }
 
-// partitionRecords writes n records through two shards into five
-// partition runs and returns the writer plus the reference counts.
-func partitionRecords(t *testing.T, fsys iofault.FS, n, distinct, width int) (*Writer, map[string]int) {
+// partitionRecords writes n keys through two shards into five partition
+// runs and returns the writer plus the reference counts.
+func partitionRecords(t *testing.T, fsys iofault.FS, n, distinct, words int) (*Writer, map[string]int) {
 	t.Helper()
-	recs, ref := genRecords(n, distinct, width, 0xADAF)
-	w, err := NewWriter(Config{RecWidth: width, Runs: 5, FS: fsys})
+	keys, ref := genKeys(n, distinct, words, 0xADAF)
+	w, err := NewWriter(Config{Words: words, Runs: 5, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeAll(t, w, recs, 2)
+	writeAll(t, w, keys, 2)
 	return w, ref
 }
 
@@ -63,22 +62,16 @@ func keyRecord(key []uint64) string {
 // as a spilled build does.
 func sealRecords(t *testing.T, w *Writer, fsys iofault.FS) *Runs {
 	t.Helper()
-	rs, err := NewRuns("", w.cfg.RecWidth/8, w.NumRuns(), fsys)
+	words := w.cfg.Words
+	rs, err := NewRuns("", words, w.NumRuns(), fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var werr error
-	if err := w.CountRunsCtx(nil, 1, func(run int, counts *Tally) bool {
-		keys := make([][]uint64, 0, counts.Len())
-		byRec := make(map[string]int, counts.Len())
-		for k, c := range counts.All() {
-			keys = append(keys, recordKey(k))
-			byRec[k] = c
-		}
-		slices.SortFunc(keys, slices.Compare)
+	if err := w.CountRunsCtx(nil, 1, func(run int, keys []uint64, counts []int32) bool {
 		rw := rs.RunWriter(run)
-		for _, k := range keys {
-			rw.Add(k, byRec[keyRecord(k)])
+		for i, c := range counts {
+			rw.Add(keys[i*words:(i+1)*words], int(c))
 		}
 		werr = rw.Close()
 		return werr == nil
@@ -120,7 +113,7 @@ func assertCounts(t *testing.T, got, want map[string]int) {
 }
 
 func TestAdoptIntoRelocatesAndSurvivesCleanup(t *testing.T) {
-	w, ref := spillRecords(t, 4000, 300, 16)
+	w, ref := spillRecords(t, 4000, 300, 2)
 	defer w.Cleanup()
 	oldDir := w.Dir()
 
@@ -148,7 +141,7 @@ func TestAdoptIntoRelocatesAndSurvivesCleanup(t *testing.T) {
 }
 
 func TestOpenServesAdoptedRuns(t *testing.T) {
-	w, ref := spillRecords(t, 4000, 300, 16)
+	w, ref := spillRecords(t, 4000, 300, 2)
 	defer w.Cleanup()
 
 	dst := t.TempDir()
@@ -187,7 +180,7 @@ func TestOpenServesAdoptedRuns(t *testing.T) {
 }
 
 func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
-	w, ref := spillRecords(t, 2000, 150, 16)
+	w, ref := spillRecords(t, 2000, 150, 2)
 	defer w.Cleanup()
 
 	first, second := t.TempDir(), t.TempDir()
@@ -210,7 +203,7 @@ func TestSecondAdoptionCopiesInsteadOfStealing(t *testing.T) {
 }
 
 func TestOpenRejectsTruncatedRun(t *testing.T) {
-	w, _ := spillRecords(t, 1000, 80, 16)
+	w, _ := spillRecords(t, 1000, 80, 2)
 	defer w.Cleanup()
 	dst := t.TempDir()
 	if err := w.AdoptInto(dst); err != nil {

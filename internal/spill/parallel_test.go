@@ -1,9 +1,9 @@
 package spill
 
-// Tests for the uint64 record format and the parallel K-way run-counting
-// phase: format round trips, partition-routing consistency, and the
-// temp-file lifecycle under success, an early stop and injected panics
-// with multiple counting workers.
+// Tests for one-word keys and the parallel K-way run-counting phase:
+// codec round trips, partition-routing consistency, and the temp-file
+// lifecycle under success, an early stop and injected panics with
+// multiple counting workers.
 
 import (
 	"fmt"
@@ -36,7 +36,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 	for _, runs := range []int{1, 5} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("runs=%d_workers=%d", runs, workers), func(t *testing.T) {
-				w, err := NewWriter(Config{RecWidth: 8, Runs: runs, Dir: t.TempDir()})
+				w, err := NewWriter(Config{Words: 1, Runs: runs, Dir: t.TempDir()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +49,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 						defer wg.Done()
 						sw := w.Shard()
 						for i := s; i < len(keys); i += 2 {
-							sw.AddU64(keys[i])
+							sw.Add(keys[i:i+1], 1)
 						}
 						errs[s] = sw.Close()
 					}(s)
@@ -60,25 +60,13 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := make(map[uint64]int)
-				err = w.CountRunsU64Ctx(nil, workers, func(run int, m map[uint64]int) bool {
-					for k, c := range m {
-						if _, dup := got[k]; dup {
-							t.Fatalf("key emitted by two runs: partition not disjoint")
-						}
-						if r := runOfKey([]uint64{k}, w.NumRuns()); r != run {
-							t.Fatalf("key routes to run %d, counted in run %d", r, run)
-						}
-						got[k] = c
-					}
-					return true
-				})
-				if err != nil || len(got) != len(ref) {
-					t.Fatalf("CountRunsU64: %d distinct, err=%v, want %d", len(got), err, len(ref))
+				got := countRuns(t, w, workers)
+				if len(got) != len(ref) {
+					t.Fatalf("CountRuns: %d distinct, want %d", len(got), len(ref))
 				}
 				for k, c := range ref {
-					if got[k] != c {
-						t.Fatalf("key %d: got count %d, want %d", k, got[k], c)
+					if got[keyRecord([]uint64{k})] != c {
+						t.Fatalf("key %d: got count %d, want %d", k, got[keyRecord([]uint64{k})], c)
 					}
 				}
 			})
@@ -92,8 +80,7 @@ func TestGroupByU64MatchesReference(t *testing.T) {
 // reference counts — for two-word keys and for gap-coded one-word keys
 // spanning many frames.
 func TestScanRunRoundTrip(t *testing.T) {
-	const width = 16
-	rs, ref := spillRecords(t, 8000, 300, width)
+	rs, ref := spillRecords(t, 8000, 300, 2)
 	defer rs.Cleanup()
 	for run := 0; run < rs.NumRuns(); run++ {
 		var last []uint64
@@ -184,12 +171,12 @@ func TestParallelCountLifecycle(t *testing.T) {
 	const workers = 4
 	build := func(t *testing.T) *Writer {
 		t.Helper()
-		recs, _ := genRecords(4000, 260, 4, 23)
-		w, err := NewWriter(Config{RecWidth: 4, Runs: 8, Dir: t.TempDir()})
+		keys, _ := genKeys(4000, 260, 1, 23)
+		w, err := NewWriter(Config{Words: 1, Runs: 8, Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeAll(t, w, recs, 2)
+		writeAll(t, w, keys, 2)
 		return w
 	}
 
@@ -205,7 +192,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 	t.Run("emit-stop", func(t *testing.T) {
 		w := build(t)
 		emitted := 0
-		if err := w.CountRunsCtx(nil, workers, func(int, *Tally) bool {
+		if err := w.CountRunsCtx(nil, workers, func(int, []uint64, []int32) bool {
 			emitted++
 			return false
 		}); err != nil || emitted == 0 || emitted >= w.NumRuns() {
@@ -225,7 +212,7 @@ func TestParallelCountLifecycle(t *testing.T) {
 			}()
 			w = build(t)
 			defer w.Cleanup()
-			w.CountRunsCtx(nil, workers, func(run int, m *Tally) bool {
+			w.CountRunsCtx(nil, workers, func(int, []uint64, []int32) bool {
 				panic("injected mid-merge failure")
 			})
 		}()

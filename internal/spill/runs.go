@@ -1,19 +1,22 @@
 package spill
 
-// Sorted runs: the persistent layout of pattern counts.
+// The run codec: the one on-disk layout of pattern counts.
 //
-// A partition run (Writer) holds one raw record per counted row, in
-// arrival order; it exists only until it is counted. A sorted run holds
-// what counting a partition run yields — its distinct keys, strictly
-// ascending, each with its count — and is what a merge-on-read index
-// serves, what an artifact persists and what a merge rewrites. The K
-// sorted runs of a spilled index (Runs) keep the partition routing of the
-// records they were counted from, so every key still lives in the single
-// run RunOf names. An artifact stores an in-memory index as one sorted run
-// in one file, with no routing.
+// A run is a sequence of self-checksummed frames of (key, count) entries.
+// A partition run (Writer) holds what each shard flushed, one frame chain
+// per flush: each flush is sorted and its equal keys summed, so a frame is
+// strictly ascending but the key order restarts at every frame, and a key
+// appears at most once per flush of each shard. It exists only until it is
+// counted. A sorted run holds what counting a partition run yields — its
+// distinct keys, strictly ascending across the whole run, each with its
+// count — and is what a merge-on-read index serves, what an artifact
+// persists and what a merge rewrites. The K sorted runs of a spilled index
+// (Runs) keep the partition routing of the keys they were counted from,
+// so every key still lives in the single run RunOf names. An artifact
+// stores an in-memory index as one sorted run in one file, with no
+// routing.
 //
-// A sorted run file is a sequence of self-checksummed frames of at most
-// frameEntries entries:
+// A frame holds at most frameEntries entries:
 //
 //	uint32 payload_len | uint32 entries | uint32 rows | uint32 crc32c | payload
 //
@@ -29,15 +32,16 @@ package spill
 // delta plus variable-byte coding of sorted integers (Lemire & Boytsov,
 // "Decoding billions of integers per second through vectorization", SPE
 // 2015): the keys of a high-cardinality run cost three to four bytes
-// each instead of the raw record's eight per row.
+// each instead of a raw key's eight.
 //
 // RunWriter encodes one run into any writer and ReadRun decodes one from
 // any reader. Open walks the frame headers only, so it learns every run's
 // entries and rows without decoding a payload and rejects a header that
 // promises more entries than its payload bytes can hold. Payloads verify
 // as they are read: each frame's checksum before any of its entries is
-// decoded, then strict key order (across frames too), positive counts,
-// whole varints, totals that match the header and, in a Runs, keys that
+// decoded, then strict key order (within a frame for a partition run,
+// across frames for a sorted one), positive counts, whole varints, totals
+// that match the header and, in a Runs or a partition run, keys that
 // route to their run.
 
 import (
@@ -244,9 +248,9 @@ func (rs *Runs) Bytes() int64 {
 	return n
 }
 
-// RunOf returns the run a key routes to: the run its record — the words
-// little-endian — is partitioned to, so a key counted from run r's
-// records is found in run r.
+// RunOf returns the run a key routes to: the partition its words,
+// little-endian, hash to, so a key counted from partition run r is found
+// in run r.
 func (rs *Runs) RunOf(key []uint64) int { return runOfKey(key, len(rs.paths)) }
 
 // RunWriter encodes one sorted run: entries are added in strictly
@@ -288,8 +292,19 @@ var runBufs = sync.Pool{New: func() any {
 // written to w, which sees a write per batch of frames and one more at
 // Close.
 func NewRunWriter(w io.Writer, words int) *RunWriter {
-	buf := runBufs.Get().(*[]byte)
-	return &RunWriter{w: w, words: words, buf: append((*buf)[:0], make([]byte, sortedHdrLen)...)}
+	rw := &RunWriter{}
+	rw.reset(w, words)
+	return rw
+}
+
+// reset starts a new run of words-word keys written to out, keeping the
+// writer's buffers; a writer without one takes a pooled buffer.
+func (w *RunWriter) reset(out io.Writer, words int) {
+	buf := w.buf
+	if buf == nil {
+		buf = *runBufs.Get().(*[]byte)
+	}
+	*w = RunWriter{w: out, words: words, buf: append(buf[:0], make([]byte, sortedHdrLen)...), last: w.last[:0]}
 }
 
 // RunWriter starts writing run, which must still be empty: it creates the
@@ -383,10 +398,9 @@ func (w *RunWriter) write() {
 	w.buf = w.buf[:0]
 }
 
-// Close seals and writes the last frames, closes the run's file when the
-// writer has one, and records the run's totals in its Runs. It returns the
-// first error the writer hit.
-func (w *RunWriter) Close() error {
+// finish seals and writes the last frames and returns the first error
+// the writer hit.
+func (w *RunWriter) finish() error {
 	w.seal()
 	if w.err == nil {
 		w.buf = w.buf[:w.frame] // drop the empty open frame
@@ -394,6 +408,14 @@ func (w *RunWriter) Close() error {
 			w.write()
 		}
 	}
+	return w.err
+}
+
+// Close seals and writes the last frames, closes the run's file when the
+// writer has one, and records the run's totals in its Runs. It returns the
+// first error the writer hit.
+func (w *RunWriter) Close() error {
+	w.finish()
 	if w.f != nil {
 		if err := w.f.Close(); err != nil && w.err == nil {
 			w.err = err
@@ -419,7 +441,8 @@ func (w *RunWriter) Close() error {
 // caller must discard. fn returning false stops the scan. ctx (nil never
 // cancels) is checked once per frame.
 func ReadRun(ctx context.Context, r io.ReaderAt, words int, fn func(key []uint64, count int) bool) error {
-	return readRun(ctx, r, words, 0, 0, fn)
+	rr := runReader{words: words}
+	return rr.read(ctx, r, 0, fn)
 }
 
 // Each is ReadRun over run of rs, which also verifies that every key
@@ -436,34 +459,44 @@ func (rs *Runs) Each(ctx context.Context, run int, fn func(key []uint64, count i
 		return err
 	}
 	defer f.Close()
-	return readRun(ctx, f, rs.words, run, len(rs.paths), fn)
+	rr := runReader{words: rs.words, runs: len(rs.paths)}
+	return rr.read(ctx, f, run, fn)
 }
 
-// readRun is ReadRun for run of runs, whose keys it checks route to run;
-// runs 0 checks no routing.
-func readRun(ctx context.Context, r io.ReaderAt, words, run, runs int, fn func(key []uint64, count int) bool) error {
-	var (
-		payload []byte
-		off     int64
-		key     = make([]uint64, words)
-		prev    = make([]uint64, words)
-		started bool
-	)
+// runReader decodes runs of words-word keys, reusing its buffers from one
+// run to the next. With runs > 0 it checks that every key routes to the
+// run read; perFrame checks key order within each frame only, as a
+// partition run's flushes restart it.
+type runReader struct {
+	words, runs int
+	perFrame    bool
+	hdr         [sortedHdrLen]byte
+	payload     []byte
+	key, prev   []uint64
+}
+
+// read is ReadRun over run.
+func (rr *runReader) read(ctx context.Context, r io.ReaderAt, run int, fn func(key []uint64, count int) bool) error {
+	if rr.key == nil {
+		rr.key, rr.prev = make([]uint64, rr.words), make([]uint64, rr.words)
+	}
+	key, prev := rr.key, rr.prev
+	var off int64
+	started := false
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		var entries int
-		var rows uint32
-		var err error
-		if payload, entries, rows, err = readFrame(r, words, run, off, payload); err != nil || payload == nil {
+		payload, entries, rows, err := rr.frame(r, run, off)
+		if err != nil || entries == 0 {
 			return err
 		}
 		bad := func(what string, args ...any) error {
 			return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf(what, args...)}
 		}
+		started = started && !rr.perFrame
 		p := payload
 		left := uint64(rows)
 		for i := 0; i < entries; i++ {
@@ -484,8 +517,8 @@ func readRun(ctx context.Context, r io.ReaderAt, words, run, runs int, fn func(k
 			if started && slices.Compare(key, prev) <= 0 {
 				return bad("entry %d: key %v does not ascend from %v", i, key, prev)
 			}
-			if runs > 0 {
-				if r := runOfKey(key, runs); r != run {
+			if rr.runs > 0 {
+				if r := runOfKey(key, rr.runs); r != run {
 					return bad("entry %d: key %v routes to run %d", i, key, r)
 				}
 			}
@@ -511,12 +544,12 @@ func readRun(ctx context.Context, r io.ReaderAt, words, run, runs int, fn func(k
 	}
 }
 
-// readFrame reads and checksums the frame at off of a run of words-word
-// keys into buf (grown as needed), returning its payload and header
-// totals; a nil payload means the run ends at off.
-func readFrame(r io.ReaderAt, words, run int, off int64, buf []byte) (payload []byte, entries int, rows uint32, err error) {
-	var hdr [sortedHdrLen]byte
-	n, rerr := r.ReadAt(hdr[:], off)
+// frame reads and checksums run's frame at off into the reader's payload
+// buffer (grown as needed), returning its payload and header totals; no
+// entries means the run ends at off.
+func (rr *runReader) frame(r io.ReaderAt, run int, off int64) (payload []byte, entries int, rows uint32, err error) {
+	hdr := rr.hdr[:]
+	n, rerr := r.ReadAt(hdr, off)
 	if n == 0 && rerr == io.EOF {
 		return nil, 0, 0, nil
 	}
@@ -526,14 +559,14 @@ func readFrame(r io.ReaderAt, words, run int, off int64, buf []byte) (payload []
 		}
 		return nil, 0, 0, rerr
 	}
-	plen, entries, rows := parseHeader(hdr[:])
-	if err := checkHeader(words, run, off, plen, entries, rows); err != nil {
+	plen, entries, rows := parseHeader(hdr)
+	if err := checkHeader(rr.words, run, off, plen, entries, rows); err != nil {
 		return nil, 0, 0, err
 	}
-	if plen > cap(buf) {
-		buf = make([]byte, plen)
+	if plen > cap(rr.payload) {
+		rr.payload = make([]byte, plen)
 	}
-	payload = buf[:plen]
+	payload = rr.payload[:plen]
 	if pn, perr := r.ReadAt(payload, off+sortedHdrLen); pn < plen {
 		if perr == nil || perr == io.EOF {
 			return nil, 0, 0, &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}

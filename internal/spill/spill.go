@@ -5,55 +5,55 @@
 //
 // The map kernels in internal/core hold one map entry per distinct group
 // for the whole scan — unbounded-domain attribute sets can make that state
-// arbitrarily large. The spill group-by bounds it: fixed-width key records
+// arbitrarily large. The spill group-by bounds it: keys of W uint64 words
 // are hash-partitioned into K on-disk partition runs during the scan
-// (Writer), and the runs are then counted with ordinary in-memory maps.
-// The hash partition sends every occurrence of a key to the same run, so
-// runs hold disjoint key sets, per-run counts are exact final counts, and
-// the total distinct count is the plain sum over runs — which is what
-// lets label sizing stop a count exactly: the running total is monotone,
-// and its emit callback ends the count the moment the total passes the
-// cap. Peak grouping memory is one run's map per counting worker (the
-// caller picks K so a run's estimated footprint fits its per-worker budget
-// share) instead of the whole key space.
+// (Writer), and each run is then counted by sorting it. The hash partition
+// sends every occurrence of a key to the same run, so runs hold disjoint
+// key sets, per-run counts are exact final counts, and the total distinct
+// count is the plain sum over runs — which is what lets label sizing stop
+// a count exactly: the running total is monotone, and its emit callback
+// ends the count the moment the total passes the cap. Peak grouping memory
+// is one run's count state per counting worker, held within the worker's
+// budget share (Config.Share; the caller picks K so a run's distinct keys
+// fit it), instead of the whole key space.
 //
-// A record is a key of W uint64 words, little-endian (8W bytes). One-word
-// records count into map[uint64]int (AddU64 / CountRunsU64Ctx); wider
-// ones count into a Tally, which allocates once per distinct record (Add
-// / CountRunsCtx). Run counting is parallel: runs are key-disjoint, so
-// CountRunsCtx splits them K-way across workers, and each worker reuses
-// one accumulator and pooled read chunk across its runs.
+// Every run, partition or sorted, is written in one codec (runs.go):
+// CRC32C-checked frames of (key, count) entries, strictly ascending within
+// a frame, the first key word gap-coded and every number varint-coded. A
+// ShardWriter buffers each run's entries and flushes a full buffer sorted,
+// with the counts of equal keys summed, so a run holds a key at most once
+// per flush of each shard however often it repeats. Counting a run reads
+// its frames back, sorts the entries and sums them again (Sorter), and
+// sums in place whenever its buffer reaches the worker's share, so a run
+// whose flushes wrote many entries of few keys is counted in the share;
+// runs are key-disjoint, so CountRunsCtx splits them K-way across workers,
+// and each worker reuses its buffers across its runs.
 //
 // A partition run lives only until it is counted. A spilled index keeps
-// what counting yields instead: Runs, K sorted runs of (key, count)
-// entries under the same routing, the first key word gap-coded and every
-// number varint-coded (runs.go). A merge-on-read load decodes one
+// what counting yields instead: Runs, K sorted runs under the same routing,
+// strictly ascending across frames too. A merge-on-read load decodes one
 // straight into its in-memory form, an artifact adopts the files as they
 // are, and a merge rewrites them with one linear two-way merge per run.
-// The same run codec stores an artifact's in-memory indexes, one run a
-// file.
+// The same codec stores an artifact's in-memory indexes, one run a file.
 //
-// Both kinds of run detect corruption: every frame carries a CRC32C, and
-// every read path verifies a frame's checksum before a single record or
-// entry of it reaches a caller — a torn sector or bit flip surfaces as a
-// typed CorruptError, never as a silently wrong count. All file access goes
+// Every read verifies a frame's checksum before a single entry of it
+// reaches a caller — a torn sector or bit flip surfaces as a typed
+// CorruptError, never as a silently wrong count. All file access goes
 // through an injectable iofault.FS seam, so durability tests can script
 // the exact fault a disk would produce.
 //
 // The package is deliberately below internal/core in the import order: it
-// deals only in fixed-width records and uint64-word keys, so core can
-// select it from kernel dispatch without a cycle. Buffers are recycled
-// through the BufPool interface, which *core.VecPool satisfies.
+// deals only in uint64-word keys, so core can select it from kernel
+// dispatch without a cycle. Buffers are recycled through the BufPool
+// interface, which *core.VecPool satisfies.
 package spill
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -62,25 +62,33 @@ import (
 	"pcbl/internal/workpool"
 )
 
-// BufPool supplies reusable byte buffers for the writer's partition buffers
-// and the run readers' chunk buffers. *core.VecPool satisfies it; a nil-safe
-// implementation (or a nil Config.Pool) degrades to plain allocation.
+// BufPool supplies reusable slabs for the writer's partition buffers and
+// the count workers' read buffers. *core.VecPool satisfies it; a nil
+// Config.Pool degrades to plain allocation.
 type BufPool interface {
-	GetBytes(n int) []byte
-	PutBytes(b []byte)
+	Uint64(n int, zero bool) []uint64
+	PutUint64(s []uint64)
+	Int32(n int, zero bool) []int32
+	PutInt32(s []int32)
 }
 
 // Config describes one spill group-by.
 type Config struct {
-	// RecWidth is the fixed record width in bytes: 8 per key word.
-	// Required, > 0. Callers using one-word records (AddU64 /
-	// CountRunsU64Ctx) set it to 8.
-	RecWidth int
+	// Words is the key width W in uint64 words. Required, >= 1.
+	Words int
 	// Runs is the number of hash partitions K. Required, >= 1. Callers
-	// size it so one run's estimated in-memory map fits each counting
-	// worker's share of their budget (CountRunsCtx keeps one run map live per
-	// worker).
+	// size it so one run's estimated count state fits each counting
+	// worker's share of their budget (CountRunsCtx holds one run's entries
+	// per worker).
 	Runs int
+	// Share is each counting worker's memory share in bytes, the one K
+	// was sized against. A count then holds at most Share bytes of a
+	// run's entries and their sort scratch, summing its buffer in place
+	// each time it fills, unless the run's distinct keys fill more than
+	// half of it: the buffer then grows to twice them, or to the run's
+	// entries if fewer. Zero means no limit: a run is read whole, then
+	// summed.
+	Share int64
 	// Dir is the parent directory for the run files; the writer creates
 	// (and on Cleanup removes) a private subdirectory under it. Empty
 	// means the system temp directory.
@@ -96,14 +104,19 @@ type Config struct {
 type Stats struct {
 	// Runs is the number of on-disk partitions.
 	Runs int
-	// RecordsSpilled counts records written across all partitions.
+	// RecordsSpilled counts the rows added across all shards: a key
+	// added with count c counts c rows.
 	RecordsSpilled int64
-	// BytesWritten counts bytes written to the run files, frame headers
-	// included.
+	// BytesWritten counts bytes written to the partition runs, frame
+	// headers included.
 	BytesWritten int64
 	// MaxRunEntries is the largest per-run distinct-key count observed by
 	// CountRunsCtx — the quantity the caller's run-sizing bounds.
 	MaxRunEntries int
+	// MaxCountBytes is the largest count state of one worker: the bytes
+	// of the entry buffer and sort scratch it held, which Config.Share
+	// bounds.
+	MaxCountBytes int64
 }
 
 // ErrCorrupt marks run data that failed checksum or structural
@@ -111,8 +124,8 @@ type Stats struct {
 var ErrCorrupt = errors.New("spill: corrupt run data")
 
 // CorruptError reports where a run file failed verification: a frame
-// checksum mismatch, a bad frame length or a truncated frame. It wraps
-// ErrCorrupt.
+// checksum mismatch, a bad frame header, a truncated frame or an entry
+// that breaks the codec's rules. It wraps ErrCorrupt.
 type CorruptError struct {
 	Run    int   // run index within the writer
 	Off    int64 // byte offset of the bad frame; negative when not a frame's
@@ -172,52 +185,14 @@ const (
 // hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Frame layout of partition run files: every flush appends one frame,
-//
-//	uint32 payload length | uint32 CRC32C(payload) | payload
-//
-// with the payload a whole number of RecWidth-byte records. Readers verify
-// the checksum of each frame before decoding any record from it. Sorted
-// runs frame differently (runs.go).
-const (
-	frameHdrLen = 8
-	// maxFrameBytes bounds a frame's declared payload so a corrupt length
-	// field cannot drive an allocation by gigabytes.
-	maxFrameBytes = 1 << 24
-)
-
-// routeHash is the fixed, process-independent partition hash: FNV-1a over
-// the record bytes followed by a murmur-style 64-bit finisher. The finisher
-// spreads FNV's weakly mixed low bits so the modulo-K partition stays
-// balanced even on dense packed keys; the fixed parameters make routing
+// runOfKey routes a key to one of runs partitions: FNV-1a over the key's
+// words little-endian, then a murmur-style 64-bit finisher that spreads
+// FNV's weakly mixed low bits so the modulo-K partition stays balanced
+// even on dense packed keys. The fixed parameters make routing
 // deterministic across processes, which is what lets sorted runs adopted
 // into a label artifact keep answering single-run lookups after a
 // read-only reopen in another process. Partition assignment never affects
-// results, only how records distribute across run files.
-func routeHash(rec []byte) uint64 {
-	h := uint64(fnv64Offset)
-	for _, b := range rec {
-		h ^= uint64(b)
-		h *= fnv64Prime
-	}
-	return finishHash(h)
-}
-
-// finishHash is routeHash's murmur-style 64-bit finisher.
-func finishHash(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// runOf routes a record to one of runs partitions.
-func runOf(rec []byte, runs int) int { return int(routeHash(rec) % uint64(runs)) }
-
-// runOfKey routes a key of uint64 words as its record, the words
-// little-endian, without materializing it.
+// results, only how keys distribute across run files.
 func runOfKey(key []uint64, runs int) int {
 	h := uint64(fnv64Offset)
 	for _, word := range key {
@@ -227,30 +202,48 @@ func runOfKey(key []uint64, runs int) int {
 			word >>= 8
 		}
 	}
-	return int(finishHash(h) % uint64(runs))
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h % uint64(runs))
 }
 
-// Writer partitions fixed-width records into K on-disk runs. Create one
-// with NewWriter, obtain one ShardWriter per producing goroutine, and after
-// all shards are closed call CountRunsCtx (or CountRunsU64Ctx); always Cleanup
-// (it is idempotent and safe to defer before any error handling, including
-// panics). The writer owns its private directory: Cleanup deletes it.
+// Writer partitions keys into K on-disk runs. Create one with NewWriter,
+// obtain one ShardWriter per producing goroutine, and after all shards are
+// closed call CountRunsCtx; always Cleanup (it is idempotent and safe to
+// defer before any error handling, including panics). The writer owns its
+// private directory: Cleanup deletes it.
 type Writer struct {
-	cfg      Config
-	bufBytes int // per-partition write buffer, whole records
-	fs       iofault.FS
-	dir      string
-	files    []iofault.File
-	mus      []sync.Mutex
-	wmu      sync.Mutex // guards stats accumulation from shards and count workers
-	stats    Stats
-	done     bool
+	cfg          Config
+	flushEntries int // entries a shard buffers per run before it flushes them
+	fs           iofault.FS
+	dir          string
+	runs         []partRun
+	wmu          sync.Mutex // guards stats and run entry totals from shards and count workers
+	stats        Stats
+	done         bool
+}
+
+// partRun is one partition run's file. Shards append whole frames to it
+// under mu, through Write, and record the entries they flushed.
+type partRun struct {
+	mu      sync.Mutex
+	f       iofault.File
+	entries int
+}
+
+func (r *partRun) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.f.Write(p)
 }
 
 // NewWriter creates the run files in a fresh private directory.
 func NewWriter(cfg Config) (*Writer, error) {
-	if cfg.RecWidth <= 0 {
-		return nil, fmt.Errorf("spill: record width must be positive, got %d", cfg.RecWidth)
+	if cfg.Words < 1 {
+		return nil, fmt.Errorf("spill: key width must be >= 1 word, got %d", cfg.Words)
 	}
 	if cfg.Runs < 1 {
 		return nil, fmt.Errorf("spill: run count must be >= 1, got %d", cfg.Runs)
@@ -261,21 +254,20 @@ func NewWriter(cfg Config) (*Writer, error) {
 		return nil, wrapNoSpace(err)
 	}
 	w := &Writer{
-		cfg:      cfg,
-		bufBytes: bufBytes(cfg.Runs, cfg.RecWidth),
-		fs:       fsys,
-		dir:      dir,
-		files:    make([]iofault.File, cfg.Runs),
-		mus:      make([]sync.Mutex, cfg.Runs),
+		cfg:          cfg,
+		flushEntries: flushEntries(cfg.Runs, cfg.Words),
+		fs:           fsys,
+		dir:          dir,
+		runs:         make([]partRun, cfg.Runs),
 	}
 	w.stats.Runs = cfg.Runs
-	for i := range w.files {
+	for i := range w.runs {
 		f, err := fsys.Create(runPath(dir, i))
 		if err != nil {
 			w.Cleanup()
 			return nil, wrapNoSpace(err)
 		}
-		w.files[i] = f
+		w.runs[i].f = f
 	}
 	return w, nil
 }
@@ -284,24 +276,22 @@ func NewWriter(cfg Config) (*Writer, error) {
 // agree on the layout.
 func runPath(dir string, i int) string { return fmt.Sprintf("%s/run-%04d", dir, i) }
 
-// bufBytes sizes the per-partition write buffer, where records are staged
-// and flushed in large sequential writes: a shard's K buffers stay around
-// a quarter MiB regardless of the run count, within [4 KiB, 64 KiB] per
-// run, rounded down to whole records so flushed frames never split a
-// record (concurrent shards interleave only whole frames).
-func bufBytes(runs, recWidth int) int {
+// flushEntries sizes a shard's per-run buffer in entries of words-word
+// keys: a shard's K buffers stay around a quarter MiB regardless of the
+// run count, within [4 KiB, 64 KiB] per run.
+func flushEntries(runs, words int) int {
 	b := min(max((256<<10)/runs, 4<<10), 64<<10)
-	return max(b-b%recWidth, recWidth)
+	return b / (8*words + 4)
+}
+
+// encodedBytes bounds the encoding of n entries of words-word keys: each
+// entry at its longest, a header per frame and the open frame's.
+func encodedBytes(n, words int) int {
+	return n*(words*maxWordBytes+maxCountBytes) + sortedHdrLen*(n/frameEntries+2)
 }
 
 // NumRuns returns the partition count K.
 func (w *Writer) NumRuns() int { return w.cfg.Runs }
-
-// RunOf returns the partition a record routes to. Every occurrence of a
-// key lands in the same run, and the sorted runs counted from the
-// partitions route identically (Runs.RunOf). The routing hash is fixed
-// (see routeHash), so it holds across processes too.
-func (w *Writer) RunOf(rec []byte) int { return runOf(rec, w.cfg.Runs) }
 
 // DropRun closes and deletes run's file once it has been counted, so a
 // build that writes each counted run sorted holds one copy of it on disk,
@@ -309,9 +299,9 @@ func (w *Writer) RunOf(rec []byte) int { return runOf(rec, w.cfg.Runs) }
 // rest. Call it only while no count or shard touches the run — an emit
 // callback of CountRunsCtx may drop the run it was handed.
 func (w *Writer) DropRun(run int) {
-	if f := w.files[run]; f != nil {
+	if f := w.runs[run].f; f != nil {
 		f.Close()
-		w.files[run] = nil
+		w.runs[run].f = nil
 		w.fs.Remove(runPath(w.dir, run))
 	}
 }
@@ -321,76 +311,85 @@ func (w *Writer) DropRun(run int) {
 // may add concurrently. Close flushes and returns the shard's buffers to
 // the pool; it must be called (even after errors) before CountRunsCtx.
 func (w *Writer) Shard() *ShardWriter {
-	s := &ShardWriter{w: w, bufs: make([][]byte, w.cfg.Runs)}
+	s := &ShardWriter{w: w, bufs: make([]shardBuf, w.cfg.Runs)}
+	// The encoder holds a whole flush at its longest, so flushes never
+	// grow it.
+	s.enc.buf = make([]byte, 0, encodedBytes(w.flushEntries, w.cfg.Words))
 	for i := range s.bufs {
-		// Reserve the frame header at the front of each buffer so a flush
-		// is a single whole-frame write.
-		s.bufs[i] = getBuf(w.cfg.Pool, w.bufBytes+frameHdrLen)[:frameHdrLen]
+		s.bufs[i] = shardBuf{
+			keys:   getUint64(w.cfg.Pool, w.flushEntries*w.cfg.Words)[:0],
+			counts: getInt32(w.cfg.Pool, w.flushEntries)[:0],
+		}
 	}
 	return s
 }
 
-// ShardWriter buffers one goroutine's records per partition and flushes
-// them to the shared run files in whole-frame writes.
+// ShardWriter buffers one goroutine's entries per partition and flushes
+// each full buffer to its run file, sorted and summed, as whole frames.
 type ShardWriter struct {
-	w    *Writer
-	bufs [][]byte
-	recs int64
-	err  error
+	w      *Writer
+	bufs   []shardBuf
+	sorter Sorter    // flush sort scratch, reused by every flush
+	enc    RunWriter // frame encoder, reused by every flush
+	recs   int64
+	err    error
 }
 
-// Add appends one record (len must equal the configured RecWidth). After a
-// write error Add becomes a no-op and Close reports the first error.
-func (s *ShardWriter) Add(rec []byte) {
+// shardBuf holds the entries a shard has buffered for one run.
+type shardBuf struct {
+	keys   []uint64
+	counts []int32
+}
+
+// Add buffers one entry: a key of the configured W words, routed to its
+// run by the partition hash Runs.RunOf also uses, and its positive count
+// (1 for one row). After a write error Add becomes a no-op and Close
+// reports the first error.
+func (s *ShardWriter) Add(key []uint64, count int) {
 	if s.err != nil {
 		return
 	}
-	if len(rec) != s.w.cfg.RecWidth {
-		s.err = fmt.Errorf("spill: record length %d, want %d", len(rec), s.w.cfg.RecWidth)
+	if len(key) != s.w.cfg.Words || count <= 0 || count > maxCount {
+		s.err = fmt.Errorf("spill: entry of a %d-word key and count %d, want %d words and a count in [1, %d]",
+			len(key), count, s.w.cfg.Words, maxCount)
 		return
 	}
-	run := s.w.RunOf(rec)
-	if len(s.bufs[run])+len(rec) > cap(s.bufs[run]) {
-		s.flush(run)
-		if s.err != nil {
+	run := runOfKey(key, s.w.cfg.Runs)
+	b := &s.bufs[run]
+	if len(b.counts) == s.w.flushEntries {
+		if s.flush(run); s.err != nil {
 			return
 		}
 	}
-	s.bufs[run] = append(s.bufs[run], rec...)
-	s.recs++
+	b.keys = append(b.keys, key...)
+	b.counts = append(b.counts, int32(count))
+	s.recs += int64(count)
 }
 
-// AddU64 appends one one-word record, the key's 8-byte little-endian
-// encoding. The writer must have been configured with RecWidth 8.
-func (s *ShardWriter) AddU64(key uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	s.Add(b[:])
-}
-
-// flush seals the shard's buffered records for run into one checksummed
-// frame and writes it. Whole frames interleave safely across shards under
-// the per-run mutex.
+// flush sorts the shard's buffered entries for run, sums the counts of
+// equal keys and appends them to the run's file as frames. Frames of
+// different shards interleave whole: each flush writes whole frames under
+// the run's lock, and frames carry their own key order.
 func (s *ShardWriter) flush(run int) {
-	buf := s.bufs[run]
-	if len(buf) <= frameHdrLen {
+	b := &s.bufs[run]
+	if len(b.counts) == 0 {
 		return
 	}
-	payload := buf[frameHdrLen:]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 	w := s.w
-	w.mus[run].Lock()
-	_, err := w.files[run].Write(buf)
-	w.mus[run].Unlock()
-	if err != nil {
-		s.err = wrapNoSpace(err)
+	s.sorter.reserve(w.flushEntries, w.cfg.Words) // once, for a full buffer
+	keys, counts := s.sorter.Sum(b.keys, b.counts, w.cfg.Words)
+	s.enc.reset(&w.runs[run], w.cfg.Words)
+	for i, c := range counts {
+		s.enc.Add(keys[i*w.cfg.Words:][:w.cfg.Words], int(c))
+	}
+	if s.err = s.enc.finish(); s.err != nil {
 		return
 	}
 	w.wmu.Lock()
-	w.stats.BytesWritten += int64(len(buf))
+	w.stats.BytesWritten += s.enc.written
+	w.runs[run].entries += len(counts)
 	w.wmu.Unlock()
-	s.bufs[run] = buf[:frameHdrLen]
+	b.keys, b.counts = b.keys[:0], b.counts[:0]
 }
 
 // Close flushes every partition buffer and releases them to the pool. It
@@ -400,8 +399,9 @@ func (s *ShardWriter) Close() error {
 		if s.err == nil {
 			s.flush(run)
 		}
-		putBuf(s.w.cfg.Pool, s.bufs[run])
-		s.bufs[run] = nil
+		putUint64(s.w.cfg.Pool, s.bufs[run].keys)
+		putInt32(s.w.cfg.Pool, s.bufs[run].counts)
+		s.bufs[run] = shardBuf{}
 	}
 	s.w.wmu.Lock()
 	s.w.stats.RecordsSpilled += s.recs
@@ -410,253 +410,103 @@ func (s *ShardWriter) Close() error {
 	return s.err
 }
 
-// checkFrameLen validates one partition frame's declared payload length.
-func checkFrameLen(run int, off int64, plen, recWidth int) error {
-	if plen <= 0 || plen > maxFrameBytes || plen%recWidth != 0 {
-		return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("bad frame length %d (record width %d)", plen, recWidth)}
-	}
-	return nil
-}
-
-// readChunkBytes is the floor of the pooled read buffer, rounded to whole
-// records. Scans read a frame at a time, so peak reader memory stays
-// fixed no matter how large a run file grew.
-const readChunkBytes = 256 << 10
-
-// chunkLen sizes the pooled read buffer: whole records near
-// readChunkBytes, and at least one write buffer plus its frame header.
-func (w *Writer) chunkLen() int {
-	return max(readChunkBytes-readChunkBytes%w.cfg.RecWidth, w.bufBytes+frameHdrLen)
-}
-
-// scanRun streams run r's records through chunk, frame by frame, invoking
-// fn once per record (the slice is only valid for the duration of the
-// call). fn returning false aborts the scan. Every frame's CRC32C is
-// verified before any record from it reaches fn, so corruption surfaces as
-// a CorruptError, never as wrong records. Reads go through ReadAt at
-// explicit offsets, so any number of scans — of the same or different
-// runs — may proceed concurrently without sharing file positions.
-func (w *Writer) scanRun(run int, chunk []byte, fn func(rec []byte) bool) error {
-	f := w.files[run]
-	var hdr [frameHdrLen]byte
-	var off int64
-	for {
-		n, rerr := f.ReadAt(hdr[:], off)
-		if n == 0 && rerr == io.EOF {
-			return nil
-		}
-		if n < frameHdrLen {
-			if rerr == nil || rerr == io.EOF {
-				return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame header (%d bytes)", n)}
-			}
-			return rerr
-		}
-		plen := int(binary.LittleEndian.Uint32(hdr[:4]))
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if err := checkFrameLen(run, off, plen, w.cfg.RecWidth); err != nil {
-			return err
-		}
-		if plen > len(chunk) {
-			// Longer than any frame a shard flushes: read it whole so its
-			// checksum decides, growing the buffer once.
-			chunk = make([]byte, plen)
-		}
-		payload := chunk[:plen]
-		pn, perr := f.ReadAt(payload, off+frameHdrLen)
-		if pn < plen {
-			if perr == nil || perr == io.EOF {
-				return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("truncated frame payload (%d of %d bytes)", pn, plen)}
-			}
-			return perr
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return &CorruptError{Run: run, Off: off, Detail: fmt.Sprintf("frame checksum mismatch (got %08x, want %08x)", got, want)}
-		}
-		for o := 0; o < plen; o += w.cfg.RecWidth {
-			if !fn(payload[o : o+w.cfg.RecWidth]) {
-				return nil
-			}
-		}
-		off += frameHdrLen + int64(plen)
-	}
-}
-
-// CountRunsCtx counts each run of records wider than one word into a
-// Tally.
+// CountRunsCtx counts every partition run: it reads the run through the
+// codec's verifying reader (frame checksums, header totals, positive
+// counts, whole varints, key order within each frame and every key
+// routing to the run), sorts the entries and sums the counts of equal
+// keys, and hands emit the run's distinct entries in ascending key order:
+// len(counts) keys of W words in keys. A run with more entries than
+// Config.Share holds is summed in place each time the buffer fills.
 //
 // Runs hold disjoint keys, so they are counted independently: with
 // workers > 1 the runs are split K-way across worker goroutines, each
-// reusing one accumulator and one pooled read chunk across its runs.
-// Per-run counts are final and identical for every worker count.
+// sizing its read and sort buffers once, for the largest of its runs
+// within its share, and reusing them across its runs. Per-run counts are
+// final and identical for every worker count.
 //
-// emit, when non-nil, is invoked once per fully counted run while its
-// accumulator is still live — the caller merges (runs are key-disjoint,
-// so plain inserts suffice) or just observes, e.g. sums Len for the
-// distinct total; returning false stops the count early, without error.
-// emit calls are serialized under an internal lock, but run completion
-// order is unspecified with workers > 1, and the accumulator is reused
-// for the worker's next run: emit must not retain it. A panic in emit (or
-// anywhere in a counting worker) is re-raised on the calling goroutine, so
-// the caller's deferred Cleanup still runs.
+// emit, when non-nil, is invoked once per counted run — the caller keeps
+// the entries (runs are key-disjoint, so plain appends suffice) or just
+// observes, e.g. sums their number for the distinct total; returning false
+// stops the count early, without error. emit calls are serialized under an
+// internal lock, but run completion order is unspecified with workers > 1,
+// and the slices are reused for the worker's next run: emit must not
+// retain them. A panic in emit (or anywhere in a counting worker) is
+// re-raised on the calling goroutine, so the caller's deferred Cleanup
+// still runs.
 //
-// When ctx fires, workers stop at the next run boundary (and, within a
-// run, at the next ctxCheckRecs-record stride), a shared stop flag fans
+// When ctx fires, workers stop at the next frame, a shared stop flag fans
 // the abort out to every worker, and the context's error is returned. A
-// nil ctx never cancels, and it (or context.Background()) costs a single
-// nil compare per check.
-func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, counts *Tally) bool) error {
-	return countRuns(ctx, w, workers, NewTally, emit)
-}
-
-// CountRunsU64Ctx is CountRunsCtx for one-word records: 8-byte
-// little-endian records counted into map[uint64]int — no per-key string
-// materialization, the same parallelism and cancellation contract.
-func (w *Writer) CountRunsU64Ctx(ctx context.Context, workers int, emit func(run int, counts map[uint64]int) bool) error {
-	fresh := func() u64Counts { return make(u64Counts) }
-	return countRuns(ctx, w, workers, fresh, func(run int, m u64Counts) bool { return emit == nil || emit(run, m) })
-}
-
-// ctxCheckRecs is the in-run cancellation stride: counting workers poll the
-// context's done channel once per this many records, so a cancelled count
-// aborts mid-run instead of only at run boundaries while the per-record
-// cost stays one local increment and mask.
-const ctxCheckRecs = 8192
-
-// runCounts is a run-counting accumulator, cleared and reused for a
-// worker's next run.
-type runCounts interface {
-	Add(rec []byte)
-	Len() int
-	reset()
-}
-
-// u64Counts counts one-word records.
-type u64Counts map[uint64]int
-
-func (m u64Counts) Add(rec []byte) { m[binary.LittleEndian.Uint64(rec)]++ }
-func (m u64Counts) Len() int       { return len(m) }
-func (m u64Counts) reset()         { clear(m) }
-
-// Tally counts records with one allocation per distinct record: an index
-// from a record to its slot of a counts slice. A record already counted
-// costs a lookup by m[string(rec)], which does not allocate, and an
-// increment; m[string(rec)]++ on a map[string]int allocates the string on
-// every call. A count must stay within int32: the engine counts at most
-// math.MaxInt32 rows.
-type Tally struct {
-	index  map[string]int32
-	counts []int32
-}
-
-// NewTally returns an empty Tally.
-func NewTally() *Tally { return &Tally{index: make(map[string]int32)} }
-
-// Add counts rec once.
-func (t *Tally) Add(rec []byte) {
-	if i, ok := t.index[string(rec)]; ok {
-		t.counts[i]++
-		return
-	}
-	t.index[string(rec)] = int32(len(t.counts))
-	t.counts = append(t.counts, 1)
-}
-
-// Len returns the distinct records counted.
-func (t *Tally) Len() int { return len(t.counts) }
-
-// All yields every distinct record with its count, in no fixed order.
-func (t *Tally) All() iter.Seq2[string, int] {
-	return func(yield func(string, int) bool) {
-		for rec, i := range t.index {
-			if !yield(rec, int(t.counts[i])) {
-				return
-			}
-		}
-	}
-}
-
-func (t *Tally) reset() {
-	clear(t.index)
-	t.counts = t.counts[:0]
-}
-
-// countRuns is the shared run-counting engine behind CountRunsCtx and
-// CountRunsU64Ctx: fresh makes a worker's accumulator.
-func countRuns[C runCounts](ctx context.Context, w *Writer, workers int, fresh func() C, emit func(run int, counts C) bool) error {
+// nil ctx never cancels.
+func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run int, keys []uint64, counts []int32) bool) error {
 	if w.done {
 		return fmt.Errorf("spill: CountRuns after Cleanup")
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	workers = workpool.Resolve(workers, len(w.files))
-	var stopped atomic.Bool // emit asked to stop, or the context fired
+	words := w.cfg.Words
+	entryBytes := int64(2 * (8*words + 4)) // an entry and its sort scratch
+	workers = workpool.Resolve(workers, len(w.runs))
+	var stopped atomic.Bool // emit asked to stop, a worker failed, or the context fired
 	errs := make([]error, workers)
 	panics := make([]any, workers)
-	workpool.RunChunks(len(w.files), workers, func(wk, lo, hi int) {
+	workpool.RunChunks(len(w.runs), workers, func(wk, lo, hi int) {
 		defer func() {
 			if r := recover(); r != nil {
 				panics[wk] = r
 				stopped.Store(true)
 			}
 		}()
-		chunk := getBuf(w.cfg.Pool, w.chunkLen())
-		defer putBuf(w.cfg.Pool, chunk)
-		m := fresh()
-		var recs int
+		room := 0 // entries the buffers hold
 		for run := lo; run < hi; run++ {
-			if stopped.Load() {
-				return
-			}
-			if done != nil {
-				select {
-				case <-done:
-					errs[wk] = ctx.Err()
-					stopped.Store(true)
-					return
-				default:
-				}
-			}
-			m.reset()
-			canceled := false
-			err := w.scanRun(run, chunk, func(rec []byte) bool {
-				if done != nil {
-					if recs++; recs%ctxCheckRecs == 0 {
-						select {
-						case <-done:
-							canceled = true
-							return false
-						default:
-						}
+			room = max(room, w.runs[run].entries)
+		}
+		if w.cfg.Share > 0 {
+			room = min(room, int(max(w.cfg.Share/entryBytes, 1)))
+		}
+		keys := getUint64(w.cfg.Pool, room*words)[:0]
+		counts := getInt32(w.cfg.Pool, room)[:0]
+		defer func() {
+			putUint64(w.cfg.Pool, keys)
+			putInt32(w.cfg.Pool, counts)
+		}()
+		var sorter Sorter
+		sorter.reserve(room, words)
+		rr := runReader{words: words, runs: len(w.runs), perFrame: true,
+			payload: make([]byte, 0, encodedBytes(frameEntries, words))}
+		for run := lo; run < hi && !stopped.Load(); run++ {
+			keys, counts = keys[:0], counts[:0]
+			err := rr.read(ctx, w.runs[run].f, run, func(key []uint64, c int) bool {
+				if len(counts) == room {
+					// The buffer is full: sum it in place. A run of
+					// repeated keys then fits it; only when the distinct
+					// keys fill more than half of it does it grow, to
+					// twice them or the run's entries.
+					ks, cs := sorter.Sum(keys, counts, words)
+					keys, counts = append(keys[:0], ks...), append(counts[:0], cs...)
+					if 2*len(counts) > room {
+						room = min(2*len(counts), w.runs[run].entries)
+						more := max(room-len(counts), 0)
+						keys, counts = slices.Grow(keys, more*words), slices.Grow(counts, more)
 					}
 				}
-				m.Add(rec)
+				keys = append(keys, key...)
+				counts = append(counts, int32(c))
 				return true
 			})
 			if err != nil {
 				errs[wk] = err
-				return
-			}
-			if canceled {
-				errs[wk] = ctx.Err()
 				stopped.Store(true)
 				return
 			}
-			// wmu serializes emit and the MaxRunEntries update (shard
-			// writers are closed by count time, so the lock is otherwise
+			ks, cs := sorter.Sum(keys, counts, words)
+			// wmu serializes emit and the stats updates (shard writers
+			// are closed by count time, so the lock is otherwise
 			// uncontended). The deferred unlock keeps the writer usable
 			// when a panic in emit is recovered by the caller.
 			cont := func() bool {
 				w.wmu.Lock()
 				defer w.wmu.Unlock()
-				if m.Len() > w.stats.MaxRunEntries {
-					w.stats.MaxRunEntries = m.Len()
-				}
-				if emit != nil {
-					return emit(run, m)
-				}
-				return true
+				w.stats.MaxRunEntries = max(w.stats.MaxRunEntries, len(cs))
+				w.stats.MaxCountBytes = max(w.stats.MaxCountBytes, int64(room)*entryBytes)
+				return emit == nil || emit(run, ks, cs)
 			}()
 			if !cont {
 				stopped.Store(true)
@@ -699,24 +549,37 @@ func (w *Writer) Cleanup() {
 		return
 	}
 	w.done = true
-	for i, f := range w.files {
-		if f != nil {
+	for i := range w.runs {
+		if f := w.runs[i].f; f != nil {
 			f.Close()
-			w.files[i] = nil
+			w.runs[i].f = nil
 		}
 	}
 	w.fs.RemoveAll(w.dir)
 }
 
-func getBuf(p BufPool, n int) []byte {
+func getUint64(p BufPool, n int) []uint64 {
 	if p == nil {
-		return make([]byte, n)
+		return make([]uint64, n)
 	}
-	return p.GetBytes(n)
+	return p.Uint64(n, false)
 }
 
-func putBuf(p BufPool, b []byte) {
+func putUint64(p BufPool, s []uint64) {
 	if p != nil {
-		p.PutBytes(b)
+		p.PutUint64(s)
+	}
+}
+
+func getInt32(p BufPool, n int) []int32 {
+	if p == nil {
+		return make([]int32, n)
+	}
+	return p.Int32(n, false)
+}
+
+func putInt32(p BufPool, s []int32) {
+	if p != nil {
+		p.PutInt32(s)
 	}
 }

@@ -87,90 +87,52 @@ func RunChunks(n, workers int, fn func(w, lo, hi int)) {
 // return. Unlike RunChunks the assignment of items to goroutines is
 // dynamic, which suits work items of very uneven cost (candidate label
 // evaluation, per-attribute-set index builds).
-func Do(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Resolve(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+func Do(n, workers int, fn func(i int)) { DoCtx(nil, n, workers, fn) }
 
 // DoCtx is Do with cooperative cancellation: once ctx is done no further
 // items are dispatched, in-flight fn calls run to completion, and the
 // context's error is returned. Items are the cancellation quantum — fn
 // itself is never interrupted — which matches the coarse work items Do is
-// used for (candidate evaluation, per-set builds). A nil ctx behaves
-// exactly like Do: the done channel is nil and the per-item poll is a
-// single nil compare.
+// used for (candidate evaluation, per-set builds). A nil ctx never
+// cancels: its done channel is nil and the per-item poll a single nil
+// compare.
 func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	if done == nil {
-		Do(n, workers, fn)
-		return nil
-	}
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers = Resolve(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if canceled() {
-				return ctx.Err()
+	var next atomic.Int64
+	work := func() {
+		for {
+			if done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
 			fn(i)
 		}
-		return ctx.Err()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if canceled() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	if workers = Resolve(workers, n); workers == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if ctx == nil {
+		return nil
+	}
 	return ctx.Err()
 }
