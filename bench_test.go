@@ -263,8 +263,8 @@ func BenchmarkFig06_TopDown_COMPAS(b *testing.B) {
 }
 
 // BenchmarkFig06_TopDown_CreditCard is the evaluation-heavy shape: 24
-// attributes put many candidates in the bound, and the search builds and
-// scores a label for each.
+// attributes put many candidates in the bound, and the search scores each
+// through its row index.
 func BenchmarkFig06_TopDown_CreditCard(b *testing.B) {
 	benchSetup(b)
 	d := benchData.creditcard
@@ -274,6 +274,28 @@ func BenchmarkFig06_TopDown_CreditCard(b *testing.B) {
 		if _, err := search.TopDown(d, ps, search.Options{Bound: 100, FastEval: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchEval is a whole TopDown search over the bench COMPAS
+// data at bound 30, with FastEval on (fast) and off (exact). With FastEval
+// off every candidate scores every pattern, the evaluation path no other
+// benchmark searches.
+func BenchmarkSearchEval(b *testing.B) {
+	benchSetup(b)
+	d := benchData.compas
+	ps := benchData.psCompas
+	for _, arm := range []struct {
+		name string
+		fast bool
+	}{{"fast", true}, {"exact", false}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := search.TopDown(d, ps, search.Options{Bound: 30, FastEval: arm.fast}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

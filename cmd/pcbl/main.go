@@ -211,16 +211,18 @@ func runLabel(args []string) error {
 	fmt.Printf("label attributes: %s\n", res.Attrs.Format(d.AttrNames()))
 	fmt.Printf("label size:       %d (bound %d)\n", res.Size, *bound)
 	fmt.Printf("max abs error:    %.1f over %d distinct patterns\n", eval.MaxAbs, eval.N)
-	fmt.Printf("search:           %d sets examined, %d in bound, %v total\n",
-		res.Stats.SizeComputed, res.Stats.InBound, res.Stats.Total().Round(1000))
-	if res.Stats.Spilled > 0 {
+	st := res.Stats
+	fmt.Printf("search:           %d sets examined (%d proved by bound), %d in bound, %s scored, %s built, %v total\n",
+		st.SizeComputed, st.Proved, st.InBound, plural(st.Evaluated, "candidate"), plural(st.LabelsBuilt, "label"),
+		st.Total().Round(1000))
+	if st.Spilled > 0 {
 		fmt.Printf("spill:            %d sets via %d on-disk runs (%d counted in parallel), %.1f MiB written\n",
-			res.Stats.Spilled, res.Stats.SpillRuns, res.Stats.SpillParallelRuns,
-			float64(res.Stats.SpillBytes)/(1<<20))
+			st.Spilled, st.SpillRuns, st.SpillParallelRuns,
+			float64(st.SpillBytes)/(1<<20))
 	}
-	if res.Stats.SpillFallbacks > 0 {
+	if st.SpillFallbacks > 0 {
 		fmt.Printf("spill fallbacks:  %d sets hit disk trouble and were counted in memory (budget not honored)\n",
-			res.Stats.SpillFallbacks)
+			st.SpillFallbacks)
 	}
 	if *render {
 		text, err := pcbl.RenderLabel(res.Label, &eval)
@@ -245,6 +247,14 @@ func runLabel(args []string) error {
 		fmt.Printf("HTML report written to %s\n", *htmlOut)
 	}
 	return nil
+}
+
+// plural formats a count of things: "1 label", "3 labels".
+func plural(n int, thing string) string {
+	if n == 1 {
+		return "1 " + thing
+	}
+	return fmt.Sprintf("%d %ss", n, thing)
 }
 
 // readDataset loads (and optionally bucketizes) a labeling input. A dataset

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -206,5 +208,46 @@ func TestLabelPrintsExactError(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%.1f", eval.MaxAbs); maxErr != want {
 		t.Fatalf("printed max abs error %s, Evaluate says %s", maxErr, want)
+	}
+}
+
+// TestLabelPrintsSearchCounts: the search line of `pcbl label` reports
+// the search's own counters — sets examined and proved by bound, sets in
+// bound, candidates scored and labels built — as the library returns them
+// for the same input.
+func TestLabelPrintsSearchCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "compas.csv")
+	if _, err := captureStdout(t, func() error {
+		return runGen([]string{"-name", "compas", "-rows", "3000", "-seed", "1", "-out", path})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return runLabel([]string{"-in", path, "-bound", "100"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`search: +(\d+) sets examined \((\d+) proved by bound\), (\d+) in bound, (\d+) candidates? scored, (\d+) labels? built, \S+ total`)
+	m := line.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no search line in:\n%s", out)
+	}
+	var got [5]int
+	for i := range got {
+		got[i], _ = strconv.Atoi(m[i+1])
+	}
+	d, err := readDataset(path, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pcbl.GenerateLabel(d, pcbl.GenerateOptions{Bound: 100, Patterns: pcbl.DistinctTuples(d), FastEval: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if want := [5]int{st.SizeComputed, st.Proved, st.InBound, st.Evaluated, st.LabelsBuilt}; got != want {
+		t.Fatalf("printed examined, proved, in bound, scored, built = %v; the search reports %v", got, want)
+	}
+	if got[1] == 0 || got[4] >= got[3] {
+		t.Fatalf("printed %d proved and %d labels built for %d candidates: want proofs, and fewer labels than candidates", got[1], got[4], got[3])
 	}
 }

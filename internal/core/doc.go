@@ -141,8 +141,10 @@
 // and spill buffers across sizing calls and sharded builds
 // (CountOptions.Pool). Steady-state enumeration allocates a near-constant
 // working set (pinned by alloc_test.go) instead of one count slab per
-// candidate. The evaluation phase builds one label per candidate, and
-// each build does only per-candidate work — the PC group-by — because a
+// candidate. The search's evaluation phase scores candidates through a row
+// index of its own and builds few labels: the winner's, and the label of
+// any candidate whose scoring outgrows a row scan (internal/search). Each
+// build does only per-candidate work — the PC group-by — because a
 // label's VC section is its dataset's VC table (dataset.Dataset.VCTable),
 // counted once per dataset and shared read-only by every label built over
 // it. A label build's allocations therefore do not grow with the number

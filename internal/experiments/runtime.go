@@ -23,7 +23,11 @@ type RuntimePoint struct {
 	// Optimized is Algorithm 1's total runtime.
 	Optimized time.Duration
 	// OptimizedEvalShare is the fraction of the optimized runtime spent
-	// finding the best candidate (§IV-C reports 62.6% / 18% / 44.4%).
+	// finding the best candidate. §IV-C reports 62.6% / 18% / 44.4%, from
+	// building a label per candidate; this search scores candidates
+	// through a row index and builds only the winner's label (a beyond-
+	// paper optimization, result-identical), so the share no longer
+	// follows the paper's cost model.
 	OptimizedEvalShare float64
 	// NaiveExamined / OptimizedExamined are the candidate-set counters
 	// (also the Fig 9 measurement).

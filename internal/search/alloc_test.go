@@ -2,7 +2,8 @@ package search
 
 // Allocation-regression pin for the level sizer: a steady-state sizeLevel
 // round must cost only per-group planning allocations — every slab (child
-// accumulators, key scratch) cycles through the level sizer's pool.
+// accumulators, key scratch) cycles through the level sizer's pool — and a
+// level its bounds decide must cost none.
 
 import (
 	"testing"
@@ -42,8 +43,6 @@ func allocDataset(t *testing.T) *dataset.Dataset {
 
 func TestAllocsSizeLevelSteadyState(t *testing.T) {
 	d := allocDataset(t)
-	var stats Stats
-	z := newLevelSizer(d, Options{Bound: 50, CountOptions: core.CountOptions{Workers: 1}}, &stats)
 	var level []lattice.AttrSet
 	lattice.Combinations(d.NumAttrs(), 2, func(s lattice.AttrSet) bool {
 		level = append(level, s)
@@ -54,10 +53,28 @@ func TestAllocsSizeLevelSteadyState(t *testing.T) {
 		groups[s.Remove(s.MaxIndex())] = struct{}{}
 	}
 	noop := func(lattice.AttrSet, bool) {}
+
+	// Every pair has at most 3 × 3 = 9 ≤ 50 patterns, so the bounds decide
+	// the whole level: no scan, and no allocation once the sizer has seen
+	// it.
+	var proved Stats
+	z := newLevelSizer(d, Options{Bound: 50, CountOptions: core.CountOptions{Workers: 1}}, &proved)
+	z.sizeLevel(level, noop)
+	if proved.Proved != len(level) || proved.RefinedSets != 0 || proved.SizeComputed != len(level) {
+		t.Fatalf("bounded level: proved=%d refined=%d examined=%d, want %d proved of %d",
+			proved.Proved, proved.RefinedSets, proved.SizeComputed, len(level), len(level))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { z.sizeLevel(level, noop) }); allocs != 0 {
+		t.Fatalf("proved sizeLevel allocs/run = %.0f, want 0", allocs)
+	}
+
+	// With the proofs off (the test hook), every set goes to the kernel.
+	var stats Stats
+	z = newLevelSizer(d, Options{Bound: 50, CountOptions: core.CountOptions{Workers: 1}, noProofs: true}, &stats)
 	z.sizeLevel(level, noop) // warm the pool
-	if stats.RefinedSets != len(level) || stats.Dense != len(level) {
-		t.Fatalf("level not sized on dense slabs from parent keys: refined=%d dense=%d of %d",
-			stats.RefinedSets, stats.Dense, len(level))
+	if stats.Proved != 0 || stats.RefinedSets != len(level) || stats.Dense != len(level) {
+		t.Fatalf("level not sized on dense slabs from parent keys: proved=%d refined=%d dense=%d of %d",
+			stats.Proved, stats.RefinedSets, stats.Dense, len(level))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		z.sizeLevel(level, noop)

@@ -105,23 +105,25 @@ func TestParallelSearchBranchAndBound(t *testing.T) {
 }
 
 // TestFusedFrontierMatchesPerSetScan pins the enumeration at the search
-// level: the level sizer's one LabelSizes call per level must agree with
-// one sequential LabelSize per set over the exact frontiers TopDown
-// visits.
+// level: over the exact frontiers TopDown visits, the level sizer's
+// verdicts — proved from known bounds, or from the level's one LabelSizes
+// call — must agree with one sequential LabelSize per set, and every
+// examined set is either proved or sized by the kernel.
 func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 	d := raceDataset(t)
 	n := d.NumAttrs()
 	bound := 50
 	frontier := lattice.AttrSet(0).Gen(n)
+	var stats Stats
+	z := newLevelSizer(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 4}}, &stats)
 	for len(frontier) > 0 {
 		var children []lattice.AttrSet
 		for _, s := range frontier {
 			children = append(children, s.Gen(n)...)
 		}
-		var stats Stats
+		before := stats
 		var next []lattice.AttrSet
 		i := 0
-		z := newLevelSizer(d, Options{Bound: bound, CountOptions: core.CountOptions{Workers: 4}}, &stats)
 		err := z.sizeLevel(children, func(s lattice.AttrSet, within bool) {
 			if s != children[i] {
 				t.Fatalf("visit order diverged at %d: got %v, want %v", i, s, children[i])
@@ -138,9 +140,16 @@ func TestFusedFrontierMatchesPerSetScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sizeLevel: %v", err)
 		}
-		if stats.SizeComputed != len(children) || stats.RefinedSets != len(children) {
-			t.Fatalf("SizeComputed %d, RefinedSets %d, want %d", stats.SizeComputed, stats.RefinedSets, len(children))
+		examined := stats.SizeComputed - before.SizeComputed
+		proved := stats.Proved - before.Proved
+		refined := stats.RefinedSets - before.RefinedSets
+		if examined != len(children) || proved+refined != examined {
+			t.Fatalf("examined %d (%d proved, %d kernel-sized), want %d = proved + kernel-sized",
+				examined, proved, refined, len(children))
 		}
 		frontier = next
+	}
+	if stats.Proved == 0 || stats.RefinedSets == 0 {
+		t.Fatalf("proved %d, kernel-sized %d: want both paths exercised", stats.Proved, stats.RefinedSets)
 	}
 }

@@ -145,30 +145,34 @@ func TestSchedulerMatchesScanEnumeration(t *testing.T) {
 	for _, c := range cases {
 		want, sized, inBound := refTopDown(c.d, c.bound)
 		for _, workers := range []int{1, 2, 8} {
-			cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, CountOptions: core.CountOptions{Workers: workers}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cands) != len(want) {
-				t.Fatalf("%s workers=%d: %d candidates, reference %d", c.name, workers, len(cands), len(want))
-			}
-			for i := range cands {
-				if cands[i] != want[i] {
-					t.Fatalf("%s workers=%d: candidate %d = %v, reference %v", c.name, workers, i, cands[i], want[i])
+			for _, noProofs := range []bool{false, true} {
+				name := fmt.Sprintf("%s workers=%d noProofs=%v", c.name, workers, noProofs)
+				cands, stats, err := Enumerate(c.d, Options{Bound: c.bound, CountOptions: core.CountOptions{Workers: workers}, noProofs: noProofs})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if stats.SizeComputed != sized || stats.InBound != inBound {
-				t.Fatalf("%s workers=%d: sized/in-bound %d/%d, reference %d/%d",
-					c.name, workers, stats.SizeComputed, stats.InBound, sized, inBound)
-			}
-			// Every set here keys in uint64 and stays in memory, so every
-			// set is sized from its gen parent's key block.
-			if stats.RefinedSets != stats.SizeComputed {
-				t.Fatalf("%s workers=%d: %d of %d sets sized from a parent key block",
-					c.name, workers, stats.RefinedSets, stats.SizeComputed)
-			}
-			if workers == 1 && stats.PoolHits == 0 {
-				t.Fatalf("%s: sizing never recycled a slab", c.name)
+				if len(cands) != len(want) {
+					t.Fatalf("%s: %d candidates, reference %d", name, len(cands), len(want))
+				}
+				for i := range cands {
+					if cands[i] != want[i] {
+						t.Fatalf("%s: candidate %d = %v, reference %v", name, i, cands[i], want[i])
+					}
+				}
+				if stats.SizeComputed != sized || stats.InBound != inBound {
+					t.Fatalf("%s: sized/in-bound %d/%d, reference %d/%d",
+						name, stats.SizeComputed, stats.InBound, sized, inBound)
+				}
+				// Every set here keys in uint64 and stays in memory, so
+				// every set the bounds leave open is sized from its gen
+				// parent's key block; with the proofs off, every set is.
+				if stats.Proved+stats.RefinedSets != stats.SizeComputed || (noProofs && stats.Proved != 0) {
+					t.Fatalf("%s: %d proved and %d sized from a parent key block of %d sets",
+						name, stats.Proved, stats.RefinedSets, stats.SizeComputed)
+				}
+				if workers == 1 && noProofs && stats.PoolHits == 0 {
+					t.Fatalf("%s: sizing never recycled a slab", name)
+				}
 			}
 		}
 	}

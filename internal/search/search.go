@@ -7,11 +7,20 @@
 // monotone in the attribute set. With NULLs it is not: a row NULL in an
 // added attribute leaves the grouping, so an in-bound superset of an
 // out-of-bound set can exist, and both algorithms may miss it.
+//
+// Two beyond-paper optimizations leave every result as the paper's
+// algorithms give it. Enumeration proves an examined set in bound from the
+// label sizes it already knows, and scans only the sets no bound decides
+// (Stats.Proved). Evaluation scores every candidate through one row index
+// of the dataset, bit for bit as the candidate's label would, and builds
+// only the winner's label (Stats.LabelsBuilt).
 package search
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -28,24 +37,31 @@ import (
 //   - Workers bounds parallelism in both phases: the enumeration phase
 //     sizes each level's sibling groups and their row shards on this many
 //     workers (see core.LabelSizes), and the final evaluation phase scores
-//     this many candidates concurrently. runtime.NumCPU() when 0, 1 for a
-//     single-threaded run. Enumeration sizes each sibling group off one
-//     pass over its gen parent's keys (a beyond-paper optimization,
-//     result-identical to per-set scanning), so Workers=1 timings are not
-//     comparable to the paper's one-scan-per-set cost model.
+//     this many candidates concurrently, then builds the winner's label on
+//     all of them. runtime.NumCPU() when 0, 1 for a single-threaded run.
+//     Enumeration proves most in-bound verdicts with no scan and sizes
+//     each sibling group off one pass over its gen parent's keys, and
+//     evaluation scores candidates without building their labels
+//     (beyond-paper optimizations, result-identical to per-set scanning
+//     and per-candidate labels), so Workers=1 timings are not comparable
+//     to the paper's cost model.
 //   - MemBudget: enumeration sizes every candidate with cap Bound, so a
 //     candidate's sizing state is at most Bound + 1 keys; it stays in its
 //     sibling group unless even those model over the budget, and is then
 //     sized on the spill tier, counted for its distinct total and stopped
-//     once that passes Bound. Budgeted label builds spill as BuildPC does.
+//     once that passes Bound. The evaluation phase's row index counts
+//     against the budget too: when it would not fit, no index is built and
+//     every candidate is scored from its own label. Budgeted label builds
+//     (the winner's, and any a scorer switches to) spill as BuildPC does.
 //     Results are identical either way; Stats.Spilled, SpillRuns,
-//     SpillParallelRuns and SpillBytes report the tier's use.
+//     SpillParallelRuns and SpillBytes report the tier's use in sizing.
 //   - Ctx cancels the search cooperatively. Both phases poll it:
 //     enumeration at row-block granularity inside each level's sizing,
-//     evaluation between candidate labels and at block granularity inside
-//     each label build. A fired context abandons the search, releases
-//     every spill-backed label already built (no temp files survive), and
-//     returns the typed context error. Nil means the search never cancels.
+//     evaluation between candidates and at block granularity inside each
+//     label build (a scorer's switch to its label, and the winner's). A
+//     fired context abandons the search, releases every spill-backed label
+//     already built (no temp files survive), and returns the typed context
+//     error. Nil means the search never cancels.
 //
 // The search sets the engine's Stats and Pool itself: values a caller sets
 // in them are ignored, and the search's counters are in Result.Stats.
@@ -66,6 +82,14 @@ type Options struct {
 	BranchAndBound bool
 
 	core.CountOptions
+
+	// Test hooks, set only by this package's tests. noProofs sizes every
+	// examined set through the kernel; noIndex builds no row index, so
+	// every scorer starts from its label; switchAt, when nonzero, replaces
+	// a scorer's switch threshold (see switchWords), and a negative value
+	// switches before the first estimate.
+	noProofs, noIndex bool
+	switchAt          int64
 }
 
 // ctxErr reports a fired search context; nil ctx never fires.
@@ -79,22 +103,40 @@ func ctxErr(ctx context.Context) error {
 // Stats reports the work a search performed; Fig 6–9 of the paper are
 // plotted from these counters and timings.
 type Stats struct {
-	// SizeComputed is the number of attribute sets whose label size was
-	// computed (every set the algorithm "examined").
+	// SizeComputed is the number of attribute sets whose in-bound verdict
+	// was decided (every set the algorithm "examined", which Fig 9
+	// plots): the Proved sets plus the sets the sizing kernel scanned
+	// (ScanStats.Dense + Map + Wide + Spilled).
 	SizeComputed int
+	// Proved counts the examined sets proved in bound without a scan. The
+	// search keeps an upper bound u(S) on the label size of ∅ (min(|D|,
+	// 1)), of every singleton (its count of occurring values) and of every
+	// set it found in bound (its exact size when scanned, its proof's
+	// bound when proved). A set c with min over b ∈ c of u(c∖b)·u({b}) ≤
+	// Bound is in bound: every pattern of c extends an occurring pattern
+	// of c∖b by one occurring value of b, NULLs included.
+	Proved int
 	// InBound is the number of examined sets whose label fit the bound
 	// ("# cands generated" for the optimized heuristic in Fig 9).
 	InBound int
-	// Evaluated is the number of candidate labels whose error was
-	// computed in the final phase.
+	// Evaluated is the number of candidates whose error was computed in
+	// the final phase.
 	Evaluated int
-	// PatternsScanned is the total number of (label, pattern) estimate
+	// PatternsScanned is the total number of (candidate, pattern) estimate
 	// evaluations across the final phase; early termination keeps it far
 	// below Evaluated × |P|.
 	PatternsScanned int64
-	// RefinedSets counts examined sets sized from their gen parent's
-	// shared key block: every set counted in memory on one-word keys
-	// (ScanStats.Dense + Map). Sets of wider keys and spilled sets are not.
+	// LabelsBuilt counts the labels the final phase built: the winner's,
+	// plus every label a scorer switched to once its row-index work
+	// passed a row scan's worth (or from its first estimate, when the
+	// search has no row index). Candidates are scored through the index
+	// otherwise, so with FastEval this is usually 1.
+	LabelsBuilt int
+	// RefinedSets counts examined sets the sizing kernel sized from their
+	// gen parent's shared key block: every scanned set counted in memory
+	// on one-word keys (ScanStats.Dense + Map). Proved sets are not
+	// scanned, and sets of wider keys and spilled sets are not sized from
+	// a key block.
 	RefinedSets int
 	// PoolHits and PoolMisses report the slab pool's cumulative counters:
 	// how often a count slab or key-block scratch was recycled from the
@@ -133,23 +175,74 @@ type Result struct {
 // between levels.
 const schedulerPoolBudget int64 = 256 << 20
 
-// levelSizer sizes the enumeration phase one lattice level at a time:
-// each level is one core.LabelSizes call, which groups the level's sets by
-// gen parent and sizes any set still over budget at the cap on the spill
-// tier. One slab pool serves every level, so steady-state sizing
-// allocates a near-constant working set.
+// levelSizer sizes the enumeration phase one lattice level at a time.
+// Each level first takes the in-bound verdicts a bound already proves
+// (Stats.Proved): bound holds u(S), an upper bound on |P_S|, for ∅, every
+// singleton and every set found in bound so far. The sets no bound decides
+// go to the level's one core.LabelSizes call, which groups them by gen
+// parent and sizes any set still over budget at the cap on the spill tier.
+// One slab pool serves every level, so steady-state sizing allocates a
+// near-constant working set.
 type levelSizer struct {
 	d     *dataset.Dataset
 	opts  Options
 	stats *Stats
 	pool  *core.VecPool
+	bound map[lattice.AttrSet]int
+	dom   []int // dom[b] = u({b}) = |dom_D(b)|
+
+	// Per-level scratch: proof[i] is the proved bound of the level's set
+	// i, or -1 when the scan decides it; scan lists those sets.
+	proof []int
+	scan  []lattice.AttrSet
 }
 
 func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
-	return &levelSizer{d: d, opts: opts, stats: stats, pool: core.NewVecPool(schedulerPoolBudget)}
+	z := &levelSizer{
+		d: d, opts: opts, stats: stats,
+		pool:  core.NewVecPool(schedulerPoolBudget),
+		bound: map[lattice.AttrSet]int{0: min(d.NumRows(), 1)},
+		dom:   make([]int, d.NumAttrs()),
+	}
+	vc, _ := d.VCTable()
+	for b, counts := range vc {
+		for _, c := range counts {
+			if c > 0 {
+				z.dom[b]++
+			}
+		}
+		z.bound[lattice.NewAttrSet(b)] = z.dom[b]
+	}
+	return z
 }
 
-// sizeLevel sizes one slice of same-level candidate sets, invoking visit
+// prove returns the least bound on |P_s| the known bounds give — the
+// minimum over b ∈ s of u(s∖b)·u({b}), saturating — or -1 when no s∖b has
+// a known bound.
+func (z *levelSizer) prove(s lattice.AttrSet) int {
+	if z.opts.noProofs {
+		return -1
+	}
+	best := -1
+	for rest := uint64(s); rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(rest)
+		u, ok := z.bound[s.Remove(b)]
+		if !ok {
+			continue
+		}
+		if u > 0 && z.dom[b] > math.MaxInt/u {
+			u = math.MaxInt
+		} else {
+			u *= z.dom[b]
+		}
+		if best < 0 || u < best {
+			best = u
+		}
+	}
+	return best
+}
+
+// sizeLevel decides one slice of same-level candidate sets, invoking visit
 // for each in input order with its in-bound verdict. A fired Options.Ctx
 // aborts the level and returns the typed context error; no verdicts are
 // visited for a cancelled level.
@@ -157,20 +250,42 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	if len(sets) == 0 {
 		return nil
 	}
-	co := z.opts.CountOptions
-	co.Stats, co.Pool = &z.stats.ScanStats, z.pool
-	_, within, err := core.LabelSizes(z.d, sets, z.opts.Bound, co)
-	if err != nil {
-		return err
-	}
-	z.stats.RefinedSets = z.stats.Dense + z.stats.Map
-	z.stats.PoolHits, z.stats.PoolMisses = z.pool.Stats()
-	for i, s := range sets {
-		z.stats.SizeComputed++
-		if within[i] {
-			z.stats.InBound++
+	z.proof, z.scan = z.proof[:0], z.scan[:0]
+	for _, s := range sets {
+		u := z.prove(s)
+		if u < 0 || u > z.opts.Bound {
+			u = -1
+			z.scan = append(z.scan, s)
 		}
-		visit(s, within[i])
+		z.proof = append(z.proof, u)
+	}
+	var sizes []int
+	var within []bool
+	if len(z.scan) > 0 {
+		co := z.opts.CountOptions
+		co.Stats, co.Pool = &z.stats.ScanStats, z.pool
+		var err error
+		if sizes, within, err = core.LabelSizes(z.d, z.scan, z.opts.Bound, co); err != nil {
+			return err
+		}
+		z.stats.RefinedSets = z.stats.Dense + z.stats.Map
+		z.stats.PoolHits, z.stats.PoolMisses = z.pool.Stats()
+	}
+	j := 0
+	for i, s := range sets {
+		in, u := true, z.proof[i]
+		if u >= 0 {
+			z.stats.Proved++
+		} else {
+			in, u = within[j], sizes[j]
+			j++
+		}
+		z.stats.SizeComputed++
+		if in {
+			z.stats.InBound++
+			z.bound[s] = u
+		}
+		visit(s, in)
 	}
 	return nil
 }
@@ -310,8 +425,10 @@ func checkOptions(d *dataset.Dataset, opts Options) error {
 
 // finish evaluates every candidate set and returns the best label. When no
 // candidate of size ≥ 2 exists it falls back to in-bound singletons —
-// sized by the same sizer, as the sibling group under ∅ — then to the
-// empty set (pure independence estimation).
+// decided by the same sizer, as the sibling group under ∅ — then to the
+// empty set (pure independence estimation). Candidates are scored through
+// one row index of the dataset (a scorer each, see scorer) and only the
+// winner's label is built, unless its scorer already switched to it.
 func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*Result, error) {
 	d, opts, stats := sizer.d, sizer.opts, sizer.stats
 	if len(cands) == 0 {
@@ -334,9 +451,7 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 	evalStart := time.Now()
 
 	type scored struct {
-		idx     int
-		attrs   lattice.AttrSet
-		label   *core.Label
+		sc      *scorer
 		maxErr  float64
 		scanned int
 		exact   bool // false when branch-and-bound cut the scan short
@@ -367,14 +482,19 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		best.Unlock()
 	}
 
-	// Each candidate's label build runs single-threaded when candidates
-	// themselves are scored concurrently; a lone candidate gets the whole
-	// engine instead.
+	// The labels the search builds run on its engine options, without its
+	// sizing stats and pool. A scorer's switch builds single-threaded when
+	// candidates themselves are scored concurrently; the winner gets the
+	// whole engine. A lone candidate wins, so it is scored from its label
+	// on the whole engine, with no index.
 	co := opts.CountOptions
 	co.Stats, co.Pool = nil, nil
+	scoreCO, ix := co, (*rowIndex)(nil)
 	if len(cands) > 1 {
-		co.Workers = 1
+		scoreCO.Workers = 1
+		ix = newRowIndex(d, opts)
 	}
+	limit := switchWords(d.NumRows(), opts)
 	var failMu sync.Mutex
 	var failErr error
 	fail := func(err error) {
@@ -385,23 +505,23 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		failMu.Unlock()
 	}
 	workpool.DoCtx(opts.Ctx, len(cands), opts.Workers, func(i int) {
-		s := cands[i]
-		l, err := core.BuildLabel(d, s, co)
-		if err != nil {
-			fail(err)
-			return
-		}
+		sc := newScorer(ix, d, cands[i], limit, scoreCO)
+		results[i].sc = sc
 		mo := core.MaxErrOptions{
 			Sorted:    opts.FastEval,
 			StopAbove: cutoff(),
 			Workers:   1,
 		}
-		maxErr, scanned := core.MaxAbsError(l, ps, mo)
+		maxErr, scanned := core.MaxAbsError(sc, ps, mo)
+		if err := sc.failed(); err != nil {
+			fail(err)
+			return
+		}
 		exact := mo.StopAbove <= 0 || maxErr <= mo.StopAbove
 		if exact {
 			offer(maxErr)
 		}
-		results[i] = scored{i, s, l, maxErr, scanned, exact}
+		results[i] = scored{sc, maxErr, scanned, exact}
 	})
 	if failErr == nil {
 		failErr = ctxErr(opts.Ctx)
@@ -410,9 +530,11 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		// A cancelled evaluation keeps nothing: labels already built may
 		// hold merge-on-read spill runs on disk — release them before
 		// surfacing the typed error so no temp files outlive the search.
-		for i := range results {
-			if results[i].label != nil {
-				results[i].label.ReleaseSpill()
+		for _, r := range results {
+			if r.sc != nil {
+				if l := r.sc.label.Load(); l != nil {
+					l.ReleaseSpill()
+				}
 			}
 		}
 		return nil, failErr
@@ -430,22 +552,33 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		}
 	}
 	// bestIdx >= 0: the first candidate to call cutoff saw no offer, so it scored exactly.
-	// Only the winning label survives; under a memory budget the losers may
-	// hold merge-on-read spill runs on disk — drop those eagerly instead of
-	// waiting for the GC.
-	for i := range results {
-		if i != bestIdx {
-			results[i].label.ReleaseSpill()
+	// Only the winning label survives; under a memory budget a loser's
+	// switched label may hold merge-on-read spill runs on disk — drop
+	// those eagerly instead of waiting for the GC.
+	for i, r := range results {
+		if l := r.sc.label.Load(); l != nil {
+			stats.LabelsBuilt++
+			if i != bestIdx {
+				l.ReleaseSpill()
+			}
 		}
+	}
+	r := results[bestIdx]
+	l := r.sc.label.Load()
+	if l == nil {
+		var err error
+		if l, err = core.BuildLabel(d, r.sc.attrs, co); err != nil {
+			return nil, err
+		}
+		stats.LabelsBuilt++
 	}
 	stats.EvalTime = time.Since(evalStart)
 
-	r := results[bestIdx]
 	return &Result{
-		Attrs:  r.attrs,
-		Label:  r.label,
+		Attrs:  r.sc.attrs,
+		Label:  l,
 		MaxErr: r.maxErr,
-		Size:   r.label.Size(),
+		Size:   l.Size(),
 		Stats:  *stats,
 	}, nil
 }

@@ -216,9 +216,10 @@ func TestTinyBoundFallsBackToSingletons(t *testing.T) {
 }
 
 // TestSingletonFallbackUsesSearchOptions: when no pair fits, both
-// algorithms size the singletons through the level sizer with the
+// algorithms decide the singletons through the level sizer with the
 // search's own options — metered like every other examined set, and the
-// same for every worker count.
+// same for every worker count. The pairs (900 patterns each) go to the
+// kernel; each singleton's 30 values prove it in bound with no scan.
 func TestSingletonFallbackUsesSearchOptions(t *testing.T) {
 	d := uniformDataset(t, 30, 30, 30) // 900-pattern pairs, 30-pattern singletons
 	ps := core.DistinctTuples(d)
@@ -235,9 +236,9 @@ func TestSingletonFallbackUsesSearchOptions(t *testing.T) {
 			if res.Attrs.Size() != 1 {
 				t.Fatalf("%s workers=%d: chose %v, want a singleton", name, workers, res.Attrs)
 			}
-			if st := res.Stats; st.SizeComputed != 6 || st.InBound != 3 || st.RefinedSets != st.SizeComputed {
-				t.Fatalf("%s workers=%d: SizeComputed=%d InBound=%d RefinedSets=%d, want 6, 3 and 6",
-					name, workers, st.SizeComputed, st.InBound, st.RefinedSets)
+			if st := res.Stats; st.SizeComputed != 6 || st.InBound != 3 || st.Proved != 3 || st.RefinedSets != 3 {
+				t.Fatalf("%s workers=%d: SizeComputed=%d InBound=%d Proved=%d RefinedSets=%d, want 6, 3, 3 and 3",
+					name, workers, st.SizeComputed, st.InBound, st.Proved, st.RefinedSets)
 			}
 			if seq == nil {
 				seq = res

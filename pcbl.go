@@ -253,15 +253,18 @@ type GenerateOptions struct {
 	// Timeout bounds the whole search when positive: the search runs under
 	// a deadline of now+Timeout (composed with any GenerateCtx context —
 	// whichever fires first wins) and an expired deadline abandons the
-	// search, releases every spill-backed label already built, and returns
+	// search, releases every spill-backed label it built, and returns
 	// context.DeadlineExceeded. Zero means no deadline.
 	Timeout time.Duration
 
 	// Engine configures the counting engine (workers, memory budget,
 	// spill placement, filesystem seam). Engine.Workers
 	// bounds parallelism in both search phases — enumeration shards its
-	// sizing scans, evaluation scores candidates concurrently — and
-	// parallel runs return exactly the sequential result.
+	// sizing scans, evaluation scores candidates concurrently and builds
+	// the winner's label on every worker — and parallel runs return
+	// exactly the sequential result. Engine.MemBudget also bounds the
+	// evaluation's row index: a search whose budget it does not fit
+	// scores each candidate from a label of its own.
 	Engine EngineOptions
 }
 
@@ -275,9 +278,9 @@ func GenerateLabel(d *Dataset, opts GenerateOptions) (*SearchResult, error) {
 
 // GenerateCtx is GenerateLabel with cooperative cancellation: both search
 // phases poll ctx (enumeration at row-block granularity inside each
-// level's sizing, evaluation between and inside candidate label builds), and
-// a fired context abandons the search, releases every spill-backed label
-// already built, and returns the typed context error. opts.Timeout, when
+// level's sizing, evaluation between candidates and inside every label
+// build), and a fired context abandons the search, releases every
+// spill-backed label it built, and returns the typed context error. opts.Timeout, when
 // positive, is composed as a deadline on top of ctx. A nil ctx with a zero
 // Timeout is exactly GenerateLabel.
 func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*SearchResult, error) {
