@@ -348,7 +348,7 @@ func BenchmarkFig08_AttrCount(b *testing.B) {
 func BenchmarkFig09_Candidates(b *testing.B) {
 	benchSetup(b)
 	nd := experiments.NamedDataset{Name: "BlueNile", D: benchData.bluenile}
-	cfg := experiments.Config{Scale: experiments.ScaleTiny, Seed: 1, SamplingTrials: 1, FastEval: true}
+	cfg := experiments.Config{Scale: experiments.ScaleTiny, Seed: 1, SamplingTrials: 1}
 	b.ResetTimer()
 	var naive, opt int
 	for i := 0; i < b.N; i++ {
@@ -367,7 +367,7 @@ func BenchmarkFig09_Candidates(b *testing.B) {
 func BenchmarkFig10_SubLabels(b *testing.B) {
 	benchSetup(b)
 	nd := experiments.NamedDataset{Name: "COMPAS", D: benchData.compas}
-	cfg := experiments.Config{Scale: experiments.ScaleTiny, Seed: 1, SamplingTrials: 1, FastEval: true}
+	cfg := experiments.Config{Scale: experiments.ScaleTiny, Seed: 1, SamplingTrials: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunSubLabels(nd, cfg, 100); err != nil {
@@ -1261,31 +1261,6 @@ func BenchmarkAblation_SizeAbort_Off(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = must2(core.LabelSize(d, s, -1, core.CountOptions{Workers: 1}))
-	}
-}
-
-// Branch-and-bound evaluation cutoff (beyond paper) on/off.
-func BenchmarkAblation_BranchAndBound_Off(b *testing.B) {
-	benchSetup(b)
-	d := benchData.compas
-	ps := benchData.psCompas
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.TopDown(d, ps, search.Options{Bound: 50, FastEval: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_BranchAndBound_On(b *testing.B) {
-	benchSetup(b)
-	d := benchData.compas
-	ps := benchData.psCompas
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := search.TopDown(d, ps, search.Options{Bound: 50, FastEval: true, BranchAndBound: true}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

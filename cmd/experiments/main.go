@@ -40,7 +40,6 @@ func main() {
 		Workers:        *workers,
 		SamplingTrials: *trials,
 		NaiveBudget:    *naiveBudget,
-		FastEval:       true,
 	}.WithDefaults()
 
 	want := map[string]bool{}

@@ -105,3 +105,30 @@ func TestAllocsBuildLabelFlatInAttrs(t *testing.T) {
 		t.Fatalf("BuildLabel allocs/run: %.0f on %d attributes, %.0f on %d; want equal", w, wide.NumAttrs(), n, narrow.NumAttrs())
 	}
 }
+
+// TestAllocsEstimateRow pins Definition 2.11's estimate allocation-free on
+// a warmed in-memory label, for patterns that reach outside S over all of
+// S, over part of it (a cached marginal) and over none of it. Collecting
+// Attr(p) ∖ S into a slice cost one allocation an estimate.
+func TestAllocsEstimateRow(t *testing.T) {
+	d, err := datagen.COMPAS(3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := must(BuildLabel(d, lattice.NewAttrSet(0, 1), CountOptions{Workers: 1}))
+	row := d.Row(0)
+	patterns := []lattice.AttrSet{lattice.NewAttrSet(0, 1, 2, 3), lattice.NewAttrSet(0, 2, 3), lattice.NewAttrSet(2, 3)}
+	for _, attrs := range patterns {
+		if l.EstimateRow(row, attrs) == 0 { // also builds the marginal
+			t.Fatalf("pattern %v of row 0 estimated 0: the product is never reached", attrs)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, attrs := range patterns {
+			l.EstimateRow(row, attrs)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EstimateRow allocs/run = %v over %d patterns, want 0", allocs, len(patterns))
+	}
+}

@@ -161,20 +161,14 @@ type MaxErrOptions struct {
 	// result never exceeds the exhaustive maximum. The search's agreement
 	// test checks one BlueNile dataset at bounds 10 and 40.
 	Sorted bool
-	// StopAbove, when positive, aborts the scan as soon as the running
-	// maximum exceeds it and returns that running maximum. The search uses
-	// this as a branch-and-bound cutoff: a candidate whose error already
-	// exceeds the best label found so far can be discarded without a full
-	// scan. This is an optimization beyond the paper (ablated in benches).
-	StopAbove float64
 	// Workers is the parallelism for the unsorted exact path;
 	// runtime.NumCPU() when zero.
 	Workers int
 }
 
 // MaxAbsError returns Err(l, P) = max_{p∈P} |c_D(p) − Est(p, l)| and the
-// number of patterns actually examined (less than ps.Len() when an early
-// termination fired).
+// number of patterns actually examined (less than ps.Len() when the sorted
+// scan stopped early). Without the sorted scan it is Evaluate's maximum.
 func MaxAbsError(l Estimator, ps *PatternSet, opts MaxErrOptions) (maxErr float64, scanned int) {
 	n := ps.Len()
 	if opts.Sorted && ps.Sorted() {
@@ -185,36 +179,9 @@ func MaxAbsError(l Estimator, ps *PatternSet, opts MaxErrOptions) (maxErr float6
 			est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
 			if abs := AbsError(ps.Count(i), est); abs > maxErr {
 				maxErr = abs
-				if opts.StopAbove > 0 && maxErr > opts.StopAbove {
-					return maxErr, i + 1
-				}
 			}
 		}
 		return maxErr, n
 	}
-
-	// Each chunk stops at its first error past StopAbove; scanned sums
-	// the patterns the chunks examined.
-	maxes := make([]float64, workpool.Resolve(opts.Workers, n))
-	examined := make([]int, len(maxes))
-	workpool.RunChunks(n, len(maxes), func(w, lo, hi int) {
-		var m float64
-		i := lo
-		for ; i < hi; i++ {
-			est := l.EstimateRow(ps.Row(i), ps.Attrs(i))
-			if abs := AbsError(ps.Count(i), est); abs > m {
-				m = abs
-				if opts.StopAbove > 0 && m > opts.StopAbove {
-					i++
-					break
-				}
-			}
-		}
-		maxes[w], examined[w] = m, i-lo
-	})
-	for w, m := range maxes {
-		maxErr = max(maxErr, m)
-		scanned += examined[w]
-	}
-	return maxErr, scanned
+	return Evaluate(l, ps, EvalOptions{Workers: opts.Workers}).MaxAbs, n
 }

@@ -8,7 +8,6 @@ import (
 	"pcbl/internal/dataset"
 	"pcbl/internal/lattice"
 	"pcbl/internal/testutil"
-	"pcbl/internal/workpool"
 )
 
 func TestQError(t *testing.T) {
@@ -179,50 +178,6 @@ func TestSortedEvalIsNotExact(t *testing.T) {
 	sorted, _ := MaxAbsError(l, ps, MaxErrOptions{Sorted: true})
 	if math.Abs(exact-11.0/9) > 1e-12 || math.Abs(sorted-10.0/9) > 1e-12 {
 		t.Fatalf("S={a0,a1}: exact %v, sorted %v; want 11/9 and 10/9", exact, sorted)
-	}
-}
-
-// TestMaxAbsErrorStopAbove: the cutoff returns early with a value above the
-// threshold whenever the true maximum exceeds it.
-func TestMaxAbsErrorStopAbove(t *testing.T) {
-	d := testutil.Fig2()
-	ps := DistinctTuples(d)
-	l := must(BuildLabel(d, lattice.AttrSet(0), CountOptions{Workers: 1})) // independence label: nonzero errors
-	full, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1})
-	if full <= 0 {
-		t.Skip("independence label happens to be exact")
-	}
-	cut, _ := MaxAbsError(l, ps, MaxErrOptions{Workers: 1, StopAbove: full / 2})
-	if cut <= full/2 {
-		t.Errorf("cutoff scan returned %v, want > %v", cut, full/2)
-	}
-}
-
-// TestMaxAbsErrorStopAboveCountsExamined: with workers, a cutoff stops
-// each chunk at its first error past the threshold, and scanned is the
-// number of patterns the chunks examined, not the whole set.
-func TestMaxAbsErrorStopAboveCountsExamined(t *testing.T) {
-	d := testutil.Fig2()
-	ps := DistinctTuples(d)
-	l := must(BuildLabel(d, lattice.AttrSet(0), CountOptions{Workers: 1})) // independence label: nonzero errors
-	const stop, workers = 1e-9, 8
-	want := 0
-	for _, c := range workpool.Chunks(ps.Len(), workers) {
-		i := c.Lo
-		for ; i < c.Hi; i++ {
-			if AbsError(ps.Count(i), l.EstimateRow(ps.Row(i), ps.Attrs(i))) > stop {
-				i++
-				break
-			}
-		}
-		want += i - c.Lo
-	}
-	if want == ps.Len() {
-		t.Fatal("no chunk stops early: the data cannot tell a cut scan from a full one")
-	}
-	got, scanned := MaxAbsError(l, ps, MaxErrOptions{Workers: workers, StopAbove: stop})
-	if got <= stop || scanned != want {
-		t.Fatalf("cut scan = (%v, %d scanned), want above %v after %d of %d", got, scanned, stop, want, ps.Len())
 	}
 }
 

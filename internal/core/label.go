@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"sync"
 
 	"pcbl/internal/dataset"
@@ -291,15 +292,22 @@ func (l *Label) estimateRow(ctx context.Context, vals []uint16, attrs lattice.At
 	if base == 0 {
 		return 0, nil
 	}
-	est := base
-	for _, a := range attrs.Diff(l.attrs).Members() {
-		id := vals[a]
-		if id == dataset.Null {
-			continue
+	return Independence(base, vals, attrs.Diff(l.attrs), l.fracs), nil
+}
+
+// Independence returns base times the independence fraction of every
+// attribute of outside on which vals holds a value, in ascending attribute
+// order: Definition 2.11's product over Attr(p) ∖ S, where fracs[a][id-1]
+// is the fraction of value id of attribute a. Every estimator of the
+// definition multiplies through it, so they agree bit for bit.
+func Independence(base float64, vals []uint16, outside lattice.AttrSet, fracs [][]float64) float64 {
+	for rest := uint64(outside); rest != 0; rest &= rest - 1 {
+		a := bits.TrailingZeros64(rest)
+		if id := vals[a]; id != dataset.Null {
+			base *= fracs[a][id-1]
 		}
-		est *= l.fracs[a][id-1]
 	}
-	return est, nil
+	return base
 }
 
 // ReleaseSpill removes the on-disk runs behind any merge-on-read index the

@@ -144,15 +144,7 @@ func (l *PartialLabel) EstimateRow(vals []uint16, attrs lattice.AttrSet) float64
 	if base == 0 {
 		return 0
 	}
-	est := base
-	for _, a := range attrs.Diff(l.attrs).Members() {
-		id := vals[a]
-		if id == dataset.Null {
-			continue
-		}
-		est *= l.fracs[a][id-1]
-	}
-	return est
+	return Independence(base, vals, attrs.Diff(l.attrs), l.fracs)
 }
 
 // Estimate estimates the count of an explicit pattern.

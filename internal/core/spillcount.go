@@ -152,22 +152,15 @@ func atomicMax(p *int64, v int64) {
 	}
 }
 
-// addSpillFallback records one disk-trouble in-memory fallback: a spill
+// addSpillFallbackErr records one disk-trouble in-memory fallback: a spill
 // scan that could not complete (writer creation, partition write or run
-// count failed) and was re-run with the unbounded in-memory kernel.
-func (st *ScanStats) addSpillFallback() {
-	if st == nil {
-		return
-	}
-	atomic.AddInt64(&st.SpillFallbacks, 1)
-}
-
-// addSpillFallbackErr is addSpillFallback with error classification: a
-// fallback caused by disk exhaustion (the error wraps spill.ErrNoSpace,
-// i.e. the filesystem reported ENOSPC) additionally bumps the dedicated
-// no-space counter, so operators can tell a full disk from flaky I/O in
-// ScanStats without parsing error strings. Context cancellations never
-// reach here — callers propagate them instead of falling back.
+// count failed) with err and was re-run with the unbounded in-memory
+// kernel. A fallback caused by disk exhaustion (err wraps
+// spill.ErrNoSpace, i.e. the filesystem reported ENOSPC) additionally bumps
+// the dedicated no-space counter, so operators can tell a full disk from
+// flaky I/O in ScanStats without parsing error strings. Context
+// cancellations never reach here — callers propagate them instead of
+// falling back.
 func (st *ScanStats) addSpillFallbackErr(err error) {
 	if st == nil {
 		return

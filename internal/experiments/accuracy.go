@@ -61,7 +61,7 @@ func RunAccuracy(nd NamedDataset, cfg Config) (*AccuracyResult, error) {
 	for _, bound := range nd.Bounds {
 		sr, err := search.TopDown(d, ps, search.Options{
 			Bound:        bound,
-			FastEval:     cfg.FastEval,
+			FastEval:     true,
 			CountOptions: core.CountOptions{Workers: cfg.Workers},
 		})
 		if err != nil {

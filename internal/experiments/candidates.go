@@ -48,7 +48,7 @@ func RunCandidates(nd NamedDataset, cfg Config, bounds []int) (*CandidatesResult
 	res := &CandidatesResult{Dataset: nd.Name}
 	naiveOver := false
 	for _, bound := range bounds {
-		opts := search.Options{Bound: bound, FastEval: cfg.FastEval, CountOptions: core.CountOptions{Workers: cfg.Workers}}
+		opts := search.Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: cfg.Workers}}
 		pt := CandidatesPoint{Bound: bound, Naive: -1, TotalSubsets: total}
 		if !naiveOver {
 			nv, err := search.Naive(nd.D, ps, opts)

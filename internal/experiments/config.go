@@ -55,8 +55,6 @@ type Config struct {
 	// terminate within 30 minutes beyond bound of 50"). Zero means no
 	// budget.
 	NaiveBudget time.Duration
-	// FastEval applies the paper's sorted early-termination evaluation.
-	FastEval bool
 }
 
 // WithDefaults fills zero values.

@@ -10,7 +10,7 @@ import (
 )
 
 func tinyCfg() Config {
-	return Config{Scale: ScaleTiny, Seed: 5, SamplingTrials: 2, FastEval: true}.WithDefaults()
+	return Config{Scale: ScaleTiny, Seed: 5, SamplingTrials: 2}.WithDefaults()
 }
 
 func TestDatasets(t *testing.T) {

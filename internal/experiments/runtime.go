@@ -117,7 +117,7 @@ func RunGenTimeByAttrCount(nd NamedDataset, cfg Config) (*RuntimeResult, error) 
 // latches when a naive run exceeds the budget; subsequent points skip the
 // naive algorithm (monotone sweeps only get more expensive).
 func measurePoint(nd NamedDataset, ps *core.PatternSet, bound int, cfg Config, naiveOver *bool) (*RuntimePoint, error) {
-	opts := search.Options{Bound: bound, FastEval: cfg.FastEval, CountOptions: core.CountOptions{Workers: cfg.Workers}}
+	opts := search.Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: cfg.Workers}}
 	pt := &RuntimePoint{}
 
 	top, err := search.TopDown(nd.D, ps, opts)

@@ -40,7 +40,7 @@ func RunSubLabels(nd NamedDataset, cfg Config, bound int) (*SubLabelsResult, err
 	}
 	d := nd.D
 	ps := core.DistinctTuples(d)
-	sr, err := search.TopDown(d, ps, search.Options{Bound: bound, FastEval: cfg.FastEval, CountOptions: core.CountOptions{Workers: cfg.Workers}})
+	sr, err := search.TopDown(d, ps, search.Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: cfg.Workers}})
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func RunSubLabels(nd NamedDataset, cfg Config, bound int) (*SubLabelsResult, err
 	for _, i := range members {
 		subs = append(subs, sr.Attrs.Remove(i))
 	}
-	evals, err := search.EvaluateSets(d, ps, subs, search.Options{Bound: bound, FastEval: cfg.FastEval, CountOptions: core.CountOptions{Workers: cfg.Workers}})
+	evals, err := search.EvaluateSets(d, ps, subs, search.Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: cfg.Workers}})
 	if err != nil {
 		return nil, err
 	}

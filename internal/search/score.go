@@ -185,10 +185,10 @@ func switchWords(rows int, opts Options) int64 {
 // scorer estimates pattern counts for one candidate S exactly as its label
 // L_S(D) would, bit for bit (core.Label's EstimateRow): the base count is
 // |D| when S ∩ Attr(p) is empty and c_D(p|S ∩ Attr(p)) from the row index
-// otherwise, times the VC fractions of Attr(p) ∖ S in ascending attribute
-// order. Once its index work reaches limit — at once, without an index —
-// it builds L_S(D) and answers from the label. It is safe for concurrent
-// use.
+// otherwise, times the VC fractions of Attr(p) ∖ S through the label's own
+// product (core.Independence). Once its index work reaches limit — at
+// once, without an index — it builds L_S(D) and answers from the label.
+// It is safe for concurrent use.
 type scorer struct {
 	ix    *rowIndex
 	d     *dataset.Dataset
@@ -232,14 +232,7 @@ func (sc *scorer) EstimateRow(vals []uint16, attrs lattice.AttrSet) float64 {
 	if base == 0 {
 		return 0
 	}
-	est := float64(base)
-	for rest := uint64(attrs.Diff(sc.attrs)); rest != 0; rest &= rest - 1 {
-		a := bits.TrailingZeros64(rest)
-		if id := vals[a]; id != dataset.Null {
-			est *= sc.fracs[a][id-1]
-		}
-	}
-	return est
+	return core.Independence(float64(base), vals, attrs.Diff(sc.attrs), sc.fracs)
 }
 
 // switchToLabel builds the scorer's label once, under its options.

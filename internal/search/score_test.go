@@ -198,7 +198,8 @@ func TestScorerSwitchCancelled(t *testing.T) {
 // MemBudget the index does not fit, and with the scorer's switch forced
 // at zero and never firing. Every run must return the result of the
 // search with neither — the mechanism of Algorithm 1 as the paper states
-// it — at every worker count and FastEval and BranchAndBound setting.
+// it — at every worker count and FastEval setting, PatternsScanned
+// included: each candidate's scan depends on no other's.
 func TestProofsAndIndexDifferential(t *testing.T) {
 	type workload struct {
 		d     *dataset.Dataset
@@ -235,8 +236,8 @@ func TestProofsAndIndexDifferential(t *testing.T) {
 		}
 		for name, algo := range algos {
 			for _, workers := range []int{1, 2, 8} {
-				for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-					base := Options{Bound: w.bound, FastEval: flags[0], BranchAndBound: flags[1], CountOptions: core.CountOptions{Workers: workers}}
+				for _, fast := range []bool{false, true} {
+					base := Options{Bound: w.bound, FastEval: fast, CountOptions: core.CountOptions{Workers: workers}}
 					ref := base
 					ref.noProofs, ref.noIndex = true, true
 					want, err := algo(d, ps, ref)
@@ -250,9 +251,9 @@ func TestProofsAndIndexDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						tag := fmt.Sprintf("%s bound=%d %s workers=%d fast=%v bnb=%v %s", d.Name(), w.bound, name, workers, flags[0], flags[1], v.name)
+						tag := fmt.Sprintf("%s bound=%d %s workers=%d fast=%v %s", d.Name(), w.bound, name, workers, fast, v.name)
 						sameResult(t, tag, want, got)
-						if workers == 1 && !flags[1] && got.Stats.PatternsScanned != want.Stats.PatternsScanned {
+						if got.Stats.PatternsScanned != want.Stats.PatternsScanned {
 							t.Errorf("%s: PatternsScanned %d, reference %d", tag, got.Stats.PatternsScanned, want.Stats.PatternsScanned)
 						}
 						switch st := got.Stats; v.name {
@@ -276,4 +277,38 @@ func TestProofsAndIndexDifferential(t *testing.T) {
 	if proved == 0 || indexScored == 0 {
 		t.Fatalf("default runs proved %d sets and scored through the index in %d runs; want both", proved, indexScored)
 	}
+}
+
+// TestIndexScoresRestrictedWorkloadWithoutFastEval pins why a scorer
+// starts from the row index even when its scan cannot stop early: over a
+// restricted workload (P_S of two COMPAS attributes, 8 patterns) a
+// FastEval-off search scores every candidate through the index and builds
+// only the winner's label, where starting every scorer from its label
+// builds one a candidate, for the same result.
+func TestIndexScoresRestrictedWorkloadWithoutFastEval(t *testing.T) {
+	d, err := datagen.COMPAS(20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := core.PatternsOver(d, lattice.NewAttrSet(0, 1), core.CountOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Bound: 100, CountOptions: core.CountOptions{Workers: 2}}
+	got, err := TopDown(d, ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.noIndex = true
+	want, err := TopDown(d, ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Evaluated < 2 || got.Stats.LabelsBuilt != 1 {
+		t.Fatalf("%d patterns: %d labels built for %d candidates, want 1 of at least 2", ps.Len(), got.Stats.LabelsBuilt, got.Stats.Evaluated)
+	}
+	if want.Stats.LabelsBuilt != want.Stats.Evaluated {
+		t.Fatalf("noIndex: %d labels built for %d candidates, want one each", want.Stats.LabelsBuilt, want.Stats.Evaluated)
+	}
+	sameResult(t, "index against noIndex", want, got)
 }

@@ -14,6 +14,10 @@
 // (Stats.Proved). Evaluation scores every candidate through one row index
 // of the dataset, bit for bit as the candidate's label would, and builds
 // only the winner's label (Stats.LabelsBuilt).
+//
+// A candidate's error scan stops early only by the paper's sorted count
+// bound (Options.FastEval, §IV-C), and a search stops early only by its
+// context (Options.Ctx).
 package search
 
 import (
@@ -55,7 +59,8 @@ import (
 //     (the winner's, and any a scorer switches to) spill as BuildPC does.
 //     Results are identical either way; Stats.Spilled, SpillRuns,
 //     SpillParallelRuns and SpillBytes report the tier's use in sizing.
-//   - Ctx cancels the search cooperatively. Both phases poll it:
+//   - Ctx cancels the search cooperatively, and is its one deadline
+//     input (context.WithTimeout). Both phases poll it:
 //     enumeration at row-block granularity inside each level's sizing,
 //     evaluation between candidates and at block granularity inside each
 //     label build (a scorer's switch to its label, and the winner's). A
@@ -74,12 +79,10 @@ type Options struct {
 	// Bound is B_s, the maximum admissible label size |P_S|. Required.
 	Bound int
 	// FastEval enables the paper's sorted early-termination max-error scan
-	// (§IV-C). The pattern set is sorted by count once and reused.
+	// (§IV-C), the one early stop of a candidate's scan. The pattern set
+	// is sorted by count once and reused. Without it every candidate is
+	// scored over all of P.
 	FastEval bool
-	// BranchAndBound aborts a candidate's evaluation as soon as its
-	// running max error exceeds the best error found so far. This is an
-	// optimization beyond the paper; it never changes the result.
-	BranchAndBound bool
 
 	core.CountOptions
 
@@ -123,8 +126,9 @@ type Stats struct {
 	// the final phase.
 	Evaluated int
 	// PatternsScanned is the total number of (candidate, pattern) estimate
-	// evaluations across the final phase; early termination keeps it far
-	// below Evaluated × |P|.
+	// evaluations across the final phase; FastEval's early termination
+	// keeps it far below Evaluated × |P|. No candidate's scan depends on
+	// another's, so it is the same at every worker count.
 	PatternsScanned int64
 	// LabelsBuilt counts the labels the final phase built: the winner's,
 	// plus every label a scorer switched to once its row-index work
@@ -454,33 +458,8 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		sc      *scorer
 		maxErr  float64
 		scanned int
-		exact   bool // false when branch-and-bound cut the scan short
 	}
 	results := make([]scored, len(cands))
-
-	var best struct {
-		sync.Mutex
-		err float64
-		ok  bool
-	}
-	cutoff := func() float64 {
-		if !opts.BranchAndBound {
-			return 0
-		}
-		best.Lock()
-		defer best.Unlock()
-		if !best.ok {
-			return 0
-		}
-		return best.err
-	}
-	offer := func(e float64) {
-		best.Lock()
-		if !best.ok || e < best.err {
-			best.err, best.ok = e, true
-		}
-		best.Unlock()
-	}
 
 	// The labels the search builds run on its engine options, without its
 	// sizing stats and pool. A scorer's switch builds single-threaded when
@@ -507,21 +486,12 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 	workpool.DoCtx(opts.Ctx, len(cands), opts.Workers, func(i int) {
 		sc := newScorer(ix, d, cands[i], limit, scoreCO)
 		results[i].sc = sc
-		mo := core.MaxErrOptions{
-			Sorted:    opts.FastEval,
-			StopAbove: cutoff(),
-			Workers:   1,
-		}
-		maxErr, scanned := core.MaxAbsError(sc, ps, mo)
+		maxErr, scanned := core.MaxAbsError(sc, ps, core.MaxErrOptions{Sorted: opts.FastEval, Workers: 1})
 		if err := sc.failed(); err != nil {
 			fail(err)
 			return
 		}
-		exact := mo.StopAbove <= 0 || maxErr <= mo.StopAbove
-		if exact {
-			offer(maxErr)
-		}
-		results[i] = scored{sc, maxErr, scanned, exact}
+		results[i] = scored{sc, maxErr, scanned}
 	})
 	if failErr == nil {
 		failErr = ctxErr(opts.Ctx)
@@ -540,18 +510,14 @@ func finish(sizer *levelSizer, ps *core.PatternSet, cands []lattice.AttrSet) (*R
 		return nil, failErr
 	}
 
-	bestIdx := -1
+	bestIdx := 0
 	for i, r := range results {
 		stats.Evaluated++
 		stats.PatternsScanned += int64(r.scanned)
-		if !r.exact {
-			continue // provably worse than the best exact candidate
-		}
-		if bestIdx < 0 || r.maxErr < results[bestIdx].maxErr {
+		if r.maxErr < results[bestIdx].maxErr {
 			bestIdx = i
 		}
 	}
-	// bestIdx >= 0: the first candidate to call cutoff saw no offer, so it scored exactly.
 	// Only the winning label survives; under a memory budget a loser's
 	// switched label may hold merge-on-read spill runs on disk — drop
 	// those eagerly instead of waiting for the GC.

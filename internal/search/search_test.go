@@ -155,29 +155,6 @@ func TestCandidatesAreAntichain(t *testing.T) {
 	}
 }
 
-// TestBranchAndBoundSameResult: the cutoff never changes the chosen label's
-// error.
-func TestBranchAndBoundSameResult(t *testing.T) {
-	d, err := datagen.BlueNile(2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := core.DistinctTuples(d)
-	for _, bound := range []int{10, 50} {
-		plain, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, CountOptions: core.CountOptions{Workers: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := TopDown(d, ps, Options{Bound: bound, FastEval: true, BranchAndBound: true, CountOptions: core.CountOptions{Workers: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.MaxErr != bb.MaxErr {
-			t.Errorf("bound %d: branch-and-bound err %v != plain %v", bound, bb.MaxErr, plain.MaxErr)
-		}
-	}
-}
-
 // TestParallelEvalSameResult: worker count does not change the outcome.
 func TestParallelEvalSameResult(t *testing.T) {
 	d, err := datagen.BlueNile(2000, 5)

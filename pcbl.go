@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"pcbl/internal/artifact"
 	"pcbl/internal/core"
@@ -235,7 +234,8 @@ const (
 	Naive Algorithm = "naive"
 )
 
-// GenerateOptions configures GenerateLabel.
+// GenerateOptions configures GenerateLabel. It holds no deadline: the
+// context passed to GenerateCtx is the search's one deadline input.
 type GenerateOptions struct {
 	// Bound is B_s, the maximum label size |P_S|. Required.
 	Bound int
@@ -246,16 +246,6 @@ type GenerateOptions struct {
 	Patterns *PatternSet
 	// FastEval enables the paper's sorted early-termination evaluation.
 	FastEval bool
-	// BranchAndBound enables the beyond-paper evaluation cutoff (never
-	// changes the result).
-	BranchAndBound bool
-
-	// Timeout bounds the whole search when positive: the search runs under
-	// a deadline of now+Timeout (composed with any GenerateCtx context —
-	// whichever fires first wins) and an expired deadline abandons the
-	// search, releases every spill-backed label it built, and returns
-	// context.DeadlineExceeded. Zero means no deadline.
-	Timeout time.Duration
 
 	// Engine configures the counting engine (workers, memory budget,
 	// spill placement, filesystem seam). Engine.Workers
@@ -280,28 +270,19 @@ func GenerateLabel(d *Dataset, opts GenerateOptions) (*SearchResult, error) {
 // phases poll ctx (enumeration at row-block granularity inside each
 // level's sizing, evaluation between candidates and inside every label
 // build), and a fired context abandons the search, releases every
-// spill-backed label it built, and returns the typed context error. opts.Timeout, when
-// positive, is composed as a deadline on top of ctx. A nil ctx with a zero
-// Timeout is exactly GenerateLabel.
+// spill-backed label it built, and returns the typed context error. ctx is
+// the search's one deadline input: a caller who wants a deadline passes
+// context.WithTimeout, and an expired one returns
+// context.DeadlineExceeded. A nil ctx is exactly GenerateLabel.
 func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*SearchResult, error) {
-	if opts.Timeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, opts.Timeout)
-		defer cancel()
-	}
 	ps := opts.Patterns
 	if ps == nil {
 		ps = core.DistinctTuples(d)
 	}
 	so := search.Options{
-		Bound:          opts.Bound,
-		FastEval:       opts.FastEval,
-		BranchAndBound: opts.BranchAndBound,
-		CountOptions:   opts.Engine.countOptions(),
+		Bound:        opts.Bound,
+		FastEval:     opts.FastEval,
+		CountOptions: opts.Engine.countOptions(),
 	}
 	so.Ctx = ctx
 	switch opts.Algorithm {
