@@ -30,7 +30,6 @@ import (
 	"pcbl/internal/dataset"
 	"pcbl/internal/experiments"
 	"pcbl/internal/lattice"
-	"pcbl/internal/multilabel"
 	"pcbl/internal/pgstats"
 	"pcbl/internal/sampling"
 	"pcbl/internal/search"
@@ -1261,35 +1260,6 @@ func BenchmarkAblation_SizeAbort_Off(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = must2(core.LabelSize(d, s, -1, core.CountOptions{Workers: 1}))
-	}
-}
-
-// Single label vs multi-label estimation (the future-work extension).
-func BenchmarkAblation_SingleLabel(b *testing.B) {
-	benchSetup(b)
-	d := benchData.compas
-	ps := benchData.psCompas
-	s, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText", "RecSupervisionLevel")
-	l := must(core.BuildLabel(d, s, core.CountOptions{Workers: 1}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Evaluate(l, ps, core.EvalOptions{})
-	}
-}
-
-func BenchmarkAblation_MultiLabel(b *testing.B) {
-	benchSetup(b)
-	d := benchData.compas
-	ps := benchData.psCompas
-	s1, _ := lattice.FromNames(d.AttrNames(), "DecileScore", "ScoreText", "RecSupervisionLevel")
-	s2, _ := lattice.FromNames(d.AttrNames(), "Gender", "Race", "Age")
-	m, err := multilabel.New([]*core.Label{must(core.BuildLabel(d, s1, core.CountOptions{Workers: 1})), must(core.BuildLabel(d, s2, core.CountOptions{Workers: 1}))}, multilabel.BestOverlap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Evaluate(m, ps, core.EvalOptions{})
 	}
 }
 

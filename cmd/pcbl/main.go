@@ -431,7 +431,7 @@ func runUpdate(args []string) error {
 		if err := pcbl.SaveDeltaArtifact(l, *deltaOut, m); err != nil {
 			return err
 		}
-		fmt.Printf("delta artifact written to %s (bound to epoch %d at %d rows; merge with `pcbl update` or MergeDeltaArtifact)\n",
+		fmt.Printf("delta artifact written to %s (bound to epoch %d at %d rows; merge it with pcbl.MergeDeltaArtifact)\n",
 			*deltaOut, m.Epoch, m.TotalRows)
 		return nil
 	}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -116,8 +117,15 @@ func TestUpdateCommand(t *testing.T) {
 
 	// The delta-artifact route: write the delta next to the base, merge it.
 	deltaDir := filepath.Join(t.TempDir(), "delta")
-	if err := runUpdate([]string{"-in", path, "-artifact", dir, "-delta-out", deltaDir}); err != nil {
+	out, err := captureStdout(t, func() error {
+		return runUpdate([]string{"-in", path, "-artifact", dir, "-delta-out", deltaDir})
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	line := fmt.Sprintf("delta artifact written to %s (bound to epoch 2 at 200 rows; merge it with pcbl.MergeDeltaArtifact)\n", deltaDir)
+	if !strings.Contains(out, line) {
+		t.Fatalf("update -delta-out printed %q, want the line %q", out, line)
 	}
 	if _, dm, err := pcbl.OpenLabelArtifact(deltaDir); err != nil || dm.DeltaOf == nil {
 		t.Fatalf("delta artifact: manifest %+v, err %v", dm, err)

@@ -17,7 +17,7 @@
 //     descriptor per PC payload.
 //   - pc-NNN.bin — a sorted payload: an in-memory index, dense or sorted,
 //     saved as one run of its entries in key order. Its descriptor carries
-//     the file's length and CRC32C. Open decodes it whole and gives the
+//     the file's length and CRC32C. OpenFS decodes it whole and gives the
 //     index the representation a build over the label's rows would pick,
 //     so the artifact records no engine representation.
 //   - pc-NNN-runs/ — a spilled payload: a merge-on-read index's K runs,
@@ -29,15 +29,18 @@
 // Saves are crash-safe: payload bytes are fsynced, then the directory,
 // then the manifest lands by atomic rename (tmp + fsync + rename + dir
 // fsync). The manifest rename is the commit point — a crash at any earlier
-// instant leaves a directory without a manifest, which Open rejects with
-// ErrIncomplete, and a crash after it leaves a complete, durable artifact.
-// Open validates the manifest eagerly (structure and self-checksum, with
-// typed errors) and payload data as it is read: a sorted payload verifies
-// its file checksum and then every frame and entry at Open; spilled runs
-// are checked against the manifest from their frame headers at Open, and
-// verify each frame's checksum and entries when a run is first read. Only
-// the current format is read: an artifact of an older format fails Open
-// with ErrManifest.
+// instant leaves a directory without a manifest, which OpenFS rejects
+// with ErrIncomplete, and a crash after it leaves a complete, durable
+// artifact. OpenFS validates the manifest eagerly (structure and
+// self-checksum, with typed errors) and payload data as it is read: a
+// sorted payload verifies its file checksum and then every frame and
+// entry at open; spilled runs are checked against the manifest from their
+// frame headers at open, and verify each frame's checksum and entries when
+// a run is first read. Only the current format is read: an artifact of an
+// older format fails OpenFS with ErrManifest.
+//
+// Every entry point takes a filesystem seam (iofault.FS); nil means the
+// real OS filesystem.
 //
 // Numbers in binary payloads are little-endian. See docs/artifact-format.md
 // for the byte-level layout.
@@ -82,7 +85,7 @@ const (
 	kindSpilled = "spilled"
 )
 
-// Typed error classes. Every error Open returns wraps exactly one of
+// Typed error classes. Every error OpenFS returns wraps exactly one of
 // these (or is an I/O error from the filesystem), so callers can
 // distinguish "not an artifact / crashed save" from "damaged artifact"
 // from "malformed metadata".
@@ -153,8 +156,8 @@ func manifestCRC(raw []byte) (uint32, error) {
 type Manifest struct {
 	FormatVersion int `json:"format_version"`
 
-	// Epoch counts the artifact's merge generation: 1 for a fresh Save,
-	// incremented by every MergeInto. Together with TotalRows it is the
+	// Epoch counts the artifact's merge generation: 1 for a fresh save,
+	// incremented by every MergeIntoFS. Together with TotalRows it is the
 	// watermark an incremental delta binds to — a delta built against
 	// epoch E merges only into an artifact still at epoch E. Manifests
 	// written before epochs existed decode as epoch 1.
@@ -162,7 +165,7 @@ type Manifest struct {
 
 	// DeltaOf, when set, marks this artifact as a delta: a label counted
 	// over only the rows appended after the base artifact's watermark,
-	// mergeable into it with MergeDeltaInto. Nil for ordinary artifacts.
+	// mergeable into it with MergeDeltaIntoFS. Nil for ordinary artifacts.
 	DeltaOf *DeltaMeta `json:"delta,omitempty"`
 
 	// Dataset schema: enough to rebuild the attribute dictionaries (and
@@ -219,21 +222,18 @@ type PCMeta struct {
 	Budget   int64  `json:"budget,omitempty"`
 }
 
-// Save writes label l as an artifact at dir, which must not yet exist (or
-// be an empty directory). Spilled pattern-count indexes are not
-// re-counted: their on-disk runs are adopted — moved — into the artifact,
-// after which l itself serves reads from the artifact's files and l's
-// ReleaseSpill no longer deletes them. The save is crash-safe: every
-// payload is fsynced before the manifest commits by atomic rename, so a
-// crash at any point leaves either no manifest (Open rejects with
-// ErrIncomplete) or a complete durable artifact. Save requires exclusive
-// access to l (no concurrent reads while run files relocate).
-func Save(l *core.Label, dir string) error { return SaveFS(l, dir, nil) }
-
-// SaveFS is Save with an explicit filesystem seam; nil means the real OS
-// filesystem. Fault-injection tests script failures and crash points here.
-// A full disk surfaces as a typed spill.ErrNoSpace; the crash-safety
-// contract holds regardless of the failure's class (no manifest commits).
+// SaveFS writes label l as an artifact at dir, which must not yet exist
+// (or be an empty directory), through the filesystem seam fsys; nil means
+// the real OS filesystem, and fault-injection tests script failures and
+// crash points here. Spilled pattern-count indexes are not re-counted:
+// their on-disk runs are adopted — moved — into the artifact, after which
+// l itself serves reads from the artifact's files and l's ReleaseSpill no
+// longer deletes them. The save is crash-safe: every payload is fsynced
+// before the manifest commits by atomic rename, so a crash at any point
+// leaves either no manifest (OpenFS rejects with ErrIncomplete) or a
+// complete durable artifact, whatever the failure's class. A full disk
+// surfaces as a typed spill.ErrNoSpace. SaveFS requires exclusive access
+// to l (no concurrent reads while run files relocate).
 func SaveFS(l *core.Label, dir string, fsys iofault.FS) error {
 	fsi := iofault.Resolve(fsys)
 	if err := saveInto(l, dir, 1, nil, fsi); err != nil {
@@ -242,20 +242,16 @@ func SaveFS(l *core.Label, dir string, fsys iofault.FS) error {
 	return nil
 }
 
-// SaveDelta writes a delta artifact: label l — counted over ONLY the rows
-// appended after the base artifact's watermark — tagged with the base's
-// epoch and row count so MergeDeltaInto can later verify it still applies.
-// base is the manifest of the artifact the delta extends, as returned by
-// Open at delta-build time. Everything else matches Save: dir must not yet
-// exist (or be empty) and the write is crash-safe.
-func SaveDelta(l *core.Label, dir string, base *Manifest) error {
-	return SaveDeltaFS(l, dir, base, nil)
-}
-
-// SaveDeltaFS is SaveDelta with an explicit filesystem seam.
+// SaveDeltaFS writes a delta artifact: label l — counted over ONLY the
+// rows appended after the base artifact's watermark — tagged with the
+// base's epoch and row count so MergeDeltaIntoFS can later verify it still
+// applies. base is the manifest of the artifact the delta extends, as
+// returned by OpenFS at delta-build time. Everything else matches SaveFS:
+// dir must not yet exist (or be empty), the write is crash-safe and a nil
+// fsys means the real OS filesystem.
 func SaveDeltaFS(l *core.Label, dir string, base *Manifest, fsys iofault.FS) error {
 	if base == nil {
-		return fmt.Errorf("artifact: SaveDelta without a base manifest")
+		return fmt.Errorf("artifact: SaveDeltaFS without a base manifest")
 	}
 	fsi := iofault.Resolve(fsys)
 	meta := &DeltaMeta{BaseEpoch: epochOf(base), BaseRows: base.TotalRows}
@@ -263,7 +259,7 @@ func SaveDeltaFS(l *core.Label, dir string, base *Manifest, fsys iofault.FS) err
 }
 
 // saveInto writes label l as a fresh artifact at dir — the shared body of
-// Save, SaveDelta, and (with an epoch suffix on payload names) the merge
+// SaveFS, SaveDeltaFS, and (with an epoch suffix on payload names) the merge
 // rewrite. dir must not exist or be an empty directory.
 func saveInto(l *core.Label, dir string, epoch int64, deltaOf *DeltaMeta, fsi iofault.FS) error {
 	if err := fsi.MkdirAll(dir, 0o755); err != nil {
@@ -456,24 +452,21 @@ func savePC(m *Manifest, pc *core.PC, d *dataset.Dataset, dir, suffix string, fs
 	return nil
 }
 
-// Open reads an artifact directory and reconstructs its label: a
-// schema-only dataset (dictionaries, zero rows), the PC section — spilled
-// payloads reopen their adopted run files read-only and stream on demand,
-// exactly as the building process served them — and every persisted
-// marginal index. The returned manifest describes what was loaded.
+// OpenFS reads an artifact directory through the filesystem seam fsys (nil
+// means the real OS filesystem) and reconstructs its label: a schema-only
+// dataset (dictionaries, zero rows), the PC section — spilled payloads
+// reopen their adopted run files read-only and stream on demand, exactly
+// as the building process served them — and every persisted marginal
+// index. The returned manifest describes what was loaded.
 //
 // The manifest is verified eagerly (structure and self-checksum); payload
 // bytes are verified as they are read. Errors are typed: ErrIncomplete for
 // a missing manifest, ErrManifest for invalid metadata or another format
 // version, ErrCorrupt (a CorruptError) for data that fails verification.
-// A sorted payload is read and verified whole at Open. A spilled
-// payload's frame headers must agree with the manifest at Open; its
+// A sorted payload is read and verified whole at open. A spilled
+// payload's frame headers must agree with the manifest at open; its
 // entries verify when a run is first read, where a failure is a
 // spill.ErrCorrupt from the query that read it.
-func Open(dir string) (*core.Label, *Manifest, error) { return OpenFS(dir, nil) }
-
-// OpenFS is Open with an explicit filesystem seam; nil means the real OS
-// filesystem.
 func OpenFS(dir string, fsys iofault.FS) (*core.Label, *Manifest, error) {
 	fsi := iofault.Resolve(fsys)
 	data, err := fsi.ReadFile(filepath.Join(dir, manifestName))
@@ -695,7 +688,7 @@ func openPC(d *dataset.Dataset, pm PCMeta, rows int, dir string, fsi iofault.FS)
 			return nil, fmt.Errorf("artifact: %w", err)
 		}
 		// The run sizes size the read path's allocations, so each must be
-		// what its run's frame headers declare — which Open bounded by
+		// what its run's frame headers declare — which spill.Open bounded by
 		// the run's bytes — and the rows the runs count are the label's.
 		for run, n := range pm.RunSizes {
 			if got := runs.Entries(run); got != n {

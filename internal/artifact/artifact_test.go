@@ -116,7 +116,7 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 	t.Helper()
 	probes := probePatterns(t, d, 128, seed)
 	// Run every probe once pre-save: the label lazily materializes each
-	// marginal index the workload needs, Save persists them all, and the
+	// marginal index the workload needs, SaveFS persists them all, and the
 	// reopened label must answer from the restored indexes verbatim — the
 	// exactness of dataset-built marginals survives the round trip even on
 	// NULL-bearing data.
@@ -125,10 +125,10 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 	}
 
 	dir := filepath.Join(t.TempDir(), "label-artifact")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	rl, m, err := Open(dir)
+	rl, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,9 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 }
 
 // TestOpenHoldsNoRunDescriptors: a reopened artifact keeps its runs'
-// paths, not open files, so after Open and a scan that loads every run of
+// paths, not open files, so after OpenFS and a scan that loads every run of
 // every spilled payload the process holds no more descriptors than before
-// Open, however many runs the artifact has. (A collector finalizing a file
+// OpenFS, however many runs the artifact has. (A collector finalizing a file
 // another test leaked may close one in between, so fewer is no failure.)
 func TestOpenHoldsNoRunDescriptors(t *testing.T) {
 	fds := func() int {
@@ -252,13 +252,13 @@ func TestOpenHoldsNoRunDescriptors(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "fds")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.ReleaseSpill()
 
 	before := fds()
-	rl, m, err := Open(dir)
+	rl, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +296,12 @@ func TestColdMarginalsNullFree(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0, 0x79)
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{}))
 	dir := filepath.Join(t.TempDir(), "cold")
-	// Save before any marginal materializes: the artifact holds only the
+	// SaveFS before any marginal materializes: the artifact holds only the
 	// PC section.
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	rl, m, err := Open(dir)
+	rl, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestColdMarginalsNullFree(t *testing.T) {
 }
 
 // TestSaveAdoptionKeepsSourceLabelLive pins the adoption contract: after
-// Save relocates a spilled PC's runs, the original in-process label keeps
+// SaveFS relocates a spilled PC's runs, the original in-process label keeps
 // answering queries from the artifact's files.
 func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x76)
@@ -336,7 +336,7 @@ func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 	}
 	before := pcDump(l.PC())
 	dir := filepath.Join(t.TempDir(), "adopted")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := pcDump(l.PC())
@@ -350,7 +350,7 @@ func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 	}
 	// Releasing the source label must not delete the artifact's runs.
 	l.ReleaseSpill()
-	if _, _, err := Open(dir); err != nil {
+	if _, _, err := OpenFS(dir, nil); err != nil {
 		t.Fatalf("artifact unreadable after source release: %v", err)
 	}
 }
@@ -362,7 +362,7 @@ func TestSaveRefusesNonEmptyDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "junk"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(l, dir); err == nil {
+	if err := SaveFS(l, dir, nil); err == nil {
 		t.Fatal("Save accepted a non-empty directory")
 	}
 }
@@ -371,7 +371,7 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	d := genDataset(t, 100, 3, 4, 0, 0x78)
 	l := must(core.BuildLabel(d, lattice.FullSet(2), core.CountOptions{}))
 	dir := filepath.Join(t.TempDir(), "vbad")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, manifestName)
@@ -386,13 +386,13 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "format version") {
+	if _, _, err := OpenFS(dir, nil); err == nil || !strings.Contains(err.Error(), "format version") {
 		t.Fatalf("Open of version-99 artifact: %v, want format-version error", err)
 	}
 }
 
 func TestOpenMissingManifest(t *testing.T) {
-	if _, _, err := Open(t.TempDir()); err == nil {
+	if _, _, err := OpenFS(t.TempDir(), nil); err == nil {
 		t.Fatal("Open accepted a directory without a manifest")
 	}
 }
@@ -410,11 +410,11 @@ func TestWideKeysRoundTrip(t *testing.T) {
 			for _, budget := range []int64{0, 2 << 10} {
 				l := must(core.BuildLabel(d, full, core.CountOptions{Workers: workers, MemBudget: budget, SpillDir: t.TempDir()}))
 				dir := filepath.Join(t.TempDir(), "wide")
-				if err := Save(l, dir); err != nil {
+				if err := SaveFS(l, dir, nil); err != nil {
 					t.Fatal(err)
 				}
 				l.ReleaseSpill()
-				rl, m, err := Open(dir)
+				rl, m, err := OpenFS(dir, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -156,7 +156,7 @@ func recordRuns(t *testing.T, runDir string, words int, framed bool) {
 }
 
 // TestOlderFormatsFailTyped: an artifact of format 1, 2 or 3, in memory
-// or spilled, fails Open with ErrManifest naming its version, before any
+// or spilled, fails OpenFS with ErrManifest naming its version, before any
 // payload is read. None ever answers a count.
 func TestOlderFormatsFailTyped(t *testing.T) {
 	o := newSweepOracle(t)
@@ -169,13 +169,13 @@ func TestOlderFormatsFailTyped(t *testing.T) {
 			} else {
 				l = must(core.BuildLabel(o.d, lattice.FullSet(4), core.CountOptions{}))
 			}
-			if err := Save(l, dir); err != nil {
+			if err := SaveFS(l, dir, nil); err != nil {
 				t.Fatal(err)
 			}
 			l.ReleaseSpill()
 			downConvert(t, dir, version)
 			want := fmt.Sprintf("format version %d", version)
-			if _, _, err := Open(dir); !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), want) {
+			if _, _, err := OpenFS(dir, nil); !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("spilled=%v: Open of a format-%d artifact: %v, want ErrManifest naming %s", spilled, version, err, want)
 			}
 		}
@@ -190,7 +190,7 @@ func TestOpenIgnoresFramedField(t *testing.T) {
 	o := newSweepOracle(t)
 	dir := filepath.Join(t.TempDir(), "a")
 	l := o.buildSpilled(t, t.TempDir(), nil)
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.ReleaseSpill()
@@ -231,7 +231,7 @@ func TestOpenIgnoresFramedField(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rl, _, err := Open(dir)
+	rl, _, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatalf("Open of a manifest carrying \"framed\": %v", err)
 	}
@@ -243,7 +243,7 @@ func TestOpenIgnoresFramedField(t *testing.T) {
 
 // TestRemovedKindsFailManifest: the payload kinds of earlier writers —
 // bytes and spilled-bytes, whose keys are now uint64 words, and dense,
-// u64 and spilled-u64, whose payloads are now one run codec — fail Open
+// u64 and spilled-u64, whose payloads are now one run codec — fail OpenFS
 // with ErrManifest, in a current manifest whose payloads are otherwise
 // intact.
 func TestRemovedKindsFailManifest(t *testing.T) {
@@ -264,7 +264,7 @@ func TestRemovedKindsFailManifest(t *testing.T) {
 		if tc.spilled {
 			l = o.buildSpilled(t, t.TempDir(), nil)
 		}
-		if err := Save(l, dir); err != nil {
+		if err := SaveFS(l, dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		l.ReleaseSpill()
@@ -298,7 +298,7 @@ func TestRemovedKindsFailManifest(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir); !errors.Is(err, ErrManifest) {
+		if _, _, err := OpenFS(dir, nil); !errors.Is(err, ErrManifest) {
 			t.Fatalf("kind %q: Open = %v, want ErrManifest", tc.kind, err)
 		}
 	}

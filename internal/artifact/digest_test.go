@@ -77,11 +77,11 @@ func TestOneWordPayloadsPinned(t *testing.T) {
 				Workers: 1, MemBudget: c.budget, SpillDir: t.TempDir(),
 			}))
 			dir := filepath.Join(t.TempDir(), c.name)
-			if err := Save(l, dir); err != nil {
+			if err := SaveFS(l, dir, nil); err != nil {
 				t.Fatal(err)
 			}
 			l.ReleaseSpill()
-			rl, m, err := Open(dir)
+			rl, m, err := OpenFS(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

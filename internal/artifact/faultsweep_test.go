@@ -148,7 +148,7 @@ func TestFaultSweepBuild(t *testing.T) {
 }
 
 // TestFaultSweepSave: a fault at any point of SaveFS must either surface
-// as a Save error (and the half-written directory must not open as a
+// as a SaveFS error (and the half-written directory must not open as a
 // quietly wrong artifact) or leave a complete artifact that answers
 // bit-identically.
 func TestFaultSweepSave(t *testing.T) {
@@ -169,7 +169,7 @@ func TestFaultSweepSave(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "a")
 			saveErr := SaveFS(l, dir, ffs)
 			l.ReleaseSpill()
-			rl, _, openErr := Open(dir)
+			rl, _, openErr := OpenFS(dir, nil)
 			if saveErr == nil && openErr != nil {
 				t.Fatalf("%s@%d: Save succeeded but Open failed: %v", trial, n, openErr)
 			}
@@ -213,7 +213,7 @@ func TestFaultSweepSaveKill(t *testing.T) {
 			// Post-crash state is inspected through the real filesystem,
 			// exactly as a restarted process would.
 			_, statErr := os.Stat(filepath.Join(dir, manifestName))
-			rl, _, openErr := Open(dir)
+			rl, _, openErr := OpenFS(dir, nil)
 			if statErr == nil {
 				if openErr != nil {
 					t.Fatalf("%s@%d: manifest committed but Open failed: %v", trial, n, openErr)
@@ -268,7 +268,7 @@ func TestFaultSweepOpen(t *testing.T) {
 }
 
 // TestFaultSweepCorruption flips bytes across every artifact file and
-// asserts the checksums hold the line: each flip is either caught at Open
+// asserts the checksums hold the line: each flip is either caught at OpenFS
 // (typed corruption error), caught at query time (clean error from the
 // lazy run CRC), or — only for flips outside any checksummed region, which
 // the format does not have — answered identically. Wrong answers fail the
@@ -322,7 +322,7 @@ func TestFaultSweepCorruption(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rl, _, openErr := Open(dir)
+			rl, _, openErr := OpenFS(dir, nil)
 			if openErr != nil {
 				continue // caught at open — the expected fate for manifest and payload flips
 			}

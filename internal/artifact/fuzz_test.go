@@ -3,7 +3,7 @@ package artifact
 // FuzzDecodeManifest hardens the artifact's front door: manifest bytes are
 // the one input an attacker (or a corrupted disk) fully controls, and the
 // decode + validate pipeline must reject anything malformed with a typed
-// error — never panic, never hand Open a manifest whose reference or
+// error — never panic, never hand OpenFS a manifest whose reference or
 // length arithmetic is inconsistent.
 
 import (
@@ -89,7 +89,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// realManifest produces the exact bytes Save writes, so the corpus always
+// realManifest produces the exact bytes SaveFS writes, so the corpus always
 // contains one input that takes the fully-valid path (correct envelope
 // CRC included). Returns "" if the build fails — the fuzz target still
 // runs on the synthetic seeds.
@@ -112,7 +112,7 @@ func realManifest(f *testing.F) string {
 	}
 	l := must(core.BuildLabel(d, lattice.FullSet(2), core.CountOptions{}))
 	dir := filepath.Join(f.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		return ""
 	}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))

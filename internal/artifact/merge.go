@@ -11,13 +11,13 @@
 // new artifact complete. The only residue a crash can leave is garbage:
 // new-generation payloads no manifest references (pre-commit) or
 // old-generation payloads nothing references (post-commit, before the
-// cleanup sweep) — both invisible to Open, which reads only what the
+// cleanup sweep) — both invisible to OpenFS, which reads only what the
 // manifest names.
 //
 // A spilled payload is read by path (spill.Runs holds no open files), so
 // a label opened at a generation keeps reading that generation's run
 // directories after a merge supersedes it: a daemon not yet reloaded, a
-// request still in flight across a reload, a label whose runs Save
+// request still in flight across a reload, a label whose runs SaveFS
 // adopted. A merge therefore deletes the superseded generation's payload
 // files once it commits, but leaves its run directories to the next
 // merge's pre-merge sweep: every label stays able to load its runs
@@ -35,39 +35,34 @@ import (
 	"pcbl/internal/spill"
 )
 
-// MergeInto folds delta — a label counted over ONLY the rows appended
+// MergeIntoFS folds delta — a label counted over ONLY the rows appended
 // after the base artifact's watermark — into the artifact at baseDir,
 // committing an updated artifact in place whose label is bit-identical to
-// a full rebuild over base+delta rows. base is the manifest the delta was
-// built against (from Open at delta-build time); if the on-disk artifact
-// has moved past that epoch or row watermark the merge is rejected with
-// ErrEpochMismatch and the artifact is untouched. A nil base skips the
-// watermark check (callers that hold the artifact exclusively).
+// a full rebuild over base+delta rows. Every file access goes through the
+// filesystem seam fsys; nil means the real OS filesystem. base is the
+// manifest the delta was built against (from OpenFS at delta-build time);
+// if the on-disk artifact has moved past that epoch or row watermark the
+// merge is rejected with ErrEpochMismatch and the artifact is untouched.
+// A nil base skips the watermark check (callers that hold the artifact
+// exclusively).
 //
-// The commit is crash-safe with the same contract as Save: at every
+// The commit is crash-safe with the same contract as SaveFS: at every
 // instant the directory holds one complete, consistent artifact — the old
-// one until the manifest rename, the merged one after. The superseded
-// generation's payload files are deleted only after the commit, best
-// effort; a crash may leave them behind as unreferenced garbage. Its run
-// directories stay until the next merge, so a label opened before this
-// one still loads every run.
-func MergeInto(baseDir string, delta *core.Label, base *Manifest) (*Manifest, error) {
-	return MergeIntoFS(baseDir, delta, base, nil)
-}
-
-// MergeIntoFS is MergeInto with an explicit filesystem seam; nil means
-// the real OS filesystem. A full disk surfaces as a typed spill.ErrNoSpace;
-// the crash-safety contract holds regardless of the failure's class (the
-// old artifact stays committed).
+// one until the manifest rename, the merged one after — whatever the
+// failure's class; a full disk surfaces as a typed spill.ErrNoSpace. The
+// superseded generation's payload files are deleted only after the
+// commit, best effort; a crash may leave them behind as unreferenced
+// garbage. Its run directories stay until the next merge, so a label
+// opened before this one still loads every run.
 func MergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault.FS) (*Manifest, error) {
-	nm, err := mergeIntoFS(baseDir, delta, base, fsys)
+	nm, err := mergeInto(baseDir, delta, base, fsys)
 	if err != nil {
 		return nil, spill.WrapNoSpace(err)
 	}
 	return nm, nil
 }
 
-func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault.FS) (*Manifest, error) {
+func mergeInto(baseDir string, delta *core.Label, base *Manifest, fsys iofault.FS) (*Manifest, error) {
 	fsi := iofault.Resolve(fsys)
 	l, m, err := OpenFS(baseDir, fsys)
 	if err != nil {
@@ -137,15 +132,12 @@ func mergeIntoFS(baseDir string, delta *core.Label, base *Manifest, fsys iofault
 	return nm, nil
 }
 
-// MergeDeltaInto folds a saved delta artifact (SaveDelta) into the base
-// artifact it is bound to, verifying the binding: the delta's recorded
-// base epoch and row watermark must match the on-disk manifest exactly,
-// or the merge is rejected with ErrEpochMismatch.
-func MergeDeltaInto(baseDir, deltaDir string) (*Manifest, error) {
-	return MergeDeltaIntoFS(baseDir, deltaDir, nil)
-}
-
-// MergeDeltaIntoFS is MergeDeltaInto with an explicit filesystem seam.
+// MergeDeltaIntoFS folds a saved delta artifact (SaveDeltaFS) into the
+// base artifact it is bound to, verifying the binding: the delta's
+// recorded base epoch and row watermark must match the on-disk manifest
+// exactly, or the merge is rejected with ErrEpochMismatch. It reads and
+// writes through fsys as MergeIntoFS does; nil means the real OS
+// filesystem.
 func MergeDeltaIntoFS(baseDir, deltaDir string, fsys iofault.FS) (*Manifest, error) {
 	dl, dm, err := OpenFS(deltaDir, fsys)
 	if err != nil {
@@ -159,7 +151,7 @@ func MergeDeltaIntoFS(baseDir, deltaDir string, fsys iofault.FS) (*Manifest, err
 }
 
 // removeStale deletes the payload files a superseded manifest references.
-// Open reads a file payload whole, so no label reads one afterwards; the
+// OpenFS reads a file payload whole, so no label reads one afterwards; the
 // manifest's run directories, which labels opened at its generation read
 // by path, are left for the next merge's sweepUnreferenced. Ordinary
 // failures are swallowed — the leftovers are unreferenced garbage a later

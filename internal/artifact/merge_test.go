@@ -1,6 +1,6 @@
 package artifact
 
-// Tests for artifact-level incremental maintenance: MergeInto must advance
+// Tests for artifact-level incremental maintenance: MergeIntoFS must advance
 // the epoch atomically — every crash or fault leaves a directory that opens
 // as either the old generation or the new one, bit-identical to the
 // corresponding rebuild, never torn — and the epoch binding must reject
@@ -99,10 +99,10 @@ func (f *mergeFixture) saveBase(t *testing.T, dir string) *Manifest {
 	if !l.PC().Spilled() {
 		t.Fatal("base label did not spill; fixture shape needs adjusting")
 	}
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := Open(dir)
+	_, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func TestMergeIntoDifferential(t *testing.T) {
 	}
 
 	dl := f.deltaLabel(t)
-	nm, err := MergeInto(dir, dl, m)
+	nm, err := MergeIntoFS(dir, dl, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm.Epoch != 2 || nm.TotalRows != f.d.NumRows() {
 		t.Fatalf("merged manifest: epoch %d rows %d, want 2, %d", nm.Epoch, nm.TotalRows, f.d.NumRows())
 	}
-	rl, rm, err := Open(dir)
+	rl, rm, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestMergeIntoDifferential(t *testing.T) {
 
 	// A delta bound to the superseded generation must now be refused.
 	dl2 := f.deltaLabel(t)
-	if _, err := MergeInto(dir, dl2, m); !errors.Is(err, ErrEpochMismatch) {
+	if _, err := MergeIntoFS(dir, dl2, m, nil); !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("stale-base merge: got %v, want ErrEpochMismatch", err)
 	}
 	// And merging against the current manifest keeps working: epoch 3.
-	nm2, err := MergeInto(dir, dl2, rm)
+	nm2, err := MergeIntoFS(dir, dl2, rm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func assertGenerations(t *testing.T, dir string, cur, prev *Manifest) {
 
 // TestOldGenerationReadsAfterMerge: a spilled PC reads its runs by path,
 // so a merge keeps the run directories of the generation it supersedes.
-// After the merge, a label opened before it and the label whose runs Save
+// After the merge, a label opened before it and the label whose runs SaveFS
 // adopted both load every run of every spilled payload and answer with
 // the pre-merge counts. The next merge removes those directories.
 func TestOldGenerationReadsAfterMerge(t *testing.T) {
@@ -219,10 +219,10 @@ func TestOldGenerationReadsAfterMerge(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	ol, m, err := Open(dir)
+	ol, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOldGenerationReadsAfterMerge(t *testing.T) {
 	deltas := []*dataset.Dataset{must(f.d.Slice(f.base.NumRows(), half)), must(f.d.Slice(half, f.d.NumRows()))}
 	merge := func(delta *dataset.Dataset, base *Manifest) *Manifest {
 		t.Helper()
-		nm, err := MergeInto(dir, must(core.BuildLabel(delta, full, core.CountOptions{})), base)
+		nm, err := MergeIntoFS(dir, must(core.BuildLabel(delta, full, core.CountOptions{})), base, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,10 +281,10 @@ func TestSaveDeltaAndMergeDeltaInto(t *testing.T) {
 
 	dl := f.deltaLabel(t)
 	deltaDir := filepath.Join(t.TempDir(), "delta")
-	if err := SaveDelta(dl, deltaDir, m); err != nil {
+	if err := SaveDeltaFS(dl, deltaDir, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, dm, err := Open(deltaDir)
+	_, dm, err := OpenFS(deltaDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,14 +292,14 @@ func TestSaveDeltaAndMergeDeltaInto(t *testing.T) {
 		t.Fatalf("delta binding = %+v", dm.DeltaOf)
 	}
 
-	nm, err := MergeDeltaInto(baseDir, deltaDir)
+	nm, err := MergeDeltaIntoFS(baseDir, deltaDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm.Epoch != 2 {
 		t.Fatalf("epoch = %d, want 2", nm.Epoch)
 	}
-	rl, _, err := Open(baseDir)
+	rl, _, err := OpenFS(baseDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,16 +308,16 @@ func TestSaveDeltaAndMergeDeltaInto(t *testing.T) {
 
 	// Replaying the same delta artifact must fail the epoch check, not
 	// double-count.
-	if _, err := MergeDeltaInto(baseDir, deltaDir); !errors.Is(err, ErrEpochMismatch) {
+	if _, err := MergeDeltaIntoFS(baseDir, deltaDir, nil); !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("replay: got %v, want ErrEpochMismatch", err)
 	}
 	// A plain (non-delta) artifact is not mergeable this way.
-	if _, err := MergeDeltaInto(baseDir, baseDir); !errors.Is(err, ErrManifest) {
+	if _, err := MergeDeltaIntoFS(baseDir, baseDir, nil); !errors.Is(err, ErrManifest) {
 		t.Fatalf("non-delta source: got %v, want ErrManifest", err)
 	}
-	// SaveDelta demands a base binding.
-	if err := SaveDelta(dl, filepath.Join(t.TempDir(), "x"), nil); err == nil {
-		t.Fatal("SaveDelta accepted a nil base manifest")
+	// SaveDeltaFS demands a base binding.
+	if err := SaveDeltaFS(dl, filepath.Join(t.TempDir(), "x"), nil, nil); err == nil {
+		t.Fatal("SaveDeltaFS accepted a nil base manifest")
 	}
 }
 
@@ -384,17 +384,17 @@ func TestMergeIntoKillSweep(t *testing.T) {
 
 			// Restart semantics: a rerun of the update against whatever
 			// generation survived must complete and land on full counts.
-			rl, rm, err := Open(dir)
+			rl, rm, err := OpenFS(dir, nil)
 			if err != nil {
 				t.Fatalf("%s@%d: post-crash open: %v", trial, n, err)
 			}
 			rl.ReleaseSpill()
 			if epoch == 1 {
 				dl2 := f.deltaLabel(t)
-				if _, err := MergeInto(dir, dl2, rm); err != nil {
+				if _, err := MergeIntoFS(dir, dl2, rm, nil); err != nil {
 					t.Fatalf("%s@%d: post-crash retry failed: %v", trial, n, err)
 				}
-				rl2, rm2, err := Open(dir)
+				rl2, rm2, err := OpenFS(dir, nil)
 				if err != nil {
 					t.Fatalf("%s@%d: open after retry: %v", trial, n, err)
 				}
@@ -414,7 +414,7 @@ func TestMergeIntoKillSweep(t *testing.T) {
 // when the merge's own return value already decides it.
 func (f *mergeFixture) checkGeneration(t *testing.T, trial string, n int64, dir string, mustNew, mustOld bool) int64 {
 	t.Helper()
-	rl, rm, err := Open(dir)
+	rl, rm, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatalf("%s@%d: artifact no longer opens: %v", trial, n, err)
 	}
@@ -481,7 +481,7 @@ func TestMergeStagesRunsInsideArtifact(t *testing.T) {
 			t.Errorf("the merge created %s outside the artifact %s", d, dir)
 		}
 	}
-	_, nm, err := Open(dir)
+	_, nm, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

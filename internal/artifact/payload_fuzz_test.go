@@ -1,14 +1,14 @@
 package artifact
 
-// FuzzOpenPayload hardens the payload decoder behind Open, the bytes
+// FuzzOpenPayload hardens the payload decoder behind OpenFS, the bytes
 // FuzzDecodeManifest never reaches: a saved artifact's sorted payload —
 // the PC section, saved from a sorted PC, or a marginal saved from a
 // dense one — or one run file of a saved spilled artifact, with one-word
 // keys and with two-word keys, is replaced by mutated bytes, and the
 // manifest's length, entry count and CRC (the run frames' own checksums
 // included) are fixed up so the mutation gets past the checksums to the
-// decoder. Open must then fail with a typed error — for a spilled run,
-// Open or the run's first read — or serve a PC that answers every lookup
+// decoder. OpenFS must then fail with a typed error — for a spilled run,
+// OpenFS or the run's first read — or serve a PC that answers every lookup
 // exactly as the payload's entries say, each a positive count, and
 // marginals that sum those entries exactly. A sorted layout is looked up
 // by binary search, which is only correct on strictly ascending keys, so a
@@ -135,10 +135,10 @@ func newPayloadTemplate(f *testing.F, dims []int) *payloadTemplate {
 		f.Fatal(err)
 	}
 	dir := filepath.Join(f.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		f.Fatal(err)
 	}
-	_, m, err := Open(dir)
+	_, m, err := OpenFS(dir, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func (tp *payloadTemplate) write(t *testing.T, dir string, idx int, data []byte)
 			t.Fatal(err)
 		}
 	}
-	// Written without Save's fsyncs, which would dominate an iteration.
+	// Written without SaveFS's fsyncs, which would dominate an iteration.
 	manifest, err := encodeManifest(&m)
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +293,11 @@ func newSpillTemplate(f *testing.F, dims []int) *spillTemplate {
 	full := lattice.FullSet(len(dims))
 	l := must(core.BuildLabel(d, full, core.CountOptions{Workers: 1, MemBudget: 8 << 10, SpillDir: f.TempDir()}))
 	dir := filepath.Join(f.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		f.Fatal(err)
 	}
 	l.ReleaseSpill()
-	_, m, err := Open(dir)
+	_, m, err := OpenFS(dir, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 	if bad == nil && st.otherRows+rows > int64(st.m.TotalRows) {
 		bad = fmt.Errorf("runs count %d rows of %d", st.otherRows+rows, st.m.TotalRows)
 	}
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, nil)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
 			t.Fatalf("untyped Open error: %v", err)
@@ -533,7 +533,7 @@ func (st *spillTemplate) check(t *testing.T, data []byte) {
 }
 
 // check is the arm of the fuzz target for payload idx of the template:
-// data replaces it, and Open must fail typed exactly when the reference
+// data replaces it, and OpenFS must fail typed exactly when the reference
 // decoding of the payload finds a broken rule — or a key outside the key
 // space, or counts past the label's rows — and otherwise serve a label
 // that answers exactly as the payload says.
@@ -554,7 +554,7 @@ func (tp *payloadTemplate) check(t *testing.T, idx int, data []byte) {
 	if bad == nil && rows > int64(tp.m.TotalRows) {
 		bad = fmt.Errorf("counts sum to %d over %d rows", rows, tp.m.TotalRows)
 	}
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, nil)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrManifest) {
 			t.Fatalf("untyped Open error: %v", err)

@@ -2,10 +2,10 @@ package artifact
 
 // Sorted payloads: an in-memory PC, dense or sorted, saves as one run of
 // its entries and reopens with the same entries in the same order (the
-// representation a reopened PC gets is checked on the label Open
+// representation a reopened PC gets is checked on the label OpenFS
 // assembles by internal/core's TestPortableTiersMatchBuild, over the same
 // shapes); a payload that breaks the run codec, the entry total, the row
-// total or the key space fails Open with ErrCorrupt.
+// total or the key space fails OpenFS with ErrCorrupt.
 
 import (
 	"encoding/binary"
@@ -46,10 +46,10 @@ func assertSameEntries(t *testing.T, what string, got, want *core.PC, n int) {
 func saveOpen(t *testing.T, l *core.Label, words int) (string, *core.Label, *Manifest) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	rl, m, err := Open(dir)
+	rl, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestSortedPayloadRoundTrips(t *testing.T) {
 			}
 		}
 		dir, _, bm := saveOpen(t, bl, tc.words)
-		if _, err := MergeInto(dir, must(core.BuildLabel(delta, full, core.CountOptions{})), bm); err != nil {
+		if _, err := MergeIntoFS(dir, must(core.BuildLabel(delta, full, core.CountOptions{})), bm, nil); err != nil {
 			t.Fatal(err)
 		}
-		ml, mm, err := Open(dir)
+		ml, mm, err := OpenFS(dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestEmptyPCRoundTrips(t *testing.T) {
 }
 
 // TestCorruptSortedPayloadsFail: a sorted payload of three frames, saved
-// and then damaged one way each, fails Open with ErrCorrupt — with the
+// and then damaged one way each, fails OpenFS with ErrCorrupt — with the
 // manifest's length and checksum fixed up to the damaged bytes wherever
 // the damage should reach the decoder rather than the file checksum.
 func TestCorruptSortedPayloadsFail(t *testing.T) {
@@ -230,7 +230,7 @@ func TestCorruptSortedPayloadsFail(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := OpenFS(dir, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Open = %v, want ErrCorrupt", tc.name, err)
 		}
 	}

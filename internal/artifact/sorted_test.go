@@ -36,11 +36,11 @@ func reopenHicard(t *testing.T, rows int, seed uint64) (d *dataset.Dataset, l *c
 		Workers: 2, MemBudget: hicardBudget, SpillDir: t.TempDir(),
 	}))
 	dir := filepath.Join(t.TempDir(), "hicard")
-	if err := Save(built, dir); err != nil {
+	if err := SaveFS(built, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	built.ReleaseSpill()
-	l, m, err := Open(dir)
+	l, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func properSubsets(s lattice.AttrSet) []lattice.AttrSet {
 // count; each holds the patterns and counts BuildPC over the same rows
 // finds. That they also get BuildPC's representation (here the one- and
 // two-attribute marginals dense, the three-attribute ones sorted) is
-// checked on the label Open assembles by internal/core's
+// checked on the label OpenFS assembles by internal/core's
 // TestPortableTiersMatchBuild.
 func TestReopenedMarginalsMatchBuild(t *testing.T) {
 	d, l, _ := reopenHicard(t, 100000, 0x181)
@@ -163,20 +163,20 @@ func TestSpilledRunsPinWithinBudget(t *testing.T) {
 
 // TestOpenRejectsSpilledSizeBeyondRecords: a spilled payload's declared
 // distinct-key counts size the read path's allocations, so a manifest
-// declaring more keys than its runs hold records fails Open instead of
+// declaring more keys than its runs hold records fails OpenFS instead of
 // reaching them — also when its run sizes only sum to its size by
 // wrapping around. Counts are bounded by the label's rows in turn: a row
 // count outside int32, or runs holding more records than the label has
-// rows, fail Open too.
+// rows, fail OpenFS too.
 func TestOpenRejectsSpilledSizeBeyondRecords(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x184)
 	l := must(core.BuildLabel(d, lattice.FullSet(4), core.CountOptions{MemBudget: 16 << 10, SpillDir: t.TempDir()}))
 	dir := filepath.Join(t.TempDir(), "a")
-	if err := Save(l, dir); err != nil {
+	if err := SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.ReleaseSpill()
-	_, saved, err := Open(dir)
+	_, saved, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOpenRejectsSpilledSizeBeyondRecords(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := Open(dir); !errors.Is(err, tc.want) {
+			if _, _, err := OpenFS(dir, nil); !errors.Is(err, tc.want) {
 				t.Fatalf("Open = %v, want %v", err, tc.want)
 			}
 		})
@@ -239,11 +239,11 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 		Workers: 2, MemBudget: hicardBudget, SpillDir: t.TempDir(),
 	}))
 	dir := filepath.Join(t.TempDir(), "hicard")
-	if err := Save(built, dir); err != nil {
+	if err := SaveFS(built, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	built.ReleaseSpill()
-	_, m, err := Open(dir)
+	_, m, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 		t.Errorf("runs take %d bytes for %d distinct keys, %.2f a key, want at most 4.5", runBytes, pm.Size, per)
 	}
 
-	l, _, err := Open(dir)
+	l, _, err := OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,10 @@ func TestSpilledRunLayoutAndMerge(t *testing.T) {
 			delta, union := appendRows(t, base, deltaRows, tc.grow, 0x192)
 			dl := must(core.BuildLabel(delta, full, core.CountOptions{Workers: 2}))
 			mdir := copyDir(t, dir)
-			if _, err := MergeInto(mdir, dl, m); err != nil {
+			if _, err := MergeIntoFS(mdir, dl, m, nil); err != nil {
 				t.Fatal(err)
 			}
-			ml, mm, err := Open(mdir)
+			ml, mm, err := OpenFS(mdir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -280,15 +280,15 @@ func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrS
 			rep.SaveNoSpace++
 		}
 		// Crash safety: an aborted save left no committed artifact.
-		if _, _, openErr := artifact.Open(artDir); openErr == nil {
+		if _, _, openErr := artifact.OpenFS(artDir, nil); openErr == nil {
 			return "", false, fmt.Errorf("failed save (%v) left an openable artifact", saveErr)
 		}
 		os.RemoveAll(artDir)
-		if err := artifact.Save(l, artDir); err != nil {
+		if err := artifact.SaveFS(l, artDir, nil); err != nil {
 			return "", false, fmt.Errorf("clean retry save: %w", err)
 		}
 	}
-	_, m, err := artifact.Open(artDir)
+	_, m, err := artifact.OpenFS(artDir, nil)
 	if err != nil {
 		return "", false, err
 	}
@@ -311,7 +311,7 @@ func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrS
 	if mergeErr != nil {
 		rep.MergeFailures++
 		// The previous generation must still open and serve.
-		if _, om, openErr := artifact.Open(artDir); openErr != nil {
+		if _, om, openErr := artifact.OpenFS(artDir, nil); openErr != nil {
 			return "", false, fmt.Errorf("failed merge (%v) broke the base artifact: %v", mergeErr, openErr)
 		} else if om.Epoch != m.Epoch {
 			return "", false, fmt.Errorf("failed merge moved the epoch %d -> %d", m.Epoch, om.Epoch)
@@ -328,7 +328,7 @@ func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrS
 // anything else fails the soak.
 func servePhase(rng *rand.Rand, artDir string, d *dataset.Dataset,
 	oracle *core.Label, probes []probe, rep *Report) error {
-	l, _, err := artifact.Open(artDir)
+	l, _, err := artifact.OpenFS(artDir, nil)
 	if err != nil {
 		return err
 	}

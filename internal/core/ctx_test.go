@@ -146,7 +146,7 @@ func TestLabelDoesNotRetainBuildContext(t *testing.T) {
 
 func TestCancelledSpilledReadReturnsTypedError(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	_, oracle, spilled, _, _ := buildSpilledOnFaultFS(t, 0xD1)
+	_, oracle, spilled, _ := buildSpilledOnFaultFS(t, 0xD1)
 	defer spilled.ReleaseSpill()
 	probes := spilledProbes(t, spilled, 50, 0xD1)
 

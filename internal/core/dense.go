@@ -353,13 +353,6 @@ type ScanStats struct {
 	// set re-counted in memory. A climbing counter here means the spill
 	// volume is full — the engine keeps answering exactly, but over budget.
 	SpillNoSpaceFallbacks int64
-	// SpillReadErrors counts failed run-read attempts on merge-on-read
-	// indexes (each failed scan, including failed retries).
-	SpillReadErrors int64
-	// SpillRetries counts bounded retries of failed merge-on-read run
-	// reads; a retry that succeeds leaves the query answering exactly,
-	// with only these counters recording the incident.
-	SpillRetries int64
 	// RowsScanned totals the dataset rows fed through group-by counting
 	// kernels (every buildPC invocation, whichever representation it
 	// picked). Incremental-maintenance callers use it to assert that an

@@ -137,13 +137,14 @@
 // (spilledpc.go) and hammered by the race-matrix tests in
 // spilledpc_concurrent_test.go.
 //
-// Allocation is arena-managed: a VecPool recycles count slabs, key scratch
-// and spill buffers across sizing calls and sharded builds
-// (CountOptions.Pool). Steady-state enumeration allocates a near-constant
-// working set (pinned by alloc_test.go) instead of one count slab per
-// candidate. The search's evaluation phase scores candidates through a row
-// index of its own and builds few labels: the winner's, and the label of
-// any candidate whose scoring outgrows a row scan (internal/search). Each
+// Allocation is arena-managed: a VecPool recycles count slabs and key
+// scratch across sizing calls and sharded builds (CountOptions.Pool); the
+// spill tier allocates its own buffers. Steady-state enumeration
+// allocates a near-constant working set (pinned by alloc_test.go) instead
+// of one count slab per candidate. The search's evaluation phase scores
+// candidates through a row index of its own and builds few labels: the
+// winner's, and the label of any candidate whose scoring outgrows a row
+// scan (internal/search). Each
 // build does only per-candidate work — the PC group-by — because a
 // label's VC section is its dataset's VC table (dataset.Dataset.VCTable),
 // counted once per dataset and shared read-only by every label built over

@@ -8,9 +8,9 @@ import (
 )
 
 // Estimator is anything that can estimate pattern counts from a dense value
-// slice: labels (the paper's contribution), the sampling baseline and the
-// PostgreSQL-statistics baseline all implement it, so they can be scored by
-// the same evaluation machinery.
+// slice: labels (the paper's contribution), the search's candidate scorer,
+// the sampling baseline and the PostgreSQL-statistics baseline all
+// implement it, so they can be scored by the same evaluation machinery.
 type Estimator interface {
 	// EstimateRow estimates the count of the pattern whose constrained
 	// attributes are attrs and whose value identifiers occupy the

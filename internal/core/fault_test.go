@@ -4,13 +4,11 @@ package core
 // run-read failure must recover through the bounded retry without changing
 // any answer; a persistent failure must surface as a clean error from the
 // query methods and must not be cached — once the disk heals, the same PC
-// answers again. Every
-// failure and retry is metered in both SpillReadStats and the build's
-// ScanStats.
+// answers again. Every failure and retry is metered in the PC's
+// SpillReadStats.
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"pcbl/internal/dataset"
@@ -19,26 +17,23 @@ import (
 )
 
 // buildSpilledOnFaultFS builds the oracle and a budgeted merge-on-read PC
-// whose run I/O is routed through a FaultFS, plus the ScanStats sink the
-// spilled PC mirrors read errors into.
-func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracle, spilled *PC, ffs *iofault.FaultFS, st *ScanStats) {
+// whose run I/O is routed through a FaultFS.
+func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracle, spilled *PC, ffs *iofault.FaultFS) {
 	t.Helper()
 	cfg := diffConfig{rows: 4000, attrs: 4, domain: 300, nullRate: 0.05}
 	d = diffDataset(t, cfg, seed)
 	s := spillSet(t, d)
 	oracle = must(BuildPC(d, s, CountOptions{Workers: 1}))
 	ffs = iofault.NewFaultFS(nil)
-	st = &ScanStats{}
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, evictRuns)
 	opts.SpillDir = t.TempDir()
 	opts.FS = ffs
-	opts.Stats = st
 	spilled = must(BuildPC(d, s, opts))
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d)", oracle.Size())
 	}
-	return d, oracle, spilled, ffs, st
+	return d, oracle, spilled, ffs
 }
 
 func spilledProbes(t *testing.T, pc *PC, n int, seed uint64) [][]uint16 {
@@ -49,7 +44,7 @@ func spilledProbes(t *testing.T, pc *PC, n int, seed uint64) [][]uint16 {
 }
 
 func TestSpilledReadTransientFaultRetries(t *testing.T) {
-	_, oracle, spilled, ffs, st := buildSpilledOnFaultFS(t, 0xC1)
+	_, oracle, spilled, ffs := buildSpilledOnFaultFS(t, 0xC1)
 	defer spilled.ReleaseSpill()
 	probes := spilledProbes(t, spilled, 200, 0xC1)
 
@@ -72,14 +67,10 @@ func TestSpilledReadTransientFaultRetries(t *testing.T) {
 	if stats.ReadErrors != 1 || stats.Retries != 1 {
 		t.Fatalf("stats = %+v, want exactly one recovered failure", stats)
 	}
-	if atomic.LoadInt64(&st.SpillReadErrors) != 1 || atomic.LoadInt64(&st.SpillRetries) != 1 {
-		t.Fatalf("ScanStats mirror = errors %d retries %d, want 1/1",
-			st.SpillReadErrors, st.SpillRetries)
-	}
 }
 
 func TestSpilledReadPersistentFaultSurfacesAndRecovers(t *testing.T) {
-	_, oracle, spilled, ffs, _ := buildSpilledOnFaultFS(t, 0xC2)
+	_, oracle, spilled, ffs := buildSpilledOnFaultFS(t, 0xC2)
 	defer spilled.ReleaseSpill()
 	probes := spilledProbes(t, spilled, 200, 0xC2)
 
@@ -111,7 +102,7 @@ func TestSpilledReadPersistentFaultSurfacesAndRecovers(t *testing.T) {
 }
 
 func TestSpilledMarginalizeSurfacesReadFault(t *testing.T) {
-	d, _, spilled, ffs, _ := buildSpilledOnFaultFS(t, 0xC3)
+	d, _, spilled, ffs := buildSpilledOnFaultFS(t, 0xC3)
 	defer spilled.ReleaseSpill()
 	sub := spilled.Attrs()
 	for _, a := range sub.Members() {

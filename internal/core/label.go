@@ -298,8 +298,8 @@ func (l *Label) estimateRow(ctx context.Context, vals []uint16, attrs lattice.At
 // Independence returns base times the independence fraction of every
 // attribute of outside on which vals holds a value, in ascending attribute
 // order: Definition 2.11's product over Attr(p) ∖ S, where fracs[a][id-1]
-// is the fraction of value id of attribute a. Every estimator of the
-// definition multiplies through it, so they agree bit for bit.
+// is the fraction of value id of attribute a. The label and the search's
+// scorer both multiply through it, so their estimates agree bit for bit.
 func Independence(base float64, vals []uint16, outside lattice.AttrSet, fracs [][]float64) float64 {
 	for rest := uint64(outside); rest != 0; rest &= rest - 1 {
 		a := bits.TrailingZeros64(rest)

@@ -334,7 +334,7 @@ func mergeSpilled(base, delta *PC, k *Keyer, n, rows int, opts CountOptions) (*P
 	}
 	sp.release()
 	keep = true
-	out.sp = newSpilledPC(rs, k, size, runSizes, budget, opts.Stats)
+	out.sp = newSpilledPC(rs, k, size, runSizes, budget)
 	return out, nil
 }
 
@@ -411,7 +411,6 @@ func mergeSpilledRekey(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n, 
 		Runs:  sp.runs.NumRuns(),
 		Share: countShare(budget, workers),
 		Dir:   opts.SpillDir,
-		Pool:  opts.Pool,
 		FS:    opts.FS,
 	})
 	if err != nil {

@@ -91,7 +91,7 @@ func PCFromRepr(d *dataset.Dataset, r PCRepr, rows int) (*PC, error) {
 		if sr.Runs.Words() != k.Words() {
 			return nil, fmt.Errorf("core: spilled PC runs hold %d-word keys, attribute set %v keys %d words", sr.Runs.Words(), r.Attrs, k.Words())
 		}
-		pc.sp = newSpilledPC(sr.Runs, k, sr.Size, sr.RunSizes, sr.Budget, nil)
+		pc.sp = newSpilledPC(sr.Runs, k, sr.Size, sr.RunSizes, sr.Budget)
 	case r.U != nil:
 		u := r.U
 		if u.W != k.Words() || len(u.Keys) != u.W*len(u.Counts) {

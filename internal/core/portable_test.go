@@ -2,7 +2,7 @@ package core
 
 // A portable label is the form a consumer of a published label holds: no
 // rows, only the schema, |D|, the VC section and the PC section. It is
-// what internal/artifact.Open assembles, so these tests build it the same
+// what internal/artifact.OpenFS assembles, so these tests build it the same
 // way (see portable) and check that it answers like the live label.
 
 import (
@@ -16,7 +16,7 @@ import (
 	"pcbl/internal/testutil"
 )
 
-// portable assembles l's data-free form the way artifact.Open does: a
+// portable assembles l's data-free form the way artifact.OpenFS does: a
 // schema-only dataset, |D|, the VC section and the PC section keyed over
 // the schema.
 func portable(t *testing.T, l *Label) *Label {

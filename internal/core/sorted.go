@@ -18,7 +18,7 @@ import (
 //
 // Counts are int32, like the dense slab's: a count is at most the row
 // count, BuildPC and Label.Merge refuse more than math.MaxInt32 rows, and
-// artifact.Open refuses a payload whose counts sum past its label's rows,
+// artifact.OpenFS refuses a payload whose counts sum past its label's rows,
 // so count32's overflow panic marks a bug, never an input.
 type SortedCounts struct {
 	W      int      // key width in words

@@ -280,7 +280,6 @@ func spillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, opts CountOpt
 		Runs:  runs,
 		Share: countShare(opts.MemBudget, workers),
 		Dir:   opts.SpillDir,
-		Pool:  opts.Pool,
 		FS:    opts.FS,
 	})
 	if err != nil {
@@ -357,7 +356,7 @@ func countAndSeal(w *spill.Writer, k *Keyer, workers int, budget int64, opts Cou
 	for _, n := range runSizes {
 		size += n
 	}
-	pc.sp = newSpilledPC(rs, k, size, runSizes, budget, opts.Stats)
+	pc.sp = newSpilledPC(rs, k, size, runSizes, budget)
 	return pc, nil
 }
 

@@ -58,9 +58,9 @@ import (
 // frame — and a failed read must never become a wrong count: the internal
 // read paths return errors (lookupValsE / eachE), with one bounded retry
 // per load so a transient fault recovers invisibly. Every failed attempt
-// and every retry is metered (SpillReadStats, and ScanStats when one is
-// attached). Every PC query method returns the error; only
-// Label.Estimate/EstimateRow, which take no error, panic on it.
+// and every retry is metered (PC.SpillReadStats). Every PC query method
+// returns the error; only Label.Estimate/EstimateRow, which take no
+// error, panic on it.
 //
 // No lock is held while user callbacks run: EachCtx fetches each run and
 // then iterates it lock-free, so the callback may freely probe the same
@@ -81,9 +81,6 @@ type spilledPC struct {
 	cleanup  runtime.Cleanup
 
 	stats spillReadStats
-	// scanStats, when non-nil, is the build's shared ScanStats: read
-	// errors and retries are mirrored into its atomic Spill* counters.
-	scanStats *ScanStats
 
 	store *runStore
 }
@@ -202,14 +199,14 @@ func (rs *runStore) load(ctx context.Context, run int) (*SortedCounts, error) {
 		if isCtxErr(err) {
 			return nil, err
 		}
-		sp.noteReadError()
-		sp.noteRetry()
+		sp.stats.readErrors.Add(1)
+		sp.stats.retries.Add(1)
 		m, err = sp.decodeSorted(ctx, run)
 		if err != nil {
 			if isCtxErr(err) {
 				return nil, err
 			}
-			sp.noteReadError()
+			sp.stats.readErrors.Add(1)
 			return nil, fmt.Errorf("core: spilled PC run read failed: %w", err)
 		}
 	}
@@ -277,14 +274,13 @@ func (rs *runStore) drop() {
 	rs.admit.Unlock()
 }
 
-func newSpilledPC(rs *spill.Runs, k *Keyer, size int, runSizes []int, budget int64, scanStats *ScanStats) *spilledPC {
+func newSpilledPC(rs *spill.Runs, k *Keyer, size int, runSizes []int, budget int64) *spilledPC {
 	sp := &spilledPC{
-		runs:      rs,
-		keyer:     k,
-		size:      size,
-		runSizes:  runSizes,
-		budget:    budget,
-		scanStats: scanStats,
+		runs:     rs,
+		keyer:    k,
+		size:     size,
+		runSizes: runSizes,
+		budget:   budget,
 	}
 	sp.store = newRunStore(sp)
 	// Safety net: when the PC is dropped without ReleaseSpill, the GC
@@ -311,23 +307,6 @@ func (sp *spilledPC) release() {
 func (sp *spilledPC) checkLive() {
 	if sp.released.Load() {
 		panic("core: use of a released spilled PC")
-	}
-}
-
-// noteReadError meters one failed run-read attempt, mirroring into the
-// build's shared ScanStats when one is attached.
-func (sp *spilledPC) noteReadError() {
-	sp.stats.readErrors.Add(1)
-	if sp.scanStats != nil {
-		atomic.AddInt64(&sp.scanStats.SpillReadErrors, 1)
-	}
-}
-
-// noteRetry meters one bounded retry of a failed run read.
-func (sp *spilledPC) noteRetry() {
-	sp.stats.retries.Add(1)
-	if sp.scanStats != nil {
-		atomic.AddInt64(&sp.scanStats.SpillRetries, 1)
 	}
 }
 

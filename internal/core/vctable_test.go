@@ -57,12 +57,11 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 	base, delta := splitDataset(t, d, 2700)
 	l1 := must(BuildLabel(base, lattice.NewAttrSet(0, 1), CountOptions{Workers: 1}))
 	l2 := must(BuildLabel(base, lattice.NewAttrSet(1, 2), CountOptions{Workers: 1}))
-	part := BuildPartialLabel(base, lattice.NewAttrSet(3))
 
 	counts, fracs := base.VCTable()
 	for a := range counts {
 		if &l1.vc[a][0] != &counts[a][0] || &l2.vc[a][0] != &counts[a][0] ||
-			&l1.fracs[a][0] != &fracs[a][0] || &part.fracs[a][0] != &fracs[a][0] {
+			&l1.fracs[a][0] != &fracs[a][0] || &l2.fracs[a][0] != &fracs[a][0] {
 			t.Fatalf("attribute %d: labels do not share the dataset's VC table", a)
 		}
 	}
@@ -95,7 +94,7 @@ func TestLabelsShareDatasetVC(t *testing.T) {
 	checkVC(t, "delta dataset's table", must(BuildLabel(delta, l1.Attrs(), CountOptions{Workers: 1})), valueCounts(delta))
 }
 
-// TestReopenedLabelKeepsItsVC assembles a label the way artifact.Open
+// TestReopenedLabelKeepsItsVC assembles a label the way artifact.OpenFS
 // does, over a schema-only dataset: it must serve the VC it was given,
 // not the zeros its dataset's own table holds.
 func TestReopenedLabelKeepsItsVC(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -304,6 +305,73 @@ func TestZipfWeights(t *testing.T) {
 	if math.Abs(w[0]-1) > 1e-12 || math.Abs(w[1]-0.5) > 1e-12 {
 		t.Errorf("w = %v", w)
 	}
+}
+
+// drawLinear is draw's reference: the first index whose cumulative weight
+// exceeds the draw, found by scanning.
+func drawLinear(rng *rand.Rand, cum []float64) int {
+	total := cum[len(cum)-1]
+	if total <= 0 {
+		return 0
+	}
+	x := rng.Float64() * total
+	for i, c := range cum {
+		if x < c {
+			return i
+		}
+	}
+	return len(cum) - 1
+}
+
+// TestDrawMatchesLinearScan: draw's binary search picks the index the
+// linear scan picks for every draw of a seeded stream, so generated
+// datasets do not change, on a 200-value domain (pcblbench's hicard
+// columns) and on vectors with zero weights, which must never be drawn.
+func TestDrawMatchesLinearScan(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+		n       int
+	}{
+		{"uniform-200", nil, 200},
+		{"zipf-200", ZipfWeights(200, 1.1), 200},
+		{"zero-weights", []float64{0, 0, 3, 0, 1, 0, 0, 2.5, 0}, 9},
+		{"one-nonzero", []float64{0, 0, 0, 1, 0}, 5},
+		{"all-zero", []float64{0, 0, 0}, 3},
+	} {
+		cum := cumulative(tc.weights, tc.n)
+		got, want := rand.New(rand.NewPCG(7, 11)), rand.New(rand.NewPCG(7, 11))
+		for i := 0; i < 50000; i++ {
+			g, w := draw(got, cum), drawLinear(want, cum)
+			if g != w {
+				t.Fatalf("%s: draw %d picked %d, linear scan %d", tc.name, i, g, w)
+			}
+			if tc.weights != nil && tc.weights[g] == 0 && cum[len(cum)-1] > 0 {
+				t.Fatalf("%s: draw %d picked zero-weight index %d", tc.name, i, g)
+			}
+		}
+	}
+
+	// Ties: weights totalling 8 and draws of exactly k/8 of it put x on
+	// every cumulative weight, where the first weight above x must win.
+	weights := []float64{0, 0, 3, 0, 1, 0, 0, 2, 2}
+	cum := cumulative(weights, len(weights))
+	got, want := rand.New(&eighths{}), rand.New(&eighths{})
+	for k := 0; k < 8; k++ {
+		g, w := draw(got, cum), drawLinear(want, cum)
+		if g != w || weights[g] == 0 {
+			t.Fatalf("x = %d: draw picked %d, linear scan %d (weights %v)", k, g, w, weights)
+		}
+	}
+}
+
+// eighths is a rand.Source whose Float64 draws are 0, 1/8, ..., 7/8.
+type eighths struct{ k uint64 }
+
+func (s *eighths) Uint64() uint64 {
+	v := (s.k % 8) << 50 // Float64 is the low 53 bits over 2^53
+	s.k++
+	return v
 }
 
 // TestGenerateRowCountProperty (property): generation honors arbitrary row

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 
 	"pcbl/internal/dataset"
 )
@@ -188,20 +189,17 @@ func cumulative(w []float64, n int) []float64 {
 	return cum
 }
 
-// draw samples an index from a cumulative weight vector.
+// draw samples an index from a cumulative weight vector: the first whose
+// cumulative weight exceeds a uniform draw below the total, found by
+// binary search (domains reach 200 values), so a zero-weight value is
+// never drawn.
 func draw(rng *rand.Rand, cum []float64) int {
 	total := cum[len(cum)-1]
 	if total <= 0 {
 		return 0
 	}
 	x := rng.Float64() * total
-	// Linear scan: domains are small (≤ ~15 values).
-	for i, c := range cum {
-		if x < c {
-			return i
-		}
-	}
-	return len(cum) - 1
+	return min(sort.Search(len(cum), func(i int) bool { return cum[i] > x }), len(cum)-1)
 }
 
 // ZipfWeights returns n weights following a Zipf distribution with exponent

@@ -31,7 +31,7 @@ func openServedLabelFS(t *testing.T, seed uint64) (l *core.Label, ffs *iofault.F
 		t.Fatal("label did not spill; adjust the test shape")
 	}
 	dir := t.TempDir() + "/artifact"
-	if err := artifact.Save(inproc, dir); err != nil {
+	if err := artifact.SaveFS(inproc, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	inproc.ReleaseSpill()

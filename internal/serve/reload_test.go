@@ -42,10 +42,10 @@ func newReloadFixture(t *testing.T) *reloadFixture {
 	}
 	l := must(core.BuildLabel(base, lattice.FullSet(3), core.CountOptions{}))
 	dir := t.TempDir() + "/artifact"
-	if err := artifact.Save(l, dir); err != nil {
+	if err := artifact.SaveFS(l, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	rl, m, err := artifact.Open(dir)
+	rl, m, err := artifact.OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func newReloadFixture(t *testing.T) *reloadFixture {
 		if f.failing {
 			return nil, 0, errors.New("scripted reload failure")
 		}
-		nl, nm, err := artifact.Open(dir)
+		nl, nm, err := artifact.OpenFS(dir, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -77,7 +77,7 @@ func (f *reloadFixture) advance(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := must(core.BuildLabel(delta, lattice.FullSet(3), core.CountOptions{}))
-	if _, err := artifact.MergeInto(f.dir, dl, nil); err != nil {
+	if _, err := artifact.MergeIntoFS(f.dir, dl, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

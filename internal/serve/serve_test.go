@@ -94,12 +94,12 @@ func openServedLabel(t *testing.T, d *dataset.Dataset) (inproc, reopened *core.L
 		t.Fatal("label did not spill; adjust the test shape")
 	}
 	dir := t.TempDir() + "/artifact"
-	if err := artifact.Save(inproc, dir); err != nil {
+	if err := artifact.SaveFS(inproc, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	var m *artifact.Manifest
 	var err error
-	reopened, m, err = artifact.Open(dir)
+	reopened, m, err = artifact.OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +366,10 @@ func TestServeMetrics(t *testing.T) {
 func TestServeRejectsAttrBeyondColumn63(t *testing.T) {
 	d := testDataset(t, 500, 70, 3, 0x70)
 	dir := t.TempDir() + "/artifact"
-	if err := artifact.Save(must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})), dir); err != nil {
+	if err := artifact.SaveFS(must(core.BuildLabel(d, lattice.NewAttrSet(0, 1), core.CountOptions{Workers: 1})), dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := artifact.Open(dir)
+	l, _, err := artifact.OpenFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@
 //
 // The package is deliberately below internal/core in the import order: it
 // deals only in uint64-word keys, so core can select it from kernel
-// dispatch without a cycle. Buffers are recycled through the BufPool
-// interface, which *core.VecPool satisfies.
+// dispatch without a cycle. It allocates its own buffers: each shard's
+// partition buffers and each count worker's read and sort buffers, sized
+// once and reused across flushes and runs.
 package spill
 
 import (
@@ -61,16 +62,6 @@ import (
 	"pcbl/internal/iofault"
 	"pcbl/internal/workpool"
 )
-
-// BufPool supplies reusable slabs for the writer's partition buffers and
-// the count workers' read buffers. *core.VecPool satisfies it; a nil
-// Config.Pool degrades to plain allocation.
-type BufPool interface {
-	Uint64(n int, zero bool) []uint64
-	PutUint64(s []uint64)
-	Int32(n int, zero bool) []int32
-	PutInt32(s []int32)
-}
 
 // Config describes one spill group-by.
 type Config struct {
@@ -93,8 +84,6 @@ type Config struct {
 	// (and on Cleanup removes) a private subdirectory under it. Empty
 	// means the system temp directory.
 	Dir string
-	// Pool recycles buffers across spills; nil means plain allocation.
-	Pool BufPool
 	// FS is the filesystem seam all run-file access goes through; nil
 	// means the real OS filesystem. Durability tests inject faults here.
 	FS iofault.FS
@@ -308,8 +297,8 @@ func (w *Writer) DropRun(run int) {
 
 // Shard returns a writer-local view for one producing goroutine: Add is not
 // safe for concurrent use on a single ShardWriter, but any number of shards
-// may add concurrently. Close flushes and returns the shard's buffers to
-// the pool; it must be called (even after errors) before CountRunsCtx.
+// may add concurrently. Close flushes and drops the shard's buffers; it
+// must be called (even after errors) before CountRunsCtx.
 func (w *Writer) Shard() *ShardWriter {
 	s := &ShardWriter{w: w, bufs: make([]shardBuf, w.cfg.Runs)}
 	// The encoder holds a whole flush at its longest, so flushes never
@@ -317,8 +306,8 @@ func (w *Writer) Shard() *ShardWriter {
 	s.enc.buf = make([]byte, 0, encodedBytes(w.flushEntries, w.cfg.Words))
 	for i := range s.bufs {
 		s.bufs[i] = shardBuf{
-			keys:   getUint64(w.cfg.Pool, w.flushEntries*w.cfg.Words)[:0],
-			counts: getInt32(w.cfg.Pool, w.flushEntries)[:0],
+			keys:   make([]uint64, 0, w.flushEntries*w.cfg.Words),
+			counts: make([]int32, 0, w.flushEntries),
 		}
 	}
 	return s
@@ -392,15 +381,13 @@ func (s *ShardWriter) flush(run int) {
 	b.keys, b.counts = b.keys[:0], b.counts[:0]
 }
 
-// Close flushes every partition buffer and releases them to the pool. It
-// returns the first error the shard hit.
+// Close flushes every partition buffer and drops them. It returns the
+// first error the shard hit.
 func (s *ShardWriter) Close() error {
 	for run := range s.bufs {
 		if s.err == nil {
 			s.flush(run)
 		}
-		putUint64(s.w.cfg.Pool, s.bufs[run].keys)
-		putInt32(s.w.cfg.Pool, s.bufs[run].counts)
 		s.bufs[run] = shardBuf{}
 	}
 	s.w.wmu.Lock()
@@ -461,12 +448,8 @@ func (w *Writer) CountRunsCtx(ctx context.Context, workers int, emit func(run in
 		if w.cfg.Share > 0 {
 			room = min(room, int(max(w.cfg.Share/entryBytes, 1)))
 		}
-		keys := getUint64(w.cfg.Pool, room*words)[:0]
-		counts := getInt32(w.cfg.Pool, room)[:0]
-		defer func() {
-			putUint64(w.cfg.Pool, keys)
-			putInt32(w.cfg.Pool, counts)
-		}()
+		keys := make([]uint64, 0, room*words)
+		counts := make([]int32, 0, room)
 		var sorter Sorter
 		sorter.reserve(room, words)
 		rr := runReader{words: words, runs: len(w.runs), perFrame: true,
@@ -556,30 +539,4 @@ func (w *Writer) Cleanup() {
 		}
 	}
 	w.fs.RemoveAll(w.dir)
-}
-
-func getUint64(p BufPool, n int) []uint64 {
-	if p == nil {
-		return make([]uint64, n)
-	}
-	return p.Uint64(n, false)
-}
-
-func putUint64(p BufPool, s []uint64) {
-	if p != nil {
-		p.PutUint64(s)
-	}
-}
-
-func getInt32(p BufPool, n int) []int32 {
-	if p == nil {
-		return make([]int32, n)
-	}
-	return p.Int32(n, false)
-}
-
-func putInt32(p BufPool, s []int32) {
-	if p != nil {
-		p.PutInt32(s)
-	}
 }

@@ -328,52 +328,6 @@ func TestCleanupOnPanic(t *testing.T) {
 	assertEmptyDir(t, w, "after panic unwound through the deferred cleanup")
 }
 
-// countingPool counts slab traffic to verify spill recycles through the
-// pool rather than allocating per shard or per read.
-type countingPool struct {
-	mu         sync.Mutex
-	gets, puts int
-}
-
-func (p *countingPool) Uint64(n int, _ bool) []uint64 { p.count(&p.gets); return make([]uint64, n) }
-func (p *countingPool) PutUint64([]uint64)            { p.count(&p.puts) }
-func (p *countingPool) Int32(n int, _ bool) []int32   { p.count(&p.gets); return make([]int32, n) }
-func (p *countingPool) PutInt32([]int32)              { p.count(&p.puts) }
-
-func (p *countingPool) count(n *int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	*n++
-}
-
-func TestBuffersCycleThroughPool(t *testing.T) {
-	keys, ref := genKeys(3000, 80, 1, 9)
-	pool := &countingPool{}
-	const runs = 4
-	w, err := NewWriter(Config{Words: 1, Runs: runs, Dir: t.TempDir(), Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Cleanup()
-	writeAll(t, w, keys, 2)
-	size := 0
-	err = w.CountRunsCtx(nil, 1, func(_ int, _ []uint64, counts []int32) bool {
-		size += len(counts)
-		return true
-	})
-	if err != nil || size != len(ref) {
-		t.Fatalf("size=%d err=%v, want %d", size, err, len(ref))
-	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	// 2 shards × runs key and count buffers + 1 worker's read buffers, all
-	// returned.
-	want := 2*runs*2 + 2
-	if pool.gets != want || pool.puts != want {
-		t.Fatalf("pool traffic gets=%d puts=%d, want %d each", pool.gets, pool.puts, want)
-	}
-}
-
 func TestWriterRejectsBadConfig(t *testing.T) {
 	if _, err := NewWriter(Config{Words: 0, Runs: 1}); err == nil {
 		t.Fatal("zero key width accepted")

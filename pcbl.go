@@ -154,21 +154,6 @@ func BuildLabelCtx(ctx context.Context, d *Dataset, attrNames ...string) (*Label
 	return core.BuildLabel(d, s, core.CountOptions{Ctx: ctx})
 }
 
-// PartialLabel is the partial-pattern label extension (paper §II-C future
-// work): tuples NULL in part of S still contribute their partial pattern,
-// and restriction counts are exact even on NULL-bearing data.
-type PartialLabel = core.PartialLabel
-
-// BuildPartialLabel computes the partial-pattern label over the named
-// attributes.
-func BuildPartialLabel(d *Dataset, attrNames ...string) (*PartialLabel, error) {
-	s, err := AttrSetOf(d, attrNames...)
-	if err != nil {
-		return nil, err
-	}
-	return core.BuildPartialLabel(d, s), nil
-}
-
 // ParsePattern builds a pattern from a textual expression such as
 // "gender = Female AND race = Hispanic" (see internal/patexpr for the
 // grammar).
@@ -340,13 +325,13 @@ type LabelManifest = artifact.Manifest
 // materialized marginal index, with spilled payloads relocated rather than
 // re-counted — into dir as a versioned on-disk artifact. dir must not exist
 // or be empty. The source label stays fully usable afterwards.
-func SaveLabelArtifact(l *Label, dir string) error { return artifact.Save(l, dir) }
+func SaveLabelArtifact(l *Label, dir string) error { return artifact.SaveFS(l, dir, nil) }
 
 // OpenLabelArtifact reopens a saved label artifact read-only. The returned
 // label answers Count/Estimate/Marginal queries bit-identically to the
 // label that was saved; call ReleaseSpill when done if the artifact carries
 // merge-on-read payloads (this does not delete the artifact's files).
-func OpenLabelArtifact(dir string) (*Label, *LabelManifest, error) { return artifact.Open(dir) }
+func OpenLabelArtifact(dir string) (*Label, *LabelManifest, error) { return artifact.OpenFS(dir, nil) }
 
 // DeltaMeta binds a delta artifact to the base artifact state (epoch and
 // row watermark) its rows were counted against.
@@ -405,7 +390,7 @@ func BuildDeltaLabel(delta *Dataset, engine EngineOptions, attrNames ...string) 
 // later verify it still applies. base is the manifest of the artifact the
 // delta extends, from OpenLabelArtifact at delta-build time.
 func SaveDeltaArtifact(l *Label, dir string, base *LabelManifest) error {
-	return artifact.SaveDelta(l, dir, base)
+	return artifact.SaveDeltaFS(l, dir, base, nil)
 }
 
 // MergeLabelArtifact folds a delta label — counted over only the rows
@@ -418,12 +403,12 @@ func SaveDeltaArtifact(l *Label, dir string, base *LabelManifest) error {
 // holds one complete artifact — the old one until the manifest rename, the
 // merged one after.
 func MergeLabelArtifact(baseDir string, delta *Label, base *LabelManifest) (*LabelManifest, error) {
-	return artifact.MergeInto(baseDir, delta, base)
+	return artifact.MergeIntoFS(baseDir, delta, base, nil)
 }
 
 // MergeDeltaArtifact folds a saved delta artifact (SaveDeltaArtifact) into
 // the base artifact it is bound to, with the same epoch verification and
 // crash-safety as MergeLabelArtifact.
 func MergeDeltaArtifact(baseDir, deltaDir string) (*LabelManifest, error) {
-	return artifact.MergeDeltaInto(baseDir, deltaDir)
+	return artifact.MergeDeltaIntoFS(baseDir, deltaDir, nil)
 }

@@ -186,15 +186,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if ps.Len() != 3 {
 		t.Errorf("P_S size = %d, want 3", ps.Len())
 	}
-	// Partial label agrees with the standard label on NULL-free data.
-	pl, err := BuildPartialLabel(d, "age group", "marital status")
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, _ := BuildLabel(d, "age group", "marital status")
-	if pl.Estimate(p) != l.Estimate(p) {
-		t.Error("partial and standard labels disagree on NULL-free data")
-	}
 	// HTML report renders.
 	var sb strings.Builder
 	eval := Evaluate(l, nil)
